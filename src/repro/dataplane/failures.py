@@ -13,16 +13,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.net.addr import Address, Prefix
+from repro.net.addr import Address, Prefix, address_int
 
 _failure_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FailureBase:
-    """Common switches: activation window and destination scoping."""
+    """Common switches: activation window and destination scoping.
+
+    Failures are frozen: :class:`FailureSet` indexes them by the masks
+    and windows they had when added, so there must be no way to change
+    one afterwards.
+    """
 
     #: Destinations the failure applies to (None = all traffic).
     toward: Optional[Prefix] = None
@@ -34,11 +39,8 @@ class _FailureBase:
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
 
-    def matches_destination(self, destination: Address) -> bool:
-        return self.toward is None or destination in self.toward
 
-
-@dataclass
+@dataclass(frozen=True)
 class RouterFailure(_FailureBase):
     """A router silently drops every matching packet it should forward."""
 
@@ -49,7 +51,7 @@ class RouterFailure(_FailureBase):
             raise ValueError("RouterFailure needs a router id")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkFailure(_FailureBase):
     """A router-level link drops matching packets.
 
@@ -65,13 +67,8 @@ class LinkFailure(_FailureBase):
         if not self.a or not self.b:
             raise ValueError("LinkFailure needs both router ids")
 
-    def drops_hop(self, from_rid: str, to_rid: str) -> bool:
-        if (from_rid, to_rid) == (self.a, self.b):
-            return True
-        return self.bidirectional and (from_rid, to_rid) == (self.b, self.a)
 
-
-@dataclass
+@dataclass(frozen=True)
 class ASForwardingFailure(_FailureBase):
     """An entire AS blackholes matching traffic (while still advertising).
 
@@ -90,22 +87,79 @@ class ASForwardingFailure(_FailureBase):
 
 Failure = Union[RouterFailure, LinkFailure, ASForwardingFailure]
 
+#: One indexed failure: (start, end, toward mask, toward base, failure).
+#: An unscoped failure has mask 0 and base 0, which every address matches.
+_Entry = Tuple[float, float, int, int, Any]
+
+
+def _bucket_drops(
+    bucket: List[_Entry], destination: int, now: float
+) -> bool:
+    for start, end, mask, base, _failure in bucket:
+        if start <= now < end and destination & mask == base:
+            return True
+    return False
+
 
 class FailureSet:
-    """The set of failures currently injected, queried per forwarding hop."""
+    """The set of failures currently injected, queried per forwarding hop.
+
+    Failures are indexed as they are added — by router id, by ASN and by
+    directed router link — so a per-hop query is a ``dict.get`` that
+    misses unless something was injected at exactly that router, AS or
+    link; its cost does not grow with the failures accumulated elsewhere.
+    """
 
     def __init__(self, failures: Iterable[Failure] = ()) -> None:
-        self._failures: List[Failure] = list(failures)
+        self._failures: List[Failure] = []
+        self._by_router: Dict[str, List[_Entry]] = {}
+        self._by_asn: Dict[int, List[_Entry]] = {}
+        self._by_link: Dict[Tuple[str, str], List[_Entry]] = {}
+        for failure in failures:
+            self.add(failure)
+
+    def _homes(self, failure: Failure) -> List[Tuple[Dict, Any]]:
+        """The (index, bucket key) pairs *failure* is filed under."""
+        if isinstance(failure, RouterFailure):
+            return [(self._by_router, failure.rid)]
+        if isinstance(failure, ASForwardingFailure):
+            return [(self._by_asn, failure.asn)]
+        homes = [(self._by_link, (failure.a, failure.b))]
+        if failure.bidirectional and failure.a != failure.b:
+            homes.append((self._by_link, (failure.b, failure.a)))
+        return homes
 
     def add(self, failure: Failure) -> Failure:
+        toward = failure.toward
+        entry = (
+            failure.start,
+            failure.end,
+            toward.mask if toward is not None else 0,
+            toward.base if toward is not None else 0,
+            failure,
+        )
         self._failures.append(failure)
+        for index, key in self._homes(failure):
+            index.setdefault(key, []).append(entry)
         return failure
 
     def remove(self, failure: Failure) -> None:
+        """Drop *failure*; raises ValueError if it is not in the set."""
         self._failures.remove(failure)
+        for index, key in self._homes(failure):
+            bucket = index[key]
+            for position, entry in enumerate(bucket):
+                if entry[4] == failure:
+                    del bucket[position]
+                    break
+            if not bucket:
+                del index[key]
 
     def clear(self) -> None:
         self._failures.clear()
+        self._by_router.clear()
+        self._by_asn.clear()
+        self._by_link.clear()
 
     def __len__(self) -> int:
         return len(self._failures)
@@ -114,38 +168,53 @@ class FailureSet:
         return iter(self._failures)
 
     def router_drops(
-        self, rid: str, asn: int, destination: Address, now: float
+        self,
+        rid: str,
+        asn: int,
+        destination: Union[int, Address],
+        now: float,
     ) -> bool:
         """Does the router *rid* (in *asn*) drop a packet to *destination*?"""
-        for failure in self._failures:
-            if not failure.active(now):
-                continue
-            if not failure.matches_destination(destination):
-                continue
-            if isinstance(failure, RouterFailure) and failure.rid == rid:
-                return True
-            if (
-                isinstance(failure, ASForwardingFailure)
-                and failure.asn == asn
-            ):
-                return True
-        return False
+        by_router = self._by_router.get(rid)
+        by_asn = self._by_asn.get(asn)
+        if by_router is None and by_asn is None:
+            return False
+        return _bucket_drops(
+            (by_router or []) + (by_asn or []),
+            address_int(destination),
+            now,
+        )
 
     def link_drops(
-        self, from_rid: str, to_rid: str, destination: Address, now: float
+        self,
+        from_rid: str,
+        to_rid: str,
+        destination: Union[int, Address],
+        now: float,
     ) -> bool:
         """Does the from->to router link drop a packet to *destination*?"""
-        for failure in self._failures:
-            if not failure.active(now):
-                continue
-            if not failure.matches_destination(destination):
-                continue
-            if isinstance(failure, LinkFailure) and failure.drops_hop(
-                from_rid, to_rid
-            ):
-                return True
-        return False
+        bucket = self._by_link.get((from_rid, to_rid))
+        if bucket is None:
+            return False
+        return _bucket_drops(bucket, address_int(destination), now)
 
     def active_failures(self, now: float) -> List[Failure]:
         """Failures in force at *now*."""
         return [f for f in self._failures if f.active(now)]
+
+    def active_by_asn(
+        self, now: float
+    ) -> Dict[int, List[Tuple[int, int, ASForwardingFailure]]]:
+        """asn -> (toward mask, toward base, failure) of every
+        :class:`ASForwardingFailure` in force at *now*, in the order
+        added; a destination int ``d`` matches when ``d & mask == base``."""
+        out: Dict[int, List[Tuple[int, int, ASForwardingFailure]]] = {}
+        for asn, bucket in self._by_asn.items():
+            live = [
+                (mask, base, failure)
+                for start, end, mask, base, failure in bucket
+                if start <= now < end
+            ]
+            if live:
+                out[asn] = live
+        return out

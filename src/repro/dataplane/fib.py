@@ -1,18 +1,22 @@
 """Per-AS FIB snapshots derived from the BGP engine's Loc-RIBs.
 
 Each AS gets a longest-prefix-match trie mapping prefixes to the AS-level
-next hop (or LOCAL for prefixes the AS originates).  The data plane
-resolves the AS-level next hop to concrete routers with hot-potato egress
-selection at forwarding time.
+next hop (or LOCAL for prefixes the AS originates).  The trie is the
+build-time structure; lookups go through the interval table
+(:class:`~repro.net.lpm.FlatLPM`) the snapshot compiles from it on first
+use.  The data plane resolves the AS-level next hop to concrete routers
+with hot-potato egress selection at forwarding time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Union
 
 from repro.bgp.engine import BGPEngine
-from repro.net.addr import Address, Prefix
+from repro.net.addr import Address, Prefix, address_int
+from repro.net.lpm import FlatLPM
 from repro.net.trie import PrefixTrie
 from repro.topology.relationships import Relationship
 
@@ -25,44 +29,74 @@ DEFAULT_PREFIX = Prefix(0, 0)
 
 @dataclass
 class FibSnapshot:
-    """Frozen forwarding state for the whole topology at one instant."""
+    """Frozen forwarding state for the whole topology at one instant.
+
+    Frozen means: once constructed, ``tables`` and ``origins`` are not
+    edited — a control-plane change makes a new snapshot
+    (:func:`build_fibs`), and a rebuilt AS gets a *new trie object*.
+    That is the whole invalidation rule for the compiled tables: new
+    trie object, new table; same trie object, same table.
+    """
 
     #: asn -> LPM trie of prefix -> next-hop asn (or LOCAL).
     tables: Dict[int, PrefixTrie] = field(default_factory=dict)
     #: prefix -> originating asn, for host-attachment decisions.
     origins: Dict[Prefix, int] = field(default_factory=dict)
-    #: Lazily built LPM index over ``origins`` (origin_for is per-probe).
-    _origin_trie: Optional[PrefixTrie] = field(
+    #: asn -> interval table compiled from ``tables[asn]`` on first use;
+    #: build_fibs carries clean ASes' entries into the next snapshot.
+    _flat: Dict[int, FlatLPM] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    #: Interval table over ``origins`` (origin_for is per-probe).
+    _origin_index: Optional[FlatLPM] = field(
         default=None, repr=False, compare=False
     )
+
+    def flat(self, asn: int) -> Optional[FlatLPM]:
+        """The compiled table for *asn* (None when it has no routes)."""
+        table = self._flat.get(asn)
+        if table is None:
+            trie = self.tables.get(asn)
+            if not trie:
+                return None
+            table = self._flat[asn] = FlatLPM.compile(trie)
+        return table
 
     def next_hop_as(
         self, asn: int, destination: Union[int, str, Address]
     ) -> Optional[int]:
-        """AS-level next hop at *asn* for *destination* (LOCAL, asn, None)."""
-        table = self.tables.get(asn)
+        """AS-level next hop at *asn* for *destination* (LOCAL, asn, None).
+
+        An int *destination* is taken as an address value as it stands;
+        the forwarding walk passes one per hop.
+        """
+        table = self._flat.get(asn)
         if table is None:
-            return None
-        return table.lookup_value(destination)
+            table = self.flat(asn)
+            if table is None:
+                return None
+        # FlatLPM.resolve, inlined: this runs once per router hop.
+        destination = address_int(destination)
+        return table.values[bisect_right(table.bases, destination) - 1]
 
     def origin_for(
         self, destination: Union[int, str, Address]
     ) -> Optional[int]:
-        """The AS hosting *destination*, per most-specific originated prefix.
+        """The AS hosting *destination*, per most-specific originated
+        prefix: one bisect into the index built with the snapshot."""
+        index = self._origin_index
+        if index is None:
+            index = self._index_origins()
+        return index.resolve(destination)
 
-        Resolved by an LPM lookup against a trie built once per snapshot:
-        this runs per probe, and the old linear scan over
-        ``origins.items()`` was O(prefixes) per call.  The index is
-        rebuilt if entries were added after the first lookup; snapshots
-        are otherwise frozen once ``build_fibs`` returns.
-        """
-        trie = self._origin_trie
-        if trie is None or len(trie) != len(self.origins):
-            trie = PrefixTrie()
-            for prefix, asn in self.origins.items():
-                trie[prefix] = asn
-            self._origin_trie = trie
-        return trie.lookup_value(Address(destination))
+    def _index_origins(self, carried: Optional[FlatLPM] = None) -> FlatLPM:
+        """Index ``origins`` (or adopt the *carried* index of a snapshot
+        with equal origins).  Once per snapshot: ``build_fibs`` calls it
+        when the snapshot is complete, a hand-built one on first use."""
+        if carried is None:
+            carried = FlatLPM.from_items(self.origins.items())
+        self._origin_index = carried
+        return carried
 
 
 def _build_as_fib(
@@ -103,9 +137,9 @@ def build_fibs(
 
     With *previous* and *dirty_asns* (from
     :meth:`BGPEngine.consume_fib_dirty`), only the dirty ASes' tries are
-    rebuilt; every other AS *shares its trie object* with the previous
-    snapshot, so downstream per-trie caches (the flat interval tables in
-    :class:`~repro.traffic.lpm.FlatFibSet`) stay valid by identity.
+    rebuilt; every other AS *shares its trie object* — and the interval
+    table already compiled from it — with the previous snapshot, and the
+    origins index is shared too unless a dirty AS changed its claims.
     ``dirty_asns=None`` means the change set is unbounded — full rebuild.
     """
     if previous is not None and dirty_asns is not None:
@@ -118,6 +152,11 @@ def build_fibs(
             for prefix, asn in previous.origins.items()
             if asn not in dirty_asns
         }
+        snapshot._flat = {
+            asn: table
+            for asn, table in previous._flat.items()
+            if asn not in dirty_asns
+        }
         for asn in sorted(dirty_asns):
             speaker = engine.speakers.get(asn)
             if speaker is None:
@@ -126,8 +165,18 @@ def build_fibs(
             snapshot.tables[asn] = _build_as_fib(
                 asn, speaker, snapshot.origins
             )
+        snapshot._index_origins(
+            previous._origin_index
+            if snapshot.origins == previous.origins
+            else None
+        )
         return snapshot
+    # Filled in place, not assembled from local dicts and wrapped at the
+    # end: a full collection of the medium heap measured 70 ms built
+    # this way and 100 ms the other (same objects, different order in
+    # the collector's lists).
     snapshot = FibSnapshot()
     for asn, speaker in engine.speakers.items():
         snapshot.tables[asn] = _build_as_fib(asn, speaker, snapshot.origins)
+    snapshot._index_origins()
     return snapshot

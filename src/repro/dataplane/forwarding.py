@@ -21,7 +21,7 @@ from typing import List, Optional, Union
 
 from repro.dataplane.failures import FailureSet
 from repro.dataplane.fib import LOCAL, FibSnapshot
-from repro.net.addr import Address
+from repro.net.addr import Address, address_int
 from repro.topology.routers import RouterTopology
 
 _MAX_ROUTER_HOPS = 256
@@ -47,6 +47,9 @@ class ForwardResult:
     hops: List[str] = field(default_factory=list)
     #: router where the walk ended (delivery point or drop point).
     final_router: Optional[str] = None
+    #: router that terminates the destination, resolved once when the
+    #: walk started (None when nothing hosts the address).
+    target_router: Optional[str] = None
 
     @property
     def delivered(self) -> bool:
@@ -89,11 +92,11 @@ class DataPlane:
         inside an originated prefix is a host hanging off the origin AS's
         first router.
         """
-        address = Address(destination)
-        router = self.topo.router_by_address(address)
+        destination = address_int(destination)
+        router = self.topo.router_by_address(destination)
         if router is not None:
             return router.rid
-        owner = self.fibs.origin_for(address)
+        owner = self.fibs.origin_for(destination)
         if owner is None:
             return None
         routers = self.topo.routers_of(owner)
@@ -109,88 +112,82 @@ class DataPlane:
         ttl: int = 64,
         now: Optional[float] = None,
     ) -> ForwardResult:
-        """Walk a packet from *source_rid* toward *destination*."""
+        """Walk a packet from *source_rid* toward *destination*.
+
+        The destination travels as an int and the current AS as a local;
+        each hop asks the FIB snapshot, the failure set (router, then
+        link) and the topology's egress memo one question apiece.
+        """
         now = self.now if now is None else now
-        address = Address(destination)
-        target_rid = self.host_router(address)
+        destination = address_int(destination)
+        router = self.topo.router
+        intra_next_hop = self.topo.intra_next_hop
+        egress_router = self.topo.egress_router
+        next_hop_as = self.fibs.next_hop_as
+        router_drops = self.failures.router_drops
+        link_drops = self.failures.link_drops
+
+        target_rid = self.host_router(destination)
+        target_asn = None if target_rid is None else router(target_rid).asn
         current = source_rid
+        current_asn = router(current).asn
         hops = [current]
         visited = {current}
 
-        def dropped_at(rid: str) -> bool:
-            asn = self.topo.router(rid).asn
-            return self.failures.router_drops(rid, asn, address, now)
+        def ended(outcome: ForwardOutcome, at: str) -> ForwardResult:
+            return ForwardResult(outcome, hops, at, target_rid)
 
-        if dropped_at(current):
-            return ForwardResult(ForwardOutcome.DROPPED, hops, current)
+        if router_drops(current, current_asn, destination, now):
+            return ended(ForwardOutcome.DROPPED, current)
 
         for _ in range(_MAX_ROUTER_HOPS):
-            current_asn = self.topo.router(current).asn
-            next_as = self.fibs.next_hop_as(current_asn, address)
+            next_as = next_hop_as(current_asn, destination)
             if next_as is None:
-                return ForwardResult(ForwardOutcome.NO_ROUTE, hops, current)
+                return ended(ForwardOutcome.NO_ROUTE, current)
 
             if next_as == LOCAL:
-                if (
-                    target_rid is None
-                    or self.topo.router(target_rid).asn != current_asn
-                ):
+                if target_asn != current_asn:
                     # Prefix originated here but no host terminates the
                     # address (or a more-specific host lives elsewhere).
-                    return ForwardResult(
-                        ForwardOutcome.NO_ROUTE, hops, current
-                    )
+                    return ended(ForwardOutcome.NO_ROUTE, current)
                 if current == target_rid:
-                    return ForwardResult(
-                        ForwardOutcome.DELIVERED, hops, current
-                    )
-                next_rid = self.topo.intra_next_hop(current, target_rid)
+                    return ended(ForwardOutcome.DELIVERED, current)
+                next_rid = intra_next_hop(current, target_rid)
                 if next_rid is None:
-                    return ForwardResult(
-                        ForwardOutcome.NO_ROUTE, hops, current
-                    )
+                    return ended(ForwardOutcome.NO_ROUTE, current)
             else:
-                egress = self.topo.egress_router(current, next_as)
+                egress = egress_router(current, next_as)
                 if egress is None:
-                    return ForwardResult(
-                        ForwardOutcome.NO_LINK, hops, current
-                    )
+                    return ended(ForwardOutcome.NO_LINK, current)
                 egress_rid, ingress_rid = egress
                 if current == egress_rid:
                     next_rid = ingress_rid
                 else:
-                    next_rid = self.topo.intra_next_hop(current, egress_rid)
+                    next_rid = intra_next_hop(current, egress_rid)
                     if next_rid is None:
-                        return ForwardResult(
-                            ForwardOutcome.NO_ROUTE, hops, current
-                        )
+                        return ended(ForwardOutcome.NO_ROUTE, current)
 
-            if self.failures.link_drops(current, next_rid, address, now):
-                return ForwardResult(ForwardOutcome.DROPPED, hops, current)
+            if link_drops(current, next_rid, destination, now):
+                return ended(ForwardOutcome.DROPPED, current)
 
             ttl -= 1
             hops.append(next_rid)
-            arriving_at_destination = (
+            next_asn = router(next_rid).asn
+            if (
                 next_rid == target_rid
-                and self.fibs.next_hop_as(
-                    self.topo.router(next_rid).asn, address
-                ) == LOCAL
-            )
-            if arriving_at_destination:
+                and next_hop_as(next_asn, destination) == LOCAL
+            ):
                 # Delivery check precedes the drop check: the packet is
                 # consumed by the host before the router would forward it.
-                return ForwardResult(
-                    ForwardOutcome.DELIVERED, hops, next_rid
-                )
+                return ended(ForwardOutcome.DELIVERED, next_rid)
             if ttl <= 0:
-                return ForwardResult(
-                    ForwardOutcome.TTL_EXPIRED, hops, next_rid
-                )
-            if dropped_at(next_rid):
-                return ForwardResult(ForwardOutcome.DROPPED, hops, next_rid)
+                return ended(ForwardOutcome.TTL_EXPIRED, next_rid)
+            if router_drops(next_rid, next_asn, destination, now):
+                return ended(ForwardOutcome.DROPPED, next_rid)
             if next_rid in visited:
-                return ForwardResult(ForwardOutcome.LOOP, hops, next_rid)
+                return ended(ForwardOutcome.LOOP, next_rid)
             visited.add(next_rid)
             current = next_rid
+            current_asn = next_asn
 
-        return ForwardResult(ForwardOutcome.LOOP, hops, current)
+        return ended(ForwardOutcome.LOOP, current)

@@ -191,13 +191,14 @@ class Prober:
     ) -> ForwardResult:
         return self.dataplane.forward(from_rid, to_address)
 
-    def _reply_reaches(
-        self, reply: ForwardResult, to_address: Address
-    ) -> bool:
-        if not reply.delivered:
-            return False
-        expected = self.dataplane.host_router(to_address)
-        return expected is not None and reply.final_router == expected
+    def _reply_reaches(self, reply: ForwardResult) -> bool:
+        """Delivered, and to the router the walk resolved as the host of
+        the address the reply was sent to."""
+        return (
+            reply.delivered
+            and reply.target_router is not None
+            and reply.final_router == reply.target_router
+        )
 
     # ------------------------------------------------------------------
     # Ping
@@ -265,7 +266,7 @@ class Prober:
         if self._reply_lost():
             return PingResult(success=False, request=request)
         reply = self._send_reply(responder_rid, claimed)
-        success = self._reply_reaches(reply, claimed)
+        success = self._reply_reaches(reply)
         return PingResult(
             success=success,
             request=request,
@@ -432,7 +433,7 @@ class Prober:
         if self._reply_lost():
             return result
         reply = self._send_reply(responder_rid, claimed)
-        if not self._reply_reaches(reply, claimed):
+        if not self._reply_reaches(reply):
             return result
         # Stamp the option: forward hops (after the emitting router),
         # then reply hops (after the responder) until slots run out.
@@ -446,7 +447,7 @@ class Prober:
         ][:remaining]
         result.success = True
         result.recorded = stamps + reply_stamps
-        result.received_by = self.dataplane.host_router(claimed)
+        result.received_by = reply.target_router
         result.recorded_reply = reply_stamps
         return result
 
@@ -476,6 +477,6 @@ class Prober:
         if self._reply_lost():
             return None
         reply = self._send_reply(walk.final_router, claimed)
-        if not self._reply_reaches(reply, claimed):
+        if not self._reply_reaches(reply):
             return None
         return responder.address

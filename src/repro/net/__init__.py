@@ -1,10 +1,12 @@
-"""Low-level networking primitives: addresses, prefixes, tries, probes.
+"""Low-level networking primitives: addresses, prefixes, tries, the
+interval-table LPM compiled from them, probes.
 
 This package is deliberately free of any simulation logic; it provides the
 value types the rest of the library is built on.
 """
 
 from repro.net.addr import Address, Prefix
+from repro.net.lpm import FlatLPM
 from repro.net.trie import PrefixTrie
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
@@ -17,6 +19,7 @@ from repro.net.packet import (
 
 __all__ = [
     "Address",
+    "FlatLPM",
     "Prefix",
     "PrefixTrie",
     "Probe",

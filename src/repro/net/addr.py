@@ -95,6 +95,18 @@ class Address:
         return Address(self._value + offset)
 
 
+def address_int(address: Union[int, str, Address]) -> int:
+    """*address* as its 32-bit int value.
+
+    An int is returned as it stands: the per-hop lookups pass values
+    that came out of an :class:`Address` and must not pay to re-wrap
+    them.  Strings and Addresses are validated as usual.
+    """
+    if type(address) is int:  # noqa: E721
+        return address
+    return Address(address).value
+
+
 class Prefix:
     """An IPv4 prefix (network address + mask length).
 

@@ -129,6 +129,9 @@ class EventBus:
         self.evicted = 0
         #: per-kind emission counts (full history, not just the ring).
         self.counts: Dict[str, int] = {}
+        #: kind -> its ``obs.events.<kind>`` counter in ``metrics``
+        #: (registries never drop a counter, so the handle stays good).
+        self._kind_counters: Dict[str, Any] = {}
         self._hash = hashlib.sha256()
         self._subscribers: List[Callable[[Event], None]] = []
         self._sink_fh: Optional[IO[str]] = None
@@ -171,7 +174,12 @@ class EventBus:
         if self._sink_fh is not None:
             self._sink_fh.write(line + "\n")
         if self.metrics is not None:
-            self.metrics.counter(f"obs.events.{kind}").inc()
+            counter = self._kind_counters.get(kind)
+            if counter is None:
+                counter = self._kind_counters[kind] = self.metrics.counter(
+                    f"obs.events.{kind}"
+                )
+            counter.inc()
         for subscriber in self._subscribers:
             subscriber(event)
         return event

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import TopologyError
-from repro.net.addr import Address
+from repro.net.addr import Address, address_int
 from repro.topology.as_graph import ASGraph
 
 
@@ -59,6 +59,12 @@ class RouterTopology:
         self._as_links: Dict[Tuple[int, int], List[Tuple[str, str]]] = {}
         #: per-AS next-hop table: (src_rid, dst_rid) -> next rid.
         self._intra_next: Dict[Tuple[str, str], str] = {}
+        #: (from_router, next_asn) -> egress_router() answer.  Links and
+        #: next hops never change once build() returns, so neither do
+        #: the answers.
+        self._egress: Dict[
+            Tuple[str, int], Optional[Tuple[str, str]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -182,9 +188,12 @@ class RouterTopology:
         except KeyError:
             raise TopologyError(f"AS{asn} has no routers")
 
-    def router_by_address(self, address: Address) -> Optional[Router]:
+    def router_by_address(
+        self, address: Union[int, str, Address]
+    ) -> Optional[Router]:
         """The router owning *address*, if any."""
-        rid = self._by_address.get(Address(address).value)
+        address = address_int(address)
+        rid = self._by_address.get(address)
         return self._routers[rid] if rid else None
 
     def as_link_routers(self, a: int, b: int) -> List[Tuple[str, str]]:
@@ -207,6 +216,18 @@ class RouterTopology:
         link into *next_asn*.  Returns (egress-router, ingress-router of the
         next AS), or None if the AS has no link to *next_asn*.
         """
+        key = (from_router, next_asn)
+        try:
+            return self._egress[key]
+        except KeyError:
+            answer = self._egress[key] = self._pick_egress(
+                from_router, next_asn
+            )
+            return answer
+
+    def _pick_egress(
+        self, from_router: str, next_asn: int
+    ) -> Optional[Tuple[str, str]]:
         current = self._routers[from_router]
         options = self._as_links.get((current.asn, next_asn))
         if not options:

@@ -12,8 +12,8 @@ journal: a crashed controller restores the accumulators from the last
 journaled sample and keeps integrating byte-identically.
 
 Path walks are batched: flows are grouped by their current AS and each
-group is resolved in one :class:`~repro.traffic.lpm.FlatLPM` call, so a
-sample costs a handful of batch lookups rather than per-flow trie walks.
+group is resolved in one :class:`~repro.net.lpm.FlatLPM` call, so a
+sample costs a handful of batch lookups rather than per-flow lookups.
 """
 
 from __future__ import annotations
@@ -84,13 +84,17 @@ class ImpactLedger:
         {delivered, dropped, no-route, loop}."""
         self._fibset.attach(fibs)
         flows = self.matrix.flows
-        active: Dict[int, List[Tuple[Any, str]]] = {}
+        #: asn -> (toward mask, toward base, attribution key) per active
+        #: AS failure, straight from the failure set's AS index.
+        active: Dict[int, List[Tuple[int, int, str]]] = {}
         if failures is not None:
-            for failure in failures.active_failures(now):
-                if isinstance(failure, ASForwardingFailure):
-                    active.setdefault(failure.asn, []).append(
-                        (failure, impact_key(failure))
-                    )
+            active = {
+                asn: [
+                    (mask, base, impact_key(failure))
+                    for mask, base, failure in bucket
+                ]
+                for asn, bucket in failures.active_by_asn(now).items()
+            }
         results: List[Optional[Tuple[str, Optional[str]]]] = [None] * len(
             flows
         )
@@ -107,12 +111,12 @@ class ImpactLedger:
                 remaining: List[int] = []
                 for i in idxs:
                     if drops:
-                        addr = flows[i].dst_address
+                        addr = flows[i].dst_address.value
                         key = next(
                             (
                                 k
-                                for f, k in drops
-                                if f.matches_destination(addr)
+                                for mask, base, k in drops
+                                if addr & mask == base
                             ),
                             None,
                         )

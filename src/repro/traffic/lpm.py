@@ -1,161 +1,45 @@
-"""Compiled flat longest-prefix-match tables for batch resolution.
+"""A :class:`FlatFibSet` view over a FIB snapshot's compiled tables.
 
-The per-packet :class:`~repro.net.trie.PrefixTrie` walks up to 32 Python
-nodes per lookup, which is fine for a traceroute probe but hopeless for a
-traffic matrix that needs to resolve thousands of destination addresses
-per sample.  IPv4 prefixes form a laminar family (any two are nested or
-disjoint), so a FIB trie flattens into a sorted table of half-open
-address intervals, each carrying the next hop of its most specific
-covering prefix.  Lookup is then one ``bisect`` per address — or one
-vectorised ``searchsorted`` for a whole batch when numpy is available.
-
-A property test (tests/test_traffic_lpm.py) pins the flat table
-byte-identical to ``PrefixTrie.lookup`` over fuzz-generated FIBs,
-including the ``0.0.0.0/0`` default-route entry that
-``default_route_via_provider`` stubs install.
+The interval-table LPM itself lives in :mod:`repro.net.lpm` and each
+:class:`~repro.dataplane.fib.FibSnapshot` owns the tables compiled from
+its tries; :class:`FlatLPM` is re-exported here for the traffic layer's
+callers.  The view adds what a long-lived batch consumer (the impact
+ledger, the repair-ladder bench) needs on top: re-pointing at each new
+snapshot and counting how many compiled tables the move invalidated.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.net.addr import Address
-from repro.net.trie import PrefixTrie
+from repro.net.lpm import FlatLPM
 
-try:  # pragma: no cover - exercised indirectly via the env toggle
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is optional
-    _np = None
-
-#: Exclusive upper bound of the IPv4 address space.
-_ADDRESS_SPACE = 1 << 32
-
-#: Palette sentinel for "no covering prefix" in the numpy fast path.
-_NO_ROUTE = -(1 << 62)
-
-
-def _numpy_enabled() -> bool:
-    """Whether the vectorised batch path is available and not disabled."""
-    if _np is None:
-        return False
-    return os.environ.get("REPRO_TRAFFIC_NUMPY", "1") != "0"
-
-
-class FlatLPM:
-    """A PrefixTrie compiled to a sorted interval table.
-
-    ``bases`` is a sorted list of interval starts covering [0, 2^32);
-    ``values[i]`` is the next hop for addresses in
-    ``[bases[i], bases[i+1])`` — ``None`` where no prefix covers the
-    interval.  Compilation is a single stack sweep over the trie's
-    entries (already sorted by (base, length) by ``PrefixTrie.items``):
-    entering a prefix opens an interval with its value, leaving it
-    restores the enclosing prefix's value.
-    """
-
-    __slots__ = ("bases", "values", "size", "_np_bases", "_np_values")
-
-    def __init__(
-        self, bases: List[int], values: List[Optional[int]], size: int
-    ):
-        self.bases = bases
-        self.values = values
-        self.size = size
-        self._np_bases = None
-        self._np_values = None
-
-    @classmethod
-    def compile(cls, trie: PrefixTrie) -> "FlatLPM":
-        """Flatten *trie* into an interval table."""
-        entries = sorted(
-            trie.items(), key=lambda kv: (kv[0].base, kv[0].length)
-        )
-        bases: List[int] = [0]
-        values: List[Optional[int]] = [None]
-
-        def emit(base: int, value: Optional[int]) -> None:
-            if base >= _ADDRESS_SPACE:
-                return
-            if bases[-1] == base:
-                values[-1] = value
-            elif values[-1] != value:
-                bases.append(base)
-                values.append(value)
-
-        # Stack of (end_exclusive, value) for the prefixes currently open.
-        stack: List[Tuple[int, Optional[int]]] = []
-        for prefix, value in entries:
-            start = prefix.base
-            end = start + prefix.num_addresses
-            while stack and stack[-1][0] <= start:
-                closed_end, _ = stack.pop()
-                emit(closed_end, stack[-1][1] if stack else None)
-            emit(start, value)
-            stack.append((end, value))
-        while stack:
-            closed_end, _ = stack.pop()
-            emit(closed_end, stack[-1][1] if stack else None)
-        return cls(bases, values, len(trie))
-
-    def resolve(self, address: Union[int, str, Address]) -> Optional[int]:
-        """Next hop for *address*, identical to ``trie.lookup_value``."""
-        value = Address(address).value
-        return self.values[bisect_right(self.bases, value) - 1]
-
-    def resolve_many(
-        self, addresses: Sequence[Union[int, str, Address]]
-    ) -> List[Optional[int]]:
-        """Batch-resolve *addresses*; one bisect (or searchsorted) each."""
-        ints = [
-            a if type(a) is int else Address(a).value  # noqa: E721
-            for a in addresses
-        ]
-        if _numpy_enabled() and len(ints) >= 32:
-            return self._resolve_many_numpy(ints)
-        bases = self.bases
-        values = self.values
-        return [values[bisect_right(bases, a) - 1] for a in ints]
-
-    def _resolve_many_numpy(self, ints: List[int]) -> List[Optional[int]]:
-        if self._np_bases is None:
-            self._np_bases = _np.asarray(self.bases, dtype=_np.int64)
-            self._np_values = _np.asarray(
-                [_NO_ROUTE if v is None else v for v in self.values],
-                dtype=_np.int64,
-            )
-        addrs = _np.asarray(ints, dtype=_np.int64)
-        idx = _np.searchsorted(self._np_bases, addrs, side="right") - 1
-        hits = self._np_values[idx].tolist()
-        return [None if v == _NO_ROUTE else v for v in hits]
-
-    def __len__(self) -> int:
-        return self.size
-
-    def intervals(self) -> List[Tuple[int, Optional[int]]]:
-        """The (base, value) boundary list, for inspection and tests."""
-        return list(zip(self.bases, self.values))
+__all__ = ["FlatFibSet", "FlatLPM"]
 
 
 class FlatFibSet:
-    """Lazily compiled flat tables over a :class:`FibSnapshot`.
+    """The compiled flat tables of whichever snapshot is attached.
 
-    Compilation is memoised per AS, keyed on the AS's *trie object*:
-    incremental FIB refreshes (``build_fibs(..., dirty_asns=...)``) share
-    clean ASes' tries with the previous snapshot by identity, so
-    :meth:`attach` keeps their compiled tables and recompiles only the
-    ASes whose trie was actually rebuilt.  Snapshots hold their tries by
-    strong reference, so object identity is a safe cache key.
+    Tables are compiled and memoised by the snapshot (``fibs.flat``),
+    keyed on each AS's *trie object*: incremental FIB refreshes
+    (``build_fibs(..., dirty_asns=...)``) carry clean ASes' tries and
+    tables over by identity, so after :meth:`attach` only the ASes whose
+    trie was actually rebuilt compile again.
     """
 
     def __init__(self, fibs: Any = None) -> None:
         self._fibs = fibs
-        self._tables: Dict[int, Optional[FlatLPM]] = {}
-        #: asn -> the trie each cached table was compiled from.
+        #: asn -> the trie behind the table this view last handed out.
+        #: Besides feeding ``invalidations``, this long-lived dict keeps
+        #: every served trie referenced from an old object: without it
+        #: the tries hang only off each step's fresh ``tables`` dict and
+        #: every full collection re-threads them (repair_ladder's full
+        #: collections measured 95 ms with it, 130 ms without).
         self._sources: Dict[int, Any] = {}
-        #: tables dropped by attach() because their AS's trie changed
-        #: (regression instrumentation: unchanged ASes must not churn).
+        #: handed-out tables that attach() found stale because their
+        #: AS's trie changed (regression instrumentation: unchanged ASes
+        #: must not churn).
         self.invalidations = 0
 
     @property
@@ -163,24 +47,24 @@ class FlatFibSet:
         return self._fibs
 
     def attach(self, fibs: Any) -> None:
-        """Point at *fibs*, invalidating only ASes whose trie changed."""
+        """Point at *fibs*, counting the ASes whose trie changed."""
         if fibs is self._fibs:
             return
         new_tables = fibs.tables if fibs is not None else {}
-        for asn in list(self._tables):
-            if self._sources.get(asn) is not new_tables.get(asn):
-                del self._tables[asn]
-                self._sources.pop(asn, None)
+        for asn, trie in list(self._sources.items()):
+            if trie is not new_tables.get(asn):
+                del self._sources[asn]
                 self.invalidations += 1
         self._fibs = fibs
 
     def table(self, asn: int) -> Optional[FlatLPM]:
         """The compiled table for *asn* (None when the AS has no FIB)."""
-        if asn not in self._tables:
-            trie = self._fibs.tables.get(asn) if self._fibs else None
-            self._tables[asn] = FlatLPM.compile(trie) if trie else None
-            self._sources[asn] = trie
-        return self._tables[asn]
+        if self._fibs is None:
+            return None
+        table = self._fibs.flat(asn)
+        if table is not None:
+            self._sources[asn] = self._fibs.tables[asn]
+        return table
 
     def resolve(
         self, asn: int, address: Union[int, str, Address]

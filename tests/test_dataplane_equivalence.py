@@ -1,0 +1,502 @@
+"""The flattened probe walk answers exactly what the slow one did.
+
+``DataPlane.forward`` resolves every hop through three fast structures:
+the interval tables a ``FibSnapshot`` compiles from its tries, the
+``FailureSet`` index, and the topology's egress memo.  The reference
+walk below is written against the slow ones — ``PrefixTrie.lookup_value``
+per hop, a linear scan of ``FibSnapshot.origins``, a linear scan of
+every failure in the set — and the property test requires the same
+``(outcome, hops, final_router)`` for every sampled packet on generated
+Internets with random router / link / AS failures.
+"""
+
+import random
+
+import pytest
+
+from repro.bgp.engine import BGPEngine
+from repro.bgp.messages import make_path
+from repro.bgp.policy import SpeakerConfig
+from repro.dataplane.failures import (
+    ASForwardingFailure,
+    FailureSet,
+    LinkFailure,
+    RouterFailure,
+)
+from repro.dataplane.fib import LOCAL, build_fibs
+from repro.dataplane.forwarding import DataPlane, ForwardOutcome
+from repro.net.addr import Address, Prefix
+from repro.net.lpm import FlatLPM
+from repro.topology.generate import generate_internet
+from repro.topology.routers import RouterTopology
+from repro.workloads.scenarios import SCALES
+
+WORLDS = [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 3)]
+TIMES = (-50.0, 0.0, 99.0, 100.0, 150.0, 199.0, 200.0, 1e9)
+
+
+# ----------------------------------------------------------------------
+# Worlds
+# ----------------------------------------------------------------------
+def _build_world(scale, seed):
+    """(graph, topo, engine, fibs): some stubs default-route through a
+    provider, and one origin poisons two of them so their BGP route for
+    that prefix is gone and only the /0 entry carries the traffic."""
+    rng = random.Random(seed)
+    graph = generate_internet(SCALES[scale], seed=seed)
+    topo = RouterTopology.build(graph, seed=seed)
+    stubs = sorted(n.asn for n in graph.nodes() if n.tier == 3)
+    defaulted = rng.sample(stubs, max(2, len(stubs) // 4))
+    engine = BGPEngine(
+        graph,
+        speaker_configs={
+            asn: SpeakerConfig(default_route_via_provider=True)
+            for asn in defaulted
+        },
+    )
+    poisoner = next(asn for asn in stubs if asn not in defaulted)
+    for node in graph.nodes():
+        for prefix in node.prefixes:
+            if node.asn == poisoner:
+                engine.originate(
+                    node.asn,
+                    prefix,
+                    path=make_path(
+                        node.asn, prepend=2, poison=defaulted[:2]
+                    ),
+                )
+            else:
+                engine.originate(node.asn, prefix)
+    engine.run()
+    return graph, topo, engine, build_fibs(engine)
+
+
+@pytest.fixture(scope="module", params=WORLDS, ids=lambda w: f"{w[0]}-{w[1]}")
+def world(request):
+    return _build_world(*request.param)
+
+
+def _random_failures(rng, graph, topo, count):
+    """Router, link (uni- and bidirectional, intra- and inter-AS) and AS
+    failures; scoped and unscoped; open-ended, windowed and expired."""
+    routers = sorted(r.rid for r in topo.routers())
+    ases = sorted(graph.ases())
+    links = []
+    for router in topo.routers():
+        for other in router.intra_neighbors + router.external_neighbors:
+            links.append((router.rid, other))
+    links.sort()
+    prefixes = sorted(p for asn in ases for p in graph.node(asn).prefixes)
+    failures = []
+    for _ in range(count):
+        toward = None
+        if rng.random() < 0.6:
+            toward = rng.choice(prefixes)
+            if rng.random() < 0.3:
+                toward = next(iter(toward.subnets(toward.length + 4)))
+        window = rng.choice(
+            [{}, {"start": 100.0}, {"start": 100.0, "end": 200.0},
+             {"end": 100.0}, {"start": -10.0, "end": 0.0}]
+        )
+        kind = rng.randrange(3)
+        if kind == 0:
+            failures.append(
+                RouterFailure(rid=rng.choice(routers), toward=toward,
+                              **window)
+            )
+        elif kind == 1:
+            a, b = rng.choice(links)
+            failures.append(
+                LinkFailure(a=a, b=b, toward=toward,
+                            bidirectional=rng.random() < 0.5, **window)
+            )
+        else:
+            failures.append(
+                ASForwardingFailure(asn=rng.choice(ases), toward=toward,
+                                    **window)
+            )
+    return failures
+
+
+def _destinations(rng, graph, topo, fibs):
+    """Router interfaces, host addresses inside originated prefixes, the
+    edges of those prefixes, and addresses nobody originates."""
+    out = [r.address.value for r in topo.routers()]
+    for prefix in fibs.origins:
+        out.append(prefix.base)
+        out.append(prefix.base + prefix.num_addresses - 1)
+        out.append(prefix.base + rng.randrange(prefix.num_addresses))
+    out += [0, (1 << 32) - 1, Address("203.0.113.1").value]
+    return out
+
+
+# ----------------------------------------------------------------------
+# The reference walk: tries and linear scans only
+# ----------------------------------------------------------------------
+def _scan_matches(failure, address, now):
+    if not failure.start <= now < failure.end:
+        return False
+    return failure.toward is None or failure.toward.contains(address)
+
+
+def _scan_router_drops(failures, rid, asn, address, now):
+    for failure in failures:
+        if not _scan_matches(failure, address, now):
+            continue
+        if isinstance(failure, RouterFailure) and failure.rid == rid:
+            return True
+        if isinstance(failure, ASForwardingFailure) and failure.asn == asn:
+            return True
+    return False
+
+
+def _scan_link_drops(failures, from_rid, to_rid, address, now):
+    for failure in failures:
+        if not isinstance(failure, LinkFailure):
+            continue
+        if not _scan_matches(failure, address, now):
+            continue
+        if (from_rid, to_rid) == (failure.a, failure.b):
+            return True
+        if failure.bidirectional and (from_rid, to_rid) == (
+            failure.b, failure.a
+        ):
+            return True
+    return False
+
+
+def _scan_host_router(topo, fibs, address):
+    router = topo.router_by_address(address)
+    if router is not None:
+        return router.rid
+    best = None
+    for prefix, asn in fibs.origins.items():
+        if prefix.contains(address) and (
+            best is None or prefix.length > best[0]
+        ):
+            best = (prefix.length, asn)
+    if best is None:
+        return None
+    routers = topo.routers_of(best[1])
+    return routers[0] if routers else None
+
+
+def _trie_next_hop(fibs, asn, address):
+    trie = fibs.tables.get(asn)
+    return None if trie is None else trie.lookup_value(address)
+
+
+def _pick_egress(topo, rid, next_asn):
+    """Closest border router with a link into *next_asn*, first wins."""
+    best = None
+    for egress, ingress in topo.as_link_routers(
+        topo.router(rid).asn, next_asn
+    ):
+        distance, at = 0, rid
+        while at != egress and at is not None and distance <= len(topo):
+            at = topo.intra_next_hop(at, egress)
+            distance += 1
+        if at == egress and (best is None or distance < best[0]):
+            best = (distance, egress, ingress)
+    return None if best is None else best[1:]
+
+
+def reference_forward(topo, fibs, failures, source_rid, value, ttl, now):
+    """(outcome, hops, final_router) by the slow structures alone."""
+    address = Address(value)
+    failures = list(failures)
+    target_rid = _scan_host_router(topo, fibs, address)
+    current = source_rid
+    hops = [current]
+    visited = {current}
+    if _scan_router_drops(
+        failures, current, topo.router(current).asn, address, now
+    ):
+        return ForwardOutcome.DROPPED, hops, current
+    for _ in range(256):
+        current_asn = topo.router(current).asn
+        next_as = _trie_next_hop(fibs, current_asn, address)
+        if next_as is None:
+            return ForwardOutcome.NO_ROUTE, hops, current
+        if next_as == LOCAL:
+            if (
+                target_rid is None
+                or topo.router(target_rid).asn != current_asn
+            ):
+                return ForwardOutcome.NO_ROUTE, hops, current
+            if current == target_rid:
+                return ForwardOutcome.DELIVERED, hops, current
+            next_rid = topo.intra_next_hop(current, target_rid)
+            if next_rid is None:
+                return ForwardOutcome.NO_ROUTE, hops, current
+        else:
+            egress = _pick_egress(topo, current, next_as)
+            if egress is None:
+                return ForwardOutcome.NO_LINK, hops, current
+            if current == egress[0]:
+                next_rid = egress[1]
+            else:
+                next_rid = topo.intra_next_hop(current, egress[0])
+                if next_rid is None:
+                    return ForwardOutcome.NO_ROUTE, hops, current
+        if _scan_link_drops(failures, current, next_rid, address, now):
+            return ForwardOutcome.DROPPED, hops, current
+        ttl -= 1
+        hops.append(next_rid)
+        next_asn = topo.router(next_rid).asn
+        if (
+            next_rid == target_rid
+            and _trie_next_hop(fibs, next_asn, address) == LOCAL
+        ):
+            return ForwardOutcome.DELIVERED, hops, next_rid
+        if ttl <= 0:
+            return ForwardOutcome.TTL_EXPIRED, hops, next_rid
+        if _scan_router_drops(failures, next_rid, next_asn, address, now):
+            return ForwardOutcome.DROPPED, hops, next_rid
+        if next_rid in visited:
+            return ForwardOutcome.LOOP, hops, next_rid
+        visited.add(next_rid)
+        current = next_rid
+    return ForwardOutcome.LOOP, hops, current
+
+
+# ----------------------------------------------------------------------
+# forward == reference
+# ----------------------------------------------------------------------
+class TestForwardEquivalence:
+    def _check(self, dataplane, rng, routers, destinations, samples):
+        seen = set()
+        for _ in range(samples):
+            source = rng.choice(routers)
+            value = rng.choice(destinations)
+            ttl = rng.choice((1, 2, 3, 5, 64))
+            now = rng.choice(TIMES)
+            result = dataplane.forward(source, value, ttl=ttl, now=now)
+            expected = reference_forward(
+                dataplane.topo, dataplane.fibs, dataplane.failures,
+                source, value, ttl, now,
+            )
+            assert (
+                result.outcome, result.hops, result.final_router
+            ) == expected, (source, str(Address(value)), ttl, now)
+            seen.add(result.outcome)
+        return seen
+
+    def test_no_failures(self, world):
+        graph, topo, _engine, fibs = world
+        rng = random.Random(7)
+        routers = sorted(r.rid for r in topo.routers())
+        seen = self._check(
+            DataPlane(topo, fibs), rng, routers,
+            _destinations(rng, graph, topo, fibs), 600,
+        )
+        assert {
+            ForwardOutcome.DELIVERED,
+            ForwardOutcome.NO_ROUTE,
+            ForwardOutcome.TTL_EXPIRED,
+        } <= seen
+
+    @pytest.mark.parametrize("failure_seed", range(4))
+    def test_random_failures(self, world, failure_seed):
+        graph, topo, _engine, fibs = world
+        rng = random.Random(1000 + failure_seed)
+        failures = FailureSet(
+            _random_failures(rng, graph, topo, count=rng.randint(5, 40))
+        )
+        routers = sorted(r.rid for r in topo.routers())
+        seen = self._check(
+            DataPlane(topo, fibs, failures), rng, routers,
+            _destinations(rng, graph, topo, fibs), 600,
+        )
+        assert ForwardOutcome.DROPPED in seen
+
+    def test_default_routed_stub_follows_the_slash_zero(self, world):
+        _graph, topo, engine, fibs = world
+        dataplane = DataPlane(topo, fibs)
+        on_default = 0
+        for asn, speaker in sorted(engine.speakers.items()):
+            if not speaker.policy.config.default_route_via_provider:
+                continue
+            source = topo.routers_of(asn)[0]
+            for prefix in fibs.origins:
+                value = prefix.base + 9
+                on_default += fibs.tables[asn].lookup(value)[0].length == 0
+                result = dataplane.forward(source, value)
+                assert (
+                    result.outcome, result.hops, result.final_router
+                ) == reference_forward(
+                    topo, fibs, (), source, value, 64, 0.0
+                )
+        assert on_default, "a poisoned stub should be left with only its /0"
+
+    def test_accepts_every_address_spelling(self, world):
+        _graph, topo, _engine, fibs = world
+        dataplane = DataPlane(topo, fibs)
+        routers = sorted(r.rid for r in topo.routers())
+        address = topo.router(routers[-1]).address
+        by_int = dataplane.forward(routers[0], address.value)
+        assert dataplane.forward(routers[0], address) == by_int
+        assert dataplane.forward(routers[0], str(address)) == by_int
+        assert by_int.target_router == routers[-1]
+
+
+# ----------------------------------------------------------------------
+# FailureSet index consistency
+# ----------------------------------------------------------------------
+class TestFailureSetIndex:
+    """add / remove / clear keep the index equal to a linear scan."""
+
+    def _assert_matches_scan(self, failures, topo, rng, probes=300):
+        routers = sorted(r.rid for r in topo.routers())
+        members = list(failures)
+        for _ in range(probes):
+            rid = rng.choice(routers)
+            other = rng.choice(routers)
+            asn = topo.router(rid).asn
+            address = Address(rng.choice([
+                topo.router(rng.choice(routers)).address.value + 7,
+                rng.getrandbits(32),
+            ]))
+            now = rng.choice(TIMES)
+            assert failures.router_drops(
+                rid, asn, address, now
+            ) == _scan_router_drops(members, rid, asn, address, now)
+            assert failures.router_drops(
+                rid, asn, address.value, now
+            ) == _scan_router_drops(members, rid, asn, address, now)
+            for a, b in ((rid, other), (other, rid)):
+                assert failures.link_drops(
+                    a, b, address, now
+                ) == _scan_link_drops(members, a, b, address, now)
+
+    def _probe_failed_links(self, failures, rng):
+        """Link queries at exactly the failed links, both directions."""
+        members = list(failures)
+        for failure in members:
+            if not isinstance(failure, LinkFailure):
+                continue
+            for a, b in ((failure.a, failure.b), (failure.b, failure.a)):
+                for now in TIMES:
+                    address = Address(
+                        failure.toward.base + 1
+                        if failure.toward is not None
+                        else rng.getrandbits(32)
+                    )
+                    assert failures.link_drops(
+                        a, b, address, now
+                    ) == _scan_link_drops(members, a, b, address, now)
+
+    def test_add_remove_clear(self, world):
+        graph, topo, _engine, _fibs = world
+        rng = random.Random(42)
+        pool = _random_failures(rng, graph, topo, count=60)
+        failures = FailureSet(pool[:20])
+        self._assert_matches_scan(failures, topo, rng)
+        self._probe_failed_links(failures, rng)
+        for failure in pool[20:]:
+            assert failures.add(failure) is failure
+        assert len(failures) == 60 and list(failures) == pool
+        self._assert_matches_scan(failures, topo, rng)
+        self._probe_failed_links(failures, rng)
+        for failure in rng.sample(pool, 45):
+            failures.remove(failure)
+        assert len(failures) == 15
+        self._assert_matches_scan(failures, topo, rng)
+        self._probe_failed_links(failures, rng)
+        failures.clear()
+        assert len(failures) == 0 and list(failures) == []
+        self._assert_matches_scan(failures, topo, rng, probes=50)
+        assert failures.active_by_asn(150.0) == {}
+
+    def test_remove_absent_failure_raises(self):
+        kept = RouterFailure(rid="AS1.r0")
+        failures = FailureSet([kept])
+        with pytest.raises(ValueError):
+            failures.remove(RouterFailure(rid="AS1.r0"))
+        failures.remove(kept)
+        with pytest.raises(ValueError):
+            failures.remove(kept)
+        assert not failures.router_drops("AS1.r0", 1, Address(1), 0.0)
+
+    def test_removing_one_of_two_at_the_same_key_keeps_the_other(self):
+        wide = ASForwardingFailure(asn=5)
+        narrow = ASForwardingFailure(
+            asn=5, toward=Prefix("10.0.0.0/8"), start=10.0
+        )
+        failures = FailureSet([wide, narrow])
+        inside, outside = Address("10.1.2.3"), Address("11.0.0.1")
+        assert failures.router_drops("r", 5, outside, 20.0)
+        failures.remove(wide)
+        assert failures.router_drops("r", 5, inside, 20.0)
+        assert not failures.router_drops("r", 5, outside, 20.0)
+        assert not failures.router_drops("r", 5, inside, 5.0)
+        assert [f for _m, _b, f in failures.active_by_asn(20.0)[5]] == [
+            narrow
+        ]
+
+    def test_unidirectional_link_drops_one_way(self):
+        failures = FailureSet(
+            [LinkFailure(a="x", b="y", bidirectional=False)]
+        )
+        assert failures.link_drops("x", "y", Address(1), 0.0)
+        assert not failures.link_drops("y", "x", Address(1), 0.0)
+
+    def test_failures_are_frozen(self):
+        failure = ASForwardingFailure(asn=5, end=100.0)
+        with pytest.raises(AttributeError):
+            failure.end = 200.0
+        with pytest.raises(AttributeError):
+            failure.toward = Prefix("10.0.0.0/8")
+
+
+# ----------------------------------------------------------------------
+# Compiled tables across incremental build_fibs
+# ----------------------------------------------------------------------
+class TestCompiledTablesAcrossRebuilds:
+    def test_clean_ases_keep_their_table_dirty_ases_do_not(self, world):
+        graph, _topo, engine, fibs = world
+        tables = {asn: fibs.flat(asn) for asn in fibs.tables}
+        assert all(fibs.flat(asn) is tables[asn] for asn in tables)
+        dirty = set(sorted(fibs.tables)[:3])
+        rebuilt = build_fibs(engine, fibs, dirty)
+        assert rebuilt is not fibs
+        for asn in fibs.tables:
+            if asn in dirty:
+                assert rebuilt.tables[asn] is not fibs.tables[asn]
+                assert rebuilt.flat(asn) is not tables[asn]
+            else:
+                assert rebuilt.tables[asn] is fibs.tables[asn]
+                assert rebuilt.flat(asn) is tables[asn]
+        # Same routes in, same answers out — from old and new tables.
+        for asn in dirty:
+            for prefix in graph.node(asn).prefixes:
+                value = prefix.base + 1
+                assert rebuilt.next_hop_as(asn, value) == fibs.next_hop_as(
+                    asn, value
+                )
+        # No origin claim changed, so the origins index is shared too.
+        assert rebuilt.origins == fibs.origins
+        probe = next(iter(fibs.origins)).base + 1
+        assert rebuilt.origin_for(probe) == fibs.origin_for(probe)
+
+    def test_tables_compile_lazily_and_only_once(self, world, monkeypatch):
+        _graph, _topo, engine, _fibs = world
+        fibs = build_fibs(engine)
+        compiled = []
+        compile_ = FlatLPM.compile.__func__
+        monkeypatch.setattr(
+            FlatLPM,
+            "compile",
+            classmethod(
+                lambda cls, trie: compiled.append(trie) or compile_(cls, trie)
+            ),
+        )
+        asn = sorted(fibs.tables)[0]
+        assert compiled == []
+        fibs.next_hop_as(asn, 1)
+        fibs.next_hop_as(asn, 2)
+        assert compiled == [fibs.tables[asn]]
+        assert fibs.flat(asn) is fibs.flat(asn)
+        assert compiled == [fibs.tables[asn]]
+        assert fibs.flat(999999) is None
+        assert fibs.next_hop_as(999999, 1) is None

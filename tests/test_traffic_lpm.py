@@ -8,8 +8,8 @@ laminar-by-construction tries and checks every interval boundary, where
 off-by-one bugs live; a dedicated regression pins the ``0.0.0.0/0``
 default-route entry that ``default_route_via_provider`` stubs install,
 which exercises the table's outermost interval at both address-space
-ends.  The ``origin_for`` tests cover the satellite fix replacing the
-per-probe linear scan over ``FibSnapshot.origins`` with a cached trie.
+ends.  The ``origin_for`` tests cover the index over
+``FibSnapshot.origins`` (an interval table built with the snapshot).
 """
 
 import random
@@ -19,7 +19,12 @@ import pytest
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import make_path
 from repro.bgp.policy import SpeakerConfig
-from repro.dataplane.fib import DEFAULT_PREFIX, LOCAL, build_fibs
+from repro.dataplane.fib import (
+    DEFAULT_PREFIX,
+    LOCAL,
+    FibSnapshot,
+    build_fibs,
+)
 from repro.net.addr import Prefix
 from repro.net.trie import PrefixTrie
 from repro.topology.as_graph import ASGraph
@@ -275,9 +280,23 @@ class TestOriginForIndex:
             assert fibs.origin_for(addr) == (best[1] if best else None)
 
     def test_index_rebuilt_when_origins_grow(self, small_internet):
+        # Snapshots are frozen; a change of origins is a new snapshot,
+        # indexed when it is built.
         _graph, _topo, engine = small_internet
         fibs = build_fibs(engine)
         probe = Prefix("203.0.113.0/24")
         assert fibs.origin_for(probe.address(1)) is None
-        fibs.origins[probe] = 64500
-        assert fibs.origin_for(probe.address(1)) == 64500
+        grown = FibSnapshot(fibs.tables, {**fibs.origins, probe: 64500})
+        assert grown.origin_for(probe.address(1)) == 64500
+
+    def test_same_size_change_of_origins_is_seen(self, small_internet):
+        # The old staleness test compared lengths and missed this.
+        _graph, _topo, engine = small_internet
+        fibs = build_fibs(engine)
+        prefix, owner = next(iter(fibs.origins.items()))
+        moved = FibSnapshot(
+            fibs.tables, {**fibs.origins, prefix: owner + 64500}
+        )
+        assert len(moved.origins) == len(fibs.origins)
+        assert moved.origin_for(prefix.address(1)) == owner + 64500
+        assert fibs.origin_for(prefix.address(1)) == owner
