@@ -25,7 +25,8 @@ state itself:
   spaced its announcements 90 minutes apart, §6).  The pacer never blocks
   an announcement itself (withdrawing a harmful poison must always be
   possible); the control loop consults :meth:`AnnouncementPacer.allows`
-  before *adding* churn.
+  before *adding* churn, and records a slot for every announcement it
+  journals — the controller here only carries the budget.
 """
 
 from __future__ import annotations
@@ -114,17 +115,10 @@ class AnnouncementPacer:
         return in_window[overflow] + self.window
 
     def record(self, now: float) -> None:
+        """Take one slot.  Announcements are a multiset: two repairs
+        announced in the same tick are two units of damping penalty, so
+        equal timestamps must not collapse."""
         self.times.append(now)
-
-    def restore(self, times: List[float]) -> None:
-        """Reinstate replayed announcement times during crash recovery.
-
-        The journal is the authority and announcements are a multiset:
-        two repairs announced in the same tick are two units of damping
-        penalty, so equal timestamps must not collapse (a set union
-        would under-count the budget after recovery).
-        """
-        self.times = sorted(times)
 
 
 class OriginController:
@@ -170,8 +164,8 @@ class OriginController:
         #: provider ASNs steered or withheld), and every announcement
         #: carries the per-mode union of the values.
         self._ledger: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
-        #: damping-aware announcement budget (advisory: consulted by the
-        #: control loop before adding churn, never blocks ``_apply``).
+        #: damping-aware announcement budget (advisory: consulted and
+        #: charged by the control loop, never by ``_apply``).
         self.pacer = pacer if pacer is not None else AnnouncementPacer()
         #: history of (time, description) announcement changes.
         self.log: List[Tuple[float, str]] = []
@@ -404,9 +398,7 @@ class OriginController:
         return dict(self._ledger)
 
     def restore(
-        self,
-        ledger: Dict[str, Tuple[str, Tuple[int, ...]]],
-        announcement_times: Optional[List[float]] = None,
+        self, ledger: Dict[str, Tuple[str, Tuple[int, ...]]]
     ) -> bool:
         """Reinstate intended announcement state after a controller crash.
 
@@ -414,14 +406,10 @@ class OriginController:
         announced; a fresh controller starts with an empty spec and would
         clobber it on the next change.  ``restore`` rebuilds the ledger and
         — when any poison should be active — re-issues the union once,
-        which converges as a no-op if the network already matches.  The
-        pacer is re-seeded from journaled announcement times so the budget
-        survives the restart.  Returns True if the reconcile announcement
-        actually went out, so the caller can journal it (the pacer entry it
-        records must survive a second crash).
+        which converges as a no-op if the network already matches.
+        Returns True if the reconcile announcement actually went out, so
+        the caller can journal it (and charge the pacer).
         """
-        if announcement_times:
-            self.pacer.restore(announcement_times)
         self._ledger = {
             k: (mode, tuple(asns)) for k, (mode, asns) in ledger.items()
         }
@@ -475,7 +463,6 @@ class OriginController:
                 per_neighbor=per_neighbor,
                 avoid=avoid,
             )
-        self.pacer.record(self.engine.now)
         self.log.append((self.engine.now, description))
         if self.obs is not None:
             self.obs.emit(

@@ -2,12 +2,15 @@
 
 Every decision the controller makes — observing an outage, poisoning,
 verifying, rolling back, unpoisoning, deferring — is appended to a
-:class:`RepairJournal` *before* the corresponding announcement or state
-mutation happens (write-ahead semantics).  A controller that crashes
-mid-repair is rebuilt by :meth:`~repro.control.lifeguard.Lifeguard.recover`,
-which replays the journal, reconstructs every :class:`RepairRecord`, and
-reconciles the origin's intended announcement state against whatever the
-network still carries.
+:class:`RepairJournal` *before* the corresponding announcement happens
+(write-ahead semantics), and the entry is the only thing that changes
+controller state: the live loop appends an entry and applies it through
+:meth:`~repro.control.lifeguard.Lifeguard.apply`, and a controller that
+crashes mid-repair is rebuilt by
+:meth:`~repro.control.lifeguard.Lifeguard.recover` applying the same
+entries again (the *fold* of the journal), then reconciling the origin's
+intended announcement state against whatever the network still carries.
+DESIGN.md ("Journal entry kinds") tabulates every kind.
 
 The journal is JSON Lines: one entry per line, sorted keys, so files are
 diffable, greppable, and stable across runs (the crash-recovery property
@@ -31,12 +34,17 @@ control watches as an overload signal.
 with *max_bytes* (or *max_entries*) set the journal rotates: the active
 file is renamed to ``<path>.<n>``, and a fresh active segment is written
 that begins with a ``compacted`` marker followed by a complete snapshot
-of the still-live state — every entry of every non-terminal outage,
-synthesized ``breaker`` and ``pacer`` entries standing in for the dropped
-terminal records' circuit-breaker charges and announcement-pacing
-timestamps, and the latest entry of each other keyless event kind.  The
-marker also carries per-kind counts of everything dropped, so cursors
-derived from entry counts (e.g. the service's arrival index) survive.
+of the still-live state.  Compaction may be any rewrite that preserves
+the fold: applying the compacted entries must rebuild the state the
+original entries did — every non-terminal record, the breaker charges,
+the pacer slots still inside the window, the service's cursor — and
+:func:`_compact` does it by keeping every entry of every non-terminal
+outage, synthesizing ``breaker`` and ``pacer`` entries standing in for
+the dropped terminal records' circuit-breaker charges and
+announcement-pacing timestamps, and keeping the latest entry of each
+other keyless event kind.  The marker also carries per-kind counts of
+everything dropped, so cursors derived from entry counts (e.g. the
+service's arrival index) survive.
 Replay across segments reads them oldest-first; a marker means "what
 follows supersedes everything before", so :meth:`RepairJournal.load`
 resets its accumulated entries at each one.  Superseded segments beyond
@@ -63,9 +71,20 @@ OutageKey = Tuple[str, str, float]
 #: drops their entries (values of the journal's ``state`` events).
 TERMINAL_STATES = ("not-poisoned", "unpoisoned")
 
-#: Keyless events compaction replaces with synthesized summaries instead
-#: of keeping verbatim.
-_SYNTHESIZED = ("announce-baseline", "announced", "pacer", "breaker")
+#: Kinds the service daemon journals here and folds itself (see
+#: :mod:`repro.service.daemon`); the controller's fold passes over them.
+SERVICE_KINDS = frozenset(
+    (
+        "service-plan",
+        "service-arrival",
+        "service-tier",
+        "service-shed",
+        "service-defer",
+        "service-timeout",
+        "traffic-plan",
+        "traffic-sample",
+    )
+)
 
 
 def outage_key(vp_name: str, destination, start: float) -> OutageKey:
@@ -327,58 +346,41 @@ def _compact(
 ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
     """Rewrite *entries* down to live state; returns (kept, marker).
 
-    Keeps every entry of every non-terminal outage verbatim (their replay
-    is untouched), synthesizes ``breaker`` and ``pacer`` entries covering
-    what the dropped terminal records contributed to cross-outage state,
-    keeps the latest entry of each other keyless kind, and heads the
-    result with a ``compacted`` marker carrying per-kind drop counts.
+    The contract is that the rewrite preserves the fold (see the module
+    docstring; ``tests/test_journal_fold.py`` checks it).  This one keeps
+    every entry of every non-terminal outage verbatim, synthesizes
+    ``breaker`` and ``pacer`` entries covering what the dropped entries
+    contributed to cross-outage state, keeps the latest entry of each
+    other keyless kind, and heads the result with a ``compacted`` marker
+    carrying per-kind drop counts.
     """
-    last_state: Dict[OutageKey, str] = {}
+    terminal = set()
     for entry in entries:
         if entry["event"] == "state" and "outage" in entry:
-            last_state[key_from_json(entry["outage"])] = entry["state"]
-    terminal = {
-        key
-        for key, state in last_state.items()
-        if state in TERMINAL_STATES
-    }
+            key = key_from_json(entry["outage"])
+            if entry["state"] in TERMINAL_STATES:
+                terminal.add(key)
+            else:
+                terminal.discard(key)
 
     floor = now - pacer_window
     pacer_times: List[float] = []
     breaker: Dict[Tuple[str, str, int], List[float]] = {}
     keyless_last: Dict[str, Dict[str, Any]] = {}
-    keyless_counts: Dict[str, int] = {}
     event_counts: Dict[str, int] = {}
     kept_records: List[Dict[str, Any]] = []
     dropped = 0
 
-    def charge(entry: Dict[str, Any]) -> None:
-        nonlocal dropped
-        dropped += 1
-        event_counts[entry["event"]] = (
-            event_counts.get(entry["event"], 0) + 1
-        )
+    def charge_breaker(vp, dst, asn, failures, last_failure) -> None:
+        slot = breaker.setdefault((vp, dst, asn), [0, float("-inf")])
+        slot[0] = max(slot[0], failures)
+        slot[1] = max(slot[1], last_failure)
 
     for entry in entries:
         event = entry["event"]
-        if "outage" in entry:
-            key = key_from_json(entry["outage"])
-            if key in terminal:
-                # Terminal records drop, but their contributions to
-                # cross-outage state (breaker charges, pacing budget)
-                # must survive as synthesized entries.
-                if event == "rollback":
-                    slot = breaker.setdefault(
-                        (key[0], key[1], entry["asn"]),
-                        [0.0, float("-inf")],
-                    )
-                    slot[0] = max(slot[0], entry["failures"])
-                    slot[1] = max(slot[1], entry["t"])
-                if event == "announced" and entry["t"] > floor:
-                    pacer_times.append(entry["t"])
-                charge(entry)
-            else:
-                kept_records.append(entry)
+        key = key_from_json(entry["outage"]) if "outage" in entry else None
+        if key is not None and key not in terminal:
+            kept_records.append(entry)
             continue
         if event == "compacted":
             # Fold a previous marker's drop counts forward.
@@ -386,33 +388,33 @@ def _compact(
             for kind, count in entry.get("event_counts", {}).items():
                 event_counts[kind] = event_counts.get(kind, 0) + count
             continue
-        if event in ("announce-baseline", "announced"):
-            if entry["t"] > floor:
-                pacer_times.append(entry["t"])
-            charge(entry)
-            continue
-        if event == "pacer":
+        # Terminal records drop, but their contributions to cross-outage
+        # state (breaker charges, pacing budget) survive as synthesized
+        # entries, as do the keyless entries that carried such state.
+        if key is not None and event == "rollback":
+            charge_breaker(
+                key[0], key[1], entry["asn"], entry["failures"], entry["t"]
+            )
+        elif key is None and event == "breaker":
+            charge_breaker(
+                entry["vp"], entry["dst"], entry["asn"],
+                entry["failures"], entry["last_failure"],
+            )
+        elif event == "announced" or (
+            key is None and event in ("announce-baseline", "pacer")
+        ):
             pacer_times.extend(
-                t for t in entry.get("times", ()) if t > floor
+                t for t in entry.get("times", (entry["t"],)) if t > floor
             )
-            charge(entry)
-            continue
-        if event == "breaker":
-            slot = breaker.setdefault(
-                (entry["vp"], entry["dst"], entry["asn"]),
-                [0.0, float("-inf")],
-            )
-            slot[0] = max(slot[0], entry["failures"])
-            slot[1] = max(slot[1], entry["last_failure"])
-            charge(entry)
-            continue
-        # Any other keyless kind: keep only the latest occurrence.
-        if event in keyless_last:
-            charge(keyless_last[event])
-        keyless_last[event] = entry
-        keyless_counts[event] = keyless_counts.get(event, 0) + 1
+        elif key is None:
+            # Any other keyless kind: keep only the latest occurrence.
+            superseded = event in keyless_last
+            keyless_last[event] = entry
+            if not superseded:
+                continue
+        dropped += 1
+        event_counts[event] = event_counts.get(event, 0) + 1
 
-    kept: List[Dict[str, Any]] = []
     marker = {
         "v": JOURNAL_VERSION,
         "t": now,
@@ -422,7 +424,7 @@ def _compact(
         "kept": 0,  # patched below
         "event_counts": {k: event_counts[k] for k in sorted(event_counts)},
     }
-    kept.append(marker)
+    kept: List[Dict[str, Any]] = [marker]
     if pacer_times:
         kept.append(
             {
@@ -442,7 +444,7 @@ def _compact(
                 "vp": vp,
                 "dst": dst,
                 "asn": asn,
-                "failures": int(failures),
+                "failures": failures,
                 "last_failure": last_failure,
             }
         )

@@ -18,18 +18,18 @@ retry the same poison: each rollback climbs one rung of
 :data:`LADDER_STRATEGIES` (deeper multi-ASN poison, prepend-only
 steering, selective advertisement), so repairs that fail to propagate
 through defense filters (see :mod:`repro.bgp.policy`) escalate toward
-mechanisms no import filter can drop.  Escalations are write-ahead
-journaled ("escalate" events) and replayed by :meth:`Lifeguard.recover`
-byte-identically.
+mechanisms no import filter can drop.
 
 Safety machinery around the repair itself lives in
 :mod:`repro.control.guard` (post-poison verification, rollback circuit
-breaker) and :mod:`repro.control.journal` (the write-ahead journal every
-transition is appended to).  :meth:`Lifeguard.recover` rebuilds a crashed
-controller from its journal: records, breaker and pacing state are
-replayed, in-flight poisons are reconciled back into the origin
-controller, and ongoing outages are re-adopted by the monitor, so a
-restart resumes repairs idempotently instead of forgetting them.
+breaker) and :mod:`repro.control.journal` (the write-ahead journal).
+The controller is event-sourced: the only way its state changes is
+:meth:`Lifeguard.apply` folding one journal entry through the reducer
+table, so the live loop (append an entry, then apply it) and
+:meth:`Lifeguard.recover` (apply every journaled entry, then reconcile
+in-flight poisons into the origin controller and hand ongoing outages
+back to the monitor) run the same state machine — a restart resumes
+repairs idempotently instead of forgetting them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,13 @@ from repro.control.guard import (
     PoisonBreaker,
     VerifyVerdict,
 )
-from repro.control.journal import OutageKey, RepairJournal, outage_key
+from repro.control.journal import (
+    SERVICE_KINDS,
+    OutageKey,
+    RepairJournal,
+    key_from_json,
+    outage_key,
+)
 from repro.control.sentinel import SentinelManager, SentinelStyle
 from repro.dataplane.failures import FailureSet
 from repro.dataplane.fib import build_fibs
@@ -101,6 +107,29 @@ LADDER_STRATEGIES: Tuple[str, ...] = (
     "multi-poison",
     "prepend",
     "selective-advertise",
+)
+
+#: The repair stage each unsettled state waits on: a record in *state*
+#: is served by ``Lifeguard.stage_<name>``.  :meth:`Lifeguard.tick` and
+#: the service daemon's queues and budgets (named ``<name>``) both read
+#: this one table.
+STAGE_FOR_STATE: Dict[RepairState, str] = {
+    RepairState.OBSERVED: "isolate",
+    RepairState.VERIFYING: "verify",
+    RepairState.ROLLED_BACK: "retry",
+    RepairState.POISONED: "check",
+}
+
+#: RepairRecord fields a ``state`` entry may carry.
+_STATE_FIELDS = (
+    "poisoned_asn",
+    "poison_time",
+    "convergence_seconds",
+    "verified_time",
+    "repair_detected_time",
+    "unpoison_time",
+    "poison_set",
+    "fallback_providers",
 )
 
 
@@ -319,8 +348,13 @@ class Lifeguard:
         self.records: List[RepairRecord] = []
         self._records_by_outage: Dict[OutageKey, RepairRecord] = {}
         self._last_repair_check: Dict[OutageKey, float] = {}
-        self._isolation_budgets: Dict[OutageKey, RetryBudget] = {}
+        #: isolation runs charged to each outage's retry budget.
+        self._isolation_used: Dict[OutageKey, int] = {}
         self._journaled_ends: Set[OutageKey] = set()
+        #: last poison intent per outage: (mode, asns, providers, step).
+        self._poison_intents: Dict[
+            OutageKey, Tuple[str, Tuple[int, ...], Tuple[int, ...], int]
+        ] = {}
         #: optional :class:`~repro.faults.FaultInjector`; set by attach().
         self.injector = None
         #: optional observability bus (duck-typed; see repro.obs.events).
@@ -358,7 +392,7 @@ class Lifeguard:
 
     def announce(self) -> None:
         """Announce the baseline (prepended) production + sentinel prefixes."""
-        self._journal("announce-baseline", None, self.engine.now)
+        self._commit("announce-baseline", None, self.engine.now)
         self.origin.announce_baseline()
         self.engine.run()
         self.refresh_dataplane()
@@ -383,27 +417,58 @@ class Lifeguard:
         )
 
     # ------------------------------------------------------------------
-    # Journal helpers
+    # The journal: commit an entry, fold it into controller state
     # ------------------------------------------------------------------
-    def _journal(
+    def _commit(
         self,
-        event: str,
-        record: Optional[RepairRecord],
+        kind: str,
+        key: Optional[OutageKey],
         now: float,
+        live=None,
         **fields,
     ) -> None:
-        key = record.key if record is not None else None
-        self.journal.append(event, now, key=key, **fields)
+        """Journal one entry (write-ahead), mirror it, then apply it.
+
+        *live* is the value only the running process holds (the
+        monitor's outage, the full isolation evidence) for the reducer
+        to adopt where recovery rebuilds one from the entry's fields.
+        """
+        if kind not in self._REDUCERS:
+            raise ControlError(f"unknown journal entry kind {kind!r}")
+        entry = self.journal.append(kind, now, key=key, **fields)
         if self.obs is not None:
             # Mirror the write-ahead journal onto the event bus: one
             # control.* event per journal entry, with the outage's ledger
             # key as the subject so the tracer can thread a repair's
             # lifecycle back together.
             self.obs.emit(
-                f"control.{event}", now, "control.lifeguard",
+                f"control.{kind}", now, "control.lifeguard",
                 subject=self._ledger_key(key) if key else None,
                 **fields,
             )
+        self.apply(entry, live)
+
+    def apply(self, entry: Dict[str, object], live=None) -> None:
+        """Fold one journal entry into controller state.
+
+        The single writer of the records, the isolation budgets, the
+        repair-check clocks, the breaker charges and the pacer slots:
+        the live loop calls it through :meth:`_commit`, recovery calls
+        it on every journaled entry.
+        """
+        kind = entry["event"]
+        reducer = self._REDUCERS.get(kind)
+        if reducer is None:
+            if kind in SERVICE_KINDS:
+                return  # the service daemon folds its own entries
+            raise ControlError(f"unknown journal entry kind {kind!r}")
+        record = None
+        if "outage" in entry:
+            record = self._records_by_outage.get(
+                key_from_json(entry["outage"])
+            )
+        if record is not None or kind in self._UNSCOPED:
+            reducer(self, entry, record, live)
 
     def _set_state(
         self,
@@ -413,22 +478,154 @@ class Lifeguard:
         reason: Optional[str] = None,
         **fields,
     ) -> None:
-        """Journal the transition (write-ahead), then apply it."""
-        self._journal(
-            "state", record, now, state=state.value, reason=reason, **fields
+        self._commit(
+            "state", record.key, now,
+            state=state.value, reason=reason, **fields,
         )
-        for name, value in fields.items():
-            setattr(record, name, value)
-        record.state = state
 
     def _note(self, record: RepairRecord, now: float, note: str) -> None:
-        self._journal("note", record, now, note=note)
-        record.notes.append(note)
+        self._commit("note", record.key, now, note=note)
 
     def _note_once(self, record: RepairRecord, note: str) -> None:
         if note not in record.notes:
-            self._journal("note", record, self.engine.now, note=note)
-            record.notes.append(note)
+            self._note(record, self.engine.now, note)
+
+    # -- reducers: (entry, record or None, live-only value or None) -----
+    def _on_announced(self, entry, record, live) -> None:
+        # The only code that takes pacer slots: one at the journaled
+        # time of each announcement, or the slots a compaction kept.
+        for slot in entry.get("times", (entry["t"],)):
+            self.origin.pacer.record(slot)
+
+    def _on_breaker(self, entry, record, live) -> None:
+        self.guard.breaker.restore(
+            (entry["vp"], entry["dst"]),
+            entry["asn"],
+            entry["failures"],
+            entry["last_failure"],
+        )
+
+    def _on_observed(self, entry, record, live) -> None:
+        key = key_from_json(entry["outage"])
+        if record is None:
+            if live is None:
+                live = OutageRecord(
+                    vp_name=key[0],
+                    destination=Address(key[1]),
+                    start=key[2],
+                    detected=entry.get("detected", entry["t"]),
+                )
+            record = RepairRecord(outage=live)
+            self._records_by_outage[key] = record
+            self.records.append(record)
+
+    def _on_outage_ended(self, entry, record, live) -> None:
+        record.outage.end = entry["t"]
+        self._journaled_ends.add(record.key)
+
+    def _on_note(self, entry, record, live) -> None:
+        record.notes.append(entry["note"])
+
+    def _on_isolation_spend(self, entry, record, live) -> None:
+        self._isolation_used[record.key] = entry["used"]
+
+    def _on_isolated(self, entry, record, live) -> None:
+        if live is None:
+            live = IsolationResult(
+                vp_name=record.outage.vp_name,
+                destination=record.outage.destination,
+                direction=FailureDirection(entry["direction"]),
+                blamed_asn=entry.get("blamed_asn"),
+                confidence=entry.get("confidence", 1.0),
+            )
+        record.isolation = live
+        record.isolation_attempts = entry.get(
+            "attempts", record.isolation_attempts
+        )
+        record.state = RepairState.ISOLATED
+
+    def _on_isolation_discount(self, entry, record, live) -> None:
+        if record.isolation is not None:
+            record.isolation.confidence = entry["confidence"]
+
+    def _on_deferred(self, entry, record, live) -> None:
+        # Back to OBSERVED so ongoing_outages() revisits the record on
+        # a later tick (ISOLATED is never re-ticked).
+        record.state = RepairState.OBSERVED
+
+    def _on_poison(self, entry, record, live) -> None:
+        record.control_set = tuple(entry.get("control", ()))
+        self._poison_intents[record.key] = (
+            entry.get("mode", "poison"),
+            tuple(entry.get("asns", ())),
+            tuple(entry.get("providers", ())),
+            entry.get("step", 0),
+        )
+
+    def _on_escalate(self, entry, record, live) -> None:
+        record.ladder_step = entry["step"]
+        record.fallback_strategy = entry["strategy"]
+        record.escalations += 1
+
+    def _on_rollback(self, entry, record, live) -> None:
+        # Idempotent over the charge the live rollback just recorded.
+        self.guard.breaker.restore(
+            self._pair_key(record),
+            entry["asn"],
+            entry["failures"],
+            entry["t"],
+        )
+        record.rollbacks += 1
+
+    def _on_repair_check(self, entry, record, live) -> None:
+        self._last_repair_check[record.key] = entry["t"]
+
+    def _on_state(self, entry, record, live) -> None:
+        for name in _STATE_FIELDS:
+            if name in entry:
+                value = entry[name]
+                if isinstance(value, list):
+                    value = tuple(value)  # JSON round-trips tuples as lists
+                setattr(record, name, value)
+        record.state = RepairState(entry["state"])
+        if "poison_time" in entry:
+            # A record rolled back and re-poisoned schedules its repair
+            # checks off the *latest* poison; later repair-check entries
+            # overwrite this in order.
+            self._last_repair_check[record.key] = entry["poison_time"]
+
+    def _on_marker(self, entry, record, live) -> None:
+        """Intent and bookkeeping markers carry no controller state."""
+
+    #: entry kind -> reducer.  Every kind the controller journals is
+    #: here; committing or loading any other kind is an error.
+    _REDUCERS = {
+        "announce-baseline": _on_announced,
+        "announced": _on_announced,
+        "pacer": _on_announced,
+        "breaker": _on_breaker,
+        "observed": _on_observed,
+        "outage-ended": _on_outage_ended,
+        "note": _on_note,
+        "isolation-spend": _on_isolation_spend,
+        "isolated": _on_isolated,
+        "isolation-discount": _on_isolation_discount,
+        "deferred": _on_deferred,
+        "poison": _on_poison,
+        "escalate": _on_escalate,
+        "rollback": _on_rollback,
+        "repair-check": _on_repair_check,
+        "state": _on_state,
+        "unpoison": _on_marker,
+        "recovered": _on_marker,
+        "compacted": _on_marker,
+    }
+    #: kinds folded without a known record (every other reducer skips an
+    #: entry whose outage was never observed).
+    _UNSCOPED = frozenset(
+        ("announce-baseline", "announced", "pacer", "breaker", "observed",
+         "recovered", "compacted")
+    )
 
     @staticmethod
     def _ledger_key(key: OutageKey, step: int = 0) -> str:
@@ -487,39 +684,29 @@ class Lifeguard:
                 waiting.append(record)
         return waiting
 
-    def stage_isolate(self, record: RepairRecord, now: float) -> None:
-        """Isolation → poison decision for one OBSERVED record."""
-        self._maybe_isolate_and_poison(record, now)
+    def run_stage(self, record: RepairRecord, now: float) -> None:
+        """Run the stage *record*'s state waits on (none once settled).
 
-    def stage_verify(self, record: RepairRecord, now: float) -> None:
-        """Post-poison verification for one VERIFYING record."""
-        self._maybe_verify(record, now)
-
-    def stage_retry(self, record: RepairRecord, now: float) -> None:
-        """Breaker-gated re-poison for one ROLLED_BACK record."""
-        self._maybe_retry_after_rollback(record, now)
-
-    def stage_check(self, record: RepairRecord, now: float) -> None:
-        """Repair-detection probe (and unpoison) for one POISONED record."""
-        self._maybe_check_repair(record, now)
+        The method is looked up by name on every call, so a wrapper
+        installed on the class (the benchmark's span tracer) is seen.
+        """
+        stage = STAGE_FOR_STATE.get(record.state)
+        if stage is not None:
+            getattr(self, f"stage_{stage}")(record, now)
 
     def tick(self, now: float) -> None:
         """One monitoring round plus any due control actions."""
         self.begin_round(now)
         for record in self.observed_records():
-            self.stage_isolate(record, now)
+            self.run_stage(record, now)
         # Poisoned records keep getting repair checks even after the
         # monitor sees connectivity again — the monitor's pings travel the
         # *poisoned* (rerouted) path, so its recovery says nothing about
         # whether the underlying failure was fixed.  Verification and
         # rollback retries likewise follow the record, not the outage.
         for record in self.records:
-            if record.state is RepairState.VERIFYING:
-                self.stage_verify(record, now)
-            elif record.state is RepairState.ROLLED_BACK:
-                self.stage_retry(record, now)
-            elif record.state is RepairState.POISONED:
-                self.stage_check(record, now)
+            if record.state is not RepairState.OBSERVED:
+                self.run_stage(record, now)
 
     def run(self, start: float, end: float) -> None:
         """Tick from *start* to *end* at the monitor interval."""
@@ -535,28 +722,41 @@ class Lifeguard:
                 continue
             key = record.key
             if key not in self._journaled_ends:
-                self._journaled_ends.add(key)
-                self._journal("outage-ended", record, end)
+                self._commit("outage-ended", key, end)
 
     # ------------------------------------------------------------------
     # State machine
     # ------------------------------------------------------------------
     def _record_for(self, outage: OutageRecord) -> RepairRecord:
         key = outage_key(outage.vp_name, outage.destination, outage.start)
-        record = self._records_by_outage.get(key)
-        if record is None:
-            record = RepairRecord(outage=outage)
-            self._records_by_outage[key] = record
-            self.records.append(record)
-            self._journal(
-                "observed", record, outage.detected,
-                detected=outage.detected,
+        if key not in self._records_by_outage:
+            self._commit(
+                "observed", key, outage.detected,
+                live=outage, detected=outage.detected,
             )
-        return record
+        return self._records_by_outage[key]
 
-    def _maybe_isolate_and_poison(
-        self, record: RepairRecord, now: float
+    def _defer(
+        self,
+        record: RepairRecord,
+        now: float,
+        why: str,
+        note: str,
+        refund: Optional[int] = None,
     ) -> None:
+        """Leave *record* OBSERVED for a later tick.  *refund* is the
+        isolation charge to take back when the deferral is no fault of
+        the measurement (nothing was learned that a retry would not
+        learn again)."""
+        if refund is not None:
+            self._commit(
+                "isolation-spend", record.key, now, used=refund - 1
+            )
+        self._commit("deferred", record.key, now, why=why)
+        self._note_once(record, note)
+
+    def stage_isolate(self, record: RepairRecord, now: float) -> None:
+        """Isolation → poison decision for one OBSERVED record."""
         elapsed = now - record.outage.start
         decision = self.decision_model.decide(
             elapsed,
@@ -566,15 +766,15 @@ class Lifeguard:
         record.decision = decision
         if not decision.poison:
             return  # re-evaluated next tick while the outage persists
+        key = record.key
         vp_name = record.outage.vp_name
         target = str(record.outage.destination)
         if not self.vantage_points.is_up(vp_name):
             # The observing vantage point is down.  Deferral costs no
             # retry budget: nothing was attempted, and the outage itself
             # may be an artifact of the dead VP.
-            self._journal("deferred", record, now, why="vp-down")
-            self._note_once(
-                record,
+            self._defer(
+                record, now, "vp-down",
                 f"vantage point {vp_name} down: isolation deferred",
             )
             return
@@ -588,47 +788,45 @@ class Lifeguard:
             and record.isolation is not None
             and record.isolation.blamed_asn is not None
         )
-        budget: Optional[RetryBudget] = None
+        # This run's isolation charge (None: verdict reused, no charge).
+        used: Optional[int] = None
         if reuse_isolation:
             isolation = record.isolation
             record.state = RepairState.ISOLATED
         else:
-            budget = self._isolation_budgets.setdefault(
-                record.key, RetryBudget(self.config.max_isolation_attempts)
+            # The charge is held here until its journal entry applies it.
+            trial = RetryBudget(
+                self.config.max_isolation_attempts,
+                self._isolation_used.get(key, 0),
             )
             try:
-                budget.spend("isolation", vp=vp_name, target=target)
+                trial.spend("isolation", vp=vp_name, target=target)
             except RetryExhausted as exc:
                 self._set_state(
                     record, RepairState.NOT_POISONED, now, reason=str(exc)
                 )
                 self._note(record, now, f"not poisoning: {exc}")
                 return
+            used = trial.used
             try:
                 isolation = self.isolator.isolate(
                     vp_name, record.outage.destination, now
                 )
             except DegradedError as exc:
                 # VP died between the health check and the measurement.
-                budget.used -= 1
-                self._journal(
-                    "isolation-spend", record, now, used=budget.used
+                self._defer(
+                    record, now, "vp-died-mid-measurement",
+                    f"isolation deferred: {exc}", refund=used,
                 )
-                self._journal(
-                    "deferred", record, now, why="vp-died-mid-measurement"
-                )
-                self._note_once(record, f"isolation deferred: {exc}")
                 return
-            self._journal("isolation-spend", record, now, used=budget.used)
-            record.isolation = isolation
-            record.isolation_attempts = budget.used
-            record.state = RepairState.ISOLATED
-            self._journal(
-                "isolated", record, now,
+            self._commit("isolation-spend", key, now, used=used)
+            self._commit(
+                "isolated", key, now,
+                live=isolation,
                 direction=isolation.direction.value,
                 blamed_asn=isolation.blamed_asn,
                 confidence=isolation.confidence,
-                attempts=budget.used,
+                attempts=used,
             )
             if isolation.elapsed_seconds > self.config.isolation_timeout:
                 isolation.discount(
@@ -636,18 +834,16 @@ class Lifeguard:
                     f"isolation ran {isolation.elapsed_seconds:.0f}s, past "
                     f"the {self.config.isolation_timeout:.0f}s timeout",
                 )
-                self._journal(
-                    "isolation-discount", record, now,
+                self._commit(
+                    "isolation-discount", key, now,
                     confidence=isolation.confidence,
                 )
             if isolation.confidence < self.config.min_confidence:
-                # DEGRADED path: keep the record OBSERVED and re-isolate
-                # on a later tick — transiently injected faults (lost
-                # probes, a crashed helper) may have cleared by then.
-                record.state = RepairState.OBSERVED
-                self._journal("deferred", record, now, why="low-confidence")
-                self._note_once(
-                    record,
+                # DEGRADED path: re-isolate on a later tick — transiently
+                # injected faults (lost probes, a crashed helper) may
+                # have cleared by then.
+                self._defer(
+                    record, now, "low-confidence",
                     f"degraded isolation (confidence "
                     f"{isolation.confidence:.2f} < "
                     f"{self.config.min_confidence:.2f}): deferring "
@@ -669,52 +865,38 @@ class Lifeguard:
             self._pair_key(record), asn, now
         )
         if breaker_state is BreakerState.OPEN:
-            failures = self.guard.breaker.failures(
-                self._pair_key(record), asn
-            )
-            reason = (
-                f"circuit breaker open after {failures} ineffective "
-                f"poisons of AS{asn}"
-            )
-            self._set_state(
-                record, RepairState.NOT_POISONED, now, reason=reason
-            )
-            self._note(record, now, f"not poisoning: {reason}")
-            return
-        if breaker_state is BreakerState.BACKOFF:
-            if budget is not None:
-                budget.used -= 1
-                self._journal(
-                    "isolation-spend", record, now, used=budget.used
-                )
-            # Back to OBSERVED so ongoing_outages() revisits the record
-            # once the backoff elapses (ISOLATED is never re-ticked).
-            record.state = RepairState.OBSERVED
-            self._journal("deferred", record, now, why="breaker-backoff")
-            self._note_once(
-                record,
+            self._breaker_open(record, asn, now)
+        elif breaker_state is BreakerState.BACKOFF:
+            self._defer(
+                record, now, "breaker-backoff",
                 f"rollback backoff for AS{asn} pending: "
                 f"poisoning deferred",
+                refund=used,
             )
-            return
-        if not self.origin.pacer.allows(now):
+        elif not self.origin.pacer.allows(now):
             # Flap-damping guard (§6): adding another announcement now
             # risks walking the prefix into damping penalty at a
             # suppressing neighbor.  Withdrawals stay exempt.
-            if budget is not None:
-                budget.used -= 1
-                self._journal(
-                    "isolation-spend", record, now, used=budget.used
-                )
-            record.state = RepairState.OBSERVED
-            self._journal("deferred", record, now, why="pacing")
-            self._note_once(
-                record,
+            self._defer(
+                record, now, "pacing",
                 "announcement budget exhausted: poisoning deferred "
                 "(flap-damping guard)",
+                refund=used,
             )
-            return
-        self._poison(record, asn, now)
+        else:
+            self._poison(record, asn, now)
+
+    def _breaker_open(
+        self, record: RepairRecord, asn: int, now: float
+    ) -> None:
+        """The breaker has given up on poisoning *asn* for this pair."""
+        failures = self.guard.breaker.failures(self._pair_key(record), asn)
+        reason = (
+            f"circuit breaker open after {failures} ineffective "
+            f"poisons of AS{asn}"
+        )
+        self._set_state(record, RepairState.NOT_POISONED, now, reason=reason)
+        self._note(record, now, f"not poisoning: {reason}")
 
     def _poisonable(
         self, isolation: IsolationResult, record: RepairRecord, now: float
@@ -752,14 +934,13 @@ class Lifeguard:
                 record.outage.destination,
                 now,
             )
-        record.control_set = control
         if self.config.use_avoid_problem:
             mode, asns, providers = "avoid", (asn,), ()
         else:
             mode, asns, providers = self._fallback_plan(record, asn)
         # Write-ahead: the intent hits the journal before the network.
-        self._journal(
-            "poison", record, now,
+        self._commit(
+            "poison", record.key, now,
             asn=asn, mode=mode, control=list(control),
             step=record.ladder_step,
             asns=list(asns), providers=list(providers),
@@ -778,10 +959,9 @@ class Lifeguard:
         if applied:
             # Effect event: an announcement actually went out (a redundant
             # same-union poison is an idempotent no-op on the wire).  The
-            # pacer is rebuilt from these at recovery, not from intents.
-            self._journal("announced", record, now)
+            # pacer counts these, not intents.
+            self._commit("announced", record.key, now)
         converged_at = self.engine.run()
-        self._last_repair_check[record.key] = now
         self.refresh_dataplane()
         if self.obs is not None:
             self.obs.observe(
@@ -905,13 +1085,10 @@ class Lifeguard:
             return
         next_step = record.ladder_step + 1
         strategy = LADDER_STRATEGIES[next_step]
-        self._journal(
-            "escalate", record, now,
+        self._commit(
+            "escalate", record.key, now,
             step=next_step, strategy=strategy, asn=asn,
         )
-        record.ladder_step = next_step
-        record.fallback_strategy = strategy
-        record.escalations += 1
         self._note(
             record, now,
             f"escalating repair of AS{asn} to fallback "
@@ -921,7 +1098,8 @@ class Lifeguard:
             self._ledger_key(record.key), next_step, strategy, asn, now
         )
 
-    def _maybe_verify(self, record: RepairRecord, now: float) -> None:
+    def stage_verify(self, record: RepairRecord, now: float) -> None:
+        """Post-poison verification for one VERIFYING record."""
         if record.poison_time is None or now <= record.poison_time:
             return  # converged this very tick; verify on the next one
         outcome = self.guard.verify(
@@ -956,17 +1134,16 @@ class Lifeguard:
         asn = record.poisoned_asn
         pair = self._pair_key(record)
         failures = self.guard.breaker.record_failure(pair, asn, now)
-        self._journal(
-            "rollback", record, now,
+        self._commit(
+            "rollback", record.key, now,
             asn=asn, reason=reason, failures=failures,
         )
         ledger_key = self._ledger_key(record.key, record.ladder_step)
         if ledger_key in self.origin.active_poisons():
             if self.origin.unpoison(key=ledger_key):
-                self._journal("announced", record, now)
+                self._commit("announced", record.key, now)
             self.engine.run()
             self.refresh_dataplane()
-        record.rollbacks += 1
         self._set_state(
             record, RepairState.ROLLED_BACK, now, reason=reason
         )
@@ -976,39 +1153,21 @@ class Lifeguard:
             f"(failure {failures}/{self.config.breaker_max_failures})",
         )
         if failures >= self.config.breaker_max_failures:
-            open_reason = (
-                f"circuit breaker open after {failures} ineffective "
-                f"poisons of AS{asn}"
-            )
-            self._set_state(
-                record, RepairState.NOT_POISONED, now, reason=open_reason
-            )
-            self._note(record, now, f"not poisoning: {open_reason}")
+            self._breaker_open(record, asn, now)
         # With the ineffective rung fully withdrawn (and only if the
         # breaker left the record retryable), climb the ladder: the next
         # attempt — after the breaker's backoff and re-isolation — uses
         # the escalated strategy.
         self._maybe_escalate(record, asn, now)
 
-    def _maybe_retry_after_rollback(
-        self, record: RepairRecord, now: float
-    ) -> None:
+    def stage_retry(self, record: RepairRecord, now: float) -> None:
+        """Breaker-gated re-poison for one ROLLED_BACK record."""
         if record.outage.end is not None:
             return  # the pair recovered; ROLLED_BACK is terminal here
         asn = record.poisoned_asn
         state = self.guard.breaker.state(self._pair_key(record), asn, now)
         if state is BreakerState.OPEN:
-            failures = self.guard.breaker.failures(
-                self._pair_key(record), asn
-            )
-            reason = (
-                f"circuit breaker open after {failures} ineffective "
-                f"poisons of AS{asn}"
-            )
-            self._set_state(
-                record, RepairState.NOT_POISONED, now, reason=reason
-            )
-            self._note(record, now, f"not poisoning: {reason}")
+            self._breaker_open(record, asn, now)
         elif state is BreakerState.CLOSED:
             self._set_state(
                 record, RepairState.OBSERVED, now,
@@ -1018,13 +1177,12 @@ class Lifeguard:
     # ------------------------------------------------------------------
     # Repair detection / unpoison
     # ------------------------------------------------------------------
-    def _maybe_check_repair(self, record: RepairRecord, now: float) -> None:
-        key = record.key
-        last = self._last_repair_check.get(key, float("-inf"))
-        if now - last < self.config.repair_check_interval:
-            return
-        self._last_repair_check[key] = now
+    def stage_check(self, record: RepairRecord, now: float) -> None:
+        """Repair-detection probe (and unpoison) for one POISONED record."""
         if not self.sentinel_manager.can_detect_repair:
+            return
+        last = self._last_repair_check.get(record.key, float("-inf"))
+        if now - last < self.config.repair_check_interval:
             return
         test_destinations = [
             self.topo.router(rid).address
@@ -1035,26 +1193,30 @@ class Lifeguard:
             # No responsive router in the poisoned AS: a zero-probe check
             # would "detect" repair out of thin air.  Skip, note it, and
             # keep the poison until evidence exists.
-            self._journal("repair-check", record, now, skipped=True)
+            self._commit("repair-check", record.key, now, skipped=True)
             self._note_once(
                 record,
                 f"no responsive routers in AS{record.poisoned_asn}: "
                 f"repair check skipped",
             )
             return
-        self._journal("repair-check", record, now)
+        self._commit("repair-check", record.key, now)
         check = self.sentinel_manager.check_repair(test_destinations, now)
         if check.repaired:
-            record.repair_detected_time = now
-            self.unpoison(record, now)
+            self.unpoison(record, now, repair_detected_time=now)
 
-    def unpoison(self, record: RepairRecord, now: float) -> None:
+    def unpoison(
+        self,
+        record: RepairRecord,
+        now: float,
+        repair_detected_time: Optional[float] = None,
+    ) -> None:
         """Withdraw the poison and return to the baseline announcement.
 
         Only this record's ledger entry is withdrawn; poisons owned by
         concurrent repairs stay on the announcement.
         """
-        self._journal("unpoison", record, now)
+        self._commit("unpoison", record.key, now)
         ledger_key = self._ledger_key(record.key, record.ladder_step)
         if ledger_key in self.origin.active_poisons():
             applied = self.origin.unpoison(key=ledger_key)
@@ -1062,13 +1224,13 @@ class Lifeguard:
             # Legacy/externally-applied poison: full reset.
             applied = self.origin.unpoison()
         if applied:
-            self._journal("announced", record, now)
+            self._commit("announced", record.key, now)
         self.engine.run()
         self.refresh_dataplane()
         self._set_state(
             record, RepairState.UNPOISONED, now,
             unpoison_time=now,
-            repair_detected_time=record.repair_detected_time,
+            repair_detected_time=repair_detected_time,
         )
 
     # ------------------------------------------------------------------
@@ -1096,8 +1258,9 @@ class Lifeguard:
         ground-truth data-plane failure set — are the surviving world: a
         controller crash does not withdraw announcements, restart routers,
         or repair the failures it was trying to route around.
-        Replaying the journal reconstructs every record (and the
-        breaker, pacer and repair-check bookkeeping behind it); the origin
+        Folding the journal through :meth:`apply` reconstructs every
+        record (and the breaker, pacer, isolation-budget and repair-check
+        bookkeeping behind it) exactly as the live loop built it; the origin
         controller is then reconciled so its intended announcement state —
         the union of in-flight poisons — is re-asserted, which converges
         as a no-op when the network still carries it.  Ongoing outages are
@@ -1126,124 +1289,8 @@ class Lifeguard:
         return lifeguard
 
     def _replay(self, journal: RepairJournal, now: float) -> None:
-        entries = list(journal.entries)
-        #: per-outage last poison intent: (mode, asns, providers, step).
-        poison_modes: Dict[
-            OutageKey, Tuple[str, Tuple[int, ...], Tuple[int, ...], int]
-        ] = {}
-        announce_times: List[float] = []
-        for entry in entries:
-            event = entry["event"]
-            key: Optional[OutageKey] = None
-            if "outage" in entry:
-                blob = entry["outage"]
-                key = (blob["vp"], blob["dst"], float(blob["start"]))
-            record = self._records_by_outage.get(key) if key else None
-            if event == "announce-baseline":
-                announce_times.append(entry["t"])
-            elif event == "announced":
-                announce_times.append(entry["t"])
-            elif event == "observed":
-                outage = OutageRecord(
-                    vp_name=key[0],
-                    destination=Address(key[1]),
-                    start=key[2],
-                    detected=entry.get("detected", entry["t"]),
-                )
-                record = RepairRecord(outage=outage)
-                self._records_by_outage[key] = record
-                self.records.append(record)
-            elif event == "pacer":
-                # Compaction-synthesized pacing timestamps standing in
-                # for dropped announce entries.
-                announce_times.extend(entry["times"])
-            elif event == "breaker":
-                # Compaction-synthesized breaker charge standing in for
-                # a dropped terminal record's rollbacks.
-                self.guard.breaker.restore(
-                    (entry["vp"], entry["dst"]),
-                    entry["asn"],
-                    entry["failures"],
-                    entry["last_failure"],
-                )
-            elif record is None:
-                continue
-            elif event == "outage-ended":
-                record.outage.end = entry["t"]
-                self._journaled_ends.add(key)
-            elif event == "note":
-                record.notes.append(entry["note"])
-            elif event == "isolation-spend":
-                budget = self._isolation_budgets.setdefault(
-                    key, RetryBudget(self.config.max_isolation_attempts)
-                )
-                budget.used = entry["used"]
-            elif event == "isolated":
-                record.isolation = IsolationResult(
-                    vp_name=key[0],
-                    destination=record.outage.destination,
-                    direction=FailureDirection(entry["direction"]),
-                    blamed_asn=entry.get("blamed_asn"),
-                    confidence=entry.get("confidence", 1.0),
-                )
-                record.isolation_attempts = entry.get(
-                    "attempts", record.isolation_attempts
-                )
-                record.state = RepairState.ISOLATED
-            elif event == "isolation-discount":
-                if record.isolation is not None:
-                    record.isolation.confidence = entry["confidence"]
-            elif event == "deferred":
-                record.state = RepairState.OBSERVED
-            elif event == "poison":
-                record.control_set = tuple(entry.get("control", ()))
-                poison_modes[key] = (
-                    entry.get("mode", "poison"),
-                    tuple(entry.get("asns", ())),
-                    tuple(entry.get("providers", ())),
-                    entry.get("step", 0),
-                )
-            elif event == "escalate":
-                record.ladder_step = entry["step"]
-                record.fallback_strategy = entry["strategy"]
-                record.escalations += 1
-            elif event == "rollback":
-                self.guard.breaker.restore(
-                    (key[0], key[1]),
-                    entry["asn"],
-                    entry["failures"],
-                    entry["t"],
-                )
-                record.rollbacks += 1
-            elif event == "repair-check":
-                self._last_repair_check[key] = entry["t"]
-            elif event == "state":
-                state = RepairState(entry["state"])
-                for name in (
-                    "poisoned_asn",
-                    "poison_time",
-                    "convergence_seconds",
-                    "verified_time",
-                    "repair_detected_time",
-                    "unpoison_time",
-                    "poison_set",
-                    "fallback_providers",
-                ):
-                    if name in entry:
-                        value = entry[name]
-                        if name in ("poison_set", "fallback_providers"):
-                            # JSON round-trips tuples as lists.
-                            value = tuple(value)
-                        setattr(record, name, value)
-                record.state = state
-                if state in (
-                    RepairState.VERIFYING, RepairState.POISONED
-                ) and "poison_time" in entry:
-                    # Assign, not setdefault: a record rolled back and
-                    # re-poisoned must schedule off the *latest* poison,
-                    # exactly as the live _poison() did.  Later
-                    # repair-check entries overwrite this in order.
-                    self._last_repair_check[key] = entry["poison_time"]
+        for entry in journal:
+            self.apply(entry)
         # Reconcile origin intent: re-assert the union of in-flight
         # poisons (no-op convergence when the network already has them).
         ledger = {}
@@ -1251,7 +1298,7 @@ class Lifeguard:
             if record.state in (
                 RepairState.VERIFYING, RepairState.POISONED
             ):
-                mode, asns, providers, step = poison_modes.get(
+                mode, asns, providers, step = self._poison_intents.get(
                     key, ("poison", (), (), 0)
                 )
                 if mode in ("prepend", "suppress"):
@@ -1259,10 +1306,10 @@ class Lifeguard:
                 else:
                     value = asns or (record.poisoned_asn,)
                 ledger[self._ledger_key(key, step)] = (mode, value)
-        if self.origin.restore(ledger, announce_times):
-            # The reconcile re-announcement consumed a pacer slot; journal
-            # it so the pacer budget survives a second crash too.
-            self._journal("announced", None, self.engine.now)
+        if self.origin.restore(ledger):
+            # The reconcile re-announcement takes a pacer slot like any
+            # other (and so survives a second crash too).
+            self._commit("announced", None, self.engine.now)
         self.engine.run()
         self.refresh_dataplane()
         # Ongoing outages survive the controller, not the other way round:
@@ -1272,7 +1319,7 @@ class Lifeguard:
             if record.outage.end is None:
                 self.monitor.adopt_outage(record.outage)
                 adopted += 1
-        self._journal(
+        self._commit(
             "recovered", None, now,
             records=len(self.records),
             active_poisons=len(ledger),

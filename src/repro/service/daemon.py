@@ -13,10 +13,11 @@ four-tier graceful-degradation ladder (see :mod:`repro.service.admission`).
 Everything the service decides is journaled through the controller's
 write-ahead journal (``service-plan``, ``service-arrival``,
 ``service-tier``, ``service-shed``, ``service-defer``,
-``service-timeout`` entries), so a crashed daemon recovers — records,
-queues, arrival cursor, and degradation tier — byte-identically, which
-the sustained-load determinism property test pins via the event-bus
-SHA-256 digest.
+``service-timeout``, ``traffic-plan``, ``traffic-sample`` entries) and
+applied through one reducer table, live and on restore alike, so a
+crashed daemon recovers — records, queues, arrival cursor, degradation
+tier and impact ledger — byte-identically, which the sustained-load
+determinism property test pins via the event-bus SHA-256 digest.
 
 The simulation clock is the only clock: one :meth:`run_round` per
 monitor interval, every decision a pure function of simulation state, so
@@ -25,12 +26,18 @@ a run is reproducible across hosts, workers, and crash/recover cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.control.journal import OutageKey, RepairJournal
-from repro.control.lifeguard import Lifeguard, RepairRecord, RepairState
+from repro.control.lifeguard import (
+    STAGE_FOR_STATE,
+    Lifeguard,
+    RepairRecord,
+    RepairState,
+)
 from repro.dataplane.failures import ASForwardingFailure
+from repro.errors import ControlError
 from repro.service.admission import (
     AdmissionController,
     OverloadSignals,
@@ -138,39 +145,10 @@ class ServiceReport:
     digest: Optional[str] = None
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "duration": self.duration,
-            "rounds": self.rounds,
-            "monitored_pairs": self.monitored_pairs,
-            "arrivals": self.arrivals,
-            "records": self.records,
-            "repaired": self.repaired,
-            "completed": self.completed,
-            "settled": self.settled,
-            "pending": self.pending,
-            "abandoned": self.abandoned,
-            "shed": self.shed,
-            "deferred": self.deferred,
-            "timeouts": self.timeouts,
-            "backpressure": self.backpressure,
-            "crashes": self.crashes,
-            "tier_transitions": self.tier_transitions,
-            "final_tier": self.final_tier,
-            "ttr_p50": self.ttr_p50,
-            "ttr_p95": self.ttr_p95,
-            "ttr_p99": self.ttr_p99,
-            "queue_peaks": dict(sorted(self.queue_peaks.items())),
-            "journal_entries": self.journal_entries,
-            "journal_rotations": self.journal_rotations,
-            "drained": self.drained,
-            "users_total": self.users_total,
-            "users_affected": self.users_affected,
-            "peak_users_affected": self.peak_users_affected,
-            "affected_user_minutes": round(
-                self.affected_user_minutes, 6
-            ),
-            "digest": self.digest,
-        }
+        blob = {f.name: getattr(self, f.name) for f in fields(self)}
+        blob["queue_peaks"] = dict(sorted(self.queue_peaks.items()))
+        blob["affected_user_minutes"] = round(self.affected_user_minutes, 6)
+        return blob
 
 
 def poisonable_transit_as(
@@ -233,14 +211,6 @@ def _percentile(values: List[float], q: float) -> Optional[float]:
 
 class LifeguardService:
     """The daemon: drives one deployment over a streaming workload."""
-
-    #: which queue serves each non-settled repair state.
-    _STAGE_FOR_STATE = {
-        RepairState.OBSERVED: Stage.ISOLATE,
-        RepairState.VERIFYING: Stage.VERIFY,
-        RepairState.ROLLED_BACK: Stage.RETRY,
-        RepairState.POISONED: Stage.CHECK,
-    }
 
     def __init__(
         self,
@@ -345,6 +315,63 @@ class LifeguardService:
             metrics.inc(name, amount)
 
     # ------------------------------------------------------------------
+    # The journal: commit an entry, fold it into service state
+    # ------------------------------------------------------------------
+    def _commit(
+        self,
+        kind: str,
+        now: float,
+        key: Optional[OutageKey] = None,
+        **values,
+    ) -> None:
+        """Journal one service entry (write-ahead), then apply it —
+        through the reducer :meth:`_restore_from_journal` folds with."""
+        if kind not in self._REDUCERS:
+            raise ControlError(f"unknown journal entry kind {kind!r}")
+        entry = self.journal.append(kind, now, key=key, **values)
+        self._REDUCERS[kind](self, entry)
+
+    def _on_plan(self, entry) -> None:
+        self.plan = [(target, asn) for target, asn in entry["targets"]]
+
+    def _on_arrival(self, entry) -> None:
+        self.cursor += 1
+        self._last_outage_end = max(self._last_outage_end, entry["end"])
+
+    def _on_compacted(self, entry) -> None:
+        # Arrivals a compaction dropped still count toward the cursor.
+        self.cursor += entry.get("event_counts", {}).get(
+            "service-arrival", 0
+        )
+
+    def _on_tier(self, entry) -> None:
+        self.admission.restore(ServiceTier(entry["tier"]))
+
+    def _on_traffic(self, entry) -> None:
+        # The plan carries the pristine-FIB baseline (post-crash FIBs
+        # carry poisons, so it is replayed, never recomputed); samples
+        # carry cumulative accumulators, so the latest alone restores.
+        self.ledger.restore_state(entry)
+
+    def _on_audit(self, entry) -> None:
+        """Dispositions journaled for the record; no service state."""
+
+    #: entry kind -> reducer, for every kind the service journals
+    #: (:data:`repro.control.journal.SERVICE_KINDS`) plus the
+    #: compaction marker.
+    _REDUCERS = {
+        "service-plan": _on_plan,
+        "service-arrival": _on_arrival,
+        "service-tier": _on_tier,
+        "service-shed": _on_audit,
+        "service-defer": _on_audit,
+        "service-timeout": _on_audit,
+        "traffic-plan": _on_traffic,
+        "traffic-sample": _on_traffic,
+        "compacted": _on_compacted,
+    }
+
+    # ------------------------------------------------------------------
     # Startup
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -355,18 +382,15 @@ class LifeguardService:
             asn = poisonable_transit_as(self.scenario, target)
             if asn is not None:
                 plan.append((str(target), asn))
-        self.plan = plan
-        self.journal.append(
+        self._commit(
             "service-plan",
             0.0,
             targets=[[t, a] for t, a in plan],
             monitored_pairs=self.monitored_pairs,
         )
-        # Fix the impact baseline against the pristine FIBs and journal
-        # it: post-crash FIBs carry poisons, so the baseline must be
-        # replayed, never recomputed.
+        # Fix the impact baseline against the pristine FIBs.
         unroutable = self.ledger.prime(self.lifeguard.dataplane.fibs)
-        self.journal.append(
+        self._commit(
             "traffic-plan",
             0.0,
             flows=len(self.ledger.matrix.flows),
@@ -416,7 +440,7 @@ class LifeguardService:
         )
         state = self.ledger.state_json()
         state.pop("baseline_unroutable")  # journaled once in the plan
-        self.journal.append("traffic-sample", now, **state)
+        self._commit("traffic-sample", now, **state)
         self._gauge("service.users_behind_outage", sample.affected_users)
         self._gauge("traffic.users_affected", sample.affected_users)
         self._gauge(
@@ -449,10 +473,7 @@ class LifeguardService:
                     end=scheduled.end,
                 )
             )
-            self._last_outage_end = max(
-                self._last_outage_end, scheduled.end
-            )
-            self.journal.append(
+            self._commit(
                 "service-arrival",
                 now,
                 index=scheduled.index,
@@ -470,14 +491,13 @@ class LifeguardService:
                 outage_duration=scheduled.duration,
             )
             self._count("service.arrivals")
-            self.cursor += 1
 
     def _expire_deadlines(self, now: float) -> int:
         breached = 0
         for stage, queue in self.queues.items():
             for item in queue.expire(now):
                 breached += 1
-                self.journal.append(
+                self._commit(
                     "service-timeout",
                     now,
                     key=item.key,
@@ -511,7 +531,7 @@ class LifeguardService:
         before = self.admission.tier
         tier = self.admission.evaluate(self._signals(now))
         if tier is not before:
-            self.journal.append(
+            self._commit(
                 "service-tier", now, tier=int(tier), name=tier.name
             )
             self._emit(
@@ -536,7 +556,7 @@ class LifeguardService:
                 self._count("service.shed")
                 if key not in self._shed_logged:
                     self._shed_logged.add(key)
-                    self.journal.append(
+                    self._commit(
                         "service-shed",
                         now,
                         key=key,
@@ -550,7 +570,7 @@ class LifeguardService:
                 self._count("service.deferred")
                 if key not in self._shed_logged:
                     self._shed_logged.add(key)
-                    self.journal.append(
+                    self._commit(
                         "service-defer", now, key=key, why="queue-full"
                     )
         self.shed += shed
@@ -565,7 +585,8 @@ class LifeguardService:
             RepairState.OBSERVED, RepairState.ROLLED_BACK
         ) and record.outage.end is not None:
             return None  # the outage healed; nothing left to repair
-        return self._STAGE_FOR_STATE.get(record.state)
+        name = STAGE_FOR_STATE.get(record.state)
+        return Stage(name) if name is not None else None
 
     def _budget(self, stage: Stage, tier: ServiceTier) -> int:
         """Per-round work budget; only the forward stage degrades.
@@ -576,15 +597,10 @@ class LifeguardService:
         poisons are announced state in other networks and must keep
         being verified, checked and — if harmful — rolled back.
         """
+        budget = getattr(self.config, f"{stage.value}_budget")
         if stage is Stage.ISOLATE:
-            return int(
-                self.config.isolate_budget * self.admission.budget_scale()
-            )
-        if stage is Stage.VERIFY:
-            return self.config.verify_budget
-        if stage is Stage.RETRY:
-            return self.config.retry_budget
-        return self.config.check_budget
+            budget = int(budget * self.admission.budget_scale())
+        return budget
 
     _STAGE_ORDER = (Stage.VERIFY, Stage.RETRY, Stage.CHECK, Stage.ISOLATE)
 
@@ -599,12 +615,6 @@ class LifeguardService:
     ) -> int:
         queue = self.queues[stage]
         budget = self._budget(stage, tier)
-        fns = {
-            Stage.ISOLATE: self.lifeguard.stage_isolate,
-            Stage.VERIFY: self.lifeguard.stage_verify,
-            Stage.RETRY: self.lifeguard.stage_retry,
-            Stage.CHECK: self.lifeguard.stage_check,
-        }
         processed = 0
         # Mis-staged items (their record moved on while queued) are
         # re-routed for free; only real stage work spends budget.
@@ -621,7 +631,7 @@ class LifeguardService:
             if current is not stage:
                 self._route(stage, record, item, now)
                 continue
-            fns[stage](record, now)
+            self.lifeguard.run_stage(record, now)
             processed += 1
             self._route(stage, record, item, now)
         return processed
@@ -773,36 +783,17 @@ class LifeguardService:
     def _restore_from_journal(
         self, journal: RepairJournal, now: float
     ) -> None:
-        """Service-level state: plan, cursor, tier, queues, TTR,
-        impact-ledger accumulators."""
-        traffic_plan = None
-        traffic_sample = None
-        for entry in journal.entries:
-            if entry["event"] == "service-plan":
-                self.plan = [
-                    (target, asn) for target, asn in entry["targets"]
-                ]
-            elif entry["event"] == "service-tier":
-                self.admission.restore(ServiceTier(entry["tier"]))
-            elif entry["event"] == "traffic-plan":
-                traffic_plan = entry
-            elif entry["event"] == "traffic-sample":
-                traffic_sample = entry
+        """Service-level state: fold the service's own entries (plan,
+        cursor, tier, impact-ledger accumulators), then rebuild what
+        derives from the recovered records (queues, TTR)."""
         # The matrix is deterministic from (graph, seed, config); only
-        # the accumulators and the pristine-FIB baseline are replayed.
+        # the accumulators and the baseline come from the journal.
         self.ledger = ImpactLedger(self._build_matrix())
-        blob = dict(traffic_sample) if traffic_sample else {}
-        blob.pop("event", None)
-        if traffic_plan is not None:
-            blob["baseline_unroutable"] = traffic_plan[
-                "baseline_unroutable"
-            ]
-            self.ledger.restore_state(blob)
-        self.cursor = journal.count_of("service-arrival")
-        for entry in journal.of_event("service-arrival"):
-            self._last_outage_end = max(
-                self._last_outage_end, entry["end"]
-            )
+        self.cursor = 0
+        for entry in journal:
+            reducer = self._REDUCERS.get(entry["event"])
+            if reducer is not None:
+                reducer(self, entry)
         for queue in self.queues.values():
             while len(queue):
                 queue.take(1)

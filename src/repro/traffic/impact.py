@@ -222,7 +222,11 @@ class ImpactLedger:
         }
 
     def restore_state(self, blob: Dict[str, Any]) -> None:
-        """Adopt journaled accumulators (inverse of ``state_json``)."""
+        """Adopt journaled accumulators (inverse of ``state_json``).
+
+        The baseline is journaled once, apart from the per-sample
+        accumulators: a *blob* without one keeps the baseline in place.
+        """
         self._last_t = blob.get("sample_t")
         self._last_affected = int(blob.get("affected", 0))
         self._last_by_key = {
@@ -235,7 +239,8 @@ class ImpactLedger:
         }
         self.peak_affected = int(blob.get("peak", 0))
         self.samples = int(blob.get("samples", 0))
-        self._baseline_unroutable = tuple(
-            int(i) for i in blob.get("baseline_unroutable", ())
-        )
+        if "baseline_unroutable" in blob:
+            self._baseline_unroutable = tuple(
+                int(i) for i in blob["baseline_unroutable"]
+            )
         self._primed = True

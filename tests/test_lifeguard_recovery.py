@@ -118,7 +118,7 @@ class TestRepairCheckSkipped:
         record.poisoned_asn = asn
         record.poison_time = 1300.0
 
-        lifeguard._maybe_check_repair(record, now=5000.0)
+        lifeguard.stage_check(record, now=5000.0)
 
         assert record.state is RepairState.POISONED
         assert record.repair_detected_time is None
@@ -131,7 +131,7 @@ class TestRepairCheckSkipped:
         note = f"no responsive routers in AS{asn}: repair check skipped"
         assert record.notes.count(note) == 1
         # A second skipped round does not repeat the note.
-        lifeguard._maybe_check_repair(record, now=5700.0)
+        lifeguard.stage_check(record, now=5700.0)
         assert record.notes.count(note) == 1
 
 

@@ -22,6 +22,7 @@ from repro.service import (
     LifeguardService,
     OverloadSignals,
     ServiceConfig,
+    ServiceReport,
     ServiceTier,
     Stage,
     StageQueue,
@@ -146,6 +147,47 @@ class TestAdmissionController:
             controller.restore(tier)
             assert controller.budget_scale() == scale
             assert controller.admitting is admitting
+
+
+class TestServiceReport:
+    def test_as_dict_keeps_its_keys_order_and_special_cases(self):
+        """``baseline.json``'s service entry and ``repro serve
+        --metrics-out`` serialize this dict: same 29 keys, same order,
+        queue peaks sorted, user-minutes rounded to 6 places."""
+        report = ServiceReport(
+            duration=14430.0, rounds=470, monitored_pairs=24, arrivals=21,
+            records=24, repaired=1, completed=1, settled=24, pending=0,
+            abandoned=0, shed=2, deferred=3, timeouts=4, backpressure=5,
+            crashes=1, tier_transitions=6, final_tier="NORMAL",
+            ttr_p50=240.0, ttr_p95=None, ttr_p99=270.0,
+            queue_peaks={"verify": 1, "isolate": 3, "retry": 0, "check": 2},
+            journal_entries=558, journal_rotations=0, drained=True,
+            users_total=1000000, users_affected=0,
+            peak_users_affected=17338,
+            affected_user_minutes=390746.12345678, digest="d39daab2",
+        )
+        assert list(report.as_dict().items()) == [
+            ("duration", 14430.0), ("rounds", 470),
+            ("monitored_pairs", 24), ("arrivals", 21), ("records", 24),
+            ("repaired", 1), ("completed", 1), ("settled", 24),
+            ("pending", 0), ("abandoned", 0), ("shed", 2),
+            ("deferred", 3), ("timeouts", 4), ("backpressure", 5),
+            ("crashes", 1), ("tier_transitions", 6),
+            ("final_tier", "NORMAL"), ("ttr_p50", 240.0),
+            ("ttr_p95", None), ("ttr_p99", 270.0),
+            ("queue_peaks",
+             {"check": 2, "isolate": 3, "retry": 0, "verify": 1}),
+            ("journal_entries", 558), ("journal_rotations", 0),
+            ("drained", True), ("users_total", 1000000),
+            ("users_affected", 0), ("peak_users_affected", 17338),
+            ("affected_user_minutes", 390746.123457),
+            ("digest", "d39daab2"),
+        ]
+        assert list(report.as_dict()["queue_peaks"]) == [
+            "check", "isolate", "retry", "verify"
+        ]
+        # A copy, not the report's own dict.
+        assert report.as_dict()["queue_peaks"] is not report.queue_peaks
 
 
 def _run_service(seed, journal_path=None, crash_at=None, max_bytes=None):
