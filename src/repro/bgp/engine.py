@@ -432,7 +432,7 @@ class BGPEngine:
             old_nh = old.neighbor if old is not None else None
             new_nh = new.neighbor if new is not None else None
             if old_nh != new_nh:
-                # Only a next-hop change alters the AS's FIB trie; a
+                # Only a next-hop change alters the AS's FIB map; a
                 # path-only change keeps its interval table valid.
                 self._fib_dirty.add(asn)
         if self.obs is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import ItemsView
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -211,3 +212,8 @@ class RouteTable:
     def loc_rib(self) -> Dict[Prefix, Route]:
         """Snapshot of the Loc-RIB."""
         return dict(self._loc)
+
+    def best_routes(self) -> ItemsView[Prefix, Route]:
+        """Live (prefix, best route) view of the Loc-RIB, not a copy:
+        for readers done before the next update (the FIB builder)."""
+        return self._loc.items()

@@ -407,8 +407,8 @@ class Lifeguard:
 
         Incremental: only ASes whose forwarding next hop changed since
         the last refresh are rebuilt (the engine tracks them); clean
-        ASes share their tries — and the interval tables compiled from
-        them — with the previous snapshot.
+        ASes share their FIB maps — and the interval tables compiled
+        from them — with the previous snapshot.
         """
         self.dataplane.fibs = build_fibs(
             self.engine,

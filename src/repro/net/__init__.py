@@ -1,5 +1,5 @@
-"""Low-level networking primitives: addresses, prefixes, tries, the
-interval-table LPM compiled from them, probes.
+"""Low-level networking primitives: addresses, prefixes, the
+interval-table LPM, the trie kept as its test oracle, probes.
 
 This package is deliberately free of any simulation logic; it provides the
 value types the rest of the library is built on.

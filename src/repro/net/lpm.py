@@ -1,29 +1,27 @@
 """Compiled flat longest-prefix-match tables: *the* FIB lookup structure.
 
-A :class:`~repro.net.trie.PrefixTrie` walks up to 32 Python nodes per
-lookup.  IPv4 prefixes form a laminar family (any two are nested or
-disjoint), so a trie flattens into a sorted table of half-open address
-intervals, each carrying the value of its most specific covering
+A FIB is written as a plain ``{prefix: next hop}`` map and read as an
+interval table.  IPv4 prefixes form a laminar family (any two are nested
+or disjoint), so the map flattens into a sorted table of half-open
+address intervals, each carrying the value of its most specific covering
 prefix.  Lookup is then one ``bisect`` on an int — or one vectorised
-``searchsorted`` for a whole batch when numpy is available.  The trie
-stays the build-time structure (insert/remove/exact) and the oracle the
-tests compare against; :class:`~repro.dataplane.fib.FibSnapshot` owns
-one compiled table per AS and answers every probe hop from it.
+``searchsorted`` for a whole batch when numpy is available.
+:class:`~repro.dataplane.fib.FibSnapshot` owns one compiled table per AS
+and answers every probe hop from it.
 
 A property test (tests/test_traffic_lpm.py) pins the flat table
-byte-identical to ``PrefixTrie.lookup`` over fuzz-generated FIBs,
-including the ``0.0.0.0/0`` default-route entry that
-``default_route_via_provider`` stubs install.
+byte-identical to a bit-by-bit trie oracle (:mod:`repro.net.trie`) built
+by the test over fuzz-generated FIBs, including the ``0.0.0.0/0``
+default-route entry that ``default_route_via_provider`` stubs install.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.net.addr import Address, Prefix, address_int
-from repro.net.trie import PrefixTrie
 
 try:  # pragma: no cover - exercised indirectly via the env toggle
     import numpy as _np
@@ -45,7 +43,7 @@ def _numpy_enabled() -> bool:
 
 
 class FlatLPM:
-    """A PrefixTrie compiled to a sorted interval table.
+    """A prefix -> value map compiled to a sorted interval table.
 
     ``bases`` is a sorted list of interval starts covering [0, 2^32);
     ``values[i]`` is the next hop for addresses in
@@ -67,47 +65,52 @@ class FlatLPM:
         self._np_values = None
 
     @classmethod
-    def compile(cls, trie: PrefixTrie) -> "FlatLPM":
-        """Flatten *trie* into an interval table."""
-        return cls.from_items(trie.items())
+    def compile(cls, fib: Mapping[Prefix, Optional[int]]) -> "FlatLPM":
+        """Flatten *fib* (anything with ``.items()``) into a table."""
+        return cls.from_items(fib.items())
 
     @classmethod
     def from_items(
         cls, items: Iterable[Tuple[Prefix, Optional[int]]]
     ) -> "FlatLPM":
         """Flatten (prefix, value) pairs, one per distinct prefix."""
+        # Int triples read off the slots: property calls were half the
+        # cost, and a repair step compiles dozens of 250-entry tables.
         entries = sorted(
-            items, key=lambda kv: (kv[0].base, kv[0].length)
+            [(prefix._base, prefix._length, value) for prefix, value in items]
         )
+        # Sweep out every (address, value from there on) edge in address
+        # order: (end, value) is the innermost open prefix, the stack
+        # holds the ones around it with "no prefix" at the bottom.
+        edges: List[Tuple[int, Optional[int]]] = []
+        stack: List[Tuple[int, Optional[int]]] = []
+        end, value = _ADDRESS_SPACE + 1, None
+        for start, length, entered in entries:
+            while end <= start:
+                closed = end
+                end, value = stack.pop()
+                edges.append((closed, value))
+            edges.append((start, entered))
+            stack.append((end, value))
+            end, value = start + (1 << (32 - length)), entered
+        while stack:
+            closed = end
+            end, value = stack.pop()
+            if closed < _ADDRESS_SPACE:
+                edges.append((closed, value))
+        # Merge: last edge at an address wins, no change is no boundary.
         bases: List[int] = [0]
         values: List[Optional[int]] = [None]
-
-        def emit(base: int, value: Optional[int]) -> None:
-            if base >= _ADDRESS_SPACE:
-                return
+        for base, value in edges:
             if bases[-1] == base:
                 values[-1] = value
             elif values[-1] != value:
                 bases.append(base)
                 values.append(value)
-
-        # Stack of (end_exclusive, value) for the prefixes currently open.
-        stack: List[Tuple[int, Optional[int]]] = []
-        for prefix, value in entries:
-            start = prefix.base
-            end = start + prefix.num_addresses
-            while stack and stack[-1][0] <= start:
-                closed_end, _ = stack.pop()
-                emit(closed_end, stack[-1][1] if stack else None)
-            emit(start, value)
-            stack.append((end, value))
-        while stack:
-            closed_end, _ = stack.pop()
-            emit(closed_end, stack[-1][1] if stack else None)
         return cls(bases, values, len(entries))
 
     def resolve(self, address: Union[int, str, Address]) -> Optional[int]:
-        """Next hop for *address*, identical to ``trie.lookup_value``."""
+        """Next hop for *address*: the most specific covering prefix's."""
         value = address_int(address)
         return self.values[bisect_right(self.bases, value) - 1]
 

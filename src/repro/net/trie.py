@@ -1,13 +1,15 @@
 """Binary trie over IPv4 prefixes with longest-prefix-match lookup.
 
-Used for FIBs (forwarding tables) and for the sentinel-prefix logic, where a
-less-specific covering prefix must keep working when the more-specific
-production prefix is poisoned away.
+FIBs are plain prefix maps compiled to interval tables
+(:mod:`repro.net.lpm`); the trie is the independent oracle that tests and
+the legacy ``impact`` bench entry build (:meth:`PrefixTrie.from_items`)
+and check those tables against.  Nothing else in the library uses it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar, Union
+from collections.abc import Iterable
+from typing import Generic, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from repro.net.addr import Address, Prefix
 
@@ -29,6 +31,14 @@ class PrefixTrie(Generic[V]):
     def __init__(self) -> None:
         self._root: _Node[V] = _Node()
         self._size = 0
+
+    @classmethod
+    def from_items(cls, items: Iterable[Tuple[Prefix, V]]) -> "PrefixTrie[V]":
+        """A trie holding every (prefix, value) pair of *items*."""
+        trie: PrefixTrie[V] = cls()
+        for prefix, value in items:
+            trie.insert(prefix, value)
+        return trie
 
     def __len__(self) -> int:
         return self._size
@@ -175,11 +185,3 @@ class PrefixTrie(Generic[V]):
                     )
 
         yield from walk(self._root, 0, 0)
-
-    def keys(self) -> List[Prefix]:
-        """All stored prefixes."""
-        return [prefix for prefix, _ in self.items()]
-
-    def to_dict(self) -> Dict[Prefix, V]:
-        """Snapshot as a plain dict."""
-        return dict(self.items())

@@ -465,6 +465,7 @@ def _bench_impact(
     """
     from repro.dataplane.fib import build_fibs
     from repro.experiments.impact import run_impact_study
+    from repro.net.trie import PrefixTrie
     from repro.runner.baseline import converged_internet
     from repro.traffic.lpm import FlatLPM
     from repro.traffic.matrix import build_traffic_matrix
@@ -484,11 +485,12 @@ def _bench_impact(
     resolved = 0
     trie_seconds = 0.0
     flat_seconds = 0.0
-    for _asn, trie in tables:
+    for _asn, fib in tables:
+        trie = PrefixTrie.from_items(fib.items())
         start = time.perf_counter()
         expected = [trie.lookup_value(a) for a in addresses]
         trie_seconds += time.perf_counter() - start
-        flat = FlatLPM.compile(trie)
+        flat = FlatLPM.compile(fib)
         start = time.perf_counter()
         got = flat.resolve_many(addresses)
         flat_seconds += time.perf_counter() - start

@@ -1,7 +1,7 @@
 """Flow-level traffic emulation and user-impact accounting.
 
-``matrix`` builds the seeded gravity-model demands, ``lpm`` compiles
-per-AS FIB tries into flat batch-resolvable interval tables, and
+``matrix`` builds the seeded gravity-model demands, ``lpm`` is the view
+over the per-AS FIBs compiled to batch-resolvable interval tables, and
 ``impact`` integrates affected-user-minutes over sim time.
 """
 

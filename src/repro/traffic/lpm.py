@@ -2,7 +2,7 @@
 
 The interval-table LPM itself lives in :mod:`repro.net.lpm` and each
 :class:`~repro.dataplane.fib.FibSnapshot` owns the tables compiled from
-its tries; :class:`FlatLPM` is re-exported here for the traffic layer's
+its per-AS maps; :class:`FlatLPM` is re-exported here for the traffic layer's
 callers.  The view adds what a long-lived batch consumer (the impact
 ledger, the repair-ladder bench) needs on top: re-pointing at each new
 snapshot and counting how many compiled tables the move invalidated.
@@ -22,37 +22,29 @@ class FlatFibSet:
     """The compiled flat tables of whichever snapshot is attached.
 
     Tables are compiled and memoised by the snapshot (``fibs.flat``),
-    keyed on each AS's *trie object*: incremental FIB refreshes
-    (``build_fibs(..., dirty_asns=...)``) carry clean ASes' tries and
+    keyed on each AS's *map object*: incremental FIB refreshes
+    (``build_fibs(..., dirty_asns=...)``) carry clean ASes' maps and
     tables over by identity, so after :meth:`attach` only the ASes whose
-    trie was actually rebuilt compile again.
+    map was actually rebuilt compile again.
     """
 
     def __init__(self, fibs: Any = None) -> None:
         self._fibs = fibs
-        #: asn -> the trie behind the table this view last handed out.
-        #: Besides feeding ``invalidations``, this long-lived dict keeps
-        #: every served trie referenced from an old object: without it
-        #: the tries hang only off each step's fresh ``tables`` dict and
-        #: every full collection re-threads them (repair_ladder's full
-        #: collections measured 95 ms with it, 130 ms without).
+        #: asn -> the FIB map behind the table this view last handed
+        #: out; ``attach`` compares it by identity.
         self._sources: Dict[int, Any] = {}
         #: handed-out tables that attach() found stale because their
-        #: AS's trie changed (regression instrumentation: unchanged ASes
+        #: AS's map changed (regression instrumentation: unchanged ASes
         #: must not churn).
         self.invalidations = 0
 
-    @property
-    def fibs(self) -> Any:
-        return self._fibs
-
     def attach(self, fibs: Any) -> None:
-        """Point at *fibs*, counting the ASes whose trie changed."""
+        """Point at *fibs*, counting the ASes whose map changed."""
         if fibs is self._fibs:
             return
         new_tables = fibs.tables if fibs is not None else {}
-        for asn, trie in list(self._sources.items()):
-            if trie is not new_tables.get(asn):
+        for asn, source in list(self._sources.items()):
+            if source is not new_tables.get(asn):
                 del self._sources[asn]
                 self.invalidations += 1
         self._fibs = fibs

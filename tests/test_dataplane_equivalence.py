@@ -1,15 +1,18 @@
 """The flattened probe walk answers exactly what the slow one did.
 
 ``DataPlane.forward`` resolves every hop through three fast structures:
-the interval tables a ``FibSnapshot`` compiles from its tries, the
+the interval tables a ``FibSnapshot`` compiles from its per-AS maps, the
 ``FailureSet`` index, and the topology's egress memo.  The reference
-walk below is written against the slow ones — ``PrefixTrie.lookup_value``
-per hop, a linear scan of ``FibSnapshot.origins``, a linear scan of
-every failure in the set — and the property test requires the same
-``(outcome, hops, final_router)`` for every sampled packet on generated
-Internets with random router / link / AS failures.
+walk below is written against slow ones — ``PrefixTrie.lookup_value``
+per hop on tries this file builds from the maps' entries (the code under
+test never constructs its own oracle), a linear scan of
+``FibSnapshot.origins``, a linear scan of every failure in the set — and
+the property test requires the same ``(outcome, hops, final_router)``
+for every sampled packet on generated Internets with random router /
+link / AS failures.
 """
 
+import gc
 import random
 
 import pytest
@@ -23,10 +26,11 @@ from repro.dataplane.failures import (
     LinkFailure,
     RouterFailure,
 )
-from repro.dataplane.fib import LOCAL, build_fibs
+from repro.dataplane.fib import DEFAULT_PREFIX, LOCAL, build_fibs
 from repro.dataplane.forwarding import DataPlane, ForwardOutcome
 from repro.net.addr import Address, Prefix
 from repro.net.lpm import FlatLPM
+from repro.net.trie import PrefixTrie
 from repro.topology.generate import generate_internet
 from repro.topology.routers import RouterTopology
 from repro.workloads.scenarios import SCALES
@@ -74,6 +78,19 @@ def _build_world(scale, seed):
 @pytest.fixture(scope="module", params=WORLDS, ids=lambda w: f"{w[0]}-{w[1]}")
 def world(request):
     return _build_world(*request.param)
+
+
+def _oracle_tries(fibs):
+    """asn -> a PrefixTrie holding that AS's FIB entries."""
+    return {
+        asn: PrefixTrie.from_items(fib.items())
+        for asn, fib in fibs.tables.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def tries(world):
+    return _oracle_tries(world[3])
 
 
 def _random_failures(rng, graph, topo, count):
@@ -181,8 +198,8 @@ def _scan_host_router(topo, fibs, address):
     return routers[0] if routers else None
 
 
-def _trie_next_hop(fibs, asn, address):
-    trie = fibs.tables.get(asn)
+def _trie_next_hop(tries, asn, address):
+    trie = tries.get(asn)
     return None if trie is None else trie.lookup_value(address)
 
 
@@ -201,7 +218,9 @@ def _pick_egress(topo, rid, next_asn):
     return None if best is None else best[1:]
 
 
-def reference_forward(topo, fibs, failures, source_rid, value, ttl, now):
+def reference_forward(
+    topo, fibs, tries, failures, source_rid, value, ttl, now
+):
     """(outcome, hops, final_router) by the slow structures alone."""
     address = Address(value)
     failures = list(failures)
@@ -215,7 +234,7 @@ def reference_forward(topo, fibs, failures, source_rid, value, ttl, now):
         return ForwardOutcome.DROPPED, hops, current
     for _ in range(256):
         current_asn = topo.router(current).asn
-        next_as = _trie_next_hop(fibs, current_asn, address)
+        next_as = _trie_next_hop(tries, current_asn, address)
         if next_as is None:
             return ForwardOutcome.NO_ROUTE, hops, current
         if next_as == LOCAL:
@@ -246,7 +265,7 @@ def reference_forward(topo, fibs, failures, source_rid, value, ttl, now):
         next_asn = topo.router(next_rid).asn
         if (
             next_rid == target_rid
-            and _trie_next_hop(fibs, next_asn, address) == LOCAL
+            and _trie_next_hop(tries, next_asn, address) == LOCAL
         ):
             return ForwardOutcome.DELIVERED, hops, next_rid
         if ttl <= 0:
@@ -264,7 +283,9 @@ def reference_forward(topo, fibs, failures, source_rid, value, ttl, now):
 # forward == reference
 # ----------------------------------------------------------------------
 class TestForwardEquivalence:
-    def _check(self, dataplane, rng, routers, destinations, samples):
+    def _check(
+        self, dataplane, tries, rng, routers, destinations, samples
+    ):
         seen = set()
         for _ in range(samples):
             source = rng.choice(routers)
@@ -273,8 +294,8 @@ class TestForwardEquivalence:
             now = rng.choice(TIMES)
             result = dataplane.forward(source, value, ttl=ttl, now=now)
             expected = reference_forward(
-                dataplane.topo, dataplane.fibs, dataplane.failures,
-                source, value, ttl, now,
+                dataplane.topo, dataplane.fibs, tries,
+                dataplane.failures, source, value, ttl, now,
             )
             assert (
                 result.outcome, result.hops, result.final_router
@@ -282,12 +303,12 @@ class TestForwardEquivalence:
             seen.add(result.outcome)
         return seen
 
-    def test_no_failures(self, world):
+    def test_no_failures(self, world, tries):
         graph, topo, _engine, fibs = world
         rng = random.Random(7)
         routers = sorted(r.rid for r in topo.routers())
         seen = self._check(
-            DataPlane(topo, fibs), rng, routers,
+            DataPlane(topo, fibs), tries, rng, routers,
             _destinations(rng, graph, topo, fibs), 600,
         )
         assert {
@@ -297,7 +318,7 @@ class TestForwardEquivalence:
         } <= seen
 
     @pytest.mark.parametrize("failure_seed", range(4))
-    def test_random_failures(self, world, failure_seed):
+    def test_random_failures(self, world, tries, failure_seed):
         graph, topo, _engine, fibs = world
         rng = random.Random(1000 + failure_seed)
         failures = FailureSet(
@@ -305,12 +326,12 @@ class TestForwardEquivalence:
         )
         routers = sorted(r.rid for r in topo.routers())
         seen = self._check(
-            DataPlane(topo, fibs, failures), rng, routers,
+            DataPlane(topo, fibs, failures), tries, rng, routers,
             _destinations(rng, graph, topo, fibs), 600,
         )
         assert ForwardOutcome.DROPPED in seen
 
-    def test_default_routed_stub_follows_the_slash_zero(self, world):
+    def test_default_routed_stub_follows_the_slash_zero(self, world, tries):
         _graph, topo, engine, fibs = world
         dataplane = DataPlane(topo, fibs)
         on_default = 0
@@ -320,12 +341,12 @@ class TestForwardEquivalence:
             source = topo.routers_of(asn)[0]
             for prefix in fibs.origins:
                 value = prefix.base + 9
-                on_default += fibs.tables[asn].lookup(value)[0].length == 0
+                on_default += tries[asn].lookup(value)[0].length == 0
                 result = dataplane.forward(source, value)
                 assert (
                     result.outcome, result.hops, result.final_router
                 ) == reference_forward(
-                    topo, fibs, (), source, value, 64, 0.0
+                    topo, fibs, tries, (), source, value, 64, 0.0
                 )
         assert on_default, "a poisoned stub should be left with only its /0"
 
@@ -488,15 +509,82 @@ class TestCompiledTablesAcrossRebuilds:
             FlatLPM,
             "compile",
             classmethod(
-                lambda cls, trie: compiled.append(trie) or compile_(cls, trie)
+                lambda cls, fib: compiled.append(fib) or compile_(cls, fib)
             ),
         )
         asn = sorted(fibs.tables)[0]
         assert compiled == []
         fibs.next_hop_as(asn, 1)
         fibs.next_hop_as(asn, 2)
-        assert compiled == [fibs.tables[asn]]
+        assert len(compiled) == 1 and compiled[0] is fibs.tables[asn]
         assert fibs.flat(asn) is fibs.flat(asn)
-        assert compiled == [fibs.tables[asn]]
+        assert len(compiled) == 1
         assert fibs.flat(999999) is None
         assert fibs.next_hop_as(999999, 1) is None
+
+    def test_poison_then_unpoison_equals_a_full_rebuild(self):
+        graph, _topo, engine, fibs = _build_world("small", 3)
+        assert engine.consume_fib_dirty() is None  # cold: unbounded
+        for asn in fibs.tables:
+            fibs.flat(asn)  # compiled now, so clean ASes can carry it
+        defaulted = sorted(
+            asn
+            for asn, speaker in engine.speakers.items()
+            if speaker.policy.config.default_route_via_provider
+        )
+        # A plain stub origin (the world's poisoner is the first one)
+        # poisons a default-routed stub and a transit AS, then stops.
+        origin = sorted(
+            n.asn for n in graph.nodes()
+            if n.tier == 3 and n.asn not in defaulted
+        )[1]
+        prefix = graph.node(origin).prefixes[0]
+        transit = next(
+            asn for asn in sorted(graph.transit_ases())
+            if asn not in graph.providers(origin)
+        )
+        stub = defaulted[-1]
+        assert prefix in fibs.tables[stub]
+        previous = fibs
+        poisoned = make_path(origin, prepend=2, poison=[stub, transit])
+        for path in (poisoned, make_path(origin)):
+            engine.originate(origin, prefix, path=path)
+            engine.run()
+            dirty = engine.consume_fib_dirty()
+            assert dirty and dirty < set(fibs.tables)
+            current = build_fibs(engine, previous, dirty)
+            full = build_fibs(engine)
+            assert current.tables == full.tables
+            assert current.origins == full.origins
+            for asn in set(fibs.tables) - dirty:
+                assert current.tables[asn] is previous.tables[asn]
+                assert current.flat(asn) is previous.flat(asn)
+            for asn in dirty:
+                assert current.tables[asn] is not previous.tables[asn]
+                assert current.flat(asn).intervals() == (
+                    full.flat(asn).intervals()
+                )
+            # The poisoned stub is left with its /0 and no more.
+            assert (prefix in current.tables[stub]) == (path != poisoned)
+            assert DEFAULT_PREFIX in current.tables[stub]
+            previous = current
+        # The unpoison put every next hop back where it was.
+        assert previous.tables == fibs.tables
+        assert previous.origins == fibs.origins
+
+    def test_snapshot_heap_grows_per_as_not_per_prefix_bit(self, world):
+        _graph, _topo, engine, _fibs = world
+        gc.collect()
+        before = len(gc.get_objects())
+        fibs = build_fibs(engine)
+        for asn in fibs.tables:
+            fibs.flat(asn)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        # Per AS: its map, its FlatLPM and that table's two lists.  A
+        # node-per-bit structure adds two objects per prefix bit: some
+        # forty per entry, thousands per AS.
+        per_as = 4
+        assert added <= per_as * len(fibs.tables) + 32, added
+        entries = sum(len(fib) for fib in fibs.tables.values())
+        assert entries > 4 * per_as * len(fibs.tables)

@@ -3,9 +3,11 @@
 The flat table is the traffic layer's hot path, so its contract is
 strict: for every address, ``FlatLPM.resolve`` (and the batch
 ``resolve_many``, with or without the numpy fast path) returns exactly
-what ``PrefixTrie.lookup_value`` would.  The fuzz test sweeps random
-laminar-by-construction tries and checks every interval boundary, where
-off-by-one bugs live; a dedicated regression pins the ``0.0.0.0/0``
+what ``PrefixTrie.lookup_value`` would.  FIBs are plain prefix maps; the
+trie is the oracle, and this file builds it (``_oracle``) from the same
+entries — the code under test never does.  The fuzz tests sweep random
+maps and check every interval boundary, where off-by-one bugs live; a
+dedicated regression pins the ``0.0.0.0/0``
 default-route entry that ``default_route_via_provider`` stubs install,
 which exercises the table's outermost interval at both address-space
 ends.  The ``origin_for`` tests cover the index over
@@ -40,19 +42,23 @@ def _mask(length):
     return ((1 << length) - 1) << (32 - length) if length else 0
 
 
-def _random_trie(rng, entries):
-    trie = PrefixTrie()
+def _random_fib(rng, entries):
+    fib = {}
     for _ in range(entries):
         length = rng.randint(0, 32)
         base = rng.getrandbits(32) & _mask(length)
-        trie[Prefix(base, length)] = rng.randint(-1, 500)
-    return trie
+        fib[Prefix(base, length)] = rng.randint(-1, 500)
+    return fib
 
 
-def _boundary_addresses(trie):
+def _oracle(fib):
+    return PrefixTrie.from_items(fib.items())
+
+
+def _boundary_addresses(fib):
     """Every interval edge: starts, ends, and their off-by-one shadows."""
     out = {0, _SPACE - 1}
-    for prefix, _value in trie.items():
+    for prefix, _value in fib.items():
         start = prefix.base
         end = start + prefix.num_addresses
         for a in (start - 1, start, end - 1, end):
@@ -61,44 +67,128 @@ def _boundary_addresses(trie):
     return sorted(out)
 
 
+def _assert_matches_oracle(flat, fib, extra=()):
+    """*flat* answers as a trie of *fib*'s entries does, at every prefix
+    edge, every table boundary, their neighbours and *extra*."""
+    trie = _oracle(fib)
+    addrs = set(_boundary_addresses(fib)) | set(extra)
+    for base in flat.bases:
+        addrs.update((max(base - 1, 0), base, min(base + 1, _SPACE - 1)))
+    addrs = sorted(addrs)
+    expected = [trie.lookup_value(a) for a in addrs]
+    assert [flat.resolve(a) for a in addrs] == expected
+    assert flat.resolve_many(addrs) == expected
+
+
 class TestFlatLPMFuzz:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_trie_at_every_boundary(self, seed):
         rng = random.Random(seed)
-        trie = _random_trie(rng, entries=rng.randint(1, 60))
-        flat = FlatLPM.compile(trie)
-        addrs = _boundary_addresses(trie)
-        addrs += [rng.getrandbits(32) for _ in range(64)]
-        expected = [trie.lookup_value(a) for a in addrs]
-        assert [flat.resolve(a) for a in addrs] == expected
-        assert flat.resolve_many(addrs) == expected
+        fib = _random_fib(rng, entries=rng.randint(1, 60))
+        _assert_matches_oracle(
+            FlatLPM.compile(fib), fib,
+            extra=[rng.getrandbits(32) for _ in range(64)],
+        )
 
     @pytest.mark.parametrize("numpy_flag", ["0", "1"])
     def test_numpy_and_bisect_paths_agree(self, numpy_flag, monkeypatch):
         monkeypatch.setenv("REPRO_TRAFFIC_NUMPY", numpy_flag)
         rng = random.Random(99)
-        trie = _random_trie(rng, entries=40)
-        flat = FlatLPM.compile(trie)
+        fib = _random_fib(rng, entries=40)
+        flat = FlatLPM.compile(fib)
+        trie = _oracle(fib)
         # Well past the >=32 batch threshold that arms the numpy path.
-        addrs = _boundary_addresses(trie)[:40] or [0]
+        addrs = _boundary_addresses(fib)[:40] or [0]
         addrs = addrs * 3
         assert flat.resolve_many(addrs) == [
             trie.lookup_value(a) for a in addrs
         ]
 
     def test_empty_trie_resolves_none_everywhere(self):
-        flat = FlatLPM.compile(PrefixTrie())
+        flat = FlatLPM.compile({})
         assert flat.resolve(0) is None
         assert flat.resolve(_SPACE - 1) is None
         assert len(flat) == 0
 
     def test_intervals_cover_the_space_in_order(self):
         rng = random.Random(5)
-        flat = FlatLPM.compile(_random_trie(rng, entries=30))
+        flat = FlatLPM.compile(_random_fib(rng, entries=30))
         bases = [b for b, _ in flat.intervals()]
         assert bases[0] == 0
         assert bases == sorted(bases)
         assert len(set(bases)) == len(bases)
+
+
+def _shaped_fib(rng):
+    """A random map that always holds the shapes a sweep gets wrong;
+    returns it with the innermost prefix of its three-deep nest."""
+    fib = _random_fib(rng, entries=rng.randint(0, 40))
+    # Few distinct values, so equal-valued neighbours are common.
+    for prefix in fib:
+        fib[prefix] = rng.randint(-1, 3)
+    fib[Prefix(0, 0)] = rng.randint(0, 3)
+    fib[Prefix(_SPACE - 1, 32)] = rng.randint(0, 3)  # ends at 2**32
+    inside = rng.getrandbits(32)
+    for length in (8, 16, 24):
+        fib[Prefix(inside & _mask(length), length)] = length
+    # Two sibling /24s with one value: a boundary that is none.
+    left = rng.getrandbits(32) & _mask(23)
+    fib[Prefix(left, 24)] = fib[Prefix(left + 256, 24)] = 7
+    return fib, Prefix(inside & _mask(24), 24)
+
+
+class TestMapToIntervalTable:
+    """``from_items`` over a plain map's items, no trie in between."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_shaped_maps_match_the_oracle(self, seed):
+        rng = random.Random(7000 + seed)
+        fib, innermost = _shaped_fib(rng)
+        flat = FlatLPM.from_items(fib.items())
+        assert len(flat) == len(fib)
+        assert flat.bases[0] == 0 and flat.bases[-1] < _SPACE
+        assert flat.bases == sorted(set(flat.bases))
+        _assert_matches_oracle(flat, fib)
+        assert FlatLPM.compile(fib).intervals() == flat.intervals()
+        # The table is a function of the entries, not of their order.
+        shuffled = list(fib.items())
+        rng.shuffle(shuffled)
+        assert FlatLPM.from_items(shuffled).intervals() == flat.intervals()
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_removing_a_more_specific_re_exposes_its_cover(self, seed):
+        fib, innermost = _shaped_fib(random.Random(7000 + seed))
+        probe = innermost.base + 1
+        assert FlatLPM.from_items(fib.items()).resolve(probe) == 24
+        del fib[innermost]
+        flat = FlatLPM.from_items(fib.items())
+        assert flat.resolve(probe) == 16
+        _assert_matches_oracle(flat, fib)
+
+    def test_equal_valued_neighbours(self):
+        fib = {Prefix("10.0.0.0/24"): 7, Prefix("10.0.1.0/24"): 7}
+        flat = FlatLPM.from_items(fib.items())
+        _assert_matches_oracle(flat, fib)
+        start = Prefix("10.0.0.0/24").base
+        # One sibling closes where the other opens: the closing edge is
+        # overwritten in place, so the (harmless) boundary stays.
+        assert flat.intervals()[1:] == [
+            (start, 7), (start + 256, 7), (start + 512, None)
+        ]
+        # Under an equal-valued cover nothing closes to None: one run.
+        covered = {**fib, Prefix("10.0.0.0/23"): 7}
+        flat = FlatLPM.from_items(covered.items())
+        _assert_matches_oracle(flat, covered)
+        assert flat.intervals() == [(0, None), (start, 7), (start + 512, None)]
+
+    def test_slash_32_at_the_top_of_the_space(self):
+        fib = {Prefix(_SPACE - 1, 32): 5}
+        flat = FlatLPM.from_items(fib.items())
+        assert flat.intervals() == [(0, None), (_SPACE - 1, 5)]
+        fib[Prefix(0, 0)] = 9
+        flat = FlatLPM.from_items(fib.items())
+        assert flat.intervals() == [(0, 9), (_SPACE - 1, 5)]
+        _assert_matches_oracle(flat, fib)
 
 
 class TestDefaultRouteBoundary:
@@ -131,9 +221,9 @@ class TestDefaultRouteBoundary:
 
     def test_flat_table_honours_the_default_entry(self):
         fibs = self._default_routed_fibs()
-        trie = fibs.tables[3]
-        assert trie.exact(DEFAULT_PREFIX) == 2
-        flat = FlatLPM.compile(trie)
+        assert fibs.tables[3][DEFAULT_PREFIX] == 2
+        assert P not in fibs.tables[3]
+        flat = FlatLPM.compile(fibs.tables[3])
         # The poisoned prefix falls through to the provider default...
         assert flat.resolve(P.address(1)) == 2
         # ...as do both extreme ends of the address space.
@@ -144,13 +234,8 @@ class TestDefaultRouteBoundary:
         assert flat.resolve(Prefix("10.102.0.0/16").address(1)) == 2
 
     def test_flat_table_matches_trie_everywhere(self):
-        fibs = self._default_routed_fibs()
-        trie = fibs.tables[3]
-        flat = FlatLPM.compile(trie)
-        addrs = _boundary_addresses(trie)
-        assert flat.resolve_many(addrs) == [
-            trie.lookup_value(a) for a in addrs
-        ]
+        fib = self._default_routed_fibs().tables[3]
+        _assert_matches_oracle(FlatLPM.compile(fib), fib)
 
 
 class TestFlatFibSet:
@@ -185,7 +270,7 @@ class TestFlatFibSet:
 
 class TestIncrementalFibReuse:
     """The dirty-AS invalidation fix: an incremental ``build_fibs``
-    shares clean ASes' trie objects with the previous snapshot, so
+    shares clean ASes' map objects with the previous snapshot, so
     ``attach`` keeps their compiled tables (identity-keyed) and
     ``invalidations`` counts exactly the dirty cone."""
 
@@ -236,7 +321,7 @@ class TestIncrementalFibReuse:
         for asn in first.tables:
             fibset.table(asn)
         # Poisoning AS3 evicts its route for P (a next-hop change at 3);
-        # AS2 keeps next hop 1, so its trie must survive untouched.
+        # AS2 keeps next hop 1, so its map must survive untouched.
         engine.originate(1, P, path=make_path(1, prepend=2, poison=[3]))
         engine.run()
         dirty = engine.consume_fib_dirty()
@@ -245,13 +330,9 @@ class TestIncrementalFibReuse:
         incremental = build_fibs(engine, first, dirty_asns=dirty)
         full = build_fibs(engine)
         for asn in full.tables:
-            trie = full.tables[asn]
-            addrs = _boundary_addresses(trie)
-            assert FlatLPM.compile(
-                incremental.tables[asn]
-            ).resolve_many(addrs) == [
-                trie.lookup_value(a) for a in addrs
-            ], f"incremental FIB differs at AS{asn}"
+            _assert_matches_oracle(
+                FlatLPM.compile(incremental.tables[asn]), full.tables[asn]
+            )
         for asn in set(first.tables) - dirty:
             assert incremental.tables[asn] is first.tables[asn]
         fibset.attach(incremental)
