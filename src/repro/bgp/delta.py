@@ -24,9 +24,9 @@ perturbed by event-path activity).  Splicing removes exactly the old
 solution's rows — Adj-RIB-In and Loc-RIB entries at the old cone's
 receivers, wire state on the old ``sent`` sessions — and installs the
 new solution the same way ``warm_start`` would, so the resulting engine
-state is byte-identical (``fuzz.diff.canonical_blob`` of
-``capture_state``) to a cold full re-run of the solver on the new
-origination set.  The equality is pinned three ways: the post-poison /
+state is identical — ``fuzz.diff.capture_state`` over every prefix
+returns an equal row set — to a cold full re-run of the solver on the
+new origination set.  The equality is pinned three ways: the post-poison /
 post-unpoison sweeps in ``tests/test_bgp_solver.py``, the dedicated
 cycle tests in ``tests/test_bgp_delta.py``, and a third differential arm
 in the fuzz executor.

@@ -4,12 +4,13 @@ The repo carries two independent implementations of BGP convergence —
 the analytic Gao-Rexford solver (:mod:`repro.bgp.solver`) and the
 discrete-event engine (:mod:`repro.bgp.engine`).  Under every
 configuration the :func:`~repro.bgp.solver.solver_unsupported_reason`
-gate clears, both must produce byte-identical Loc-RIB, forwarding and
-advertised wire state — including after arbitrary perturbations
-(poisons, withdrawals, session resets, message drops).  This package
-generates random cases, runs both backends, diffs the results, shrinks
-any divergence to a minimal reproducer and writes it to a replayable
-JSON corpus.  See DESIGN.md (fuzzing architecture) for the protocol.
+gate clears, both must produce identical Loc-RIB, forwarding and
+advertised wire state (equal row sets, :mod:`repro.fuzz.diff`) —
+including after arbitrary perturbations (poisons, withdrawals, session
+resets, message drops).  This package generates random cases, runs both
+backends, diffs the results, shrinks any divergence to a minimal
+reproducer and writes it to a replayable JSON corpus.  See DESIGN.md
+(fuzzing architecture) for the protocol.
 """
 
 from repro.fuzz.case import ActionSpec, FuzzCase, OrigSpec

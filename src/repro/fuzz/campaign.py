@@ -13,7 +13,13 @@ Observability: each case emits a ``fuzz.case`` event and each failure a
 stats registry (``fuzz.cases``, ``fuzz.equal``, ``fuzz.divergence``,
 ``fuzz.crash``, ``fuzz.gate_rejected``, ``fuzz.gate_rejections.<slug>``
 and ``fuzz.shrink_runs``).  The per-reason gate counters are the
-"conservative rejection budget" the report surfaces.
+"conservative rejection budget" the report surfaces.  Every case also
+ships back its wall time (``fuzz.run_case``) and what :func:`run_case`
+recorded about its own cost (solver phases, ``fuzz.capture`` /
+``fuzz.compare`` wall timers, ``fuzz.capture_rows``); the campaign
+merges them and sets the ``fuzz.verify_share`` gauge — capture plus
+compare as a fraction of the time spent inside ``run_case`` — so a
+metrics snapshot says what the oracle cost without a profiler.
 """
 
 from __future__ import annotations
@@ -104,16 +110,19 @@ def _case_worker(context, index: int) -> dict:
     """Pool worker: regenerate case *index* and run it differentially.
 
     Ships the full case JSON back only for failures; everything else is
-    a small verdict record.
+    a small verdict record plus the case's own timers and counters.
     """
     master_seed, scale, inject = context
     case = generate_case(master_seed, index, scale)
-    result = run_case(case, inject_divergence=inject)
+    stats = RunStats()
+    with stats.timer("fuzz.run_case"):
+        result = run_case(case, inject_divergence=inject, stats=stats)
     row = {
         "index": index,
         "verdict": result.verdict,
         "reason": result.reason,
         "crash_side": result.crash_side,
+        "stats": stats.as_dict(),
     }
     if result.failed:
         row["diff_sample"] = [list(d) for d in result.diff[:5]]
@@ -149,6 +158,7 @@ def run_campaign(
     for row in rows:
         verdict = row["verdict"]
         stats.count("fuzz.cases")
+        stats.merge_dict(row["stats"])
         if bus is not None:
             bus.emit(
                 "fuzz.case",
@@ -173,6 +183,14 @@ def run_campaign(
         elif verdict == VERDICT_CRASH:
             report.crashes += 1
             stats.count("fuzz.crash")
+    timers = stats.timers
+    if timers.get("fuzz.run_case"):
+        verify = timers.get("fuzz.capture", 0.0) + timers.get(
+            "fuzz.compare", 0.0
+        )
+        stats.registry.set_gauge(
+            "fuzz.verify_share", verify / timers["fuzz.run_case"]
+        )
 
     for row in rows:
         if row["verdict"] not in (VERDICT_DIVERGENCE, VERDICT_CRASH):

@@ -8,7 +8,7 @@ entry on both backends each run, so a fixed bug stays fixed.
 
 ``expect`` values:
 
-* ``"equal"`` — both backends must agree byte-for-byte (the normal pin
+* ``"equal"`` — both backends must hold equal row sets (the normal pin
   for a fixed divergence);
 * ``"gate-reject"`` — :func:`~repro.bgp.solver.solver_unsupported_reason`
   must refuse the case, with ``reason_contains`` (optional) naming the

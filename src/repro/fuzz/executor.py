@@ -21,24 +21,32 @@ Protocol (mirrors the solver's poison-equivalence tests):
    :class:`~repro.faults.injector.FaultInjector` instances, so drops
    and duplicates hit the same transmissions on both sides.
 5. Diff — :func:`~repro.fuzz.diff.capture_state` of both engines,
-   compared byte-for-byte on the canonical JSON blob.
+   whole row sets compared by exact equality (``==`` on the two
+   co-resident captures; no digest, no strings).  Only a mismatch
+   renders anything: every differing row becomes the string key / JSON
+   value triple corpus files carry, counted and sampled in one pass.
 
 When the case carries no message faults, a **third arm** replays the
 action script through :mod:`repro.bgp.delta` on another warm-started
 engine — per action, the delta gate either splices or skips the whole
 arm (a skip is budget, like a gate rejection) — and its final state must
-be byte-identical to the event engine's.  This is the standing CI check
+hold exactly the event engine's rows.  This is the standing CI check
 for the splice-back invariant over arbitrary fuzzer-generated inputs,
 not just the curated workloads.
 
 ``inject_divergence=True`` is the end-to-end test hook: it deletes one
 solver-computed Loc-RIB selection before warm-start, which must surface
 as a divergence, shrink to a minimal case and land in the corpus.
+
+A *stats* object handed to :func:`run_case` also receives the oracle's
+own cost, off every digest path: ``fuzz.capture`` / ``fuzz.compare``
+wall timers and a ``fuzz.capture_rows`` counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import List, Optional, Tuple
 
 from repro.bgp.delta import (
@@ -51,7 +59,7 @@ from repro.bgp.solver import solve, solver_unsupported_reason
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector
 from repro.fuzz.case import FuzzCase
-from repro.fuzz.diff import canonical_blob, capture_state, diff_states
+from repro.fuzz.diff import capture_state, diff_states
 from repro.net.addr import Prefix
 from repro.runner.core import derive_seed
 
@@ -108,7 +116,7 @@ def run_case(
     stats=None,
     diff_limit: int = 8,
 ) -> CaseResult:
-    """Run both backends on *case* and compare them byte-for-byte."""
+    """Run both backends on *case* and compare their row sets."""
     try:
         graph = case.build_graph()
         originations = case.resolved_originations()
@@ -131,7 +139,7 @@ def run_case(
             _tamper(result)
         solver_engine.warm_start(result)
         _perturb(solver_engine, case)
-        solver_state = capture_state(solver_engine, prefixes)
+        solver_state = _capture(solver_engine, prefixes, stats)
     except Exception as exc:
         return CaseResult(
             VERDICT_CRASH, reason=_crash_reason(exc), crash_side="solver"
@@ -153,35 +161,54 @@ def run_case(
             )
         event_engine.run()
         _perturb(event_engine, case)
-        event_state = capture_state(event_engine, prefixes)
+        event_state = _capture(event_engine, prefixes, stats)
     except Exception as exc:
         return CaseResult(
             VERDICT_CRASH, reason=_crash_reason(exc), crash_side="event"
         )
 
-    if canonical_blob(solver_state) == canonical_blob(event_state):
-        result = CaseResult(VERDICT_EQUAL)
-        if case.actions and case.fault_plan().is_null:
-            arm = _delta_arm(
-                case,
-                graph,
-                event_state,
-                prefixes,
-                stats=stats,
-                diff_limit=diff_limit,
-            )
-            if isinstance(arm, CaseResult):
-                return arm
-            result.delta_arm = arm
-        return result
-    diff = diff_states(solver_state, event_state, limit=diff_limit)
-    total = sum(
-        1
-        for key in set(solver_state) | set(event_state)
-        if solver_state.get(key) != event_state.get(key)
-        or (key in solver_state) != (key in event_state)
-    )
-    return CaseResult(VERDICT_DIVERGENCE, diff=diff, diff_count=total)
+    mismatch = _compare(solver_state, event_state, stats, diff_limit)
+    if mismatch is not None:
+        diff, total = mismatch
+        return CaseResult(VERDICT_DIVERGENCE, diff=diff, diff_count=total)
+    result = CaseResult(VERDICT_EQUAL)
+    if case.actions and case.fault_plan().is_null:
+        arm = _delta_arm(
+            case,
+            graph,
+            event_state,
+            prefixes,
+            stats=stats,
+            diff_limit=diff_limit,
+        )
+        if isinstance(arm, CaseResult):
+            return arm
+        result.delta_arm = arm
+    return result
+
+
+def _capture(engine, prefixes, stats):
+    """``capture_state``, timed and row-counted into *stats* if given."""
+    start = perf_counter()
+    state = capture_state(engine, prefixes)
+    if stats is not None:
+        stats.add_time("fuzz.capture", perf_counter() - start)
+        stats.count("fuzz.capture_rows", len(state))
+    return state
+
+
+def _compare(state, event_state, stats, diff_limit: int):
+    """None when the two captures hold equal row sets; otherwise
+    ``(diff sample, diff_count)`` from one pass over the differing
+    rows, *state*'s side first."""
+    start = perf_counter()
+    mismatch = None
+    if state != event_state:
+        rows = diff_states(state, event_state, limit=None)
+        mismatch = (rows[:diff_limit], len(rows))
+    if stats is not None:
+        stats.add_time("fuzz.compare", perf_counter() - start)
+    return mismatch
 
 
 def _delta_arm(
@@ -217,22 +244,17 @@ def _delta_arm(
                     stats.count("fuzz.delta_arm_skips")
                 return f"skipped: {reason}"
             apply_delta(engine, [change], stats=stats)
-        delta_state = capture_state(engine, prefixes)
+        delta_state = _capture(engine, prefixes, stats)
     except Exception as exc:
         return CaseResult(
             VERDICT_CRASH, reason=_crash_reason(exc), crash_side="delta"
         )
     if stats is not None:
         stats.count("fuzz.delta_arm_runs")
-    if canonical_blob(delta_state) == canonical_blob(event_state):
+    mismatch = _compare(delta_state, event_state, stats, diff_limit)
+    if mismatch is None:
         return "equal"
-    diff = diff_states(delta_state, event_state, limit=diff_limit)
-    total = sum(
-        1
-        for key in set(delta_state) | set(event_state)
-        if delta_state.get(key) != event_state.get(key)
-        or (key in delta_state) != (key in event_state)
-    )
+    diff, total = mismatch
     return CaseResult(
         VERDICT_DIVERGENCE,
         crash_side="delta",

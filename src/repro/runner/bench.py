@@ -232,7 +232,8 @@ def _bench_delta(
     cycles against several transit ASes — through two engines restored
     from one converged snapshot: the event engine (full replay per step)
     and ``repro.bgp.delta`` (blast-radius splice per step).  Every step's
-    resulting state is asserted byte-identical across the arms before
+    resulting whole-engine state (every prefix, digested: the arms'
+    states never coexist) is asserted identical across the arms before
     any headline is reported; ``delta_speedup`` is the suite's headline
     for ROADMAP item 1 (acceptance floor: 5x on the medium workload).
     The workload runs at medium whenever the suite scale allows it —
@@ -303,14 +304,12 @@ def _bench_delta(
             step()
             engine.run()
             seconds += time.perf_counter() - start
-            captures.append(
-                canonical_blob(capture_state(engine, [prefix]))
-            )
+            captures.append(canonical_blob(capture_state(engine, None)))
         return seconds, captures, controller
 
     # Best-of-N arms: scheduler/collector noise on a ~70 ms arm swings
     # the ratio by tens of percent, and the minimum is the standard
-    # robust estimator for a deterministic workload.  Byte-identity is
+    # robust estimator for a deterministic workload.  Identity is
     # asserted on every repeat, not just the fastest.
     full_seconds = delta_seconds = float("inf")
     full_captures = None

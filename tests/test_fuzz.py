@@ -290,6 +290,30 @@ class TestCampaign:
         for slug, count in report.gate_reasons.items():
             assert stats.counters[f"fuzz.gate_rejections.{slug}"] == count
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_verification_cost_is_reported(self, workers):
+        """Every case ships its own timers back, at any worker count,
+        and the campaign says what share of them the oracle was."""
+        stats = RunStats()
+        report = run_campaign(
+            seed=0, cases=12, scale="tiny", workers=workers, shrink=False,
+            stats=stats,
+        )
+        timers, counters = stats.timers, stats.counters
+        assert timers["fuzz.run_case"] > timers["fuzz.capture"] > 0
+        assert timers["fuzz.compare"] > 0
+        # Two captures per solved case, a third when the delta arm ran:
+        # the same rows every time, so the count is exact.
+        assert counters["fuzz.capture_rows"] == 1131
+        assert counters["solver.prefixes_solved"] > 0
+        share = stats.registry.snapshot()["gauges"]["fuzz.verify_share"]
+        assert 0 < share < 1
+        assert share == pytest.approx(
+            (timers["fuzz.capture"] + timers["fuzz.compare"])
+            / timers["fuzz.run_case"]
+        )
+        assert report.ok
+
 
 class TestBaselineGateCounter:
     def test_auto_fallback_counts_reason_slug(self, monkeypatch):
