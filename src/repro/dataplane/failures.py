@@ -104,30 +104,34 @@ def _bucket_drops(
 class FailureSet:
     """The set of failures currently injected, queried per forwarding hop.
 
-    Failures are indexed as they are added — by router id, by ASN and by
-    directed router link — so a per-hop query is a ``dict.get`` that
-    misses unless something was injected at exactly that router, AS or
-    link; its cost does not grow with the failures accumulated elsewhere.
+    Failures are indexed as they are added — under their router id (a
+    str), their ASN (an int) or their directed router link (a tuple):
+    three key types that cannot collide in the one dict — so a per-hop
+    query is a ``dict.get`` that misses unless something was injected at
+    exactly that router, AS or link; its cost does not grow with the
+    failures accumulated elsewhere.
     """
 
     def __init__(self, failures: Iterable[Failure] = ()) -> None:
         self._failures: List[Failure] = []
-        self._by_router: Dict[str, List[_Entry]] = {}
-        self._by_asn: Dict[int, List[_Entry]] = {}
-        self._by_link: Dict[Tuple[str, str], List[_Entry]] = {}
+        self._index: Dict[Any, List[_Entry]] = {}
+        #: Monotone change log: the index key of everything added or
+        #: dropped.  A data plane keeps a cursor into it to learn which
+        #: of its remembered walks a change can have touched.
+        self.changes: List[Any] = []
         for failure in failures:
             self.add(failure)
 
-    def _homes(self, failure: Failure) -> List[Tuple[Dict, Any]]:
-        """The (index, bucket key) pairs *failure* is filed under."""
+    @staticmethod
+    def _homes(failure: Failure) -> List[Any]:
+        """The index keys *failure* is filed under."""
         if isinstance(failure, RouterFailure):
-            return [(self._by_router, failure.rid)]
+            return [failure.rid]
         if isinstance(failure, ASForwardingFailure):
-            return [(self._by_asn, failure.asn)]
-        homes = [(self._by_link, (failure.a, failure.b))]
+            return [failure.asn]
         if failure.bidirectional and failure.a != failure.b:
-            homes.append((self._by_link, (failure.b, failure.a)))
-        return homes
+            return [(failure.a, failure.b), (failure.b, failure.a)]
+        return [(failure.a, failure.b)]
 
     def add(self, failure: Failure) -> Failure:
         toward = failure.toward
@@ -139,27 +143,28 @@ class FailureSet:
             failure,
         )
         self._failures.append(failure)
-        for index, key in self._homes(failure):
-            index.setdefault(key, []).append(entry)
+        for key in self._homes(failure):
+            self._index.setdefault(key, []).append(entry)
+            self.changes.append(key)
         return failure
 
     def remove(self, failure: Failure) -> None:
         """Drop *failure*; raises ValueError if it is not in the set."""
         self._failures.remove(failure)
-        for index, key in self._homes(failure):
-            bucket = index[key]
+        for key in self._homes(failure):
+            bucket = self._index[key]
             for position, entry in enumerate(bucket):
                 if entry[4] == failure:
                     del bucket[position]
                     break
             if not bucket:
-                del index[key]
+                del self._index[key]
+            self.changes.append(key)
 
     def clear(self) -> None:
         self._failures.clear()
-        self._by_router.clear()
-        self._by_asn.clear()
-        self._by_link.clear()
+        self.changes.extend(self._index)
+        self._index.clear()
 
     def __len__(self) -> int:
         return len(self._failures)
@@ -175,15 +180,16 @@ class FailureSet:
         now: float,
     ) -> bool:
         """Does the router *rid* (in *asn*) drop a packet to *destination*?"""
-        by_router = self._by_router.get(rid)
-        by_asn = self._by_asn.get(asn)
+        by_router = self._index.get(rid)
+        by_asn = self._index.get(asn)
         if by_router is None and by_asn is None:
             return False
-        return _bucket_drops(
-            (by_router or []) + (by_asn or []),
-            address_int(destination),
-            now,
-        )
+        destination = address_int(destination)
+        if by_router is not None and _bucket_drops(
+            by_router, destination, now
+        ):
+            return True
+        return by_asn is not None and _bucket_drops(by_asn, destination, now)
 
     def link_drops(
         self,
@@ -193,10 +199,28 @@ class FailureSet:
         now: float,
     ) -> bool:
         """Does the from->to router link drop a packet to *destination*?"""
-        bucket = self._by_link.get((from_rid, to_rid))
+        bucket = self._index.get((from_rid, to_rid))
         if bucket is None:
             return False
         return _bucket_drops(bucket, address_int(destination), now)
+
+    def quiet_window(
+        self, keys: Iterable[Any], destination: int, now: float
+    ) -> Tuple[float, float]:
+        """The widest ``[lo, hi)`` around *now* in which no failure filed
+        under *keys* (router ids, ASNs, directed links) starts or stops
+        matching *destination*: while those buckets stay as they are,
+        every drop query against them answers the same throughout it."""
+        lo, hi = float("-inf"), float("inf")
+        for key in keys if self._index else ():
+            for start, end, mask, base, _failure in self._index.get(key, ()):
+                if destination & mask == base:
+                    for edge in (start, end):
+                        if lo < edge <= now:
+                            lo = edge
+                        elif now < edge < hi:
+                            hi = edge
+        return lo, hi
 
     def active_failures(self, now: float) -> List[Failure]:
         """Failures in force at *now*."""
@@ -209,7 +233,9 @@ class FailureSet:
         :class:`ASForwardingFailure` in force at *now*, in the order
         added; a destination int ``d`` matches when ``d & mask == base``."""
         out: Dict[int, List[Tuple[int, int, ASForwardingFailure]]] = {}
-        for asn, bucket in self._by_asn.items():
+        for asn, bucket in self._index.items():
+            if type(asn) is not int:  # a router's or a link's bucket
+                continue
             live = [
                 (mask, base, failure)
                 for start, end, mask, base, failure in bucket

@@ -11,13 +11,18 @@ TTL semantics follow real routers: a packet whose TTL expires at a transit
 router elicits a TTL-exceeded there, but a packet arriving *at its
 destination* is consumed regardless — hosts do not generate TTL-exceeded
 for packets addressed to them.
+
+A walk is a pure function of what it read — the FIB maps of the ASes it
+crossed, the origins index, the failure buckets at the routers, ASes and
+links it passed (``now`` only through their windows), the static
+topology — and :meth:`DataPlane.forward` remembers it on those terms.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dataplane.failures import FailureSet
 from repro.dataplane.fib import LOCAL, FibSnapshot
@@ -38,13 +43,14 @@ class ForwardOutcome(enum.Enum):
     NO_LINK = "no-link"          # FIB points at an AS with no physical link
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ForwardResult:
-    """Everything observable about one packet's trip."""
+    """Everything observable about one packet's trip (immutable: one
+    remembered result goes to every caller asking the same question)."""
 
     outcome: ForwardOutcome
     #: routers traversed in order, starting with the emitting router.
-    hops: List[str] = field(default_factory=list)
+    hops: Tuple[str, ...] = ()
     #: router where the walk ended (delivery point or drop point).
     final_router: Optional[str] = None
     #: router that terminates the destination, resolved once when the
@@ -79,6 +85,17 @@ class DataPlane:
         self.fibs = fibs
         self.failures = failures if failures is not None else FailureSet()
         self.now = now
+        #: (source router, destination, ttl) -> (result, lo, hi, epoch,
+        #: ASes): a walk's answer, the sim-time window its failure
+        #: buckets hold still in, when it was walked, the ASes whose FIB
+        #: map or failures it read.  One per probe, overwritten in place.
+        self._walks: Dict[Tuple[str, int, int], tuple] = {}
+        #: asn -> the epoch at which its FIB map or failures last moved.
+        self._stamps: Dict[int, int] = {}
+        self._epoch = 0
+        self._seen = (fibs, self.failures, len(self.failures.changes))
+        #: forward() calls answered from / added to the memo.
+        self.walk_hits = self.walk_misses = 0
 
     # ------------------------------------------------------------------
     # Host attachment
@@ -105,6 +122,33 @@ class DataPlane:
     # ------------------------------------------------------------------
     # The walk
     # ------------------------------------------------------------------
+    def _catch_up(self) -> None:
+        """Stamp what moved since the last walk: every AS whose map is a
+        different object in a rebound ``fibs`` (new map object, new
+        table), and the AS each key in the failure set's change log is
+        homed in (a link's is its sending router's).  Changed origins
+        or a swapped failure set drop every walk."""
+        old, failures, cursor = self._seen
+        fibs, changes = self.fibs, self.failures.changes
+        self._seen = (fibs, self.failures, len(changes))
+        self._epoch += 1
+        if self.failures is not failures or (
+            fibs is not old and fibs.origins != old.origins
+        ):
+            self._walks.clear()
+            return
+        stale = {
+            asn
+            for asn in fibs.tables.keys() | old.tables.keys()
+            if fibs.tables.get(asn) is not old.tables.get(asn)
+        }
+        for key in changes[cursor:]:
+            home = key[0] if type(key) is tuple else key
+            if type(home) is str:
+                home = self.topo.router(home).asn
+            stale.add(home)
+        self._stamps.update(dict.fromkeys(stale, self._epoch))
+
     def forward(
         self,
         source_rid: str,
@@ -114,28 +158,59 @@ class DataPlane:
     ) -> ForwardResult:
         """Walk a packet from *source_rid* toward *destination*.
 
-        The destination travels as an int and the current AS as a local;
-        each hop asks the FIB snapshot, the failure set (router, then
-        link) and the topology's egress memo one question apiece.
+        Served from the memo while *now* is inside the window the same
+        (source, destination, ttl) was walked for and no AS it read has
+        been stamped since.  Otherwise the destination travels as an int
+        and the current AS as a local; each hop asks the FIB snapshot,
+        the failure set (router, then link) and the topology's egress
+        memo one question apiece.
         """
         now = self.now if now is None else now
         destination = address_int(destination)
+        failures = self.failures
+        seen = self._seen
+        if (
+            self.fibs is not seen[0]
+            or failures is not seen[1]
+            or len(failures.changes) != seen[2]
+        ):
+            self._catch_up()
+        key = (source_rid, destination, ttl)
+        entry = self._walks.get(key)
+        if entry is not None and entry[1] <= now < entry[2]:
+            walked, stamps = entry[3], self._stamps
+            for asn in entry[4]:
+                if stamps.get(asn, 0) > walked:
+                    break
+            else:
+                self.walk_hits += 1
+                return entry[0]
+        self.walk_misses += 1
+
         router = self.topo.router
         intra_next_hop = self.topo.intra_next_hop
         egress_router = self.topo.egress_router
         next_hop_as = self.fibs.next_hop_as
-        router_drops = self.failures.router_drops
-        link_drops = self.failures.link_drops
+        router_drops = failures.router_drops
+        link_drops = failures.link_drops
 
         target_rid = self.host_router(destination)
         target_asn = None if target_rid is None else router(target_rid).asn
         current = source_rid
         current_asn = router(current).asn
         hops = [current]
+        # What the walk reads beside the routers: ASes (FIB map, bucket)
+        # and directed links (bucket), including the link it may die on.
+        asns = [current_asn]
+        links = []
         visited = {current}
 
         def ended(outcome: ForwardOutcome, at: str) -> ForwardResult:
-            return ForwardResult(outcome, hops, at, target_rid)
+            result = ForwardResult(outcome, tuple(hops), at, target_rid)
+            read = hops + asns + links
+            quiet = failures.quiet_window(read, destination, now)
+            self._walks[key] = (result, *quiet, self._epoch, tuple(asns))
+            return result
 
         if router_drops(current, current_asn, destination, now):
             return ended(ForwardOutcome.DROPPED, current)
@@ -167,12 +242,15 @@ class DataPlane:
                     if next_rid is None:
                         return ended(ForwardOutcome.NO_ROUTE, current)
 
+            links.append((current, next_rid))
             if link_drops(current, next_rid, destination, now):
                 return ended(ForwardOutcome.DROPPED, current)
 
             ttl -= 1
             hops.append(next_rid)
             next_asn = router(next_rid).asn
+            if next_asn != current_asn:
+                asns.append(next_asn)
             if (
                 next_rid == target_rid
                 and next_hop_as(next_asn, destination) == LOCAL

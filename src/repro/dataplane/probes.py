@@ -183,7 +183,7 @@ class Prober:
 
     def _lost_probe_result(self, source_rid: str) -> ForwardResult:
         return ForwardResult(
-            ForwardOutcome.DROPPED, [source_rid], source_rid
+            ForwardOutcome.DROPPED, (source_rid,), source_rid
         )
 
     def _send_reply(

@@ -43,12 +43,13 @@ class Address:
     immutable, hashable and totally ordered by numeric value.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_text")
 
-    def __init__(self, value: Union[int, str, "Address"]):
+    def __new__(cls, value: Union[int, str, "Address"]):
         if isinstance(value, Address):
-            self._value = value._value
-        elif isinstance(value, str):
+            return value  # immutable: converting one is the identity
+        self = object.__new__(cls)
+        if isinstance(value, str):
             self._value = _parse_dotted_quad(value)
         elif isinstance(value, int):
             if not 0 <= value <= _MAX_ADDR:
@@ -56,6 +57,11 @@ class Address:
             self._value = value
         else:
             raise AddressError(f"cannot build Address from {value!r}")
+        self._text = None
+        return self
+
+    def __getnewargs__(self):
+        return (self._value,)
 
     @property
     def value(self) -> int:
@@ -66,7 +72,10 @@ class Address:
         return self._value
 
     def __str__(self) -> str:
-        return _format_dotted_quad(self._value)
+        text = self._text
+        if text is None:
+            text = self._text = _format_dotted_quad(self._value)
+        return text
 
     def __repr__(self) -> str:
         return f"Address({str(self)!r})"
@@ -98,13 +107,13 @@ class Address:
 def address_int(address: Union[int, str, Address]) -> int:
     """*address* as its 32-bit int value.
 
-    An int is returned as it stands: the per-hop lookups pass values
-    that came out of an :class:`Address` and must not pay to re-wrap
-    them.  Strings and Addresses are validated as usual.
+    An int is returned as it stands and an :class:`Address` gives up
+    the value it validated when it was built: the per-hop lookups must
+    not pay to re-wrap either.  Strings are validated as usual.
     """
     if type(address) is int:  # noqa: E721
         return address
-    return Address(address).value
+    return Address(address)._value
 
 
 class Prefix:

@@ -27,7 +27,8 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, IO, List, Optional
+from functools import lru_cache
+from typing import Any, Callable, Deque, Dict, IO, List, Optional, Tuple
 
 from repro.errors import error_context
 
@@ -54,6 +55,49 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonable(v) for v in value)
     return str(value)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _encode(value: Any) -> str:
+    """*value* as compact sorted-key ``json.dumps`` renders it: scalars
+    by the functions json itself ends in, the rest by json itself over
+    the :func:`_jsonable` form."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and -_INF < value < _INF:
+        return float.__repr__(value)
+    return json.dumps(_jsonable(value), sort_keys=True, separators=(",", ":"))
+
+
+@lru_cache(maxsize=None)
+def _skeleton(
+    kind: str, component: str, has_subject: bool, names: Tuple[str, ...]
+) -> Tuple[Tuple[str, ...], str]:
+    """One event shape's field names in sorted order and its canonical
+    line as a ``%`` template: sorted keys, ``kind`` / ``component`` /
+    ``v`` and the names as literals, a ``%s`` per value (the fields,
+    then ``seq``, ``subject``, ``t``)."""
+    names = tuple(sorted(names))
+    kind, component, *keys = (
+        _encode_str(text).replace("%", "%%")
+        for text in (kind, component, *names)
+    )
+    fields = ",".join(key + ":%s" for key in keys)
+    return names, (
+        '{"component":' + component
+        + (',"fields":{' + fields + "}" if names else "")
+        + ',"kind":' + kind + ',"seq":%s'
+        + (',"subject":%s' if has_subject else "")
+        + ',"t":%s,"v":' + str(EVENT_SCHEMA_VERSION) + "}"
+    )
 
 
 @dataclass
@@ -84,9 +128,17 @@ class Event:
         return blob
 
     def canonical(self) -> str:
-        """The digest-stable serialized form (sorted keys, no spaces)."""
-        return json.dumps(
-            self.to_json(), sort_keys=True, separators=(",", ":")
+        """The digest-stable serialized form: :meth:`to_json` with
+        sorted keys and no spaces, filled into the shape's skeleton."""
+        fields, subject = self.fields, self.subject
+        names, template = _skeleton(
+            self.kind, self.component, subject is not None, tuple(fields)
+        )
+        tail = (self.seq, self.t)
+        if subject is not None:
+            tail = (self.seq, subject, self.t)
+        return template % tuple(
+            map(_encode, (*map(fields.__getitem__, names), *tail))
         )
 
     @classmethod
@@ -155,14 +207,9 @@ class EventBus:
         **fields: Any,
     ) -> Event:
         """Record one event; returns it (already sequenced and hashed)."""
-        event = Event(
-            seq=self.total,
-            t=float(t),
-            kind=kind,
-            component=component,
-            subject=subject,
-            fields={k: _jsonable(v) for k, v in fields.items()},
-        )
+        for name, value in fields.items():
+            fields[name] = _jsonable(value)
+        event = Event(self.total, float(t), kind, component, subject, fields)
         self.total += 1
         if len(self._ring) == self.capacity:
             self.evicted += 1

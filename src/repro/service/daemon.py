@@ -143,9 +143,16 @@ class ServiceReport:
     #: integrated user impact over the whole run (minutes).
     affected_user_minutes: float = 0.0
     digest: Optional[str] = None
+    #: forwarding walks served from / added to the data plane's memo:
+    #: how the run was computed, not what it did — not compared, not
+    #: serialized (a recovered controller starts a fresh memo).
+    walk_hits: int = field(default=0, compare=False)
+    walk_misses: int = field(default=0, compare=False)
 
     def as_dict(self) -> Dict[str, object]:
-        blob = {f.name: getattr(self, f.name) for f in fields(self)}
+        blob = {
+            f.name: getattr(self, f.name) for f in fields(self) if f.compare
+        }
         blob["queue_peaks"] = dict(sorted(self.queue_peaks.items()))
         blob["affected_user_minutes"] = round(self.affected_user_minutes, 6)
         return blob
@@ -696,6 +703,9 @@ class LifeguardService:
         self._gauge("service.repairs_in_flight", inflight)
         self._gauge("service.journal_lag", self.journal.lag)
         self._gauge("service.monitored_pairs", self.monitored_pairs)
+        dataplane = self.lifeguard.dataplane
+        self._gauge("dataplane.walk_memo.hits", dataplane.walk_hits)
+        self._gauge("dataplane.walk_memo.misses", dataplane.walk_misses)
         for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
             value = _percentile(self.ttr, q)
             if value is not None:
@@ -920,4 +930,6 @@ class LifeguardService:
             peak_users_affected=self.ledger.peak_affected,
             affected_user_minutes=self.ledger.user_minutes,
             digest=self.obs.digest() if self.obs is not None else None,
+            walk_hits=self.lifeguard.dataplane.walk_hits,
+            walk_misses=self.lifeguard.dataplane.walk_misses,
         )

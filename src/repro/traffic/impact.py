@@ -73,6 +73,10 @@ class ImpactLedger:
         self.user_minutes_by_key: Dict[str, float] = {}
         self.peak_affected = 0
         self.samples = 0
+        #: What the last classification read (snapshot object, live AS
+        #: failures) and answered; how often that answer was handed back.
+        self._seen: Tuple[Any, Any, Any] = (None, None, None)
+        self.classify_reused = 0
 
     # ------------------------------------------------------------------
     # Classification
@@ -81,20 +85,24 @@ class ImpactLedger:
         self, fibs: Any, failures: Any, now: float
     ) -> List[Optional[Tuple[str, Optional[str]]]]:
         """Per-flow (state, attribution-key); state in
-        {delivered, dropped, no-route, loop}."""
+        {delivered, dropped, no-route, loop}.  A function of the snapshot
+        and the AS failures live at *now* alone: the same snapshot object
+        and an equal live view get the previous answer back."""
+        live = failures.active_by_asn(now) if failures is not None else {}
+        if fibs is self._seen[0] and live == self._seen[1]:
+            self.classify_reused += 1
+            return self._seen[2]
         self._fibset.attach(fibs)
         flows = self.matrix.flows
         #: asn -> (toward mask, toward base, attribution key) per active
         #: AS failure, straight from the failure set's AS index.
-        active: Dict[int, List[Tuple[int, int, str]]] = {}
-        if failures is not None:
-            active = {
-                asn: [
-                    (mask, base, impact_key(failure))
-                    for mask, base, failure in bucket
-                ]
-                for asn, bucket in failures.active_by_asn(now).items()
-            }
+        active: Dict[int, List[Tuple[int, int, str]]] = {
+            asn: [
+                (mask, base, impact_key(failure))
+                for mask, base, failure in bucket
+            ]
+            for asn, bucket in live.items()
+        }
         results: List[Optional[Tuple[str, Optional[str]]]] = [None] * len(
             flows
         )
@@ -140,6 +148,7 @@ class ImpactLedger:
         for idxs in frontier.values():
             for i in idxs:
                 results[i] = ("loop", LOOP_KEY)
+        self._seen = (fibs, live, results)
         return results
 
     # ------------------------------------------------------------------

@@ -10,6 +10,13 @@ test never constructs its own oracle), a linear scan of
 the property test requires the same ``(outcome, hops, final_router)``
 for every sampled packet on generated Internets with random router /
 link / AS failures.
+
+``forward`` also remembers its answers.  The stateful property at the
+bottom re-asks a fixed sample of probes while failures come, go and
+cross their window edges, FIBs are rebound after poisons, and a second
+``DataPlane`` shares the failure set: after every step the remembered
+answer must equal the reference walk's and a freshly built
+``DataPlane``'s.
 """
 
 import gc
@@ -298,7 +305,7 @@ class TestForwardEquivalence:
                 dataplane.failures, source, value, ttl, now,
             )
             assert (
-                result.outcome, result.hops, result.final_router
+                result.outcome, list(result.hops), result.final_router
             ) == expected, (source, str(Address(value)), ttl, now)
             seen.add(result.outcome)
         return seen
@@ -344,7 +351,7 @@ class TestForwardEquivalence:
                 on_default += tries[asn].lookup(value)[0].length == 0
                 result = dataplane.forward(source, value)
                 assert (
-                    result.outcome, result.hops, result.final_router
+                    result.outcome, list(result.hops), result.final_router
                 ) == reference_forward(
                     topo, fibs, tries, (), source, value, 64, 0.0
                 )
@@ -359,6 +366,260 @@ class TestForwardEquivalence:
         assert dataplane.forward(routers[0], address) == by_int
         assert dataplane.forward(routers[0], str(address)) == by_int
         assert by_int.target_router == routers[-1]
+
+
+# ----------------------------------------------------------------------
+# The walk memo under mutation: remembered == reference == fresh
+# ----------------------------------------------------------------------
+EPSILON = 1e-6
+#: Window edges of the failures the stateful test injects, and the
+#: instants it visits: before, onto, just short of, between, after.
+EDGES = (100.0, 150.0, 200.0, 300.0)
+NOWS = tuple(
+    sorted(
+        {0.0, 125.0, 250.0, 1e9}
+        | set(EDGES)
+        | {edge - EPSILON for edge in EDGES}
+    )
+)
+
+
+class TestWalkMemoUnderMutation:
+    @pytest.fixture(
+        params=[("tiny", 0), ("tiny", 2), ("small", 3)],
+        ids=lambda w: f"{w[0]}-{w[1]}",
+    )
+    def own_world(self, request):
+        """Not the module's: this test poisons the engine."""
+        graph, topo, engine, fibs = _build_world(*request.param)
+        assert engine.consume_fib_dirty() is None  # cold: unbounded
+        return graph, topo, engine, fibs
+
+    def _sample(self, rng, graph, topo, fibs):
+        """(source, destination, ttl): pings, plus traceroute shapes
+        (ttl 1..N toward one destination)."""
+        routers = sorted(r.rid for r in topo.routers())
+        destinations = _destinations(rng, graph, topo, fibs)
+        sample = [
+            (rng.choice(routers), rng.choice(destinations), 64)
+            for _ in range(40)
+        ]
+        for source, value, _ttl in sample[:4]:
+            sample += [(source, value, ttl) for ttl in range(1, 9)]
+        return sample
+
+    def _failure_on_a_sampled_path(self, rng, dataplane, sample):
+        """A failure some sampled walk can actually meet, scoped or
+        not, open-ended or windowed on EDGES."""
+        source, value, _ttl = rng.choice(sample)
+        hops = dataplane.forward(source, value, now=0.0).hops
+        toward = None
+        if rng.random() < 0.5:
+            toward = Prefix(value & 0xFFFFFF00, 24)
+        start, end = sorted(rng.sample((float("-inf"),) + EDGES, 2))
+        if rng.random() < 0.3:
+            end = float("inf")
+        window = {"toward": toward, "start": start, "end": end}
+        kind = rng.randrange(3)
+        if kind == 0 or len(hops) < 2:
+            return RouterFailure(rid=rng.choice(hops), **window)
+        if kind == 1:
+            at = rng.randrange(len(hops) - 1)
+            a, b = hops[at], hops[at + 1]
+            if rng.random() < 0.3:
+                a, b = b, a
+            return LinkFailure(
+                a=a, b=b, bidirectional=rng.random() < 0.5, **window
+            )
+        asn = dataplane.topo.router(rng.choice(hops)).asn
+        return ASForwardingFailure(asn=asn, **window)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_remembered_equals_reference_and_fresh(self, own_world, seed):
+        graph, topo, engine, fibs = own_world
+        rng = random.Random(4000 + seed)
+        failures = FailureSet()
+        planes = [DataPlane(topo, fibs, failures)]
+        sample = self._sample(rng, graph, topo, fibs)
+        tries = _oracle_tries(fibs)
+        stubs = sorted(
+            n.asn for n in graph.nodes()
+            if n.tier == 3 and n.prefixes
+            and not engine.speakers[n.asn].policy.config
+            .default_route_via_provider
+        )
+        transit = sorted(graph.transit_ases())
+        poisoned = {}
+        # A more-specific of one sampled host's prefix, announced and
+        # withdrawn by another stub: the address changes hands, so the
+        # origins index (and where its walks should end) moves.
+        victim = next(
+            p for p in sorted(fibs.origins) if p.length <= 28
+        )
+        claim = next(iter(victim.subnets(victim.length + 2)))
+        claimant = next(a for a in stubs if a != fibs.origins[victim])
+        sample += [(s, claim.base + 9, 64) for s, _v, _t in sample[:6]]
+        claimed = False
+        now = 0.0
+        steps = dict.fromkeys(
+            ["probe", "add", "remove", "clear", "now", "poison",
+             "unpoison", "claim", "second", "swap"], 0
+        )
+
+        def check():
+            fresh = DataPlane(topo, fibs, failures)
+            for source, value, ttl in sample:
+                expected = reference_forward(
+                    topo, fibs, tries, failures, source, value, ttl, now
+                )
+                answer = fresh.forward(source, value, ttl=ttl, now=now)
+                assert (
+                    answer.outcome, list(answer.hops), answer.final_router
+                ) == expected
+                for plane in planes:
+                    assert plane.forward(
+                        source, value, ttl=ttl, now=now
+                    ) == answer, (source, str(Address(value)), ttl, now)
+
+        check()
+        for _ in range(60):
+            step = rng.choice(
+                ["probe", "add", "add", "remove", "now", "now", "poison",
+                 "unpoison", "claim", "second", "swap", "clear"]
+            )
+            if step == "add":
+                failures.add(
+                    self._failure_on_a_sampled_path(rng, planes[0], sample)
+                )
+            elif step == "remove":
+                if not len(failures):
+                    continue
+                failures.remove(rng.choice(list(failures)))
+            elif step == "clear":
+                if rng.random() < 0.7:
+                    continue
+                failures.clear()
+            elif step == "now":
+                now = rng.choice(NOWS)
+            elif step == "swap":
+                # What Lifeguard.recover does to its new data plane.
+                failures = FailureSet(
+                    f for f in failures if rng.random() < 0.8
+                )
+                for plane in planes:
+                    plane.failures = failures
+            elif step in ("poison", "unpoison", "claim"):
+                if step == "claim":
+                    claimed = not claimed
+                    if claimed:
+                        engine.originate(claimant, claim)
+                    else:
+                        engine.withdraw_origin(claimant, claim)
+                else:
+                    if step == "poison":
+                        origin = rng.choice(stubs)
+                        poisoned[origin] = make_path(
+                            origin, prepend=2,
+                            poison=rng.sample(transit, 2),
+                        )
+                    elif poisoned:
+                        origin = rng.choice(sorted(poisoned))
+                        del poisoned[origin]
+                    else:
+                        continue
+                    engine.originate(
+                        origin,
+                        graph.node(origin).prefixes[0],
+                        path=poisoned.get(origin, make_path(origin)),
+                    )
+                engine.run()
+                fibs = build_fibs(engine, fibs, engine.consume_fib_dirty())
+                tries = _oracle_tries(fibs)
+                for plane in planes:
+                    plane.fibs = fibs
+            elif step == "second":
+                if len(planes) == 2:
+                    continue
+                planes.append(DataPlane(topo, fibs, failures))
+            steps[step] += 1
+            check()
+        assert all(
+            steps[s] for s in ("add", "remove", "now", "poison", "claim")
+        ), steps
+        for plane in planes:
+            assert plane.walk_hits > plane.walk_misses > len(sample)
+
+    def test_counters_account_for_every_call(self, world):
+        graph, topo, _engine, fibs = world
+        rng = random.Random(11)
+        dataplane = DataPlane(topo, fibs, FailureSet(
+            _random_failures(rng, graph, topo, count=20)
+        ))
+        sample = self._sample(rng, graph, topo, fibs)
+        for source, value, ttl in sample:
+            dataplane.forward(source, value, ttl=ttl, now=150.0)
+        assert dataplane.walk_hits + dataplane.walk_misses == len(sample)
+        misses = dataplane.walk_misses
+        assert misses == len(set(sample))
+        # An untouched world asked again is answered from memory alone,
+        # the very same result objects.
+        first = [
+            dataplane.forward(s, v, ttl=t, now=150.0) for s, v, t in sample
+        ]
+        again = [
+            dataplane.forward(s, v, ttl=t, now=150.0) for s, v, t in sample
+        ]
+        assert dataplane.walk_misses == misses
+        assert dataplane.walk_hits == 3 * len(sample) - misses
+        assert all(a is b for a, b in zip(first, again))
+
+    def _long_walk(self, topo, fibs):
+        """(source, destination, hops) of a delivered walk of >= 3 hops."""
+        routers = sorted(r.rid for r in topo.routers())
+        return next(
+            (rid, topo.router(far).address.value, walk.hops)
+            for rid in routers
+            for far in reversed(routers)
+            for walk in [
+                DataPlane(topo, fibs).forward(rid, topo.router(far).address)
+            ]
+            if walk.delivered and len(walk.hops) >= 3
+        )
+
+    def test_a_swapped_failure_set_starts_over(self, world):
+        """Two sets whose change logs are equally long: identity, not
+        the log position, says the world moved."""
+        _graph, topo, _engine, fibs = world
+        source, value, hops = self._long_walk(topo, fibs)
+        dataplane = DataPlane(
+            topo, fibs, FailureSet([RouterFailure(rid=hops[1])])
+        )
+        assert not dataplane.forward(source, value).delivered
+        dataplane.failures = FailureSet([RouterFailure(rid=hops[0])])
+        assert dataplane.forward(source, value).final_router == hops[0]
+        dataplane.failures.remove(next(iter(dataplane.failures)))
+        assert dataplane.forward(source, value).delivered
+
+    def test_a_window_edge_costs_one_walk(self, world):
+        _graph, topo, _engine, fibs = world
+        source, value, hops = self._long_walk(topo, fibs)
+        dataplane = DataPlane(topo, fibs, FailureSet(
+            [RouterFailure(rid=hops[1], start=100.0, end=200.0)]
+        ))
+        for now, outcome in (
+            (50.0, ForwardOutcome.DELIVERED),    # walked
+            (99.0, ForwardOutcome.DELIVERED),    # remembered
+            (100.0, ForwardOutcome.DROPPED),     # walked
+            (100.0, ForwardOutcome.DROPPED),     # remembered
+            (200.0 - EPSILON, ForwardOutcome.DROPPED),  # remembered
+            (200.0, ForwardOutcome.DELIVERED),   # walked
+            (1e9, ForwardOutcome.DELIVERED),     # remembered
+            (150.0, ForwardOutcome.DROPPED),     # walked: time went back
+        ):
+            assert dataplane.forward(
+                source, value, now=now
+            ).outcome is outcome
+        assert (dataplane.walk_misses, dataplane.walk_hits) == (4, 4)
 
 
 # ----------------------------------------------------------------------

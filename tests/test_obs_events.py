@@ -1,8 +1,11 @@
 """Tests for the observability event bus (repro.obs.events)."""
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MeasurementError, error_context
 from repro.obs.events import (
@@ -44,6 +47,98 @@ class TestEvent:
         event = bus.emit("k", 0.0, "c", obj=object())
         assert isinstance(event.fields["obj"], str)
         json.loads(event.canonical())  # must serialize cleanly
+
+
+def _reference_line(event):
+    """What ``canonical()`` was before it had a skeleton to fill."""
+    return json.dumps(event.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+#: Text that breaks naive templating or escaping: quotes, backslashes,
+#: control characters, non-ASCII, ``%`` and braces.
+_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(
+        ["", '"', "\\", "a\"b\\c", "\n\t\x00\x1f\x7f", "é→🙂\ud7ff",
+         "%", "%s", "%%d", "%(x)s", "{}", "{0}", "{x!r}", "AS1.r0->10.0.0.1"]
+    ),
+)
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-07, 1e22, 1e21, 1e16, 5e-324, 0.1 + 0.2]),
+    _TEXT,
+)
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=3),
+        st.frozensets(_TEXT, max_size=3),
+        st.sets(st.integers(), max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+class TestCanonicalEncoder:
+    """The skeleton-compiled line is the ``json.dumps`` line, byte for
+    byte, so no digest recorded before it existed changes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=_TEXT,
+        component=_TEXT,
+        subject=st.one_of(st.none(), _TEXT),
+        t=st.floats(allow_nan=False, allow_infinity=False),
+        fields=st.dictionaries(
+            # emit()'s own parameter names cannot be field names.
+            _TEXT.filter(
+                lambda n: n
+                not in ("self", "kind", "t", "component", "subject")
+            ),
+            _VALUE,
+            max_size=5,
+        ),
+    )
+    @example(kind="k", component="c", subject=None, t=0.0, fields={})
+    @example(
+        kind="%s", component='"{}"', subject="%d", t=-0.0,
+        fields={"%s": "%s", "{}": True, "one": 1, "yes": True,
+                "nan": float("nan"), "inf": float("-inf")},
+    )
+    def test_compiled_line_equals_json_dumps(
+        self, kind, component, subject, t, fields
+    ):
+        bus = EventBus()
+        bus.emit("warm-up", 0.0, "test")  # seq 1 below, not 0
+        event = bus.emit(kind, t, component, subject=subject, **fields)
+        line = event.canonical()
+        assert line == _reference_line(event)
+        again = Event.from_json(json.loads(line))
+        assert again.canonical() == line
+
+    def test_true_is_not_one_and_ints_are_not_floats(self):
+        bus = EventBus()
+        line = bus.emit(
+            "k", 30, "c", yes=True, one=1, zero=0, no=False, f=1.0
+        ).canonical()
+        assert line == (
+            '{"component":"c","fields":{"f":1.0,"no":false,"one":1,'
+            '"yes":true,"zero":0},"kind":"k","seq":0,"t":30.0,"v":1}'
+        )
+
+    def test_non_finite_and_exotic_values_take_the_fallback(self):
+        event = Event(
+            seq=7, t=1.5, kind="k", component="c", subject=None,
+            fields={"nan": math.nan, "inf": math.inf, "nested": {"b": [1, {"a": None}]}},
+        )
+        assert event.canonical() == _reference_line(event)
+        assert '"inf":Infinity' in event.canonical()
 
 
 class TestEventBus:

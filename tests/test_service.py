@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.control.journal import RepairJournal
+from repro.control.lifeguard import LifeguardConfig
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
@@ -28,6 +29,7 @@ from repro.service import (
     StageQueue,
     Watermarks,
 )
+from repro.traffic import TrafficConfig
 from repro.workloads.outages import OutageArrivalConfig
 from repro.workloads.scenarios import build_deployment
 
@@ -269,3 +271,54 @@ class TestServiceDeterminism:
         assert prints_a == prints_b
         assert first.abandoned == 0
         assert first.drained
+
+
+class TestReadPathBehaviourPin:
+    """One fixed episode whose observable behaviour is pinned.
+
+    The constants were recorded on the commit *before* the forwarding
+    walk memo, the skeleton event encoder and the ledger's
+    classification reuse went in (b9f41c9): none of the three may move
+    an event, a time-to-repair or a user-minute.  ``bench/compare.py``
+    guards the same on the benchmark workloads; this is the tier-1 copy.
+    """
+
+    def test_small_episode_is_what_it_was(self):
+        obs = EventBus(metrics=MetricsRegistry())
+        # Every mode an environment variable could pick is spelled out:
+        # the pin must not depend on what an earlier test left behind.
+        scenario = build_deployment(
+            scale="small", seed=3, num_helper_vps=3, num_targets=5,
+            obs=obs, cache=None, baseline_mode="auto",
+            lifeguard_config=LifeguardConfig(delta_mode="off"),
+        )
+        config = ServiceConfig(
+            duration=1200.0,  # 40 rounds of arrivals, then the drain
+            arrivals=OutageArrivalConfig(
+                first_arrival=150.0, spacing=300.0, duration=900.0
+            ),
+            seed=3,
+            drain=1500.0,
+            traffic=TrafficConfig(),
+        )
+        service = LifeguardService(scenario, config, obs=obs)
+        report = service.run()
+        assert (
+            report.monitored_pairs, report.rounds, report.records,
+            report.repaired, report.completed, report.pending,
+        ) == (20, 75, 6, 4, 2, 0)
+        assert obs.total == 5789
+        assert report.digest == (
+            "ed9555b8ef64bdded00a39102e12432c"
+            "02ba557fec886014dfc0982d3575dbee"
+        )
+        assert service.ttr == [240.0, 240.0]
+        assert report.affected_user_minutes == 55215.0
+        # The memo is what served most of it, and says so only here:
+        # in the gauges and the report, never on the bus.
+        gauges = obs.metrics.snapshot()["gauges"]
+        assert gauges["dataplane.walk_memo.hits"] == report.walk_hits
+        assert gauges["dataplane.walk_memo.misses"] == report.walk_misses
+        assert report.walk_hits > 3 * report.walk_misses > 0
+        assert service.ledger.classify_reused > report.rounds // 2
+        assert "walk_hits" not in report.as_dict()

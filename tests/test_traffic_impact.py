@@ -22,7 +22,7 @@ import pytest
 from repro.cli import main
 from repro.control.journal import RepairJournal
 from repro.dataplane.failures import ASForwardingFailure, FailureSet
-from repro.dataplane.fib import build_fibs
+from repro.dataplane.fib import FibSnapshot, build_fibs
 from repro.experiments.impact import run_impact_study
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
@@ -138,6 +138,56 @@ class TestImpactLedger:
                 b.by_key,
             )
             assert original.state_json() == recovered.state_json()
+
+
+    def test_reused_classifications_change_nothing(self, setting):
+        """Same snapshot + same live failures (reused), a window edge
+        crossed, a failure added, the FIBs rebound: the same samples and
+        accumulators as a ledger rebuilt — so with nothing to reuse —
+        before every sample."""
+        graph, fibs, matrix = setting
+        bad = _transit_asn(graph, matrix, fibs)
+        other = next(
+            f.src_asn for f in matrix.flows if f.src_asn != bad
+        )
+        failures = FailureSet(
+            [ASForwardingFailure(asn=bad, start=100.0, end=400.0)]
+        )
+        # The rebound snapshot: *bad* lost every route it had.
+        rebound = FibSnapshot(
+            tables={**fibs.tables, bad: {}}, origins=dict(fibs.origins)
+        )
+        script = [
+            (30.0, fibs), (60.0, fibs), (90.0, fibs),   # before the window
+            (120.0, fibs), (150.0, fibs),               # inside it
+            ("add", ASForwardingFailure(asn=other, start=0.0, end=250.0)),
+            (180.0, fibs), (210.0, fibs),
+            (270.0, fibs),                              # the added one ended
+            (300.0, rebound), (330.0, rebound),
+            (420.0, rebound), (450.0, fibs), (480.0, fibs),
+        ]
+        reusing = ImpactLedger(matrix)
+        reusing.prime(fibs)
+        state = reusing.state_json()
+        samples = 0
+        for when, what in script:
+            if when == "add":
+                failures.add(what)
+                continue
+            rebuilt = ImpactLedger(matrix)
+            rebuilt.restore_state(state)
+            a = reusing.observe(when, what, failures)
+            b = rebuilt.observe(when, what, failures)
+            assert a == b
+            assert rebuilt.classify_reused == 0
+            assert reusing.user_minutes_by_key == rebuilt.user_minutes_by_key
+            state = reusing.state_json()
+            assert state == rebuilt.state_json()
+            samples += 1
+        assert reusing.user_minutes > 0.0
+        assert len(reusing.user_minutes_by_key) >= 3
+        # Reused: 30 (primed), 60, 90, 150, 210, 330, 480.
+        assert reusing.classify_reused == 7 and samples == 13
 
 
 class TestImpactStudy:
