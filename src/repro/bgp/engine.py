@@ -129,9 +129,9 @@ class BGPEngine:
         #: (solutions are pure in the origination once the topology is
         #: fixed); cleared with the analytic flag.
         self._delta_solutions: Dict[object, object] = {}
-        #: ASes whose forwarding next hop changed since the last
-        #: consume_fib_dirty().  None: unknown — rebuild everything.
-        self._fib_dirty: Optional[Set[int]] = None
+        #: asn -> prefixes whose forwarding next hop changed since the
+        #: last consume_fib_dirty().  None: unknown — rebuild everything.
+        self._fib_dirty: Optional[Dict[int, Set[Prefix]]] = None
         speaker_configs = speaker_configs or {}
         for asn in graph.ases():
             neighbor_rels = {
@@ -414,8 +414,10 @@ class BGPEngine:
         self._flush_all_sessions(asn, prefix)
 
     def _record_change(self, asn: int, prefix: Prefix) -> None:
+        # Logged without its old route: the FIB row counts as moved even
+        # when no route is left (None against None says nothing).
         speaker = self.speakers[asn]
-        self._log_change(asn, prefix, None, speaker.best(prefix))
+        self._log_change(asn, prefix, None, speaker.best(prefix), True)
 
     def _log_change(
         self,
@@ -423,6 +425,7 @@ class BGPEngine:
         prefix: Prefix,
         old: Optional[Route],
         new: Optional[Route],
+        moved: bool = False,
     ) -> None:
         change = RouteChange(
             time=self.now, asn=asn, prefix=prefix, old=old, new=new
@@ -431,10 +434,10 @@ class BGPEngine:
         if self._fib_dirty is not None:
             old_nh = old.neighbor if old is not None else None
             new_nh = new.neighbor if new is not None else None
-            if old_nh != new_nh:
-                # Only a next-hop change alters the AS's FIB map; a
+            if moved or old_nh != new_nh:
+                # Only a next-hop change alters the AS's FIB row; a
                 # path-only change keeps its interval table valid.
-                self._fib_dirty.add(asn)
+                self._fib_dirty.setdefault(asn, set()).add(prefix)
         if self.obs is not None:
             self.obs.emit(
                 "bgp.decision-change", self.now, "bgp.engine",
@@ -534,15 +537,16 @@ class BGPEngine:
         self._analytic = None
         self._delta_solutions.clear()
 
-    def consume_fib_dirty(self) -> Optional[Set[int]]:
-        """ASes whose next hop changed since the last call (then reset).
+    def consume_fib_dirty(self) -> Optional[Dict[int, Set[Prefix]]]:
+        """The FIB rows that moved since the last call (then reset):
+        asn -> the prefixes whose next hop changed there.
 
         Returns None when the engine cannot bound the change set (cold
         start, or state installed wholesale by :meth:`warm_start`) — the
         caller must rebuild every FIB, after which tracking restarts.
         """
         dirty = self._fib_dirty
-        self._fib_dirty = set()
+        self._fib_dirty = {}
         return dirty
 
     def apply_delta(self, changes, stats=None):

@@ -11,12 +11,12 @@ at forwarding time.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Mapping, Optional, Set, Union
 
 from repro.bgp.engine import BGPEngine
 from repro.net.addr import Address, Prefix, address_int
-from repro.net.lpm import FlatLPM
+from repro.net.lpm import FlatLPM, PrefixAxis
 from repro.topology.relationships import Relationship
 
 #: Sentinel next-hop meaning "this AS originates the prefix".
@@ -41,6 +41,12 @@ class FibSnapshot:
     tables: Dict[int, Dict[Prefix, int]] = field(default_factory=dict)
     #: prefix -> originating asn, for host-attachment decisions.
     origins: Dict[Prefix, int] = field(default_factory=dict)
+    #: Running totals over the incremental refreshes behind this
+    #: snapshot: rows re-read, columns compiled whole because the axis
+    #: under them had regrown, axes regrown for a never-seen prefix.
+    rows_patched: int = field(default=0, compare=False)
+    columns_compiled: int = field(default=0, compare=False)
+    axis_regrown: int = field(default=0, compare=False)
     #: asn -> interval table compiled from ``tables[asn]`` on first use;
     #: build_fibs carries clean ASes' entries into the next snapshot.
     _flat: Dict[int, FlatLPM] = field(
@@ -50,6 +56,18 @@ class FibSnapshot:
     _origin_index: Optional[FlatLPM] = field(
         default=None, repr=False, compare=False
     )
+    _axis: Optional[PrefixAxis] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def _compile(self, fib: Mapping[Prefix, int]) -> FlatLPM:
+        """*fib* as a column on the one axis this snapshot's tables
+        share: built on first use over every prefix in ``tables`` and
+        ``origins``, then handed down (and regrown) by build_fibs."""
+        if self._axis is None:
+            prefixes = set().union(self.origins, *self.tables.values())
+            self._axis = PrefixAxis(prefixes)
+        return FlatLPM.compile(fib, self._axis)
 
     def flat(self, asn: int) -> Optional[FlatLPM]:
         """The compiled table for *asn* (None when it has no routes)."""
@@ -58,7 +76,7 @@ class FibSnapshot:
             fib = self.tables.get(asn)
             if not fib:
                 return None
-            table = self._flat[asn] = FlatLPM.compile(fib)
+            table = self._flat[asn] = self._compile(fib)
         return table
 
     def next_hop_as(
@@ -82,49 +100,70 @@ class FibSnapshot:
         self, destination: Union[int, str, Address]
     ) -> Optional[int]:
         """The AS hosting *destination*, per most-specific originated
-        prefix: one bisect into the index built with the snapshot."""
-        index = self._origin_index
-        if index is None:
-            index = self._index_origins()
-        return index.resolve(destination)
+        prefix: one bisect into one more column on the axis."""
+        if self._origin_index is None:
+            self._origin_index = self._compile(self.origins)
+        return self._origin_index.resolve(destination)
 
-    def _index_origins(self, carried: Optional[FlatLPM] = None) -> FlatLPM:
-        """Index ``origins`` (or adopt the *carried* index of a snapshot
-        with equal origins).  Once per snapshot: ``build_fibs`` calls it
-        when the snapshot is complete, a hand-built one on first use."""
-        if carried is None:
-            carried = FlatLPM.from_items(self.origins.items())
-        self._origin_index = carried
-        return carried
+    def _carried(
+        self, table: FlatLPM, fib: Mapping[Prefix, int], rows: Iterable[Prefix]
+    ) -> FlatLPM:
+        """A predecessor's *table* brought to *fib*, of which *rows*
+        moved: patched while it stands on this snapshot's axis, compiled
+        whole (and counted) once the axis has regrown under it."""
+        if table.axis is self._axis:
+            return table.patched(fib, rows)
+        self.columns_compiled += 1
+        return self._compile(fib)
 
 
-def _build_as_fib(
-    asn: int, speaker, origins: Dict[Prefix, int]
-) -> Dict[Prefix, int]:
-    """One AS's Loc-RIB as a prefix -> next-hop map; locally-originated
-    prefixes are recorded into *origins*."""
-    fib: Dict[Prefix, int] = {}
-    for prefix, route in speaker.table.best_routes():
-        next_hop = route.neighbor
-        if next_hop == asn:
-            next_hop = LOCAL
-            origins[prefix] = asn
-        fib[prefix] = next_hop
-    if speaker.policy.config.default_route_via_provider:
-        providers = sorted(
-            nbr
-            for nbr, rel in speaker.neighbors.items()
-            if rel is Relationship.PROVIDER
-        )
-        if providers:
-            fib[DEFAULT_PREFIX] = providers[0]
+def _next_hop(asn: int, route) -> int:
+    """A Loc-RIB *route* of *asn* as a FIB value."""
+    return LOCAL if route.neighbor == asn else route.neighbor
+
+
+def _static_default(speaker) -> Optional[int]:
+    """The provider a ``default_route_via_provider`` AS points 0.0.0.0/0
+    at, overriding a BGP-learned /0 (None for every other AS)."""
+    if not speaker.policy.config.default_route_via_provider:
+        return None
+    providers = [
+        n for n, r in speaker.neighbors.items() if r is Relationship.PROVIDER
+    ]
+    return min(providers, default=None)
+
+
+def _build_as_fib(asn: int, speaker) -> Dict[Prefix, int]:
+    """One AS's Loc-RIB as a prefix -> next-hop map."""
+    fib = {
+        prefix: _next_hop(asn, route)
+        for prefix, route in speaker.table.best_routes()
+    }
+    default = _static_default(speaker)
+    if default is not None:
+        fib[DEFAULT_PREFIX] = default
     return fib
+
+
+def _row(asn: int, speaker, prefix: Prefix) -> Optional[int]:
+    """What :func:`_build_as_fib` holds for *prefix* (None: no row)."""
+    default = _static_default(speaker) if prefix == DEFAULT_PREFIX else None
+    if default is not None:
+        return default
+    route = speaker.table.best(prefix)
+    return None if route is None else _next_hop(asn, route)
+
+
+def _claim(origins: Dict[Prefix, int], asn: int, prefix: Prefix) -> None:
+    """Of several ASes with a LOCAL row the highest-numbered hosts."""
+    if asn > origins.get(prefix, asn - 1):
+        origins[prefix] = asn
 
 
 def build_fibs(
     engine: BGPEngine,
     previous: Optional[FibSnapshot] = None,
-    dirty_asns: Optional[Set[int]] = None,
+    dirty_asns: Union[Mapping[int, Set[Prefix]], Set[int], None] = None,
 ) -> FibSnapshot:
     """Snapshot every speaker's Loc-RIB into forwarding tables.
 
@@ -134,44 +173,72 @@ def build_fibs(
     prefix, their packets still leave toward the provider — the measured
     behavior that makes "unreachable" stubs keep delivering traffic.
 
-    With *previous* and *dirty_asns* (from
-    :meth:`BGPEngine.consume_fib_dirty`), only the dirty ASes' maps are
-    rebuilt; every other AS *shares its map object* — and the interval
-    table already compiled from it — with the previous snapshot, and the
-    origins index is shared too unless a dirty AS changed its claims.
+    With *previous* and *dirty_asns* (:meth:`BGPEngine.consume_fib_dirty`:
+    asn -> the prefixes whose next hop moved; a bare set of ASNs means
+    every row of those ASes), only those rows are re-read into a copy of
+    the dirty AS's map, and its table, if compiled, is patched under
+    them.  Every other AS *shares its map object* — and the interval
+    table already compiled from it — with the previous snapshot, as is
+    ``origins`` unless a row changed a LOCAL claim.
     ``dirty_asns=None`` means the change set is unbounded — full rebuild.
     """
-    if previous is not None and dirty_asns is not None:
-        if not dirty_asns:
-            return previous
-        snapshot = FibSnapshot(tables=dict(previous.tables))
-        # Keep clean ASes' origin claims; dirty ASes re-assert theirs.
-        snapshot.origins = {
-            prefix: asn
-            for prefix, asn in previous.origins.items()
-            if asn not in dirty_asns
-        }
-        snapshot._flat = {
-            asn: table
-            for asn, table in previous._flat.items()
-            if asn not in dirty_asns
-        }
-        for asn in sorted(dirty_asns):
-            speaker = engine.speakers.get(asn)
-            if speaker is None:
-                snapshot.tables.pop(asn, None)
-                continue
-            snapshot.tables[asn] = _build_as_fib(
-                asn, speaker, snapshot.origins
-            )
-        snapshot._index_origins(
-            previous._origin_index
-            if snapshot.origins == previous.origins
-            else None
-        )
+    if previous is None or dirty_asns is None:
+        snapshot = FibSnapshot()
+        for asn, speaker in engine.speakers.items():
+            fib = snapshot.tables[asn] = _build_as_fib(asn, speaker)
+            for prefix, value in fib.items():
+                if value == LOCAL:
+                    _claim(snapshot.origins, asn, prefix)
         return snapshot
-    snapshot = FibSnapshot()
-    for asn, speaker in engine.speakers.items():
-        snapshot.tables[asn] = _build_as_fib(asn, speaker, snapshot.origins)
-    snapshot._index_origins()
+    if not dirty_asns:
+        return previous
+    snapshot = replace(
+        previous, tables=dict(previous.tables), _flat=dict(previous._flat)
+    )
+    tables, axis = snapshot.tables, previous._axis
+    named = isinstance(dirty_asns, Mapping)
+    contested: Set[Prefix] = set()  # a LOCAL claim came or went
+    newcomers: Set[Prefix] = set()  # rows the axis has no slot for
+    compiled = {}  # dirty asn -> (its old table, its moved rows)
+    for asn in dirty_asns:
+        old = tables.get(asn) or {}
+        table = snapshot._flat.pop(asn, None)
+        speaker = engine.speakers.get(asn)
+        if speaker is None:
+            tables.pop(asn, None)
+            contested.update(p for p, v in old.items() if v == LOCAL)
+            continue
+        rows = dirty_asns[asn] if named else (
+            old.keys() | speaker.table.prefixes() | {DEFAULT_PREFIX}
+        )
+        fib = tables[asn] = dict(old)
+        for prefix in rows:
+            value = _row(asn, speaker, prefix)
+            if value is None:
+                was = fib.pop(prefix, None)
+            else:
+                was, fib[prefix] = fib.get(prefix), value
+                if axis is not None and prefix not in axis.spans:
+                    newcomers.add(prefix)
+            if (was == LOCAL) != (value == LOCAL):
+                contested.add(prefix)
+        snapshot.rows_patched += len(rows)
+        if table is not None and fib:
+            compiled[asn] = table, rows
+    if newcomers:
+        snapshot._axis = PrefixAxis(axis.spans.keys() | newcomers)
+        snapshot.axis_regrown += 1
+    for asn, (table, rows) in compiled.items():
+        snapshot._flat[asn] = snapshot._carried(table, tables[asn], rows)
+    if contested:
+        origins = snapshot.origins = dict(previous.origins)
+        for prefix in contested:
+            origins.pop(prefix, None)
+            for asn, fib in tables.items():
+                if fib.get(prefix) == LOCAL:
+                    _claim(origins, asn, prefix)
+        if previous._origin_index is not None:
+            snapshot._origin_index = snapshot._carried(
+                previous._origin_index, origins, contested
+            )
     return snapshot

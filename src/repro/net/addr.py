@@ -124,7 +124,7 @@ class Prefix:
     code is almost always a bug.
     """
 
-    __slots__ = ("_base", "_length")
+    __slots__ = ("_base", "_length", "_hash")
 
     def __init__(self, base: Union[int, str, Address], length: int = None):
         if isinstance(base, str) and length is None:
@@ -152,6 +152,8 @@ class Prefix:
             )
         self._base = base
         self._length = length
+        # Hashed per RIB / FIB lookup; int tuples hash alike everywhere.
+        self._hash = hash((base, length))
 
     @staticmethod
     def _mask_for(length: int) -> int:
@@ -244,4 +246,4 @@ class Prefix:
         return (self._base, self._length) < (other._base, other._length)
 
     def __hash__(self) -> int:
-        return hash((self._base, self._length))
+        return self._hash

@@ -6,8 +6,8 @@ or disjoint), so the map flattens into a sorted table of half-open
 address intervals, each carrying the value of its most specific covering
 prefix.  Lookup is then one ``bisect`` on an int — or one vectorised
 ``searchsorted`` for a whole batch when numpy is available.
-:class:`~repro.dataplane.fib.FibSnapshot` owns one compiled table per AS
-and answers every probe hop from it.
+:class:`~repro.dataplane.fib.FibSnapshot` owns one values column per AS,
+all over one shared :class:`PrefixAxis`, and answers every hop from them.
 
 A property test (tests/test_traffic_lpm.py) pins the flat table
 byte-identical to a bit-by-bit trie oracle (:mod:`repro.net.trie`) built
@@ -18,7 +18,7 @@ default-route entry that ``default_route_via_provider`` stubs install.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.net.addr import Address, Prefix, address_int
@@ -34,6 +34,9 @@ _ADDRESS_SPACE = 1 << 32
 #: Palette sentinel for "no covering prefix" in the numpy fast path.
 _NO_ROUTE = -(1 << 62)
 
+#: "No row for this prefix", where ``None`` could be a value.
+_ABSENT = object()
+
 
 def _numpy_enabled() -> bool:
     """Whether the vectorised batch path is available and not disabled."""
@@ -42,72 +45,131 @@ def _numpy_enabled() -> bool:
     return os.environ.get("REPRO_TRAFFIC_NUMPY", "1") != "0"
 
 
-class FlatLPM:
-    """A prefix -> value map compiled to a sorted interval table.
+class PrefixAxis:
+    """The interval boundaries of a prefix *set*, shared by every table
+    compiled over it.
 
-    ``bases`` is a sorted list of interval starts covering [0, 2^32);
-    ``values[i]`` is the next hop for addresses in
-    ``[bases[i], bases[i+1])`` — ``None`` where no prefix covers the
-    interval.  Compilation is a single stack sweep over the entries
-    sorted by (base, length): entering a prefix opens an interval with
-    its value, leaving it restores the enclosing prefix's value.
+    ``bases`` is the sorted list of interval starts covering [0, 2^32):
+    every address where a prefix of the set opens or closes.  It is
+    **unmerged** — a boundary stays even where a table carries one value
+    across it — so it depends on the prefix set alone: every table over
+    the set holds this one list by reference, and a changed row rewrites
+    slots of a values column without moving a boundary.  ``covers[slot]``
+    lists the prefixes covering that slot, innermost first;
+    ``spans[prefix]`` is the prefix's half-open slot range.  Immutable.
     """
 
-    __slots__ = ("bases", "values", "size", "_np_bases", "_np_values")
+    __slots__ = ("bases", "covers", "spans", "_np_bases")
+
+    def __init__(self, prefixes: Iterable[Prefix]):
+        # Int triples read off the slots: property calls are half the
+        # cost of the sort.
+        entries = sorted([(p._base, p._length, p) for p in set(prefixes)])
+        # The laminar sweep, in address order: (end, cover) is where the
+        # innermost open prefix ends and the nest open at the current
+        # address; the stack holds the enclosing ones, "no prefix" at
+        # the bottom.  A dict keeps the last edge at each address.
+        edges = {0: ()}
+        stack: List[Tuple[int, Tuple[Prefix, ...]]] = []
+        end, cover = _ADDRESS_SPACE + 1, ()
+        for start, length, prefix in entries:
+            while end <= start:
+                closed = end
+                end, cover = stack.pop()
+                edges[closed] = cover
+            stack.append((end, cover))
+            end, cover = start + (1 << (32 - length)), (prefix,) + cover
+            edges[start] = cover
+        while stack:
+            closed = end
+            end, cover = stack.pop()
+            if closed < _ADDRESS_SPACE:
+                edges[closed] = cover
+        self.bases = list(edges)
+        self.covers = list(edges.values())
+        #: In address order, an enclosing prefix before those inside it:
+        #: painting a column in this order lays inner values over outer.
+        self.spans = {
+            prefix: (
+                bisect_left(self.bases, start),
+                bisect_left(self.bases, start + (1 << (32 - length))),
+            )
+            for start, length, prefix in entries
+        }
+        self._np_bases = None
+
+
+class FlatLPM:
+    """A prefix -> value map compiled to a column over a prefix axis.
+
+    ``bases`` is the axis's sorted list of interval starts (shared, not
+    copied); ``values[i]`` is the next hop for addresses in
+    ``[bases[i], bases[i+1])`` — ``None`` where no prefix of the map
+    covers the interval.  Lookup reads these two lists and nothing else.
+    """
+
+    __slots__ = ("axis", "bases", "values", "size", "_np_values")
 
     def __init__(
-        self, bases: List[int], values: List[Optional[int]], size: int
+        self, axis: PrefixAxis, values: List[Optional[int]], size: int
     ):
-        self.bases = bases
+        self.axis = axis
+        self.bases = axis.bases
         self.values = values
         self.size = size
-        self._np_bases = None
         self._np_values = None
 
     @classmethod
-    def compile(cls, fib: Mapping[Prefix, Optional[int]]) -> "FlatLPM":
-        """Flatten *fib* (anything with ``.items()``) into a table."""
-        return cls.from_items(fib.items())
+    def compile(
+        cls,
+        fib: Mapping[Prefix, Optional[int]],
+        axis: Optional[PrefixAxis] = None,
+    ) -> "FlatLPM":
+        """Flatten *fib* into a column over *axis*, which must hold
+        every prefix of the map (without one, a private axis is built)."""
+        if axis is None:
+            axis = PrefixAxis(fib)
+        values: List[Optional[int]] = [None] * len(axis.bases)
+        painted = 0
+        for prefix, (lo, hi) in axis.spans.items():
+            value = fib.get(prefix, _ABSENT)
+            if value is not _ABSENT:
+                painted += 1
+                values[lo:hi] = [value] * (hi - lo)
+        if painted != len(fib):
+            raise ValueError("the map holds a prefix outside its axis")
+        return cls(axis, values, painted)
 
     @classmethod
     def from_items(
         cls, items: Iterable[Tuple[Prefix, Optional[int]]]
     ) -> "FlatLPM":
         """Flatten (prefix, value) pairs, one per distinct prefix."""
-        # Int triples read off the slots: property calls were half the
-        # cost, and a repair step compiles dozens of 250-entry tables.
-        entries = sorted(
-            [(prefix._base, prefix._length, value) for prefix, value in items]
-        )
-        # Sweep out every (address, value from there on) edge in address
-        # order: (end, value) is the innermost open prefix, the stack
-        # holds the ones around it with "no prefix" at the bottom.
-        edges: List[Tuple[int, Optional[int]]] = []
-        stack: List[Tuple[int, Optional[int]]] = []
-        end, value = _ADDRESS_SPACE + 1, None
-        for start, length, entered in entries:
-            while end <= start:
-                closed = end
-                end, value = stack.pop()
-                edges.append((closed, value))
-            edges.append((start, entered))
-            stack.append((end, value))
-            end, value = start + (1 << (32 - length)), entered
-        while stack:
-            closed = end
-            end, value = stack.pop()
-            if closed < _ADDRESS_SPACE:
-                edges.append((closed, value))
-        # Merge: last edge at an address wins, no change is no boundary.
-        bases: List[int] = [0]
-        values: List[Optional[int]] = [None]
-        for base, value in edges:
-            if bases[-1] == base:
-                values[-1] = value
-            elif values[-1] != value:
-                bases.append(base)
-                values.append(value)
-        return cls(bases, values, len(entries))
+        return cls.compile(dict(items))
+
+    def patched(
+        self, fib: Mapping[Prefix, Optional[int]], rows: Iterable[Prefix]
+    ) -> "FlatLPM":
+        """The table of *fib* — this table's map but for *rows*, each
+        changed, added or gone — on the same axis: a copied column with
+        the slots under those rows re-read, innermost present prefix
+        first, so a vanished row falls back to whatever still covers it
+        (one gone before the axis ever held it has no slot to re-read)."""
+        spans, covers = self.axis.spans, self.axis.covers
+        values = self.values.copy()
+        for prefix in rows:
+            if prefix not in spans:
+                if prefix in fib:
+                    raise ValueError("a patched row lies outside the axis")
+                continue
+            for slot in range(*spans[prefix]):
+                values[slot] = None
+                for cover in covers[slot]:
+                    value = fib.get(cover, _ABSENT)
+                    if value is not _ABSENT:
+                        values[slot] = value
+                        break
+        return FlatLPM(self.axis, values, len(fib))
 
     def resolve(self, address: Union[int, str, Address]) -> Optional[int]:
         """Next hop for *address*: the most specific covering prefix's."""
@@ -129,14 +191,16 @@ class FlatLPM:
         return [values[bisect_right(bases, a) - 1] for a in ints]
 
     def _resolve_many_numpy(self, ints: List[int]) -> List[Optional[int]]:
-        if self._np_bases is None:
-            self._np_bases = _np.asarray(self.bases, dtype=_np.int64)
+        axis = self.axis
+        if axis._np_bases is None:
+            axis._np_bases = _np.asarray(self.bases, dtype=_np.int64)
+        if self._np_values is None:
             self._np_values = _np.asarray(
                 [_NO_ROUTE if v is None else v for v in self.values],
                 dtype=_np.int64,
             )
         addrs = _np.asarray(ints, dtype=_np.int64)
-        idx = _np.searchsorted(self._np_bases, addrs, side="right") - 1
+        idx = _np.searchsorted(axis._np_bases, addrs, side="right") - 1
         hits = self._np_values[idx].tolist()
         return [None if v == _NO_ROUTE else v for v in hits]
 
@@ -144,5 +208,10 @@ class FlatLPM:
         return self.size
 
     def intervals(self) -> List[Tuple[int, Optional[int]]]:
-        """The (base, value) boundary list, for inspection and tests."""
-        return list(zip(self.bases, self.values))
+        """The (base, value) boundaries, equal-valued neighbours merged:
+        tables on any two axes compare equal iff they resolve alike."""
+        merged = [(0, self.values[0])]
+        for base, value in zip(self.bases, self.values):
+            if merged[-1][1] != value:
+                merged.append((base, value))
+        return merged

@@ -26,7 +26,8 @@ from repro.runner.stats import RunStats
 #: Bump to invalidate every existing cache entry (format change).
 #: 2: Route/Announcement became slots dataclasses — pickles from schema 1
 #: would fail to restore into the slotted classes.
-CACHE_SCHEMA_VERSION = 4  # engine grew analytic/delta attrs (pickle layout)
+#: 5: Prefix caches its hash, the engine's dirty record is per row.
+CACHE_SCHEMA_VERSION = 5
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

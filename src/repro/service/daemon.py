@@ -706,6 +706,10 @@ class LifeguardService:
         dataplane = self.lifeguard.dataplane
         self._gauge("dataplane.walk_memo.hits", dataplane.walk_hits)
         self._gauge("dataplane.walk_memo.misses", dataplane.walk_misses)
+        fibs = dataplane.fibs  # rows re-read vs whole-column fallbacks
+        self._gauge("dataplane.fib.rows_patched", fibs.rows_patched)
+        self._gauge("dataplane.fib.columns_compiled", fibs.columns_compiled)
+        self._gauge("dataplane.fib.axis_regrown", fibs.axis_regrown)
         for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
             value = _percentile(self.ttr, q)
             if value is not None:

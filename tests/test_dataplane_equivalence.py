@@ -770,7 +770,8 @@ class TestCompiledTablesAcrossRebuilds:
             FlatLPM,
             "compile",
             classmethod(
-                lambda cls, fib: compiled.append(fib) or compile_(cls, fib)
+                lambda cls, fib, axis=None: compiled.append(fib)
+                or compile_(cls, fib, axis)
             ),
         )
         asn = sorted(fibs.tables)[0]
@@ -812,12 +813,12 @@ class TestCompiledTablesAcrossRebuilds:
             engine.originate(origin, prefix, path=path)
             engine.run()
             dirty = engine.consume_fib_dirty()
-            assert dirty and dirty < set(fibs.tables)
+            assert dirty and dirty.keys() < set(fibs.tables)
             current = build_fibs(engine, previous, dirty)
             full = build_fibs(engine)
             assert current.tables == full.tables
             assert current.origins == full.origins
-            for asn in set(fibs.tables) - dirty:
+            for asn in set(fibs.tables) - dirty.keys():
                 assert current.tables[asn] is previous.tables[asn]
                 assert current.flat(asn) is previous.flat(asn)
             for asn in dirty:
@@ -833,6 +834,57 @@ class TestCompiledTablesAcrossRebuilds:
         assert previous.tables == fibs.tables
         assert previous.origins == fibs.origins
 
+    def test_two_origins_one_owner_whatever_was_dirty(self):
+        """MOAS: which co-origin hosts a prefix is a rule (the highest
+        claiming ASN), not an accident of which AS was rebuilt last."""
+        graph, topo, engine, _fibs = _build_world("tiny", 0)
+        engine.consume_fib_dirty()
+        low, high = sorted(
+            n.asn for n in graph.nodes() if n.tier == 3 and n.prefixes
+        )[:2]
+        shared = Prefix("99.0.0.0/16")
+        probe = shared.base + 9
+        for asn in (high, low):
+            engine.originate(asn, shared)
+        engine.run()
+        engine.consume_fib_dirty()
+        full = build_fibs(engine)
+        assert full.tables[low][shared] == full.tables[high][shared] == LOCAL
+        assert full.origins[shared] == high
+        # Re-reading either claimant's rows moves nothing.
+        for dirty in ({low}, {high}, {low: {shared}}, {high: {shared}}):
+            again = build_fibs(engine, full, dirty)
+            assert again.origins == full.origins
+            assert again.origin_for(probe) == high
+            assert DataPlane(topo, again).host_router(probe) == (
+                topo.routers_of(high)[0]
+            )
+        # The owner withdraws: the remaining claimant is elected...
+        engine.withdraw_origin(high, shared)
+        engine.run()
+        after = build_fibs(engine, full, engine.consume_fib_dirty())
+        assert after.origins == build_fibs(engine).origins
+        assert after.origins[shared] == low
+        assert after.origin_for(probe) == low
+        assert DataPlane(topo, after).host_router(probe) == (
+            topo.routers_of(low)[0]
+        )
+        # ...a lower-numbered newcomer does not unseat it...
+        lower = min(graph.ases())
+        assert lower < low
+        engine.originate(lower, shared)
+        engine.run()
+        after = build_fibs(engine, after, engine.consume_fib_dirty())
+        assert after.tables[lower][shared] == LOCAL
+        assert after.origins == build_fibs(engine).origins
+        assert after.origin_for(probe) == low
+        # ...and the owner coming back takes the prefix again.
+        engine.originate(high, shared)
+        engine.run()
+        after = build_fibs(engine, after, engine.consume_fib_dirty())
+        assert after.origins == build_fibs(engine).origins
+        assert after.origin_for(probe) == high
+
     def test_snapshot_heap_grows_per_as_not_per_prefix_bit(self, world):
         _graph, _topo, engine, _fibs = world
         gc.collect()
@@ -842,10 +894,13 @@ class TestCompiledTablesAcrossRebuilds:
             fibs.flat(asn)
         gc.collect()
         added = len(gc.get_objects()) - before
-        # Per AS: its map, its FlatLPM and that table's two lists.  A
-        # node-per-bit structure adds two objects per prefix bit: some
-        # forty per entry, thousands per AS.
-        per_as = 4
-        assert added <= per_as * len(fibs.tables) + 32, added
+        # Per AS: its map, its FlatLPM and that table's column; once,
+        # the axis they share (its boundary list belongs to nobody's
+        # table) with one cover tuple per prefix.  A node-per-bit
+        # structure adds two objects per prefix bit: some forty per
+        # entry, thousands per AS.
+        per_as = 3
+        axis = len(fibs.flat(min(fibs.tables)).axis.spans)
+        assert added <= per_as * len(fibs.tables) + axis + 32, added
         entries = sum(len(fib) for fib in fibs.tables.values())
         assert entries > 4 * per_as * len(fibs.tables)

@@ -320,5 +320,13 @@ class TestReadPathBehaviourPin:
         assert gauges["dataplane.walk_memo.hits"] == report.walk_hits
         assert gauges["dataplane.walk_memo.misses"] == report.walk_misses
         assert report.walk_hits > 3 * report.walk_misses > 0
+        # Likewise how the FIBs were kept: every refresh patched rows;
+        # no prefix appeared after the first table was compiled, so
+        # nothing fell back to compiling a column whole.
+        fibs = service.lifeguard.dataplane.fibs
+        assert gauges["dataplane.fib.rows_patched"] == fibs.rows_patched > 0
+        assert gauges["dataplane.fib.columns_compiled"] == 0
+        assert gauges["dataplane.fib.axis_regrown"] == 0
+        assert (fibs.columns_compiled, fibs.axis_regrown) == (0, 0)
         assert service.ledger.classify_reused > report.rounds // 2
         assert "walk_hits" not in report.as_dict()

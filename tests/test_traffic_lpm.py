@@ -11,7 +11,10 @@ dedicated regression pins the ``0.0.0.0/0``
 default-route entry that ``default_route_via_provider`` stubs install,
 which exercises the table's outermost interval at both address-space
 ends.  The ``origin_for`` tests cover the index over
-``FibSnapshot.origins`` (an interval table built with the snapshot).
+``FibSnapshot.origins`` (one more column on the snapshot's axis).
+``TestPatchedColumns`` holds the write side to the same oracle: a column
+patched under changed rows equals one compiled whole, on a shared,
+unmerged ``PrefixAxis`` whose ``bases`` no patch ever moves.
 """
 
 import random
@@ -28,6 +31,7 @@ from repro.dataplane.fib import (
     build_fibs,
 )
 from repro.net.addr import Prefix
+from repro.net.lpm import PrefixAxis
 from repro.net.trie import PrefixTrie
 from repro.topology.as_graph import ASGraph
 from repro.topology.relationships import Relationship
@@ -78,6 +82,16 @@ def _assert_matches_oracle(flat, fib, extra=()):
     expected = [trie.lookup_value(a) for a in addrs]
     assert [flat.resolve(a) for a in addrs] == expected
     assert flat.resolve_many(addrs) == expected
+
+
+def _linear_origin(origins, address):
+    """The owner of the most specific prefix of *origins* over *address*,
+    by scanning them all."""
+    best = None
+    for prefix, asn in origins.items():
+        if address in prefix and (best is None or prefix.length > best[0]):
+            best = (prefix.length, asn)
+    return best[1] if best else None
 
 
 class TestFlatLPMFuzz:
@@ -170,16 +184,18 @@ class TestMapToIntervalTable:
         flat = FlatLPM.from_items(fib.items())
         _assert_matches_oracle(flat, fib)
         start = Prefix("10.0.0.0/24").base
-        # One sibling closes where the other opens: the closing edge is
-        # overwritten in place, so the (harmless) boundary stays.
-        assert flat.intervals()[1:] == [
-            (start, 7), (start + 256, 7), (start + 512, None)
-        ]
+        # One sibling closes where the other opens: the axis keeps that
+        # boundary (it belongs to the prefix set, not to the values)...
+        assert flat.bases == [0, start, start + 256, start + 512]
+        assert flat.values == [None, 7, 7, None]
+        # ...and intervals() reads the two equal runs as one.
+        one_run = [(0, None), (start, 7), (start + 512, None)]
+        assert flat.intervals() == one_run
         # Under an equal-valued cover nothing closes to None: one run.
         covered = {**fib, Prefix("10.0.0.0/23"): 7}
         flat = FlatLPM.from_items(covered.items())
         _assert_matches_oracle(flat, covered)
-        assert flat.intervals() == [(0, None), (start, 7), (start + 512, None)]
+        assert flat.intervals() == one_run
 
     def test_slash_32_at_the_top_of_the_space(self):
         fib = {Prefix(_SPACE - 1, 32): 5}
@@ -189,6 +205,65 @@ class TestMapToIntervalTable:
         flat = FlatLPM.from_items(fib.items())
         assert flat.intervals() == [(0, 9), (_SPACE - 1, 5)]
         _assert_matches_oracle(flat, fib)
+
+
+class TestPatchedColumns:
+    """One axis per prefix set; a changed row rewrites slots of a
+    copied column and never moves a boundary."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_patched_equals_compiled_equals_oracle(self, seed):
+        rng = random.Random(8000 + seed)
+        universe, _innermost = _shaped_fib(rng)
+        axis = PrefixAxis(universe)
+        assert axis.bases == sorted(set(axis.bases)) and axis.bases[0] == 0
+        fib = {p: v for p, v in universe.items() if rng.random() < 0.7}
+        table = FlatLPM.compile(fib, axis)
+        assert table.bases is axis.bases
+        _assert_matches_oracle(table, fib)
+        for _ in range(12):
+            rows = rng.sample(sorted(universe), rng.randint(1, 4))
+            after = dict(fib)
+            for prefix in rows:
+                if prefix in after and rng.random() < 0.5:
+                    del after[prefix]  # falls back to what covers it
+                else:
+                    after[prefix] = rng.randint(-1, 3)
+            patched = table.patched(after, rows)
+            assert patched.bases is table.bases
+            assert patched.values is not table.values
+            assert len(patched) == len(after)
+            _assert_matches_oracle(patched, after)
+            assert patched.values == FlatLPM.compile(after, axis).values
+            # A private axis merges to the same boundaries.
+            assert patched.intervals() == FlatLPM.compile(after).intervals()
+            # The table patched from is left as it was.
+            _assert_matches_oracle(table, fib)
+            fib, table = after, patched
+
+    def test_covers_and_spans(self):
+        outer, inner = Prefix("10.0.0.0/8"), Prefix("10.1.0.0/16")
+        apart = Prefix("192.0.2.0/24")
+        axis = PrefixAxis([inner, apart, outer, Prefix("10.1.0.0/16")])
+        assert axis.bases == [
+            0, outer.base, inner.base, inner.base + (1 << 16),
+            outer.base + (1 << 24), apart.base, apart.base + 256,
+        ]
+        assert axis.covers == [
+            (), (outer,), (inner, outer), (outer,), (), (apart,), (),
+        ]
+        assert axis.spans == {outer: (1, 4), inner: (2, 3), apart: (5, 6)}
+
+    def test_a_prefix_outside_the_axis_is_refused_not_dropped(self):
+        inside, outside = Prefix("10.0.0.0/8"), Prefix("192.0.2.0/24")
+        axis = PrefixAxis([inside])
+        table = FlatLPM.compile({inside: 1}, axis)
+        with pytest.raises(ValueError):
+            FlatLPM.compile({inside: 1, outside: 2}, axis)
+        with pytest.raises(ValueError):
+            table.patched({inside: 1, outside: 2}, [outside])
+        # Announced and withdrawn between two looks: nothing to re-read.
+        assert table.patched({inside: 1}, [outside]).values == table.values
 
 
 class TestDefaultRouteBoundary:
@@ -333,10 +408,10 @@ class TestIncrementalFibReuse:
             _assert_matches_oracle(
                 FlatLPM.compile(incremental.tables[asn]), full.tables[asn]
             )
-        for asn in set(first.tables) - dirty:
+        for asn in set(first.tables) - dirty.keys():
             assert incremental.tables[asn] is first.tables[asn]
         fibset.attach(incremental)
-        assert fibset.invalidations == len(dirty & set(first.tables))
+        assert fibset.invalidations == len(dirty.keys() & set(first.tables))
 
 
 class TestOriginForIndex:
@@ -352,13 +427,7 @@ class TestOriginForIndex:
                 probes.append(prefix.address(1))
         probes.append(0)  # covered by no originated prefix
         for addr in probes:
-            best = None
-            for prefix, asn in fibs.origins.items():
-                if addr in prefix and (
-                    best is None or prefix.length > best[0]
-                ):
-                    best = (prefix.length, asn)
-            assert fibs.origin_for(addr) == (best[1] if best else None)
+            assert fibs.origin_for(addr) == _linear_origin(fibs.origins, addr)
 
     def test_index_rebuilt_when_origins_grow(self, small_internet):
         # Snapshots are frozen; a change of origins is a new snapshot,
