@@ -15,6 +15,7 @@ remediation time.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -31,16 +32,6 @@ class PoisonDecision:
     rationale: str
 
 
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    if not sorted_values:
-        raise ControlError("empty sample")
-    index = fraction * (len(sorted_values) - 1)
-    low = int(index)
-    high = min(low + 1, len(sorted_values) - 1)
-    weight = index - low
-    return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
-
-
 class ResidualDurationModel:
     """Residual outage duration conditioned on elapsed duration (Fig. 5)."""
 
@@ -52,7 +43,7 @@ class ResidualDurationModel:
 
     def survivors(self, elapsed: float) -> List[float]:
         """Durations of outages that survived past *elapsed* seconds."""
-        return [d for d in self._durations if d > elapsed]
+        return self._durations[bisect_right(self._durations, elapsed):]
 
     def survival_probability(
         self, elapsed: float, additional: float
@@ -67,11 +58,22 @@ class ResidualDurationModel:
     def residual_percentile(
         self, elapsed: float, fraction: float
     ) -> Optional[float]:
-        """Percentile of remaining duration among survivors at *elapsed*."""
-        residuals = sorted(d - elapsed for d in self.survivors(elapsed))
-        if not residuals:
+        """Percentile of remaining duration among survivors at *elapsed*.
+
+        Subtracting *elapsed* keeps the sorted order, so the two
+        residuals the interpolation needs are read in place."""
+        durations = self._durations
+        first = bisect_right(durations, elapsed)
+        last = len(durations) - first - 1
+        if last < 0:
             return None
-        return _percentile(residuals, fraction)
+        index = fraction * last
+        low = int(index)
+        high = min(low + 1, last)
+        weight = index - low
+        return (durations[first + low] - elapsed) * (1 - weight) + (
+            durations[first + high] - elapsed
+        ) * weight
 
     def median_residual(self, elapsed: float) -> Optional[float]:
         return self.residual_percentile(elapsed, 0.5)

@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.bgp.engine import BGPEngine
 from repro.bgp.origin import AnnouncementPacer, OriginController
@@ -355,6 +357,11 @@ class Lifeguard:
         self._poison_intents: Dict[
             OutageKey, Tuple[str, Tuple[int, ...], Tuple[int, ...], int]
         ] = {}
+        #: (graph, {blamed asn: ASes that reach the origin avoiding it});
+        #: the sets are dropped if the engine's graph is ever another.
+        self._reachable_avoiding: Tuple[Any, Dict[int, Set[int]]] = (
+            engine.graph, {},
+        )
         #: optional :class:`~repro.faults.FaultInjector`; set by attach().
         self.injector = None
         #: optional observability bus (duck-typed; see repro.obs.events).
@@ -910,10 +917,15 @@ class Lifeguard:
                 f"not poisoning",
             )
             return False
-        reachable = reachable_set_avoiding(
-            self.engine.graph, self.origin_asn, avoid=[blamed]
-        )
-        if target_asn not in reachable:
+        graph, reachable = self._reachable_avoiding
+        if graph is not self.engine.graph:
+            graph, reachable = self.engine.graph, {}
+            self._reachable_avoiding = graph, reachable
+        if blamed not in reachable:
+            reachable[blamed] = reachable_set_avoiding(
+                graph, self.origin_asn, avoid=[blamed]
+            )
+        if target_asn not in reachable[blamed]:
             self._note(
                 record, now,
                 f"no policy-compliant path avoiding AS{blamed}: "

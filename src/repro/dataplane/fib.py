@@ -60,14 +60,19 @@ class FibSnapshot:
         default=None, repr=False, compare=False
     )
 
-    def _compile(self, fib: Mapping[Prefix, int]) -> FlatLPM:
-        """*fib* as a column on the one axis this snapshot's tables
-        share: built on first use over every prefix in ``tables`` and
-        ``origins``, then handed down (and regrown) by build_fibs."""
+    @property
+    def axis(self) -> PrefixAxis:
+        """The one axis this snapshot's tables share: built on first
+        use over every prefix in ``tables`` and ``origins``, then handed
+        down (and regrown) by build_fibs."""
         if self._axis is None:
             prefixes = set().union(self.origins, *self.tables.values())
             self._axis = PrefixAxis(prefixes)
-        return FlatLPM.compile(fib, self._axis)
+        return self._axis
+
+    def _compile(self, fib: Mapping[Prefix, int]) -> FlatLPM:
+        """*fib* as a column on :attr:`axis`."""
+        return FlatLPM.compile(fib, self.axis)
 
     def flat(self, asn: int) -> Optional[FlatLPM]:
         """The compiled table for *asn* (None when it has no routes)."""

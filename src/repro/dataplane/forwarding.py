@@ -87,8 +87,9 @@ class DataPlane:
         self.now = now
         #: (source router, destination, ttl) -> (result, lo, hi, epoch,
         #: ASes): a walk's answer, the sim-time window its failure
-        #: buckets hold still in, when it was walked, the ASes whose FIB
-        #: map or failures it read.  One per probe, overwritten in place.
+        #: buckets hold still in, when it was walked or last checked
+        #: against the stamps, the ASes whose FIB map or failures it
+        #: read.  One per probe, overwritten in place.
         self._walks: Dict[Tuple[str, int, int], tuple] = {}
         #: asn -> the epoch at which its FIB map or failures last moved.
         self._stamps: Dict[int, int] = {}
@@ -160,10 +161,12 @@ class DataPlane:
 
         Served from the memo while *now* is inside the window the same
         (source, destination, ttl) was walked for and no AS it read has
-        been stamped since.  Otherwise the destination travels as an int
-        and the current AS as a local; each hop asks the FIB snapshot,
-        the failure set (router, then link) and the topology's egress
-        memo one question apiece.
+        been stamped since — checked once per change of the world: an
+        entry that passes is re-dated to the current epoch, and one
+        dated to the current epoch is returned unread.  Otherwise the
+        destination travels as an int and the current AS as a local;
+        each hop asks the FIB snapshot, the failure set (router, then
+        link) and the topology's egress memo one question apiece.
         """
         now = self.now if now is None else now
         destination = address_int(destination)
@@ -178,11 +181,18 @@ class DataPlane:
         key = (source_rid, destination, ttl)
         entry = self._walks.get(key)
         if entry is not None and entry[1] <= now < entry[2]:
-            walked, stamps = entry[3], self._stamps
+            walked = entry[3]
+            if walked == self._epoch:
+                self.walk_hits += 1
+                return entry[0]
+            stamps = self._stamps
             for asn in entry[4]:
                 if stamps.get(asn, 0) > walked:
                     break
             else:
+                # Checked against everything stamped so far: as good as
+                # walked now, until the world next moves.
+                self._walks[key] = (*entry[:3], self._epoch, entry[4])
                 self.walk_hits += 1
                 return entry[0]
         self.walk_misses += 1

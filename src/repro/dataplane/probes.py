@@ -24,7 +24,7 @@ _TRACEROUTE_MAX_TTL = 64
 RECORD_ROUTE_SLOTS = 9
 
 
-@dataclass
+@dataclass(slots=True)
 class PingResult:
     """Outcome of one (possibly spoofed) ping."""
 
@@ -239,34 +239,43 @@ class Prober:
         receive_at: Optional[str] = None,
         claimed_address: Optional[Address] = None,
     ) -> PingResult:
-        if self._probe_blocked(source_rid) or self._receiver_crashed(
-            receive_at
+        # No injector, nothing to consult: neither check draws from the
+        # prober's own stream.
+        if self.injector is not None and (
+            self._probe_blocked(source_rid)
+            or self._receiver_crashed(receive_at)
         ):
             self.probes_sent += 1
             return PingResult(
                 success=False, request=self._lost_probe_result(source_rid)
             )
         self.probes_sent += 1
+        dataplane = self.dataplane
         if claimed_address is not None:
             claimed = Address(claimed_address)
         else:
             claimed = self._address_of(receive_at or source_rid)
-        request = self.dataplane.forward(source_rid, destination)
-        if not request.delivered:
+        target = destination.value
+        request = dataplane.forward(source_rid, target)
+        if request.outcome is not ForwardOutcome.DELIVERED:
             return PingResult(success=False, request=request)
         responder_rid = request.final_router
-        responder = self.dataplane.topo.router(responder_rid)
+        responder = dataplane.topo.router(responder_rid)
         # Hosts (non-router addresses) always answer; routers may be
         # configured to ignore ICMP.
-        is_router_address = (
-            self.dataplane.topo.router_by_address(destination) is not None
+        if (
+            not responder.responds_to_ping
+            and dataplane.topo.router_by_address(target) is not None
+        ):
+            return PingResult(success=False, request=request)
+        if self.reply_loss_rate > 0 and self._reply_lost():
+            return PingResult(success=False, request=request)
+        reply = dataplane.forward(responder_rid, claimed.value)
+        success = (
+            reply.outcome is ForwardOutcome.DELIVERED
+            and reply.target_router is not None
+            and reply.final_router == reply.target_router
         )
-        if is_router_address and not responder.responds_to_ping:
-            return PingResult(success=False, request=request)
-        if self._reply_lost():
-            return PingResult(success=False, request=request)
-        reply = self._send_reply(responder_rid, claimed)
-        success = self._reply_reaches(reply)
         return PingResult(
             success=success,
             request=request,

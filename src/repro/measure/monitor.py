@@ -79,7 +79,11 @@ class PingMonitor:
         self.obs = None
 
     def _pair_state(self, vp: VantagePoint, target: Address) -> _PairState:
-        return self._state.setdefault((vp.name, target.value), _PairState())
+        key = (vp.name, target.value)
+        state = self._state.get(key)
+        if state is None:
+            state = self._state[key] = _PairState()
+        return state
 
     def run_round(self, now: float) -> Dict[Tuple[str, int], MonitorEvent]:
         """Ping every (vp, target) pair once; returns per-pair events."""
@@ -91,19 +95,18 @@ class PingMonitor:
                 events[(vp.name, target.value)] = event
                 if self.obs is None:
                     continue
-                subject = f"{vp.name}|{target}"
                 if event is MonitorEvent.OUTAGE_STARTED:
                     outage = self._pair_state(vp, target).current_outage
                     self.obs.emit(
                         "monitor.outage-started", now, "measure.monitor",
-                        subject=subject,
+                        subject=f"{vp.name}|{target}",
                         start=outage.start if outage else now,
                         detected=now,
                     )
                 elif event is MonitorEvent.OUTAGE_ENDED:
                     self.obs.emit(
                         "monitor.outage-ended", now, "measure.monitor",
-                        subject=subject, end=now,
+                        subject=f"{vp.name}|{target}", end=now,
                     )
         if self.obs is not None:
             tally: Dict[str, int] = {}
@@ -127,12 +130,9 @@ class PingMonitor:
             # spurious outages.  Freeze the pair's streak — an outage that
             # was already open stays open until a *live* round answers.
             return MonitorEvent.VP_DOWN
-        success = any(
-            self.prober.ping(vp.rid, target).success
-            for _ in range(PINGS_PER_ROUND)
-        )
-        if success:
-            return self._handle_success(state, now)
+        for _ in range(PINGS_PER_ROUND):
+            if self.prober.ping(vp.rid, target).success:
+                return self._handle_success(state, now)
         return self._handle_failure(state, vp, target, now)
 
     def _handle_success(

@@ -4,10 +4,11 @@ A FIB is written as a plain ``{prefix: next hop}`` map and read as an
 interval table.  IPv4 prefixes form a laminar family (any two are nested
 or disjoint), so the map flattens into a sorted table of half-open
 address intervals, each carrying the value of its most specific covering
-prefix.  Lookup is then one ``bisect`` on an int — or one vectorised
-``searchsorted`` for a whole batch when numpy is available.
+prefix.  Lookup is then one ``bisect`` on an int.
 :class:`~repro.dataplane.fib.FibSnapshot` owns one values column per AS,
-all over one shared :class:`PrefixAxis`, and answers every hop from them.
+all over one shared :class:`PrefixAxis`, and answers every hop from them;
+a consumer that follows one address through many tables bisects the
+axis once and indexes each column with the slot it found.
 
 A property test (tests/test_traffic_lpm.py) pins the flat table
 byte-identical to a bit-by-bit trie oracle (:mod:`repro.net.trie`) built
@@ -17,32 +18,16 @@ default-route entry that ``default_route_via_provider`` stubs install.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.net.addr import Address, Prefix, address_int
 
-try:  # pragma: no cover - exercised indirectly via the env toggle
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is optional
-    _np = None
-
 #: Exclusive upper bound of the IPv4 address space.
 _ADDRESS_SPACE = 1 << 32
 
-#: Palette sentinel for "no covering prefix" in the numpy fast path.
-_NO_ROUTE = -(1 << 62)
-
 #: "No row for this prefix", where ``None`` could be a value.
 _ABSENT = object()
-
-
-def _numpy_enabled() -> bool:
-    """Whether the vectorised batch path is available and not disabled."""
-    if _np is None:
-        return False
-    return os.environ.get("REPRO_TRAFFIC_NUMPY", "1") != "0"
 
 
 class PrefixAxis:
@@ -59,7 +44,7 @@ class PrefixAxis:
     ``spans[prefix]`` is the prefix's half-open slot range.  Immutable.
     """
 
-    __slots__ = ("bases", "covers", "spans", "_np_bases")
+    __slots__ = ("bases", "covers", "spans")
 
     def __init__(self, prefixes: Iterable[Prefix]):
         # Int triples read off the slots: property calls are half the
@@ -96,7 +81,6 @@ class PrefixAxis:
             )
             for start, length, prefix in entries
         }
-        self._np_bases = None
 
 
 class FlatLPM:
@@ -108,7 +92,7 @@ class FlatLPM:
     covers the interval.  Lookup reads these two lists and nothing else.
     """
 
-    __slots__ = ("axis", "bases", "values", "size", "_np_values")
+    __slots__ = ("axis", "bases", "values", "size")
 
     def __init__(
         self, axis: PrefixAxis, values: List[Optional[int]], size: int
@@ -117,7 +101,6 @@ class FlatLPM:
         self.bases = axis.bases
         self.values = values
         self.size = size
-        self._np_values = None
 
     @classmethod
     def compile(
@@ -179,30 +162,13 @@ class FlatLPM:
     def resolve_many(
         self, addresses: Sequence[Union[int, str, Address]]
     ) -> List[Optional[int]]:
-        """Batch-resolve *addresses*; one bisect (or searchsorted) each."""
+        """Batch-resolve *addresses*; one bisect each."""
         ints = [
             a if type(a) is int else Address(a).value  # noqa: E721
             for a in addresses
         ]
-        if _numpy_enabled() and len(ints) >= 32:
-            return self._resolve_many_numpy(ints)
-        bases = self.bases
-        values = self.values
+        bases, values = self.bases, self.values
         return [values[bisect_right(bases, a) - 1] for a in ints]
-
-    def _resolve_many_numpy(self, ints: List[int]) -> List[Optional[int]]:
-        axis = self.axis
-        if axis._np_bases is None:
-            axis._np_bases = _np.asarray(self.bases, dtype=_np.int64)
-        if self._np_values is None:
-            self._np_values = _np.asarray(
-                [_NO_ROUTE if v is None else v for v in self.values],
-                dtype=_np.int64,
-            )
-        addrs = _np.asarray(ints, dtype=_np.int64)
-        idx = _np.searchsorted(axis._np_bases, addrs, side="right") - 1
-        hits = self._np_values[idx].tolist()
-        return [None if v == _NO_ROUTE else v for v in hits]
 
     def __len__(self) -> int:
         return self.size

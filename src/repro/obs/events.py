@@ -59,6 +59,8 @@ def _jsonable(value: Any) -> Any:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
+#: Types :func:`_jsonable` hands back as they are.
+_SCALARS = frozenset((bool, int, float, str, type(None)))
 
 
 def _encode(value: Any) -> str:
@@ -84,7 +86,7 @@ def _skeleton(
     """One event shape's field names in sorted order and its canonical
     line as a ``%`` template: sorted keys, ``kind`` / ``component`` /
     ``v`` and the names as literals, a ``%s`` per value (the fields,
-    then ``seq``, ``subject``, ``t``)."""
+    then ``seq`` as ``%d``, ``subject``, ``t``)."""
     names = tuple(sorted(names))
     kind, component, *keys = (
         _encode_str(text).replace("%", "%%")
@@ -94,13 +96,36 @@ def _skeleton(
     return names, (
         '{"component":' + component
         + (',"fields":{' + fields + "}" if names else "")
-        + ',"kind":' + kind + ',"seq":%s'
+        + ',"kind":' + kind + ',"seq":%d'
         + (',"subject":%s' if has_subject else "")
         + ',"t":%s,"v":' + str(EVENT_SCHEMA_VERSION) + "}"
     )
 
 
-@dataclass
+def _fill(
+    skeleton: Tuple[Tuple[str, ...], str],
+    seq: int,
+    t: float,
+    subject: Optional[str],
+    fields: Dict[str, Any],
+) -> str:
+    """One event's canonical line: its shape's *skeleton* filled in.
+    Only the field values can be of any type; ``seq`` is an int, ``t``
+    a float and the subject, when there is one, (nearly always) text."""
+    names, template = skeleton
+    values: List[Any] = []
+    for name in names:
+        values.append(_encode(fields[name]))
+    values.append(seq)
+    if subject is not None:
+        values.append(
+            _encode_str(subject) if type(subject) is str else _encode(subject)
+        )
+    values.append(float.__repr__(t) if -_INF < t < _INF else _encode(t))
+    return template % tuple(values)
+
+
+@dataclass(slots=True)
 class Event:
     """One observed fact, stamped with sim time and a sequence number."""
 
@@ -130,16 +155,11 @@ class Event:
     def canonical(self) -> str:
         """The digest-stable serialized form: :meth:`to_json` with
         sorted keys and no spaces, filled into the shape's skeleton."""
-        fields, subject = self.fields, self.subject
-        names, template = _skeleton(
-            self.kind, self.component, subject is not None, tuple(fields)
+        skeleton = _skeleton(
+            self.kind, self.component, self.subject is not None,
+            tuple(self.fields),
         )
-        tail = (self.seq, self.t)
-        if subject is not None:
-            tail = (self.seq, subject, self.t)
-        return template % tuple(
-            map(_encode, (*map(fields.__getitem__, names), *tail))
-        )
+        return _fill(skeleton, self.seq, self.t, self.subject, self.fields)
 
     @classmethod
     def from_json(cls, blob: Dict[str, Any]) -> "Event":
@@ -208,18 +228,22 @@ class EventBus:
     ) -> Event:
         """Record one event; returns it (already sequenced and hashed)."""
         for name, value in fields.items():
-            fields[name] = _jsonable(value)
-        event = Event(self.total, float(t), kind, component, subject, fields)
+            if type(value) not in _SCALARS:
+                fields[name] = _jsonable(value)
+        skeleton = _skeleton(
+            kind, component, subject is not None, tuple(fields)
+        )
+        t = float(t)
+        line = _fill(skeleton, self.total, t, subject, fields) + "\n"
+        event = Event(self.total, t, kind, component, subject, fields)
         self.total += 1
         if len(self._ring) == self.capacity:
             self.evicted += 1
         self._ring.append(event)
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        line = event.canonical()
         self._hash.update(line.encode("utf-8"))
-        self._hash.update(b"\n")
         if self._sink_fh is not None:
-            self._sink_fh.write(line + "\n")
+            self._sink_fh.write(line)
         if self.metrics is not None:
             counter = self._kind_counters.get(kind)
             if counter is None:

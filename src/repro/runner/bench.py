@@ -457,10 +457,12 @@ def _bench_impact(
 
     Two headlines.  ``lpm_speedup`` pins the flat-table batch resolver
     against per-address ``PrefixTrie.lookup`` over the *medium*-scale
-    FIB set (the acceptance floor is 10x) — measured on real converged
-    tables, every next hop asserted identical.  The impact headlines
-    replay the tiny repair story with the gravity matrix attached and
-    record the first committed affected-user-minutes numbers.
+    FIB set (the acceptance floor is 10x; the bisect comprehension
+    reads 10-16x, median 13x, where the numpy batch path it replaced
+    read 21.7x) — measured on real converged tables, every next hop
+    asserted identical.  The impact headlines replay the tiny repair
+    story with the gravity matrix attached and record the first
+    committed affected-user-minutes numbers.
     """
     from repro.dataplane.fib import build_fibs
     from repro.experiments.impact import run_impact_study

@@ -27,7 +27,9 @@ from repro.runner.stats import RunStats
 #: 2: Route/Announcement became slots dataclasses — pickles from schema 1
 #: would fail to restore into the slotted classes.
 #: 5: Prefix caches its hash, the engine's dirty record is per row.
-CACHE_SCHEMA_VERSION = 5
+#: 6: Event and PingResult grew slots; FlatLPM and PrefixAxis lost theirs
+#: for the numpy copies.
+CACHE_SCHEMA_VERSION = 6
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

@@ -11,13 +11,15 @@ total and per outage-identity key so the numbers compose with the repair
 journal: a crashed controller restores the accumulators from the last
 journaled sample and keeps integrating byte-identically.
 
-Path walks are batched: flows are grouped by their current AS and each
-group is resolved in one :class:`~repro.net.lpm.FlatLPM` call, so a
-sample costs a handful of batch lookups rather than per-flow lookups.
+Path walks are batched: flows are grouped by their current AS, and
+every table of a snapshot is a column over one shared
+:class:`~repro.net.lpm.PrefixAxis`, so a flow's destination is bisected
+to its slot once per axis and each hop is one list index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -77,6 +79,17 @@ class ImpactLedger:
         #: failures) and answered; how often that answer was handed back.
         self._seen: Tuple[Any, Any, Any] = (None, None, None)
         self.classify_reused = 0
+        #: The axis the flows' destinations were last bisected on, and
+        #: each flow's slot on it.
+        self._axis: Any = None
+        self._slots: List[int] = []
+        #: The last tally — (classification, baseline, affected,
+        #: delivered, by key) — good while the first two are the very
+        #: same objects; how often it was handed back.
+        self._tally: Tuple[Any, Any, int, int, Dict[str, int]] = (
+            None, None, 0, 0, {},
+        )
+        self.tally_reused = 0
 
     # ------------------------------------------------------------------
     # Classification
@@ -94,6 +107,15 @@ class ImpactLedger:
             return self._seen[2]
         self._fibset.attach(fibs)
         flows = self.matrix.flows
+        axis = fibs.axis
+        if axis is not self._axis:
+            bases = axis.bases
+            self._axis = axis
+            self._slots = [
+                bisect_right(bases, flow.dst_address.value) - 1
+                for flow in flows
+            ]
+        slots = self._slots
         #: asn -> (toward mask, toward base, attribution key) per active
         #: AS failure, straight from the failure set's AS index.
         active: Dict[int, List[Tuple[int, int, str]]] = {
@@ -134,9 +156,18 @@ class ImpactLedger:
                     remaining.append(i)
                 if not remaining:
                     continue
-                hops = self._fibset.resolve_many(
-                    asn, [flows[i].dst_address for i in remaining]
-                )
+                table = self._fibset.table(asn)
+                if table is None:
+                    hops = [None] * len(remaining)
+                elif table.axis is axis:
+                    values = table.values
+                    hops = [values[slots[i]] for i in remaining]
+                else:
+                    # A clean table left on the axis a regrow replaced.
+                    hops = [
+                        table.resolve(flows[i].dst_address.value)
+                        for i in remaining
+                    ]
                 for i, nh in zip(remaining, hops):
                     if nh is None:
                         results[i] = ("no-route", NO_ROUTE_KEY)
@@ -167,20 +198,12 @@ class ImpactLedger:
         self._primed = True
         return len(unroutable)
 
-    def observe(self, now: float, fibs: Any, failures: Any) -> ImpactSample:
-        """Integrate since the last sample, then classify at *now*."""
-        if not self._primed:
-            self.prime(fibs)
-        if self._last_t is not None and now > self._last_t:
-            dt_minutes = (now - self._last_t) / 60.0
-            self.user_minutes += self._last_affected * dt_minutes
-            for key, users in self._last_by_key.items():
-                self.user_minutes_by_key[key] = (
-                    self.user_minutes_by_key.get(key, 0.0)
-                    + users * dt_minutes
-                )
-        states = self._classify(fibs, failures, now)
-        excluded = set(self._baseline_unroutable)
+    def _count(
+        self, states: List[Any], baseline: Tuple[int, ...]
+    ) -> Tuple[int, int, Dict[str, int]]:
+        """(affected, delivered, affected per key) users over *states*,
+        the *baseline*-unroutable flows left out."""
+        excluded = set(baseline)
         affected = 0
         delivered = 0
         by_key: Dict[str, int] = {}
@@ -195,6 +218,28 @@ class ImpactLedger:
                 affected += flow.users
                 if key is not None:
                     by_key[key] = by_key.get(key, 0) + flow.users
+        return affected, delivered, by_key
+
+    def observe(self, now: float, fibs: Any, failures: Any) -> ImpactSample:
+        """Integrate since the last sample, then classify at *now*."""
+        if not self._primed:
+            self.prime(fibs)
+        if self._last_t is not None and now > self._last_t:
+            dt_minutes = (now - self._last_t) / 60.0
+            self.user_minutes += self._last_affected * dt_minutes
+            for key, users in self._last_by_key.items():
+                self.user_minutes_by_key[key] = (
+                    self.user_minutes_by_key.get(key, 0.0)
+                    + users * dt_minutes
+                )
+        states = self._classify(fibs, failures, now)
+        baseline = self._baseline_unroutable
+        if self._tally[0] is states and self._tally[1] is baseline:
+            self.tally_reused += 1
+        else:
+            self._tally = (states, baseline, *self._count(states, baseline))
+        affected, delivered = self._tally[2:4]
+        by_key = dict(self._tally[4])  # a sample owns its map
         self._last_t = now
         self._last_affected = affected
         self._last_by_key = by_key

@@ -1,5 +1,7 @@
 """Tests for the poison decision model and sentinel manager."""
 
+import random
+
 import pytest
 
 from repro.control.decision import ResidualDurationModel
@@ -57,6 +59,83 @@ class TestResidualDurationModel:
         p25 = model.residual_percentile(50, 0.25)
         p50 = model.residual_percentile(50, 0.50)
         assert p25 <= p50
+
+
+class _NaiveModel(ResidualDurationModel):
+    """The model as first written: every query scans, subtracts from
+    and re-sorts the whole history.  ``decide`` is inherited, so it
+    runs on these answers."""
+
+    def survivors(self, elapsed):
+        return [d for d in self._durations if d > elapsed]
+
+    def residual_percentile(self, elapsed, fraction):
+        residuals = sorted(d - elapsed for d in self.survivors(elapsed))
+        if not residuals:
+            return None
+        index = fraction * (len(residuals) - 1)
+        low = int(index)
+        high = min(low + 1, len(residuals) - 1)
+        weight = index - low
+        return residuals[low] * (1 - weight) + residuals[high] * weight
+
+
+class TestResidualModelAgainstNaiveReference:
+    """Reading the two survivors an interpolation needs off the sorted
+    history gives bit-for-bit what sorting every residual gave."""
+
+    def _samples(self, rng):
+        rounds = [120.0 * k for k in range(1, 40)]
+        yield [300.0]                                  # a single outage
+        yield [300.0] * 7                              # one value only
+        yield [90.0, 300.0, 300.0, 300.0, 7200.0]      # duplicates
+        yield [0.1 + 0.2, 0.3, 1e-9, 1e9, 5e-324]      # rounding bait
+        for _ in range(12):
+            size = rng.randint(1, 60)
+            yield [
+                rng.choice(
+                    [rng.choice(rounds), rng.uniform(0.0, 5000.0),
+                     rng.lognormvariate(5.0, 2.0)]
+                )
+                for _ in range(size)
+            ]
+
+    def _queries(self, rng, sample):
+        top = max(sample)
+        elapsed = (
+            [0.0, -5.0, top, top + 1.0, top - 1e-9, float("inf")]
+            + sorted(set(sample))[:8]                  # ties at elapsed
+            + [120.0 * rng.randint(0, 40) for _ in range(6)]
+            + [rng.uniform(0.0, top) for _ in range(12)]
+        )
+        fractions = [0.0, 0.25, 0.5, 0.9, 1.0, rng.random(), rng.random()]
+        return elapsed, fractions
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_query_is_bit_identical(self, seed):
+        rng = random.Random(8100 + seed)
+        empty = single = 0
+        for sample in self._samples(rng):
+            model, naive = ResidualDurationModel(sample), _NaiveModel(sample)
+            elapsed, fractions = self._queries(rng, sample)
+            for x in elapsed:
+                survivors = naive.survivors(x)
+                assert model.survivors(x) == survivors
+                empty += not survivors
+                single += len(survivors) == 1
+                for fraction in fractions:
+                    assert model.residual_percentile(x, fraction) == (
+                        naive.residual_percentile(x, fraction)
+                    ), (sample, x, fraction)
+                assert model.median_residual(x) == naive.median_residual(x)
+                assert model.mean_residual(x) == naive.mean_residual(x)
+                for more in (0.0, 120.0, rng.uniform(0.0, 2000.0)):
+                    assert model.survival_probability(x, more) == (
+                        naive.survival_probability(x, more)
+                    )
+                assert model.decide(x) == naive.decide(x)
+                assert model.decide(x, 60.0, 0.0) == naive.decide(x, 60.0, 0.0)
+        assert empty and single
 
 
 class TestSentinelHelpers:

@@ -16,7 +16,9 @@ bottom re-asks a fixed sample of probes while failures come, go and
 cross their window edges, FIBs are rebound after poisons, and a second
 ``DataPlane`` shares the failure set: after every step the remembered
 answer must equal the reference walk's and a freshly built
-``DataPlane``'s.
+``DataPlane``'s.  A hit re-dates its entry to the current epoch, so one
+step stamps an AS a walk did not cross, asks again, then stamps one it
+did cross: the re-dated entry must not outlive that.
 """
 
 import gc
@@ -434,6 +436,14 @@ class TestWalkMemoUnderMutation:
         asn = dataplane.topo.router(rng.choice(hops)).asn
         return ASForwardingFailure(asn=asn, **window)
 
+    def _failure_on(self, rng, asn, now):
+        """An AS failure at *asn*, live at *now* or not."""
+        start, end = rng.choice(
+            [(float("-inf"), float("inf")), (now, float("inf")),
+             (float("-inf"), now), (now + 1.0, now + 2.0)]
+        )
+        return ASForwardingFailure(asn=asn, start=start, end=end)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_remembered_equals_reference_and_fresh(self, own_world, seed):
         graph, topo, engine, fibs = own_world
@@ -463,7 +473,7 @@ class TestWalkMemoUnderMutation:
         now = 0.0
         steps = dict.fromkeys(
             ["probe", "add", "remove", "clear", "now", "poison",
-             "unpoison", "claim", "second", "swap"], 0
+             "unpoison", "claim", "second", "swap", "refresh"], 0
         )
 
         def check():
@@ -485,7 +495,7 @@ class TestWalkMemoUnderMutation:
         for _ in range(60):
             step = rng.choice(
                 ["probe", "add", "add", "remove", "now", "now", "poison",
-                 "unpoison", "claim", "second", "swap", "clear"]
+                 "unpoison", "claim", "second", "swap", "clear", "refresh"]
             )
             if step == "add":
                 failures.add(
@@ -541,10 +551,34 @@ class TestWalkMemoUnderMutation:
                 if len(planes) == 2:
                     continue
                 planes.append(DataPlane(topo, fibs, failures))
+            elif step == "refresh":
+                plane = planes[-1]
+                source, value, ttl = rng.choice(sample)
+                probe = dict(ttl=ttl, now=now)
+                walk = plane.forward(source, value, **probe)
+                crossed = walk.as_level_hops(topo)
+                elsewhere = rng.choice(
+                    [a for a in sorted(graph.ases()) if a not in crossed]
+                )
+                aside = failures.add(ASForwardingFailure(asn=elsewhere))
+                hits = plane.walk_hits
+                # Checked against the new stamp, passed, re-dated...
+                assert plane.forward(source, value, **probe) is walk
+                # ...and not checked again while nothing moves.
+                assert plane.forward(source, value, **probe) is walk
+                assert plane.walk_hits == hits + 2
+                failures.add(
+                    self._failure_on(rng, rng.choice(crossed), now)
+                )
+                misses = plane.walk_misses
+                plane.forward(source, value, **probe)
+                assert plane.walk_misses == misses + 1
+                failures.remove(aside)
             steps[step] += 1
             check()
         assert all(
-            steps[s] for s in ("add", "remove", "now", "poison", "claim")
+            steps[s]
+            for s in ("add", "remove", "now", "poison", "claim", "refresh")
         ), steps
         for plane in planes:
             assert plane.walk_hits > plane.walk_misses > len(sample)
@@ -572,6 +606,37 @@ class TestWalkMemoUnderMutation:
         assert dataplane.walk_misses == misses
         assert dataplane.walk_hits == 3 * len(sample) - misses
         assert all(a is b for a, b in zip(first, again))
+
+    def test_a_repeat_hit_in_one_epoch_reads_no_stamp(self, world):
+        graph, topo, _engine, fibs = world
+        source, value, hops = self._long_walk(topo, fibs)
+        crossed = {topo.router(rid).asn for rid in hops}
+        elsewhere = [a for a in sorted(graph.ases()) if a not in crossed]
+        reads = []
+
+        class Stamps(dict):
+            def get(self, asn, default=None):
+                reads.append(asn)
+                return dict.get(self, asn, default)
+
+        failures = FailureSet()
+        dataplane = DataPlane(topo, fibs, failures)
+        dataplane._stamps = Stamps()
+        walk = dataplane.forward(source, value)
+        assert reads == []  # a first walk has nothing to check
+        for moved in elsewhere[:3]:
+            failures.add(ASForwardingFailure(asn=moved))
+            # The world moved, elsewhere: one look at each AS crossed...
+            assert dataplane.forward(source, value) is walk
+            assert sorted(reads) == sorted(crossed)
+            # ...then none until it moves again.
+            for _ in range(3):
+                assert dataplane.forward(source, value) is walk
+            assert len(reads) == len(crossed)
+            reads.clear()
+        failures.add(RouterFailure(rid=hops[1]))
+        assert dataplane.forward(source, value).final_router == hops[1]
+        assert (dataplane.walk_misses, dataplane.walk_hits) == (2, 12)
 
     def _long_walk(self, topo, fibs):
         """(source, destination, hops) of a delivered walk of >= 3 hops."""

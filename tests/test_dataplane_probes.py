@@ -1,11 +1,25 @@
 """Tests for ping/traceroute/spoofed probes and reverse traceroute."""
 
+import hashlib
+import random
+
 import pytest
 
-from repro.dataplane.failures import ASForwardingFailure, RouterFailure
+from repro.bgp.engine import BGPEngine
+from repro.dataplane.failures import (
+    ASForwardingFailure,
+    FailureSet,
+    RouterFailure,
+)
+from repro.dataplane.fib import build_fibs
+from repro.dataplane.forwarding import DataPlane
 from repro.dataplane.probes import Prober
 from repro.dataplane.reverse_traceroute import ReverseTracerouteTool
-from repro.topology.generate import prefix_for_asn
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.topology.generate import generate_internet, prefix_for_asn
+from repro.topology.routers import RouterTopology
+from tests.conftest import SMALL_SHAPE
 
 
 def _stub_routers(graph, topo, count):
@@ -106,6 +120,103 @@ class TestPing:
             assert not prober.ping(src, topo.router(dst).address).success
         finally:
             prober.dataplane.topo.router(dst).responds_to_ping = True
+
+
+class TestPingAccountingPin:
+    """1,000 mixed pings — plain, spoofed to a helper, from a claimed
+    address; at routers (a fifth of them deaf to ICMP) and at hosts;
+    across a failure window — with probe faults injected, replies lost
+    at random, or both.  The counters and both RNG streams were pinned
+    before ``_ping`` stopped consulting an absent injector and a zero
+    loss rate; an extra or a missing draw moves every number after it.
+    """
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        graph = generate_internet(SMALL_SHAPE, seed=11)
+        topo = RouterTopology.build(
+            graph, seed=11, unresponsive_fraction=0.2
+        )
+        engine = BGPEngine(graph)
+        for node in graph.nodes():
+            for prefix in node.prefixes:
+                engine.originate(node.asn, prefix)
+        engine.run()
+        return graph, topo, build_fibs(engine)
+
+    @staticmethod
+    def _state(rng):
+        return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
+
+    def _injector(self, topo):
+        injector = FaultInjector(
+            FaultPlan(
+                [FaultSpec(FaultKind.PROBE_LOSS, rate=0.2),
+                 FaultSpec(FaultKind.PROBE_LATENCY, rate=0.1, start=300.0)],
+                seed=3,
+            )
+        )
+        # What a VP_CRASH spec does to the vantage points it names.
+        injector._crashed_rids.update(
+            sorted(r.rid for r in topo.routers())[::9]
+        )
+        return injector
+
+    def _drive(self, world, injector, reply_loss_rate):
+        graph, topo, fibs = world
+        dataplane = DataPlane(topo, fibs, FailureSet())
+        prober = Prober(
+            dataplane, reply_loss_rate=reply_loss_rate, seed=5,
+            injector=injector,
+        )
+        rng = random.Random(17)
+        rids = sorted(r.rid for r in topo.routers())
+        dataplane.failures.add(
+            ASForwardingFailure(
+                asn=sorted(graph.transit_ases())[2], start=200.0, end=700.0
+            )
+        )
+        answered = 0
+        for i in range(1000):
+            dataplane.now = float(i)
+            src, dst, helper = rng.sample(rids, 3)
+            address = topo.router(dst).address
+            if i % 3 == 0:
+                address = address.value + 7  # a host beside the router
+            how = {}
+            if i % 5 == 0:
+                how["receive_at"] = helper
+            elif i % 7 == 0:
+                how["claimed_address"] = topo.router(helper).address
+            answered += prober.ping(src, address, **how).success
+        return (
+            answered, prober.probes_sent, prober.probes_lost_to_faults,
+            prober.retries_used, prober.retry_wait_seconds,
+            self._state(prober._rng),
+        )
+
+    def test_with_an_injector(self, world):
+        injector = self._injector(world[1])
+        # No reply-loss rate: the prober's own stream is never drawn on.
+        assert self._drive(world, injector, 0.0) == (
+            635, 1635, 635, 506, 336.5, self._state(random.Random(5)),
+        )
+        assert self._state(injector._rng) == "e3136ffd1ea8d70d"
+        assert (
+            injector.stats.probes_lost, injector.stats.probes_timed_out
+        ) == (584, 51)
+
+    def test_with_reply_loss(self, world):
+        assert self._drive(world, None, 0.3) == (
+            517, 1000, 0, 0, 0.0, "afc283cdaf5f7f9c",
+        )
+
+    def test_with_both(self, world):
+        injector = self._injector(world[1])
+        assert self._drive(world, injector, 0.3) == (
+            433, 1635, 635, 506, 336.5, "2bf10d080043c323",
+        )
+        assert self._state(injector._rng) == "e3136ffd1ea8d70d"
 
 
 class TestTraceroute:

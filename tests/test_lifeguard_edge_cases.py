@@ -31,14 +31,27 @@ def _first_transit_on_reverse_path(scenario):
 
 
 class TestNoAlternateDecision:
-    def test_single_provider_failure_not_poisoned(self):
+    def test_single_provider_failure_not_poisoned(self, monkeypatch):
         """If the blamed AS is the origin's only provider, no poison:
-        there is no policy-compliant path around it."""
+        there is no policy-compliant path around it.  Every outage
+        behind it asks; the graph is walked for the first, and verdict,
+        note and journal entry are each outage's own."""
+        import repro.control.lifeguard as module
+
+        walked = []
+        real = module.reachable_set_avoiding
+
+        def counting(graph, origin, avoid=()):
+            walked.append((graph, origin, tuple(avoid)))
+            return real(graph, origin, avoid)
+
+        monkeypatch.setattr(module, "reachable_set_avoiding", counting)
         scenario = build_deployment(
             scale="tiny", seed=41, num_providers=1
         )
         lifeguard = scenario.lifeguard
-        provider = scenario.graph.providers(scenario.origin_asn)[0]
+        graph, origin = scenario.graph, scenario.origin_asn
+        provider = graph.providers(origin)[0]
         lifeguard.prime_atlas(now=0.0)
         lifeguard.dataplane.failures.add(
             ASForwardingFailure(
@@ -52,16 +65,29 @@ class TestNoAlternateDecision:
         blamed_provider = [
             r
             for r in lifeguard.records
-            if r.state is RepairState.NOT_POISONED
-            and r.isolation is not None
+            if r.isolation is not None
             and r.isolation.blamed_asn == provider
         ]
-        assert blamed_provider
-        assert any(
-            "no policy-compliant path" in note
-            for record in blamed_provider
-            for note in record.notes
+        assert len(blamed_provider) >= 2
+        note = (
+            f"no policy-compliant path avoiding AS{provider}: "
+            f"not poisoning"
         )
+        for record in blamed_provider:
+            assert record.state is RepairState.NOT_POISONED
+            assert record.notes.count(note) == 1
+            assert [
+                e["note"] for e in lifeguard.journal.for_outage(record.key)
+                if e["event"] == "note"
+            ].count(note) == 1
+        assert walked == [(graph, origin, (provider,))]
+        # Another graph object: what was remembered is for the old one.
+        lifeguard.engine.graph = graph.copy()
+        for record in blamed_provider[:2]:
+            assert not lifeguard._poisonable(
+                record.isolation, record, 2100.0
+            )
+        assert walked[1:] == [(lifeguard.engine.graph, origin, (provider,))]
 
     def test_failure_in_destination_as_not_poisoned(self):
         """A failure inside the destination's own AS is its operators'

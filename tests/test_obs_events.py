@@ -1,7 +1,10 @@
 """Tests for the observability event bus (repro.obs.events)."""
 
+import hashlib
+import io
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +44,11 @@ class TestEvent:
         )
         again = Event.from_json(json.loads(event.canonical()))
         assert again == event
+
+    def test_events_carry_no_dict_and_survive_pickling(self):
+        event = EventBus().emit("k", 1.0, "c", subject="s", x=[1, 2])
+        assert not hasattr(event, "__dict__")
+        assert pickle.loads(pickle.dumps(event)) == event
 
     def test_unjsonable_emit_fields_become_strings(self):
         bus = EventBus()
@@ -121,6 +129,67 @@ class TestCanonicalEncoder:
         assert line == _reference_line(event)
         again = Event.from_json(json.loads(line))
         assert again.canonical() == line
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                _TEXT,
+                st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.integers(min_value=-10, max_value=10 ** 6),
+                ),
+                _TEXT,
+                st.one_of(st.none(), _TEXT),
+                st.dictionaries(
+                    st.one_of(_TEXT, st.just("seq"), st.just("v")).filter(
+                        lambda n: n
+                        not in ("self", "kind", "t", "component", "subject")
+                    ),
+                    _VALUE,
+                    max_size=4,
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        repeat=st.integers(min_value=1, max_value=3),
+    )
+    @example(
+        calls=[
+            ("%d", math.inf, "é%", "%s→", {"seq": True, "v": -0.0}),
+            ("%d", math.nan, "é%", None, {"seq": 1, "v": math.inf}),
+            ("k", -0.0, "c", "s", {"b": {"y": (1, {2}), "x": [None]}}),
+            ("k", 30, "c", "s", {"b": False}),
+        ],
+        repeat=2,
+    )
+    def test_hashed_line_is_the_json_dumps_line_on_every_bus(
+        self, calls, repeat
+    ):
+        """What ``emit`` hashes and writes — not only what
+        ``canonical()`` renders afterwards — is the ``json.dumps`` line,
+        a shape seen before or not, whatever else hangs off the bus."""
+        sink = io.StringIO()
+        buses = [
+            EventBus(),
+            EventBus(capacity=2),
+            EventBus(metrics=MetricsRegistry()),
+            EventBus(sink=sink, metrics=MetricsRegistry()),
+        ]
+        expected = []
+        for kind, t, component, subject, fields in calls * repeat:
+            events = [
+                bus.emit(kind, t, component, subject=subject, **fields)
+                for bus in buses
+            ]
+            line = _reference_line(events[0])
+            expected.append(line + "\n")
+            assert {event.canonical() for event in events} == {line}
+        text = "".join(expected)
+        assert sink.getvalue() == text
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert [bus.digest() for bus in buses] == [digest] * len(buses)
 
     def test_true_is_not_one_and_ints_are_not_floats(self):
         bus = EventBus()

@@ -5,7 +5,10 @@ Three layers under test:
 * the :class:`~repro.traffic.impact.ImpactLedger` itself — flow
   classification against failures, left-Riemann integration, and the
   journal round-trip: a ledger restored mid-stream from ``state_json``
-  must continue byte-identically with the original;
+  must continue byte-identically with the original; its two shortcuts
+  (one bisect per flow per axis, the last tally handed back) are held
+  to a per-flow, per-hop reference over a snapshot chain that regrows
+  the axis under some tables and not others;
 * the end-to-end impact study behind ``repro impact --check`` — user
   pain accrues before the repair lands and decays monotonically to zero
   after (the CI smoke assertions), swept over ``REPRO_CHAOS_SEEDS``;
@@ -19,22 +22,26 @@ import os
 
 import pytest
 
+from repro.bgp.engine import BGPEngine
+from repro.bgp.messages import make_path
 from repro.cli import main
 from repro.control.journal import RepairJournal
 from repro.dataplane.failures import ASForwardingFailure, FailureSet
-from repro.dataplane.fib import FibSnapshot, build_fibs
+from repro.dataplane.fib import LOCAL, FibSnapshot, build_fibs
 from repro.experiments.impact import run_impact_study
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.service import LifeguardService, ServiceConfig
+from repro.topology.generate import generate_internet
 from repro.traffic import (
     ImpactLedger,
     TrafficConfig,
     build_traffic_matrix,
     impact_key,
 )
+from repro.traffic.impact import LOOP_KEY, MAX_HOPS, NO_ROUTE_KEY
 from repro.workloads.outages import OutageArrivalConfig
-from repro.workloads.scenarios import build_deployment
+from repro.workloads.scenarios import SCALES, build_deployment
 
 SEEDS = tuple(
     int(s)
@@ -188,6 +195,187 @@ class TestImpactLedger:
         assert len(reusing.user_minutes_by_key) >= 3
         # Reused: 30 (primed), 60, 90, 150, 210, 330, 480.
         assert reusing.classify_reused == 7 and samples == 13
+
+
+def _reference_sample(matrix, fibs, failures, now, excluded=()):
+    """(affected, delivered, by key): every flow walked on its own, one
+    ``next_hop_as`` bisect per hop, failures by a scan of the set."""
+    affected = delivered = 0
+    by_key = {}
+    for index, flow in enumerate(matrix.flows):
+        if index in excluded:
+            continue
+        asn, key = flow.src_asn, LOOP_KEY
+        for _ in range(MAX_HOPS):
+            dropped = [
+                f for f in failures
+                if isinstance(f, ASForwardingFailure) and f.asn == asn
+                and f.start <= now < f.end
+                and (f.toward is None or f.toward.contains(flow.dst_address))
+            ]
+            if dropped:
+                key = impact_key(dropped[0])
+                break
+            hop = fibs.next_hop_as(asn, flow.dst_address)
+            if hop is None or hop == LOCAL:
+                key = NO_ROUTE_KEY if hop is None else None
+                break
+            asn = hop
+        if key is None:
+            delivered += flow.users
+        else:
+            affected += flow.users
+            by_key[key] = by_key.get(key, 0) + flow.users
+    return affected, delivered, by_key
+
+
+def _sample(sample):
+    return sample.affected_users, sample.delivered_users, sample.by_key
+
+
+class TestLedgerShortcuts:
+    def test_slots_equal_per_flow_resolve_across_an_axis_regrow(self):
+        graph = generate_internet(SCALES["tiny"], seed=4)
+        engine = BGPEngine(graph)
+        for node in graph.nodes():
+            for prefix in node.prefixes:
+                engine.originate(node.asn, prefix)
+        engine.run()
+        fibs = build_fibs(engine)
+        engine.consume_fib_dirty()
+        for asn in fibs.tables:
+            fibs.flat(asn)  # compiled, so a clean AS carries its table
+        matrix = build_traffic_matrix(
+            graph, seed=4, config=TrafficConfig(total_users=20_000)
+        )
+        stubs = sorted(
+            n.asn for n in graph.nodes() if n.tier == 3 and n.prefixes
+        )
+        busiest = max(
+            stubs,
+            key=lambda a: sum(
+                f.users for f in matrix.flows
+                if f.dst_prefix in graph.node(a).prefixes
+            ),
+        )
+        prefix = graph.node(busiest).prefixes[0]
+        providers = sorted(graph.providers(busiest))
+        transit = [
+            a for a in sorted(graph.transit_ases()) if a not in providers
+        ]
+
+        def rebuilt(previous):
+            engine.run()
+            return build_fibs(engine, previous, engine.consume_fib_dirty())
+
+        chain = [fibs]
+        # Patched rows on the one axis.
+        engine.originate(
+            busiest, prefix,
+            path=make_path(busiest, prepend=2, poison=transit[:1]),
+        )
+        chain.append(rebuilt(chain[-1]))
+        # A more-specific two transit ASes never hear of: the axis
+        # regrows under everyone who learns it, not under them.
+        flow = next(f for f in matrix.flows if f.dst_prefix == prefix)
+        specific = next(
+            p for p in prefix.subnets(prefix.length + 2)
+            if p.contains(flow.dst_address)
+        )
+        deaf = transit[-2:]
+        engine.originate(
+            busiest, specific,
+            path=make_path(busiest, prepend=1, poison=deaf),
+        )
+        grown = rebuilt(chain[-1])
+        chain.append(grown)
+        assert grown.axis_regrown == 1 and grown.axis is not fibs.axis
+        on_new = {a for a in grown.tables if grown.flat(a).axis is grown.axis}
+        on_old = {a for a in grown.tables if grown.flat(a).axis is fibs.axis}
+        assert on_new and set(deaf) <= on_old
+        assert on_new | on_old == set(grown.tables)
+        # Patched again, on the new axis; whoever it passes by stays.
+        engine.originate(
+            busiest, prefix,
+            path=make_path(busiest, prepend=2, poison=transit[1:2]),
+        )
+        chain.append(rebuilt(chain[-1]))
+        assert chain[-1].axis is grown.axis
+        assert any(
+            chain[-1].flat(a).axis is fibs.axis for a in chain[-1].tables
+        )
+        # And the first snapshot once more: back to the old axis.
+        chain.append(fibs)
+
+        failures = FailureSet(
+            [ASForwardingFailure(asn=deaf[0], start=100.0, end=250.0),
+             ASForwardingFailure(
+                 asn=providers[0], toward=prefix, start=200.0
+             )]
+        )
+        ledger = ImpactLedger(matrix)
+        assert ledger.prime(fibs) == 0
+        now = 0.0
+        outcomes = set()
+        for snapshot in chain:
+            for _ in range(3):  # before, inside and after the first window
+                now += 60.0
+                got = _sample(ledger.observe(now, snapshot, failures))
+                assert got == _reference_sample(
+                    matrix, snapshot, failures, now
+                ), now
+                outcomes.update(got[2])
+        assert {
+            impact_key(f) for f in failures
+        } <= outcomes, "both failures should strand someone"
+
+    def test_the_tally_is_reused_only_while_what_it_read_stands(
+        self, small_internet
+    ):
+        graph, _topo, engine = small_internet
+        fibs = build_fibs(engine)
+        matrix = build_traffic_matrix(
+            graph, seed=3, config=TrafficConfig(total_users=50_000)
+        )
+        bad = _transit_asn(graph, matrix, fibs)
+        failures = FailureSet(
+            [ASForwardingFailure(asn=bad, start=100.0, end=400.0)]
+        )
+        ledger = ImpactLedger(matrix)
+        ledger.prime(fibs)
+
+        def observe(now, reused, excluded=()):
+            before = ledger.tally_reused
+            got = _sample(ledger.observe(now, fibs, failures))
+            assert got == _reference_sample(
+                matrix, fibs, failures, now, excluded
+            )
+            assert ledger.tally_reused - before == reused, now
+            return got
+
+        healthy = observe(30.0, reused=0)
+        assert observe(60.0, reused=1) == healthy
+        # A changed classification (the window opened) is tallied anew.
+        stranded = observe(120.0, reused=0)
+        assert stranded[0] > 0
+        assert observe(150.0, reused=1) == stranded
+        # A restored baseline over the very same classification too.
+        state = ledger.state_json()
+        state["baseline_unroutable"] = [0, 1, 2]
+        ledger.restore_state(state)
+        fewer = observe(180.0, reused=0, excluded={0, 1, 2})
+        assert fewer[0] + fewer[1] < stranded[0] + stranded[1]
+        assert observe(210.0, reused=1, excluded={0, 1, 2}) == fewer
+        # As is the one prime() fixes.
+        ledger.prime(fibs)
+        observe(240.0, reused=0)
+        assert observe(270.0, reused=1) == stranded
+        assert observe(420.0, reused=0) == healthy
+        # A sample owns its attribution map.
+        sample = ledger.observe(450.0, fibs, failures)
+        sample.by_key["scribble"] = 1
+        assert ledger.observe(480.0, fibs, failures).by_key == {}
+        assert ledger.tally_reused == 6
 
 
 class TestImpactStudy:

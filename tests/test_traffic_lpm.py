@@ -2,8 +2,8 @@
 
 The flat table is the traffic layer's hot path, so its contract is
 strict: for every address, ``FlatLPM.resolve`` (and the batch
-``resolve_many``, with or without the numpy fast path) returns exactly
-what ``PrefixTrie.lookup_value`` would.  FIBs are plain prefix maps; the
+``resolve_many``) returns exactly what ``PrefixTrie.lookup_value``
+would.  FIBs are plain prefix maps; the
 trie is the oracle, and this file builds it (``_oracle``) from the same
 entries — the code under test never does.  The fuzz tests sweep random
 maps and check every interval boundary, where off-by-one bugs live; a
@@ -30,7 +30,7 @@ from repro.dataplane.fib import (
     FibSnapshot,
     build_fibs,
 )
-from repro.net.addr import Prefix
+from repro.net.addr import Address, Prefix
 from repro.net.lpm import PrefixAxis
 from repro.net.trie import PrefixTrie
 from repro.topology.as_graph import ASGraph
@@ -104,18 +104,22 @@ class TestFlatLPMFuzz:
             extra=[rng.getrandbits(32) for _ in range(64)],
         )
 
-    @pytest.mark.parametrize("numpy_flag", ["0", "1"])
-    def test_numpy_and_bisect_paths_agree(self, numpy_flag, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAFFIC_NUMPY", numpy_flag)
+    def test_batch_and_single_resolution_agree(self):
         rng = random.Random(99)
         fib = _random_fib(rng, entries=40)
         flat = FlatLPM.compile(fib)
         trie = _oracle(fib)
-        # Well past the >=32 batch threshold that arms the numpy path.
         addrs = _boundary_addresses(fib)[:40] or [0]
         addrs = addrs * 3
-        assert flat.resolve_many(addrs) == [
-            trie.lookup_value(a) for a in addrs
+        expected = [trie.lookup_value(a) for a in addrs]
+        assert flat.resolve_many(addrs) == expected
+        assert [flat.resolve(a) for a in addrs] == expected
+        # Every spelling of an address, one batch.
+        spelled = [
+            s for a in addrs[:12] for s in (a, Address(a), str(Address(a)))
+        ]
+        assert flat.resolve_many(spelled) == [
+            v for v in expected[:12] for _ in range(3)
         ]
 
     def test_empty_trie_resolves_none_everywhere(self):
