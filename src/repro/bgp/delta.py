@@ -48,7 +48,6 @@ action).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -62,15 +61,8 @@ from repro.bgp.solver import (
     solve_prefix,
     speaker_config_reason,
 )
-from repro.errors import ControlError, SimulationError
+from repro.errors import SimulationError
 from repro.net.addr import Prefix
-
-#: Environment knob: default delta mode where a caller passes None.
-ENV_DELTA_MODE = "REPRO_DELTA_MODE"
-
-DELTA_OFF = "off"
-DELTA_AUTO = "auto"
-_DELTA_MODES = (DELTA_OFF, DELTA_AUTO)
 
 #: Per-engine solution memo bound; a repair ladder cycles through a
 #: handful of announcement shapes, so the memo is cleared wholesale on
@@ -80,16 +72,6 @@ _SOLUTION_MEMO_CAP = 64
 
 class DeltaUnsupported(SimulationError):
     """The change set has a feature the delta path cannot model."""
-
-
-def resolve_delta_mode(mode: Optional[str] = None) -> str:
-    """*mode*, or ``$REPRO_DELTA_MODE``, or ``off``."""
-    resolved = mode or os.environ.get(ENV_DELTA_MODE) or DELTA_OFF
-    if resolved not in _DELTA_MODES:
-        raise ControlError(
-            f"unknown delta mode {resolved!r}; pick from {_DELTA_MODES}"
-        )
-    return resolved
 
 
 @dataclass(frozen=True)

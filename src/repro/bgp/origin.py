@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bgp.delta import DeltaChange, DeltaResult, resolve_delta_mode
+from repro.bgp.delta import DeltaChange, DeltaResult
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import ASPath, make_path
 from repro.errors import ControlError
@@ -133,10 +133,15 @@ class OriginController:
         prepend: int = 3,
         prepend_extra: int = 3,
         pacer: Optional[AnnouncementPacer] = None,
-        delta_mode: Optional[str] = None,
+        delta_mode: str = "off",
     ) -> None:
         if origin_asn not in engine.speakers:
             raise ControlError(f"AS{origin_asn} not in the topology")
+        if delta_mode not in ("off", "auto"):
+            raise ControlError(
+                f"unknown delta mode {delta_mode!r}; "
+                f"pick from ('off', 'auto')"
+            )
         if sentinel_prefix is not None and not (
             production_prefix.is_more_specific_of(sentinel_prefix)
             or sentinel_prefix == production_prefix
@@ -173,9 +178,8 @@ class OriginController:
         self.obs = None
         #: "auto": route announcements through repro.bgp.delta when the
         #: engine's state is analytic, falling back (and counting) when
-        #: the gate refuses.  "off" (the default, also via
-        #: $REPRO_DELTA_MODE) always uses the event path.
-        self.delta_mode = resolve_delta_mode(delta_mode)
+        #: the gate refuses.  "off" always uses the event path.
+        self.delta_mode = delta_mode
         #: optional RunStats sink for solver.delta.* counters.
         self.stats = None
         self.delta_applied = 0

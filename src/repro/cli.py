@@ -306,11 +306,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
-
 def defense_summary(study) -> dict:
     """Deterministic JSON-able summary of a defense sweep (byte-stable
     across same-seed runs: no timestamps, no floats beyond the inputs)."""
@@ -434,7 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         write_events_jsonl,
         write_metrics_snapshot,
     )
-    from repro.service import LifeguardService, ServiceConfig, Watermarks
+    from repro.service import LifeguardService, ServiceConfig
     from repro.workloads.outages import OutageArrivalConfig
     from repro.workloads.scenarios import (
         build_chaos_deployment,
@@ -481,16 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             duration=args.outage_duration,
         ),
         seed=args.seed,
-        queue_capacity=_env_int("REPRO_SERVICE_QUEUE_CAPACITY", 256),
-        watermarks=Watermarks(
-            max_inflight=_env_int("REPRO_SERVICE_MAX_INFLIGHT", 48),
-            probe_budget_per_round=_env_int(
-                "REPRO_SERVICE_PROBE_BUDGET", 4096
-            ),
-            max_journal_lag=_env_int(
-                "REPRO_SERVICE_MAX_JOURNAL_LAG", 256
-            ),
-        ),
         crash_at=args.crash_at,
     )
     service = LifeguardService(
@@ -547,7 +532,7 @@ def _cmd_impact(args: argparse.Namespace) -> int:
     from repro.traffic.matrix import TrafficConfig
 
     stats = RunStats()
-    traffic = TrafficConfig.from_env()
+    traffic = TrafficConfig()
     if args.users is not None:
         traffic.total_users = args.users
     study, _matrix = run_impact_study(
@@ -811,24 +796,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="repair success vs anti-poisoning defense deployment rate, "
              "fallback ladder off vs on at every rate",
     )
-    p.add_argument(
-        "--scale",
-        default=os.environ.get("REPRO_DEFENSE_SCALE") or "tiny",
-        help="topology scale (default $REPRO_DEFENSE_SCALE, else tiny)",
-    )
+    p.add_argument("--scale", default="tiny")
     p.add_argument(
         "--sweep",
-        default=os.environ.get("REPRO_DEFENSE_SWEEP")
-        or "0,0.25,0.5,0.75,1.0",
+        default="0,0.25,0.5,0.75,1.0",
         help="comma-separated defense deployment rates in [0, 1] "
-             "(default $REPRO_DEFENSE_SWEEP, else 0,0.25,0.5,0.75,1.0)",
+             "(default 0,0.25,0.5,0.75,1.0)",
     )
     p.add_argument(
-        "--outages",
-        type=int,
-        default=_env_int("REPRO_DEFENSE_OUTAGES", 3),
-        help="injected ground-truth outages per sweep cell "
-             "(default $REPRO_DEFENSE_OUTAGES, else 3)",
+        "--outages", type=int, default=3,
+        help="injected ground-truth outages per sweep cell (default 3)",
     )
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
@@ -880,14 +857,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos fault intensity in [0, 1] (0 = no injector)",
     )
     p.add_argument(
-        "--delta",
-        choices=["off", "auto"],
-        default=os.environ.get("REPRO_SERVICE_DELTA", "auto"),
+        "--delta", choices=["off", "auto"], default="auto",
         help="incremental convergence for repair announcements: 'auto' "
              "splices poison/unpoison blast radii into the analytic "
              "converged state (falling back to full event replay when "
              "the gate refuses, e.g. under chaos faults); 'off' always "
-             "replays (default $REPRO_SERVICE_DELTA, else auto)",
+             "replays (default auto)",
     )
     p.add_argument(
         "--crash-at", type=float, default=None,
@@ -899,10 +874,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write-ahead journal path (default: in-memory)",
     )
     p.add_argument(
-        "--journal-max-bytes", type=int,
-        default=_env_int("REPRO_SERVICE_JOURNAL_MAX_BYTES", 0) or None,
-        help="rotate + compact the journal past this size "
-             "(default $REPRO_SERVICE_JOURNAL_MAX_BYTES, unset = never)",
+        "--journal-max-bytes", type=int, default=None,
+        help="rotate + compact the journal past this size (default: never)",
     )
     p.add_argument(
         "--journal-flush-every", type=int, default=1,
@@ -927,8 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", default="tiny")
     p.add_argument(
         "--users", type=int, default=None,
-        help="total modeled users (default $REPRO_TRAFFIC_USERS, "
-             "else 1000000)",
+        help="total modeled users (default 1000000)",
     )
     p.add_argument(
         "--check", action="store_true",
@@ -970,22 +942,15 @@ def build_parser() -> argparse.ArgumentParser:
              "event engine; nonzero exit on any divergence or crash",
     )
     p.add_argument(
-        "--cases", type=int,
-        default=_env_int("REPRO_FUZZ_CASES", 500),
-        help="number of generated cases "
-             "(default $REPRO_FUZZ_CASES, else 500)",
+        "--cases", type=int, default=500,
+        help="number of generated cases (default 500)",
     )
     p.add_argument(
-        "--scale",
-        default=os.environ.get("REPRO_FUZZ_SCALE") or "small",
+        "--scale", default="small",
         help="case size distribution: tiny, small or medium "
-             "(default $REPRO_FUZZ_SCALE, else small)",
+             "(default small)",
     )
-    p.add_argument(
-        "--workers", type=int,
-        default=_env_int("REPRO_FUZZ_WORKERS", 1),
-        help="trial-pool processes (default $REPRO_FUZZ_WORKERS, else 1)",
-    )
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--shrink",
         action=argparse.BooleanOptionalAction,
@@ -997,17 +962,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="max differential runs the shrinker may spend per failure",
     )
     p.add_argument(
-        "--corpus-dir",
-        default=os.environ.get("REPRO_FUZZ_CORPUS_DIR") or None,
+        "--corpus-dir", default=None,
         help="write shrunk failing cases as replayable JSON here "
-             "(default $REPRO_FUZZ_CORPUS_DIR, unset = don't persist)",
+             "(default: don't persist)",
     )
     p.add_argument(
         "--inject-divergence", action="store_true",
-        default=bool(os.environ.get("REPRO_FUZZ_INJECT_DIVERGENCE")),
         help="deliberately corrupt the solver side of every case "
-             "(end-to-end self-test of the detect/shrink/persist path; "
-             "default $REPRO_FUZZ_INJECT_DIVERGENCE)",
+             "(end-to-end self-test of the detect/shrink/persist path)",
     )
     _add_metrics_out(p)
     p.set_defaults(func=_cmd_fuzz)
@@ -1015,15 +977,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.baseline_mode:
-        # Via the environment so trial workers (fresh processes) and
-        # deeply nested converged_internet() calls all see the choice.
-        from repro.runner.baseline import ENV_BASELINE_MODE
+    args = build_parser().parse_args(argv)
+    if not args.baseline_mode:
+        return args.func(args)
+    # Via the environment so trial workers (fresh processes) and deeply
+    # nested converged_internet() calls all see the choice — for the
+    # length of the command, not of the calling process.
+    from repro.runner.baseline import ENV_BASELINE_MODE
 
-        os.environ[ENV_BASELINE_MODE] = args.baseline_mode
-    return args.func(args)
+    previous = os.environ.get(ENV_BASELINE_MODE)
+    os.environ[ENV_BASELINE_MODE] = args.baseline_mode
+    try:
+        return args.func(args)
+    finally:
+        if previous is None:
+            del os.environ[ENV_BASELINE_MODE]
+        else:
+            os.environ[ENV_BASELINE_MODE] = previous
 
 
 if __name__ == "__main__":

@@ -269,12 +269,12 @@ class LifeguardConfig:
     #: extra ASNs (beyond the blamed one) the "multi-poison" rung may
     #: add to cover the blamed AS's transit neighborhood.
     fallback_max_extra_poisons: int = 2
-    #: incremental-convergence mode for announcements ("off"/"auto";
-    #: None reads $REPRO_DELTA_MODE, default off).  In "auto", poisons,
-    #: unpoisons and escalation rungs splice their blast radius into the
-    #: analytic converged state instead of replaying the whole event
-    #: engine, and FIB refreshes rebuild only the dirty ASes.
-    delta_mode: Optional[str] = None
+    #: incremental-convergence mode for announcements ("off"/"auto").
+    #: In "auto", poisons, unpoisons and escalation rungs splice their
+    #: blast radius into the analytic converged state instead of
+    #: replaying the whole event engine, and FIB refreshes rebuild only
+    #: the dirty ASes.
+    delta_mode: str = "off"
 
 
 class Lifeguard:

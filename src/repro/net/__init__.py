@@ -1,5 +1,5 @@
 """Low-level networking primitives: addresses, prefixes, the
-interval-table LPM, the trie kept as its test oracle, probes.
+interval-table LPM, probes.
 
 This package is deliberately free of any simulation logic; it provides the
 value types the rest of the library is built on.
@@ -7,7 +7,6 @@ value types the rest of the library is built on.
 
 from repro.net.addr import Address, Prefix
 from repro.net.lpm import FlatLPM
-from repro.net.trie import PrefixTrie
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
@@ -21,7 +20,6 @@ __all__ = [
     "Address",
     "FlatLPM",
     "Prefix",
-    "PrefixTrie",
     "Probe",
     "ProbeKind",
     "ProbeReply",

@@ -11,7 +11,7 @@ a consumer that follows one address through many tables bisects the
 axis once and indexes each column with the slot it found.
 
 A property test (tests/test_traffic_lpm.py) pins the flat table
-byte-identical to a bit-by-bit trie oracle (:mod:`repro.net.trie`) built
+byte-identical to a bit-by-bit trie oracle (``tests/trie_oracle.py``) built
 by the test over fuzz-generated FIBs, including the ``0.0.0.0/0``
 default-route entry that ``default_route_via_provider`` stubs install.
 """
@@ -19,7 +19,7 @@ default-route entry that ``default_route_via_provider`` stubs install.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.net.addr import Address, Prefix, address_int
 
@@ -123,13 +123,6 @@ class FlatLPM:
             raise ValueError("the map holds a prefix outside its axis")
         return cls(axis, values, painted)
 
-    @classmethod
-    def from_items(
-        cls, items: Iterable[Tuple[Prefix, Optional[int]]]
-    ) -> "FlatLPM":
-        """Flatten (prefix, value) pairs, one per distinct prefix."""
-        return cls.compile(dict(items))
-
     def patched(
         self, fib: Mapping[Prefix, Optional[int]], rows: Iterable[Prefix]
     ) -> "FlatLPM":
@@ -158,17 +151,6 @@ class FlatLPM:
         """Next hop for *address*: the most specific covering prefix's."""
         value = address_int(address)
         return self.values[bisect_right(self.bases, value) - 1]
-
-    def resolve_many(
-        self, addresses: Sequence[Union[int, str, Address]]
-    ) -> List[Optional[int]]:
-        """Batch-resolve *addresses*; one bisect each."""
-        ints = [
-            a if type(a) is int else Address(a).value  # noqa: E721
-            for a in addresses
-        ]
-        bases, values = self.bases, self.values
-        return [values[bisect_right(bases, a) - 1] for a in ints]
 
     def __len__(self) -> int:
         return self.size

@@ -1,10 +1,14 @@
-"""The benchmark suite behind ``python -m repro bench``.
+"""The studies' throughput through the parallel runner:
+``python -m repro bench``.
 
-Runs every experiment driver at a named scale through the parallel
-runner and emits a schema-versioned JSON document (``BENCH_<date>.json``)
-recording wall time, throughput, cache behaviour and each study's
-headline metrics.  CI archives these documents and gates merges on the
-throughput trajectory via ``benchmarks/compare.py``.
+Runs the seven paper studies and the tiny impact study at a named scale
+through the parallel runner and emits a schema-versioned JSON document
+(``BENCH_<date>.json``) recording wall time, throughput, cache behaviour
+and each study's headline metrics.  CI archives these documents and
+gates merges on the throughput trajectory via ``benchmarks/compare.py``.
+The system's own speed (service rounds, repair steps, fuzz cases) is
+``bench/``'s question and the solver-vs-event microbenchmark is
+``benchmarks/test_perf_baseline.py``'s; neither is measured here.
 
 The efficacy benchmark is deliberately embarrassingly parallel — it runs
 several full replica studies (distinct topology seeds) as runner units —
@@ -14,7 +18,6 @@ speedup measurement.
 
 from __future__ import annotations
 
-import gc
 import platform
 import sys
 import time
@@ -33,40 +36,6 @@ EFFICACY_REPLICAS = 4
 
 #: (trials, headline metrics) returned by each benchmark body.
 BenchResult = Tuple[int, Dict[str, Any]]
-
-
-def _bench_baseline(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
-) -> BenchResult:
-    """Cold converged-baseline construction: solver vs event engine.
-
-    Both modes run uncached so the numbers are real convergence costs,
-    not disk reads.  ``solver_speedup`` is the suite's headline for the
-    analytic solver (gated in CI via ``benchmarks/compare.py``).
-    """
-    from repro.runner.baseline import (
-        MODE_EVENT,
-        MODE_SOLVER,
-        converged_internet,
-    )
-
-    timings = {}
-    base = None
-    for mode in (MODE_SOLVER, MODE_EVENT):
-        start = time.perf_counter()
-        base = converged_internet(scale, seed, mode=mode, cache=None,
-                                  stats=stats)
-        timings[mode] = time.perf_counter() - start
-    prefixes = sum(len(node.prefixes) for node in base.graph.nodes())
-    return prefixes, {
-        "prefixes": prefixes,
-        "event_seconds": round(timings[MODE_EVENT], 4),
-        "solver_seconds": round(timings[MODE_SOLVER], 4),
-        "solver_speedup": round(
-            timings[MODE_EVENT] / timings[MODE_SOLVER], 4
-        ) if timings[MODE_SOLVER] else 0.0,
-    }
 
 
 def _efficacy_replica(
@@ -222,198 +191,6 @@ def _bench_robustness(
     }
 
 
-def _bench_delta(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
-) -> BenchResult:
-    """Incremental convergence vs full event replay on a poison workload.
-
-    Replays the same announcement story — baseline, then poison/unpoison
-    cycles against several transit ASes — through two engines restored
-    from one converged snapshot: the event engine (full replay per step)
-    and ``repro.bgp.delta`` (blast-radius splice per step).  Every step's
-    resulting whole-engine state (every prefix, digested: the arms'
-    states never coexist) is asserted identical across the arms before
-    any headline is reported; ``delta_speedup`` is the suite's headline
-    for ROADMAP item 1 (acceptance floor: 5x on the medium workload).
-    The workload runs at medium whenever the suite scale allows it —
-    blast radii, not topology build time, are what is being measured.
-    """
-    from repro.bgp.origin import OriginController
-    from repro.fuzz.diff import canonical_blob, capture_state
-    from repro.runner.baseline import (
-        MODE_SOLVER,
-        ORIGIN_ASN_EVEN,
-        converged_internet,
-        restore_snapshot,
-    )
-
-    workload_scale = {"tiny": "small"}.get(scale, "medium")
-    base = converged_internet(
-        workload_scale, seed, mode=MODE_SOLVER, origin_providers=2,
-        origin_asn_policy=ORIGIN_ASN_EVEN, cache=None, stats=stats,
-    )
-    origin = base.origin_asn
-    graph = base.graph
-    prefix = graph.node(origin).prefixes[0]
-    snapshot = base.snapshot()
-
-    # Poison targets: the origin's providers plus the highest-degree
-    # transit ASes — the cones real repairs carve.
-    targets = sorted(graph.providers(origin))
-    for asn in sorted(graph.transit_ases(), key=lambda a: -graph.degree(a)):
-        if len(targets) >= 4:
-            break
-        if asn != origin and asn not in targets:
-            targets.append(asn)
-    extra = targets[-1]
-
-    # The repair story each arm replays: baseline, then per target the
-    # escalation ladder's announcement shapes (poison, deeper
-    # multi-poison, prepend-only steering), then back to baseline.
-    def steps(controller):
-        yield lambda: controller.announce_baseline()
-        for target in targets:
-            key = f"repair-{target}"
-            yield lambda t=target, k=key: controller.poison([t], key=k)
-            if target != extra:
-                yield lambda t=target, k=key: controller.poison(
-                    [t, extra], key=k
-                )
-            yield lambda k=key: controller.steer_prepend(
-                [controller.providers[0]], key=k
-            )
-            yield lambda k=key: controller.unpoison(k)
-
-    def replay(mode):
-        engine, _ = restore_snapshot(snapshot)
-        controller = OriginController(
-            engine, origin, prefix, delta_mode=mode
-        )
-        controller.stats = stats
-        # Pay down collector debt from the baseline build before timing:
-        # a deferred gen-2 pass landing inside one arm (it is the delta
-        # arm, ~50 ms of work against the full arm's ~400 ms) would skew
-        # the headline by noise unrelated to either path.
-        gc.collect()
-        seconds = 0.0
-        captures = []
-        for step in steps(controller):
-            engine.advance_to(engine.now + 600.0)
-            start = time.perf_counter()
-            step()
-            engine.run()
-            seconds += time.perf_counter() - start
-            captures.append(canonical_blob(capture_state(engine, None)))
-        return seconds, captures, controller
-
-    # Best-of-N arms: scheduler/collector noise on a ~70 ms arm swings
-    # the ratio by tens of percent, and the minimum is the standard
-    # robust estimator for a deterministic workload.  Identity is
-    # asserted on every repeat, not just the fastest.
-    full_seconds = delta_seconds = float("inf")
-    full_captures = None
-    controller = None
-    for _ in range(3):
-        seconds, captures, _ = replay("off")
-        if full_captures is not None and captures != full_captures:
-            raise AssertionError("full replay is not deterministic")
-        full_captures = captures
-        full_seconds = min(full_seconds, seconds)
-    for _ in range(3):
-        seconds, delta_captures, controller = replay("auto")
-        if controller.delta_fallbacks:
-            raise AssertionError(
-                f"{controller.delta_fallbacks} delta fallbacks on a "
-                "workload the gate must fully support"
-            )
-        if delta_captures != full_captures:
-            divergent = sum(
-                1
-                for a, b in zip(delta_captures, full_captures)
-                if a != b
-            )
-            raise AssertionError(
-                f"delta state diverged from full replay on "
-                f"{divergent}/{len(full_captures)} steps"
-            )
-        delta_seconds = min(delta_seconds, seconds)
-    cones = controller.delta_cone_sizes
-    num_steps = len(full_captures)
-    stats.count("bench.delta.steps", num_steps)
-    return num_steps, {
-        "workload_scale": workload_scale,
-        "steps": num_steps,
-        "poison_targets": len(targets),
-        "full_seconds": round(full_seconds, 4),
-        "delta_seconds": round(delta_seconds, 4),
-        "delta_speedup": round(full_seconds / delta_seconds, 4)
-        if delta_seconds
-        else 0.0,
-        "cone_mean": round(sum(cones) / len(cones), 2) if cones else 0.0,
-        "cone_max": max(cones) if cones else 0,
-        "fallbacks": 0,
-    }
-
-
-def _bench_service(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
-) -> BenchResult:
-    """The continuous-operation daemon over >=1000 monitored pairs.
-
-    Pins its own deployment size regardless of the suite scale — the
-    point is the paper's service sizing (§5.3): a thousand-plus
-    concurrently monitored (vantage, target) pairs sustained at a fixed
-    p99 time-to-repair with zero abandoned repairs.  Arrivals are
-    fixed-spacing so overlap stays bounded and every injected outage is
-    individually repairable; the run must drain completely.
-    """
-    from repro.control.lifeguard import LifeguardConfig
-    from repro.obs.events import EventBus
-    from repro.obs.metrics import MetricsRegistry
-    from repro.service import LifeguardService, ServiceConfig
-    from repro.workloads.outages import OutageArrivalConfig
-    from repro.workloads.scenarios import build_deployment
-
-    obs = EventBus(metrics=MetricsRegistry())
-    scenario = build_deployment(
-        scale="small",
-        seed=seed,
-        num_helper_vps=9,
-        num_targets=125,
-        obs=obs,
-        lifeguard_config=LifeguardConfig(
-            monitor_interval=120.0, delta_mode="auto"
-        ),
-        cache=cache,
-        stats=stats,
-    )
-    config = ServiceConfig(
-        duration=3000.0,
-        arrivals=OutageArrivalConfig(
-            first_arrival=600.0, spacing=600.0, duration=900.0
-        ),
-        seed=seed,
-        drain=4800.0,
-    )
-    service = LifeguardService(scenario, config, obs=obs)
-    report = service.run()
-    return report.rounds, {
-        "monitored_pairs": report.monitored_pairs,
-        "rounds": report.rounds,
-        "arrivals": report.arrivals,
-        "records": report.records,
-        "repaired": report.repaired,
-        "completed": report.completed,
-        "abandoned": report.abandoned,
-        "timeouts": report.timeouts,
-        "ttr_p50": report.ttr_p50,
-        "ttr_p99": report.ttr_p99,
-        "drained": report.drained,
-    }
-
-
 def _bench_defenses(
     scale: str, seed: int, workers: int,
     cache: Optional[DiskCache], stats: RunStats,
@@ -453,67 +230,14 @@ def _bench_impact(
     scale: str, seed: int, workers: int,
     cache: Optional[DiskCache], stats: RunStats,
 ) -> BenchResult:
-    """User-impact baseline: batch LPM speedup + affected-user-minutes.
-
-    Two headlines.  ``lpm_speedup`` pins the flat-table batch resolver
-    against per-address ``PrefixTrie.lookup`` over the *medium*-scale
-    FIB set (the acceptance floor is 10x; the bisect comprehension
-    reads 10-16x, median 13x, where the numpy batch path it replaced
-    read 21.7x) — measured on real converged tables, every next hop
-    asserted identical.  The impact headlines replay the tiny repair
-    story with the gravity matrix attached and record the first
-    committed affected-user-minutes numbers.
-    """
-    from repro.dataplane.fib import build_fibs
+    """The tiny repair story with the gravity matrix attached; a trial
+    is one ledger sample taken."""
     from repro.experiments.impact import run_impact_study
-    from repro.net.trie import PrefixTrie
-    from repro.runner.baseline import converged_internet
-    from repro.traffic.lpm import FlatLPM
-    from repro.traffic.matrix import build_traffic_matrix
-
-    base = converged_internet("medium", seed, cache=cache, stats=stats)
-    fibs = build_fibs(base.engine)
-    matrix = build_traffic_matrix(base.graph, seed=seed, stats=stats)
-    # Replicate the flow destinations to ~8k addresses per table so the
-    # per-table timings are well above clock noise.
-    unique = [flow.dst_address.value for flow in matrix.flows]
-    reps = max(1, -(-8000 // len(unique)))
-    addresses = unique * reps
-    # Resolve the whole batch through the busiest transit tables.
-    tables = sorted(
-        fibs.tables.items(), key=lambda kv: (-len(kv[1]), kv[0])
-    )[:8]
-    resolved = 0
-    trie_seconds = 0.0
-    flat_seconds = 0.0
-    for _asn, fib in tables:
-        trie = PrefixTrie.from_items(fib.items())
-        start = time.perf_counter()
-        expected = [trie.lookup_value(a) for a in addresses]
-        trie_seconds += time.perf_counter() - start
-        flat = FlatLPM.compile(fib)
-        start = time.perf_counter()
-        got = flat.resolve_many(addresses)
-        flat_seconds += time.perf_counter() - start
-        if got != expected:
-            raise AssertionError(
-                "flat LPM diverged from PrefixTrie.lookup"
-            )
-        resolved += len(addresses)
-    stats.count("impact.lpm_resolved", resolved)
 
     study, _matrix = run_impact_study(
         scale="tiny", seed=seed, cache=cache, stats=stats
     )
-    return resolved, {
-        "addresses": len(addresses),
-        "unique_addresses": len(unique),
-        "tables": len(tables),
-        "lpm_trie_seconds": round(trie_seconds, 4),
-        "lpm_flat_seconds": round(flat_seconds, 4),
-        "lpm_speedup": round(trie_seconds / flat_seconds, 4)
-        if flat_seconds
-        else 0.0,
+    return len(study.samples), {
         "users_total": study.users_total,
         "peak_users_affected": study.peak_users_affected,
         "affected_user_minutes": round(
@@ -525,12 +249,19 @@ def _bench_impact(
     }
 
 
+#: Entries this suite used to carry -> the harness that takes the
+#: measurement now.
+RETIRED = {
+    "baseline": "benchmarks/test_perf_baseline.py",
+    "delta": "bench/run.py --workload repair_ladder",
+    "service": "bench/run.py --workload monitor_steady (or repair_storm)",
+}
+
 #: Name -> body, in suite execution order.
 BENCHMARKS: Dict[
     str,
     Callable[[str, int, int, Optional[DiskCache], RunStats], BenchResult],
 ] = {
-    "baseline": _bench_baseline,
     "efficacy": _bench_efficacy,
     "convergence": _bench_convergence,
     "accuracy": _bench_accuracy,
@@ -538,8 +269,6 @@ BENCHMARKS: Dict[
     "alternate_paths": _bench_alternate_paths,
     "robustness": _bench_robustness,
     "defenses": _bench_defenses,
-    "delta": _bench_delta,
-    "service": _bench_service,
     "impact": _bench_impact,
 }
 
@@ -563,9 +292,13 @@ def run_bench_suite(
     ]
     unknown = set(only or ()) - set(BENCHMARKS)
     if unknown:
+        moved = "".join(
+            f"; {name!r} is measured by {RETIRED[name]}"
+            for name in sorted(unknown & set(RETIRED))
+        )
         raise ValueError(
             f"unknown benchmarks {sorted(unknown)}; "
-            f"pick from {sorted(BENCHMARKS)}"
+            f"pick from {sorted(BENCHMARKS)}{moved}"
         )
 
     totals_stats = stats if stats is not None else RunStats()

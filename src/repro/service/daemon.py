@@ -101,8 +101,7 @@ class ServiceConfig:
     crash_at: Optional[float] = None
     #: ... and recover it from the journal after this long down.
     crash_downtime: float = 300.0
-    #: gravity-model traffic knobs (users, fan-out); None reads
-    #: $REPRO_TRAFFIC_USERS / $REPRO_TRAFFIC_DESTS defaults.
+    #: gravity-model traffic knobs (users, fan-out); None = defaults.
     traffic: Optional[TrafficConfig] = None
 
 
@@ -259,16 +258,13 @@ class LifeguardService:
         #: user-impact accounting: the matrix is a pure function of
         #: (graph, seed, traffic config), so recovery rebuilds it and
         #: restores only the accumulators from the journal.
-        self.traffic_config = (
-            self.config.traffic or TrafficConfig.from_env()
-        )
         self.ledger = ImpactLedger(self._build_matrix())
 
     def _build_matrix(self):
         return build_traffic_matrix(
             self.scenario.graph,
             seed=self.config.seed,
-            config=self.traffic_config,
+            config=self.config.traffic,
         )
 
     # ------------------------------------------------------------------

@@ -10,9 +10,8 @@ snapshot and counting how many compiled tables the move invalidated.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional
 
-from repro.net.addr import Address
 from repro.net.lpm import FlatLPM
 
 __all__ = ["FlatFibSet", "FlatLPM"]
@@ -57,17 +56,3 @@ class FlatFibSet:
         if table is not None:
             self._sources[asn] = self._fibs.tables[asn]
         return table
-
-    def resolve(
-        self, asn: int, address: Union[int, str, Address]
-    ) -> Optional[int]:
-        table = self.table(asn)
-        return table.resolve(address) if table else None
-
-    def resolve_many(
-        self, asn: int, addresses: Sequence[Union[int, str, Address]]
-    ) -> List[Optional[int]]:
-        table = self.table(asn)
-        if table is None:
-            return [None] * len(addresses)
-        return table.resolve_many(addresses)

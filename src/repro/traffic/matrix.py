@@ -17,7 +17,6 @@ seed yields byte-identical demands at any worker count.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,21 +50,10 @@ class Flow:
 
 @dataclass
 class TrafficConfig:
-    """Knobs for the gravity model (env-overridable, see ``from_env``)."""
+    """Knobs for the gravity model."""
 
     total_users: int = 1_000_000
     dests_per_src: int = 8
-
-    @classmethod
-    def from_env(cls) -> "TrafficConfig":
-        cfg = cls()
-        users = os.environ.get("REPRO_TRAFFIC_USERS")
-        if users:
-            cfg.total_users = max(0, int(users))
-        dests = os.environ.get("REPRO_TRAFFIC_DESTS")
-        if dests:
-            cfg.dests_per_src = max(1, int(dests))
-        return cfg
 
 
 @dataclass

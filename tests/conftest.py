@@ -1,5 +1,7 @@
 """Shared fixtures: a small converged Internet with a router-level data plane."""
 
+import os
+
 import pytest
 
 from repro.bgp.engine import BGPEngine
@@ -11,6 +13,29 @@ from repro.topology.routers import RouterTopology
 
 
 SMALL_SHAPE = InternetShape(num_tier1=3, num_tier2=10, num_stubs=25)
+
+#: ``REPRO_*`` names a session may legitimately pick up on the way: the
+#: harness's own seed / scale / worker matrices and the cache path.
+HARNESS_ENV = {
+    "REPRO_CHAOS_SEEDS",
+    "REPRO_DELTA_SEEDS",
+    "REPRO_PERF_SCALES",
+    "REPRO_BENCH_WORKERS",
+    "REPRO_CACHE_DIR",
+}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_test_leaks_configuration():
+    """Fail the run if a test left a ``REPRO_*`` variable behind: every
+    later test would run a configuration other than the one it names."""
+    def set_now():
+        return {name for name in os.environ if name.startswith("REPRO_")}
+
+    before = set_now()
+    yield
+    leaked = set_now() - before - HARNESS_ENV
+    assert not leaked, f"leaked into the process: {sorted(leaked)}"
 
 
 @pytest.fixture(scope="session")

@@ -20,16 +20,15 @@ import pytest
 from repro.bgp.delta import (
     DeltaChange,
     DeltaUnsupported,
-    ENV_DELTA_MODE,
     apply_delta,
     delta_unsupported_reason,
-    resolve_delta_mode,
     try_apply_delta,
 )
 from repro.bgp.engine import BGPEngine, EngineConfig
 from repro.bgp.messages import make_path
 from repro.bgp.origin import OriginController
 from repro.bgp.solver import solve
+from repro.control.lifeguard import LifeguardConfig
 from repro.errors import ControlError
 from repro.fuzz.diff import canonical_blob, capture_state
 from repro.obs.events import EventBus
@@ -254,13 +253,21 @@ class TestGate:
         return base, base.engine
 
     def test_mode_resolution(self, monkeypatch):
-        monkeypatch.delenv(ENV_DELTA_MODE, raising=False)
-        assert resolve_delta_mode(None) == "off"
-        monkeypatch.setenv(ENV_DELTA_MODE, "auto")
-        assert resolve_delta_mode(None) == "auto"
-        assert resolve_delta_mode("off") == "off"
-        with pytest.raises(ControlError):
-            resolve_delta_mode("sideways")
+        base, engine = self._engine()
+        origin = base.origin_asn
+        prefix = base.graph.node(origin).prefixes[0]
+        # The environment is not a second way to say it.
+        monkeypatch.setenv("REPRO_DELTA_MODE", "auto")
+        assert OriginController(engine, origin, prefix).delta_mode == "off"
+        assert LifeguardConfig().delta_mode == "off"
+        for mode in ("off", "auto"):
+            controller = OriginController(
+                engine, origin, prefix, delta_mode=mode
+            )
+            assert controller.delta_mode == mode
+        for bad in ("sideways", None, ""):
+            with pytest.raises(ControlError, match="unknown delta mode"):
+                OriginController(engine, origin, prefix, delta_mode=bad)
 
     def test_refusals(self):
         base, engine = self._engine()
@@ -339,8 +346,7 @@ class TestGate:
 
 
 class TestControllerPlumbing:
-    def test_off_by_default_and_counters_in_auto(self, monkeypatch):
-        monkeypatch.delenv(ENV_DELTA_MODE, raising=False)
+    def test_off_by_default_and_counters_in_auto(self):
         base = _deployment("tiny", 7)
         engine = base.engine
         origin = base.origin_asn

@@ -348,15 +348,28 @@ class TestBaselineModeplumbing:
         with pytest.raises(SimulationError):
             resolve_baseline_mode("warp")
 
-    def test_cli_flag_sets_env(self, monkeypatch, capsys):
-        from repro.cli import main
-
-        monkeypatch.delenv(ENV_BASELINE_MODE, raising=False)
-        assert main(["--baseline-mode", "event", "fig1"]) == 0
+    def test_cli_flag_sets_env(self, monkeypatch):
+        """``--baseline-mode`` is visible (to this process and to any
+        worker it forks) for the length of the command and not after."""
         import os
 
-        assert os.environ[ENV_BASELINE_MODE] == "event"
-        capsys.readouterr()
+        from repro import cli
+
+        seen = []
+
+        def command(args):
+            seen.append(resolve_baseline_mode(None))
+            raise RuntimeError("a command that dies still restores")
+
+        monkeypatch.setattr(cli, "_cmd_fig1", command)
+        monkeypatch.delenv(ENV_BASELINE_MODE, raising=False)
+        for before in (None, MODE_SOLVER):
+            if before is not None:
+                monkeypatch.setenv(ENV_BASELINE_MODE, before)
+            with pytest.raises(RuntimeError):
+                cli.main(["--baseline-mode", "event", "fig1"])
+            assert os.environ.get(ENV_BASELINE_MODE) == before
+        assert seen == [MODE_EVENT, MODE_EVENT]
 
     def test_cache_keys_separate_modes_but_share_auto(self, tmp_path):
         stats = RunStats()

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
-from repro.runner.bench import BENCH_SCHEMA_VERSION
+from repro.runner.bench import BENCH_SCHEMA_VERSION, BENCHMARKS, RETIRED
 
 
 class TestParser:
@@ -28,6 +28,29 @@ class TestParser:
         for command in ("fig6", "efficacy", "accuracy", "chaos", "bench"):
             args = parser.parse_args([command, "--workers", "3"])
             assert args.workers == 3
+
+    def test_defaults_are_literals_whatever_the_environment(
+        self, monkeypatch
+    ):
+        """Every subcommand's defaults used to be evaluated from the
+        environment in ``build_parser()``: a bad ``REPRO_FUZZ_CASES``
+        killed ``fig1``, and ``REPRO_SERVICE_DELTA`` walked past
+        ``choices``."""
+        monkeypatch.setenv("REPRO_FUZZ_CASES", "abc")
+        monkeypatch.setenv("REPRO_SERVICE_DELTA", "sideways")
+        monkeypatch.setenv("REPRO_DEFENSE_OUTAGES", "x")
+        monkeypatch.setenv("REPRO_SERVICE_MAX_INFLIGHT", "1")
+        parser = build_parser()
+        assert parser.parse_args(["fig1"]).command == "fig1"
+        serve = parser.parse_args(["serve", "--sim"])
+        assert (serve.delta, serve.journal_max_bytes) == ("auto", None)
+        defenses = parser.parse_args(["defenses"])
+        assert (defenses.scale, defenses.sweep, defenses.outages) == (
+            "tiny", "0,0.25,0.5,0.75,1.0", 3
+        )
+        fuzz = parser.parse_args(["fuzz"])
+        assert (fuzz.cases, fuzz.scale, fuzz.workers) == (500, "small", 1)
+        assert (fuzz.corpus_dir, fuzz.inject_divergence) == (None, False)
 
 
 class TestCommands:
@@ -61,6 +84,21 @@ class TestCommands:
         assert main(["--seed", "5", "demo"]) == 0
         out = capsys.readouterr().out
         assert "unpoisoned" in out
+
+    def test_serve_runs_its_flags_not_the_environment(
+        self, monkeypatch, capsys
+    ):
+        def serve():
+            assert main(["--seed", "3", "serve", "--sim"]) == 0
+            return capsys.readouterr().out
+
+        unset = serve()
+        assert "event digest" in unset
+        monkeypatch.setenv("REPRO_SERVICE_MAX_INFLIGHT", "1")
+        monkeypatch.setenv("REPRO_SERVICE_DELTA", "off")
+        monkeypatch.setenv("REPRO_DELTA_MODE", "auto")
+        monkeypatch.setenv("REPRO_TRAFFIC_USERS", "5")
+        assert serve() == unset
 
 
 class TestBench:
@@ -166,8 +204,18 @@ class TestBench:
         assert result.returncode != 0
 
     def test_unknown_benchmark_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nope") as raised:
             main([
                 "bench", "--scale", "tiny", "--only", "nope",
                 "--output", str(tmp_path / "x.json"),
             ])
+        assert "measured by" not in str(raised.value)
+        # A retired entry's error says which harness measures it now.
+        assert not set(RETIRED) & set(BENCHMARKS)
+        for name, harness in RETIRED.items():
+            with pytest.raises(ValueError) as raised:
+                main([
+                    "bench", "--scale", "tiny", "--only", name,
+                    "--output", str(tmp_path / "x.json"),
+                ])
+            assert f"{name!r} is measured by {harness}" in str(raised.value)

@@ -39,10 +39,10 @@ from repro.dataplane.fib import DEFAULT_PREFIX, LOCAL, build_fibs
 from repro.dataplane.forwarding import DataPlane, ForwardOutcome
 from repro.net.addr import Address, Prefix
 from repro.net.lpm import FlatLPM
-from repro.net.trie import PrefixTrie
 from repro.topology.generate import generate_internet
 from repro.topology.routers import RouterTopology
 from repro.workloads.scenarios import SCALES
+from tests.trie_oracle import PrefixTrie
 
 WORLDS = [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 3)]
 TIMES = (-50.0, 0.0, 99.0, 100.0, 150.0, 199.0, 200.0, 1e9)

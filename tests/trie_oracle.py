@@ -1,9 +1,9 @@
 """Binary trie over IPv4 prefixes with longest-prefix-match lookup.
 
 FIBs are plain prefix maps compiled to interval tables
-(:mod:`repro.net.lpm`); the trie is the independent oracle that tests and
-the legacy ``impact`` bench entry build (:meth:`PrefixTrie.from_items`)
-and check those tables against.  Nothing else in the library uses it.
+(:mod:`repro.net.lpm`); the trie is the independent oracle the tests
+build (:meth:`PrefixTrie.from_items`) and check those tables against.
+The library does not import it.
 """
 
 from __future__ import annotations
