@@ -27,6 +27,12 @@ from repro.errors import SimulationError
 from repro.net.addr import Prefix
 from repro.topology.as_graph import ASGraph
 
+#: Event codes, the third field of a ``(time, seq, code, a, b, c)`` heap
+#: entry (*seq* is unique, so nothing after it is ever compared):
+#: DELIVER a=receiving ASN b=update; MRAI_EXPIRE a=session b=prefix;
+#: DAMPING_REUSE a=ASN b=prefix c=neighbor.
+EVENT_DELIVER, EVENT_MRAI_EXPIRE, EVENT_DAMPING_REUSE = range(3)
+
 
 @dataclass
 class EngineConfig:
@@ -63,10 +69,24 @@ class RouteChange:
 class _Session:
     """Directed adjacency state (MRAI + last advertisement sent)."""
 
-    __slots__ = ("mrai", "last_sent_time", "sent", "timer_pending")
+    __slots__ = (
+        "key", "mrai", "floor", "last_sent_time", "sent", "timer_pending",
+    )
 
-    def __init__(self, mrai: float) -> None:
+    def __init__(self, key: Tuple[int, int], mrai: float) -> None:
+        #: (src, dst) ASNs.  No speaker reference: speakers list their
+        #: sessions, and a cycle would leave every discarded engine to
+        #: the cyclic collector.
+        self.key = key
         self.mrai = mrai
+        #: the latest delivery time scheduled so far; arrivals are
+        #: clamped to it so updates on one session are delivered in send
+        #: order (BGP runs over TCP — a later withdrawal must never
+        #: overtake an earlier announcement).  Differential fuzzing found
+        #: the reordering artifact: stale Adj-RIB-In entries left by
+        #: crossed messages get re-selected into the Loc-RIB when a
+        #: perturbation withdraws the best route.
+        self.floor = 0.0
         #: prefix -> time of last announcement sent on this session.
         self.last_sent_time: Dict[Prefix, float] = {}
         #: prefix -> last Announcement (or None for withdrawal/state unsent).
@@ -85,21 +105,24 @@ class BGPEngine:
         speaker_configs: Optional[Dict[int, SpeakerConfig]] = None,
     ) -> None:
         self.graph = graph
-        self.config = config or EngineConfig()
-        self._rng = random.Random(self.config.seed)
+        self.config = config = config or EngineConfig()
+        for name, low, high in (
+            ("link_delay", config.link_delay_min, config.link_delay_max),
+            ("proc_delay", config.proc_delay_min, config.proc_delay_max),
+            ("mrai_jitter", config.mrai_jitter_min, config.mrai_jitter_max),
+            ("mrai", 0.0, config.mrai),
+        ):
+            if not 0 <= low <= high:
+                raise SimulationError(
+                    f"EngineConfig.{name}: need 0 <= min <= max, "
+                    f"got ({low}, {high})"
+                )
+        self._rng = random.Random(config.seed)
         self.now = 0.0
-        self._queue: List[Tuple[float, int, tuple]] = []
+        self._queue: List[tuple] = []
         self._seq = itertools.count()
         self.speakers: Dict[int, BGPSpeaker] = {}
         self._sessions: Dict[Tuple[int, int], _Session] = {}
-        #: per directed session, the latest delivery time scheduled so
-        #: far; arrivals are clamped to it so updates on one session are
-        #: delivered in send order (BGP runs over TCP — a later
-        #: withdrawal must never overtake an earlier announcement).
-        #: Differential fuzzing found the reordering artifact: stale
-        #: Adj-RIB-In entries left by crossed messages get re-selected
-        #: into the Loc-RIB when a perturbation withdraws the best route.
-        self._arrival_floor: Dict[Tuple[int, int], float] = {}
         self.change_log: List[RouteChange] = []
         #: total updates (announcements + withdrawals) sent per directed
         #: session; Table 2's per-router load estimates read this.
@@ -137,26 +160,27 @@ class BGPEngine:
             neighbor_rels = {
                 n: graph.relationship(asn, n) for n in graph.neighbors(asn)
             }
-            self.speakers[asn] = BGPSpeaker(
+            speaker = self.speakers[asn] = BGPSpeaker(
                 asn, neighbor_rels, speaker_configs.get(asn)
             )
-            for neighbor in neighbor_rels:
+            for neighbor, relationship in neighbor_rels.items():
                 jitter = self._rng.uniform(
-                    self.config.mrai_jitter_min, self.config.mrai_jitter_max
+                    config.mrai_jitter_min, config.mrai_jitter_max
                 )
-                self._sessions[(asn, neighbor)] = _Session(
-                    self.config.mrai * jitter
+                session = self._sessions[(asn, neighbor)] = _Session(
+                    (asn, neighbor), config.mrai * jitter
                 )
+                speaker.sessions.append((neighbor, session, relationship))
 
     # ------------------------------------------------------------------
     # Event queue plumbing
     # ------------------------------------------------------------------
-    def _push(self, time: float, event: tuple) -> None:
+    def _push(self, time: float, code: int, a, b, c=None) -> None:
         if time < self.now - 1e-9:
             raise SimulationError(
                 f"event scheduled in the past ({time} < {self.now})"
             )
-        heapq.heappush(self._queue, (time, next(self._seq), event))
+        heapq.heappush(self._queue, (time, next(self._seq), code, a, b, c))
 
     def reseed(self, seed: int) -> None:
         """Replace the engine's RNG stream (timing jitter draws).
@@ -171,16 +195,6 @@ class BGPEngine:
         """
         self._rng = random.Random(seed)
         clear_interned_paths()
-
-    def _link_delay(self) -> float:
-        return self._rng.uniform(
-            self.config.link_delay_min, self.config.link_delay_max
-        )
-
-    def _proc_delay(self) -> float:
-        return self._rng.uniform(
-            self.config.proc_delay_min, self.config.proc_delay_max
-        )
 
     # ------------------------------------------------------------------
     # Driving the simulation
@@ -212,15 +226,18 @@ class BGPEngine:
         new_best = speaker.best(prefix)
         if new_best != old_best:
             self._log_change(asn, prefix, old_best, new_best)
-        self._flush_all_sessions(asn, prefix)
+        self._flush_all_sessions(speaker, prefix, new_best)
 
     def withdraw_origin(self, asn: int, prefix: Prefix) -> None:
         """Stop originating *prefix* at *asn*."""
         self._invalidate_analytic()
         speaker = self.speakers[asn]
         speaker.stop_originating(prefix)
-        self._record_change(asn, prefix)
-        self._flush_all_sessions(asn, prefix)
+        # Logged without its old route: the FIB row counts as moved even
+        # when no route is left (None against None says nothing).
+        best = speaker.best(prefix)
+        self._log_change(asn, prefix, None, best, True)
+        self._flush_all_sessions(speaker, prefix, best)
 
     def reset_session(self, as_a: int, as_b: int) -> bool:
         """Tear down and re-establish the BGP session between two ASes.
@@ -235,27 +252,27 @@ class BGPEngine:
         if (as_a, as_b) not in self._sessions:
             return False
         self._invalidate_analytic()
-        for src, dst in ((as_a, as_b), (as_b, as_a)):
-            session = self._sessions[(src, dst)]
+        pair = (self._sessions[(as_a, as_b)], self._sessions[(as_b, as_a)])
+        for session in pair:
             session.last_sent_time.clear()
             session.sent.clear()
             # Pending MRAI expiries for the old session may still fire;
             # _flush_session is idempotent so they become no-ops.
             session.timer_pending.clear()
-        for src, dst in ((as_a, as_b), (as_b, as_a)):
+        for session in pair:
+            src, dst = session.key
             receiver = self.speakers[dst]
             for prefix, old_best, new_best in receiver.forget_neighbor(src):
                 self._log_change(dst, prefix, old_best, new_best)
-                self._flush_all_sessions(dst, prefix)
-        for src, dst in ((as_a, as_b), (as_b, as_a)):
-            speaker = self.speakers[src]
+                self._flush_all_sessions(receiver, prefix, new_best)
+        for session in pair:
             # Locally-originated prefixes are installed in the table too,
             # so its prefix list is the complete desired-export universe.
             for prefix in sorted(
-                speaker.table.prefixes(),
+                self.speakers[session.key[0]].table.prefixes(),
                 key=lambda p: (p.base, p.length),
             ):
-                self._flush_session(src, dst, prefix)
+                self._flush_session(session, prefix)
         self.session_resets += 1
         if self.obs is not None:
             self.obs.emit(
@@ -336,88 +353,47 @@ class BGPEngine:
         drains; a safety valve raises if it does not.
         """
         processed = 0
-        limit = 5_000_000
-        queue = self._queue
+        queue, speakers = self._queue, self.speakers
         pop = heapq.heappop
-        batch: List[tuple] = []
         while queue:
-            time, _, event = queue[0]
+            time = queue[0][0]
             if until is not None and time > until:
                 self.now = until
-                return self.now
-            pop(queue)
+                return until
+            # Heap order yields equal times in sequence (push) order.
+            _, _, code, a, b, c = pop(queue)
             self.now = time
-            # Batch events sharing a timestamp (MRAI expiries cluster at
-            # `last + mrai`): one heap inspection per event instead of a
-            # full loop iteration.  Heap order already yields equal times
-            # in sequence order, so semantics are unchanged.
-            batch.append(event)
-            while queue and queue[0][0] == time:
-                batch.append(pop(queue)[2])
-            for event in batch:
-                self._dispatch(event)
-            processed += len(batch)
-            batch.clear()
-            if processed > limit:
+            if code == EVENT_MRAI_EXPIRE:
+                a.timer_pending.discard(b)
+                if self.obs is not None:
+                    self.obs.emit(
+                        "bgp.mrai-flush", time, "bgp.engine",
+                        subject=str(b), src=a.key[0], dst=a.key[1],
+                    )
+                self._flush_session(a, b)
+            else:
+                speaker = speakers[a]
+                if code == EVENT_DELIVER:
+                    outcome = speaker.process(b, time)
+                else:  # EVENT_DAMPING_REUSE
+                    outcome = speaker.release_damped(b, c, time)
+                prefix, old, new, changed = outcome
+                if speaker._pending_reuse:
+                    for p, neighbor, when in speaker.drain_pending_reuse():
+                        self._push(
+                            max(when, time), EVENT_DAMPING_REUSE,
+                            a, p, neighbor,
+                        )
+                if changed:
+                    self._log_change(a, prefix, old, new)
+                    self._flush_all_sessions(speaker, prefix, new)
+            processed += 1
+            if processed > 5_000_000:
                 raise SimulationError(
                     "BGP simulation did not quiesce (possible policy "
                     "dispute wheel)"
                 )
         return self.now
-
-    def _dispatch(self, event: tuple) -> None:
-        kind = event[0]
-        if kind == "deliver":
-            _, src, dst, update = event
-            self._deliver(src, dst, update)
-        elif kind == "mrai":
-            _, src, dst, prefix = event
-            session = self._sessions[(src, dst)]
-            session.timer_pending.discard(prefix)
-            if self.obs is not None:
-                self.obs.emit(
-                    "bgp.mrai-flush", self.now, "bgp.engine",
-                    subject=str(prefix), src=src, dst=dst,
-                )
-            self._flush_session(src, dst, prefix)
-        elif kind == "damping-reuse":
-            _, asn, prefix, neighbor = event
-            self._damping_reuse(asn, prefix, neighbor)
-        else:  # pragma: no cover - internal invariant
-            raise SimulationError(f"unknown event {kind!r}")
-
-    def _deliver(self, src: int, dst: int, update) -> None:
-        speaker = self.speakers[dst]
-        old_best = speaker.best(update.prefix)
-        prefix, changed = speaker.process(update, now=self.now)
-        self._schedule_damping_reuse(dst, speaker)
-        if not changed:
-            return
-        self._log_change(dst, prefix, old_best, speaker.best(prefix))
-        self._flush_all_sessions(dst, prefix)
-
-    def _schedule_damping_reuse(self, asn: int, speaker: BGPSpeaker) -> None:
-        for prefix, neighbor, when in speaker.drain_pending_reuse():
-            self._push(
-                max(when, self.now),
-                ("damping-reuse", asn, prefix, neighbor),
-            )
-
-    def _damping_reuse(self, asn: int, prefix: Prefix, neighbor: int) -> None:
-        speaker = self.speakers[asn]
-        old_best = speaker.best(prefix)
-        _, changed = speaker.release_damped(prefix, neighbor, self.now)
-        self._schedule_damping_reuse(asn, speaker)
-        if not changed:
-            return
-        self._log_change(asn, prefix, old_best, speaker.best(prefix))
-        self._flush_all_sessions(asn, prefix)
-
-    def _record_change(self, asn: int, prefix: Prefix) -> None:
-        # Logged without its old route: the FIB row counts as moved even
-        # when no route is left (None against None says nothing).
-        speaker = self.speakers[asn]
-        self._log_change(asn, prefix, None, speaker.best(prefix), True)
 
     def _log_change(
         self,
@@ -451,60 +427,71 @@ class BGPEngine:
     # ------------------------------------------------------------------
     # Session flushing with MRAI
     # ------------------------------------------------------------------
-    def _flush_all_sessions(self, asn: int, prefix: Prefix) -> None:
-        for neighbor in self.speakers[asn].neighbors:
-            self._flush_session(asn, neighbor, prefix)
-
-    def _flush_session(self, src: int, dst: int, prefix: Prefix) -> None:
-        session = self._sessions[(src, dst)]
-        desired = self.speakers[src].desired_export(prefix, dst)
-        sent = session.sent.get(prefix)
-        if desired == sent:
+    def _flush_all_sessions(
+        self, speaker: BGPSpeaker, prefix: Prefix, best: Optional[Route]
+    ) -> None:
+        """Tell every neighbor of *speaker* what it should now hear about
+        *prefix*, *best* being the speaker's Loc-RIB entry for it."""
+        if best is None or speaker.originates(prefix):
+            for _, session, _ in speaker.sessions:
+                self._flush_session(session, prefix)
             return
-        is_withdrawal = desired is None
-        rate_limited = (
-            not is_withdrawal or self.config.mrai_applies_to_withdrawals
-        )
-        if rate_limited:
+        # A transit route is told identically to every neighbor the
+        # export policy admits (desired_export's rules, in its order):
+        # one announcement per decision change.
+        may_export_to = speaker.policy.may_export_to
+        learned_from, communities = best.relationship, best.communities
+        shared = None
+        for neighbor, session, relationship in speaker.sessions:
+            desired = None
+            if best.neighbor != neighbor and may_export_to(
+                learned_from, relationship, communities
+            ):
+                if shared is None:
+                    shared = speaker.transit_announcement(best)
+                desired = shared
+            if desired != session.sent.get(prefix):
+                self._send(session, prefix, desired)
+
+    def _flush_session(self, session: _Session, prefix: Prefix) -> None:
+        src, dst = session.key
+        desired = self.speakers[src].desired_export(prefix, dst)
+        if desired != session.sent.get(prefix):
+            self._send(session, prefix, desired)
+
+    def _send(
+        self,
+        session: _Session,
+        prefix: Prefix,
+        desired: Optional[Announcement],
+    ) -> None:
+        """Transmit *desired*, which differs from what *session* last
+        sent for *prefix* — or arm the MRAI timer that will."""
+        if desired is not None or self.config.mrai_applies_to_withdrawals:
             last = session.last_sent_time.get(prefix)
             if last is not None and self.now < last + session.mrai:
                 if prefix not in session.timer_pending:
                     session.timer_pending.add(prefix)
                     self._push(
-                        last + session.mrai, ("mrai", src, dst, prefix)
+                        last + session.mrai, EVENT_MRAI_EXPIRE,
+                        session, prefix,
                     )
                 return
-        self._transmit(src, dst, prefix, desired, session)
-
-    def _transmit(
-        self,
-        src: int,
-        dst: int,
-        prefix: Prefix,
-        desired: Optional[Announcement],
-        session: _Session,
-    ) -> None:
-        if desired is None:
-            if session.sent.get(prefix) is None:
-                return
-            update: object = Withdrawal(prefix=prefix, sender=src)
-        else:
-            update = desired
         session.sent[prefix] = desired
-        session.last_sent_time[prefix] = self.now
-        self.updates_sent[(src, dst)] = (
-            self.updates_sent.get((src, dst), 0) + 1
-        )
+        session.last_sent_time[prefix] = now = self.now
+        key = session.key
+        self.updates_sent[key] = self.updates_sent.get(key, 0) + 1
         if self.obs is not None:
             self.obs.emit(
-                "bgp.update-sent", self.now, "bgp.engine",
-                subject=str(prefix), src=src, dst=dst,
+                "bgp.update-sent", now, "bgp.engine",
+                subject=str(prefix), src=key[0], dst=key[1],
                 update="withdraw" if desired is None else "announce",
                 path=list(desired.as_path) if desired is not None else None,
             )
+        update = Withdrawal(prefix, key[0]) if desired is None else desired
         deliveries = 1
         if self.fault_hook is not None:
-            action = self.fault_hook(src, dst, update)
+            action = self.fault_hook(key[0], key[1], update)
             if action == "drop":
                 # The sender believes the update went out (session state
                 # already says so); the receiver never sees it.  The
@@ -513,16 +500,22 @@ class BGPEngine:
                 deliveries = 0
             elif action == "duplicate":
                 deliveries = 2
-        floor = self._arrival_floor
+        config, rand = self.config, self._rng.random
+        proc_min, link_min = config.proc_delay_min, config.link_delay_min
         for _ in range(deliveries):
-            arrival = self.now + self._proc_delay() + self._link_delay()
-            prior = floor.get((src, dst))
-            if prior is not None and arrival < prior:
-                # FIFO per session: equal timestamps keep heap sequence
-                # order, which is send order.
-                arrival = prior
-            floor[(src, dst)] = arrival
-            self._push(arrival, ("deliver", src, dst, update))
+            # Two ``Random.uniform`` draws spelled out, processing first
+            # (the stream order every digest was recorded under).  FIFO
+            # per session: equal timestamps keep heap sequence order,
+            # which is send order.
+            arrival = (
+                now
+                + (proc_min + (config.proc_delay_max - proc_min) * rand())
+                + (link_min + (config.link_delay_max - link_min) * rand())
+            )
+            if arrival < session.floor:
+                arrival = session.floor
+            session.floor = arrival
+            self._push(arrival, EVENT_DELIVER, key[1], update)
 
     # ------------------------------------------------------------------
     # Incremental convergence (repro.bgp.delta)

@@ -7,8 +7,7 @@ path constructions performed by the origin; :func:`make_path` builds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
 from repro.errors import BGPError
 from repro.net.addr import Prefix
@@ -115,8 +114,18 @@ def unique_ases(path: ASPath) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Announcement:
+class _AnnouncementFields(NamedTuple):
+    """:class:`Announcement`'s fields; its path check needs a ``__new__``,
+    which a NamedTuple body may not define."""
+
+    prefix: Prefix
+    as_path: ASPath
+    med: int
+    communities: FrozenSet[Tuple[int, int]]
+    avoid: FrozenSet[int]
+
+
+class Announcement(_AnnouncementFields):
     """A reachability announcement for *prefix* with attributes.
 
     ``as_path[0]`` is the ASN of the speaker that sent this announcement.
@@ -132,17 +141,23 @@ class Announcement:
     Property).  Today's BGP has no such attribute — LIFEGUARD
     approximates it with poisoning — but the simulator supports it so the
     approximation can be compared against the ideal.
+
+    A tuple value, as are :class:`Withdrawal` and
+    :class:`~repro.bgp.rib.Route`: the event engine builds one per
+    decision change and compares one per flushed session, and both are
+    C-level tuple operations (``==`` stops at the interned path's
+    identity).
     """
 
-    prefix: Prefix
-    as_path: ASPath
-    med: int = 0
-    communities: FrozenSet[Tuple[int, int]] = field(default_factory=frozenset)
-    avoid: FrozenSet[int] = field(default_factory=frozenset)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.as_path:
+    def __new__(cls, prefix, as_path, med=0, communities=frozenset(),
+                avoid=frozenset()):
+        if not as_path:
             raise BGPError("announcement needs a non-empty AS path")
+        return tuple.__new__(
+            cls, (prefix, as_path, med, communities, avoid)
+        )
 
     @property
     def sender(self) -> int:
@@ -154,19 +169,8 @@ class Announcement:
         """The AS that originated the route (rightmost ASN)."""
         return self.as_path[-1]
 
-    def sent_by(self, asn: int) -> "Announcement":
-        """The announcement as re-advertised by *asn* (prepends its ASN)."""
-        return Announcement(
-            prefix=self.prefix,
-            as_path=intern_path((asn,) + self.as_path),
-            med=0,  # MED is non-transitive: reset when crossing an AS.
-            communities=self.communities,
-            avoid=self.avoid,  # AVOID_PROBLEM is transitive by design.
-        )
 
-
-@dataclass(frozen=True, slots=True)
-class Withdrawal:
+class Withdrawal(NamedTuple):
     """Withdraws reachability of *prefix* via the sending neighbor."""
 
     prefix: Prefix

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Set, Tuple
 
-from repro.bgp.messages import Announcement, occurrences
+from repro.bgp.messages import Announcement
 from repro.topology.relationships import Relationship, local_pref_for, may_export
 
 #: Community value understood by ASes honouring it: do not export this route
@@ -146,7 +146,7 @@ class PolicyEngine:
         """Import filter: loop prevention plus configured quirks."""
         config = self.config
         limit = config.loop_max_occurrences
-        if limit > 0 and occurrences(announcement.as_path, self.asn) >= limit:
+        if limit > 0 and announcement.as_path.count(self.asn) >= limit:
             return False
         if (
             config.reject_peer_paths_from_customers

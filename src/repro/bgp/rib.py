@@ -3,21 +3,23 @@
 from __future__ import annotations
 
 from collections.abc import ItemsView
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
-from repro.bgp.messages import Announcement, ASPath
+from repro.bgp.messages import ASPath
 from repro.net.addr import Prefix
 from repro.topology.relationships import Relationship
 
 
-@dataclass(frozen=True, slots=True)
-class Route:
+class Route(NamedTuple):
     """A route installed in a speaker's Adj-RIB-In (post-import-policy).
 
     ``neighbor`` is the AS the route was learned from; for self-originated
     routes it equals the local ASN and ``relationship`` is CUSTOMER (so the
-    route exports to everyone, like a customer route).
+    route exports to everyone, like a customer route).  A tuple value
+    like :class:`~repro.bgp.messages.Announcement`: one is built per
+    accepted update and compared per decision and per spliced row.
     """
 
     prefix: Prefix
@@ -26,10 +28,10 @@ class Route:
     relationship: Relationship
     local_pref: int
     med: int = 0
-    communities: FrozenSet[Tuple[int, int]] = field(default_factory=frozenset)
+    communities: FrozenSet[Tuple[int, int]] = frozenset()
     #: AVOID_PROBLEM(X, P) hint carried by the announcement (see
     #: :class:`repro.bgp.messages.Announcement`).
-    avoid: FrozenSet[int] = field(default_factory=frozenset)
+    avoid: FrozenSet[int] = frozenset()
 
     @property
     def origin(self) -> int:
@@ -38,16 +40,6 @@ class Route:
     def traverses_avoided(self) -> bool:
         """True if this route crosses an AS its own avoid-hint flags."""
         return any(asn in self.as_path for asn in self.avoid)
-
-    def announcement(self) -> Announcement:
-        """Re-materialize the announcement this route was built from."""
-        return Announcement(
-            prefix=self.prefix,
-            as_path=self.as_path,
-            med=self.med,
-            communities=self.communities,
-            avoid=self.avoid,
-        )
 
 
 def preference_key(route: Route) -> Tuple[int, int, int, int]:
@@ -93,8 +85,11 @@ class RouteTable:
     """Per-speaker routing state for all prefixes.
 
     Keeps the Adj-RIB-In (one route per (prefix, neighbor)) and the Loc-RIB
-    (the selected best route per prefix).  The speaker drives updates and
-    asks for the recomputed best.
+    (the selected best route per prefix).  Invariant: the Loc-RIB entry
+    is :func:`best_route` of the prefix's rows not in ``suppressed``.
+    :meth:`decide` keeps it one row at a time; :meth:`load` and
+    :meth:`replace_rows` / :meth:`pin_best` install analytic state that
+    satisfies it by construction.
     """
 
     def __init__(self) -> None:
@@ -102,10 +97,59 @@ class RouteTable:
         self._adj_in: Dict[Prefix, Dict[int, Route]] = {}
         #: prefix -> selected best
         self._loc: Dict[Prefix, Route] = {}
+        #: (prefix, neighbor) rows flap damping keeps out of the decision;
+        #: the speaker adds and discards, then calls :meth:`reselect`.
+        self.suppressed: Set[Tuple[Prefix, int]] = set()
+        #: True once any row carried an AVOID_PROBLEM hint: from then on
+        #: the decision is not a minimum over the rows (a hint on one
+        #: row disqualifies others), so :meth:`decide` always rescans.
+        #: Only :meth:`decide` can set it — the solver and the delta
+        #: gate refuse hints, so loaded and spliced rows never carry one.
+        self._avoid_seen = False
 
-    def install(self, route: Route) -> None:
-        """Insert/replace the route from ``route.neighbor`` for its prefix."""
-        self._adj_in.setdefault(route.prefix, {})[route.neighbor] = route
+    def decide(
+        self,
+        prefix: Prefix,
+        neighbor: int,
+        route: Optional[Route],
+    ) -> Tuple[Optional[Route], Optional[Route], bool]:
+        """Replace *neighbor*'s row for *prefix* (None: remove it) and
+        re-decide; returns (best before, best after, changed?).
+
+        The new row is judged against the standing best alone: a row no
+        worse than it wins, a worse row from another neighbor changes
+        nothing.  Only when the best's own row worsens or leaves — or
+        the decision is not a plain minimum over the rows: something is
+        suppressed, or an avoid hint was seen — are the rows rescanned.
+        """
+        rows = self._adj_in.get(prefix)
+        old = self._loc.get(prefix)
+        plain = not self.suppressed and not self._avoid_seen
+        if route is None:
+            if not rows or neighbor not in rows:
+                return old, old, False
+            del rows[neighbor]
+            if not rows:
+                del self._adj_in[prefix]
+            if plain and (old is None or old.neighbor != neighbor):
+                return old, old, False
+        else:
+            if rows is None:
+                rows = self._adj_in[prefix] = {}
+            rows[neighbor] = route
+            if route.avoid:
+                self._avoid_seen = True
+            elif plain:
+                if old is None or (
+                    preference_key(route) <= preference_key(old)
+                ):
+                    if route == old:
+                        return old, old, False
+                    self._loc[prefix] = route
+                    return old, route, True
+                if old.neighbor != neighbor:
+                    return old, old, False
+        return self.reselect(prefix)
 
     def load(
         self,
@@ -123,15 +167,6 @@ class RouteTable:
         self._adj_in.setdefault(prefix, {}).update(routes)
         if best is not None:
             self._loc[prefix] = best
-
-    def purge_prefix(self, prefix: Prefix) -> None:
-        """Drop every Adj-RIB-In row and the Loc-RIB pin for *prefix*.
-
-        The inverse of :meth:`load`, used by the delta path to splice an
-        old per-prefix solution out before installing its replacement.
-        """
-        self._adj_in.pop(prefix, None)
-        self._loc.pop(prefix, None)
 
     def replace_rows(
         self, prefix: Prefix, routes: Optional[Dict[int, Route]]
@@ -159,39 +194,30 @@ class RouteTable:
         else:
             self._loc.pop(prefix, None)
 
-    def withdraw(self, prefix: Prefix, neighbor: int) -> bool:
-        """Remove the route from *neighbor*; True if one was present."""
-        table = self._adj_in.get(prefix)
-        if not table or neighbor not in table:
-            return False
-        del table[neighbor]
-        if not table:
-            del self._adj_in[prefix]
-        return True
-
     def reselect(
-        self, prefix: Prefix, exclude_neighbors: "Set[int]" = frozenset()
-    ) -> Tuple[Optional[Route], bool]:
-        """Re-run the decision process for *prefix*.
-
-        Returns (new best or None, changed?) and updates the Loc-RIB.
-        *exclude_neighbors* removes routes from those neighbors from
-        consideration (flap-damping suppression).
-        """
-        candidates = [
-            route
-            for neighbor, route in self._adj_in.get(prefix, {}).items()
-            if neighbor not in exclude_neighbors
-        ]
+        self, prefix: Prefix
+    ) -> Tuple[Optional[Route], Optional[Route], bool]:
+        """Re-run the decision process over every unsuppressed row of
+        *prefix*; returns (best before, best after, changed?) and
+        updates the Loc-RIB."""
+        rows = self._adj_in.get(prefix, {})
+        if self.suppressed:
+            candidates = [
+                route
+                for neighbor, route in rows.items()
+                if (prefix, neighbor) not in self.suppressed
+            ]
+        else:
+            candidates = list(rows.values())
         new_best = best_route(candidates)
         old_best = self._loc.get(prefix)
         if new_best is old_best or new_best == old_best:
-            return new_best, False
+            return old_best, old_best, False
         if new_best is None:
             del self._loc[prefix]
         else:
             self._loc[prefix] = new_best
-        return new_best, True
+        return old_best, new_best, True
 
     def best(self, prefix: Prefix) -> Optional[Route]:
         """Current Loc-RIB entry for *prefix*."""

@@ -58,6 +58,9 @@ class BGPSpeaker:
     ) -> None:
         self.asn = asn
         self.neighbors = dict(neighbors)
+        #: (neighbor, engine session, relationship) in neighbor order;
+        #: filled in by the engine that owns the sessions.
+        self.sessions: List[tuple] = []
         self.policy = PolicyEngine(asn, config)
         self.table = RouteTable()
         #: times this AS was named in an AVOID_PROBLEM hint it received
@@ -65,9 +68,10 @@ class BGPSpeaker:
         self.avoid_notifications = 0
         self._origins: Dict[Prefix, OriginEntry] = {}
         # Route-flap damping state (only used when config enables it):
-        # (prefix, neighbor) -> [penalty, last-update-time].
+        # (prefix, neighbor) -> [penalty, last-update-time]; the damped
+        # keys themselves live in ``table.suppressed``, where the
+        # decision skips them.
         self._damping: Dict[Tuple[Prefix, int], Tuple[float, float]] = {}
-        self._suppressed: Set[Tuple[Prefix, int]] = set()
         self._pending_reuse: List[Tuple[Prefix, int, float]] = []
         self._peer_asns: Set[int] = {
             n for n, rel in self.neighbors.items()
@@ -99,7 +103,9 @@ class BGPSpeaker:
         for candidate in [path] + list((per_neighbor or {}).values()):
             if candidate is None:
                 continue
-            if candidate[0] != self.asn or candidate[-1] != self.asn:
+            if not candidate or (
+                candidate[0] != self.asn or candidate[-1] != self.asn
+            ):
                 raise BGPError(
                     f"origin path {candidate} must start and end with "
                     f"AS{self.asn}"
@@ -121,7 +127,9 @@ class BGPSpeaker:
             if p is not None
         ]
         representative = min(loop_free, key=len) if loop_free else (self.asn,)
-        self.table.install(
+        self.table.decide(
+            prefix,
+            self.asn,
             Route(
                 prefix=prefix,
                 as_path=representative,
@@ -130,16 +138,14 @@ class BGPSpeaker:
                 local_pref=ORIGIN_LOCAL_PREF,
                 med=med,
                 communities=entry.communities,
-            )
+            ),
         )
-        self._reselect(prefix)
 
     def stop_originating(self, prefix: Prefix) -> None:
         """Withdraw a locally-originated prefix everywhere."""
         if prefix in self._origins:
             del self._origins[prefix]
-            self.table.withdraw(prefix, self.asn)
-            self._reselect(prefix)
+            self.table.decide(prefix, self.asn, None)
 
     def originates(self, prefix: Prefix) -> bool:
         """True if this speaker originates *prefix*."""
@@ -156,50 +162,42 @@ class BGPSpeaker:
         self,
         update: Union[Announcement, Withdrawal],
         now: float = 0.0,
-    ) -> Tuple[Prefix, bool]:
+    ) -> Tuple[Prefix, Optional[Route], Optional[Route], bool]:
         """Apply one received update at simulation time *now*.
 
-        Returns (prefix, best-route-changed).  A filtered announcement acts
-        as an implicit withdrawal of the neighbor's previous route — this is
-        precisely how poisoning reaches into remote ASes: the poisoned AS
-        filters the update (loop!) and thereby loses the path.
+        Returns (prefix, best before, best after, best-route-changed).  A
+        filtered announcement acts as an implicit withdrawal of the
+        neighbor's previous route — this is precisely how poisoning
+        reaches into remote ASes: the poisoned AS filters the update
+        (loop!) and thereby loses the path.
         """
-        if isinstance(update, Withdrawal):
-            prefix, neighbor = update.prefix, update.sender
-            if self.policy.config.flap_damping:
-                self._apply_damping(prefix, neighbor, now)
-            removed = self.table.withdraw(prefix, neighbor)
-            if not removed:
-                return prefix, False
-            _, changed = self._reselect(prefix)
-            return prefix, changed
-
-        neighbor = update.sender
-        if neighbor not in self.neighbors:
-            raise BGPError(
-                f"AS{self.asn} got update from non-neighbor AS{neighbor}"
-            )
-        relationship = self.neighbors[neighbor]
-        if self.asn in update.avoid:
-            self.avoid_notifications += 1
+        prefix, neighbor = update.prefix, update.sender
+        withdrawal = isinstance(update, Withdrawal)
+        if not withdrawal:
+            relationship = self.neighbors.get(neighbor)
+            if relationship is None:
+                raise BGPError(
+                    f"AS{self.asn} got update from non-neighbor AS{neighbor}"
+                )
+            if self.asn in update.avoid:
+                self.avoid_notifications += 1
         if self.policy.config.flap_damping:
-            self._apply_damping(update.prefix, neighbor, now)
-        if self.policy.accepts(update, relationship, self._peer_asns):
+            self._apply_damping(prefix, neighbor, now)
+        route = None
+        if not withdrawal and self.policy.accepts(
+            update, relationship, self._peer_asns
+        ):
             route = Route(
-                prefix=update.prefix,
-                as_path=update.as_path,
-                neighbor=neighbor,
-                relationship=relationship,
-                local_pref=self.policy.local_pref(neighbor, relationship),
-                med=update.med,
-                communities=update.communities,
-                avoid=update.avoid,
+                prefix,
+                update.as_path,
+                neighbor,
+                relationship,
+                self.policy.local_pref(neighbor, relationship),
+                update.med,
+                update.communities,
+                update.avoid,
             )
-            self.table.install(route)
-        else:
-            self.table.withdraw(update.prefix, neighbor)
-        _, changed = self._reselect(update.prefix)
-        return update.prefix, changed
+        return (prefix,) + self.table.decide(prefix, neighbor, route)
 
     def forget_neighbor(
         self, neighbor: int
@@ -220,26 +218,16 @@ class BGPSpeaker:
         for prefix in sorted(
             self.table.prefixes(), key=lambda p: (p.base, p.length)
         ):
-            if self.table.route_from(prefix, neighbor) is None:
-                continue
-            old_best = self.table.best(prefix)
-            self.table.withdraw(prefix, neighbor)
-            _, did_change = self._reselect(prefix)
+            old_best, new_best, did_change = self.table.decide(
+                prefix, neighbor, None
+            )
             if did_change:
-                changed.append((prefix, old_best, self.table.best(prefix)))
+                changed.append((prefix, old_best, new_best))
         return changed
 
     # ------------------------------------------------------------------
     # Route-flap damping (RFC 2439)
     # ------------------------------------------------------------------
-    def _reselect(self, prefix: Prefix) -> Tuple[Optional[Route], bool]:
-        excluded = {
-            neighbor
-            for (p, neighbor) in self._suppressed
-            if p == prefix
-        }
-        return self.table.reselect(prefix, exclude_neighbors=excluded)
-
     def _current_penalty(
         self, prefix: Prefix, neighbor: int, now: float
     ) -> float:
@@ -261,9 +249,9 @@ class BGPSpeaker:
         key = (prefix, neighbor)
         if (
             penalty >= config.damping_suppress_threshold
-            and key not in self._suppressed
+            and key not in self.table.suppressed
         ):
-            self._suppressed.add(key)
+            self.table.suppressed.add(key)
             # Time for the penalty to decay back to the reuse threshold.
             ratio = penalty / config.damping_reuse_threshold
             delay = config.damping_half_life * math.log2(ratio)
@@ -283,11 +271,13 @@ class BGPSpeaker:
 
     def release_damped(
         self, prefix: Prefix, neighbor: int, now: float
-    ) -> Tuple[Prefix, bool]:
-        """Attempt to unsuppress a damped route at *now*."""
+    ) -> Tuple[Prefix, Optional[Route], Optional[Route], bool]:
+        """Attempt to unsuppress a damped route at *now*; returns what
+        :meth:`process` does."""
         key = (prefix, neighbor)
-        if key not in self._suppressed:
-            return prefix, False
+        best = self.table.best(prefix)
+        if key not in self.table.suppressed:
+            return prefix, best, best, False
         config = self.policy.config
         if self._current_penalty(prefix, neighbor, now) > (
             config.damping_reuse_threshold + 1e-9
@@ -296,19 +286,18 @@ class BGPSpeaker:
             self._pending_reuse.append(
                 (prefix, neighbor, now + config.damping_half_life / 4)
             )
-            return prefix, False
-        self._suppressed.discard(key)
+            return prefix, best, best, False
+        self.table.suppressed.discard(key)
         if self.obs is not None:
             self.obs.emit(
                 "bgp.damping-release", now, "bgp.speaker",
                 subject=str(prefix), asn=self.asn, neighbor=neighbor,
             )
-        _, changed = self._reselect(prefix)
-        return prefix, changed
+        return (prefix,) + self.table.reselect(prefix)
 
     def is_suppressed(self, prefix: Prefix, neighbor: int) -> bool:
         """True while the (prefix, neighbor) route is damped."""
-        return (prefix, neighbor) in self._suppressed
+        return (prefix, neighbor) in self.table.suppressed
 
     # ------------------------------------------------------------------
     # Export side
@@ -336,26 +325,26 @@ class BGPSpeaker:
                 avoid=origin_entry.avoid,
             )
         best = self.table.best(prefix)
-        if best is None:
-            return None
-        if best.neighbor == neighbor:
+        if best is None or best.neighbor == neighbor:
             # Don't echo a route back to the neighbor that supplied it.
             return None
-        sending_to = self.neighbors[neighbor]
         if not self.policy.may_export_to(
-            best.relationship, sending_to, best.communities
+            best.relationship, self.neighbors[neighbor], best.communities
         ):
             return None
-        # Built directly (not via announcement().sent_by()) — this runs
-        # once per neighbor per best-route change, the engine's hottest
-        # allocation site.  MED resets when crossing an AS; AVOID_PROBLEM
-        # is transitive by design.
+        return self.transit_announcement(best)
+
+    def transit_announcement(self, best: Route) -> Announcement:
+        """*best* as this AS re-advertises it — one value for every
+        neighbor the export policy admits, so the engine builds it once
+        per decision change.  MED resets when crossing an AS;
+        AVOID_PROBLEM is transitive by design."""
         return Announcement(
-            prefix=prefix,
-            as_path=intern_path((self.asn,) + best.as_path),
-            med=0,
-            communities=self.policy.outbound_communities(best.communities),
-            avoid=best.avoid,
+            best.prefix,
+            intern_path((self.asn,) + best.as_path),
+            0,
+            self.policy.outbound_communities(best.communities),
+            best.avoid,
         )
 
     # ------------------------------------------------------------------

@@ -34,8 +34,8 @@ hold exactly the event engine's rows.  This is the standing CI check
 for the splice-back invariant over arbitrary fuzzer-generated inputs,
 not just the curated workloads.
 
-``inject_divergence=True`` is the end-to-end test hook: it deletes one
-solver-computed Loc-RIB selection before warm-start, which must surface
+``inject_divergence=True`` is the end-to-end test hook: it unpins one
+solver-computed Loc-RIB selection after warm-start, which must surface
 as a divergence, shrink to a minimal case and land in the corpus.
 
 A *stats* object handed to :func:`run_case` also receives the oracle's
@@ -134,10 +134,10 @@ def run_case(
         return CaseResult(VERDICT_GATE_REJECTED, reason=reason)
 
     try:
-        result = solve(solver_engine, originations, stats=stats)
+        solution = solve(solver_engine, originations, stats=stats)
+        solver_engine.warm_start(solution)
         if inject_divergence:
-            _tamper(result)
-        solver_engine.warm_start(result)
+            _tamper(solver_engine, solution)
         _perturb(solver_engine, case)
         solver_state = _capture(solver_engine, prefixes, stats)
     except Exception as exc:
@@ -176,6 +176,7 @@ def run_case(
         arm = _delta_arm(
             case,
             graph,
+            solution,
             event_state,
             prefixes,
             stats=stats,
@@ -214,6 +215,7 @@ def _compare(state, event_state, stats, diff_limit: int):
 def _delta_arm(
     case: FuzzCase,
     graph,
+    solution,
     event_state,
     prefixes,
     *,
@@ -226,6 +228,11 @@ def _delta_arm(
     full :class:`CaseResult` (verdict crash/divergence, side "delta")
     when the arm fails.  Faulty plans never reach here: message faults
     are exactly what the delta gate exists to refuse.
+
+    The arm warm-starts from *solution*, the solver arm's own result:
+    ``solve`` is pure in graph, configs and originations, ``warm_start``
+    copies its rows into the tables, and the divergence hook corrupts
+    the solver arm's engine, not the solution.
     """
     try:
         engine = BGPEngine(
@@ -233,7 +240,7 @@ def _delta_arm(
             EngineConfig(seed=case.engine_seed),
             case.speaker_configs(),
         )
-        engine.warm_start(solve(engine, case.resolved_originations()))
+        engine.warm_start(solution)
         engine.advance_to(engine.now + SETTLE_SECONDS)
         engine.reseed(derive_seed(case.seed, "fuzz-perturb"))
         for action in case.actions:
@@ -310,15 +317,17 @@ def _perturb(engine: BGPEngine, case: FuzzCase) -> None:
         engine.fault_hook = None
 
 
-def _tamper(result) -> bool:
-    """Corrupt a solver result deterministically (the known-divergence
-    test hook): drop the highest-ASN Loc-RIB selection of the first
-    prefix that has one.  Minimal surviving case: one link, one
-    origination — well under the 8-AS shrink-quality bar."""
-    for solution in result.solutions:
-        if solution.best:
-            victim = max(solution.best)
-            del solution.best[victim]
+def _tamper(engine, solution) -> bool:
+    """Corrupt a warm-started engine deterministically (the
+    known-divergence test hook): unpin the highest-ASN Loc-RIB selection
+    of the first prefix that has one — in the engine, never in
+    *solution*, which the delta arm goes on to share.  Minimal surviving
+    case: one link, one origination — well under the 8-AS shrink-quality
+    bar."""
+    for solved in solution.solutions:
+        if solved.best:
+            victim = max(solved.best)
+            engine.speakers[victim].table.pin_best(solved.prefix, None)
             return True
     return False
 

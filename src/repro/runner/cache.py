@@ -29,7 +29,9 @@ from repro.runner.stats import RunStats
 #: 5: Prefix caches its hash, the engine's dirty record is per row.
 #: 6: Event and PingResult grew slots; FlatLPM and PrefixAxis lost theirs
 #: for the numpy copies.
-CACHE_SCHEMA_VERSION = 6
+#: 7: Route/Announcement/Withdrawal are tuples; sessions carry their key,
+#: receiver and FIFO floor, speakers their session list.
+CACHE_SCHEMA_VERSION = 7
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

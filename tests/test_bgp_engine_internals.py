@@ -4,7 +4,7 @@ import pytest
 
 from repro.bgp.engine import BGPEngine, EngineConfig
 from repro.bgp.messages import make_path
-from repro.errors import SimulationError
+from repro.errors import BGPError, SimulationError
 from repro.net.addr import Prefix
 from repro.topology.as_graph import ASGraph
 from repro.topology.relationships import Relationship
@@ -83,6 +83,70 @@ class TestMRAI:
         # Withdrawals propagate immediately (no 30 s waits).
         assert settle - t0 < 5.0
         assert engine.as_path(3, P) is None
+
+
+class TestBoundaryChecks:
+    def test_empty_origin_path_is_a_bgp_error(self):
+        """Not an IndexError, and raised before any state changes."""
+        engine = BGPEngine(chain())
+        for kwargs in ({"path": ()}, {"per_neighbor": {2: ()}}):
+            with pytest.raises(BGPError):
+                engine.originate(1, P, **kwargs)
+        speaker = engine.speakers[1]
+        assert not speaker.originates(P) and speaker.best(P) is None
+        assert engine.change_log == [] and engine.total_updates_sent() == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"link_delay_min": -5.0, "link_delay_max": -4.0},
+            {"proc_delay_min": 0.2, "proc_delay_max": 0.1},
+            {"mrai_jitter_min": -0.5},
+            {"mrai": -1.0},
+        ],
+    )
+    def test_bad_engine_config_raises_at_construction(self, bad):
+        """Not from inside a half-sent update (session state written,
+        ``bgp.update-sent`` emitted, then "scheduled in the past")."""
+        with pytest.raises(SimulationError):
+            BGPEngine(chain(), EngineConfig(**bad))
+
+    def test_degenerate_but_legal_config_still_converges(self):
+        engine = BGPEngine(
+            chain(),
+            EngineConfig(
+                link_delay_min=0.0, link_delay_max=0.0,
+                proc_delay_min=0.0, proc_delay_max=0.0, mrai=0.0,
+            ),
+        )
+        engine.originate(1, P)
+        assert engine.run() == 0.0
+        assert engine.as_path(4, P) == (3, 2, 1)
+
+
+class TestLifetime:
+    def test_discarded_engine_is_freed_without_the_cyclic_collector(self):
+        """Speakers list their sessions; nothing points back.  A cycle
+        there left every engine a fuzz case discards to the collector:
+        +11% peak RSS and a third of ``fuzz_medium``'s throughput."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            engine = BGPEngine(chain())
+            engine.originate(1, P)
+            engine.run(until=0.05)  # events still queued
+            probes = [
+                weakref.ref(engine),
+                weakref.ref(engine.speakers[2]),
+                weakref.ref(engine.speakers[2].table),
+            ]
+            del engine
+            assert [probe() for probe in probes] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestErrorPaths:

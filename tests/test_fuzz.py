@@ -206,6 +206,62 @@ class TestDeltaArm:
         assert result.crash_side == "delta"
         assert "splice exploded" in result.reason
 
+    @pytest.mark.parametrize("inject", (False, True))
+    def test_one_solve_per_case_shared_with_the_arm(
+        self, monkeypatch, inject
+    ):
+        """The delta arm warm-starts from the solver arm's own result:
+        ``solve`` runs once per non-rejected case, and what the arm is
+        handed still equals a fresh solve after the solver arm perturbed
+        the engine it was installed in — also when that engine carried
+        the injected corruption (a perturbation can heal it, and the
+        healed case goes on to the arm)."""
+        import repro.fuzz.executor as executor
+        from repro.bgp.engine import BGPEngine, EngineConfig
+        from repro.bgp.solver import solve
+
+        solves, shared = [], []
+        real_solve, real_arm = executor.solve, executor._delta_arm
+
+        def counting_solve(engine, originations, stats=None):
+            solves.append(1)
+            return real_solve(engine, originations, stats=stats)
+
+        def recording_arm(case, graph, solution, *args, **kwargs):
+            fresh = solve(
+                BGPEngine(
+                    graph,
+                    EngineConfig(seed=case.engine_seed),
+                    case.speaker_configs(),
+                ),
+                case.resolved_originations(),
+            )
+            shared.append(
+                (solution.originations, solution.solutions)
+                == (fresh.originations, fresh.solutions)
+            )
+            return real_arm(case, graph, solution, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "solve", counting_solve)
+        monkeypatch.setattr(executor, "_delta_arm", recording_arm)
+        verdicts = []
+        for index in range(40):
+            del solves[:]
+            result = run_case(
+                generate_case(0, index, "small"), inject_divergence=inject
+            )
+            rejected = result.verdict == VERDICT_GATE_REJECTED
+            assert len(solves) == (0 if rejected else 1), index
+            assert result.delta_arm in (None, "equal") or (
+                result.delta_arm.startswith("skipped:")
+            ), index
+            verdicts.append(result.verdict)
+        assert shared and all(shared)
+        if inject:
+            assert verdicts.count(VERDICT_DIVERGENCE) >= 10
+        else:
+            assert len(shared) >= 10 and VERDICT_DIVERGENCE not in verdicts
+
 
 class TestShrinker:
     @staticmethod

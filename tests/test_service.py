@@ -330,3 +330,9 @@ class TestReadPathBehaviourPin:
         assert (fibs.columns_compiled, fibs.axis_regrown) == (0, 0)
         assert service.ledger.classify_reused > report.rounds // 2
         assert "walk_hits" not in report.as_dict()
+        # Nothing in the loop reads engine.change_log, so the daemon
+        # keeps one round of it: every finished round's changes were
+        # dropped and counted — in a gauge, never on the bus.
+        assert scenario.engine.change_log == []
+        assert gauges["bgp.change_log.dropped"] == service.changes_dropped
+        assert service.changes_dropped > 500
