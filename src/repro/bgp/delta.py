@@ -164,14 +164,14 @@ def delta_unsupported_reason(
         return "events pending (delta needs a quiescent engine)"
     if engine.fault_hook is not None:
         return "fault hook attached (message faults need the event engine)"
-    # Speaker configs are fixed at engine construction, so the config
-    # sweep is cached (the gate runs on every repair announcement).
-    reason = getattr(engine, "_delta_config_reason", False)
-    if reason is False:
-        reason = speaker_config_reason(engine)
-        engine._delta_config_reason = reason
-    if reason is not None:
-        return reason
+    # A speaker's config changes only through its ``reconfigure``, which
+    # empties this cell, so the config sweep is cached (the gate runs
+    # on every repair announcement).
+    verdict = engine._config_verdict
+    if not verdict:
+        verdict.append(speaker_config_reason(engine))
+    if verdict[0] is not None:
+        return verdict[0]
     owners: Dict[Prefix, int] = {}
     for change in changes:
         if change.kind == "originate":

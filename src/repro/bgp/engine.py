@@ -145,9 +145,10 @@ class BGPEngine:
         #: adjacency index cached for repro.bgp.delta (topology is
         #: immutable for the engine's lifetime).
         self._delta_adjacency = None
-        #: cached speaker-config gate verdict for repro.bgp.delta
-        #: (False: not yet computed; configs are fixed at construction).
-        self._delta_config_reason: object = False
+        #: cached speaker-config gate verdict for repro.bgp.delta: empty
+        #: until computed, then ``[reason or None]``; shared with the
+        #: speakers, whose ``reconfigure`` empties it.
+        self._config_verdict: list = []
         #: origination -> PrefixSolution memo for repro.bgp.delta
         #: (solutions are pure in the origination once the topology is
         #: fixed); cleared with the analytic flag.
@@ -161,16 +162,17 @@ class BGPEngine:
                 n: graph.relationship(asn, n) for n in graph.neighbors(asn)
             }
             speaker = self.speakers[asn] = BGPSpeaker(
-                asn, neighbor_rels, speaker_configs.get(asn)
+                asn, neighbor_rels, speaker_configs.get(asn),
+                self._config_verdict,
             )
-            for neighbor, relationship in neighbor_rels.items():
+            for neighbor in neighbor_rels:
                 jitter = self._rng.uniform(
                     config.mrai_jitter_min, config.mrai_jitter_max
                 )
                 session = self._sessions[(asn, neighbor)] = _Session(
                     (asn, neighbor), config.mrai * jitter
                 )
-                speaker.sessions.append((neighbor, session, relationship))
+                speaker.sessions.append((neighbor, session))
 
     # ------------------------------------------------------------------
     # Event queue plumbing
@@ -403,9 +405,7 @@ class BGPEngine:
         new: Optional[Route],
         moved: bool = False,
     ) -> None:
-        change = RouteChange(
-            time=self.now, asn=asn, prefix=prefix, old=old, new=new
-        )
+        change = RouteChange(self.now, asn, prefix, old, new)
         self.change_log.append(change)
         if self._fib_dirty is not None:
             old_nh = old.neighbor if old is not None else None
@@ -433,20 +433,20 @@ class BGPEngine:
         """Tell every neighbor of *speaker* what it should now hear about
         *prefix*, *best* being the speaker's Loc-RIB entry for it."""
         if best is None or speaker.originates(prefix):
-            for _, session, _ in speaker.sessions:
+            for _, session in speaker.sessions:
                 self._flush_session(session, prefix)
             return
         # A transit route is told identically to every neighbor the
         # export policy admits (desired_export's rules, in its order):
         # one announcement per decision change.
-        may_export_to = speaker.policy.may_export_to
-        learned_from, communities = best.relationship, best.communities
+        targets = speaker.policy.export_targets(
+            best.relationship, best.communities
+        )
+        supplier = best.neighbor
         shared = None
-        for neighbor, session, relationship in speaker.sessions:
+        for neighbor, session in speaker.sessions:
             desired = None
-            if best.neighbor != neighbor and may_export_to(
-                learned_from, relationship, communities
-            ):
+            if neighbor in targets and neighbor != supplier:
                 if shared is None:
                     shared = speaker.transit_announcement(best)
                 desired = shared
@@ -542,18 +542,10 @@ class BGPEngine:
         self._fib_dirty = {}
         return dirty
 
-    def apply_delta(self, changes, stats=None):
-        """Splice a change set into the analytic converged state.
-
-        See :func:`repro.bgp.delta.apply_delta`; raises
-        :class:`~repro.bgp.delta.DeltaUnsupported` when gated.
-        """
-        from repro.bgp.delta import apply_delta
-
-        return apply_delta(self, changes, stats=stats)
-
     def try_apply_delta(self, changes, stats=None):
-        """:meth:`apply_delta`, or None with fallback accounting."""
+        """Splice a change set into the analytic converged state
+        (:func:`repro.bgp.delta.apply_delta`), or None with fallback
+        accounting."""
         from repro.bgp.delta import try_apply_delta
 
         return try_apply_delta(self, changes, stats=stats)

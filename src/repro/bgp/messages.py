@@ -73,16 +73,6 @@ def make_path(
     return head + tuple(poison_list) + (origin,)
 
 
-def path_length(path: ASPath) -> int:
-    """AS-path length as BGP counts it (with prepends)."""
-    return len(path)
-
-
-def contains_asn(path: ASPath, asn: int) -> bool:
-    """True if *asn* appears anywhere in the path."""
-    return asn in path
-
-
 def occurrences(path: ASPath, asn: int) -> int:
     """How many times *asn* appears in the path."""
     return sum(1 for hop in path if hop == asn)

@@ -18,9 +18,9 @@ the paper documents, because they matter for poisoning in the wild:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
-from repro.bgp.messages import Announcement
 from repro.topology.relationships import Relationship, local_pref_for, may_export
 
 #: Community value understood by ASes honouring it: do not export this route
@@ -68,9 +68,11 @@ def looks_poisoned(as_path: Tuple[int, ...]) -> bool:
     return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpeakerConfig:
-    """Tunable behaviour of one BGP speaker."""
+    """Tunable behaviour of one BGP speaker.  Frozen: a speaker resolves
+    its config once (:class:`PolicyEngine`), so policy on a built engine
+    changes only through :meth:`BGPSpeaker.reconfigure`."""
 
     #: How many times the local ASN may appear in an accepted path.  The
     #: standard is 1 (any occurrence at all is a loop); 0 disables loop
@@ -120,95 +122,113 @@ class SpeakerConfig:
     default_route_via_provider: bool = False
 
 
-class PolicyEngine:
-    """Applies one speaker's import/export policy.
+def _longer_than(limit: int, as_path: Tuple[int, ...]) -> bool:
+    return len(as_path) > limit
 
-    Stateless apart from the config; the speaker owns the RIBs.
-    """
+
+def _has_reserved_asn(as_path: Tuple[int, ...]) -> bool:
+    return any(is_reserved_asn(hop) for hop in as_path)
+
+
+def _tail_meets(banned: FrozenSet[int], as_path: Tuple[int, ...]) -> bool:
+    # Past the first hop: the customer itself may legitimately be a
+    # peer in odd topologies.
+    return not banned.isdisjoint(as_path[1:])
+
+
+#: Gao-Rexford (:func:`may_export`) has two export rows: a route that
+#: may go uphill goes to every neighbour, any other only to the
+#: neighbours that hear even a provider-learned route.  So a neighbour's
+#: relationship fixes (default local-pref, in the second row?) and a
+#: route's learned-from relationship fixes which row it takes.
+_BY_NEIGHBOR = {
+    rel: (local_pref_for(rel), may_export(Relationship.PROVIDER, rel))
+    for rel in Relationship
+}
+_GOES_UPHILL = tuple(
+    rel for rel in Relationship if may_export(rel, Relationship.PROVIDER)
+)
+
+#: Shared by every speaker built without a config (configs are frozen).
+_DEFAULT_CONFIG = SpeakerConfig()
+
+
+class PolicyEngine:
+    """One speaker's import/export policy, resolved once against its
+    neighbours: what a config and a relationship fix is looked up per
+    update, not re-derived.  Picklable with the engine (checks are
+    module-level functions and partials of them)."""
 
     def __init__(
         self,
         asn: int,
+        neighbors: Dict[int, Relationship],
         config: Optional[SpeakerConfig] = None,
     ) -> None:
         self.asn = asn
-        self.config = config or SpeakerConfig()
-
-    # ------------------------------------------------------------------
-    # Import
-    # ------------------------------------------------------------------
-    def accepts(
-        self,
-        announcement: Announcement,
-        relationship: Relationship,
-        peer_asns: Set[int],
-    ) -> bool:
-        """Import filter: loop prevention plus configured quirks."""
-        config = self.config
-        limit = config.loop_max_occurrences
-        if limit > 0 and announcement.as_path.count(self.asn) >= limit:
-            return False
-        if (
-            config.reject_peer_paths_from_customers
-            and relationship is Relationship.CUSTOMER
-        ):
-            # Skip the first hop (the customer itself may legitimately be a
-            # peer in odd topologies); any *other* peer in the path trips
-            # the filter.
-            if any(hop in peer_asns for hop in announcement.as_path[1:]):
-                return False
-        if (
-            config.as_path_max_length
-            and len(announcement.as_path) > config.as_path_max_length
-        ):
-            return False
-        if config.filter_poisoned_paths and looks_poisoned(
-            announcement.as_path
-        ):
-            return False
-        if config.reject_reserved_asns and any(
-            is_reserved_asn(hop) for hop in announcement.as_path
-        ):
-            return False
-        if (
-            config.peerlock_protected
-            and relationship is Relationship.CUSTOMER
-            and any(
-                hop in config.peerlock_protected
-                for hop in announcement.as_path[1:]
+        self.config = config = config or _DEFAULT_CONFIG
+        #: copies of the local ASN at which a path is a loop (0: never).
+        self.loop_limit = config.loop_max_occurrences
+        # The configured import filters, each ``check(as_path)`` true
+        # to reject; a default config has none.
+        checks: tuple = ()
+        if config.as_path_max_length:
+            checks += (partial(_longer_than, config.as_path_max_length),)
+        if config.filter_poisoned_paths:
+            checks += (looks_poisoned,)
+        if config.reject_reserved_asns:
+            checks += (_has_reserved_asn,)
+        # Customer sessions only: Peerlock (a protected network in the
+        # path) and the Cogent filter (a settlement-free peer in it).
+        from_customer = checks
+        banned = frozenset(config.peerlock_protected)
+        if config.reject_peer_paths_from_customers:
+            banned |= {
+                n for n, rel in neighbors.items()
+                if rel is Relationship.PEER
+            }
+        if banned:
+            from_customer += (partial(_tail_meets, banned),)
+        overrides = config.local_pref_overrides
+        #: neighbour -> (relationship, local-pref, import checks).
+        self.imports = imports = {}
+        downhill = []
+        for neighbor, rel in neighbors.items():
+            local_pref, is_downhill = _BY_NEIGHBOR[rel]
+            if is_downhill:
+                downhill.append(neighbor)
+            if overrides and overrides.get(neighbor) is not None:
+                local_pref = overrides[neighbor]
+            imports[neighbor] = (
+                rel,
+                local_pref,
+                from_customer if rel is Relationship.CUSTOMER else checks,
             )
-        ):
-            return False
-        return True
+        #: the two export rows.
+        self.everyone = frozenset(neighbors)
+        self.downhill = frozenset(downhill)
+        #: the community that keeps a route from peers, if honoured.
+        self.no_export_tag = (
+            (asn, NO_EXPORT_TO_PEERS) if config.honours_communities else None
+        )
 
-    def local_pref(
-        self, neighbor: int, relationship: Relationship
-    ) -> int:
-        """Local preference assigned to routes from *neighbor*."""
-        override = self.config.local_pref_overrides.get(neighbor)
-        if override is not None:
-            return override
-        return local_pref_for(relationship)
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def may_export_to(
+    def export_targets(
         self,
         learned_from: Relationship,
-        sending_to: Relationship,
         communities: FrozenSet[Tuple[int, int]] = frozenset(),
-    ) -> bool:
-        """Gao-Rexford export rule plus community handling."""
-        if not may_export(learned_from, sending_to):
-            return False
-        if (
-            self.config.honours_communities
-            and sending_to is Relationship.PEER
-            and (self.asn, NO_EXPORT_TO_PEERS) in communities
-        ):
-            return False
-        return True
+    ) -> FrozenSet[int]:
+        """The neighbours a route may be exported to: the Gao-Rexford
+        rule plus community handling."""
+        targets = (
+            self.everyone if learned_from in _GOES_UPHILL else self.downhill
+        )
+        if self.no_export_tag in communities:
+            imports = self.imports
+            targets = frozenset(
+                n for n in targets
+                if imports[n][0] is not Relationship.PEER
+            )
+        return targets
 
     def outbound_communities(
         self, communities: FrozenSet[Tuple[int, int]]

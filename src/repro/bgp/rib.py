@@ -37,10 +37,6 @@ class Route(NamedTuple):
     def origin(self) -> int:
         return self.as_path[-1]
 
-    def traverses_avoided(self) -> bool:
-        """True if this route crosses an AS its own avoid-hint flags."""
-        return any(asn in self.as_path for asn in self.avoid)
-
 
 def preference_key(route: Route) -> Tuple[int, int, int, int]:
     """Sort key for the BGP decision process; *smaller is better*.

@@ -41,14 +41,10 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.messages import Announcement, ASPath, intern_path
-from repro.bgp.policy import SpeakerConfig
 from repro.bgp.rib import Route
 from repro.errors import SimulationError
 from repro.net.addr import Prefix
 from repro.topology.relationships import Relationship, local_pref_for
-
-_DEFAULT_SPEAKER = SpeakerConfig()
-_NO_SET: frozenset = frozenset()
 
 
 class SolverUnsupported(SimulationError):

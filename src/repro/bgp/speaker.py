@@ -9,8 +9,8 @@ told about prefix P?".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.bgp.messages import Announcement, ASPath, Withdrawal, intern_path
 from repro.bgp.policy import PolicyEngine, SpeakerConfig
@@ -55,13 +55,18 @@ class BGPSpeaker:
         asn: int,
         neighbors: Dict[int, Relationship],
         config: Optional[SpeakerConfig] = None,
+        config_verdict: Optional[list] = None,
     ) -> None:
         self.asn = asn
         self.neighbors = dict(neighbors)
-        #: (neighbor, engine session, relationship) in neighbor order;
-        #: filled in by the engine that owns the sessions.
+        #: (neighbor, engine session) in neighbor order; filled in by
+        #: the engine that owns the sessions.
         self.sessions: List[tuple] = []
-        self.policy = PolicyEngine(asn, config)
+        self.policy = PolicyEngine(asn, self.neighbors, config)
+        #: the owning engine's cached verdict on its speakers' configs
+        #: (the cell, not the engine: a back-reference would be a
+        #: cycle); :meth:`reconfigure` empties it.
+        self._config_verdict = config_verdict
         self.table = RouteTable()
         #: times this AS was named in an AVOID_PROBLEM hint it received
         #: (the Notification Property: its operators learn of the issue).
@@ -73,12 +78,18 @@ class BGPSpeaker:
         # decision skips them.
         self._damping: Dict[Tuple[Prefix, int], Tuple[float, float]] = {}
         self._pending_reuse: List[Tuple[Prefix, int, float]] = []
-        self._peer_asns: Set[int] = {
-            n for n, rel in self.neighbors.items()
-            if rel is Relationship.PEER
-        }
         #: optional observability bus (duck-typed; see repro.obs.events).
         self.obs = None
+
+    def reconfigure(self, **changes) -> None:
+        """Replace the config by a copy with *changes* applied and
+        resolve it again — the one way policy changes on a built
+        engine.  Routes already installed stay until re-advertised."""
+        self.policy = PolicyEngine(
+            self.asn, self.neighbors, replace(self.policy.config, **changes)
+        )
+        if self._config_verdict is not None:
+            del self._config_verdict[:]
 
     # ------------------------------------------------------------------
     # Origination
@@ -171,32 +182,43 @@ class BGPSpeaker:
         reaches into remote ASes: the poisoned AS filters the update
         (loop!) and thereby loses the path.
         """
-        prefix, neighbor = update.prefix, update.sender
-        withdrawal = isinstance(update, Withdrawal)
-        if not withdrawal:
-            relationship = self.neighbors.get(neighbor)
-            if relationship is None:
+        prefix = update.prefix
+        policy = self.policy
+        resolved = None
+        if isinstance(update, Withdrawal):
+            neighbor = update.sender
+        else:
+            as_path = update.as_path
+            neighbor = as_path[0]  # its sender, without the property
+            resolved = policy.imports.get(neighbor)
+            if resolved is None:
                 raise BGPError(
                     f"AS{self.asn} got update from non-neighbor AS{neighbor}"
                 )
             if self.asn in update.avoid:
                 self.avoid_notifications += 1
-        if self.policy.config.flap_damping:
+        if policy.config.flap_damping:
             self._apply_damping(prefix, neighbor, now)
         route = None
-        if not withdrawal and self.policy.accepts(
-            update, relationship, self._peer_asns
-        ):
-            route = Route(
-                prefix,
-                update.as_path,
-                neighbor,
-                relationship,
-                self.policy.local_pref(neighbor, relationship),
-                update.med,
-                update.communities,
-                update.avoid,
-            )
+        if resolved is not None:
+            # Import filter: loop prevention, then the configured checks.
+            relationship, local_pref, checks = resolved
+            limit = policy.loop_limit
+            if limit <= 0 or as_path.count(self.asn) < limit:
+                for rejects in checks:
+                    if rejects(as_path):
+                        break
+                else:
+                    route = Route(
+                        prefix,
+                        as_path,
+                        neighbor,
+                        relationship,
+                        local_pref,
+                        update.med,
+                        update.communities,
+                        update.avoid,
+                    )
         return (prefix,) + self.table.decide(prefix, neighbor, route)
 
     def forget_neighbor(
@@ -328,8 +350,8 @@ class BGPSpeaker:
         if best is None or best.neighbor == neighbor:
             # Don't echo a route back to the neighbor that supplied it.
             return None
-        if not self.policy.may_export_to(
-            best.relationship, self.neighbors[neighbor], best.communities
+        if neighbor not in self.policy.export_targets(
+            best.relationship, best.communities
         ):
             return None
         return self.transit_announcement(best)

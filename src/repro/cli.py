@@ -429,7 +429,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         write_events_jsonl,
         write_metrics_snapshot,
     )
-    from repro.service import LifeguardService, ServiceConfig
+    from repro.service import LifeguardService, ServiceConfig, ServiceTier
     from repro.workloads.outages import OutageArrivalConfig
     from repro.workloads.scenarios import (
         build_chaos_deployment,
@@ -513,6 +513,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"{report.abandoned} abandoned repair(s): records in flight "
             f"with no queue slot and no journaled disposition",
+            file=sys.stderr,
+        )
+        return 1
+    if not report.drained or report.final_tier != ServiceTier.NORMAL.name:
+        print(
+            f"the service stopped repairing: final tier "
+            f"{report.final_tier}, drained {report.drained}",
             file=sys.stderr,
         )
         return 1

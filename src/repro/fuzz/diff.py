@@ -1,8 +1,11 @@
 """State capture and exact comparison of two engines.
 
-A capture is a set of rows, each an int-tuple key and a value made of
-ints and the engine's own interned AS-path tuples.  Scope (and what is
-deliberately excluded) follows the solver's equivalence contract:
+A capture is a :class:`StateSnapshot`: ``dict`` copies of each speaker's
+Loc-RIB and of each session's standing announcements, holding the
+engine's own ``Route`` / ``Announcement`` tuples.  It stands for a set
+of rows (:meth:`StateSnapshot.rows`), each an int-tuple key and a value
+made of ints and the engine's interned AS-path tuples.  Scope (and what
+is deliberately excluded) follows the solver's equivalence contract:
 
 * ``(LOCRIB, asn, base, length) -> (as_path, neighbor, local_pref,
   med)`` — the selected route at every AS, including origin
@@ -24,14 +27,18 @@ per-session FIFO ordering leaves documented stale entries in the event
 engine (see the solver module docstring) that never affect decisions.
 
 Identity means **equal row sets**.  Two captures in one process are
-compared with ``==``; :func:`canonical_blob` is for states that never
-coexist (ladder sweeps, cross-process checks).  It is the SHA-256 hex
-digest of the rows sorted by key, each row flattened to a run of ints —
-the key, then ``next_hop`` (fwd), ``neighbor, local_pref, med,
-len(as_path), *as_path`` (locrib) or ``med, len(as_path), *as_path``
-(wire) — and the whole run packed as little-endian signed 64-bit
-integers.  The section tag fixes the key width and the length prefix
-the path's, so distinct row sets pack to distinct bytes.
+compared with ``==``: C-level dict equality over the held tuples (equal
+tuples are equal rows), and only when whole tuples differ — a real
+divergence, or a field the rows leave out (relationship, communities,
+avoid) — are the rows built and compared.  :func:`canonical_blob` is
+for states that never coexist (ladder sweeps, cross-process checks).
+It is the SHA-256 hex digest of the rows sorted by key, each row
+flattened to a run of ints — the key, then ``next_hop`` (fwd),
+``neighbor, local_pref, med, len(as_path), *as_path`` (locrib) or
+``med, len(as_path), *as_path`` (wire) — and the whole run packed as
+little-endian signed 64-bit integers.  The section tag fixes the key
+width and the length prefix the path's, so distinct row sets pack to
+distinct bytes.
 
 Strings appear only in :func:`diff_states`, which renders the
 ``locrib/AS<n>/<prefix>`` / ``fwd/<prefix>/AS<n>`` /
@@ -44,7 +51,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.net.addr import Prefix
 
@@ -55,54 +63,99 @@ FWD, LOCRIB, WIRE = 0, 1, 2
 StateMap = Dict[Tuple[int, ...], object]
 
 
+@dataclass(eq=False)
+class StateSnapshot:
+    """One engine's compared state at one moment, as the engine holds
+    it.  The dicts are copies, so later engine activity does not reach
+    a snapshot; the tuples in them are the engine's and immutable."""
+
+    #: asn -> prefix -> selected ``Route``; no empty inner dict.
+    locrib: Dict[int, Dict[Prefix, tuple]]
+    #: (src, dst) -> prefix -> standing ``Announcement``; likewise.
+    wire: Dict[Tuple[int, int], Dict[Prefix, tuple]]
+
+    def __len__(self) -> int:
+        """The number of rows: two (LOCRIB, FWD) per selected route."""
+        return 2 * sum(map(len, self.locrib.values())) + sum(
+            map(len, self.wire.values())
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StateSnapshot):
+            return NotImplemented
+        if self.locrib == other.locrib and self.wire == other.wire:
+            return True
+        return self.rows() == other.rows()
+
+    def rows(self) -> StateMap:
+        """The row set this snapshot stands for."""
+        state: StateMap = {}
+        for asn, routes in self.locrib.items():
+            for prefix, best in routes.items():
+                base, length = prefix.base, prefix.length
+                neighbor = best.neighbor
+                state[(LOCRIB, asn, base, length)] = (
+                    best.as_path,
+                    neighbor,
+                    best.local_pref,
+                    best.med,
+                )
+                state[(FWD, asn, base, length)] = neighbor
+        for (src, dst), sent in self.wire.items():
+            for prefix, announcement in sent.items():
+                state[(WIRE, src, dst, prefix.base, prefix.length)] = (
+                    announcement.as_path,
+                    announcement.med,
+                )
+        return state
+
+
 def capture_state(
     engine, prefixes: Optional[Sequence[Prefix]] = None
-) -> StateMap:
+) -> StateSnapshot:
     """One engine's observable routing state for *prefixes* (None:
-    every prefix it holds), one walk of each Loc-RIB and ``sent`` map."""
-    wanted = (
-        None
-        if prefixes is None
-        else {(prefix.base, prefix.length) for prefix in prefixes}
+    every prefix it holds): one dict copy per speaker and per session,
+    or one lookup each per asked prefix."""
+    return StateSnapshot(
+        {
+            asn: held
+            for asn, speaker in engine.speakers.items()
+            if (held := _held(speaker.table.best_routes().mapping, prefixes))
+        },
+        {
+            key: held
+            for key, session in engine._sessions.items()
+            if (held := _held(session.sent, prefixes))
+        },
     )
-    state: StateMap = {}
-    # Per-row reads go to the Prefix slots: the properties are a call
-    # each, and this loop is the fuzzer's whole verification cost.
-    for asn, speaker in engine.speakers.items():
-        for prefix, best in speaker.table.best_routes():
-            base, length = prefix._base, prefix._length
-            if wanted is not None and (base, length) not in wanted:
-                continue
-            neighbor = best.neighbor
-            state[(LOCRIB, asn, base, length)] = (
-                best.as_path,
-                neighbor,
-                best.local_pref,
-                best.med,
-            )
-            state[(FWD, asn, base, length)] = neighbor
-    for (src, dst), session in engine._sessions.items():
-        for prefix, announcement in session.sent.items():
-            if announcement is None:
-                continue
-            base, length = prefix._base, prefix._length
-            if wanted is not None and (base, length) not in wanted:
-                continue
-            state[(WIRE, src, dst, base, length)] = (
-                announcement.as_path,
-                announcement.med,
-            )
-    return state
 
 
-def canonical_blob(state: StateMap) -> str:
-    """Digest of a capture's row set, for comparing states that are
-    never in memory together (byte form in the module docstring)."""
+def _held(entries, prefixes) -> dict:
+    """What the live mapping *entries* holds for *prefixes* (None: all
+    of them), less its ``None`` tombstones, as a new dict."""
+    if prefixes is not None:
+        entries = {prefix: entries.get(prefix) for prefix in prefixes}
+    elif None not in entries.values():
+        # A copy keeps the stored hashes; the filter below re-hashes
+        # every prefix, so it runs only where a tombstone stands.
+        return entries.copy()
+    return {p: held for p, held in entries.items() if held is not None}
+
+
+def _rows(state: Union[StateSnapshot, StateMap]) -> StateMap:
+    return state.rows() if isinstance(state, StateSnapshot) else state
+
+
+def canonical_blob(state: Union[StateSnapshot, StateMap]) -> str:
+    """Digest of a capture's row set (or of a row set as it stands),
+    for comparing states that are never in memory together (byte form
+    in the module docstring)."""
+    rows = _rows(state)
     flat: List[int] = []
     extend = flat.extend
-    for key in sorted(state):
+    for key in sorted(rows):
         extend(key)
-        value = state[key]
+        value = rows[key]
         section = key[0]
         if section == FWD:
             flat.append(value)
@@ -139,8 +192,8 @@ def _json(value) -> Optional[str]:
 
 
 def diff_states(
-    solver_state: StateMap,
-    event_state: StateMap,
+    solver_state: Union[StateSnapshot, StateMap],
+    event_state: Union[StateSnapshot, StateMap],
     limit: Optional[int] = 8,
 ) -> List[Tuple[str, Optional[str], Optional[str]]]:
     """First *limit* differing rows (None: all of them), in string-key
@@ -149,10 +202,11 @@ def diff_states(
     Values are their JSON encodings (None: row absent on that side) so
     diff samples survive the trip through corpus JSON.
     """
+    solver_rows, event_rows = _rows(solver_state), _rows(event_state)
     out = []
-    for key in solver_state.keys() | event_state.keys():
-        a = solver_state.get(key)
-        b = event_state.get(key)
+    for key in solver_rows.keys() | event_rows.keys():
+        a = solver_rows.get(key)
+        b = event_rows.get(key)
         if a != b:
             out.append((_name(key), _json(a), _json(b)))
     out.sort()

@@ -20,10 +20,10 @@ Protocol (mirrors the solver's poison-equivalence tests):
    both engines through identically-seeded
    :class:`~repro.faults.injector.FaultInjector` instances, so drops
    and duplicates hit the same transmissions on both sides.
-5. Diff — :func:`~repro.fuzz.diff.capture_state` of both engines,
-   whole row sets compared by exact equality (``==`` on the two
-   co-resident captures; no digest, no strings).  Only a mismatch
-   renders anything: every differing row becomes the string key / JSON
+5. Diff — :func:`~repro.fuzz.diff.capture_state` of everything both
+   engines hold, compared by exact equality (``==`` on the two
+   co-resident snapshots; no digest, no strings).  Only a mismatch
+   expands rows: every differing one becomes the string key / JSON
    value triple corpus files carry, counted and sampled in one pass.
 
 When the case carries no message faults, a **third arm** replays the
@@ -120,7 +120,7 @@ def run_case(
     try:
         graph = case.build_graph()
         originations = case.resolved_originations()
-        prefixes = case.prefixes()
+        case.prefixes()  # a malformed action prefix is a set-up crash
     except Exception as exc:
         return CaseResult(
             VERDICT_CRASH, reason=_crash_reason(exc), crash_side="setup"
@@ -139,7 +139,7 @@ def run_case(
         if inject_divergence:
             _tamper(solver_engine, solution)
         _perturb(solver_engine, case)
-        solver_state = _capture(solver_engine, prefixes, stats)
+        solver_state = _capture(solver_engine, stats)
     except Exception as exc:
         return CaseResult(
             VERDICT_CRASH, reason=_crash_reason(exc), crash_side="solver"
@@ -161,7 +161,7 @@ def run_case(
             )
         event_engine.run()
         _perturb(event_engine, case)
-        event_state = _capture(event_engine, prefixes, stats)
+        event_state = _capture(event_engine, stats)
     except Exception as exc:
         return CaseResult(
             VERDICT_CRASH, reason=_crash_reason(exc), crash_side="event"
@@ -178,7 +178,6 @@ def run_case(
             graph,
             solution,
             event_state,
-            prefixes,
             stats=stats,
             diff_limit=diff_limit,
         )
@@ -188,10 +187,11 @@ def run_case(
     return result
 
 
-def _capture(engine, prefixes, stats):
-    """``capture_state``, timed and row-counted into *stats* if given."""
+def _capture(engine, stats):
+    """``capture_state`` of everything *engine* holds, timed and
+    row-counted into *stats* if given."""
     start = perf_counter()
-    state = capture_state(engine, prefixes)
+    state = capture_state(engine)
     if stats is not None:
         stats.add_time("fuzz.capture", perf_counter() - start)
         stats.count("fuzz.capture_rows", len(state))
@@ -217,7 +217,6 @@ def _delta_arm(
     graph,
     solution,
     event_state,
-    prefixes,
     *,
     stats=None,
     diff_limit: int = 8,
@@ -251,7 +250,7 @@ def _delta_arm(
                     stats.count("fuzz.delta_arm_skips")
                 return f"skipped: {reason}"
             apply_delta(engine, [change], stats=stats)
-        delta_state = _capture(engine, prefixes, stats)
+        delta_state = _capture(engine, stats)
     except Exception as exc:
         return CaseResult(
             VERDICT_CRASH, reason=_crash_reason(exc), crash_side="delta"
@@ -317,7 +316,7 @@ def _perturb(engine: BGPEngine, case: FuzzCase) -> None:
         engine.fault_hook = None
 
 
-def _tamper(engine, solution) -> bool:
+def _tamper(engine, solution) -> None:
     """Corrupt a warm-started engine deterministically (the
     known-divergence test hook): unpin the highest-ASN Loc-RIB selection
     of the first prefix that has one — in the engine, never in
@@ -328,8 +327,7 @@ def _tamper(engine, solution) -> bool:
         if solved.best:
             victim = max(solved.best)
             engine.speakers[victim].table.pin_best(solved.prefix, None)
-            return True
-    return False
+            return
 
 
 def _crash_reason(exc: BaseException) -> str:

@@ -31,7 +31,8 @@ from repro.runner.stats import RunStats
 #: for the numpy copies.
 #: 7: Route/Announcement/Withdrawal are tuples; sessions carry their key,
 #: receiver and FIFO floor, speakers their session list.
-CACHE_SCHEMA_VERSION = 7
+#: 8: speakers carry their resolved policy, configs are frozen.
+CACHE_SCHEMA_VERSION = 8
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

@@ -22,7 +22,7 @@ from repro.bgp.speaker import BGPSpeaker
 from repro.errors import BGPError
 from repro.net.addr import Prefix
 from repro.topology.as_graph import ASGraph
-from repro.topology.relationships import Relationship
+from repro.topology.relationships import Relationship, local_pref_for
 
 P = Prefix("10.77.0.0/16")
 ME = 50
@@ -129,8 +129,9 @@ class TestIncrementalDecision:
                         if ME not in path:  # else: filtered as a loop
                             route = Route(
                                 P, path, neighbor, neighbors[neighbor],
-                                speaker.policy.local_pref(
-                                    neighbor, neighbors[neighbor]
+                                overrides.get(
+                                    neighbor,
+                                    local_pref_for(neighbors[neighbor]),
                                 ),
                                 step[3], avoid=frozenset(step[4]),
                             )
@@ -193,13 +194,13 @@ class TestSharedExport:
             changed = speaker.process(update)[3]
             assert changed
             engine._flush_all_sessions(speaker, P, speaker.best(P))
-        for neighbor, session, _ in speaker.sessions:
+        for neighbor, session in speaker.sessions:
             assert session.sent.get(P) == speaker.desired_export(
                 P, neighbor
             )
         # One announcement object serves every admitted transit neighbor.
         told = [
-            session.sent[P] for _, session, _ in speaker.sessions
+            session.sent[P] for _, session in speaker.sessions
             if session.sent.get(P) is not None
         ]
         if source < len(rels) and told:

@@ -18,6 +18,7 @@ group adds what fuzz cases never carry: AVOID_PROBLEM hints, communities
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -40,14 +41,14 @@ def _decorations(case):
     asns = sorted(asn for asn, _tier in case.ases)
     configs = case.speaker_configs()
     for asn in rng.sample(asns, min(4, len(asns))):
-        config = configs.setdefault(asn, SpeakerConfig())
         roll = rng.random()
         if roll < 0.4:
-            config.flap_damping = True
+            change = {"flap_damping": True}
         elif roll < 0.7:
-            config.honours_communities = True
+            change = {"honours_communities": True}
         else:
-            config.propagates_communities = False
+            change = {"propagates_communities": False}
+        configs[asn] = replace(configs.get(asn, SpeakerConfig()), **change)
     extras = {}
     for org in case.originations:
         others = [asn for asn in asns if asn != org.asn]

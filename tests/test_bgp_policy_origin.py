@@ -6,6 +6,7 @@ from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import Announcement, make_path
 from repro.bgp.origin import AnnouncementSpec, OriginController
 from repro.bgp.policy import NO_EXPORT_TO_PEERS, PolicyEngine, SpeakerConfig
+from repro.bgp.speaker import BGPSpeaker
 from repro.errors import BGPError, ControlError
 from repro.net.addr import Prefix
 from repro.topology.as_graph import ASGraph
@@ -28,54 +29,53 @@ def star_graph():
     return g
 
 
+def imported(config, as_path, relationship, peers=()):
+    """The route AS7 installs for *as_path* heard over a *relationship*
+    session (None: filtered), with *peers* as its settlement-free
+    peers."""
+    neighbors = {peer: Relationship.PEER for peer in peers}
+    neighbors[as_path[0]] = relationship
+    speaker = BGPSpeaker(7, neighbors, config)
+    speaker.process(Announcement(prefix=P, as_path=as_path))
+    return speaker.table.route_from(P, as_path[0])
+
+
 class TestPolicyEngine:
     def test_loop_detection_default(self):
-        policy = PolicyEngine(asn=7)
-        looped = Announcement(prefix=P, as_path=(2, 7, 1))
-        assert not policy.accepts(looped, Relationship.CUSTOMER, set())
+        assert imported(None, (2, 7, 1), Relationship.CUSTOMER) is None
 
     def test_loop_detection_disabled(self):
-        policy = PolicyEngine(
-            asn=7, config=SpeakerConfig(loop_max_occurrences=0)
-        )
-        looped = Announcement(prefix=P, as_path=(2, 7, 1))
-        assert policy.accepts(looped, Relationship.CUSTOMER, set())
+        config = SpeakerConfig(loop_max_occurrences=0)
+        assert imported(config, (2, 7, 1), Relationship.CUSTOMER)
 
     def test_cogent_style_filter(self):
-        policy = PolicyEngine(
-            asn=7,
-            config=SpeakerConfig(reject_peer_paths_from_customers=True),
-        )
-        peers = {99}
-        via_peer = Announcement(prefix=P, as_path=(2, 99, 1))
-        clean = Announcement(prefix=P, as_path=(2, 3, 1))
-        assert not policy.accepts(via_peer, Relationship.CUSTOMER, peers)
-        assert policy.accepts(clean, Relationship.CUSTOMER, peers)
+        config = SpeakerConfig(reject_peer_paths_from_customers=True)
+        customer = Relationship.CUSTOMER
+        assert imported(config, (2, 99, 1), customer, peers={99}) is None
+        assert imported(config, (2, 3, 1), customer, peers={99})
         # The filter only applies to customer sessions.
-        assert policy.accepts(via_peer, Relationship.PROVIDER, peers)
+        assert imported(
+            config, (2, 99, 1), Relationship.PROVIDER, peers={99}
+        )
 
     def test_no_export_to_peers_community(self):
         policy = PolicyEngine(
-            asn=7, config=SpeakerConfig(honours_communities=True)
+            7,
+            {8: Relationship.PEER, 9: Relationship.CUSTOMER},
+            SpeakerConfig(honours_communities=True),
         )
         tagged = frozenset({(7, NO_EXPORT_TO_PEERS)})
-        assert not policy.may_export_to(
-            Relationship.CUSTOMER, Relationship.PEER, tagged
-        )
-        assert policy.may_export_to(
-            Relationship.CUSTOMER, Relationship.CUSTOMER, tagged
-        )
+        assert policy.export_targets(Relationship.CUSTOMER, tagged) == {9}
+        assert policy.export_targets(Relationship.CUSTOMER) == {8, 9}
 
     def test_community_ignored_when_not_honoured(self):
-        policy = PolicyEngine(asn=7)
+        policy = PolicyEngine(7, {8: Relationship.PEER})
         tagged = frozenset({(7, NO_EXPORT_TO_PEERS)})
-        assert policy.may_export_to(
-            Relationship.CUSTOMER, Relationship.PEER, tagged
-        )
+        assert policy.export_targets(Relationship.CUSTOMER, tagged) == {8}
 
     def test_community_stripping(self):
         policy = PolicyEngine(
-            asn=7, config=SpeakerConfig(propagates_communities=False)
+            7, {}, SpeakerConfig(propagates_communities=False)
         )
         communities = frozenset({(7, 1), (8, 2)})
         assert policy.outbound_communities(communities) == frozenset(
@@ -83,12 +83,10 @@ class TestPolicyEngine:
         )
 
     def test_local_pref_override(self):
-        policy = PolicyEngine(
-            asn=7,
-            config=SpeakerConfig(local_pref_overrides={9: 250}),
-        )
-        assert policy.local_pref(9, Relationship.PROVIDER) == 250
-        assert policy.local_pref(8, Relationship.PROVIDER) == 80
+        config = SpeakerConfig(local_pref_overrides={9: 250})
+        provider = Relationship.PROVIDER
+        assert imported(config, (9, 1), provider).local_pref == 250
+        assert imported(config, (8, 1), provider).local_pref == 80
 
 
 class TestAnnouncementSpec:

@@ -1,5 +1,6 @@
 """Tests for the lifeguard-repro command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.runner.bench import BENCH_SCHEMA_VERSION, BENCHMARKS, RETIRED
+from repro.service import LifeguardService
 
 
 class TestParser:
@@ -99,6 +101,28 @@ class TestCommands:
         monkeypatch.setenv("REPRO_DELTA_MODE", "auto")
         monkeypatch.setenv("REPRO_TRAFFIC_USERS", "5")
         assert serve() == unset
+
+    @pytest.mark.parametrize("stub, reason", [
+        ({}, None),
+        ({"drained": False}, "final tier NORMAL, drained False"),
+        ({"final_tier": "PAUSED"}, "final tier PAUSED, drained True"),
+    ])
+    def test_serve_exit_code_says_whether_it_kept_repairing(
+        self, monkeypatch, capsys, stub, reason
+    ):
+        """It looked at ``abandoned`` only: a run that ended PAUSED with
+        work still queued exited 0."""
+        run = LifeguardService.run
+        monkeypatch.setattr(
+            LifeguardService, "run",
+            lambda self: dataclasses.replace(run(self), **stub),
+        )
+        code = main(["--seed", "3", "serve", "--sim", "--duration", "600"])
+        err = capsys.readouterr().err
+        assert code == (1 if stub else 0)
+        assert err == (
+            f"the service stopped repairing: {reason}\n" if stub else ""
+        )
 
 
 class TestBench:

@@ -429,7 +429,7 @@ def _drive_ladder(seed, tmp_path, crash):
     )
     for asn, speaker in scenario.engine.speakers.items():
         if asn != scenario.origin_asn:
-            speaker.policy.config.filter_poisoned_paths = True
+            speaker.reconfigure(filter_poisoned_paths=True)
     lifeguard = scenario.lifeguard
     topo = scenario.topo
     target = scenario.targets[0]

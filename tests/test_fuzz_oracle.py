@@ -1,9 +1,11 @@
-"""The differential oracle itself: row capture, digest, scope, rendering.
+"""The differential oracle itself: capture, digest, scope, rendering.
 
-``repro.fuzz.diff`` compares int-keyed row sets by equality.  The
-string-keyed JSON capture it replaced lives on here as the reference
-(never imported by ``src/``): the new oracle must reach the same
-verdict, the same ``diff`` and the same ``diff_count`` on every case.
+``repro.fuzz.diff`` compares snapshots of the engine's own dicts, which
+stand for int-keyed row sets.  Two references it must agree with (never
+imported by ``src/``): the string-keyed JSON capture it replaced long
+ago lives on here — same verdict, same ``diff``, same ``diff_count`` on
+every case — and the row-keyed walk it replaced last is
+``tests/state_oracle.py`` — same rows, same length, same digest.
 """
 
 import hashlib
@@ -15,8 +17,9 @@ import sys
 import pytest
 
 import repro.fuzz.executor as executor
+from repro.bgp.delta import apply_delta, delta_unsupported_reason
 from repro.bgp.engine import BGPEngine, EngineConfig
-from repro.bgp.solver import solve
+from repro.bgp.solver import solve, solver_unsupported_reason
 from repro.fuzz import VERDICT_DIVERGENCE, generate_case, run_case
 from repro.fuzz.diff import (
     FWD,
@@ -26,6 +29,9 @@ from repro.fuzz.diff import (
     capture_state,
     diff_states,
 )
+from repro.runner.core import derive_seed
+from repro.topology.relationships import Relationship
+from tests.state_oracle import oracle_rows
 
 
 # ----------------------------------------------------------------------
@@ -79,13 +85,17 @@ def reference_diff(left, right):
     ]
 
 
-def _converged(case):
-    """An event-converged engine holding *case*'s originations."""
-    engine = BGPEngine(
+def _engine(case):
+    return BGPEngine(
         case.build_graph(),
         EngineConfig(seed=case.engine_seed),
         case.speaker_configs(),
     )
+
+
+def _converged(case):
+    """An event-converged engine holding *case*'s originations."""
+    engine = _engine(case)
     for org in case.resolved_originations():
         engine.originate(
             org.asn,
@@ -109,8 +119,10 @@ class TestReferenceEquivalence:
     def test_same_verdict_diff_and_count(self, monkeypatch, inject):
         captures = []
 
-        def both(engine, prefixes):
-            state = capture_state(engine, prefixes)
+        def both(engine):
+            # run_case asks for everything the engine holds, which
+            # must be no more than the case's own prefixes.
+            state = capture_state(engine)
             captures.append((state, reference_capture(engine, prefixes)))
             return state
 
@@ -118,10 +130,9 @@ class TestReferenceEquivalence:
         divergent = compared = 0
         for index in range(150):
             del captures[:]
-            result = run_case(
-                generate_case(0, index, "medium"),
-                inject_divergence=inject,
-            )
+            case = generate_case(0, index, "medium")
+            prefixes = case.prefixes()
+            result = run_case(case, inject_divergence=inject)
             if len(captures) < 2:
                 continue  # gate-rejected before any capture
             event_state, event_ref = captures[1]
@@ -152,6 +163,152 @@ class TestReferenceEquivalence:
 
 
 # ----------------------------------------------------------------------
+# (a') the snapshot stands for the rows the row-keyed walk built
+# ----------------------------------------------------------------------
+def _three_points(case):
+    """(label, engine) where ``run_case`` has one to capture: after
+    warm-start, after the event arm's perturbation, after the delta
+    arm — the first and last only where their gates admit the case."""
+    originations = case.resolved_originations()
+    warm = _engine(case)
+    solution = None
+    if solver_unsupported_reason(warm, originations) is None:
+        solution = solve(warm, originations)
+        warm.warm_start(solution)
+        yield "warm", warm
+    event = _converged(case)
+    executor._perturb(event, case)
+    yield "event", event
+    if solution is None or not case.actions or not case.fault_plan().is_null:
+        return
+    delta = _engine(case)
+    delta.warm_start(solution)
+    delta.advance_to(delta.now + executor.SETTLE_SECONDS)
+    delta.reseed(derive_seed(case.seed, "fuzz-perturb"))
+    for action in case.actions:
+        change = executor._delta_change(action)
+        if delta_unsupported_reason(delta, [change]) is not None:
+            return
+        apply_delta(delta, [change])
+    yield "delta", delta
+
+
+class TestSnapshotAgainstRowOracle:
+    #: sha256 over the concatenated ``canonical_blob`` of the first 40
+    #: medium cases at each point, recorded at ``e122102`` (whose
+    #: ``capture_state`` is ``tests/state_oracle.py``).
+    RECORDED = {
+        "warm": (34, "da83b9182a83a988959afc379cc23832"
+                     "dc8cf13b9e9559b4f6154b0516cafccc"),
+        "event": (40, "59c2cbb8edcf44e0cd105579f32aa101"
+                      "e7cd87fb25de86804e94d8a0feb640ae"),
+        "delta": (22, "1a3404908c3756678250919326ae78aa"
+                      "01c6c186fb68e1bc40301030191a3c71"),
+    }
+
+    def test_rows_length_and_digest_at_three_points(self):
+        blobs = {label: [] for label in self.RECORDED}
+        tombstones = 0
+        for index in range(40):
+            case = generate_case(0, index, "medium")
+            for label, engine in _three_points(case):
+                state = capture_state(engine)
+                rows = oracle_rows(engine)
+                assert state.rows() == rows, (index, label)
+                assert len(state) == len(rows), (index, label)
+                assert capture_state(engine, case.prefixes()) == state
+                blobs[label].append(canonical_blob(state))
+                tombstones += sum(
+                    announcement is None
+                    for session in engine._sessions.values()
+                    for announcement in session.sent.values()
+                )
+        assert tombstones > 1000, "the event arm should leave some"
+        assert {
+            label: (
+                len(items),
+                hashlib.sha256("".join(items).encode()).hexdigest(),
+            )
+            for label, items in blobs.items()
+        } == self.RECORDED
+
+    def test_moas_and_a_scoped_capture(self):
+        case = generate_case(0, 3, "small")
+        engine = _converged(case)
+        first, second = case.resolved_originations()[:2]
+        assert first.asn != second.asn
+        engine.originate(second.asn, first.prefix)  # two origins now
+        engine.run()
+        assert capture_state(engine).rows() == oracle_rows(engine)
+        for asked in ([first.prefix], [second.prefix, first.prefix], []):
+            scoped = capture_state(engine, asked)
+            rows = oracle_rows(engine, asked)
+            assert scoped.rows() == rows and len(scoped) == len(rows)
+            assert canonical_blob(scoped) == canonical_blob(rows)
+
+    def test_fields_outside_the_contract_compare_equal(self):
+        case = generate_case(0, 3, "small")
+        plain, tagged = _converged(case), _engine(case)
+        for org in case.resolved_originations():
+            tagged.originate(
+                org.asn, org.prefix, path=org.path, med=org.med,
+                per_neighbor=org.per_neighbor_dict(),
+                communities=((org.asn, 7),),
+            )
+        tagged.run()
+        left, right = capture_state(plain), capture_state(tagged)
+        assert left.locrib != right.locrib and left.wire != right.wire
+        assert left == right and not left != right
+        assert diff_states(left, right) == []
+
+        asn, routes = next(iter(right.locrib.items()))
+        prefix, route = next(iter(routes.items()))
+        other = next(
+            rel for rel in Relationship if rel is not route.relationship
+        )
+        tagged.speakers[asn].table.pin_best(
+            prefix, route._replace(relationship=other)
+        )
+        assert capture_state(tagged) == left
+
+    def test_a_compared_field_names_its_row(self):
+        case = generate_case(0, 3, "small")
+        engine = _converged(case)
+        before = capture_state(engine)
+        asn, routes = next(iter(before.locrib.items()))
+        prefix, route = next(iter(routes.items()))
+        table = engine.speakers[asn].table
+
+        table.pin_best(prefix, route._replace(med=route.med + 1))
+        after = capture_state(engine)
+        assert after != before
+        assert [row[0] for row in diff_states(before, after)] == [
+            f"locrib/AS{asn}/{prefix}"
+        ]
+
+        table.pin_best(prefix, route._replace(neighbor=route.neighbor + 1))
+        after = capture_state(engine)
+        assert after != before
+        assert [row[0] for row in diff_states(before, after)] == [
+            f"fwd/{prefix}/AS{asn}", f"locrib/AS{asn}/{prefix}"
+        ]
+
+        table.pin_best(prefix, route)
+        assert capture_state(engine) == before
+
+    def test_a_snapshot_does_not_follow_the_engine(self):
+        case = generate_case(0, 3, "small")
+        engine = _converged(case)
+        before = capture_state(engine)
+        rows = before.rows()
+        first = case.resolved_originations()[0]
+        engine.withdraw_origin(first.asn, first.prefix)
+        engine.run()
+        assert capture_state(engine) != before
+        assert before.rows() == rows == oracle_rows(_converged(case))
+
+
+# ----------------------------------------------------------------------
 # (b) the digest is a function of the row set
 # ----------------------------------------------------------------------
 _DIGEST_SCRIPT = """
@@ -166,16 +323,14 @@ class TestDigest:
     def test_independent_of_dict_order(self):
         case = generate_case(0, 3, "small")
         event = capture_state(_converged(case))
-        warm_engine = BGPEngine(
-            case.build_graph(),
-            EngineConfig(seed=case.engine_seed),
-            case.speaker_configs(),
-        )
+        warm_engine = _engine(case)
         warm_engine.warm_start(
             solve(warm_engine, case.resolved_originations())
         )
         warm = capture_state(warm_engine)
-        assert list(warm) != list(event), "want two insertion orders"
+        assert list(warm.rows()) != list(event.rows()), (
+            "want two insertion orders"
+        )
         assert warm == event
         assert canonical_blob(warm) == canonical_blob(event)
 
@@ -205,7 +360,9 @@ class TestDigest:
         assert digests == {here}
 
     def test_one_changed_row_changes_it(self):
-        state = capture_state(_converged(generate_case(0, 3, "small")))
+        state = capture_state(
+            _converged(generate_case(0, 3, "small"))
+        ).rows()
         digest = canonical_blob(state)
         assert len(digest) == 64
 
@@ -273,16 +430,17 @@ class TestScope:
         engine = _converged(case)
         asked = case.prefixes()[0]
         scoped = capture_state(engine, [asked])
-        assert scoped and scoped == {
+        assert len(scoped) and scoped.rows() == {
             key: value
-            for key, value in capture_state(engine).items()
+            for key, value in capture_state(engine).rows().items()
             if key[-2:] == (asked.base, asked.length)
         }
-        assert {key[0] for key in scoped} == {FWD, LOCRIB, WIRE}
+        assert {key[0] for key in scoped.rows()} == {FWD, LOCRIB, WIRE}
         assert capture_state(engine, case.prefixes()) == capture_state(
             engine, None
         )
-        assert capture_state(engine, []) == {}
+        nothing = capture_state(engine, [])
+        assert len(nothing) == 0 and nothing.rows() == {}
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ since imported whatever pytest's plugins wanted.
 
 The second check is a source scan of the same promise's other half: what
 the program is handed from outside is arguments, plus the three
-environment variables on the allow-list below.
+environment variables on the allow-list below.  A third scan keeps one
+door shut: a speaker resolves its config once, so nothing assigns to a
+speaker's policy or config but ``BGPSpeaker.reconfigure``.
 """
 
 import os
@@ -83,3 +85,34 @@ def test_the_environment_is_read_at_the_allow_listed_sites_only():
                     reads.add((relative, _enclosing_function(lines, index)))
     assert reads == set(ENV_SITES.items())
     assert names == ENV_NAMES
+
+
+#: An assignment to something's policy, its config or a field of that.
+POLICY_ASSIGNMENT = re.compile(r"\.policy(\.config(\.\w+)?)?\s*=[^=]")
+
+
+def test_speaker_policy_changes_through_reconfigure_only():
+    """``speaker.policy.config.<field> = ...`` on a built engine left
+    the resolved tables and the engine's cached gate verdict stale (two
+    tests did it); the dataclass is frozen now, and this scan covers
+    what freezing cannot — swapping the config or the policy object."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    assigned = set()
+    for top in ("src", "tests", "bench", "benchmarks", "examples"):
+        for folder, _dirs, files in os.walk(os.path.join(repo, top)):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    lines = handle.read().splitlines()
+                relative = os.path.relpath(path, repo).replace(os.sep, "/")
+                for index, line in enumerate(lines):
+                    if POLICY_ASSIGNMENT.search(line):
+                        assigned.add(
+                            (relative, _enclosing_function(lines, index))
+                        )
+    assert assigned == {
+        ("src/repro/bgp/speaker.py", "__init__"),
+        ("src/repro/bgp/speaker.py", "reconfigure"),
+    }

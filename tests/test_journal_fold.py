@@ -139,7 +139,7 @@ class _Run:
         # ladder whatever the seed (as in test_defenses.py).
         for asn, speaker in scenario.engine.speakers.items():
             if asn != scenario.origin_asn:
-                speaker.policy.config.filter_poisoned_paths = True
+                speaker.reconfigure(filter_poisoned_paths=True)
         self.service_config = ServiceConfig(
             duration=5400.0,
             arrivals=OutageArrivalConfig(
