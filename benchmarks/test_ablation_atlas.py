@@ -24,19 +24,10 @@ def reverse_failure_world():
         num_targets=6,
     )
     lifeguard = scenario.lifeguard
-    topo = scenario.topo
     lifeguard.prime_atlas(now=0.0)
-    origin_rid = topo.routers_of(scenario.origin_asn)[0]
-    origin_addr = topo.router(origin_rid).address
     cases = []
     for target in scenario.targets:
-        target_rid = lifeguard.dataplane.host_router(target)
-        walk = lifeguard.dataplane.forward(target_rid, origin_addr)
-        transits = [
-            a
-            for a in walk.as_level_hops(topo)[1:-1]
-            if a != scenario.origin_asn
-        ]
+        transits = scenario.reverse_transits(target)
         if transits:
             cases.append((target, transits[0]))
     return scenario, cases

@@ -35,7 +35,7 @@ def test_sec53_isolation_accuracy(benchmark, accuracy_study, results_dir):
     table.add_row("verdict differs from traceroute-only", differs, "40%")
     table.add_note(
         f"{len(study.cases)} injected failures "
-        f"({dict(mix)}), 5% probe-reply loss"
+        f"({dict(sorted(mix.items()))}), 5% probe-reply loss"
     )
     table.emit(results_dir, "sec53_accuracy.txt")
 

@@ -23,18 +23,8 @@ REPAIR_TIME = 28.08 * HOUR
 def case_study():
     scenario = build_deployment(scale="small", seed=21, num_providers=2)
     lifeguard = scenario.lifeguard
-    topo = scenario.topo
     target = scenario.targets[0]
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    reverse_walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_router).address
-    )
-    bad_asn = next(
-        a
-        for a in reverse_walk.as_level_hops(topo)[1:-1]
-        if a != scenario.origin_asn
-    )
+    bad_asn = scenario.reverse_transits(target)[0]
     lifeguard.prime_atlas(now=0.0)
     lifeguard.dataplane.failures.add(
         ASForwardingFailure(

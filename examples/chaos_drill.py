@@ -22,19 +22,6 @@ from repro.workloads.scenarios import build_chaos_deployment
 INTENSITY = 0.1
 
 
-def pick_reverse_transit(scenario, target):
-    """A transit AS on the reverse path from *target* back to the origin."""
-    topo = scenario.topo
-    lifeguard = scenario.lifeguard
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_router).address
-    )
-    hops = walk.as_level_hops(topo)
-    return next(a for a in hops[1:-1] if a != scenario.origin_asn)
-
-
 def main():
     print("Building a LIFEGUARD deployment with a chaos plan attached...")
     scenario, injector = build_chaos_deployment(
@@ -43,7 +30,7 @@ def main():
     )
     lifeguard = scenario.lifeguard
     target = scenario.targets[0]
-    bad_asn = pick_reverse_transit(scenario, target)
+    bad_asn = scenario.reverse_transits(target)[0]
     print(f"  origin AS{scenario.origin_asn}, monitored target {target}")
     print(f"  chaos plan: {len(injector.plan.specs)} fault specs at "
           f"intensity {INTENSITY} (faults hit LIFEGUARD's probes, vantage "

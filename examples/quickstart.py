@@ -17,25 +17,12 @@ from repro.dataplane.failures import ASForwardingFailure
 from repro.workloads.scenarios import build_deployment
 
 
-def pick_reverse_transit(scenario, target):
-    """A transit AS on the reverse path from *target* back to the origin."""
-    topo = scenario.topo
-    lifeguard = scenario.lifeguard
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_router).address
-    )
-    hops = walk.as_level_hops(topo)
-    return next(a for a in hops[1:-1] if a != scenario.origin_asn)
-
-
 def main():
     print("Building a synthetic Internet with a LIFEGUARD deployment...")
     scenario = build_deployment(scale="tiny", seed=5, num_providers=2)
     lifeguard = scenario.lifeguard
     target = scenario.targets[0]
-    bad_asn = pick_reverse_transit(scenario, target)
+    bad_asn = scenario.reverse_transits(target)[0]
     print(f"  origin AS{scenario.origin_asn} "
           f"(production prefix {scenario.production_prefix}, "
           f"sentinel {lifeguard.sentinel_manager.sentinel})")

@@ -34,12 +34,6 @@ class AvoidableUnavailability:
             return 0.0
         return self.avoided_unavailability / self.total_unavailability
 
-    @property
-    def repaired_fraction(self) -> float:
-        if not self.outages_total:
-            return 0.0
-        return self.outages_repaired / self.outages_total
-
 
 def avoidable_unavailability(
     durations: Sequence[float],

@@ -70,10 +70,3 @@ class CDF:
             x = self.percentile(fraction)
             out.append((x, self.at(x)))
         return out
-
-    def fraction_at_most(self, x: float) -> float:
-        """Alias of :meth:`at` reading like the paper's prose."""
-        return self.at(x)
-
-    def fraction_above(self, x: float) -> float:
-        return 1.0 - self.at(x)

@@ -50,8 +50,6 @@ class EngineConfig:
     #: Jitter factor range applied per session (cisco-style 0.75-1.0).
     mrai_jitter_min: float = 0.75
     mrai_jitter_max: float = 1.0
-    #: Withdrawals are conventionally not rate-limited (WRATE off).
-    mrai_applies_to_withdrawals: bool = False
     seed: int = 0
 
 
@@ -466,8 +464,9 @@ class BGPEngine:
         desired: Optional[Announcement],
     ) -> None:
         """Transmit *desired*, which differs from what *session* last
-        sent for *prefix* — or arm the MRAI timer that will."""
-        if desired is not None or self.config.mrai_applies_to_withdrawals:
+        sent for *prefix* — or arm the MRAI timer that will.
+        Withdrawals are conventionally not rate-limited (WRATE off)."""
+        if desired is not None:
             last = session.last_sent_time.get(prefix)
             if last is not None and self.now < last + session.mrai:
                 if prefix not in session.timer_pending:
@@ -586,11 +585,3 @@ class BGPEngine:
             for asn, speaker in self.speakers.items()
             if speaker.avoid_notifications
         }
-
-    def total_updates_sent(self) -> int:
-        """Total updates transmitted on all sessions so far."""
-        return sum(self.updates_sent.values())
-
-    def changes_since(self, t0: float) -> List[RouteChange]:
-        """Route changes recorded strictly after *t0*."""
-        return [c for c in self.change_log if c.time > t0]

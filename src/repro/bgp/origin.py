@@ -103,17 +103,6 @@ class AnnouncementPacer:
         """Would one more announcement at *now* stay inside the budget?"""
         return self._in_window(now) < self.max_announcements
 
-    def next_allowed(self, now: float) -> float:
-        """Earliest time the budget frees a slot (``now`` if it already has
-        one)."""
-        if self.allows(now):
-            return now
-        floor = now - self.window
-        in_window = sorted(t for t in self.times if t > floor)
-        # The slot frees when the oldest in-window announcement ages out.
-        overflow = len(in_window) - self.max_announcements
-        return in_window[overflow] + self.window
-
     def record(self, now: float) -> None:
         """Take one slot.  Announcements are a multiset: two repairs
         announced in the same tick are two units of damping penalty, so
@@ -291,17 +280,6 @@ class OriginController:
         }
         self._apply(f"selective poison {target} via {list(via_providers)}")
 
-    def advertise_only_via(self, providers: Sequence[int]) -> None:
-        """Classic selective advertising (no poisoning)."""
-        keep = set(providers)
-        unknown = keep - set(self.providers)
-        if unknown:
-            raise ControlError(f"not providers: {sorted(unknown)}")
-        self._spec.suppressed_providers = tuple(
-            p for p in self.providers if p not in keep
-        )
-        self._apply(f"advertise only via {sorted(keep)}")
-
     def avoid_problem(
         self, asns: Iterable[int], key: str = "default"
     ) -> bool:
@@ -456,7 +434,7 @@ class OriginController:
             for provider in self.providers
         }
         path = make_path(self.origin_asn, prepend=self._spec.prepend)
-        avoid = getattr(self, "_avoid_hint", frozenset())
+        avoid = self._avoid_hint
         if not self._try_delta_originate(
             self.production_prefix, path, per_neighbor, avoid
         ):
@@ -486,7 +464,3 @@ class OriginController:
         for poison in self._spec.selective.values():
             poisoned.update(poison)
         return tuple(sorted(poisoned))
-
-    def is_poisoning(self) -> bool:
-        """True while any poison is in place."""
-        return bool(self.currently_poisoned)

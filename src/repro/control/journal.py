@@ -197,6 +197,25 @@ class RepairJournal:
             self._fh.close()
             self._fh = None
 
+    def reopened(self) -> "RepairJournal":
+        """What a restarted process picks up of this (closed) journal.
+
+        An in-memory journal is itself; a file-backed one is read back
+        from disk — only what was flushed — and resumed for appending
+        with the same settings.
+        """
+        if self.path is None:
+            return self
+        return RepairJournal.load(
+            self.path,
+            resume=True,
+            flush_every=self.flush_every,
+            max_bytes=self.max_bytes,
+            max_entries=self.max_entries,
+            retain_segments=self.retain_segments,
+            pacer_window=self.pacer_window,
+        )
+
     # ------------------------------------------------------------------
     # Rotation + compaction
     # ------------------------------------------------------------------

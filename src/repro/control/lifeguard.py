@@ -112,15 +112,36 @@ LADDER_STRATEGIES: Tuple[str, ...] = (
 )
 
 #: The repair stage each unsettled state waits on: a record in *state*
-#: is served by ``Lifeguard.stage_<name>``.  :meth:`Lifeguard.tick` and
-#: the service daemon's queues and budgets (named ``<name>``) both read
-#: this one table.
+#: is served by ``Lifeguard.stage_<name>``.  States absent from the
+#: table (NOT_POISONED, UNPOISONED, the transient ISOLATED) are settled.
 STAGE_FOR_STATE: Dict[RepairState, str] = {
     RepairState.OBSERVED: "isolate",
     RepairState.VERIFYING: "verify",
     RepairState.ROLLED_BACK: "retry",
     RepairState.POISONED: "check",
 }
+
+#: States whose poison is on the wire right now.
+_IN_FLIGHT = (RepairState.VERIFYING, RepairState.POISONED)
+
+
+def stage_of(record: "RepairRecord") -> Optional[str]:
+    """The one staging rule: the stage *record* waits on, None if done.
+
+    Read by :meth:`Lifeguard.tick` and by the service daemon's queues,
+    budgets, drain test and report (all named after the stage).  Once
+    the outage has healed there is no failure left to isolate and a
+    withdrawn poison is not worth retrying; a poison still on the wire
+    is verified and checked regardless — the monitor's pings travel the
+    *poisoned* path, so its recovery says nothing about the failure.
+    """
+    healed = record.outage.end is not None
+    if healed and record.state in (
+        RepairState.OBSERVED, RepairState.ROLLED_BACK
+    ):
+        return None
+    return STAGE_FOR_STATE.get(record.state)
+
 
 #: RepairRecord fields a ``state`` entry may carry.
 _STATE_FIELDS = (
@@ -240,11 +261,6 @@ class LifeguardConfig:
     isolation_timeout: float = 600.0
     #: isolation runs per outage before giving up (NOT_POISONED).
     max_isolation_attempts: int = 3
-    #: verify each poison on the next tick and roll it back if the
-    #: destination is still dark or a control destination went dark.
-    verify_repairs: bool = True
-    #: include the collateral (control-set) check in verification.
-    collateral_check: bool = True
     #: rollbacks of the same (pair, ASN) before the breaker opens.
     breaker_max_failures: int = 3
     #: base backoff after a rollback; doubles per subsequent failure.
@@ -471,9 +487,7 @@ class Lifeguard:
             raise ControlError(f"unknown journal entry kind {kind!r}")
         record = None
         if "outage" in entry:
-            record = self._records_by_outage.get(
-                key_from_json(entry["outage"])
-            )
+            record = self.record(key_from_json(entry["outage"]))
         if record is not None or kind in self._UNSCOPED:
             reducer(self, entry, record, live)
 
@@ -697,7 +711,7 @@ class Lifeguard:
         The method is looked up by name on every call, so a wrapper
         installed on the class (the benchmark's span tracer) is seen.
         """
-        stage = STAGE_FOR_STATE.get(record.state)
+        stage = stage_of(record)
         if stage is not None:
             getattr(self, f"stage_{stage}")(record, now)
 
@@ -706,11 +720,8 @@ class Lifeguard:
         self.begin_round(now)
         for record in self.observed_records():
             self.run_stage(record, now)
-        # Poisoned records keep getting repair checks even after the
-        # monitor sees connectivity again — the monitor's pings travel the
-        # *poisoned* (rerouted) path, so its recovery says nothing about
-        # whether the underlying failure was fixed.  Verification and
-        # rollback retries likewise follow the record, not the outage.
+        # Verification, repair checks and rollback retries follow the
+        # record, not the monitor's list of ongoing outages.
         for record in self.records:
             if record.state is not RepairState.OBSERVED:
                 self.run_stage(record, now)
@@ -937,15 +948,27 @@ class Lifeguard:
     # ------------------------------------------------------------------
     # Poison / verify / rollback
     # ------------------------------------------------------------------
+    def _announce(self, key: Optional[OutageKey], now: float, change) -> float:
+        """The one door a changed announcement leaves by.
+
+        *change* applies an intent to the origin controller and says
+        whether anything went out (a redundant same-union poison is a
+        no-op on the wire); ``announced`` is journaled iff it did — the
+        pacer counts effects, not intents.  Returns the convergence time.
+        """
+        if change():
+            self._commit("announced", key, now)
+        converged_at = self.engine.run()
+        self.refresh_dataplane()
+        return converged_at
+
     def _poison(self, record: RepairRecord, asn: int, now: float) -> None:
-        control: Tuple[str, ...] = ()
-        if self.config.verify_repairs and self.config.collateral_check:
-            control = self.guard.snapshot_control(
-                record.outage.vp_name,
-                self.targets,
-                record.outage.destination,
-                now,
-            )
+        control = self.guard.snapshot_control(
+            record.outage.vp_name,
+            self.targets,
+            record.outage.destination,
+            now,
+        )
         if self.config.use_avoid_problem:
             mode, asns, providers = "avoid", (asn,), ()
         else:
@@ -959,36 +982,24 @@ class Lifeguard:
         )
         ledger_key = self._ledger_key(record.key, record.ladder_step)
         if mode == "avoid":
-            applied = self.origin.avoid_problem(asns, key=ledger_key)
+            send, value = self.origin.avoid_problem, asns
         elif mode == "prepend":
-            applied = self.origin.steer_prepend(providers, key=ledger_key)
+            send, value = self.origin.steer_prepend, providers
         elif mode == "suppress":
-            applied = self.origin.suppress_providers(
-                providers, key=ledger_key
-            )
+            send, value = self.origin.suppress_providers, providers
         else:
-            applied = self.origin.poison(asns, key=ledger_key)
-        if applied:
-            # Effect event: an announcement actually went out (a redundant
-            # same-union poison is an idempotent no-op on the wire).  The
-            # pacer counts these, not intents.
-            self._commit("announced", record.key, now)
-        converged_at = self.engine.run()
-        self.refresh_dataplane()
-        if self.obs is not None:
-            self.obs.observe(
-                "repair.convergence_seconds", max(0.0, converged_at - now)
-            )
-        state = (
-            RepairState.VERIFYING
-            if self.config.verify_repairs
-            else RepairState.POISONED
+            send, value = self.origin.poison, asns
+        converged_at = self._announce(
+            record.key, now, lambda: send(value, key=ledger_key)
         )
+        convergence = max(0.0, converged_at - now)
+        if self.obs is not None:
+            self.obs.observe("repair.convergence_seconds", convergence)
         self._set_state(
-            record, state, now,
+            record, RepairState.VERIFYING, now,
             poisoned_asn=asn,
             poison_time=now,
-            convergence_seconds=max(0.0, converged_at - now),
+            convergence_seconds=convergence,
             poison_set=tuple(asns),
             fallback_providers=tuple(providers),
         )
@@ -996,11 +1007,6 @@ class Lifeguard:
     # ------------------------------------------------------------------
     # Fallback escalation ladder
     # ------------------------------------------------------------------
-    def _max_ladder_step(self) -> int:
-        return min(
-            self.config.fallback_max_step, len(LADDER_STRATEGIES) - 1
-        )
-
     def _fallback_plan(
         self, record: RepairRecord, asn: int
     ) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
@@ -1089,10 +1095,11 @@ class Lifeguard:
         self, record: RepairRecord, asn: Optional[int], now: float
     ) -> None:
         """Climb one ladder rung after a rollback (write-ahead journaled)."""
+        top = min(self.config.fallback_max_step, len(LADDER_STRATEGIES) - 1)
         if (
             not self.config.fallback_ladder
             or record.state is not RepairState.ROLLED_BACK
-            or record.ladder_step >= self._max_ladder_step()
+            or record.ladder_step >= top
         ):
             return
         next_step = record.ladder_step + 1
@@ -1117,7 +1124,7 @@ class Lifeguard:
         outcome = self.guard.verify(
             record.outage.vp_name,
             record.outage.destination,
-            record.control_set if self.config.collateral_check else (),
+            record.control_set,
             now,
         )
         if outcome.verdict is VerifyVerdict.DEFERRED:
@@ -1152,10 +1159,10 @@ class Lifeguard:
         )
         ledger_key = self._ledger_key(record.key, record.ladder_step)
         if ledger_key in self.origin.active_poisons():
-            if self.origin.unpoison(key=ledger_key):
-                self._commit("announced", record.key, now)
-            self.engine.run()
-            self.refresh_dataplane()
+            self._announce(
+                record.key, now,
+                lambda: self.origin.unpoison(key=ledger_key),
+            )
         self._set_state(
             record, RepairState.ROLLED_BACK, now, reason=reason
         )
@@ -1174,7 +1181,7 @@ class Lifeguard:
 
     def stage_retry(self, record: RepairRecord, now: float) -> None:
         """Breaker-gated re-poison for one ROLLED_BACK record."""
-        if record.outage.end is not None:
+        if stage_of(record) != "retry":
             return  # the pair recovered; ROLLED_BACK is terminal here
         asn = record.poisoned_asn
         state = self.guard.breaker.state(self._pair_key(record), asn, now)
@@ -1230,15 +1237,11 @@ class Lifeguard:
         """
         self._commit("unpoison", record.key, now)
         ledger_key = self._ledger_key(record.key, record.ladder_step)
-        if ledger_key in self.origin.active_poisons():
-            applied = self.origin.unpoison(key=ledger_key)
-        else:
-            # Legacy/externally-applied poison: full reset.
-            applied = self.origin.unpoison()
-        if applied:
-            self._commit("announced", record.key, now)
-        self.engine.run()
-        self.refresh_dataplane()
+        if ledger_key not in self.origin.active_poisons():
+            ledger_key = None  # legacy/externally-applied: full reset
+        self._announce(
+            record.key, now, lambda: self.origin.unpoison(key=ledger_key)
+        )
         self._set_state(
             record, RepairState.UNPOISONED, now,
             unpoison_time=now,
@@ -1306,24 +1309,21 @@ class Lifeguard:
         # Reconcile origin intent: re-assert the union of in-flight
         # poisons (no-op convergence when the network already has them).
         ledger = {}
-        for key, record in self._records_by_outage.items():
-            if record.state in (
-                RepairState.VERIFYING, RepairState.POISONED
-            ):
-                mode, asns, providers, step = self._poison_intents.get(
-                    key, ("poison", (), (), 0)
-                )
-                if mode in ("prepend", "suppress"):
-                    value = providers
-                else:
-                    value = asns or (record.poisoned_asn,)
-                ledger[self._ledger_key(key, step)] = (mode, value)
-        if self.origin.restore(ledger):
-            # The reconcile re-announcement takes a pacer slot like any
-            # other (and so survives a second crash too).
-            self._commit("announced", None, self.engine.now)
-        self.engine.run()
-        self.refresh_dataplane()
+        for record in self.in_flight_records():
+            key = record.key
+            mode, asns, providers, step = self._poison_intents.get(
+                key, ("poison", (), (), 0)
+            )
+            if mode in ("prepend", "suppress"):
+                value = providers
+            else:
+                value = asns or (record.poisoned_asn,)
+            ledger[self._ledger_key(key, step)] = (mode, value)
+        # The reconcile re-announcement takes a pacer slot like any
+        # other (and so survives a second crash too).
+        self._announce(
+            None, self.engine.now, lambda: self.origin.restore(ledger)
+        )
         # Ongoing outages survive the controller, not the other way round:
         # hand them back to the monitor so detection state resumes.
         adopted = 0
@@ -1347,15 +1347,15 @@ class Lifeguard:
             return router.asn
         return self.dataplane.fibs.origin_for(address)
 
+    def record(self, key: OutageKey) -> Optional[RepairRecord]:
+        """The record of the outage identified by *key*, if observed."""
+        return self._records_by_outage.get(key)
+
+    def in_flight_records(self) -> List[RepairRecord]:
+        """Records whose poison is on the wire right now."""
+        return [r for r in self.records if r.state in _IN_FLIGHT]
+
     def poisoned_records(self) -> List[RepairRecord]:
         """Records that reached the POISONED (or later) state."""
-        return [
-            r
-            for r in self.records
-            if r.state
-            in (
-                RepairState.VERIFYING,
-                RepairState.POISONED,
-                RepairState.UNPOISONED,
-            )
-        ]
+        reached = _IN_FLIGHT + (RepairState.UNPOISONED,)
+        return [r for r in self.records if r.state in reached]

@@ -39,9 +39,6 @@ class ReversePath:
     #: router addresses from the target (exclusive) to the source router.
     hops: List[Address]
 
-    def hop_addresses(self) -> List[Address]:
-        return list(self.hops)
-
 
 class ReverseTracerouteTool:
     """Measures reverse paths over a :class:`Prober`."""

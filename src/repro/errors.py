@@ -123,10 +123,6 @@ class MeasurementError(_ContextualError):
     """A probe or monitoring operation could not be carried out."""
 
 
-class IsolationError(_ContextualError):
-    """Failure isolation could not run (e.g. no atlas for the path)."""
-
-
 class ControlError(ReproError):
     """The remediation controller was asked to do something invalid."""
 

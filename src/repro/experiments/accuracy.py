@@ -123,15 +123,6 @@ class AccuracyStudy:
         return sum(c.result.elapsed_seconds for c in chosen) / len(chosen)
 
 
-def _transits_on(scenario: DeploymentScenario, from_rid: str,
-                 to_addr, exclude: set) -> List[int]:
-    walk = scenario.lifeguard.dataplane.forward(from_rid, to_addr)
-    if not walk.delivered:
-        return []
-    hops = walk.as_level_hops(scenario.topo)
-    return [a for a in hops[1:-1] if a not in exclude]
-
-
 def run_isolation_accuracy_study(
     scale: str = "medium",
     seed: int = 0,
@@ -211,14 +202,11 @@ def _attempt_worker(context, attempt: int) -> Optional[FailureCase]:
     lifeguard.prober.reseed(
         derive_seed(master_seed, "accuracy-probe", attempt)
     )
-    exclude = {scenario.origin_asn}
     origin_rid = topo.routers_of(scenario.origin_asn)[0]
-    origin_addr = topo.router(origin_rid).address
     now = 1000.0 + attempt * 4000.0
 
     target = rng.choice(scenario.targets)
     target_asn = topo.router_by_address(target).asn
-    target_rid = lifeguard.dataplane.host_router(target)
     draw = rng.random()
     if draw < direction_mix[0]:
         direction = FailureDirection.REVERSE
@@ -227,11 +215,10 @@ def _attempt_worker(context, attempt: int) -> Optional[FailureCase]:
     else:
         direction = FailureDirection.BIDIRECTIONAL
 
-    skip = exclude | {target_asn}
     if direction is FailureDirection.REVERSE:
-        transits = _transits_on(scenario, target_rid, origin_addr, skip)
+        transits = scenario.reverse_transits(target)
     else:
-        transits = _transits_on(scenario, origin_rid, target, skip)
+        transits = scenario.forward_transits(target)
     if not transits:
         return None
     bad_asn = rng.choice(transits)

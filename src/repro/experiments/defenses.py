@@ -31,27 +31,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.control.lifeguard import LifeguardConfig, RepairState
-from repro.dataplane.failures import ASForwardingFailure
-from repro.experiments.robustness import (
-    ROBUSTNESS_ARRIVALS,
+from repro.control.lifeguard import (
+    LifeguardConfig,
+    RepairState,
+    stage_of,
+)
+from repro.experiments.outage_stream import (
     InjectedOutage,
-    _recover_controller,
-    _true_as_for,
+    primed_ledger,
+    run_outage_stream,
+    stream_schedule,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.runner.cache import DiskCache, resolve_cache
 from repro.runner.core import run_trials
 from repro.runner.stats import RunStats
-from repro.traffic.impact import ImpactLedger
-from repro.traffic.matrix import build_traffic_matrix
-from repro.workloads.outages import generate_outage_schedule
 from repro.workloads.scenarios import build_deployment
-
-#: Ground-truth failure schedule: identical to the robustness study so
-#: the two sweeps are comparable point-for-point.
-DEFENSE_ARRIVALS = ROBUSTNESS_ARRIVALS
 
 #: Breaker budget used by both arms: four failures leave room for every
 #: ladder rung (poison -> multi-poison -> prepend -> selective
@@ -74,12 +70,9 @@ def is_abandoned(record) -> bool:
     pair recovered, retrying is pointless), and NOT_POISONED is a
     deliberate disposition — neither is abandonment.
     """
-    if record.state in (RepairState.ISOLATED, RepairState.VERIFYING):
+    if record.state is RepairState.ISOLATED:
         return True
-    return (
-        record.state is RepairState.ROLLED_BACK
-        and record.outage.end is None
-    )
+    return stage_of(record) in ("verify", "retry")
 
 
 @dataclass
@@ -196,111 +189,43 @@ def _run_point(
         )
     injector = FaultInjector(plan)
     injector.attach(scenario.lifeguard)
-    lifeguard = scenario.lifeguard
-    lifeguard.prime_atlas(now=0.0)
-    point = DefensePoint(rate=rate, ladder=ladder)
+    # Defended cells that lose repairs show up in the ledger as extra
+    # affected-user-minutes, not just missing repair counts.
+    ledger = primed_ledger(scenario, seed)
+    schedule, end = stream_schedule(num_outages, seed)
+    stream = run_outage_stream(scenario, schedule, injector, ledger, end)
 
-    # User-impact accounting, harness-owned so it survives the
-    # controller crash: defended cells that lose repairs show up here as
-    # extra affected-user-minutes, not just missing repair counts.
-    matrix = build_traffic_matrix(scenario.graph, seed=seed)
-    ledger = ImpactLedger(matrix)
-    ledger.prime(lifeguard.dataplane.fibs)
-    point.users_total = matrix.total_users
-
-    schedule = generate_outage_schedule(
-        num_outages, DEFENSE_ARRIVALS, seed=seed
+    point = DefensePoint(
+        rate=rate,
+        ladder=ladder,
+        outages=stream.outages,
+        controller_crashes=stream.controller_crashes,
+        recovered_records=stream.recovered_records,
+        users_total=ledger.matrix.total_users,
+        peak_users_affected=ledger.peak_affected,
+        affected_user_minutes=ledger.user_minutes,
     )
-    for scheduled in schedule:
-        target = scenario.targets[scheduled.index % len(scenario.targets)]
-        true_asn = _true_as_for(scenario, target)
-        if true_asn is None:
-            continue
-        outage = InjectedOutage(
-            target=target,
-            target_asn=scenario.topo.router_by_address(target).asn,
-            true_asn=true_asn,
-            start=scheduled.start,
-            end=scheduled.end,
-        )
-        lifeguard.dataplane.failures.add(
-            ASForwardingFailure(
-                asn=true_asn,
-                toward=lifeguard.sentinel_manager.sentinel,
-                start=outage.start,
-                end=outage.end,
-            )
-        )
-        point.outages.append(outage)
-
-    end = (
-        DEFENSE_ARRIVALS.first_arrival
-        + num_outages * DEFENSE_ARRIVALS.spacing
-        + 2400.0
-    )
-    interval = lifeguard.config.monitor_interval
-    now = 30.0
-    down_until: Optional[float] = None
-    survivors = None  # (journal, config, ground-truth failures)
-    last_fibs = lifeguard.dataplane.fibs
-    failures = lifeguard.dataplane.failures
-    while now <= end:
-        if lifeguard is None:
-            if now < down_until:
-                scenario.engine.advance_to(now)
-                ledger.observe(now, last_fibs, failures)
-                now += interval
-                continue
-            lifeguard = _recover_controller(
-                scenario, injector, survivors, seed, now
-            )
-            point.recovered_records = len(lifeguard.records)
-            down_until = None
-        due = injector.controller_crash_due(now)
-        if due is not None:
-            survivors = (
-                lifeguard.journal,
-                lifeguard.config,
-                lifeguard.dataplane.failures,
-            )
-            lifeguard = None
-            down_until = max(due, now)
-            point.controller_crashes += 1
-            continue
-        lifeguard.tick(now)
-        last_fibs = lifeguard.dataplane.fibs
-        ledger.observe(now, last_fibs, failures)
-        now += interval
-    if lifeguard is None:
-        lifeguard = _recover_controller(
-            scenario, injector, survivors, seed, end
-        )
-        point.recovered_records = len(lifeguard.records)
-
-    # Score at the AS level, like the robustness study: a repair counts
-    # only once verification promoted it (POISONED/UNPOISONED) — a poison
-    # the defenses filtered never verifies, so it never scores.
+    # A repair counts only once verification promoted it — a poison the
+    # defenses filtered never verifies, so it never scores.
     verified_states = (RepairState.POISONED, RepairState.UNPOISONED)
     for outage in point.outages:
-        for record in lifeguard.records:
-            if not outage.start <= record.outage.start <= outage.end:
-                continue
-            outage.detected = True
-            if (
-                record.poisoned_asn == outage.true_asn
-                and record.state in verified_states
-            ):
-                if not outage.poisoned_true:
-                    outage.poisoned_true = True
-                    if record.ladder_step > 0:
-                        point.ladder_repairs += 1
-                    if record.verified_time is not None:
-                        point.repair_times.append(
-                            record.verified_time - record.outage.start
-                        )
-                if record.state is RepairState.UNPOISONED:
-                    outage.unpoisoned = True
-    for record in lifeguard.records:
+        verified = [
+            r for r in stream.repairs_of(outage) if r.state in verified_states
+        ]
+        if not verified:
+            continue
+        outage.poisoned_true = True
+        outage.unpoisoned = any(
+            r.state is RepairState.UNPOISONED for r in verified
+        )
+        first = verified[0]
+        if first.ladder_step > 0:
+            point.ladder_repairs += 1
+        if first.verified_time is not None:
+            point.repair_times.append(
+                first.verified_time - first.outage.start
+            )
+    for record in stream.records:
         point.rollbacks += record.rollbacks
         point.escalations += record.escalations
         if is_abandoned(record):
@@ -308,8 +233,6 @@ def _run_point(
         for note in record.notes:
             if "circuit breaker open" in note:
                 point.breaker_opens += 1
-    point.peak_users_affected = ledger.peak_affected
-    point.affected_user_minutes = ledger.user_minutes
     return point
 
 

@@ -55,10 +55,6 @@ class EfficacyStudy:
             return 0.0
         return self.users_with_alternates / self.users_total
 
-    def fraction_for_sources(self, sources: Sequence[int]) -> float:
-        chosen = [o for o in self.outcomes if o.source in set(sources)]
-        return fraction_with_alternates(chosen)
-
 
 def harvest_path_corpus(
     engine: BGPEngine,

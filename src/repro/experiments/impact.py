@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.dataplane.failures import ASForwardingFailure
 from repro.runner.cache import resolve_cache
 from repro.runner.stats import RunStats
 from repro.traffic.impact import ImpactLedger, ImpactSample
@@ -26,7 +25,7 @@ from repro.traffic.matrix import (
     TrafficMatrix,
     build_traffic_matrix,
 )
-from repro.workloads.scenarios import build_deployment
+from repro.workloads.scenarios import build_demo_scenario
 
 
 @dataclass
@@ -82,44 +81,18 @@ def run_impact_study(
     """Run the demo repair story with the impact ledger attached."""
     stats = stats or RunStats()
     cache = resolve_cache(cache, stats)
-    scenario = build_deployment(
-        scale=scale,
-        seed=seed,
-        num_providers=2,
-        cache=cache,
-        stats=stats,
-        obs=obs,
+    scenario, bad_asn = build_demo_scenario(
+        seed, scale, obs, fail_start, fail_end, cache=cache, stats=stats
     )
     lifeguard = scenario.lifeguard
-    topo = scenario.topo
-    target = scenario.targets[0]
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_router).address
-    )
-    bad_asn = next(
-        a
-        for a in walk.as_level_hops(topo)[1:-1]
-        if a != scenario.origin_asn
-    )
 
     with stats.timer("impact.matrix"):
         matrix = build_traffic_matrix(
             scenario.graph, seed=seed, config=traffic, stats=stats
         )
     ledger = ImpactLedger(matrix)
+    # Failures live in the data plane, so the FIBs are still pristine.
     baseline_unroutable = ledger.prime(lifeguard.dataplane.fibs)
-
-    lifeguard.prime_atlas(now=0.0)
-    lifeguard.dataplane.failures.add(
-        ASForwardingFailure(
-            asn=bad_asn,
-            toward=lifeguard.sentinel_manager.sentinel,
-            start=fail_start,
-            end=fail_end,
-        )
-    )
 
     samples: List[ImpactSample] = []
     repair_time: Optional[float] = None

@@ -29,53 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.control.lifeguard import Lifeguard, RepairState
-from repro.dataplane.failures import ASForwardingFailure
+from repro.control.lifeguard import RepairState
+from repro.experiments.outage_stream import (
+    InjectedOutage,
+    primed_ledger,
+    run_outage_stream,
+    stream_schedule,
+)
 from repro.faults.injector import FaultStats
-from repro.net.addr import Address
 from repro.runner.cache import DiskCache, resolve_cache
 from repro.runner.core import run_trials
 from repro.runner.stats import RunStats
-from repro.splice.reachability import reachable_set_avoiding
-from repro.traffic.impact import ImpactLedger
-from repro.traffic.matrix import build_traffic_matrix
-from repro.workloads.outages import (
-    OutageArrivalConfig,
-    generate_outage_schedule,
-    generate_outage_trace,
-)
-from repro.workloads.scenarios import (
-    DeploymentScenario,
-    build_chaos_deployment,
-)
-
-#: Ground-truth failure schedule: the same calibrated arrival generator
-#: the service daemon streams from (:func:`generate_outage_schedule`), in
-#: its deterministic fixed-spacing mode — outage *k* starts at
-#: ``1000 + k * 9000`` and lasts 7200 s, leaving room for detection,
-#: poisoning, repair detection and unpoisoning before the next begins.
-ROBUSTNESS_ARRIVALS = OutageArrivalConfig(
-    first_arrival=1000.0,
-    spacing=9000.0,
-    duration=7200.0,
-)
-
-
-@dataclass
-class InjectedOutage:
-    """One ground-truth failure and what LIFEGUARD did about it."""
-
-    target: Address
-    target_asn: int
-    #: the AS that actually dropped traffic.
-    true_asn: int
-    start: float
-    end: float
-    detected: bool = False
-    #: LIFEGUARD poisoned exactly the failed AS.
-    poisoned_true: bool = False
-    #: ... and later detected the repair and withdrew the poison.
-    unpoisoned: bool = False
+from repro.workloads.scenarios import build_chaos_deployment
 
 
 @dataclass
@@ -141,66 +106,6 @@ class RobustnessStudy:
         return max((p.false_poisons for p in self.points), default=0)
 
 
-def _true_as_for(
-    scenario: DeploymentScenario, target: Address
-) -> Optional[int]:
-    """A transit AS on target->origin whose loss poisoning can route around.
-
-    Restricting ground truth to avoidable ASes separates this study from
-    the §5.1 efficacy question: here every injected failure is repairable
-    in principle, so any miss is chargeable to the injected infrastructure
-    faults.
-    """
-    lifeguard = scenario.lifeguard
-    topo = scenario.topo
-    origin_rid = topo.routers_of(scenario.origin_asn)[0]
-    origin_addr = topo.router(origin_rid).address
-    target_rid = lifeguard.dataplane.host_router(target)
-    target_asn = topo.router_by_address(target).asn
-    walk = lifeguard.dataplane.forward(target_rid, origin_addr)
-    if not walk.delivered:
-        return None
-    for asn in walk.as_level_hops(topo)[1:-1]:
-        if asn in (scenario.origin_asn, target_asn):
-            continue
-        reachable = reachable_set_avoiding(
-            scenario.graph, scenario.origin_asn, avoid=[asn]
-        )
-        if target_asn in reachable:
-            return asn
-    return None
-
-
-def _recover_controller(
-    scenario: DeploymentScenario,
-    injector,
-    survivors,
-    seed: int,
-    now: float,
-) -> "Lifeguard":
-    """Rebuild the controller from what outlived it and re-wire chaos."""
-    journal, config, failures = survivors
-    lifeguard = Lifeguard.recover(
-        journal,
-        engine=scenario.engine,
-        topo=scenario.topo,
-        origin_asn=scenario.origin_asn,
-        vantage_points=scenario.vantage_points,
-        targets=scenario.targets,
-        duration_history=generate_outage_trace(seed=seed).durations,
-        config=config,
-        now=now,
-        failures=failures,
-        reprime_atlas=False,
-    )
-    # Wire chaos back in *before* re-priming the atlas, so the restarted
-    # controller's background measurements suffer faults like live ones.
-    injector.attach(lifeguard)
-    lifeguard.prime_atlas(now)
-    scenario.lifeguard = lifeguard
-    return lifeguard
-
-
 def _run_point(
     scale: str,
     seed: int,
@@ -216,117 +121,28 @@ def _run_point(
         cache=cache,
         crash_controller=crash_controller,
     )
-    lifeguard = scenario.lifeguard
-    lifeguard.prime_atlas(now=0.0)
-    point = RobustnessPoint(intensity=intensity, stats=injector.stats)
+    ledger = primed_ledger(scenario, seed)
+    schedule, end = stream_schedule(num_outages, seed)
+    stream = run_outage_stream(scenario, schedule, injector, ledger, end)
 
-    # User-impact accounting: a gravity-model matrix over the point's
-    # stub ASes, integrated against the live FIBs at every tick.  The
-    # ledger lives in the harness, so it keeps counting stranded users
-    # even while a crashed controller is down (nobody repairs, users
-    # still suffer).
-    matrix = build_traffic_matrix(scenario.graph, seed=seed)
-    ledger = ImpactLedger(matrix)
-    ledger.prime(lifeguard.dataplane.fibs)
-    point.users_total = matrix.total_users
-
-    true_asns = set()
-    schedule = generate_outage_schedule(
-        num_outages, ROBUSTNESS_ARRIVALS, seed=seed
+    point = RobustnessPoint(
+        intensity=intensity,
+        outages=stream.outages,
+        controller_crashes=stream.controller_crashes,
+        recovered_records=stream.recovered_records,
+        stats=injector.stats,
+        users_total=ledger.matrix.total_users,
+        peak_users_affected=ledger.peak_affected,
+        affected_user_minutes=ledger.user_minutes,
     )
-    for scheduled in schedule:
-        target = scenario.targets[scheduled.index % len(scenario.targets)]
-        true_asn = _true_as_for(scenario, target)
-        if true_asn is None:
-            continue
-        outage = InjectedOutage(
-            target=target,
-            target_asn=scenario.topo.router_by_address(target).asn,
-            true_asn=true_asn,
-            start=scheduled.start,
-            end=scheduled.end,
-        )
-        # Scope the drop toward the sentinel super-prefix so both the
-        # production path and the repair-detection channel break — the
-        # reverse-failure shape the sentinel exists for (§4.2).
-        lifeguard.dataplane.failures.add(
-            ASForwardingFailure(
-                asn=true_asn,
-                toward=lifeguard.sentinel_manager.sentinel,
-                start=outage.start,
-                end=outage.end,
-            )
-        )
-        point.outages.append(outage)
-        true_asns.add(true_asn)
-
-    end = (
-        ROBUSTNESS_ARRIVALS.first_arrival
-        + num_outages * ROBUSTNESS_ARRIVALS.spacing
-        + 2400.0
-    )
-    interval = lifeguard.config.monitor_interval
-    now = 30.0
-    down_until: Optional[float] = None
-    survivors = None  # (journal, config, ground-truth failures)
-    # Routers keep forwarding with their last-installed FIBs even while
-    # the controller is down, so the ledger samples against this.
-    last_fibs = lifeguard.dataplane.fibs
-    failures = lifeguard.dataplane.failures
-    while now <= end:
-        if lifeguard is None:
-            # Controller dead: the network keeps evolving, repairs stay
-            # announced, outages keep aging — nobody is watching.
-            if now < down_until:
-                scenario.engine.advance_to(now)
-                ledger.observe(now, last_fibs, failures)
-                now += interval
-                continue
-            lifeguard = _recover_controller(
-                scenario, injector, survivors, seed, now
-            )
-            point.recovered_records = len(lifeguard.records)
-            down_until = None
-        due = injector.controller_crash_due(now)
-        if due is not None:
-            # The process dies before this round runs.  Everything the
-            # next incarnation will know survives outside it: the journal,
-            # the config, the network, and the ground-truth failure set.
-            survivors = (
-                lifeguard.journal,
-                lifeguard.config,
-                lifeguard.dataplane.failures,
-            )
-            lifeguard = None
-            down_until = max(due, now)
-            point.controller_crashes += 1
-            continue
-        lifeguard.tick(now)
-        last_fibs = lifeguard.dataplane.fibs
-        ledger.observe(now, last_fibs, failures)
-        now += interval
-    if lifeguard is None:
-        # The run ended inside the outage window: restart anyway so the
-        # scoreboard reads the journal-recovered records, not nothing.
-        lifeguard = _recover_controller(
-            scenario, injector, survivors, seed, end
-        )
-        point.recovered_records = len(lifeguard.records)
-
-    # Score at the AS level: one ground-truth failure can break several
-    # monitored pairs, and whichever pair's record drives the poison
-    # repairs them all.  A record counts for the outage whose window its
-    # detection falls in.
     for outage in point.outages:
-        for record in lifeguard.records:
-            if not outage.start <= record.outage.start <= outage.end:
-                continue
-            outage.detected = True
-            if record.poisoned_asn == outage.true_asn:
-                outage.poisoned_true = True
-                if record.state is RepairState.UNPOISONED:
-                    outage.unpoisoned = True
-    for record in lifeguard.records:
+        repairs = stream.repairs_of(outage)
+        outage.poisoned_true = bool(repairs)
+        outage.unpoisoned = any(
+            r.state is RepairState.UNPOISONED for r in repairs
+        )
+    true_asns = {outage.true_asn for outage in point.outages}
+    for record in stream.records:
         if (
             record.poisoned_asn is not None
             and record.poisoned_asn not in true_asns
@@ -340,8 +156,6 @@ def _run_point(
                 point.retry_exhausted += 1
             if "circuit breaker open" in note:
                 point.breaker_opens += 1
-    point.peak_users_affected = ledger.peak_affected
-    point.affected_user_minutes = ledger.user_minutes
     return point
 
 

@@ -63,13 +63,6 @@ class HorizonResult:
             v for v in self.verdicts if v.status is HopStatus.REACHES_SOURCE
         ]
 
-    def beyond_horizon(self) -> List[HopVerdict]:
-        return [
-            v
-            for v in self.verdicts
-            if v.status in (HopStatus.ALIVE_ELSEWHERE, HopStatus.SILENT)
-        ]
-
 
 class ReachabilityHorizon:
     """Probes historical paths and locates the horizon."""

@@ -73,29 +73,6 @@ class PathAtlas:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def latest_forward(
-        self,
-        vp_name: str,
-        destination: Union[str, Address],
-        before: float = float("inf"),
-    ) -> Optional[AtlasEntry]:
-        """Most recent forward path recorded strictly before *before*."""
-        return self._latest(self._forward, vp_name, destination, before)
-
-    def latest_reverse(
-        self,
-        vp_name: str,
-        destination: Union[str, Address],
-        before: float = float("inf"),
-    ) -> Optional[AtlasEntry]:
-        """Most recent reverse path recorded strictly before *before*."""
-        return self._latest(self._reverse, vp_name, destination, before)
-
-    def _latest(self, store, vp_name, destination, before):
-        entries = store.get(self._key(vp_name, destination), [])
-        candidates = [e for e in entries if e.time < before]
-        return candidates[-1] if candidates else None
-
     def reverse_history(
         self,
         vp_name: str,
@@ -181,25 +158,6 @@ class PathAtlas:
             time=latest.time, hops=latest.hops[:keep], reached=False
         )
         return True
-
-    def all_known_hops(
-        self,
-        vp_name: str,
-        destination: Union[str, Address],
-        before: float = float("inf"),
-    ) -> List[Address]:
-        """Every hop address on any recorded path for the pair, dedup'd."""
-        seen = set()
-        out: List[Address] = []
-        for store in (self._forward, self._reverse):
-            for entry in store.get(self._key(vp_name, destination), []):
-                if entry.time >= before:
-                    continue
-                for hop in entry.hops:
-                    if hop.value not in seen:
-                        seen.add(hop.value)
-                        out.append(hop)
-        return out
 
 
 @dataclass

@@ -101,14 +101,3 @@ class VantageSet:
     def others(self, name: str) -> List[VantagePoint]:
         """All vantage points except *name* (the spoof-helper pool)."""
         return [vp for vp in self._by_name.values() if vp.name != name]
-
-    def in_distinct_ases(self) -> List[VantagePoint]:
-        """One vantage point per AS (useful for diverse helper pools)."""
-        seen_as = set()
-        out = []
-        for vp in self._by_name.values():
-            asn = self.topo.router(vp.rid).asn
-            if asn not in seen_as:
-                seen_as.add(asn)
-                out.append(vp)
-        return out

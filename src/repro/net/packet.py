@@ -73,11 +73,3 @@ class ProbeReply:
     responder: Address
     received_by: Address
     recorded_route: Tuple[Address, ...] = ()
-
-    @property
-    def is_echo_reply(self) -> bool:
-        return self.icmp_type == ICMP_ECHO_REPLY
-
-    @property
-    def is_ttl_exceeded(self) -> bool:
-        return self.icmp_type == ICMP_TTL_EXCEEDED

@@ -17,7 +17,7 @@ fields and anything the event bus recorded.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Default histogram bounds, in simulation seconds: spans probe-scale
 #: latencies through BGP convergence through repair-lifecycle phases.
@@ -202,26 +202,3 @@ class MetricsRegistry:
                 mine.total += theirs.total
             elif theirs.count:
                 mine.observe(theirs.total)
-
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` payload (e.g. shipped back from a
-        worker process) into this registry."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, blob in snapshot.get("histograms", {}).items():
-            bounds = tuple(
-                float("inf") if bound == "+Inf" else float(bound)
-                for bound, _ in blob.get("buckets", [])
-            )
-            hist = self.histogram(name, bounds[:-1] if bounds else None)
-            if tuple(hist.bounds) + (float("inf"),) == bounds:
-                previous = 0
-                for i, (_, cumulative) in enumerate(blob["buckets"]):
-                    hist.bucket_counts[i] += cumulative - previous
-                    previous = cumulative
-                hist.count += blob.get("count", 0)
-                hist.total += blob.get("sum", 0.0)
-            elif blob.get("count"):
-                hist.observe(blob.get("sum", 0.0))

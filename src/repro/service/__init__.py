@@ -21,7 +21,6 @@ from repro.service.daemon import (
     LifeguardService,
     ServiceConfig,
     ServiceReport,
-    poisonable_transit_as,
 )
 from repro.service.queues import QueueItem, Stage, StageQueue
 
@@ -37,5 +36,4 @@ __all__ = [
     "Stage",
     "StageQueue",
     "Watermarks",
-    "poisonable_transit_as",
 ]

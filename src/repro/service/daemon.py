@@ -31,12 +31,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.control.journal import OutageKey, RepairJournal
 from repro.control.lifeguard import (
-    STAGE_FOR_STATE,
     Lifeguard,
     RepairRecord,
     RepairState,
+    stage_of,
 )
-from repro.dataplane.failures import ASForwardingFailure
 from repro.errors import ControlError
 from repro.service.admission import (
     AdmissionController,
@@ -45,24 +44,18 @@ from repro.service.admission import (
     Watermarks,
 )
 from repro.service.queues import Stage, StageQueue
-from repro.splice.reachability import reachable_set_avoiding
 from repro.traffic.impact import ImpactLedger
 from repro.traffic.matrix import TrafficConfig, build_traffic_matrix
 from repro.workloads.outages import (
     OutageArrivalConfig,
     ScheduledOutage,
     generate_outage_schedule,
-    generate_outage_trace,
 )
 from repro.workloads.scenarios import DeploymentScenario
 
 #: Default streaming workload: Poisson arrivals, one outage per ten
 #: minutes on average, durations sampled from the paper's Fig. 1 mixture.
 DEFAULT_ARRIVALS = OutageArrivalConfig(first_arrival=1000.0, rate=1 / 600.0)
-
-#: Repair states that need no further service work.  ROLLED_BACK and
-#: OBSERVED also settle once the underlying outage has healed.
-_SETTLED = (RepairState.NOT_POISONED, RepairState.UNPOISONED)
 
 #: Histogram bounds for time-to-repair (sim seconds).
 TTR_BUCKETS: Tuple[float, ...] = (
@@ -157,53 +150,22 @@ class ServiceReport:
         return blob
 
 
-def poisonable_transit_as(
-    scenario: DeploymentScenario, target
-) -> Optional[int]:
-    """A transit AS on target->origin whose loss poisoning can avoid.
+def _localized_first(scenario: DeploymentScenario):
+    """Sort key for the service's ground-truth plan: edge before core.
 
-    Evaluated once per target on the pristine converged baseline, before
-    any failure is injected — so the service's ground-truth plan is a
-    pure function of the deployment, independent of when (or whether) the
-    controller crashed.  Of the avoidable on-path candidates, returns the
+    Of a target's avoidable on-path transit ASes the plan fails the
     lowest-degree one: failing a well-connected core AS toward the
     sentinel would black-hole most of the monitored population at once
     (and overlapping core failures are unrepairable by single-AS
     poisoning), whereas the paper's partial outages are localized near
-    the edge.  The origin's direct providers are deprioritized the same
-    way — every monitored path crosses one, so failing a provider is a
-    mass outage — but remain the fallback on topologies (e.g. tiny)
-    where the whole path is origin, providers and the target itself.
+    the edge.  The origin's direct providers rank last the same way —
+    every monitored path crosses one, so failing a provider is a mass
+    outage — but remain the fallback on topologies (e.g. tiny) where
+    the whole path is origin, providers and the target itself.
     """
-    lifeguard = scenario.lifeguard
-    topo = scenario.topo
-    origin_rid = topo.routers_of(scenario.origin_asn)[0]
-    origin_addr = topo.router(origin_rid).address
-    target_rid = lifeguard.dataplane.host_router(target)
-    target_asn = topo.router_by_address(target).asn
-    walk = lifeguard.dataplane.forward(target_rid, origin_addr)
-    if not walk.delivered:
-        return None
     providers = set(scenario.graph.providers(scenario.origin_asn))
-    candidates = []
-    for asn in walk.as_level_hops(topo)[1:-1]:
-        if asn in (scenario.origin_asn, target_asn):
-            continue
-        reachable = reachable_set_avoiding(
-            scenario.graph, scenario.origin_asn, avoid=[asn]
-        )
-        if target_asn in reachable:
-            candidates.append(asn)
-    if not candidates:
-        return None
-    return min(
-        candidates,
-        key=lambda asn: (
-            asn in providers,
-            scenario.graph.degree(asn),
-            asn,
-        ),
-    )
+    degree = scenario.graph.degree
+    return lambda asn: (asn in providers, degree(asn), asn)
 
 
 def _percentile(values: List[float], q: float) -> Optional[float]:
@@ -381,11 +343,18 @@ class LifeguardService:
     # Startup
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Prime the atlas and journal the ground-truth target plan."""
+        """Prime the atlas and journal the ground-truth target plan.
+
+        The plan is evaluated once per target on the pristine converged
+        baseline, before any failure is injected — a pure function of
+        the deployment, independent of when (or whether) the controller
+        crashed.
+        """
         self.lifeguard.prime_atlas(now=0.0)
         plan = []
+        prefer = _localized_first(self.scenario)
         for target in self.scenario.targets:
-            asn = poisonable_transit_as(self.scenario, target)
+            asn = self.scenario.avoidable_transit(target, prefer=prefer)
             if asn is not None:
                 plan.append((str(target), asn))
         self._commit(
@@ -471,14 +440,7 @@ class LifeguardService:
         ):
             scheduled = self.schedule[self.cursor]
             target, asn = self.plan[scheduled.index % len(self.plan)]
-            self.lifeguard.dataplane.failures.add(
-                ASForwardingFailure(
-                    asn=asn,
-                    toward=self.lifeguard.sentinel_manager.sentinel,
-                    start=scheduled.start,
-                    end=scheduled.end,
-                )
-            )
+            self.scenario.fail_transit(asn, scheduled.start, scheduled.end)
             self._commit(
                 "service-arrival",
                 now,
@@ -514,11 +476,7 @@ class LifeguardService:
         return breached
 
     def _signals(self, now: float) -> OverloadSignals:
-        inflight = sum(
-            record.state
-            in (RepairState.VERIFYING, RepairState.POISONED)
-            for record in self.lifeguard.records
-        )
+        inflight = len(self.lifeguard.in_flight_records())
         probes = self.lifeguard.prober.probes_sent
         utilisation = (probes - self._probes_prev) / max(
             1, self.config.watermarks.probe_budget_per_round
@@ -583,16 +541,10 @@ class LifeguardService:
         self.deferred += deferred
         return shed, deferred
 
-    def _stage_for(self, record: RepairRecord) -> Optional[Stage]:
-        """The queue this record belongs in right now, if any."""
-        if record.state in _SETTLED:
-            return None
-        if record.state in (
-            RepairState.OBSERVED, RepairState.ROLLED_BACK
-        ) and record.outage.end is not None:
-            return None  # the outage healed; nothing left to repair
-        name = STAGE_FOR_STATE.get(record.state)
-        return Stage(name) if name is not None else None
+    def _queue_for(self, record: RepairRecord) -> Optional[StageQueue]:
+        """The queue of the stage *record* waits on, None once settled."""
+        name = stage_of(record)
+        return self.queues[Stage(name)] if name is not None else None
 
     def _budget(self, stage: Stage, tier: ServiceTier) -> int:
         """Per-round work budget; only the forward stage degrades.
@@ -628,30 +580,25 @@ class LifeguardService:
         while processed < budget and len(queue) and visits > 0:
             visits -= 1
             item = queue.take(1)[0]
-            record = self.lifeguard._records_by_outage.get(item.key)
+            record = self.lifeguard.record(item.key)
             if record is None:
                 continue
-            current = self._stage_for(record)
-            if current is None:
-                continue  # settled while waiting; drop the item
-            if current is not stage:
-                self._route(stage, record, item, now)
-                continue
-            self.lifeguard.run_stage(record, now)
-            processed += 1
-            self._route(stage, record, item, now)
+            if self._queue_for(record) is queue:
+                self.lifeguard.run_stage(record, now)
+                processed += 1
+            self._route(queue, record, item, now)
         return processed
 
-    def _route(self, stage: Stage, record, item, now: float) -> None:
-        """Put a just-handled item wherever its record now belongs."""
-        target = self._stage_for(record)
+    def _route(self, queue: StageQueue, record, item, now: float) -> None:
+        """Put an item taken from *queue* wherever its record now
+        belongs (nowhere, if it settled while waiting or being served)."""
+        target = self._queue_for(record)
         if target is None:
             return
-        queue = self.queues[stage]
-        if target is stage:
+        if target is queue:
             queue.requeue(item, now)
             return
-        if not self.queues[target].offer(item.key, now):
+        if not target.offer(item.key, now):
             # Downstream stage is full: hold the item here — explicit
             # backpressure between stages, never a drop.
             self.backpressure += 1
@@ -659,18 +606,12 @@ class LifeguardService:
             queue.requeue(item, now)
 
     def _harvest_ttr(self, now: float) -> None:
-        verify = self.lifeguard.config.verify_repairs
         for record in self.lifeguard.records:
             key = record.key
-            if key in self._ttr_done:
-                continue
-            done_at = (
-                record.verified_time if verify else record.poison_time
-            )
-            if done_at is None:
+            if key in self._ttr_done or record.verified_time is None:
                 continue
             self._ttr_done.add(key)
-            ttr = max(0.0, done_at - record.outage.detected)
+            ttr = max(0.0, record.verified_time - record.outage.detected)
             self.ttr.append(ttr)
             if self.obs is not None:
                 metrics = self._metrics()
@@ -692,11 +633,7 @@ class LifeguardService:
             stage.value: len(queue)
             for stage, queue in self.queues.items()
         }
-        inflight = sum(
-            record.state
-            in (RepairState.VERIFYING, RepairState.POISONED)
-            for record in self.lifeguard.records
-        )
+        inflight = len(self.lifeguard.in_flight_records())
         for stage, depth in depths.items():
             self._gauge(f"service.queue_depth.{stage}", depth)
         self._gauge("service.repairs_in_flight", inflight)
@@ -734,61 +671,12 @@ class LifeguardService:
     # ------------------------------------------------------------------
     # Crash / recover
     # ------------------------------------------------------------------
-    def _crash(self, now: float):
-        """Kill the controller; return what survives it.
-
-        The journal is flushed and closed (the write-ahead contract:
-        anything journaled survives; with ``flush_every > 1`` the
-        unflushed tail is legitimately lost).  The network, the failure
-        set, and the rotated journal segments outlive the process.
-        """
-        self.crashes += 1
-        survivors = (
-            self.journal,
-            self.lifeguard.config,
-            self.lifeguard.dataplane.failures,
+    def _recover(self, now: float) -> None:
+        """Bring the controller back, then the service state around it."""
+        lifeguard = self.scenario.recover(
+            now, injector=self.injector, obs=self.obs
         )
-        self.journal.close()
-        self.scenario.lifeguard = None
-        return survivors
-
-    def _recover(self, survivors, now: float) -> None:
-        """Rebuild controller + service state from the journal."""
-        old_journal, lg_config, failures = survivors
-        if old_journal.path is not None:
-            journal = RepairJournal.load(
-                old_journal.path,
-                resume=True,
-                flush_every=old_journal.flush_every,
-                max_bytes=old_journal.max_bytes,
-                max_entries=old_journal.max_entries,
-                retain_segments=old_journal.retain_segments,
-                pacer_window=old_journal.pacer_window,
-            )
-        else:
-            journal = old_journal
-        lifeguard = Lifeguard.recover(
-            journal,
-            engine=self.scenario.engine,
-            topo=self.scenario.topo,
-            origin_asn=self.scenario.origin_asn,
-            vantage_points=self.scenario.vantage_points,
-            targets=self.scenario.targets,
-            duration_history=generate_outage_trace(
-                seed=self.config.seed
-            ).durations,
-            config=lg_config,
-            now=now,
-            failures=failures,
-            reprime_atlas=False,
-        )
-        if self.obs is not None:
-            lifeguard.attach_observer(self.obs)
-        if self.injector is not None:
-            self.injector.attach(lifeguard)
-        lifeguard.prime_atlas(now)
-        self.scenario.lifeguard = lifeguard
-        self._restore_from_journal(journal, now)
+        self._restore_from_journal(lifeguard.journal, now)
         self._emit(
             "service.recovered",
             now,
@@ -814,11 +702,10 @@ class LifeguardService:
         for queue in self.queues.values():
             while len(queue):
                 queue.take(1)
-        for record in self.lifeguard.records:
-            stage = self._stage_for(record)
+        for record, queue in self._unsettled():
             # OBSERVED records re-enter through admission control.
-            if stage is not None and stage is not Stage.ISOLATE:
-                self.queues[stage].offer(record.key, now)
+            if queue.stage is not Stage.ISOLATE:
+                queue.offer(record.key, now)
         self.ttr = []
         self._ttr_done = set()
         self._harvest_ttr(now)
@@ -834,10 +721,7 @@ class LifeguardService:
             return True  # failures still open / detection in flight
         if any(len(queue) for queue in self.queues.values()):
             return True
-        return any(
-            self._stage_for(record) is not None
-            for record in self.lifeguard.records
-        )
+        return bool(self._unsettled())
 
     def run(self) -> ServiceReport:
         """Drive the workload to completion; returns the report."""
@@ -848,7 +732,6 @@ class LifeguardService:
         deadline = end + self.config.drain
         now = interval
         down_until: Optional[float] = None
-        survivors = None
         while now <= end or (
             now <= deadline
             and (down_until is not None or self._active_work(now))
@@ -860,42 +743,36 @@ class LifeguardService:
                     self.scenario.engine.advance_to(now)
                     now += interval
                     continue
-                self._recover(survivors, now)
+                self._recover(now)
                 down_until = None
-                survivors = None
             if (
                 self.config.crash_at is not None
                 and now >= self.config.crash_at
                 and not self._crashed
             ):
                 self._crashed = True
-                survivors = self._crash(now)
+                self.crashes += 1
+                self.scenario.crash()
                 down_until = now + self.config.crash_downtime
                 continue
             self.run_round(now)
             now += interval
         if down_until is not None:
-            self._recover(survivors, max(now, down_until))
+            self._recover(max(now, down_until))
         self._drained = not self._active_work(now)
         return self.report(min(now, deadline))
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _abandoned(self) -> int:
-        """Repairs with no disposition: not settled, not queued, and not
-        waiting on admission (OBSERVED records re-enter every round, and
-        shed/deferred ones are journaled).  Structurally this must be
-        zero — the queues requeue instead of dropping — and the CI smoke
-        job asserts it stays that way."""
-        abandoned = 0
+    def _unsettled(self) -> List[Tuple[RepairRecord, StageQueue]]:
+        """Every record a stage still waits on, with that stage's queue."""
+        waiting = []
         for record in self.lifeguard.records:
-            stage = self._stage_for(record)
-            if stage is None or stage is Stage.ISOLATE:
-                continue
-            if record.key not in self.queues[stage]:
-                abandoned += 1
-        return abandoned
+            queue = self._queue_for(record)
+            if queue is not None:
+                waiting.append((record, queue))
+        return waiting
 
     def report(self, now: float) -> ServiceReport:
         records = self.lifeguard.records
@@ -903,7 +780,16 @@ class LifeguardService:
         completed = sum(
             r.state is RepairState.UNPOISONED for r in records
         )
-        settled = sum(self._stage_for(r) is None for r in records)
+        # Abandoned: a repair with no disposition — unsettled, not
+        # queued, and not waiting on admission (OBSERVED records re-enter
+        # every round, and shed/deferred ones are journaled).
+        # Structurally this must be zero — the queues requeue instead of
+        # dropping — and the CI smoke job asserts it stays that way.
+        pending = abandoned = 0
+        for record, queue in self._unsettled():
+            pending += 1
+            if queue.stage is not Stage.ISOLATE and record.key not in queue:
+                abandoned += 1
         return ServiceReport(
             duration=now,
             rounds=self.rounds,
@@ -912,9 +798,9 @@ class LifeguardService:
             records=len(records),
             repaired=repaired,
             completed=completed,
-            settled=settled,
-            pending=len(records) - settled,
-            abandoned=self._abandoned(),
+            settled=len(records) - pending,
+            pending=pending,
+            abandoned=abandoned,
             shed=self.shed,
             deferred=self.deferred,
             timeouts=sum(q.timeouts for q in self.queues.values()),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.control.journal import OutageKey
 
@@ -134,9 +134,3 @@ class StageQueue:
 
     def keys(self) -> Tuple[OutageKey, ...]:
         return tuple(self._items.keys())
-
-    def oldest_wait(self, now: float) -> Optional[float]:
-        """Age of the head item (queue-delay signal), if any."""
-        for item in self._items.values():
-            return now - item.enqueued
-        return None

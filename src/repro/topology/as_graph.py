@@ -95,25 +95,6 @@ class ASGraph:
         self._edges[a][b] = rel_of_b_to_a
         self._edges[b][a] = rel_of_b_to_a.inverse()
 
-    def remove_link(self, a: int, b: int) -> None:
-        """Remove the a-b link; raises if absent."""
-        try:
-            del self._edges[a][b]
-            del self._edges[b][a]
-        except KeyError:
-            raise TopologyError(f"no link AS{a}-AS{b}")
-
-    def remove_as(self, asn: int) -> None:
-        """Remove an AS and all of its links and prefixes."""
-        if asn not in self._nodes:
-            raise TopologyError(f"AS{asn} not in graph")
-        for neighbor in list(self._edges[asn]):
-            del self._edges[neighbor][asn]
-        del self._edges[asn]
-        node = self._nodes.pop(asn)
-        for prefix in node.prefixes:
-            self._prefix_origin.pop(prefix, None)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -144,10 +125,6 @@ class ASGraph:
             for b, rel in neighbors.items():
                 if a < b:
                     yield a, b, rel
-
-    def num_links(self) -> int:
-        """Number of undirected links."""
-        return sum(len(n) for n in self._edges.values()) // 2
 
     def neighbors(self, asn: int) -> Iterator[int]:
         """Neighbors of *asn*."""
@@ -204,24 +181,6 @@ class ASGraph:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def customer_cone(self, asn: int) -> Set[int]:
-        """All ASes reachable from *asn* by descending customer links.
-
-        Includes *asn* itself.  This is the set of networks the AS can reach
-        on purely downhill (revenue-generating) routes.
-        """
-        cone: Set[int] = set()
-        stack = [asn]
-        while stack:
-            current = stack.pop()
-            if current in cone:
-                continue
-            cone.add(current)
-            stack.extend(
-                n for n in self.customers(current) if n not in cone
-            )
-        return cone
-
     def transit_ases(self) -> List[int]:
         """ASes with at least one customer (i.e. non-stubs)."""
         return [asn for asn in self._nodes if not self.is_stub(asn)]

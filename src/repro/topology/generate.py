@@ -53,9 +53,6 @@ class InternetShape:
     #: Fraction of stubs that attach directly to a tier-1 (content-like).
     stub_tier1_attach_prob: float = 0.08
 
-    def total_ases(self) -> int:
-        return self.num_tier1 + self.num_tier2 + self.num_stubs
-
 
 def prefix_for_asn(asn: int) -> Prefix:
     """The deterministic /16 originated by *asn*."""

@@ -93,12 +93,6 @@ class OutageTrace:
             out.append((point, events, downtime))
         return out
 
-    def partial_durations(self) -> List[float]:
-        """Durations of the partial (reroutable) outages only."""
-        return [
-            d for d, p in zip(self.durations, self.partial) if p
-        ]
-
 
 def _sample_duration(rng: random.Random, config: OutageTraceConfig) -> float:
     if rng.random() < config.short_fraction:

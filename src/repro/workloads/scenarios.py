@@ -9,16 +9,18 @@ and a :class:`~repro.control.lifeguard.Lifeguard` instance on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.engine import BGPEngine, EngineConfig
 from repro.control.lifeguard import Lifeguard, LifeguardConfig
+from repro.dataplane.failures import ASForwardingFailure
 from repro.errors import ReproError
 from repro.faults import FaultInjector, FaultPlan
 from repro.measure.vantage import VantageSet
 from repro.net.addr import Address, Prefix
 from repro.topology.as_graph import ASGraph
 from repro.topology.generate import InternetShape, generate_internet
+from repro.splice.reachability import reachable_set_avoiding
 from repro.topology.routers import RouterTopology
 from repro.workloads.outages import generate_outage_trace
 
@@ -58,6 +60,131 @@ class DeploymentScenario:
     targets: List[Address]
     #: ASNs hosting each vantage point, origin first.
     vp_asns: List[int] = field(default_factory=list)
+    #: the outage-duration sample the controller's decision rule is fit
+    #: from — deployment configuration, so it outlives a controller.
+    duration_history: Sequence[float] = ()
+    #: what a crashed controller left behind: (journal, config, failures).
+    _survivors: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    # ------------------------------------------------------------------
+    # Ground truth: which AS to break, and breaking it
+    # ------------------------------------------------------------------
+    def _transits(self, from_rid: str, to_addr, target) -> List[int]:
+        walk = self.lifeguard.dataplane.forward(from_rid, to_addr)
+        if not walk.delivered:
+            return []
+        edges = (self.origin_asn, self.topo.router_by_address(target).asn)
+        return [
+            asn
+            for asn in walk.as_level_hops(self.topo)[1:-1]
+            if asn not in edges
+        ]
+
+    def _origin_rid(self) -> str:
+        return self.topo.routers_of(self.origin_asn)[0]
+
+    def forward_transits(self, target) -> List[int]:
+        """Transit ASes the origin's traffic crosses toward *target*, in
+        path order (neither edge AS); empty if it is not delivered."""
+        return self._transits(self._origin_rid(), target, target)
+
+    def reverse_transits(self, target) -> List[int]:
+        """Transit ASes on the data-plane path *target* -> origin, in
+        path order (neither edge AS); empty if it is not delivered."""
+        return self._transits(
+            self.lifeguard.dataplane.host_router(target),
+            self.topo.router(self._origin_rid()).address,
+            target,
+        )
+
+    def avoidable_transit(
+        self, target, prefer: Optional[Callable[[int], object]] = None
+    ) -> Optional[int]:
+        """A transit AS on *target* -> origin whose loss poisoning can
+        route around: the target stays reachable from the origin over
+        policy-compliant paths that avoid it.
+
+        Restricting ground truth to avoidable ASes makes every injected
+        failure repairable in principle, so a miss is chargeable to
+        whatever the study perturbs.  The first such AS on the path,
+        or with a *prefer* sort key the lowest-ranked of them all.
+        """
+        target_asn = self.topo.router_by_address(target).asn
+        avoidable = (
+            asn
+            for asn in self.reverse_transits(target)
+            if target_asn in reachable_set_avoiding(
+                self.graph, self.origin_asn, avoid=[asn]
+            )
+        )
+        if prefer is None:
+            return next(avoidable, None)
+        return min(avoidable, key=prefer, default=None)
+
+    def fail_transit(self, asn: int, start: float, end: float) -> None:
+        """Make *asn* silently drop traffic during ``[start, end)``.
+
+        Scoped toward the sentinel super-prefix, so both the production
+        path and the repair-detection channel break — the reverse-failure
+        shape the sentinel exists for (§4.2).
+        """
+        self.lifeguard.dataplane.failures.add(
+            ASForwardingFailure(
+                asn=asn,
+                toward=self.lifeguard.sentinel_manager.sentinel,
+                start=start,
+                end=end,
+            )
+        )
+
+    # ------------------------------------------------------------------
+    # A dead controller and its successor
+    # ------------------------------------------------------------------
+    def crash(self) -> None:
+        """Kill the controller.
+
+        The journal is flushed and closed (the write-ahead contract:
+        anything journaled survives; with ``flush_every > 1`` the
+        unflushed tail is legitimately lost).  The network, the failure
+        set, the config and the rotated journal segments outlive the
+        process; nobody watches until :meth:`recover`.
+        """
+        lifeguard = self.lifeguard
+        lifeguard.journal.close()
+        self._survivors = (
+            lifeguard.journal, lifeguard.config, lifeguard.dataplane.failures
+        )
+        self.lifeguard = None
+
+    def recover(self, now: float, injector=None, obs=None) -> Lifeguard:
+        """Rebuild the controller from what outlived :meth:`crash`.
+
+        The observer and the chaos injector are wired back in *before*
+        the atlas is re-primed, so the restarted controller's background
+        measurements are observed, and suffer faults, like live ones.
+        """
+        journal, config, failures = self._survivors
+        self._survivors = None
+        lifeguard = Lifeguard.recover(
+            journal.reopened(),
+            engine=self.engine,
+            topo=self.topo,
+            origin_asn=self.origin_asn,
+            vantage_points=self.vantage_points,
+            targets=self.targets,
+            duration_history=self.duration_history,
+            config=config,
+            now=now,
+            failures=failures,
+            reprime_atlas=False,
+        )
+        if obs is not None:
+            lifeguard.attach_observer(obs)
+        if injector is not None:
+            injector.attach(lifeguard)
+        lifeguard.prime_atlas(now)
+        self.lifeguard = lifeguard
+        return lifeguard
 
 
 def build_deployment(
@@ -194,7 +321,34 @@ def build_deployment(
         vantage_points=vps,
         targets=targets,
         vp_asns=vp_asns,
+        duration_history=history,
     )
+
+
+def build_demo_scenario(
+    seed: int = 0,
+    scale: str = "tiny",
+    obs=None,
+    fail_start: float = 1000.0,
+    fail_end: float = 8200.0,
+    cache=None,
+    stats=None,
+) -> Tuple[DeploymentScenario, int]:
+    """The quickstart repair story, set up and about to start.
+
+    Builds the tiny deployment, picks the first transit AS on the reverse
+    path from the primary target back to the origin, primes the atlas
+    and breaks that AS's forwarding toward the sentinel for
+    ``[fail_start, fail_end)``.  Returns the scenario and the failed ASN.
+    """
+    scenario = build_deployment(
+        scale=scale, seed=seed, num_providers=2, obs=obs,
+        cache=cache, stats=stats,
+    )
+    bad_asn = scenario.reverse_transits(scenario.targets[0])[0]
+    scenario.lifeguard.prime_atlas(now=0.0)
+    scenario.fail_transit(bad_asn, fail_start, fail_end)
+    return scenario, bad_asn
 
 
 def run_demo_scenario(
@@ -205,44 +359,15 @@ def run_demo_scenario(
     fail_end: float = 8200.0,
     end: float = 9600.0,
 ) -> Tuple[DeploymentScenario, int]:
-    """The quickstart repair story: one AS fails, LIFEGUARD repairs it.
-
-    Builds the tiny deployment, picks the first transit AS on the reverse
-    path from the primary target back to the origin, breaks its
-    forwarding toward the sentinel for ``[fail_start, fail_end)``, and
-    runs the control loop to *end*.  Returns the scenario and the failed
-    ASN.  This is the scenario behind ``repro demo`` and ``repro trace``
-    — and, with an *obs* bus attached, the workload the cross-worker
-    event-log determinism check replays.
+    """One AS fails, LIFEGUARD repairs it: :func:`build_demo_scenario`
+    with the control loop run to *end*.  This is the scenario behind
+    ``repro demo`` and ``repro trace`` — and, with an *obs* bus attached,
+    the workload the cross-worker event-log determinism check replays.
     """
-    from repro.dataplane.failures import ASForwardingFailure
-
-    scenario = build_deployment(
-        scale=scale, seed=seed, num_providers=2, obs=obs
+    scenario, bad_asn = build_demo_scenario(
+        seed, scale, obs, fail_start, fail_end
     )
-    lifeguard = scenario.lifeguard
-    topo = scenario.topo
-    target = scenario.targets[0]
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_router).address
-    )
-    bad_asn = next(
-        a
-        for a in walk.as_level_hops(topo)[1:-1]
-        if a != scenario.origin_asn
-    )
-    lifeguard.prime_atlas(now=0.0)
-    lifeguard.dataplane.failures.add(
-        ASForwardingFailure(
-            asn=bad_asn,
-            toward=lifeguard.sentinel_manager.sentinel,
-            start=fail_start,
-            end=fail_end,
-        )
-    )
-    lifeguard.run(start=30.0, end=end)
+    scenario.lifeguard.run(start=30.0, end=end)
     return scenario, bad_asn
 
 

@@ -222,7 +222,7 @@ class TestInstrumentation:
         engine = BGPEngine(line_graph())
         engine.originate(1, P)
         engine.run()
-        assert engine.total_updates_sent() >= 3
+        assert sum(engine.updates_sent.values()) >= 3
 
     def test_change_log_records_event_times(self):
         engine = BGPEngine(line_graph())

@@ -144,12 +144,11 @@ class TestOriginController:
         controller.poison([4])
         engine.run()
         assert engine.as_path(4, P) is None
-        assert controller.is_poisoning()
         assert controller.currently_poisoned == (4,)
         controller.unpoison()
         engine.run()
         assert engine.as_path(4, P) is not None
-        assert not controller.is_poisoning()
+        assert controller.currently_poisoned == ()
 
     def test_poison_origin_rejected(self, world):
         _engine, controller = world
@@ -160,14 +159,6 @@ class TestOriginController:
         _engine, controller = world
         with pytest.raises(ControlError):
             controller.poison_selectively(4, via_providers=[99])
-
-    def test_advertise_only_via(self, world):
-        engine, controller = world
-        controller.advertise_only_via([2])
-        engine.run()
-        best = engine.best_route(4, P)
-        assert best is not None
-        assert best.as_path[0] == 2 or 2 in best.as_path
 
     def test_announcement_log_records_actions(self, world):
         _engine, controller = world

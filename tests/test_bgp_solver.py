@@ -250,7 +250,8 @@ class TestPoisonEquivalence:
                 change.old.as_path if change.old else None,
                 change.new.as_path if change.new else None,
             )
-            for change in engine.changes_since(t0)
+            for change in engine.change_log
+            if change.time > t0
         ]
         deltas = {
             session: count - updates_before.get(session, 0)

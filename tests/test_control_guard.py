@@ -149,18 +149,8 @@ class TestIneffectivePoisonRollback:
             lifeguard_config=LifeguardConfig(breaker_backoff=120.0),
         )
         lifeguard = scenario.lifeguard
-        topo = scenario.topo
         target = scenario.targets[0]
-        origin_rid = topo.routers_of(scenario.origin_asn)[0]
-        origin_addr = topo.router(origin_rid).address
-        target_rid = lifeguard.dataplane.host_router(target)
-        target_asn = topo.router_by_address(target).asn
-        walk = lifeguard.dataplane.forward(target_rid, origin_addr)
-        bad_asn = next(
-            a
-            for a in walk.as_level_hops(topo)[1:-1]
-            if a != scenario.origin_asn
-        )
+        bad_asn = scenario.reverse_transits(target)[0]
         sentinel = lifeguard.sentinel_manager.sentinel
         lifeguard.prime_atlas(now=0.0)
         lifeguard.dataplane.failures.add(
@@ -185,11 +175,10 @@ class TestIneffectivePoisonRollback:
             )
             if verifying is not None and not alt_broken:
                 alt_broken = True
-                walk = lifeguard.dataplane.forward(target_rid, origin_addr)
                 alt = next(
                     a
-                    for a in walk.as_level_hops(topo)[1:-1]
-                    if a not in (scenario.origin_asn, target_asn, bad_asn)
+                    for a in scenario.reverse_transits(target)
+                    if a != bad_asn
                 )
                 lifeguard.dataplane.failures.add(
                     ASForwardingFailure(
@@ -243,18 +232,8 @@ class TestIneffectivePoisonRollback:
 class TestEffectivePoisonVerified:
     def test_good_poison_passes_verification(self, scenario):
         lifeguard = scenario.lifeguard
-        topo = scenario.topo
         target = scenario.targets[0]
-        origin_rid = topo.routers_of(scenario.origin_asn)[0]
-        target_rid = lifeguard.dataplane.host_router(target)
-        walk = lifeguard.dataplane.forward(
-            target_rid, topo.router(origin_rid).address
-        )
-        bad_asn = next(
-            a
-            for a in walk.as_level_hops(topo)[1:-1]
-            if a != scenario.origin_asn
-        )
+        bad_asn = scenario.reverse_transits(target)[0]
         lifeguard.prime_atlas(now=0.0)
         lifeguard.dataplane.failures.add(
             ASForwardingFailure(

@@ -14,23 +14,6 @@ def scenario():
     return build_deployment(scale="tiny", seed=5, num_providers=2)
 
 
-def _reverse_transit_for(scenario, target):
-    """First transit AS on the reverse path target -> origin VP."""
-    lifeguard = scenario.lifeguard
-    topo = scenario.topo
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_router).address
-    )
-    assert walk.delivered, "scenario must start healthy"
-    hops = walk.as_level_hops(topo)
-    # Skip the target's own AS; also skip the origin's AS at the end.
-    transits = [a for a in hops[1:-1] if a != scenario.origin_asn]
-    assert transits, "need a transit AS to break"
-    return transits[0]
-
-
 class TestScenarioWiring:
     def test_monitored_targets_initially_reachable(self, scenario):
         lifeguard = scenario.lifeguard
@@ -52,7 +35,7 @@ class TestEndToEndRepair:
     def test_full_repair_cycle(self, scenario):
         lifeguard = scenario.lifeguard
         target = scenario.targets[0]
-        bad_asn = _reverse_transit_for(scenario, target)
+        bad_asn = scenario.reverse_transits(target)[0]
         sentinel = lifeguard.sentinel_manager.sentinel
 
         # Prime the atlas while healthy, then break the reverse path for
@@ -87,7 +70,7 @@ class TestEndToEndRepair:
     def test_short_outage_not_poisoned(self, scenario):
         lifeguard = scenario.lifeguard
         target = scenario.targets[1]
-        bad_asn = _reverse_transit_for(scenario, target)
+        bad_asn = scenario.reverse_transits(target)[0]
         sentinel = lifeguard.sentinel_manager.sentinel
         start = lifeguard.engine.now + 600.0
         # A 3-minute blip: below the persistence threshold.

@@ -383,22 +383,6 @@ _SETTLED = {
 }
 
 
-def _reverse_transit_for(scenario, target):
-    lifeguard = scenario.lifeguard
-    topo = scenario.topo
-    origin_rid = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_rid).address
-    )
-    assert walk.delivered, "scenario must start healthy"
-    return next(
-        a
-        for a in walk.as_level_hops(topo)[1:-1]
-        if a != scenario.origin_asn
-    )
-
-
 def _mid_ladder(lifeguard):
     """True once some repair has escalated past the first rung."""
     return any(r.escalations > 0 for r in lifeguard.records)
@@ -433,7 +417,7 @@ def _drive_ladder(seed, tmp_path, crash):
     lifeguard = scenario.lifeguard
     topo = scenario.topo
     target = scenario.targets[0]
-    bad_asn = _reverse_transit_for(scenario, target)
+    bad_asn = scenario.reverse_transits(target)[0]
     lifeguard.prime_atlas(now=0.0)
     lifeguard.dataplane.failures.add(
         ASForwardingFailure(

@@ -12,7 +12,8 @@ The second check is a source scan of the same promise's other half: what
 the program is handed from outside is arguments, plus the three
 environment variables on the allow-list below.  A third scan keeps one
 door shut: a speaker resolves its config once, so nothing assigns to a
-speaker's policy or config but ``BGPSpeaker.reconfigure``.
+speaker's policy or config but ``BGPSpeaker.reconfigure``.  A fourth
+keeps the repair loop's five decisions at one definition each.
 """
 
 import os
@@ -116,3 +117,76 @@ def test_speaker_policy_changes_through_reconfigure_only():
         ("src/repro/bgp/speaker.py", "__init__"),
         ("src/repro/bgp/speaker.py", "reconfigure"),
     }
+
+
+def _sites(pattern, after=None):
+    """``(file under src/repro, enclosing function)`` of every line that
+    matches *pattern* (and, with *after*, directly follows a line that
+    matches that)."""
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    found = set()
+    for folder, _dirs, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            relative = os.path.relpath(path, root).replace(os.sep, "/")
+            for index, line in enumerate(lines):
+                if not re.search(pattern, line):
+                    continue
+                if after and not re.search(after, lines[index - 1]):
+                    continue
+                found.add((relative, _enclosing_function(lines, index)))
+    return found
+
+
+def test_one_of_each_around_the_repair_loop():
+    """The staging rule, the announcement door, the ground-truth picker,
+    the crash/recover path and the outage-stream harness were each
+    written out two to five times; a new copy fails here."""
+    # One staging rule: the table has one reader, "healed means done" is
+    # decided once (recovery's hand-back of ongoing outages to the
+    # monitor is the other place an outage's end is read), and the
+    # daemon's second copy of both is gone.
+    assert _sites(r"STAGE_FOR_STATE[\[.]") == {
+        ("control/lifeguard.py", "stage_of")
+    }
+    assert _sites(r"outage\.end is (not )?None") == {
+        ("control/lifeguard.py", "stage_of"),
+        ("control/lifeguard.py", "_replay"),
+    }
+    assert not _sites(r"_stage_for|_SETTLED|_records_by_outage") - {
+        ("control/lifeguard.py", name)
+        for name in ("__init__", "apply", "_on_observed", "_record_for",
+                     "record")
+    }
+    # One announcement door: converge-then-resnapshot is spelled out for
+    # the baseline, for an injected session reset, and in _announce.
+    assert _sites(r"refresh_dataplane\(\)", after=r"engine\.run\(\)") == {
+        ("control/lifeguard.py", "announce"),
+        ("control/lifeguard.py", "begin_round"),
+        ("control/lifeguard.py", "_announce"),
+    }
+    assert _sites(r"_commit\(\s*\"announced\"") == {
+        ("control/lifeguard.py", "_announce")
+    }
+    # One picker: the AS-level walk is read in one place.
+    assert _sites(r"as_level_hops\(") == {
+        ("dataplane/forwarding.py", None),  # the definition
+        ("workloads/scenarios.py", "_transits"),
+    }
+    # One way back from a crash, one crash-able tick loop.
+    assert _sites(r"Lifeguard\.recover\(") == {
+        ("workloads/scenarios.py", "recover")
+    }
+    assert _sites(r"controller_crash_due\(") == {
+        ("faults/injector.py", None),  # the definition
+        ("experiments/outage_stream.py", "run_outage_stream"),
+    }
+    # ... which the defense study calls instead of borrowing the
+    # robustness study's private parts (module-level private imports).
+    assert ("experiments/defenses.py", None) not in _sites(
+        r"import .*\b_\w+|^    _\w+,$"
+    )

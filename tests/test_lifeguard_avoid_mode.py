@@ -16,26 +16,11 @@ def scenario():
     )
 
 
-def _reverse_transit(scenario, target):
-    lifeguard = scenario.lifeguard
-    topo = scenario.topo
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_router).address
-    )
-    return next(
-        a
-        for a in walk.as_level_hops(topo)[1:-1]
-        if a != scenario.origin_asn
-    )
-
-
 class TestAvoidProblemMode:
     def test_repair_cycle_with_avoid_problem(self, scenario):
         lifeguard = scenario.lifeguard
         target = scenario.targets[0]
-        bad_asn = _reverse_transit(scenario, target)
+        bad_asn = scenario.reverse_transits(target)[0]
         sentinel = lifeguard.sentinel_manager.sentinel
 
         lifeguard.prime_atlas(now=0.0)

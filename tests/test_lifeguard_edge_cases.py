@@ -15,19 +15,7 @@ from repro.workloads.scenarios import (
 def _first_transit_on_reverse_path(scenario):
     """The first transit AS on the target->origin path (demo's ground
     truth recipe)."""
-    lifeguard = scenario.lifeguard
-    topo = scenario.topo
-    target = scenario.targets[0]
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    target_rid = lifeguard.dataplane.host_router(target)
-    walk = lifeguard.dataplane.forward(
-        target_rid, topo.router(origin_router).address
-    )
-    return next(
-        a
-        for a in walk.as_level_hops(topo)[1:-1]
-        if a != scenario.origin_asn
-    )
+    return scenario.reverse_transits(scenario.targets[0])[0]
 
 
 class TestNoAlternateDecision:
@@ -239,8 +227,7 @@ class TestIncrementalAtlasMode:
         # Incremental mode accounts actual probes, not the cost model.
         assert stats.option_probes > 0
         for vp in scenario.vantage_points:
-            entry = atlas.latest_reverse(vp.name, scenario.targets[0])
-            if entry is not None:
+            for entry in atlas.reverse_history(vp.name, scenario.targets[0]):
                 assert entry.hops
 
 

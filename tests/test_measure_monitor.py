@@ -157,8 +157,8 @@ class TestAtlas:
         stats = refresher.refresh_all([target], now=0.0)
         assert stats.paths_refreshed == len(vps)
         for vp in vps:
-            assert atlas.latest_forward(vp.name, target) is not None
-            assert atlas.latest_reverse(vp.name, target) is not None
+            assert atlas.forward_history(vp.name, target)
+            assert atlas.reverse_history(vp.name, target)
 
     def test_historical_ordering(self, rig):
         _g, _topo, prober, vps, target = rig
@@ -168,7 +168,8 @@ class TestAtlas:
         refresher.refresh_pair(vps.get("vp0"), target, now=600.0)
         history = atlas.reverse_history("vp0", target)
         assert [e.time for e in history] == [600.0, 0.0]
-        assert atlas.latest_reverse("vp0", target, before=300.0).time == 0.0
+        (older,) = atlas.reverse_history("vp0", target, before=300.0)
+        assert older.time == 0.0
 
     def test_amortized_refresh_cheaper_than_fresh(self, rig):
         _g, _topo, prober, vps, target = rig
@@ -178,11 +179,3 @@ class TestAtlas:
         second = refresher.refresh_pair(vps.get("vp0"), target, now=600.0)
         assert second.option_probes < first.option_probes
 
-    def test_all_known_hops_dedup(self, rig):
-        _g, _topo, prober, vps, target = rig
-        atlas = PathAtlas()
-        refresher = AtlasRefresher(prober, vps, atlas)
-        refresher.refresh_pair(vps.get("vp0"), target, now=0.0)
-        refresher.refresh_pair(vps.get("vp0"), target, now=600.0)
-        hops = atlas.all_known_hops("vp0", target)
-        assert len(hops) == len({h.value for h in hops})

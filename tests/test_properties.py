@@ -236,18 +236,7 @@ class TestNullFaultPlanIdentity:
         if injector is not None:
             injector.attach(lifeguard)
         lifeguard.prime_atlas(now=0.0)
-        topo = scenario.topo
-        target = scenario.targets[0]
-        origin_router = topo.routers_of(scenario.origin_asn)[0]
-        walk = lifeguard.dataplane.forward(
-            lifeguard.dataplane.host_router(target),
-            topo.router(origin_router).address,
-        )
-        bad_asn = next(
-            a
-            for a in walk.as_level_hops(topo)[1:-1]
-            if a != scenario.origin_asn
-        )
+        bad_asn = scenario.reverse_transits(scenario.targets[0])[0]
         lifeguard.dataplane.failures.add(
             ASForwardingFailure(
                 asn=bad_asn,
