@@ -131,14 +131,10 @@ class OriginController:
                 f"unknown delta mode {delta_mode!r}; "
                 f"pick from ('off', 'auto')"
             )
-        if sentinel_prefix is not None and not (
-            production_prefix.is_more_specific_of(sentinel_prefix)
-            or sentinel_prefix == production_prefix
-        ):
-            # A disjoint sentinel (unused prefix elsewhere) is also allowed
-            # per §7.2; only equality is suspicious.
-            if sentinel_prefix.contains(production_prefix):
-                raise ControlError("sentinel equals production prefix")
+        if sentinel_prefix == production_prefix:
+            # Covering and disjoint sentinels are both §7.2's; the same
+            # prefix twice would poison the repair-detection channel.
+            raise ControlError("sentinel equals production prefix")
         self.engine = engine
         self.origin_asn = origin_asn
         self.production_prefix = production_prefix

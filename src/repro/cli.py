@@ -26,12 +26,18 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _write_metrics(args: argparse.Namespace, stats) -> None:
-    """Honor ``--metrics-out`` for a command that threaded a RunStats."""
+def _measured(args: argparse.Namespace, study, **kwargs):
+    """Run *study* with a fresh RunStats threaded through it, honoring
+    ``--metrics-out``; returns what the study returned."""
+    from repro.runner.stats import RunStats
+
+    stats = RunStats()
+    result = study(stats=stats, **kwargs)
     if getattr(args, "metrics_out", None):
         from repro.obs.export import write_metrics_snapshot
 
         write_metrics_snapshot(stats, args.metrics_out)
+    return result
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
@@ -70,14 +76,12 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
     from repro.experiments.convergence import (
         run_poisoning_convergence_study,
     )
-    from repro.runner.stats import RunStats
 
-    stats = RunStats()
-    study, _graph = run_poisoning_convergence_study(
+    study, _graph = _measured(
+        args, run_poisoning_convergence_study,
         scale=args.scale, seed=args.seed, max_poisons=args.max_poisons,
-        workers=args.workers, stats=stats,
+        workers=args.workers,
     )
-    _write_metrics(args, stats)
     table = Table(
         "Fig. 6: convergence after poisoning",
         ["curve", "peers", "instant", "within 50s"],
@@ -101,14 +105,12 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
 
 def _cmd_efficacy(args: argparse.Namespace) -> int:
     from repro.experiments.efficacy import run_topology_efficacy_study
-    from repro.runner.stats import RunStats
 
-    stats = RunStats()
-    study, _graph = run_topology_efficacy_study(
+    study, _graph = _measured(
+        args, run_topology_efficacy_study,
         scale=args.scale, seed=args.seed, max_cases=args.max_cases,
-        workers=args.workers, stats=stats,
+        workers=args.workers,
     )
-    _write_metrics(args, stats)
     table = Table("Sec 5.1: simulated poisoning efficacy",
                   ["metric", "value"])
     table.add_row("cases", len(study.outcomes))
@@ -127,14 +129,12 @@ def _cmd_efficacy(args: argparse.Namespace) -> int:
 
 def _cmd_accuracy(args: argparse.Namespace) -> int:
     from repro.experiments.accuracy import run_isolation_accuracy_study
-    from repro.runner.stats import RunStats
 
-    stats = RunStats()
-    study, _scenario = run_isolation_accuracy_study(
+    study, _scenario = _measured(
+        args, run_isolation_accuracy_study,
         scale=args.scale, seed=args.seed, num_cases=args.cases,
-        reply_loss_rate=0.05, workers=args.workers, stats=stats,
+        reply_loss_rate=0.05, workers=args.workers,
     )
-    _write_metrics(args, stats)
     table = Table("Sec 5.3: isolation accuracy", ["metric", "value"])
     table.add_row("cases", len(study.cases))
     table.add_row("accuracy (ground truth)", study.accuracy)
@@ -253,22 +253,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments.robustness import run_robustness_study
-    from repro.runner.stats import RunStats
 
     intensities = (
         tuple(args.intensity) if args.intensity else (0.0, 0.1, 0.3)
     )
-    run_stats = RunStats()
-    study = run_robustness_study(
+    study = _measured(
+        args, run_robustness_study,
         scale=args.scale,
         seed=args.seed,
         intensities=intensities,
         num_outages=args.outages,
         workers=args.workers,
         crash_controller=args.crash_controller,
-        stats=run_stats,
     )
-    _write_metrics(args, run_stats)
     table = Table(
         "Chaos: repair under infrastructure faults",
         ["intensity", "injected", "detected", "repaired", "unpoisoned",
@@ -306,37 +303,49 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The defense sweep's columns, named once: DefensePoint attribute ->
+#: table header (None: in the ``--summary-out`` document only).
+_DEFENSE_COLUMNS = (
+    ("rate", "rate"),
+    ("ladder", "ladder"),
+    ("injected", "injected"),
+    ("detected", "detected"),
+    ("repaired", "repaired"),
+    ("ladder_repairs", "via ladder"),
+    ("escalations", "escalations"),
+    ("rollbacks", "rollbacks"),
+    ("breaker_opens", "breaker opens"),
+    ("abandoned", "abandoned"),
+    ("controller_crashes", "crashes"),
+    ("recovered_records", "recovered"),
+    ("mean_time_to_repair", "mean TTR (s)"),
+    ("users_total", None),
+    ("peak_users_affected", "peak users out"),
+    ("affected_user_minutes", "user-min lost"),
+)
+#: How the table prints the columns it does not print as they are.
+_DEFENSE_CELLS = {
+    "ladder": lambda on: "on" if on else "off",
+    "mean_time_to_repair": lambda ttr: "-" if ttr is None else f"{ttr:.0f}",
+    "affected_user_minutes": lambda minutes: f"{minutes:.0f}",
+}
+
+
 def defense_summary(study) -> dict:
     """Deterministic JSON-able summary of a defense sweep (byte-stable
     across same-seed runs: no timestamps, no floats beyond the inputs)."""
     points = []
     for point in study.points:
-        points.append({
-            "rate": point.rate,
-            "ladder": point.ladder,
-            "injected": point.injected,
-            "detected": point.detected,
-            "repaired": point.repaired,
-            "ladder_repairs": point.ladder_repairs,
-            "escalations": point.escalations,
-            "rollbacks": point.rollbacks,
-            "breaker_opens": point.breaker_opens,
-            "abandoned": point.abandoned,
-            "controller_crashes": point.controller_crashes,
-            "recovered_records": point.recovered_records,
-            "mean_time_to_repair": point.mean_time_to_repair,
-            "users_total": point.users_total,
-            "peak_users_affected": point.peak_users_affected,
-            "affected_user_minutes": round(
-                point.affected_user_minutes, 6
-            ),
-        })
+        blob = {name: getattr(point, name) for name, _ in _DEFENSE_COLUMNS}
+        blob["affected_user_minutes"] = round(
+            point.affected_user_minutes, 6
+        )
+        points.append(blob)
     return {"points": points, "abandoned_total": study.abandoned_total}
 
 
 def _cmd_defenses(args: argparse.Namespace) -> int:
     from repro.experiments.defenses import run_defense_study
-    from repro.runner.stats import RunStats
 
     try:
         rates = tuple(
@@ -346,48 +355,32 @@ def _cmd_defenses(args: argparse.Namespace) -> int:
         print(f"bad --sweep {args.sweep!r}: expected comma-separated "
               f"rates in [0, 1]", file=sys.stderr)
         return 2
-    run_stats = RunStats()
-    study = run_defense_study(
+    study = _measured(
+        args, run_defense_study,
         scale=args.scale,
         seed=args.seed,
         rates=rates,
         num_outages=args.outages,
         workers=args.workers,
         crash_controller=args.crash_controller,
-        stats=run_stats,
     )
-    _write_metrics(args, run_stats)
     if args.summary_out:
         with open(args.summary_out, "w") as handle:
             json.dump(defense_summary(study), handle, indent=2,
                       sort_keys=True)
             handle.write("\n")
+    shown = [(name, head) for name, head in _DEFENSE_COLUMNS if head]
     table = Table(
         "Defenses: repair vs anti-poisoning deployment rate",
-        ["rate", "ladder", "injected", "detected", "repaired",
-         "via ladder", "escalations", "rollbacks", "breaker opens",
-         "abandoned", "crashes", "recovered", "mean TTR (s)",
-         "peak users out", "user-min lost"],
+        [head for _, head in shown],
     )
     for point in study.points:
-        ttr = point.mean_time_to_repair
-        table.add_row(
-            point.rate,
-            "on" if point.ladder else "off",
-            point.injected,
-            point.detected,
-            point.repaired,
-            point.ladder_repairs,
-            point.escalations,
-            point.rollbacks,
-            point.breaker_opens,
-            point.abandoned,
-            point.controller_crashes,
-            point.recovered_records,
-            "-" if ttr is None else f"{ttr:.0f}",
-            point.peak_users_affected,
-            f"{point.affected_user_minutes:.0f}",
-        )
+        table.add_row(*(
+            _DEFENSE_CELLS.get(name, lambda value: value)(
+                getattr(point, name)
+            )
+            for name, _ in shown
+        ))
     table.add_note(
         "defenses: poisoned-path filters, reserved-ASN rejection, "
         "path-length caps, Peerlock, stub default routes "
@@ -487,17 +480,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"Service run ({args.scale}, seed {args.seed})",
         ["metric", "value"],
     )
-    blob = report.as_dict()
-    for name in (
-        "duration", "rounds", "monitored_pairs", "arrivals", "records",
-        "repaired", "completed", "pending", "abandoned", "shed",
-        "deferred", "timeouts", "backpressure", "crashes",
-        "tier_transitions", "final_tier", "ttr_p50", "ttr_p95",
-        "ttr_p99", "journal_entries", "journal_rotations", "drained",
-        "users_total", "users_affected", "peak_users_affected",
-        "affected_user_minutes",
-    ):
-        table.add_row(name, blob[name])
+    # The report's own fields, in its own order; the digest is the note
+    # below, and a queue-peak map or a settled count is no table row.
+    for name, value in report.as_dict().items():
+        if name not in ("settled", "queue_peaks", "digest"):
+            table.add_row(name, value)
     table.add_note(f"event digest {report.digest[:16]}…")
     table.emit()
 
@@ -535,21 +522,18 @@ def _cmd_impact(args: argparse.Namespace) -> int:
     monotonically to zero once it does.
     """
     from repro.experiments.impact import run_impact_study
-    from repro.runner.stats import RunStats
     from repro.traffic.matrix import TrafficConfig
 
-    stats = RunStats()
     traffic = TrafficConfig()
     if args.users is not None:
         traffic.total_users = args.users
-    study, _matrix = run_impact_study(
+    study, _matrix = _measured(
+        args, run_impact_study,
         scale=args.scale,
         seed=args.seed,
         traffic=traffic,
         cache=args.cache_dir,
-        stats=stats,
     )
-    _write_metrics(args, stats)
     table = Table(
         f"User impact of one repair ({args.scale}, seed {args.seed})",
         ["metric", "value"],
@@ -597,18 +581,15 @@ def _cmd_impact(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.runner.bench import run_bench_suite
-    from repro.runner.stats import RunStats
 
-    stats = RunStats()
-    doc = run_bench_suite(
+    doc = _measured(
+        args, run_bench_suite,
         scale=args.scale,
         seed=args.seed,
         workers=args.workers,
         only=args.only or None,
         cache=args.cache_dir,
-        stats=stats,
     )
-    _write_metrics(args, stats)
     output = args.output or f"BENCH_{date.today().isoformat()}.json"
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
@@ -640,10 +621,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import run_campaign
-    from repro.runner.stats import RunStats
 
-    stats = RunStats()
-    report = run_campaign(
+    report = _measured(
+        args, run_campaign,
         seed=args.seed,
         cases=args.cases,
         scale=args.scale,
@@ -652,9 +632,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         shrink_budget=args.shrink_budget,
         corpus_dir=args.corpus_dir,
         inject_divergence=args.inject_divergence,
-        stats=stats,
     )
-    _write_metrics(args, stats)
     table = Table(
         f"Differential fuzz: solver vs event engine "
         f"({report.scale}, seed {report.seed})",

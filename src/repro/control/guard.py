@@ -280,7 +280,7 @@ class RepairGuard:
             )
 
     # ------------------------------------------------------------------
-    # Fallback escalation (see repro.control.lifeguard.LADDER_STRATEGIES)
+    # Fallback escalation (see repro.control.record.LADDER_STRATEGIES)
     # ------------------------------------------------------------------
     def note_fallback(
         self,

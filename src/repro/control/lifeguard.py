@@ -10,15 +10,17 @@ each outage through the state machine
                                   |
                                   +-> rolled-back -> (retry | not-poisoned)
 
-recording everything in :class:`RepairRecord` entries that the evaluation
-benches read.
+recording everything in :class:`~repro.control.record.RepairRecord`
+entries that the evaluation benches read.
 
-With ``fallback_ladder`` enabled, a rolled-back repair does not simply
-retry the same poison: each rollback climbs one rung of
-:data:`LADDER_STRATEGIES` (deeper multi-ASN poison, prepend-only
-steering, selective advertisement), so repairs that fail to propagate
-through defense filters (see :mod:`repro.bgp.policy`) escalate toward
-mechanisms no import filter can drop.
+This module is the *shell* of three parts.  The *fold*
+(:mod:`repro.control.record`) is the per-outage state and the reducers
+that change it; the *policy* (:mod:`repro.control.plan`) is pure
+functions deciding what to journal and whether to poison, defer, give
+up or climb the fallback ladder.  Here the deployment is wired
+together, and each ``stage_*`` method gathers what a plan function
+reads, commits what it returns, and runs at most one effect — an
+isolation, an announcement, or a probe.
 
 Safety machinery around the repair itself lives in
 :mod:`repro.control.guard` (post-poison verification, rollback circuit
@@ -35,20 +37,13 @@ repairs idempotently instead of forgetting them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.bgp.engine import BGPEngine
 from repro.bgp.origin import AnnouncementPacer, OriginController
-from repro.control.decision import PoisonDecision, ResidualDurationModel
-from repro.control.guard import (
-    BreakerState,
-    RepairGuard,
-    PoisonBreaker,
-    VerifyVerdict,
-)
+from repro.control import plan
+from repro.control.decision import ResidualDurationModel
+from repro.control.guard import PoisonBreaker, RepairGuard, VerifyVerdict
 from repro.control.journal import (
     SERVICE_KINDS,
     OutageKey,
@@ -56,15 +51,26 @@ from repro.control.journal import (
     key_from_json,
     outage_key,
 )
-from repro.control.sentinel import SentinelManager, SentinelStyle
+from repro.control.plan import LifeguardConfig
+from repro.control.record import (
+    IN_FLIGHT,
+    LADDER_STRATEGIES,  # noqa: F401  (re-exported, as is STAGE_FOR_STATE:
+    RECORD_REDUCERS,
+    STAGE_FOR_STATE,  # noqa: F401   importers find the vocabulary here)
+    RepairRecord,
+    RepairState,
+    fold,
+    ledger_key,
+    observe,
+    stage_of,
+)
+from repro.control.sentinel import SentinelManager
 from repro.dataplane.failures import FailureSet
 from repro.dataplane.fib import build_fibs
 from repro.dataplane.forwarding import DataPlane
 from repro.dataplane.probes import Prober
-from repro.errors import ControlError, DegradedError, RetryExhausted
-from repro.faults.injector import RetryBudget
-from repro.isolation.direction import FailureDirection
-from repro.isolation.isolator import FailureIsolator, IsolationResult
+from repro.errors import ControlError, DegradedError
+from repro.isolation.isolator import FailureIsolator
 from repro.measure.atlas import AtlasRefresher, PathAtlas
 from repro.measure.monitor import OutageRecord, PingMonitor
 from repro.measure.responsiveness import ResponsivenessDB
@@ -83,214 +89,21 @@ class OperatingMode(enum.Enum):
     DEGRADED = "degraded"
 
 
-class RepairState(enum.Enum):
-    """Lifecycle of one outage under LIFEGUARD's care."""
+class _ReachableAvoiding(dict):
+    """``{blamed asn: ASes that reach the origin avoiding it}`` on one
+    graph, each set walked the first time a plan function reads it (one
+    ground-truth failure is blamed by every pair behind it)."""
 
-    OBSERVED = "observed"
-    ISOLATED = "isolated"
-    NOT_POISONED = "not-poisoned"      # decided against (or unable)
-    #: poison announced and converged; awaiting post-poison verification.
-    VERIFYING = "verifying"
-    POISONED = "poisoned"
-    #: the poison was ineffective or harmful and has been withdrawn.
-    ROLLED_BACK = "rolled-back"
-    UNPOISONED = "unpoisoned"
+    def __init__(self, graph, origin_asn: int) -> None:
+        super().__init__()
+        self.graph = graph
+        self.origin_asn = origin_asn
 
-
-#: The fallback escalation ladder (§ defenses): when post-poison
-#: verification shows a repair did not propagate — typically because
-#: defense filters dropped the poisoned announcement — the next attempt
-#: escalates one rung.  Step 0 is the ordinary single-ASN poison; deeper
-#: rungs trade precision (and announcement size) for deliverability,
-#: ending at selective advertisement, a true withdrawal no import filter
-#: can ignore.
-LADDER_STRATEGIES: Tuple[str, ...] = (
-    "poison",
-    "multi-poison",
-    "prepend",
-    "selective-advertise",
-)
-
-#: The repair stage each unsettled state waits on: a record in *state*
-#: is served by ``Lifeguard.stage_<name>``.  States absent from the
-#: table (NOT_POISONED, UNPOISONED, the transient ISOLATED) are settled.
-STAGE_FOR_STATE: Dict[RepairState, str] = {
-    RepairState.OBSERVED: "isolate",
-    RepairState.VERIFYING: "verify",
-    RepairState.ROLLED_BACK: "retry",
-    RepairState.POISONED: "check",
-}
-
-#: States whose poison is on the wire right now.
-_IN_FLIGHT = (RepairState.VERIFYING, RepairState.POISONED)
-
-
-def stage_of(record: "RepairRecord") -> Optional[str]:
-    """The one staging rule: the stage *record* waits on, None if done.
-
-    Read by :meth:`Lifeguard.tick` and by the service daemon's queues,
-    budgets, drain test and report (all named after the stage).  Once
-    the outage has healed there is no failure left to isolate and a
-    withdrawn poison is not worth retrying; a poison still on the wire
-    is verified and checked regardless — the monitor's pings travel the
-    *poisoned* path, so its recovery says nothing about the failure.
-    """
-    healed = record.outage.end is not None
-    if healed and record.state in (
-        RepairState.OBSERVED, RepairState.ROLLED_BACK
-    ):
-        return None
-    return STAGE_FOR_STATE.get(record.state)
-
-
-#: RepairRecord fields a ``state`` entry may carry.
-_STATE_FIELDS = (
-    "poisoned_asn",
-    "poison_time",
-    "convergence_seconds",
-    "verified_time",
-    "repair_detected_time",
-    "unpoison_time",
-    "poison_set",
-    "fallback_providers",
-)
-
-
-@dataclass
-class RepairRecord:
-    """Everything that happened to one outage."""
-
-    outage: OutageRecord
-    state: RepairState = RepairState.OBSERVED
-    isolation: Optional[IsolationResult] = None
-    decision: Optional[PoisonDecision] = None
-    poisoned_asn: Optional[int] = None
-    poison_time: Optional[float] = None
-    convergence_seconds: Optional[float] = None
-    repair_detected_time: Optional[float] = None
-    unpoison_time: Optional[float] = None
-    #: isolation runs consumed out of the per-outage retry budget.
-    isolation_attempts: int = 0
-    notes: List[str] = field(default_factory=list)
-    #: destinations reachable immediately before the poison — the control
-    #: set the post-poison verification re-probes for collateral damage.
-    control_set: Tuple[str, ...] = ()
-    #: when post-poison verification promoted VERIFYING -> POISONED.
-    verified_time: Optional[float] = None
-    #: poisons of this outage withdrawn by the guard.
-    rollbacks: int = 0
-    #: current rung on :data:`LADDER_STRATEGIES` (0: plain poison).
-    ladder_step: int = 0
-    #: strategy of the current rung when the ladder escalated (None while
-    #: still on the plain poison).
-    fallback_strategy: Optional[str] = None
-    #: how many times the ladder escalated for this outage.
-    escalations: int = 0
-    #: ASNs carried by the current/last poison announcement.
-    poison_set: Tuple[int, ...] = ()
-    #: providers steered (prepend) or withheld (selective-advertise) by
-    #: the current/last fallback announcement.
-    fallback_providers: Tuple[int, ...] = ()
-
-    @property
-    def key(self) -> OutageKey:
-        """Stable identity of the underlying outage (survives restarts —
-        unlike ``id()``, which the allocator recycles)."""
-        return outage_key(
-            self.outage.vp_name, self.outage.destination, self.outage.start
+    def __missing__(self, blamed: int) -> Set[int]:
+        found = self[blamed] = reachable_set_avoiding(
+            self.graph, self.origin_asn, avoid=[blamed]
         )
-
-    def fingerprint(self) -> Tuple:
-        """Canonical serializable state, compared byte-for-byte by the
-        crash-recovery property test."""
-        isolation = None
-        if self.isolation is not None:
-            isolation = (
-                self.isolation.direction.value,
-                self.isolation.blamed_asn,
-                round(self.isolation.confidence, 9),
-            )
-        return (
-            self.key,
-            self.outage.detected,
-            self.outage.end,
-            self.state.value,
-            isolation,
-            self.poisoned_asn,
-            self.poison_time,
-            self.convergence_seconds,
-            self.verified_time,
-            self.repair_detected_time,
-            self.unpoison_time,
-            self.rollbacks,
-            self.isolation_attempts,
-            tuple(self.control_set),
-            tuple(self.notes),
-            self.ladder_step,
-            self.fallback_strategy,
-            self.escalations,
-            tuple(self.poison_set),
-            tuple(self.fallback_providers),
-        )
-
-
-@dataclass
-class LifeguardConfig:
-    """Operating parameters of the deployment."""
-
-    monitor_interval: float = 30.0
-    #: outage age before poisoning is considered (§4.2 waits ~5 minutes).
-    min_persistence: float = 300.0
-    #: expected remediation cost used by the decision rule.
-    remediation_time: float = 120.0
-    #: how often to probe the sentinel for repair while poisoned.
-    repair_check_interval: float = 600.0
-    sentinel_style: SentinelStyle = SentinelStyle.LESS_SPECIFIC
-    #: prepend count for the baseline announcement (O-O-O).
-    prepend: int = 3
-    #: remediate with the idealized AVOID_PROBLEM(X, P) primitive instead
-    #: of BGP poisoning.  Requires protocol support no deployed router
-    #: has (§3) — available in simulation to quantify the gap.
-    use_avoid_problem: bool = False
-    #: refuse to poison below this isolation confidence; the outage is
-    #: re-isolated on later ticks instead (poisoning the wrong AS breaks
-    #: working paths, so thin evidence defers, it does not act).
-    min_confidence: float = 0.5
-    #: give up on an isolation run whose serialized measurement schedule
-    #: exceeds this many seconds; counts as a failed attempt.
-    isolation_timeout: float = 600.0
-    #: isolation runs per outage before giving up (NOT_POISONED).
-    max_isolation_attempts: int = 3
-    #: rollbacks of the same (pair, ASN) before the breaker opens.
-    breaker_max_failures: int = 3
-    #: base backoff after a rollback; doubles per subsequent failure.
-    breaker_backoff: float = 600.0
-    #: announcement pacing budget (flap-damping guard, §6): at most
-    #: ``announce_budget`` announcements inside any ``announce_window``
-    #: seconds; new poisons defer when the budget is spent (withdrawals
-    #: are never blocked — safety beats pacing).
-    announce_window: float = 5400.0
-    announce_budget: int = 6
-    #: escalate rolled-back repairs along :data:`LADDER_STRATEGIES`
-    #: (deeper poison -> prepend-only steering -> selective
-    #: advertisement) instead of retrying the same poison until the
-    #: breaker opens.  Off by default: the ladder spends announcement
-    #: budget and breaker headroom that plain deployments may not want.
-    fallback_ladder: bool = False
-    #: highest ladder rung the controller may climb to.
-    fallback_max_step: int = 3
-    #: extra origin prepends the "prepend" rung adds at the steered
-    #: provider.
-    fallback_prepend_extra: int = 3
-    #: extra ASNs (beyond the blamed one) the "multi-poison" rung may
-    #: add to cover the blamed AS's transit neighborhood.
-    fallback_max_extra_poisons: int = 2
-    #: incremental-convergence mode for announcements ("off"/"auto").
-    #: In "auto", poisons, unpoisons and escalation rungs splice their
-    #: blast radius into the analytic converged state instead of
-    #: replaying the whole event engine, and FIB refreshes rebuild only
-    #: the dirty ASes.
-    delta_mode: str = "off"
+        return found
 
 
 class Lifeguard:
@@ -336,10 +149,7 @@ class Lifeguard:
 
         origin_router = topo.routers_of(origin_asn)[0]
         self.sentinel_manager = SentinelManager(
-            self.prober,
-            origin_router,
-            self.production_prefix,
-            style=self.config.sentinel_style,
+            self.prober, origin_router, self.production_prefix
         )
         self.origin = OriginController(
             engine,
@@ -347,7 +157,6 @@ class Lifeguard:
             self.production_prefix,
             sentinel_prefix=self.sentinel_manager.sentinel,
             prepend=self.config.prepend,
-            prepend_extra=self.config.fallback_prepend_extra,
             pacer=AnnouncementPacer(
                 window=self.config.announce_window,
                 max_announcements=self.config.announce_budget,
@@ -363,21 +172,11 @@ class Lifeguard:
                 backoff=self.config.breaker_backoff,
             ),
         )
+        #: every outage's record, in detection order; a record is the
+        #: whole per-outage state, and this index the only keyed view.
         self.records: List[RepairRecord] = []
         self._records_by_outage: Dict[OutageKey, RepairRecord] = {}
-        self._last_repair_check: Dict[OutageKey, float] = {}
-        #: isolation runs charged to each outage's retry budget.
-        self._isolation_used: Dict[OutageKey, int] = {}
-        self._journaled_ends: Set[OutageKey] = set()
-        #: last poison intent per outage: (mode, asns, providers, step).
-        self._poison_intents: Dict[
-            OutageKey, Tuple[str, Tuple[int, ...], Tuple[int, ...], int]
-        ] = {}
-        #: (graph, {blamed asn: ASes that reach the origin avoiding it});
-        #: the sets are dropped if the engine's graph is ever another.
-        self._reachable_avoiding: Tuple[Any, Dict[int, Set[int]]] = (
-            engine.graph, {},
-        )
+        self._reachable = _ReachableAvoiding(engine.graph, origin_asn)
         #: optional :class:`~repro.faults.FaultInjector`; set by attach().
         self.injector = None
         #: optional observability bus (duck-typed; see repro.obs.events).
@@ -466,7 +265,7 @@ class Lifeguard:
             # lifecycle back together.
             self.obs.emit(
                 f"control.{kind}", now, "control.lifeguard",
-                subject=self._ledger_key(key) if key else None,
+                subject=ledger_key(key) if key else None,
                 **fields,
             )
         self.apply(entry, live)
@@ -474,10 +273,9 @@ class Lifeguard:
     def apply(self, entry: Dict[str, object], live=None) -> None:
         """Fold one journal entry into controller state.
 
-        The single writer of the records, the isolation budgets, the
-        repair-check clocks, the breaker charges and the pacer slots:
-        the live loop calls it through :meth:`_commit`, recovery calls
-        it on every journaled entry.
+        The single writer of the records, the breaker charges and the
+        pacer slots: the live loop calls it through :meth:`_commit`,
+        recovery calls it on every journaled entry.
         """
         kind = entry["event"]
         reducer = self._REDUCERS.get(kind)
@@ -504,6 +302,10 @@ class Lifeguard:
             state=state.value, reason=reason, **fields,
         )
 
+    def _commit_all(self, record: RepairRecord, now: float, commits) -> None:
+        for kind, fields in commits:
+            self._commit(kind, record.key, now, **fields)
+
     def _note(self, record: RepairRecord, now: float, note: str) -> None:
         self._commit("note", record.key, now, note=note)
 
@@ -527,152 +329,44 @@ class Lifeguard:
         )
 
     def _on_observed(self, entry, record, live) -> None:
-        key = key_from_json(entry["outage"])
         if record is None:
-            if live is None:
-                live = OutageRecord(
-                    vp_name=key[0],
-                    destination=Address(key[1]),
-                    start=key[2],
-                    detected=entry.get("detected", entry["t"]),
-                )
-            record = RepairRecord(outage=live)
-            self._records_by_outage[key] = record
+            record = observe(entry, live)
+            self._records_by_outage[record.key] = record
             self.records.append(record)
-
-    def _on_outage_ended(self, entry, record, live) -> None:
-        record.outage.end = entry["t"]
-        self._journaled_ends.add(record.key)
-
-    def _on_note(self, entry, record, live) -> None:
-        record.notes.append(entry["note"])
-
-    def _on_isolation_spend(self, entry, record, live) -> None:
-        self._isolation_used[record.key] = entry["used"]
-
-    def _on_isolated(self, entry, record, live) -> None:
-        if live is None:
-            live = IsolationResult(
-                vp_name=record.outage.vp_name,
-                destination=record.outage.destination,
-                direction=FailureDirection(entry["direction"]),
-                blamed_asn=entry.get("blamed_asn"),
-                confidence=entry.get("confidence", 1.0),
-            )
-        record.isolation = live
-        record.isolation_attempts = entry.get(
-            "attempts", record.isolation_attempts
-        )
-        record.state = RepairState.ISOLATED
-
-    def _on_isolation_discount(self, entry, record, live) -> None:
-        if record.isolation is not None:
-            record.isolation.confidence = entry["confidence"]
-
-    def _on_deferred(self, entry, record, live) -> None:
-        # Back to OBSERVED so ongoing_outages() revisits the record on
-        # a later tick (ISOLATED is never re-ticked).
-        record.state = RepairState.OBSERVED
-
-    def _on_poison(self, entry, record, live) -> None:
-        record.control_set = tuple(entry.get("control", ()))
-        self._poison_intents[record.key] = (
-            entry.get("mode", "poison"),
-            tuple(entry.get("asns", ())),
-            tuple(entry.get("providers", ())),
-            entry.get("step", 0),
-        )
-
-    def _on_escalate(self, entry, record, live) -> None:
-        record.ladder_step = entry["step"]
-        record.fallback_strategy = entry["strategy"]
-        record.escalations += 1
 
     def _on_rollback(self, entry, record, live) -> None:
         # Idempotent over the charge the live rollback just recorded.
         self.guard.breaker.restore(
-            self._pair_key(record),
+            record.pair,
             entry["asn"],
             entry["failures"],
             entry["t"],
         )
-        record.rollbacks += 1
+        fold(record, entry, live)
 
-    def _on_repair_check(self, entry, record, live) -> None:
-        self._last_repair_check[record.key] = entry["t"]
-
-    def _on_state(self, entry, record, live) -> None:
-        for name in _STATE_FIELDS:
-            if name in entry:
-                value = entry[name]
-                if isinstance(value, list):
-                    value = tuple(value)  # JSON round-trips tuples as lists
-                setattr(record, name, value)
-        record.state = RepairState(entry["state"])
-        if "poison_time" in entry:
-            # A record rolled back and re-poisoned schedules its repair
-            # checks off the *latest* poison; later repair-check entries
-            # overwrite this in order.
-            self._last_repair_check[record.key] = entry["poison_time"]
+    def _on_record(self, entry, record, live) -> None:
+        fold(record, entry, live)
 
     def _on_marker(self, entry, record, live) -> None:
-        """Intent and bookkeeping markers carry no controller state."""
+        """Bookkeeping markers carry no controller state."""
 
     #: entry kind -> reducer.  Every kind the controller journals is
-    #: here; committing or loading any other kind is an error.
+    #: here; committing or loading any other kind is an error.  Most
+    #: change only the record of the outage they name.
     _REDUCERS = {
+        **dict.fromkeys(RECORD_REDUCERS, _on_record),
         "announce-baseline": _on_announced,
         "announced": _on_announced,
         "pacer": _on_announced,
         "breaker": _on_breaker,
         "observed": _on_observed,
-        "outage-ended": _on_outage_ended,
-        "note": _on_note,
-        "isolation-spend": _on_isolation_spend,
-        "isolated": _on_isolated,
-        "isolation-discount": _on_isolation_discount,
-        "deferred": _on_deferred,
-        "poison": _on_poison,
-        "escalate": _on_escalate,
         "rollback": _on_rollback,
-        "repair-check": _on_repair_check,
-        "state": _on_state,
-        "unpoison": _on_marker,
         "recovered": _on_marker,
         "compacted": _on_marker,
     }
     #: kinds folded without a known record (every other reducer skips an
     #: entry whose outage was never observed).
-    _UNSCOPED = frozenset(
-        ("announce-baseline", "announced", "pacer", "breaker", "observed",
-         "recovered", "compacted")
-    )
-
-    @staticmethod
-    def _ledger_key(key: OutageKey, step: int = 0) -> str:
-        vp, dst, start = key
-        # Full float precision: '{:g}' keeps 6 significant digits, which
-        # collides distinct outage starts in long runs (1.2096e+07 covers
-        # a 30 s-spaced pair), cross-wiring two repairs' ledger entries.
-        base = f"{vp}|{dst}|{start!r}"
-        if step:
-            # Each ladder rung owns its own ledger entry, so withdrawing
-            # a multi-ASN fallback never disturbs (or depends on) the
-            # original single-ASN attempt's bookkeeping.  Step 0 keeps
-            # the historical key format: journals written before the
-            # ladder existed replay unchanged.
-            return f"{base}|step{step}"
-        return base
-
-    @staticmethod
-    def _pair_key(record: RepairRecord) -> Tuple[str, str]:
-        """Breaker identity: the monitored pair, *without* the outage start.
-
-        A harmful poison can end the outage record (the target briefly
-        recovers) and the re-broken pair then opens a fresh outage; keying
-        the breaker by pair keeps those failure counts accumulating instead
-        of resetting with every re-detection."""
-        return (record.outage.vp_name, str(record.outage.destination))
+    _UNSCOPED = frozenset(_REDUCERS) - frozenset(RECORD_REDUCERS)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -736,14 +430,11 @@ class Lifeguard:
     def _journal_ended_outages(self) -> None:
         for record in self.records:
             end = record.outage.end
-            if end is None:
-                continue
-            key = record.key
-            if key not in self._journaled_ends:
-                self._commit("outage-ended", key, end)
+            if end is not None and not record.end_journaled:
+                self._commit("outage-ended", record.key, end)
 
     # ------------------------------------------------------------------
-    # State machine
+    # State machine: each stage gathers, asks repro.control.plan, commits
     # ------------------------------------------------------------------
     def _record_for(self, outage: OutageRecord) -> RepairRecord:
         key = outage_key(outage.vp_name, outage.destination, outage.start)
@@ -773,20 +464,49 @@ class Lifeguard:
         self._commit("deferred", record.key, now, why=why)
         self._note_once(record, note)
 
+    def _carry_out(
+        self,
+        record: RepairRecord,
+        now: float,
+        outcome: plan.Outcome,
+        charge: Optional[int] = None,
+    ) -> None:
+        """Do what a plan function decided; *charge* is the isolation
+        charge this stage run took (None: none taken)."""
+        verb, *args = outcome
+        if verb == "poison":
+            self._poison(record, *args, now)
+        elif verb == "defer":
+            why, note, refund = args
+            self._defer(
+                record, now, why, note, refund=charge if refund else None
+            )
+        elif verb == "re-isolate":
+            self._set_state(record, RepairState.OBSERVED, now, *args)
+        else:  # "give-up": the commits settle the record NOT_POISONED
+            self._commit_all(record, now, *args)
+
+    def _reachable_avoiding(self) -> _ReachableAvoiding:
+        """The reachable-set memo plan functions read; what was
+        remembered is dropped if the engine's graph is ever another."""
+        if self._reachable.graph is not self.engine.graph:
+            self._reachable = _ReachableAvoiding(
+                self.engine.graph, self.origin_asn
+            )
+        return self._reachable
+
     def stage_isolate(self, record: RepairRecord, now: float) -> None:
-        """Isolation → poison decision for one OBSERVED record."""
-        elapsed = now - record.outage.start
+        """Isolation (the effect) → poison decision for one OBSERVED
+        record."""
         decision = self.decision_model.decide(
-            elapsed,
+            now - record.outage.start,
             remediation_time=self.config.remediation_time,
             min_elapsed=self.config.min_persistence,
         )
-        record.decision = decision
         if not decision.poison:
             return  # re-evaluated next tick while the outage persists
         key = record.key
         vp_name = record.outage.vp_name
-        target = str(record.outage.destination)
         if not self.vantage_points.is_up(vp_name):
             # The observing vantage point is down.  Deferral costs no
             # retry budget: nothing was attempted, and the outage itself
@@ -796,36 +516,19 @@ class Lifeguard:
                 f"vantage point {vp_name} down: isolation deferred",
             )
             return
-        # Escalated ladder rungs reuse the isolation verdict that blamed
-        # the AS in the first place: the outage has not moved, a fresh
-        # isolation run would spend the retry budget the deeper rungs
-        # need, and the verdict is already journaled.
-        reuse_isolation = (
-            self.config.fallback_ladder
-            and record.ladder_step > 0
-            and record.isolation is not None
-            and record.isolation.blamed_asn is not None
-        )
         # This run's isolation charge (None: verdict reused, no charge).
-        used: Optional[int] = None
-        if reuse_isolation:
+        charge: Optional[int] = None
+        if plan.reuses_verdict(record, self.config.fallback_ladder):
             isolation = record.isolation
             record.state = RepairState.ISOLATED
         else:
             # The charge is held here until its journal entry applies it.
-            trial = RetryBudget(
-                self.config.max_isolation_attempts,
-                self._isolation_used.get(key, 0),
+            charge, spent = plan.charge_isolation(
+                record, self.config.max_isolation_attempts
             )
-            try:
-                trial.spend("isolation", vp=vp_name, target=target)
-            except RetryExhausted as exc:
-                self._set_state(
-                    record, RepairState.NOT_POISONED, now, reason=str(exc)
-                )
-                self._note(record, now, f"not poisoning: {exc}")
+            if spent is not None:
+                self._carry_out(record, now, spent)
                 return
-            used = trial.used
             try:
                 isolation = self.isolator.isolate(
                     vp_name, record.outage.destination, now
@@ -834,116 +537,46 @@ class Lifeguard:
                 # VP died between the health check and the measurement.
                 self._defer(
                     record, now, "vp-died-mid-measurement",
-                    f"isolation deferred: {exc}", refund=used,
+                    f"isolation deferred: {exc}", refund=charge,
                 )
                 return
-            self._commit("isolation-spend", key, now, used=used)
+            self._commit("isolation-spend", key, now, used=charge)
             self._commit(
                 "isolated", key, now,
                 live=isolation,
                 direction=isolation.direction.value,
                 blamed_asn=isolation.blamed_asn,
                 confidence=isolation.confidence,
-                attempts=used,
+                attempts=charge,
             )
-            if isolation.elapsed_seconds > self.config.isolation_timeout:
-                isolation.discount(
-                    0.5,
-                    f"isolation ran {isolation.elapsed_seconds:.0f}s, past "
-                    f"the {self.config.isolation_timeout:.0f}s timeout",
-                )
+            discount, rejected = plan.judge_verdict(
+                isolation,
+                self.config,
+                self.origin_asn,
+                self._asn_of_address(record.outage.destination),
+                self._reachable_avoiding(),
+            )
+            if discount is not None:
+                isolation.discount(*discount)
                 self._commit(
                     "isolation-discount", key, now,
                     confidence=isolation.confidence,
                 )
-            if isolation.confidence < self.config.min_confidence:
-                # DEGRADED path: re-isolate on a later tick — transiently
-                # injected faults (lost probes, a crashed helper) may
-                # have cleared by then.
-                self._defer(
-                    record, now, "low-confidence",
-                    f"degraded isolation (confidence "
-                    f"{isolation.confidence:.2f} < "
-                    f"{self.config.min_confidence:.2f}): deferring "
-                    f"poisoning",
-                )
-                return
-            if isolation.blamed_asn is None:
-                self._set_state(
-                    record, RepairState.NOT_POISONED, now,
-                    reason="isolation produced no suspect AS",
-                )
-                self._note(record, now, "isolation produced no suspect AS")
-                return
-            if not self._poisonable(isolation, record, now):
-                self._set_state(record, RepairState.NOT_POISONED, now)
+            if rejected is not None:
+                self._carry_out(record, now, rejected, charge)
                 return
         asn = isolation.blamed_asn
-        breaker_state = self.guard.breaker.state(
-            self._pair_key(record), asn, now
+        pair = record.pair
+        self._carry_out(
+            record, now,
+            plan.admit(
+                asn,
+                self.guard.breaker.state(pair, asn, now),
+                self.guard.breaker.failures(pair, asn),
+                self.origin.pacer.allows(now),
+            ),
+            charge,
         )
-        if breaker_state is BreakerState.OPEN:
-            self._breaker_open(record, asn, now)
-        elif breaker_state is BreakerState.BACKOFF:
-            self._defer(
-                record, now, "breaker-backoff",
-                f"rollback backoff for AS{asn} pending: "
-                f"poisoning deferred",
-                refund=used,
-            )
-        elif not self.origin.pacer.allows(now):
-            # Flap-damping guard (§6): adding another announcement now
-            # risks walking the prefix into damping penalty at a
-            # suppressing neighbor.  Withdrawals stay exempt.
-            self._defer(
-                record, now, "pacing",
-                "announcement budget exhausted: poisoning deferred "
-                "(flap-damping guard)",
-                refund=used,
-            )
-        else:
-            self._poison(record, asn, now)
-
-    def _breaker_open(
-        self, record: RepairRecord, asn: int, now: float
-    ) -> None:
-        """The breaker has given up on poisoning *asn* for this pair."""
-        failures = self.guard.breaker.failures(self._pair_key(record), asn)
-        reason = (
-            f"circuit breaker open after {failures} ineffective "
-            f"poisons of AS{asn}"
-        )
-        self._set_state(record, RepairState.NOT_POISONED, now, reason=reason)
-        self._note(record, now, f"not poisoning: {reason}")
-
-    def _poisonable(
-        self, isolation: IsolationResult, record: RepairRecord, now: float
-    ) -> bool:
-        blamed = isolation.blamed_asn
-        target_asn = self._asn_of_address(record.outage.destination)
-        if blamed in (self.origin_asn, target_asn):
-            self._note(
-                record, now,
-                f"failure inside edge AS{blamed}: local repair, "
-                f"not poisoning",
-            )
-            return False
-        graph, reachable = self._reachable_avoiding
-        if graph is not self.engine.graph:
-            graph, reachable = self.engine.graph, {}
-            self._reachable_avoiding = graph, reachable
-        if blamed not in reachable:
-            reachable[blamed] = reachable_set_avoiding(
-                graph, self.origin_asn, avoid=[blamed]
-            )
-        if target_asn not in reachable[blamed]:
-            self._note(
-                record, now,
-                f"no policy-compliant path avoiding AS{blamed}: "
-                f"not poisoning",
-            )
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # Poison / verify / rollback
@@ -963,16 +596,30 @@ class Lifeguard:
         return converged_at
 
     def _poison(self, record: RepairRecord, asn: int, now: float) -> None:
+        """Announce the current rung's remediation for *asn* (the
+        effect), journaled write-ahead."""
         control = self.guard.snapshot_control(
             record.outage.vp_name,
             self.targets,
             record.outage.destination,
             now,
         )
-        if self.config.use_avoid_problem:
-            mode, asns, providers = "avoid", (asn,), ()
-        else:
-            mode, asns, providers = self._fallback_plan(record, asn)
+        suppressed: Set[int] = set()
+        for mode, value in self.origin.active_poisons().values():
+            if mode == "suppress":
+                suppressed.update(value)
+        route = self.engine.best_route(asn, self.production_prefix)
+        mode, asns, providers = plan.remediation(
+            record,
+            asn,
+            graph=self.engine.graph,
+            origin_asn=self.origin_asn,
+            target_asn=self._asn_of_address(record.outage.destination),
+            providers=self.origin.providers,
+            suppressed=suppressed,
+            best_path=route.as_path if route is not None else None,
+            avoid_problem=self.config.use_avoid_problem,
+        )
         # Write-ahead: the intent hits the journal before the network.
         self._commit(
             "poison", record.key, now,
@@ -980,7 +627,7 @@ class Lifeguard:
             step=record.ladder_step,
             asns=list(asns), providers=list(providers),
         )
-        ledger_key = self._ledger_key(record.key, record.ladder_step)
+        owner = ledger_key(record.key, record.ladder_step)
         if mode == "avoid":
             send, value = self.origin.avoid_problem, asns
         elif mode == "prepend":
@@ -990,7 +637,7 @@ class Lifeguard:
         else:
             send, value = self.origin.poison, asns
         converged_at = self._announce(
-            record.key, now, lambda: send(value, key=ledger_key)
+            record.key, now, lambda: send(value, key=owner)
         )
         convergence = max(0.0, converged_at - now)
         if self.obs is not None:
@@ -1004,121 +651,9 @@ class Lifeguard:
             fallback_providers=tuple(providers),
         )
 
-    # ------------------------------------------------------------------
-    # Fallback escalation ladder
-    # ------------------------------------------------------------------
-    def _fallback_plan(
-        self, record: RepairRecord, asn: int
-    ) -> Tuple[str, Tuple[int, ...], Tuple[int, ...]]:
-        """``(mode, asns, providers)`` for the record's current rung.
-
-        Degrades gracefully: a rung that cannot act on this topology
-        (single-provider origin, no suppressible provider left) falls
-        back to the plain poison rather than stalling the repair.
-        """
-        step = record.ladder_step
-        strategy = LADDER_STRATEGIES[min(step, len(LADDER_STRATEGIES) - 1)]
-        if strategy == "multi-poison":
-            return ("poison", self._deep_poison_set(record, asn), ())
-        if strategy in ("prepend", "selective-advertise"):
-            providers = self._entry_providers(asn)
-            if strategy == "selective-advertise" and providers:
-                suppressed = set()
-                for mode, value in self.origin.active_poisons().values():
-                    if mode == "suppress":
-                        suppressed.update(value)
-                keep = suppressed | set(providers)
-                if keep < set(self.origin.providers):
-                    return ("suppress", (), providers)
-                # Withdrawing would darken the prefix entirely; steer
-                # with prepends instead.
-            if providers:
-                return ("prepend", (), providers)
-        return ("poison", (asn,), ())
-
-    def _deep_poison_set(
-        self, record: RepairRecord, asn: int
-    ) -> Tuple[int, ...]:
-        """The blamed AS plus nearby transit: a wider poison for routes
-        that sneak back through the blamed AS's immediate neighborhood.
-
-        Extra ASNs are admitted (sorted, bounded by
-        ``fallback_max_extra_poisons``) only while a policy-compliant
-        path from the origin to the target still exists avoiding the
-        whole set — the ladder must never poison itself into
-        unreachability."""
-        graph = self.engine.graph
-        target_asn = self._asn_of_address(record.outage.destination)
-        chosen: List[int] = [asn]
-        candidates = sorted(
-            set(graph.providers(asn)) | set(graph.peers(asn))
-        )
-        for candidate in candidates:
-            if len(chosen) > self.config.fallback_max_extra_poisons:
-                break
-            if candidate in (self.origin_asn, target_asn) or (
-                candidate in chosen
-            ):
-                continue
-            trial = chosen + [candidate]
-            reachable = reachable_set_avoiding(
-                graph, self.origin_asn, avoid=trial
-            )
-            if target_asn in reachable:
-                chosen = trial
-        return tuple(chosen)
-
-    def _entry_providers(self, asn: int) -> Tuple[int, ...]:
-        """The origin provider whose announcements reach the blamed AS.
-
-        Steering (or withdrawing) that provider's announcement moves
-        traffic off every path entering through it — the selective
-        poisoning/advertising insight of §3.1.2, applied without
-        inserting a poisonable ASN.  When the blamed AS *is* one of the
-        origin's providers the answer is itself; otherwise it is the hop
-        just before the origin run on the blamed AS's best path."""
-        providers = self.origin.providers
-        if asn in providers:
-            return (asn,)
-        route = self.engine.best_route(asn, self.production_prefix)
-        if route is not None:
-            path = route.as_path
-            for index, hop in enumerate(path):
-                if hop == self.origin_asn and index > 0:
-                    via = path[index - 1]
-                    if via in providers:
-                        return (via,)
-                    break
-        return (providers[0],) if providers else ()
-
-    def _maybe_escalate(
-        self, record: RepairRecord, asn: Optional[int], now: float
-    ) -> None:
-        """Climb one ladder rung after a rollback (write-ahead journaled)."""
-        top = min(self.config.fallback_max_step, len(LADDER_STRATEGIES) - 1)
-        if (
-            not self.config.fallback_ladder
-            or record.state is not RepairState.ROLLED_BACK
-            or record.ladder_step >= top
-        ):
-            return
-        next_step = record.ladder_step + 1
-        strategy = LADDER_STRATEGIES[next_step]
-        self._commit(
-            "escalate", record.key, now,
-            step=next_step, strategy=strategy, asn=asn,
-        )
-        self._note(
-            record, now,
-            f"escalating repair of AS{asn} to fallback "
-            f"'{strategy}' (ladder step {next_step})",
-        )
-        self.guard.note_fallback(
-            self._ledger_key(record.key), next_step, strategy, asn, now
-        )
-
     def stage_verify(self, record: RepairRecord, now: float) -> None:
-        """Post-poison verification for one VERIFYING record."""
+        """Post-poison verification (one probe round, the effect) for
+        one VERIFYING record."""
         if record.poison_time is None or now <= record.poison_time:
             return  # converged this very tick; verify on the next one
         outcome = self.guard.verify(
@@ -1151,17 +686,16 @@ class Lifeguard:
     ) -> None:
         """Withdraw a poison that verification judged ineffective/harmful."""
         asn = record.poisoned_asn
-        pair = self._pair_key(record)
+        pair = record.pair
         failures = self.guard.breaker.record_failure(pair, asn, now)
         self._commit(
             "rollback", record.key, now,
             asn=asn, reason=reason, failures=failures,
         )
-        ledger_key = self._ledger_key(record.key, record.ladder_step)
-        if ledger_key in self.origin.active_poisons():
+        owner = ledger_key(record.key, record.ladder_step)
+        if owner in self.origin.active_poisons():
             self._announce(
-                record.key, now,
-                lambda: self.origin.unpoison(key=ledger_key),
+                record.key, now, lambda: self.origin.unpoison(key=owner)
             )
         self._set_state(
             record, RepairState.ROLLED_BACK, now, reason=reason
@@ -1172,36 +706,41 @@ class Lifeguard:
             f"(failure {failures}/{self.config.breaker_max_failures})",
         )
         if failures >= self.config.breaker_max_failures:
-            self._breaker_open(record, asn, now)
+            self._carry_out(record, now, plan.breaker_open(asn, failures))
         # With the ineffective rung fully withdrawn (and only if the
         # breaker left the record retryable), climb the ladder: the next
         # attempt — after the breaker's backoff and re-isolation — uses
         # the escalated strategy.
-        self._maybe_escalate(record, asn, now)
+        rung = plan.next_rung(record, self.config.fallback_ladder, asn)
+        if rung is not None:
+            step, strategy, commits = rung
+            self._commit_all(record, now, commits)
+            self.guard.note_fallback(
+                ledger_key(record.key), step, strategy, asn, now
+            )
 
     def stage_retry(self, record: RepairRecord, now: float) -> None:
         """Breaker-gated re-poison for one ROLLED_BACK record."""
         if stage_of(record) != "retry":
             return  # the pair recovered; ROLLED_BACK is terminal here
         asn = record.poisoned_asn
-        state = self.guard.breaker.state(self._pair_key(record), asn, now)
-        if state is BreakerState.OPEN:
-            self._breaker_open(record, asn, now)
-        elif state is BreakerState.CLOSED:
-            self._set_state(
-                record, RepairState.OBSERVED, now,
-                reason="rollback backoff elapsed: re-isolating",
-            )
+        pair = record.pair
+        outcome = plan.retry(
+            asn,
+            self.guard.breaker.state(pair, asn, now),
+            self.guard.breaker.failures(pair, asn),
+        )
+        if outcome is not None:
+            self._carry_out(record, now, outcome)
 
     # ------------------------------------------------------------------
     # Repair detection / unpoison
     # ------------------------------------------------------------------
     def stage_check(self, record: RepairRecord, now: float) -> None:
-        """Repair-detection probe (and unpoison) for one POISONED record."""
-        if not self.sentinel_manager.can_detect_repair:
-            return
-        last = self._last_repair_check.get(record.key, float("-inf"))
-        if now - last < self.config.repair_check_interval:
+        """Repair-detection probe (the effect), and the unpoison it may
+        justify, for one POISONED record."""
+        since_last = now - record.last_repair_check
+        if since_last < self.config.repair_check_interval:
             return
         test_destinations = [
             self.topo.router(rid).address
@@ -1236,11 +775,11 @@ class Lifeguard:
         concurrent repairs stay on the announcement.
         """
         self._commit("unpoison", record.key, now)
-        ledger_key = self._ledger_key(record.key, record.ladder_step)
-        if ledger_key not in self.origin.active_poisons():
-            ledger_key = None  # legacy/externally-applied: full reset
+        owner = ledger_key(record.key, record.ladder_step)
+        if owner not in self.origin.active_poisons():
+            owner = None  # legacy/externally-applied: full reset
         self._announce(
-            record.key, now, lambda: self.origin.unpoison(key=ledger_key)
+            record.key, now, lambda: self.origin.unpoison(key=owner)
         )
         self._set_state(
             record, RepairState.UNPOISONED, now,
@@ -1274,8 +813,8 @@ class Lifeguard:
         controller crash does not withdraw announcements, restart routers,
         or repair the failures it was trying to route around.
         Folding the journal through :meth:`apply` reconstructs every
-        record (and the breaker, pacer, isolation-budget and repair-check
-        bookkeeping behind it) exactly as the live loop built it; the origin
+        record (and the breaker and pacer bookkeeping beside them)
+        exactly as the live loop built it; the origin
         controller is then reconciled so its intended announcement state —
         the union of in-flight poisons — is re-asserted, which converges
         as a no-op when the network still carries it.  Ongoing outages are
@@ -1308,17 +847,7 @@ class Lifeguard:
             self.apply(entry)
         # Reconcile origin intent: re-assert the union of in-flight
         # poisons (no-op convergence when the network already has them).
-        ledger = {}
-        for record in self.in_flight_records():
-            key = record.key
-            mode, asns, providers, step = self._poison_intents.get(
-                key, ("poison", (), (), 0)
-            )
-            if mode in ("prepend", "suppress"):
-                value = providers
-            else:
-                value = asns or (record.poisoned_asn,)
-            ledger[self._ledger_key(key, step)] = (mode, value)
+        ledger = plan.intended_ledger(self.records)
         # The reconcile re-announcement takes a pacer slot like any
         # other (and so survives a second crash too).
         self._announce(
@@ -1353,9 +882,9 @@ class Lifeguard:
 
     def in_flight_records(self) -> List[RepairRecord]:
         """Records whose poison is on the wire right now."""
-        return [r for r in self.records if r.state in _IN_FLIGHT]
+        return [r for r in self.records if r.state in IN_FLIGHT]
 
     def poisoned_records(self) -> List[RepairRecord]:
         """Records that reached the POISONED (or later) state."""
-        reached = _IN_FLIGHT + (RepairState.UNPOISONED,)
+        reached = IN_FLIGHT + (RepairState.UNPOISONED,)
         return [r for r in self.records if r.state in reached]

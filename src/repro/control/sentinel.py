@@ -13,8 +13,11 @@ Three styles from §7.2 are supported:
   source from the unused space; captive ASes keep a backup route.
 * ``DISJOINT`` — a separate unused prefix: repair testing works, but no
   backup route for captives.
-* ``NONE`` — no sentinel: no repair detection channel (the controller
-  falls back to a timer), no backup route.
+* ``NONE`` — no sentinel: no repair detection channel (a poison would
+  stay announced until an operator withdrew it), no backup route.
+
+The controller deploys ``LESS_SPECIFIC``; the other two are here for the
+§7.2 ablation (``benchmarks/test_ablation_sentinel.py``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ on a swept fraction of ASes and measures what happens to repairs:
   opens — the repair is lost;
 * with the **ladder on** (``LifeguardConfig.fallback_ladder``), each
   rollback escalates one rung of
-  :data:`~repro.control.lifeguard.LADDER_STRATEGIES` toward mechanisms
+  :data:`~repro.control.record.LADDER_STRATEGIES` toward mechanisms
   filters cannot drop (prepend-only steering, selective advertisement).
 
 Every point is scored like the robustness study — injected ground-truth

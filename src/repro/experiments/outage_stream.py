@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from repro.control.lifeguard import RepairRecord
+from repro.control.record import RepairRecord
 from repro.faults.injector import FaultInjector
 from repro.net.addr import Address
 from repro.traffic.impact import ImpactLedger

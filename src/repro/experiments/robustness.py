@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.control.lifeguard import RepairState
+from repro.control.record import RepairState
 from repro.experiments.outage_stream import (
     InjectedOutage,
     primed_ledger,

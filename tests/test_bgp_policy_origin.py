@@ -174,6 +174,19 @@ class TestOriginController:
         engine.run()
         assert engine.as_path(4, controller.sentinel_prefix) is not None
 
+    def test_sentinel_must_not_be_the_production_prefix(self):
+        """One prefix originated twice would carry every poison on the
+        channel that is meant to stay clean for repair detection; the
+        covering and the disjoint sentinels of §7.2 are both fine."""
+        engine = BGPEngine(star_graph())
+        with pytest.raises(ControlError, match="equals production"):
+            OriginController(engine, 1, P, sentinel_prefix=P)
+        for sentinel in (P.supernet(15), Prefix("10.99.0.0/16"), None):
+            controller = OriginController(
+                engine, 1, P, sentinel_prefix=sentinel
+            )
+            assert controller.sentinel_prefix == sentinel
+
 
 class TestMakePathValidation:
     def test_zero_prepend_rejected(self):

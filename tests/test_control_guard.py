@@ -9,6 +9,7 @@ from repro.control.guard import (
     VerifyVerdict,
 )
 from repro.control.lifeguard import LifeguardConfig, RepairState
+from repro.control.record import ledger_key
 from repro.dataplane.failures import ASForwardingFailure
 from repro.workloads.scenarios import build_deployment
 
@@ -224,7 +225,7 @@ class TestIneffectivePoisonRollback:
     def test_each_rollback_withdraws_the_poison(self, run):
         lifeguard, record, bad_asn = run
         # Nothing is left announced for this record once the breaker opens.
-        key = lifeguard._ledger_key(record.key)
+        key = ledger_key(record.key)
         assert key not in lifeguard.origin.active_poisons()
         assert bad_asn not in lifeguard.origin.currently_poisoned
 

@@ -29,6 +29,7 @@ from repro.control.lifeguard import (
     LifeguardConfig,
     RepairState,
 )
+from repro.control.record import ledger_key
 from repro.dataplane.failures import ASForwardingFailure, FailureSet
 from repro.dataplane.fib import build_fibs
 from repro.dataplane.forwarding import DataPlane
@@ -342,9 +343,9 @@ class TestOriginFallbackModes:
     def test_ledger_keys_are_step_independent(self):
         engine, controller = self._world()
         key = ("origin", "10.9.0.1", 1000.0)
-        base = Lifeguard._ledger_key(key)
-        assert Lifeguard._ledger_key(key, 0) == base
-        stepped = Lifeguard._ledger_key(key, 2)
+        base = ledger_key(key)
+        assert ledger_key(key, 0) == base
+        stepped = ledger_key(key, 2)
         assert stepped == base + "|step2"
 
         # Two rungs of the same repair compose and unwind independently.

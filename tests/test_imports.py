@@ -13,15 +13,22 @@ the program is handed from outside is arguments, plus the three
 environment variables on the allow-list below.  A third scan keeps one
 door shut: a speaker resolves its config once, so nothing assigns to a
 speaker's policy or config but ``BGPSpeaker.reconfigure``.  A fourth
-keeps the repair loop's five decisions at one definition each.
+keeps the repair loop's five decisions at one definition each, and a
+fifth keeps the controller cut along its seam: the fold and the policy
+hold no deployment, the shell decides nothing.
 """
 
+import ast
+import inspect
 import os
 import re
 import subprocess
 import sys
+import textwrap
 
 import repro
+from repro.control.lifeguard import Lifeguard
+from repro.control.record import RECORD_REDUCERS
 
 CHECK = (
     "import sys, repro, repro.service, repro.fuzz, repro.cli; "
@@ -151,10 +158,10 @@ def test_one_of_each_around_the_repair_loop():
     # monitor is the other place an outage's end is read), and the
     # daemon's second copy of both is gone.
     assert _sites(r"STAGE_FOR_STATE[\[.]") == {
-        ("control/lifeguard.py", "stage_of")
+        ("control/record.py", "stage_of")
     }
     assert _sites(r"outage\.end is (not )?None") == {
-        ("control/lifeguard.py", "stage_of"),
+        ("control/record.py", "stage_of"),
         ("control/lifeguard.py", "_replay"),
     }
     assert not _sites(r"_stage_for|_SETTLED|_records_by_outage") - {
@@ -190,3 +197,70 @@ def test_one_of_each_around_the_repair_loop():
     assert ("experiments/defenses.py", None) not in _sites(
         r"import .*\b_\w+|^    _\w+,$"
     )
+
+
+#: What a deployment is made of: the fold and the policy import none of
+#: it and reach through no attribute that holds one.
+DEPLOYMENT_TYPES = {
+    "BGPEngine", "OriginController", "Prober", "DataPlane", "RepairGuard",
+    "RepairJournal",
+}
+DEPLOYMENT_ATTRIBUTES = {"engine", "prober", "dataplane", "origin", "journal"}
+
+
+def test_the_controller_stays_cut_along_its_seam():
+    """``control/record.py`` (the fold) and ``control/plan.py`` (the
+    policy) are functions of values; ``control/lifeguard.py`` (the
+    shell) gathers, commits and runs effects but decides nothing."""
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    for name in ("control/record.py", "control/plan.py"):
+        with open(os.path.join(root, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        named, reached = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(
+                    alias.name.rsplit(".", 1)[-1] for alias in node.names
+                )
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+        assert not named & DEPLOYMENT_TYPES, name
+        assert not reached & DEPLOYMENT_ATTRIBUTES, name
+    # A record is the per-outage state: the four dictionaries that used
+    # to sit beside it are gone, and the controller keeps one index.
+    assert not _sites(
+        r"_isolation_used|_last_repair_check|_journaled_ends"
+        r"|_poison_intents"
+    )
+    init = ast.parse(textwrap.dedent(inspect.getsource(Lifeguard.__init__)))
+    keyed = [
+        ast.unparse(node.target)
+        for node in ast.walk(init)
+        if isinstance(node, ast.AnnAssign)
+        and "OutageKey" in ast.unparse(node.annotation)
+    ]
+    assert keyed == ["self._records_by_outage"]
+    # Each decision has its one definition in plan.py: the shell walks
+    # the graph only to fill the memo it hands over, never reads the
+    # ladder, and its isolation stage compares nothing but "did the
+    # plan return an outcome".
+    assert {
+        site for site in _sites(r"reachable_set_avoiding\(")
+        if site[0] == "control/lifeguard.py"
+    } == {("control/lifeguard.py", "__missing__")}
+    assert {name for name, _ in _sites(r"LADDER_STRATEGIES\[")} == {
+        "control/plan.py"
+    }
+    stage = ast.parse(
+        textwrap.dedent(inspect.getsource(Lifeguard.stage_isolate))
+    )
+    for node in ast.walk(stage):
+        if isinstance(node, ast.Compare):
+            assert ast.unparse(node).endswith("is not None"), (
+                ast.unparse(node)
+            )
+    # The controller's table still covers every record-scoped kind (and
+    # DESIGN.md's table is held to it by test_journal_fold).
+    assert set(RECORD_REDUCERS) <= set(Lifeguard._REDUCERS)

@@ -15,6 +15,7 @@ reducer is an error instead of silently lost state.
 import json
 import os
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.control.lifeguard import (
     LifeguardConfig,
     RepairState,
 )
+from repro.control.record import RepairRecord, ledger_key
 from repro.errors import ControlError
 from repro.service import LifeguardService, ServiceConfig
 from repro.workloads.outages import (
@@ -51,12 +53,9 @@ DESIGN = os.path.join(os.path.dirname(__file__), os.pardir, "DESIGN.md")
 
 def _controller_state(lifeguard, keys=None, floor=float("-inf")):
     """Everything the controller's reducers write, optionally restricted
-    to the outages in *keys* and the pacer slots after *floor*."""
-    def kept(mapping):
-        return {
-            k: v for k, v in mapping.items() if keys is None or k in keys
-        }
-
+    to the outages in *keys* and the pacer slots after *floor*.  A
+    record's fingerprint is the whole per-outage state; the breaker and
+    the pacer are the controller's own."""
     return {
         "fingerprints": [
             r.fingerprint()
@@ -68,12 +67,6 @@ def _controller_state(lifeguard, keys=None, floor=float("-inf")):
             for charge, entry in lifeguard.guard.breaker._entries.items()
         },
         "pacer": sorted(t for t in lifeguard.origin.pacer.times if t > floor),
-        "budgets": kept(lifeguard._isolation_used),
-        "repair_checks": kept(lifeguard._last_repair_check),
-        "poison_intents": kept(lifeguard._poison_intents),
-        "journaled_ends": {
-            k for k in lifeguard._journaled_ends if keys is None or k in keys
-        },
     }
 
 
@@ -252,15 +245,18 @@ class TestLiveEqualsFold:
             now=now,
             reprime_atlas=False,
         )
+        # What the live controller had in flight, read off its own
+        # records' fingerprints (field order is the dataclass's).
+        names = [f.name for f in fields(RepairRecord)]
+        state, intent = names.index("state"), names.index("poison_intent")
         in_flight = {
-            key: intent
-            for key, intent in live["poison_intents"].items()
-            if recovered._records_by_outage[key].state
-            in (RepairState.VERIFYING, RepairState.POISONED)
+            row[0][0]: row[intent]
+            for row in live["fingerprints"]
+            if row[state] in ("verifying", "poisoned")
         }
         assert in_flight
         assert recovered.origin.active_poisons() == {
-            recovered._ledger_key(key, step): (
+            ledger_key(key, step): (
                 mode, providers if mode in ("prepend", "suppress") else asns
             )
             for key, (mode, asns, providers, step) in in_flight.items()
@@ -336,11 +332,14 @@ class TestCompactionPreservesTheFold:
         full = _controller_state(
             _fold(host, config, journal.entries), {live}, 7000.0 - 5400.0
         )
-        small = _controller_state(_fold(host, config, compacted))
+        folded = _fold(host, config, compacted)
+        small = _controller_state(folded)
         assert small == full
         assert small["pacer"] == [6000.0]
         assert small["breaker"] == {(done[:2], 7): (2, 6030.0)}
-        assert small["budgets"] == {live: 1}
+        assert [(r.key, r.isolation_charge) for r in folded.records] == [
+            (live, 1)
+        ]
 
     def test_chained_compactions_fold_the_same(self, run):
         """Compact, keep appending, compact again — as rotation does."""

@@ -2,6 +2,7 @@
 
 
 from repro.control.lifeguard import OperatingMode, RepairState
+from repro.control.plan import unpoisonable
 from repro.dataplane.failures import ASForwardingFailure
 from repro.faults import FaultKind, FaultSpec
 from repro.measure.atlas import AtlasRefresher, PathAtlas
@@ -71,10 +72,14 @@ class TestNoAlternateDecision:
         assert walked == [(graph, origin, (provider,))]
         # Another graph object: what was remembered is for the old one.
         lifeguard.engine.graph = graph.copy()
-        for record in blamed_provider[:2]:
-            assert not lifeguard._poisonable(
-                record.isolation, record, 2100.0
-            )
+        target_asn = scenario.topo.router_by_address(
+            blamed_provider[0].outage.destination
+        ).asn
+        for _record in blamed_provider[:2]:
+            assert unpoisonable(
+                provider, origin, target_asn,
+                lifeguard._reachable_avoiding(),
+            ) == note
         assert walked[1:] == [(lifeguard.engine.graph, origin, (provider,))]
 
     def test_failure_in_destination_as_not_poisoned(self):

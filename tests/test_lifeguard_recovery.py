@@ -14,6 +14,7 @@ import pytest
 
 from repro.control.journal import RepairJournal
 from repro.control.lifeguard import Lifeguard, RepairState
+from repro.control.record import ledger_key
 from repro.dataplane.failures import ASForwardingFailure
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.measure.monitor import OutageRecord
@@ -49,7 +50,7 @@ class TestConcurrentPoisonLedger:
             )
             record = lifeguard._record_for(outage)
             lifeguard.origin.poison(
-                [asn], key=lifeguard._ledger_key(record.key)
+                [asn], key=ledger_key(record.key)
             )
             record.state = RepairState.POISONED
             record.poisoned_asn = asn
@@ -64,8 +65,8 @@ class TestConcurrentPoisonLedger:
         # The concurrent repair's poison is still on the announcement.
         assert lifeguard.origin.currently_poisoned == (asn_b,)
         active = lifeguard.origin.active_poisons()
-        assert lifeguard._ledger_key(records[1].key) in active
-        assert lifeguard._ledger_key(records[0].key) not in active
+        assert ledger_key(records[1].key) in active
+        assert ledger_key(records[0].key) not in active
 
 
 class TestRepairCheckSkipped:
