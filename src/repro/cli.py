@@ -496,13 +496,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.events_out:
         write_events_jsonl(bus.events(), args.events_out)
     service.journal.close()
-    if report.abandoned:
-        print(
-            f"{report.abandoned} abandoned repair(s): records in flight "
-            f"with no queue slot and no journaled disposition",
-            file=sys.stderr,
-        )
-        return 1
     if not report.drained or report.final_tier != ServiceTier.NORMAL.name:
         print(
             f"the service stopped repairing: final tier "

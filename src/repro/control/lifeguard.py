@@ -374,7 +374,7 @@ class Lifeguard:
     def begin_round(self, now: float) -> None:
         """Advance the world and take one monitoring round — no repair
         work.  The repair stages below are separate entry points so the
-        service daemon can feed records through bounded queues with its
+        service daemon can feed records through its backlog under its
         own budgets; :meth:`tick` composes them inline for one-shot runs.
         """
         if self.engine.now < now:

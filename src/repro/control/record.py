@@ -62,6 +62,10 @@ STAGE_FOR_STATE: Dict[RepairState, str] = {
     RepairState.POISONED: "check",
 }
 
+#: Every stage :func:`stage_of` can return, in the order the service
+#: daemon journals a round's deadline breaches.
+STAGES: Tuple[str, ...] = ("isolate", "verify", "retry", "check")
+
 #: States whose poison is on the wire right now.
 IN_FLIGHT = (RepairState.VERIFYING, RepairState.POISONED)
 
@@ -69,7 +73,7 @@ IN_FLIGHT = (RepairState.VERIFYING, RepairState.POISONED)
 def stage_of(record: "RepairRecord") -> Optional[str]:
     """The one staging rule: the stage *record* waits on, None if done.
 
-    Read by :meth:`Lifeguard.tick` and by the service daemon's queues,
+    Read by :meth:`Lifeguard.tick` and by the service daemon's backlog,
     budgets, drain test and report (all named after the stage).  Once
     the outage has healed there is no failure left to isolate and a
     withdrawn poison is not worth retrying; a poison still on the wire

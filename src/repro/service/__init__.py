@@ -3,11 +3,13 @@
 The one-shot experiments build a world, inject a few outages, and tear
 down; this package runs LIFEGUARD the way the paper sizes it (§5.3) —
 continuously, over thousands of monitored pairs, against a streaming
-outage workload.  :class:`LifeguardService` composes bounded per-stage
-work queues (:mod:`repro.service.queues`), watermark-driven admission
-control with tiered graceful degradation
-(:mod:`repro.service.admission`), and the PR 3 journal / PR 4
-observability substrate into a deterministic, crash-recoverable daemon.
+outage workload.  :class:`LifeguardService` composes one outage-keyed
+:class:`Backlog` of waiting repair work — whose per-stage views are
+read off the records through ``stage_of``, never stored — served under
+per-stage budgets and deadlines, watermark-driven admission control with
+tiered graceful degradation (:mod:`repro.service.admission`), and the
+write-ahead journal and observability substrate into a deterministic,
+crash-recoverable daemon.
 """
 
 from repro.service.admission import (
@@ -18,22 +20,20 @@ from repro.service.admission import (
 )
 from repro.service.daemon import (
     DEFAULT_ARRIVALS,
+    Backlog,
     LifeguardService,
     ServiceConfig,
     ServiceReport,
 )
-from repro.service.queues import QueueItem, Stage, StageQueue
 
 __all__ = [
     "AdmissionController",
+    "Backlog",
     "DEFAULT_ARRIVALS",
     "LifeguardService",
     "OverloadSignals",
-    "QueueItem",
     "ServiceConfig",
     "ServiceReport",
     "ServiceTier",
-    "Stage",
-    "StageQueue",
     "Watermarks",
 ]

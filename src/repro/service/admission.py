@@ -5,13 +5,15 @@ The service watches four overload signals every round:
 * **in-flight poisons** — records in VERIFYING/POISONED; each one holds
   announced state in other networks' tables, so runaway concurrency is a
   safety problem, not just a load problem;
-* **probe utilisation** — probes sent last round against the per-round
-  probe budget (the paper's measurement costs, §5.3, are the scarce
-  resource a real deployment rations);
+* **probe utilisation** — probes the repair stages sent last round
+  against the per-round probe budget (the paper's measurement costs,
+  §5.3, are the scarce resource a real deployment rations; the monitor's
+  own pings are fixed by the pair count, so they are no load signal);
 * **journal write lag** — unflushed write-ahead entries; falling behind
   the journal means a crash loses decisions, so lag sheds load before it
   sheds durability;
-* **queue occupancy** — the worst stage queue's fill fraction.
+* **queue occupancy** — the deepest stage's waiting items over the
+  backlog capacity.
 
 Breaches map onto a four-tier ladder::
 
@@ -39,7 +41,7 @@ class ServiceTier(enum.IntEnum):
 
     #: full budgets, admit everything.
     NORMAL = 0
-    #: halved stage budgets; admissions still accepted.
+    #: halved isolate budget; admissions still accepted.
     THROTTLED = 1
     #: new repairs are refused (journaled, retried later); in-flight
     #: repairs keep full drain budgets.
@@ -55,10 +57,10 @@ class OverloadSignals:
     """One round's view of the four watermarked quantities."""
 
     inflight: int
-    #: probes sent last round / probe budget per round.
+    #: probes the stages sent last round / probe budget per round.
     probe_utilisation: float
     journal_lag: int
-    #: worst stage queue's depth / capacity.
+    #: deepest stage's waiting items / backlog capacity.
     queue_occupancy: float
 
 

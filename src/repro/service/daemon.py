@@ -5,17 +5,18 @@ system the paper actually describes (§5.3 sizes update load against
 *continuous* operation over thousands of monitored prefixes): a
 deterministic long-running daemon that streams ground-truth outages from
 the calibrated arrival process in :mod:`repro.workloads.outages` into a
-:class:`~repro.control.lifeguard.Lifeguard`, routing every repair through
-bounded per-stage queues with explicit backpressure, watermark-driven
-admission control, per-stage deadlines with retry-and-requeue, and a
-four-tier graceful-degradation ladder (see :mod:`repro.service.admission`).
+:class:`~repro.control.lifeguard.Lifeguard`, feeding every repair
+through one outage-keyed :class:`Backlog` of waiting work served under
+per-stage budgets and deadlines, behind watermark-driven admission
+control and a four-tier graceful-degradation ladder (see
+:mod:`repro.service.admission`).
 
 Everything the service decides is journaled through the controller's
 write-ahead journal (``service-plan``, ``service-arrival``,
 ``service-tier``, ``service-shed``, ``service-defer``,
 ``service-timeout``, ``traffic-plan``, ``traffic-sample`` entries) and
 applied through one reducer table, live and on restore alike, so a
-crashed daemon recovers — records, queues, arrival cursor, degradation
+crashed daemon recovers — records, backlog, arrival cursor, degradation
 tier and impact ledger — byte-identically, which the sustained-load
 determinism property test pins via the event-bus SHA-256 digest.
 
@@ -26,16 +27,13 @@ a run is reproducible across hosts, workers, and crash/recover cycles.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.control.journal import OutageKey, RepairJournal
-from repro.control.lifeguard import (
-    Lifeguard,
-    RepairRecord,
-    RepairState,
-    stage_of,
-)
+from repro.control.lifeguard import Lifeguard, RepairState, stage_of
+from repro.control.record import STAGES
 from repro.errors import ControlError
 from repro.service.admission import (
     AdmissionController,
@@ -43,7 +41,6 @@ from repro.service.admission import (
     ServiceTier,
     Watermarks,
 )
-from repro.service.queues import Stage, StageQueue
 from repro.traffic.impact import ImpactLedger
 from repro.traffic.matrix import TrafficConfig, build_traffic_matrix
 from repro.workloads.outages import (
@@ -62,6 +59,20 @@ TTR_BUCKETS: Tuple[float, ...] = (
     300.0, 600.0, 900.0, 1200.0, 1800.0, 2700.0, 3600.0, 7200.0, 14400.0
 )
 
+#: Per-round work budget of each stage, in the order a round serves
+#: them; only the isolate budget scales with the tier.
+BUDGETS: Dict[str, int] = {
+    "verify": 32, "retry": 8, "check": 32, "isolate": 8
+}
+#: Waiting isolations admitted at most — the one door with a capacity,
+#: and the denominator of the queue-occupancy signal.
+QUEUE_CAPACITY = 256
+#: Sim seconds an item may wait in one stage before its journaled
+#: timeout moves it to the front.
+STAGE_DEADLINE = 1800.0
+#: Sim seconds a crashed controller stays down before recovery.
+CRASH_DOWNTIME = 300.0
+
 
 @dataclass
 class ServiceConfig:
@@ -72,30 +83,122 @@ class ServiceConfig:
     arrivals: OutageArrivalConfig = field(
         default_factory=lambda: DEFAULT_ARRIVALS
     )
-    #: explicit arrival count; None derives it from duration x rate.
-    num_outages: Optional[int] = None
     #: seed for the arrival schedule (and recovery duration history).
     seed: int = 0
-    #: per-stage queue bound — the backpressure point.
-    queue_capacity: int = 256
-    #: per-round work budgets per stage.
-    isolate_budget: int = 8
-    verify_budget: int = 32
-    retry_budget: int = 8
-    check_budget: int = 32
-    #: max sim seconds an item may wait in one stage queue before its
-    #: journaled timeout-and-requeue.
-    stage_deadline: float = 1800.0
-    watermarks: Watermarks = field(default_factory=Watermarks)
     #: extra sim seconds granted after the last arrival to drain
     #: in-flight repairs before shutdown.
     drain: float = 21600.0
-    #: crash the controller at this sim time (tests / chaos CI) ...
+    #: crash the controller at this sim time (tests / chaos CI).
     crash_at: Optional[float] = None
-    #: ... and recover it from the journal after this long down.
-    crash_downtime: float = 300.0
     #: gravity-model traffic knobs (users, fan-out); None = defaults.
     traffic: Optional[TrafficConfig] = None
+
+
+@dataclass
+class QueueItem:
+    """One outage's place in the backlog; its stage is its record's."""
+
+    key: OutageKey
+    #: sim time the record entered its current stage.
+    enqueued: float
+    #: breach => journaled timeout + move-to-front retry, never a drop.
+    deadline: float
+    #: times the item was served and stayed, or breached its deadline.
+    attempts: int = 0
+
+
+class Backlog:
+    """The daemon's waiting repair work: one ordered map keyed by outage.
+
+    An item's stage is never stored — *stage* reads it off the record
+    (``stage_of``) — so per-stage depth, occupancy and peak are counts
+    of live items, and settled work leaves by :meth:`drop_settled`.
+    Every move is to one end of the map, which never reorders two items
+    of the same stage: each stage is a FIFO.
+    """
+
+    def __init__(self, stage: Callable[[OutageKey], Optional[str]]) -> None:
+        self.stage = stage
+        self.items: "OrderedDict[OutageKey, QueueItem]" = OrderedDict()
+        #: high-water mark of each stage's depth (raised by depths()).
+        self.peaks: Dict[str, int] = dict.fromkeys(STAGES, 0)
+        #: deadline breaches (each one moved to the front, none dropped).
+        self.timeouts = 0
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __contains__(self, key: OutageKey) -> bool:
+        return key in self.items
+
+    def depths(self) -> Dict[str, int]:
+        """Waiting items per stage; raises the peaks to match."""
+        depths = dict.fromkeys(STAGES, 0)
+        for key in self.items:
+            depths[self.stage(key)] += 1
+        for stage, depth in depths.items():
+            self.peaks[stage] = max(self.peaks[stage], depth)
+        return depths
+
+    def push(self, key: OutageKey, now: float) -> None:
+        """Enter *key* at the tail as a fresh item of its stage."""
+        self.items.pop(key, None)
+        self.items[key] = QueueItem(key, now, now + STAGE_DEADLINE)
+
+    def admit(self, keys: List[OutageKey], now: float) -> List[OutageKey]:
+        """Queue *keys* for isolation while there is room; returns the
+        refused ones (backpressure)."""
+        room = max(0, QUEUE_CAPACITY - self.depths()["isolate"])
+        for key in keys[:room]:
+            self.push(key, now)
+        self.depths()  # for the peaks
+        return keys[room:]
+
+    def drop_settled(self) -> None:
+        for key in [k for k in self.items if self.stage(k) is None]:
+            del self.items[key]
+
+    def expire(self, now: float) -> List[Tuple[str, QueueItem]]:
+        """Move deadline-breached items to the front with a fresh
+        deadline and an attempt; returns ``(stage, item)`` per breach,
+        stage by stage, for the caller to journal."""
+        breached = [i for i in self.items.values() if now > i.deadline]
+        for item in reversed(breached):
+            item.attempts += 1
+            item.deadline = now + STAGE_DEADLINE
+            self.items.move_to_end(item.key, last=False)
+        self.timeouts += len(breached)
+        staged = [(self.stage(item.key), item) for item in breached]
+        return sorted(staged, key=lambda pair: STAGES.index(pair[0]))
+
+    def serve(
+        self,
+        stage: str,
+        budget: int,
+        now: float,
+        run: Callable[[OutageKey], None],
+    ) -> int:
+        """Run up to *budget* items waiting on *stage*, oldest first.
+
+        A served record that stays in its stage goes to the tail with an
+        attempt and a fresh deadline, one that moved on goes to the tail
+        as a fresh item, and a settled one leaves.
+        """
+        served = [k for k in self.items if self.stage(k) == stage][:budget]
+        for key in served:
+            run(key)
+            after = self.stage(key)
+            if after is None:
+                del self.items[key]
+            elif after != stage:
+                self.push(key, now)
+            else:
+                item = self.items[key]
+                item.attempts += 1
+                item.deadline = now + STAGE_DEADLINE
+                self.items.move_to_end(key)
+        self.depths()  # for the peaks
+        return len(served)
 
 
 @dataclass
@@ -191,15 +294,10 @@ class LifeguardService:
         self.config = config or ServiceConfig()
         self.obs = obs
         self.injector = injector
-        self.admission = AdmissionController(self.config.watermarks)
-        self.queues: Dict[Stage, StageQueue] = {
-            stage: StageQueue(
-                stage,
-                self.config.queue_capacity,
-                self.config.stage_deadline,
-            )
-            for stage in Stage
-        }
+        self.admission = AdmissionController(Watermarks())
+        self.backlog = Backlog(
+            lambda key: stage_of(self.lifeguard.record(key))
+        )
         self.schedule: List[ScheduledOutage] = self._build_schedule()
         #: (target_str, true_asn) per poisonable target; journaled.
         self.plan: List[Tuple[str, int]] = []
@@ -208,14 +306,15 @@ class LifeguardService:
         self.crashes = 0
         self.shed = 0
         self.deferred = 0
-        self.backpressure = 0
         #: RouteChanges dropped from ``engine.change_log``: nothing in the
         #: control loop reads the log, so a daemon keeps one round of it.
         self.changes_dropped = 0
         self.ttr: List[float] = []
         self._ttr_done: set = set()
         self._shed_logged: set = set()
-        self._probes_prev = self.lifeguard.prober.probes_sent
+        #: probes the last round's stages sent (the monitor's are not
+        #: discretionary, so they are no load signal).
+        self._discretionary = 0
         self._last_outage_end = 0.0
         self._crashed = False
         self._started = False
@@ -251,13 +350,11 @@ class LifeguardService:
 
     def _build_schedule(self) -> List[ScheduledOutage]:
         arrivals = self.config.arrivals
-        count = self.config.num_outages
-        if count is None:
-            span = max(0.0, self.config.duration - arrivals.first_arrival)
-            if arrivals.spacing is not None:
-                count = int(span / arrivals.spacing) + 1
-            else:
-                count = int(span * arrivals.rate) + 1
+        span = max(0.0, self.config.duration - arrivals.first_arrival)
+        if arrivals.spacing is not None:
+            count = int(span / arrivals.spacing) + 1
+        else:
+            count = int(span * arrivals.rate) + 1
         schedule = generate_outage_schedule(
             count, arrivals, seed=self.config.seed
         )
@@ -383,7 +480,6 @@ class LifeguardService:
             unroutable=unroutable,
         )
         self._gauge("traffic.users_total", self.ledger.matrix.total_users)
-        self._probes_prev = self.lifeguard.prober.probes_sent
         self._started = True
 
     # ------------------------------------------------------------------
@@ -393,10 +489,13 @@ class LifeguardService:
         self.rounds += 1
         self._inject_due_arrivals(now)
         self.lifeguard.begin_round(now)
+        monitored = self.lifeguard.prober.probes_sent
+        self.backlog.drop_settled()  # free, and in every tier
         timeouts = self._expire_deadlines(now)
         tier = self._update_tier(now)
         shed, deferred = self._admit(now)
-        processed = self._process_stages(now, tier)
+        processed = self._process_stages(now)
+        self._discretionary = self.lifeguard.prober.probes_sent - monitored
         self._harvest_ttr(now)
         self._sample_impact(now)
         self._publish(now, tier, shed, deferred, timeouts, processed)
@@ -461,34 +560,27 @@ class LifeguardService:
             self._count("service.arrivals")
 
     def _expire_deadlines(self, now: float) -> int:
-        breached = 0
-        for stage, queue in self.queues.items():
-            for item in queue.expire(now):
-                breached += 1
-                self._commit(
-                    "service-timeout",
-                    now,
-                    key=item.key,
-                    stage=stage.value,
-                    attempts=item.attempts,
-                )
-                self._count("service.timeouts")
-        return breached
+        breached = self.backlog.expire(now)
+        for stage, item in breached:
+            self._commit(
+                "service-timeout",
+                now,
+                key=item.key,
+                stage=stage,
+                attempts=item.attempts,
+            )
+            self._count("service.timeouts")
+        return len(breached)
 
     def _signals(self, now: float) -> OverloadSignals:
-        inflight = len(self.lifeguard.in_flight_records())
-        probes = self.lifeguard.prober.probes_sent
-        utilisation = (probes - self._probes_prev) / max(
-            1, self.config.watermarks.probe_budget_per_round
-        )
-        self._probes_prev = probes
+        watermarks = self.admission.watermarks
         return OverloadSignals(
-            inflight=inflight,
-            probe_utilisation=utilisation,
+            inflight=len(self.lifeguard.in_flight_records()),
+            probe_utilisation=self._discretionary
+            / max(1, watermarks.probe_budget_per_round),
             journal_lag=self.journal.lag,
-            queue_occupancy=max(
-                queue.occupancy for queue in self.queues.values()
-            ),
+            queue_occupancy=max(self.backlog.depths().values())
+            / QUEUE_CAPACITY,
         )
 
     def _update_tier(self, now: float) -> ServiceTier:
@@ -508,102 +600,52 @@ class LifeguardService:
         return tier
 
     def _admit(self, now: float) -> Tuple[int, int]:
-        """Feed newly observed outages into the isolate queue."""
-        shed = deferred = 0
-        isolate = self.queues[Stage.ISOLATE]
-        for record in self.lifeguard.observed_records():
-            key = record.key
-            if key in isolate:
-                continue
-            if not self.admission.admitting:
-                shed += 1
-                self._count("service.shed")
-                if key not in self._shed_logged:
-                    self._shed_logged.add(key)
-                    self._commit(
-                        "service-shed",
-                        now,
-                        key=key,
-                        tier=self.admission.tier.name,
-                    )
-                continue
-            if not isolate.offer(key, now):
-                # Queue full: backpressure.  The record stays OBSERVED
-                # and is re-offered every round until a slot opens.
-                deferred += 1
-                self._count("service.deferred")
-                if key not in self._shed_logged:
-                    self._shed_logged.add(key)
-                    self._commit(
-                        "service-defer", now, key=key, why="queue-full"
-                    )
+        """Queue newly observed outages for isolation, or shed them.
+
+        Refused work (shed by the tier, or deferred by a full isolate
+        stage — backpressure) stays OBSERVED and is offered again every
+        round; its first refusal is journaled."""
+        waiting = [
+            record.key
+            for record in self.lifeguard.observed_records()
+            if record.key not in self.backlog
+        ]
+        if self.admission.admitting:
+            refused = self.backlog.admit(waiting, now)
+            shed, deferred = 0, len(refused)
+            kind, counter = "service-defer", "service.deferred"
+            why = {"why": "queue-full"}
+        else:
+            refused = waiting
+            shed, deferred = len(refused), 0
+            kind, counter = "service-shed", "service.shed"
+            why = {"tier": self.admission.tier.name}
+        for key in refused:
+            self._count(counter)
+            if key not in self._shed_logged:
+                self._shed_logged.add(key)
+                self._commit(kind, now, key=key, **why)
         self.shed += shed
         self.deferred += deferred
         return shed, deferred
 
-    def _queue_for(self, record: RepairRecord) -> Optional[StageQueue]:
-        """The queue of the stage *record* waits on, None once settled."""
-        name = stage_of(record)
-        return self.queues[Stage(name)] if name is not None else None
-
-    def _budget(self, stage: Stage, tier: ServiceTier) -> int:
-        """Per-round work budget; only the forward stage degrades.
-
-        Overload comes from *new* work, so the isolate budget scales
-        with the tier down to zero at PAUSED, while the safety stages
-        (verify / retry / check) keep their full budgets: in-flight
-        poisons are announced state in other networks and must keep
-        being verified, checked and — if harmful — rolled back.
-        """
-        budget = getattr(self.config, f"{stage.value}_budget")
-        if stage is Stage.ISOLATE:
-            budget = int(budget * self.admission.budget_scale())
-        return budget
-
-    _STAGE_ORDER = (Stage.VERIFY, Stage.RETRY, Stage.CHECK, Stage.ISOLATE)
-
-    def _process_stages(self, now: float, tier: ServiceTier) -> int:
+    def _process_stages(self, now: float) -> int:
+        """Serve each stage up to its budget.  Overload comes from *new*
+        work, so only the isolate budget scales with the tier (to zero
+        at PAUSED); in-flight poisons are announced state in other
+        networks and keep being verified, checked and rolled back."""
+        lifeguard = self.lifeguard
         processed = 0
-        for stage in self._STAGE_ORDER:
-            processed += self._drain_stage(stage, now, tier)
+        for stage, budget in BUDGETS.items():
+            if stage == "isolate":
+                budget = int(budget * self.admission.budget_scale())
+            processed += self.backlog.serve(
+                stage,
+                budget,
+                now,
+                lambda key: lifeguard.run_stage(lifeguard.record(key), now),
+            )
         return processed
-
-    def _drain_stage(
-        self, stage: Stage, now: float, tier: ServiceTier
-    ) -> int:
-        queue = self.queues[stage]
-        budget = self._budget(stage, tier)
-        processed = 0
-        # Mis-staged items (their record moved on while queued) are
-        # re-routed for free; only real stage work spends budget.
-        visits = len(queue)
-        while processed < budget and len(queue) and visits > 0:
-            visits -= 1
-            item = queue.take(1)[0]
-            record = self.lifeguard.record(item.key)
-            if record is None:
-                continue
-            if self._queue_for(record) is queue:
-                self.lifeguard.run_stage(record, now)
-                processed += 1
-            self._route(queue, record, item, now)
-        return processed
-
-    def _route(self, queue: StageQueue, record, item, now: float) -> None:
-        """Put an item taken from *queue* wherever its record now
-        belongs (nowhere, if it settled while waiting or being served)."""
-        target = self._queue_for(record)
-        if target is None:
-            return
-        if target is queue:
-            queue.requeue(item, now)
-            return
-        if not target.offer(item.key, now):
-            # Downstream stage is full: hold the item here — explicit
-            # backpressure between stages, never a drop.
-            self.backpressure += 1
-            self._count("service.backpressure")
-            queue.requeue(item, now)
 
     def _harvest_ttr(self, now: float) -> None:
         for record in self.lifeguard.records:
@@ -629,10 +671,7 @@ class LifeguardService:
         timeouts: int,
         processed: int,
     ) -> None:
-        depths = {
-            stage.value: len(queue)
-            for stage, queue in self.queues.items()
-        }
+        depths = self.backlog.depths()
         inflight = len(self.lifeguard.in_flight_records())
         for stage, depth in depths.items():
             self._gauge(f"service.queue_depth.{stage}", depth)
@@ -690,7 +729,7 @@ class LifeguardService:
     ) -> None:
         """Service-level state: fold the service's own entries (plan,
         cursor, tier, impact-ledger accumulators), then rebuild what
-        derives from the recovered records (queues, TTR)."""
+        derives from the recovered records (backlog, TTR)."""
         # The matrix is deterministic from (graph, seed, config); only
         # the accumulators and the baseline come from the journal.
         self.ledger = ImpactLedger(self._build_matrix())
@@ -699,17 +738,16 @@ class LifeguardService:
             reducer = self._REDUCERS.get(entry["event"])
             if reducer is not None:
                 reducer(self, entry)
-        for queue in self.queues.values():
-            while len(queue):
-                queue.take(1)
-        for record, queue in self._unsettled():
+        self.backlog.items.clear()
+        for record in self.lifeguard.records:
             # OBSERVED records re-enter through admission control.
-            if queue.stage is not Stage.ISOLATE:
-                queue.offer(record.key, now)
+            if stage_of(record) not in (None, "isolate"):
+                self.backlog.push(record.key, now)
+        self.backlog.depths()  # for the peaks
         self.ttr = []
         self._ttr_done = set()
         self._harvest_ttr(now)
-        self._probes_prev = self.lifeguard.prober.probes_sent
+        self._discretionary = 0
 
     # ------------------------------------------------------------------
     # The run loop
@@ -719,9 +757,7 @@ class LifeguardService:
             return True
         if now <= self._last_outage_end + 150.0:
             return True  # failures still open / detection in flight
-        if any(len(queue) for queue in self.queues.values()):
-            return True
-        return bool(self._unsettled())
+        return bool(self._pending())
 
     def run(self) -> ServiceReport:
         """Drive the workload to completion; returns the report."""
@@ -753,7 +789,7 @@ class LifeguardService:
                 self._crashed = True
                 self.crashes += 1
                 self.scenario.crash()
-                down_until = now + self.config.crash_downtime
+                down_until = now + CRASH_DOWNTIME
                 continue
             self.run_round(now)
             now += interval
@@ -765,14 +801,9 @@ class LifeguardService:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _unsettled(self) -> List[Tuple[RepairRecord, StageQueue]]:
-        """Every record a stage still waits on, with that stage's queue."""
-        waiting = []
-        for record in self.lifeguard.records:
-            queue = self._queue_for(record)
-            if queue is not None:
-                waiting.append((record, queue))
-        return waiting
+    def _pending(self) -> int:
+        """Records a stage still waits on."""
+        return sum(stage_of(r) is not None for r in self.lifeguard.records)
 
     def report(self, now: float) -> ServiceReport:
         records = self.lifeguard.records
@@ -780,16 +811,7 @@ class LifeguardService:
         completed = sum(
             r.state is RepairState.UNPOISONED for r in records
         )
-        # Abandoned: a repair with no disposition — unsettled, not
-        # queued, and not waiting on admission (OBSERVED records re-enter
-        # every round, and shed/deferred ones are journaled).
-        # Structurally this must be zero — the queues requeue instead of
-        # dropping — and the CI smoke job asserts it stays that way.
-        pending = abandoned = 0
-        for record, queue in self._unsettled():
-            pending += 1
-            if queue.stage is not Stage.ISOLATE and record.key not in queue:
-                abandoned += 1
+        pending = self._pending()
         return ServiceReport(
             duration=now,
             rounds=self.rounds,
@@ -800,21 +822,22 @@ class LifeguardService:
             completed=completed,
             settled=len(records) - pending,
             pending=pending,
-            abandoned=abandoned,
+            # Both 0 by construction: a record that leaves isolation
+            # enters the backlog on the spot, whatever its stage's depth,
+            # so no unsettled record is ever unqueued and nothing waits
+            # between stages.  Kept because the benchmark reads them.
+            abandoned=0,
             shed=self.shed,
             deferred=self.deferred,
-            timeouts=sum(q.timeouts for q in self.queues.values()),
-            backpressure=self.backpressure,
+            timeouts=self.backlog.timeouts,
+            backpressure=0,
             crashes=self.crashes,
             tier_transitions=self.admission.transitions,
             final_tier=self.admission.tier.name,
             ttr_p50=_percentile(self.ttr, 0.50),
             ttr_p95=_percentile(self.ttr, 0.95),
             ttr_p99=_percentile(self.ttr, 0.99),
-            queue_peaks={
-                stage.value: queue.peak
-                for stage, queue in self.queues.items()
-            },
+            queue_peaks=dict(self.backlog.peaks),
             journal_entries=len(self.journal),
             journal_rotations=self.journal.rotations,
             drained=self._drained,

@@ -23,11 +23,12 @@ from repro.control.lifeguard import (
     RepairState,
     stage_of,
 )
+from repro.control.record import STAGES
 from repro.experiments.defenses import run_defense_study
 from repro.experiments.robustness import run_robustness_study
 from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
-from repro.service import LifeguardService, ServiceConfig, Stage
+from repro.service import LifeguardService, ServiceConfig
 from repro.traffic import TrafficConfig
 from repro.workloads.outages import OutageArrivalConfig
 from repro.workloads.scenarios import build_deployment, run_demo_scenario
@@ -190,15 +191,12 @@ class TestBehaviourPin:
 
 class TestStageOfIsTotal:
     def test_every_state_maps_to_a_stage_or_none(self):
-        stages = {s.value for s in Stage}
+        stages = set(STAGES)
         for state, end in itertools.product(RepairState, (None, 1234.0)):
             record = SimpleNamespace(
                 state=state, outage=SimpleNamespace(end=end)
             )
             assert stage_of(record) in stages | {None}, (state, end)
-
-    def test_the_queues_are_the_table(self):
-        assert {s.value for s in Stage} == set(STAGE_FOR_STATE.values())
 
     def test_healed_outage_settles_the_forward_states(self):
         for state in RepairState:

@@ -13,9 +13,10 @@ the program is handed from outside is arguments, plus the three
 environment variables on the allow-list below.  A third scan keeps one
 door shut: a speaker resolves its config once, so nothing assigns to a
 speaker's policy or config but ``BGPSpeaker.reconfigure``.  A fourth
-keeps the repair loop's five decisions at one definition each, and a
-fifth keeps the controller cut along its seam: the fold and the policy
-hold no deployment, the shell decides nothing.
+keeps the repair loop's five decisions at one definition each, a fifth
+keeps the service daemon from storing a record's stage, and a sixth
+keeps the controller cut along its seam: the fold and the policy hold no
+deployment, the shell decides nothing.
 """
 
 import ast
@@ -197,6 +198,24 @@ def test_one_of_each_around_the_repair_loop():
     assert ("experiments/defenses.py", None) not in _sites(
         r"import .*\b_\w+|^    _\w+,$"
     )
+
+
+def _service_sites(pattern):
+    return {site for site in _sites(pattern) if site[0].startswith("service/")}
+
+
+def test_the_daemon_keeps_no_copy_of_a_stage():
+    """The daemon's stage queues were a second copy of each record's
+    stage, and it went stale (an isolate queue full of settled work kept
+    the service PAUSED for good).  Its one backlog reads a stage off the
+    record through ``stage_of`` — no table, no state compared (the one
+    ``.state`` read left counts completed repairs) — and the queues and
+    the router between them are gone."""
+    assert not _service_sites(
+        r"STAGE_FOR_STATE|IN_FLIGHT|RepairState\.(?!UNPOISONED\b)"
+    )
+    assert _service_sites(r"\.state\b") == {("service/daemon.py", "report")}
+    assert not _sites(r"\b(StageQueue|_route|_queue_for)\b")
 
 
 #: What a deployment is made of: the fold and the policy import none of

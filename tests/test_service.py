@@ -11,8 +11,11 @@ come from ``REPRO_CHAOS_SEEDS`` so CI can sweep a matrix.
 """
 
 import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control.journal import RepairJournal
 from repro.control.lifeguard import LifeguardConfig
@@ -20,15 +23,16 @@ from repro.obs.events import EventBus
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     AdmissionController,
+    Backlog,
     LifeguardService,
     OverloadSignals,
     ServiceConfig,
     ServiceReport,
     ServiceTier,
-    Stage,
-    StageQueue,
     Watermarks,
+    daemon,
 )
+from repro.service.daemon import STAGE_DEADLINE
 from repro.traffic import TrafficConfig
 from repro.workloads.outages import OutageArrivalConfig
 from repro.workloads.scenarios import build_deployment
@@ -39,57 +43,161 @@ SEEDS = tuple(
 )
 
 
-class TestStageQueue:
-    def _queue(self, capacity=3, deadline=100.0):
-        return StageQueue(Stage.ISOLATE, capacity, deadline)
+def _backlog(**stages):
+    """A backlog holding *stages*' keys in order; the dict stands in for
+    the records, so setting a key's stage (None = settled) is a fold."""
+    backlog = Backlog(stages.get)
+    for key in stages:
+        backlog.push(key, now=0.0)
+    return backlog, stages
 
-    def test_fifo_take_respects_budget(self):
-        queue = self._queue()
-        for name in ("a", "b", "c"):
-            assert queue.offer((name, "d", 0.0), now=10.0)
-        taken = queue.take(2)
-        assert [item.key[0] for item in taken] == ["a", "b"]
-        assert len(queue) == 1
 
-    def test_full_queue_refuses_and_counts(self):
-        queue = self._queue(capacity=1)
-        assert queue.offer(("a", "d", 0.0), now=0.0)
-        assert not queue.offer(("b", "d", 0.0), now=0.0)
-        assert queue.refusals == 1
-        # An already-queued key is accepted in place, not a refusal.
-        assert queue.offer(("a", "d", 0.0), now=5.0)
-        assert queue.refusals == 1
-        assert len(queue) == 1
+class TestBacklog:
+    def test_fifo_within_a_stage_under_budget(self):
+        backlog, _ = _backlog(a="isolate", v="verify", b="isolate",
+                              c="isolate")
+        ran = []
+        assert backlog.serve("isolate", 2, 10.0, ran.append) == 2
+        assert ran == ["a", "b"]
+        # Served and still isolating: to the tail, in service order.
+        assert list(backlog.items) == ["v", "c", "a", "b"]
+        assert backlog.serve("isolate", 0, 20.0, ran.append) == 0
+        assert ran == ["a", "b"]
 
-    def test_requeue_goes_to_tail_with_attempt(self):
-        queue = self._queue()
-        queue.offer(("a", "d", 0.0), now=0.0)
-        queue.offer(("b", "d", 0.0), now=0.0)
-        (item,) = queue.take(1)
-        queue.requeue(item, now=50.0)
-        assert item.attempts == 1
-        assert item.deadline == 150.0
-        assert [k[0] for k in queue.keys()] == ["b", "a"]
+    def test_admission_refuses_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(daemon, "QUEUE_CAPACITY", 2)
+        backlog, stages = _backlog(a="isolate", v="verify")
+        stages.update(b="isolate", c="isolate")
+        # Only isolation has a capacity: the verify item takes no slot.
+        assert backlog.admit(["b", "c"], now=5.0) == ["c"]
+        assert list(backlog.items) == ["a", "v", "b"]
+
+    def test_served_items_go_where_their_record_now_waits(self):
+        backlog, stages = _backlog(a="isolate", b="isolate", c="isolate",
+                                   d="isolate")
+        after = {"a": "isolate", "b": "verify", "c": None}
+        backlog.serve("isolate", 3, 50.0, lambda k: stages.update(
+            {k: after[k]}))
+        assert list(backlog.items) == ["d", "a", "b"]
+        stayed, moved = backlog.items["a"], backlog.items["b"]
+        assert (stayed.attempts, stayed.deadline) == (1, 50.0 + STAGE_DEADLINE)
+        assert (moved.attempts, moved.enqueued) == (0, 50.0)
 
     def test_expire_boosts_breached_items_to_front(self):
-        queue = self._queue(deadline=100.0)
-        queue.offer(("old", "d", 0.0), now=0.0)
-        queue.offer(("new", "d", 0.0), now=90.0)
-        breached = queue.expire(now=150.0)
-        assert [item.key[0] for item in breached] == ["old"]
-        assert queue.timeouts == 1
-        # Boosted to the head with a fresh deadline and an attempt.
-        assert [k[0] for k in queue.keys()] == ["old", "new"]
-        assert breached[0].deadline == 250.0
-        assert breached[0].attempts == 1
+        backlog, stages = _backlog()
+        stages.update(fresh="isolate", v="verify", old="isolate")
+        backlog.push("fresh", now=90.0)
+        backlog.push("v", now=0.0)
+        backlog.push("old", now=0.0)
+        now = STAGE_DEADLINE + 50.0
+        breached = backlog.expire(now)
+        # Journaled stage by stage (isolate, verify, retry, check);
+        # moved to the front in backlog order, each with an attempt.
+        assert [(stage, i.key) for stage, i in breached] == [
+            ("isolate", "old"), ("verify", "v")
+        ]
+        assert list(backlog.items) == ["v", "old", "fresh"]
+        assert backlog.timeouts == 2
+        for _stage, item in breached:
+            assert (item.attempts, item.deadline) == (
+                1, now + STAGE_DEADLINE
+            )
 
-    def test_occupancy_and_peak(self):
-        queue = self._queue(capacity=4)
-        queue.offer(("a", "d", 0.0), now=0.0)
-        queue.offer(("b", "d", 0.0), now=0.0)
-        assert queue.occupancy == 0.5
-        queue.take(2)
-        assert queue.peak == 2
+    def test_depths_count_live_items_and_raise_the_peaks(self):
+        backlog, stages = _backlog(a="isolate", b="isolate", v="verify")
+        assert backlog.depths() == {
+            "isolate": 2, "verify": 1, "retry": 0, "check": 0
+        }
+        stages.update(a=None, v=None)
+        backlog.drop_settled()
+        assert list(backlog.items) == ["b"]
+        assert backlog.depths()["isolate"] == 1
+        assert backlog.peaks == {
+            "isolate": 2, "verify": 1, "retry": 0, "check": 0
+        }
+
+
+def _tiny_service(seed=3, first_arrival=150.0):
+    scenario = build_deployment(scale="tiny", seed=seed)
+    config = ServiceConfig(
+        duration=1500.0,
+        arrivals=OutageArrivalConfig(
+            first_arrival=first_arrival, spacing=300.0, duration=600.0
+        ),
+        seed=seed,
+        drain=3600.0,
+    )
+    service = LifeguardService(scenario, config)
+    service.start()
+    return service
+
+
+class TestBacklogInTheService:
+    def test_monitoring_pings_are_no_load(self):
+        service = _tiny_service()
+        prober = service.lifeguard.prober
+        before = prober.probes_sent
+        service.run_round(30.0)  # before the first arrival
+        assert prober.probes_sent > before
+        signals = service._signals(60.0)
+        assert signals.probe_utilisation == 0
+        assert signals.queue_occupancy == 0
+
+    def test_settled_items_leave_the_backlog_while_paused(self):
+        service = _tiny_service()
+        interval = service.lifeguard.config.monitor_interval
+        now = interval
+        with mock.patch.dict(daemon.BUDGETS, isolate=0):
+            while not service.backlog.depths()["isolate"]:
+                assert now < 1500.0, "no outage was admitted"
+                service.run_round(now)
+                now += interval
+            depth = service.backlog.depths()["isolate"]
+            assert service._signals(now).queue_occupancy == (
+                depth / daemon.QUEUE_CAPACITY
+            )
+            service.admission.restore(ServiceTier.PAUSED)
+            service.admission.evaluate = lambda signals: ServiceTier.PAUSED
+            while now <= service._last_outage_end + 300.0:
+                service.run_round(now)
+                now += interval
+        assert service.admission.tier is ServiceTier.PAUSED
+        assert len(service.backlog) == 0
+        assert service.report(now).pending == 0
+
+
+class TestOverloadRecovers:
+    """The closed loop the admission unit tests cannot see: the backlog
+    feeds the occupancy signal and the tier feeds the isolate budget.
+    With four isolation slots an arrival burst breaches the watermark;
+    once the last outage has ended the service must come back."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 40),
+        spacing=st.integers(1, 16).map(lambda n: 30.0 * n),
+        outage=st.integers(4, 40).map(lambda n: 30.0 * n),
+    )
+    def test_tier_returns_to_normal_and_the_backlog_drains(
+        self, seed, spacing, outage
+    ):
+        with mock.patch.object(daemon, "QUEUE_CAPACITY", 4):
+            scenario = build_deployment(scale="tiny", seed=seed)
+            config = ServiceConfig(
+                duration=2400.0,
+                arrivals=OutageArrivalConfig(
+                    first_arrival=300.0, spacing=spacing, duration=outage
+                ),
+                seed=seed,
+                drain=7200.0,
+            )
+            service = LifeguardService(scenario, config)
+            report = service.run()
+        last_end = max(outage.end for outage in service.schedule)
+        assert report.final_tier == ServiceTier.NORMAL.name
+        assert report.drained
+        assert len(service.backlog) == 0
+        assert report.duration <= last_end + 1800.0
 
 
 def _signals(inflight=0, probes=0.0, lag=0, occupancy=0.0):
