@@ -757,7 +757,11 @@ class LifeguardService:
             return True
         if now <= self._last_outage_end + 150.0:
             return True  # failures still open / detection in flight
-        return bool(self._pending())
+        # A degraded tier descends one calm round at a time, so the
+        # daemon is not done until it is back at NORMAL.
+        return bool(self._pending()) or (
+            self.admission.tier is not ServiceTier.NORMAL
+        )
 
     def run(self) -> ServiceReport:
         """Drive the workload to completion; returns the report."""
