@@ -269,8 +269,7 @@ class BGPEngine:
             # Locally-originated prefixes are installed in the table too,
             # so its prefix list is the complete desired-export universe.
             for prefix in sorted(
-                self.speakers[session.key[0]].table.prefixes(),
-                key=lambda p: (p.base, p.length),
+                self.speakers[session.key[0]].table.prefixes()
             ):
                 self._flush_session(session, prefix)
         self.session_resets += 1

@@ -237,9 +237,7 @@ class BGPSpeaker:
         # order) hold the same routes in different dict order, and the
         # caller propagates each change as it is returned — iteration
         # order here decides the transmit order of the withdrawal burst.
-        for prefix in sorted(
-            self.table.prefixes(), key=lambda p: (p.base, p.length)
-        ):
+        for prefix in sorted(self.table.prefixes()):
             old_best, new_best, did_change = self.table.decide(
                 prefix, neighbor, None
             )

@@ -304,7 +304,7 @@ class FuzzCase:
             if act.prefix and act.op in ("announce", "withdraw")
         )
         out = [Prefix(name) for name in names]
-        out.sort(key=lambda p: (p.base, p.length))
+        out.sort()
         return out
 
     def summary(self) -> str:

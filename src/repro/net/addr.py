@@ -8,6 +8,7 @@ formatting and containment tests.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Union
 
 from repro.errors import AddressError
@@ -116,17 +117,20 @@ def address_int(address: Union[int, str, Address]) -> int:
     return Address(address)._value
 
 
-class Prefix:
-    """An IPv4 prefix (network address + mask length).
+class Prefix(tuple):
+    """An IPv4 prefix: the int pair ``(base, length)``.
 
-    The network base is canonicalized: host bits beyond the mask are rejected
-    rather than silently cleared, because a non-canonical prefix in routing
-    code is almost always a bug.
+    A tuple, so a prefix hashes, compares and sorts as its pair does, in
+    C: routing state is keyed by prefix in every layer, and
+    ``hash(Prefix(b, l)) == hash((b, l))``.  The network base is
+    canonicalized: host bits beyond the mask are rejected rather than
+    silently cleared, because a non-canonical prefix in routing code is
+    almost always a bug.
     """
 
-    __slots__ = ("_base", "_length", "_hash")
+    __slots__ = ()
 
-    def __init__(self, base: Union[int, str, Address], length: int = None):
+    def __new__(cls, base: Union[int, str, Address], length: int = None):
         if isinstance(base, str) and length is None:
             if "/" not in base:
                 raise AddressError(f"prefix string needs a /length: {base!r}")
@@ -144,16 +148,16 @@ class Prefix:
             raise AddressError(f"prefix length out of range: {length}")
         if not 0 <= base <= _MAX_ADDR:
             raise AddressError(f"prefix base out of range: {base}")
-        mask = self._mask_for(length)
-        if base & ~mask & _MAX_ADDR:
+        if base & ~cls._mask_for(length) & _MAX_ADDR:
             raise AddressError(
                 f"prefix base {_format_dotted_quad(base)} has host bits set "
                 f"beyond /{length}"
             )
-        self._base = base
-        self._length = length
-        # Hashed per RIB / FIB lookup; int tuples hash alike everywhere.
-        self._hash = hash((base, length))
+        return tuple.__new__(cls, (base, length))
+
+    def __getnewargs__(self):
+        # tuple's own would hand __new__ the pair as one argument.
+        return tuple(self)
 
     @staticmethod
     def _mask_for(length: int) -> int:
@@ -161,42 +165,32 @@ class Prefix:
             return 0
         return (_MAX_ADDR << (32 - length)) & _MAX_ADDR
 
-    @property
-    def base(self) -> int:
-        """Integer value of the network address."""
-        return self._base
-
-    @property
-    def length(self) -> int:
-        """Mask length in bits (0-32)."""
-        return self._length
+    base = property(itemgetter(0), doc="Integer value of the network address.")
+    length = property(itemgetter(1), doc="Mask length in bits (0-32).")
 
     @property
     def mask(self) -> int:
         """Integer netmask."""
-        return self._mask_for(self._length)
+        return self._mask_for(self[1])
 
     @property
     def network(self) -> Address:
         """The network address as an :class:`Address`."""
-        return Address(self._base)
+        return Address(self[0])
 
     @property
     def num_addresses(self) -> int:
         """Number of addresses covered by this prefix."""
-        return 1 << (32 - self._length)
+        return 1 << (32 - self[1])
 
     def contains(self, item: Union[int, str, Address, "Prefix"]) -> bool:
         """True if *item* (address or sub-prefix) falls inside this prefix."""
         if isinstance(item, Prefix):
-            return item._length >= self._length and (
-                item._base & self.mask
-            ) == self._base
-        value = Address(item).value
-        return (value & self.mask) == self._base
+            return item[1] >= self[1] and (item[0] & self.mask) == self[0]
+        return (Address(item).value & self.mask) == self[0]
 
     def __contains__(self, item: Union[int, str, Address, "Prefix"]) -> bool:
-        return self.contains(item)
+        return self.contains(item)  # address containment, not membership
 
     def address(self, offset: int) -> Address:
         """The *offset*-th address inside the prefix (0 = network address)."""
@@ -204,46 +198,31 @@ class Prefix:
             raise AddressError(
                 f"offset {offset} outside {self} ({self.num_addresses} addrs)"
             )
-        return Address(self._base + offset)
+        return Address(self[0] + offset)
 
     def subnets(self, new_length: int) -> Iterator["Prefix"]:
         """Iterate the sub-prefixes of *new_length* bits covering this one."""
-        if new_length < self._length or new_length > 32:
-            raise AddressError(
-                f"cannot split /{self._length} into /{new_length}"
-            )
+        base, length = self
+        if new_length < length or new_length > 32:
+            raise AddressError(f"cannot split /{length} into /{new_length}")
         step = 1 << (32 - new_length)
-        for base in range(self._base, self._base + self.num_addresses, step):
-            yield Prefix(base, new_length)
+        for sub in range(base, base + self.num_addresses, step):
+            yield Prefix(sub, new_length)
 
     def supernet(self, new_length: int) -> "Prefix":
         """The covering prefix of *new_length* bits (must be shorter)."""
-        if new_length > self._length or new_length < 0:
+        if new_length > self[1] or new_length < 0:
             raise AddressError(
-                f"/{new_length} is not a supernet length of /{self._length}"
+                f"/{new_length} is not a supernet length of /{self[1]}"
             )
-        mask = self._mask_for(new_length)
-        return Prefix(self._base & mask, new_length)
+        return Prefix(self[0] & self._mask_for(new_length), new_length)
 
     def is_more_specific_of(self, other: "Prefix") -> bool:
         """True if this prefix is strictly inside *other*."""
-        return self._length > other._length and other.contains(self)
+        return self[1] > other[1] and other.contains(self)
 
     def __str__(self) -> str:
-        return f"{_format_dotted_quad(self._base)}/{self._length}"
+        return f"{_format_dotted_quad(self[0])}/{self[1]}"
 
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return self._base == other._base and self._length == other._length
-
-    def __lt__(self, other: "Prefix") -> bool:
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return (self._base, self._length) < (other._base, other._length)
-
-    def __hash__(self) -> int:
-        return self._hash

@@ -47,9 +47,7 @@ class PrefixAxis:
     __slots__ = ("bases", "covers", "spans")
 
     def __init__(self, prefixes: Iterable[Prefix]):
-        # Int triples read off the slots: property calls are half the
-        # cost of the sort.
-        entries = sorted([(p._base, p._length, p) for p in set(prefixes)])
+        entries = sorted(set(prefixes))
         # The laminar sweep, in address order: (end, cover) is where the
         # innermost open prefix ends and the nest open at the current
         # address; the stack holds the enclosing ones, "no prefix" at
@@ -57,7 +55,8 @@ class PrefixAxis:
         edges = {0: ()}
         stack: List[Tuple[int, Tuple[Prefix, ...]]] = []
         end, cover = _ADDRESS_SPACE + 1, ()
-        for start, length, prefix in entries:
+        for prefix in entries:
+            start, length = prefix
             while end <= start:
                 closed = end
                 end, cover = stack.pop()
@@ -76,10 +75,10 @@ class PrefixAxis:
         #: painting a column in this order lays inner values over outer.
         self.spans = {
             prefix: (
-                bisect_left(self.bases, start),
-                bisect_left(self.bases, start + (1 << (32 - length))),
+                bisect_left(self.bases, prefix[0]),
+                bisect_left(self.bases, prefix[0] + (1 << (32 - prefix[1]))),
             )
-            for start, length, prefix in entries
+            for prefix in entries
         }
 
 

@@ -31,6 +31,7 @@ from functools import lru_cache
 from typing import Any, Callable, Deque, Dict, IO, List, Optional, Tuple
 
 from repro.errors import error_context
+from repro.net.addr import Prefix
 
 #: Bump on incompatible changes to the serialized event layout.
 EVENT_SCHEMA_VERSION = 1
@@ -50,6 +51,8 @@ def _jsonable(value: Any) -> Any:
         return value
     if isinstance(value, dict):
         return {str(k): _jsonable(value[k]) for k in sorted(value, key=str)}
+    if isinstance(value, Prefix):  # a tuple, but it renders as its text
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (set, frozenset)):

@@ -32,7 +32,8 @@ from repro.runner.stats import RunStats
 #: 7: Route/Announcement/Withdrawal are tuples; sessions carry their key,
 #: receiver and FIFO floor, speakers their session list.
 #: 8: speakers carry their resolved policy, configs are frozen.
-CACHE_SCHEMA_VERSION = 8
+#: 9: Prefix is a (base, length) tuple; schema-8 pickles carry its slots.
+CACHE_SCHEMA_VERSION = 9
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

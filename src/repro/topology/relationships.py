@@ -21,6 +21,10 @@ class Relationship(enum.Enum):
     PROVIDER = "provider"
     SIBLING = "sibling"
 
+    # Identity, in C, not Enum's Python hash of the name: relationships
+    # key the policy tables on the solver's per-edge path.
+    __hash__ = object.__hash__
+
     def inverse(self) -> "Relationship":
         """The same edge seen from the other end."""
         if self is Relationship.CUSTOMER:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AddressError
 from repro.net.addr import Address, Prefix
+from repro.topology.relationships import Relationship
 
 
 class TestAddress:
@@ -102,3 +103,18 @@ class TestPrefix:
             Prefix("10.0.0.0/33")
         with pytest.raises(AddressError):
             Prefix("10.0.0.0")
+
+
+class TestRoutingKeysHashInC:
+    """Routing state is keyed by prefix and policy by relationship in
+    every layer: a Python ``__hash__`` or ``__eq__`` on either is a
+    Python call per dict probe, on every message the engine handles."""
+
+    def test_prefix_is_its_pair(self):
+        assert Prefix.__hash__ is tuple.__hash__
+        assert Prefix.__eq__ is tuple.__eq__
+        assert Prefix.__lt__ is tuple.__lt__
+        assert Prefix("10.0.0.0/8") == (10 << 24, 8)
+
+    def test_relationship_hashes_by_identity(self):
+        assert Relationship.__hash__ is object.__hash__

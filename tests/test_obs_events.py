@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MeasurementError, error_context
+from repro.net.addr import Prefix
 from repro.obs.events import (
     DEFAULT_CAPACITY,
     EVENT_SCHEMA_VERSION,
@@ -55,6 +56,20 @@ class TestEvent:
         event = bus.emit("k", 0.0, "c", obj=object())
         assert isinstance(event.fields["obj"], str)
         json.loads(event.canonical())  # must serialize cleanly
+
+    def test_prefix_fields_render_as_text(self):
+        # A Prefix is a (base, length) tuple; on the bus it stays its
+        # text, never the pair, or every prefix-carrying digest moves.
+        sink = io.StringIO()
+        prefix = Prefix("10.0.0.0/8")
+        bus = EventBus(sink=sink)
+        event = bus.emit("k", 0.0, "c", prefix=prefix, prefixes=[prefix])
+        line = sink.getvalue()
+        assert '"prefix":"10.0.0.0/8"' in line
+        assert '"prefixes":["10.0.0.0/8"]' in line
+        assert event.canonical() + "\n" == line
+        direct = Event(0, 0.0, "k", "c", fields={"prefix": prefix})
+        assert '"prefix":"10.0.0.0/8"' in direct.canonical()
 
 
 def _reference_line(event):

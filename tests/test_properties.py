@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) for the core data structures."""
 
+import copy
+import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from repro.bgp.messages import (
 )
 from repro.control.decision import ResidualDurationModel
 from repro.dataplane.failures import ASForwardingFailure
+from repro.errors import AddressError
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.faults.plan import STOCHASTIC_KINDS
 from repro.net.addr import Address, Prefix
@@ -66,6 +70,34 @@ class TestPrefixProperties:
     def test_containment_is_mask_equality(self, prefix, value):
         expected = (value & prefix.mask) == prefix.base
         assert (Address(value) in prefix) == expected
+
+    @given(prefixes(), prefixes())
+    def test_value_type_is_its_pair(self, prefix, other):
+        pair = (prefix.base, prefix.length)
+        other_pair = (other.base, other.length)
+        assert hash(prefix) == hash(pair)
+        assert (prefix == other) == (pair == other_pair)
+        assert (prefix < other) == (pair < other_pair)
+        for copied in (
+            pickle.loads(pickle.dumps(prefix)), copy.deepcopy(prefix)
+        ):
+            assert type(copied) is Prefix
+            assert copied == prefix
+        text = f"{Address(prefix.base)}/{prefix.length}"
+        assert str(prefix) == text
+        assert repr(prefix) == f"Prefix({text!r})"
+        assert Prefix(str(prefix)) == prefix
+
+    @given(prefixes())
+    def test_invalid_pairs_still_raise(self, prefix):
+        base, length = prefix.base, prefix.length
+        if length < 32:
+            with pytest.raises(AddressError):
+                Prefix(base | 1, length)  # a host bit
+        with pytest.raises(AddressError):
+            Prefix(base, 33)
+        with pytest.raises(AddressError):
+            Prefix(f"{Address(base)}/33")
 
 
 class TestTrieProperties:

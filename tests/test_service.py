@@ -5,12 +5,15 @@ boosts) and the admission controller's degradation ladder; the property
 tests at the bottom are the acceptance check for the service PR,
 extending ``tests/test_lifeguard_recovery.py``: a service run with the
 same seed is byte-identical (event-bus SHA-256 digest) across two
-executions, and across a mid-run crash + recover — including one that
+executions, across interpreters with other hash seeds, and across a
+mid-run crash + recover — including one that
 crosses rotated journal segments — with zero abandoned repairs.  Seeds
 come from ``REPRO_CHAOS_SEEDS`` so CI can sweep a matrix.
 """
 
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -328,7 +331,39 @@ def _run_service(seed, journal_path=None, crash_at=None, max_bytes=None):
     return report, fingerprints
 
 
+_DIGEST_SCRIPT = """
+from tests.test_service import _run_service
+print(_run_service(%d)[0].digest)
+"""
+
+
 class TestServiceDeterminism:
+    def test_digest_is_independent_of_hash_seed(self):
+        """No event may follow a set's iteration order or an identity
+        hash: fresh interpreters under other hash seeds (other string
+        hashes, other object addresses) emit the same event stream."""
+        seed = SEEDS[0]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join(
+                    [os.path.join(root, "src"), root]
+                ),
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT % seed],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+            )
+            digests.add(out.stdout.strip())
+        assert digests == {_run_service(seed)[0].digest}
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_same_seed_runs_are_byte_identical(self, seed):
         first, prints_a = _run_service(seed)
