@@ -417,11 +417,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.control.journal import RepairJournal
     from repro.control.lifeguard import LifeguardConfig
     from repro.obs import EventBus, MetricsRegistry
-    from repro.obs.export import (
-        prometheus_text,
-        write_events_jsonl,
-        write_metrics_snapshot,
-    )
+    from repro.obs.export import prometheus_text, write_metrics_snapshot
     from repro.service import LifeguardService, ServiceConfig, ServiceTier
     from repro.workloads.outages import OutageArrivalConfig
     from repro.workloads.scenarios import (
@@ -437,7 +433,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     registry = MetricsRegistry()
-    bus = EventBus(metrics=registry)
+    # The sink, not the ring, is the whole log: a long run evicts.
+    bus = EventBus(sink=args.events_out, metrics=registry)
     journal = None
     if args.journal:
         journal = RepairJournal(
@@ -493,8 +490,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.prom_out:
         with open(args.prom_out, "w", encoding="utf-8") as handle:
             handle.write(prometheus_text(registry))
-    if args.events_out:
-        write_events_jsonl(bus.events(), args.events_out)
+    bus.close()
     service.journal.close()
     if not report.drained or report.final_tier != ServiceTier.NORMAL.name:
         print(

@@ -169,7 +169,8 @@ class DataPlane:
         link) and the topology's egress memo one question apiece.
         """
         now = self.now if now is None else now
-        destination = address_int(destination)
+        if type(destination) is not int:  # noqa: E721
+            destination = address_int(destination)
         failures = self.failures
         seen = self._seen
         if (

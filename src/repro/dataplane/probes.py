@@ -22,6 +22,7 @@ _TRACEROUTE_MAX_TTL = 64
 #: The IPv4 record-route option holds at most nine addresses — the
 #: constraint the reverse-traceroute algorithm is built around.
 RECORD_ROUTE_SLOTS = 9
+_DELIVERED = ForwardOutcome.DELIVERED
 
 
 @dataclass(slots=True)
@@ -218,7 +219,8 @@ class Prober:
         instead — LIFEGUARD pings from its sentinel prefix's unused space
         this way to test whether a poisoned path has been repaired.
         """
-        destination = Address(destination)
+        if type(destination) is not Address:
+            destination = Address(destination)
         result = self._ping(
             source_rid, destination, receive_at, claimed_address
         )
@@ -250,37 +252,37 @@ class Prober:
                 success=False, request=self._lost_probe_result(source_rid)
             )
         self.probes_sent += 1
+        # Both walks take ints: on a monitoring round each is one read of
+        # the data plane's walk memo.
         dataplane = self.dataplane
+        topo = dataplane.topo
         if claimed_address is not None:
-            claimed = Address(claimed_address)
+            claimed = Address(claimed_address)._value
         else:
-            claimed = self._address_of(receive_at or source_rid)
-        target = destination.value
+            claimed = topo.router(receive_at or source_rid).address._value
+        target = destination._value
         request = dataplane.forward(source_rid, target)
-        if request.outcome is not ForwardOutcome.DELIVERED:
-            return PingResult(success=False, request=request)
+        if request.outcome is not _DELIVERED:
+            return PingResult(False, request)
         responder_rid = request.final_router
-        responder = dataplane.topo.router(responder_rid)
+        responder = topo.router(responder_rid)
         # Hosts (non-router addresses) always answer; routers may be
         # configured to ignore ICMP.
         if (
             not responder.responds_to_ping
-            and dataplane.topo.router_by_address(target) is not None
+            and topo.router_by_address(target) is not None
         ):
-            return PingResult(success=False, request=request)
+            return PingResult(False, request)
         if self.reply_loss_rate > 0 and self._reply_lost():
-            return PingResult(success=False, request=request)
-        reply = dataplane.forward(responder_rid, claimed.value)
+            return PingResult(False, request)
+        reply = dataplane.forward(responder_rid, claimed)
         success = (
-            reply.outcome is ForwardOutcome.DELIVERED
+            reply.outcome is _DELIVERED
             and reply.target_router is not None
             and reply.final_router == reply.target_router
         )
         return PingResult(
-            success=success,
-            request=request,
-            reply=reply,
-            responder=responder.address if success else None,
+            success, request, reply, responder.address if success else None
         )
 
     def reachability(

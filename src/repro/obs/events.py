@@ -16,9 +16,13 @@ ran serially or fanned out over eight workers.  That makes event logs
 *diffable artifacts*: CI records them, and a digest mismatch between
 worker counts is a reproducibility bug by definition.
 
-The bus keeps a bounded ring buffer (old events fall off; the digest and
-per-kind counts cover the full history) and can stream every event to a
-JSONL sink as it is emitted.
+The bus keeps a bounded ring buffer of canonical lines (old events fall
+off; the digest and per-kind counts cover the full history) and can
+stream every event to a JSONL sink as it is emitted.  An event is its
+line until someone reads it: ``emit`` builds the line it hashes and
+writes anyway and keeps that string, and :meth:`EventBus.events` parses
+the ring back into :class:`Event` values.  A string is no work for the
+cyclic garbage collector; an object with a dict of fields is.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Deque, Dict, IO, List, Optional, Tuple
+from typing import Any, Deque, Dict, IO, List, Optional, Tuple
 
 from repro.errors import error_context
 from repro.net.addr import Prefix
@@ -62,8 +66,6 @@ def _jsonable(value: Any) -> Any:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
-#: Types :func:`_jsonable` hands back as they are.
-_SCALARS = frozenset((bool, int, float, str, type(None)))
 
 
 def _encode(value: Any) -> str:
@@ -179,11 +181,12 @@ class Event:
 class EventBus:
     """Bounded, digest-carrying event stream with an optional JSONL sink.
 
-    *capacity* bounds the in-memory ring; evicted events are gone from
-    :meth:`events` but remain in ``counts``, ``total`` and the running
-    :meth:`digest` (and in the sink, if one is attached).  *sink* is a
-    path or open text handle that receives one canonical JSON line per
-    event as it happens.  *metrics* is an optional
+    *capacity* bounds the in-memory ring of canonical lines; evicted
+    events are gone from :meth:`events` but remain in ``counts``,
+    ``total`` and the running :meth:`digest` (and in the sink, if one is
+    attached).  *sink* is a path (truncated on open) or an open text
+    handle that receives one canonical JSON line per event as it
+    happens.  *metrics* is an optional
     :class:`~repro.obs.metrics.MetricsRegistry`; every emitted event
     increments its ``obs.events.<kind>`` counter, and components may
     route histogram observations through :meth:`observe`.
@@ -196,7 +199,8 @@ class EventBus:
         metrics: Optional[Any] = None,
     ) -> None:
         self.capacity = capacity
-        self._ring: Deque[Event] = deque(maxlen=capacity)
+        #: each event's canonical line, newline included.
+        self._ring: Deque[str] = deque(maxlen=capacity)
         self.metrics = metrics
         #: events emitted over the bus's whole life (ring may hold fewer).
         self.total = 0
@@ -208,12 +212,11 @@ class EventBus:
         #: (registries never drop a counter, so the handle stays good).
         self._kind_counters: Dict[str, Any] = {}
         self._hash = hashlib.sha256()
-        self._subscribers: List[Callable[[Event], None]] = []
         self._sink_fh: Optional[IO[str]] = None
         self._owns_sink = False
         if sink is not None:
             if isinstance(sink, (str, bytes)):
-                self._sink_fh = open(sink, "a", encoding="utf-8")
+                self._sink_fh = open(sink, "w", encoding="utf-8")
                 self._owns_sink = True
             else:
                 self._sink_fh = sink
@@ -228,21 +231,17 @@ class EventBus:
         component: str,
         subject: Optional[str] = None,
         **fields: Any,
-    ) -> Event:
-        """Record one event; returns it (already sequenced and hashed)."""
-        for name, value in fields.items():
-            if type(value) not in _SCALARS:
-                fields[name] = _jsonable(value)
+    ) -> None:
+        """Record one event: sequence it, hash its canonical line, keep
+        the line in the ring and write it to the sink."""
         skeleton = _skeleton(
             kind, component, subject is not None, tuple(fields)
         )
-        t = float(t)
-        line = _fill(skeleton, self.total, t, subject, fields) + "\n"
-        event = Event(self.total, t, kind, component, subject, fields)
+        line = _fill(skeleton, self.total, float(t), subject, fields) + "\n"
         self.total += 1
         if len(self._ring) == self.capacity:
             self.evicted += 1
-        self._ring.append(event)
+        self._ring.append(line)
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self._hash.update(line.encode("utf-8"))
         if self._sink_fh is not None:
@@ -254,9 +253,6 @@ class EventBus:
                     f"obs.events.{kind}"
                 )
             counter.inc()
-        for subscriber in self._subscribers:
-            subscriber(event)
-        return event
 
     def emit_error(
         self,
@@ -266,12 +262,12 @@ class EventBus:
         exc: BaseException,
         subject: Optional[str] = None,
         **fields: Any,
-    ) -> Event:
+    ) -> None:
         """Emit a failure event carrying the exception's structured
         context (see :func:`repro.errors.error_context`) instead of a
         bare ``str(exc)``."""
         fields["error"] = error_context(exc)
-        return self.emit(kind, t, component, subject=subject, **fields)
+        self.emit(kind, t, component, subject=subject, **fields)
 
     def observe(self, name: str, value: float) -> None:
         """Route a histogram observation to the attached registry
@@ -280,16 +276,14 @@ class EventBus:
         if self.metrics is not None:
             self.metrics.observe(name, value)
 
-    def subscribe(self, fn: Callable[[Event], None]) -> None:
-        """Call *fn* synchronously for every subsequent event."""
-        self._subscribers.append(fn)
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     def events(self) -> List[Event]:
-        """The events still in the ring, oldest first."""
-        return list(self._ring)
+        """The events still in the ring, oldest first, parsed from their
+        lines: field values come back in their :func:`_jsonable` form
+        (tuples as lists, prefixes and other objects as their text)."""
+        return [Event.from_json(json.loads(line)) for line in self._ring]
 
     def digest(self) -> str:
         """SHA-256 over the canonical line of every event ever emitted.

@@ -1,6 +1,7 @@
 """Tests for the lifeguard-repro command-line interface."""
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import sys
 
 import pytest
 
+import repro.obs
 from repro.cli import build_parser, main
+from repro.obs import EventBus
+from repro.obs.export import event_log_digest, read_events_jsonl
 from repro.runner.bench import BENCH_SCHEMA_VERSION, BENCHMARKS, RETIRED
 from repro.service import LifeguardService
 
@@ -123,6 +127,32 @@ class TestCommands:
         assert err == (
             f"the service stopped repairing: {reason}\n" if stub else ""
         )
+
+    def test_serve_events_out_is_the_whole_log(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """It was written from the ring after the run: a run that evicted
+        left only the ring's last events in the file, and their digest
+        was not the one printed.  A 100-event ring makes this run evict."""
+        monkeypatch.setattr(
+            repro.obs, "EventBus", functools.partial(EventBus, capacity=100)
+        )
+        reports = []
+        run = LifeguardService.run
+        monkeypatch.setattr(
+            LifeguardService, "run",
+            lambda self: reports.append(run(self)) or reports[-1],
+        )
+        path = str(tmp_path / "events.jsonl")
+        assert main([
+            "--seed", "3", "serve", "--sim", "--duration", "600",
+            "--events-out", path,
+        ]) == 0
+        (report,) = reports
+        logged = read_events_jsonl(path)
+        assert len(logged) > 100
+        assert event_log_digest(logged) == report.digest
+        assert f"event digest {report.digest[:16]}" in capsys.readouterr().out
 
 
 class TestBench:

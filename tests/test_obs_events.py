@@ -1,5 +1,6 @@
 """Tests for the observability event bus (repro.obs.events)."""
 
+import gc
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     Event,
     EventBus,
+    _jsonable,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -47,13 +49,16 @@ class TestEvent:
         assert again == event
 
     def test_events_carry_no_dict_and_survive_pickling(self):
-        event = EventBus().emit("k", 1.0, "c", subject="s", x=[1, 2])
+        bus = EventBus()
+        bus.emit("k", 1.0, "c", subject="s", x=[1, 2])
+        (event,) = bus.events()
         assert not hasattr(event, "__dict__")
         assert pickle.loads(pickle.dumps(event)) == event
 
     def test_unjsonable_emit_fields_become_strings(self):
         bus = EventBus()
-        event = bus.emit("k", 0.0, "c", obj=object())
+        bus.emit("k", 0.0, "c", obj=object())
+        (event,) = bus.events()
         assert isinstance(event.fields["obj"], str)
         json.loads(event.canonical())  # must serialize cleanly
 
@@ -63,10 +68,14 @@ class TestEvent:
         sink = io.StringIO()
         prefix = Prefix("10.0.0.0/8")
         bus = EventBus(sink=sink)
-        event = bus.emit("k", 0.0, "c", prefix=prefix, prefixes=[prefix])
+        bus.emit("k", 0.0, "c", prefix=prefix, prefixes=[prefix])
         line = sink.getvalue()
         assert '"prefix":"10.0.0.0/8"' in line
         assert '"prefixes":["10.0.0.0/8"]' in line
+        (event,) = bus.events()
+        assert event.fields == {
+            "prefix": "10.0.0.0/8", "prefixes": ["10.0.0.0/8"]
+        }
         assert event.canonical() + "\n" == line
         direct = Event(0, 0.0, "k", "c", fields={"prefix": prefix})
         assert '"prefix":"10.0.0.0/8"' in direct.canonical()
@@ -75,6 +84,20 @@ class TestEvent:
 def _reference_line(event):
     """What ``canonical()`` was before it had a skeleton to fill."""
     return json.dumps(event.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def _call_line(seq, kind, t, component, subject, fields):
+    """The ``json.dumps`` line of one ``emit`` call, built from the
+    call's own arguments, not from anything the bus kept."""
+    blob = {
+        "v": EVENT_SCHEMA_VERSION, "seq": seq, "t": float(t),
+        "kind": kind, "component": component,
+    }
+    if subject is not None:
+        blob["subject"] = subject
+    if fields:
+        blob["fields"] = _jsonable(fields)
+    return json.dumps(blob, sort_keys=True, separators=(",", ":"))
 
 
 #: Text that breaks naive templating or escaping: quotes, backslashes,
@@ -137,13 +160,16 @@ class TestCanonicalEncoder:
     def test_compiled_line_equals_json_dumps(
         self, kind, component, subject, t, fields
     ):
-        bus = EventBus()
+        sink = io.StringIO()
+        bus = EventBus(sink=sink)
         bus.emit("warm-up", 0.0, "test")  # seq 1 below, not 0
-        event = bus.emit(kind, t, component, subject=subject, **fields)
-        line = event.canonical()
-        assert line == _reference_line(event)
-        again = Event.from_json(json.loads(line))
-        assert again.canonical() == line
+        bus.emit(kind, t, component, subject=subject, **fields)
+        line = _call_line(1, kind, t, component, subject, fields)
+        # JSON escapes every newline inside a value: one event per line.
+        assert sink.getvalue().split("\n")[1] == line
+        # What the ring gives back renders to the same line.
+        (_, event) = bus.events()
+        assert event.canonical() == line
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -193,28 +219,35 @@ class TestCanonicalEncoder:
             EventBus(sink=sink, metrics=MetricsRegistry()),
         ]
         expected = []
-        for kind, t, component, subject, fields in calls * repeat:
-            events = [
+        for seq, (kind, t, component, subject, fields) in enumerate(
+            calls * repeat
+        ):
+            for bus in buses:
                 bus.emit(kind, t, component, subject=subject, **fields)
-                for bus in buses
-            ]
-            line = _reference_line(events[0])
+            line = _call_line(seq, kind, t, component, subject, fields)
             expected.append(line + "\n")
-            assert {event.canonical() for event in events} == {line}
         text = "".join(expected)
         assert sink.getvalue() == text
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert [bus.digest() for bus in buses] == [digest] * len(buses)
+        for bus in buses:
+            kept = [event.canonical() + "\n" for event in bus.events()]
+            assert kept == expected[-bus.capacity:]
 
     def test_true_is_not_one_and_ints_are_not_floats(self):
-        bus = EventBus()
-        line = bus.emit(
-            "k", 30, "c", yes=True, one=1, zero=0, no=False, f=1.0
-        ).canonical()
-        assert line == (
+        sink = io.StringIO()
+        bus = EventBus(sink=sink)
+        bus.emit("k", 30, "c", yes=True, one=1, zero=0, no=False, f=1.0)
+        line = (
             '{"component":"c","fields":{"f":1.0,"no":false,"one":1,'
             '"yes":true,"zero":0},"kind":"k","seq":0,"t":30.0,"v":1}'
         )
+        assert sink.getvalue() == line + "\n"
+        (event,) = bus.events()
+        assert event.canonical() == line
+        assert [type(event.fields[name]) for name in ("yes", "one", "f")] == [
+            bool, int, float
+        ]
 
     def test_non_finite_and_exotic_values_take_the_fallback(self):
         event = Event(
@@ -269,12 +302,23 @@ class TestEventBus:
     def test_default_capacity_is_bounded(self):
         assert EventBus().capacity == DEFAULT_CAPACITY
 
-    def test_subscribe(self):
+    def test_the_ring_gives_the_collector_nothing_to_track(self):
+        """The ring keeps lines: 2,000 events with list and dict fields
+        add no object the cyclic collector walks (an ``Event`` with its
+        fields dict added five apiece)."""
         bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit("x", 0.0, "c")
-        assert len(seen) == 1 and seen[0].kind == "x"
+        bus.emit("k", 0.0, "c", subject="s", hops=[0], seen={"a": 0})
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(2000):
+            bus.emit(
+                "k", float(i), "c", subject="s",
+                hops=[i, i + 1], seen={"a": i, "b": [i]},
+            )
+        gc.collect()
+        assert len(gc.get_objects()) - before < 50
+        assert len(bus) == 2001
+        assert not any(gc.is_tracked(line) for line in bus._ring)
 
     def test_counts_per_kind(self):
         bus = EventBus()

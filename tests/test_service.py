@@ -11,6 +11,7 @@ crosses rotated journal segments — with zero abandoned repairs.  Seeds
 come from ``REPRO_CHAOS_SEEDS`` so CI can sweep a matrix.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -479,3 +480,35 @@ class TestReadPathBehaviourPin:
         assert scenario.engine.change_log == []
         assert gauges["bgp.change_log.dropped"] == service.changes_dropped
         assert service.changes_dropped > 500
+
+
+def test_small_episode_reads_back_the_events_it_emitted():
+    """``TestReadPathBehaviourPin``'s episode read back from the ring.
+
+    The ring keeps each event's canonical line and ``events()`` parses
+    it; the hash over the parsed events (``repr`` tells a tuple from a
+    list, ``True`` from ``1``, ``1`` from ``1.0``) was recorded when the
+    ring still held the ``Event`` objects ``emit`` had built.
+    """
+    obs = EventBus(metrics=MetricsRegistry())
+    scenario = build_deployment(
+        scale="small", seed=3, num_helper_vps=3, num_targets=5,
+        obs=obs, cache=None, baseline_mode="auto",
+        lifeguard_config=LifeguardConfig(delta_mode="off"),
+    )
+    config = ServiceConfig(
+        duration=1200.0,
+        arrivals=OutageArrivalConfig(
+            first_arrival=150.0, spacing=300.0, duration=900.0
+        ),
+        seed=3,
+        drain=1500.0,
+        traffic=TrafficConfig(),
+    )
+    LifeguardService(scenario, config, obs=obs).run()
+    blobs = [event.to_json() for event in obs.events()]
+    assert len(blobs) == 5789
+    assert hashlib.sha256(repr(blobs).encode("utf-8")).hexdigest() == (
+        "d02d1df1ecf0eba3ee746d63d8f04dec"
+        "e4204bb127cbde88efb24d34de0dd6fe"
+    )
