@@ -22,8 +22,9 @@ O(blast radius), not O(topology).  Clean prefixes are never touched.
 state is *analytic* (installed by ``warm_start`` or this module, never
 perturbed by event-path activity).  Splicing removes exactly the old
 solution's rows — Adj-RIB-In and Loc-RIB entries at the old cone's
-receivers, wire state on the old ``sent`` sessions — and installs the
-new solution the same way ``warm_start`` would, so the resulting engine
+receivers, wire state on the sessions of the old ``sent`` exporters,
+diffed exporter by exporter — and installs the new solution the same
+way ``warm_start`` would, so the resulting engine
 state is identical — ``fuzz.diff.capture_state`` over every prefix
 returns an equal row set — to a cold full re-run of the solver on the
 new origination set.  The equality is pinned three ways: the post-poison /
@@ -188,7 +189,7 @@ def delta_unsupported_reason(
             for path in paths:
                 if path is None:
                     continue
-                if path[0] != org.asn or path[-1] != org.asn:
+                if not path or path[0] != org.asn or path[-1] != org.asn:
                     return (
                         f"invalid origin path {path} for AS{org.asn} "
                         "(the event engine raises)"
@@ -266,7 +267,6 @@ def apply_delta(
     splice_start = perf_counter()
     phase_seconds = {"up": 0.0, "across": 0.0, "down": 0.0, "install": 0.0}
     speakers = engine.speakers
-    sessions = engine._sessions
     for prefix, org in dirty.items():
         old = analytic.get(prefix)
         if org is None and old is None:
@@ -298,7 +298,7 @@ def apply_delta(
             speakers[old.origination.asn].stop_originating(prefix)
             del analytic[prefix]
             new_rows: Dict[int, Dict[int, Route]] = {}
-            new_sent: Dict[Tuple[int, int], object] = {}
+            new_sent: Dict[int, Dict[int, object]] = {}
         else:
             # A solution is a pure function of (origination, adjacency),
             # so repair ladders that revisit a config — every unpoison
@@ -330,19 +330,29 @@ def apply_delta(
             new_best[org.asn] = speakers[org.asn].best(prefix)
             origin_asns.add(org.asn)
 
-        # Splice as a diff: rows/pins/wire entries whose old and new
-        # values are equal are left in place — by definition value-
-        # identical to what a cold re-run installs — so the work is
-        # O(actual reroutes), not O(cone).
+        # Splice as a diff: rows/pins and exporters' wire rows whose old
+        # and new values are equal are left in place — by definition
+        # value-identical to what a cold re-run installs — so the work
+        # is O(actual reroutes), not O(cone).
         for receiver in old_rows.keys() | new_rows.keys():
             rows = new_rows.get(receiver)
             if old_rows.get(receiver) != rows:
                 speakers[receiver].table.replace_rows(prefix, rows)
-        for session_key in old_sent.keys() - new_sent.keys():
-            sessions[session_key].sent.pop(prefix, None)
-        for session_key, announcement in new_sent.items():
-            if old_sent.get(session_key) != announcement:
-                sessions[session_key].sent[prefix] = announcement
+        for src, row in new_sent.items():
+            old_row = old_sent.get(src)
+            if old_row == row:
+                continue
+            sessions = speakers[src].sessions
+            if old_row:
+                for dst in old_row.keys() - row.keys():
+                    sessions[dst].sent.pop(prefix, None)
+            for dst, announcement in row.items():
+                sessions[dst].sent[prefix] = announcement
+        for src, old_row in old_sent.items():
+            if src not in new_sent:
+                sessions = speakers[src].sessions
+                for dst in old_row:
+                    sessions[dst].sent.pop(prefix, None)
 
         result.cone_asns.update(old_rows)
         result.cone_asns.update(new_rows)

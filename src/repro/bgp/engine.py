@@ -72,7 +72,7 @@ class _Session:
     )
 
     def __init__(self, key: Tuple[int, int], mrai: float) -> None:
-        #: (src, dst) ASNs.  No speaker reference: speakers list their
+        #: (src, dst) ASNs.  No speaker reference: speakers index their
         #: sessions, and a cycle would leave every discarded engine to
         #: the cyclic collector.
         self.key = key
@@ -170,7 +170,7 @@ class BGPEngine:
                 session = self._sessions[(asn, neighbor)] = _Session(
                     (asn, neighbor), config.mrai * jitter
                 )
-                speaker.sessions.append((neighbor, session))
+                speaker.sessions[neighbor] = session
 
     # ------------------------------------------------------------------
     # Event queue plumbing
@@ -310,16 +310,18 @@ class BGPEngine:
                 per_neighbor=org.per_neighbor_dict(),
                 med=org.med,
             )
-        sessions = self._sessions
+        speakers = self.speakers
         for solution in result.solutions:
             prefix = solution.prefix
             best = solution.best
             for receiver, routes in solution.adj_in.items():
-                self.speakers[receiver].table.load(
+                speakers[receiver].table.load(
                     prefix, routes, best.get(receiver)
                 )
-            for session_key, announcement in solution.sent.items():
-                sessions[session_key].sent[prefix] = announcement
+            for src, row in solution.sent.items():
+                sessions = speakers[src].sessions
+                for dst, announcement in row.items():
+                    sessions[dst].sent[prefix] = announcement
         self._analytic = {s.prefix: s for s in result.solutions}
         self._fib_dirty = None
         if self.obs is not None:
@@ -430,7 +432,7 @@ class BGPEngine:
         """Tell every neighbor of *speaker* what it should now hear about
         *prefix*, *best* being the speaker's Loc-RIB entry for it."""
         if best is None or speaker.originates(prefix):
-            for _, session in speaker.sessions:
+            for session in speaker.sessions.values():
                 self._flush_session(session, prefix)
             return
         # A transit route is told identically to every neighbor the
@@ -441,7 +443,7 @@ class BGPEngine:
         )
         supplier = best.neighbor
         shared = None
-        for neighbor, session in speaker.sessions:
+        for neighbor, session in speaker.sessions.items():
             desired = None
             if neighbor in targets and neighbor != supplier:
                 if shared is None:

@@ -24,7 +24,7 @@ Loop prevention (the mechanism poisoning exploits) is applied per offer:
 a receiver already on the path rejects it, exactly like the engine's
 import filter with ``loop_max_occurrences=1``.
 
-A :class:`SolverResult` then materializes per-session wire state and
+A :class:`SolverResult` then materializes per-exporter wire rows and
 Adj-RIB-In/Loc-RIB entries; :meth:`BGPEngine.warm_start` installs them
 so the engine is at quiescence and behaves identically to an
 event-converged one for all subsequent perturbations.
@@ -37,6 +37,7 @@ The solver refuses configurations it cannot model exactly —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,6 +46,12 @@ from repro.bgp.rib import Route
 from repro.errors import SimulationError
 from repro.net.addr import Prefix
 from repro.topology.relationships import Relationship, local_pref_for
+
+#: The role a receiver assigns the AS exporting to it, keyed by the role
+#: the exporter assigns the receiver (one edge, seen from its other end).
+_RECEIVER_ROLE = {role: role.inverse() for role in Relationship}
+#: Local-pref of a route a customer hears from its provider.
+_PROVIDER_PREF = local_pref_for(Relationship.PROVIDER)
 
 
 class SolverUnsupported(SimulationError):
@@ -108,8 +115,9 @@ class PrefixSolution:
     #: receiver ASN -> selected Loc-RIB route (the origin is absent; its
     #: self-route comes from :meth:`BGPSpeaker.originate`).
     best: Dict[int, Route]
-    #: directed session -> announcement on the wire (``_Session.sent``).
-    sent: Dict[Tuple[int, int], Announcement]
+    #: exporter ASN -> receiver ASN -> announcement on the wire (the
+    #: ``_Session.sent`` entry of ``speakers[exporter].sessions[receiver]``).
+    sent: Dict[int, Dict[int, Announcement]]
 
 
 @dataclass
@@ -309,171 +317,185 @@ def solve_prefix(
     nbr_rel, providers_of, peers_of, customers_of = adjacency
     origin = org.asn
     prefix = org.prefix
+    med = org.med
     t0 = perf_counter()
 
     # Seed offers straight from the origination config, split by the
-    # relationship class the *receiver* assigns them.  An offer is
-    # (med, sender, path); its length is len(path).
-    up_pending: Dict[int, Dict[int, List[tuple]]] = {}
-    peer_cands: Dict[int, List[tuple]] = {}
-    down_pending: Dict[int, Dict[int, List[tuple]]] = {}
-    for n in nbr_rel[origin]:
+    # relationship class the *receiver* assigns the origin (the inverse
+    # of the origin's role for it).  An offer is (med, sender, path);
+    # each pending level keeps a receiver's least offer, compared with
+    # ``<`` — the one ``min`` over all of them would pick.
+    up_pending: Dict[int, Dict[int, tuple]] = {}
+    peer_best: Dict[int, tuple] = {}
+    down_pending: Dict[int, Dict[int, tuple]] = {}
+    for n, role in nbr_rel[origin].items():
         path = org.path_for(n)
         if path is None or n in path:
             continue
-        rel = nbr_rel[n][origin]  # the role the origin plays for n
-        offer = (org.med, origin, path)
-        if rel is Relationship.CUSTOMER:
-            up_pending.setdefault(len(path), {}).setdefault(n, []).append(
-                offer
-            )
-        elif rel is Relationship.PEER:
-            peer_cands.setdefault(n, []).append((len(path),) + offer)
+        if role is Relationship.PEER:
+            peer_best[n] = (len(path), med, origin, path)
         else:
-            down_pending.setdefault(len(path), {}).setdefault(n, []).append(
-                offer
+            pending = (
+                up_pending if role is Relationship.PROVIDER else down_pending
             )
+            pending.setdefault(len(path), {})[n] = (med, origin, path)
 
-    # final: ASN -> (sender, path, export_path); split per class below.
-    # An AS appears in exactly one class (local-pref dominance).
-    up_final: Dict[int, tuple] = {}
+    # final: ASN -> (sender, path, export_path), customer-learned first,
+    # then peer-learned, then provider-learned.  An AS appears once
+    # (local-pref dominance); an AS already final is skipped when an
+    # offer to it is pushed, and when a seed or same-level offer pops.
+    final: Dict[int, tuple] = {}
     while up_pending:
         level = min(up_pending)
-        for receiver, cands in up_pending.pop(level).items():
-            if receiver in up_final:
+        pushed = None
+        for receiver, (_med, sender, path) in up_pending.pop(level).items():
+            if receiver in final:
                 continue
-            _med, sender, path = min(cands)
             export = intern_path((receiver,) + path)
-            up_final[receiver] = (sender, path, export)
+            final[receiver] = (sender, path, export)
+            offer = (0, receiver, export)
             for provider in providers_of[receiver]:
-                if provider in export:
+                if provider in final or provider in export:
                     continue
-                up_pending.setdefault(level + 1, {}).setdefault(
-                    provider, []
-                ).append((0, receiver, export))
+                if pushed is None:
+                    pushed = up_pending.setdefault(level + 1, {})
+                held = pushed.get(provider)
+                if held is None or offer < held:
+                    pushed[provider] = offer
+    up_count = len(final)
     t1 = perf_counter()
     phase_seconds["up"] += t1 - t0
 
     # Phase 2: one-hop exports of customer-learned bests to peers.
-    for holder, (_sender, _path, export) in up_final.items():
+    for holder, (_sender, _path, export) in final.items():
+        offer = (len(export), 0, holder, export)
         for peer in peers_of[holder]:
-            if peer in up_final or peer in export:
+            if peer in final or peer in export:
                 continue
-            peer_cands.setdefault(peer, []).append(
-                (len(export), 0, holder, export)
-            )
-    peer_final: Dict[int, tuple] = {}
-    for receiver, cands in peer_cands.items():
-        if receiver in up_final:
-            continue
-        _length, _med, sender, path = min(cands)
-        peer_final[receiver] = (sender, path, intern_path((receiver,) + path))
+            held = peer_best.get(peer)
+            if held is None or offer < held:
+                peer_best[peer] = offer
+    for receiver, (_length, _med, sender, path) in peer_best.items():
+        if receiver not in final:
+            final[receiver] = (sender, path, intern_path((receiver,) + path))
     t2 = perf_counter()
     phase_seconds["across"] += t2 - t1
 
     # Phase 3: customer/peer holders export down; provider-learned routes
     # cascade along customer links in path-length order.
-    for final in (up_final, peer_final):
-        for holder, (_sender, _path, export) in final.items():
-            for customer in customers_of[holder]:
-                if customer in export:
-                    continue
-                down_pending.setdefault(len(export), {}).setdefault(
-                    customer, []
-                ).append((0, holder, export))
-    down_final: Dict[int, tuple] = {}
+    for holder, (_sender, _path, export) in final.items():
+        offer = (0, holder, export)
+        pushed = None
+        for customer in customers_of[holder]:
+            if customer in final or customer in export:
+                continue
+            if pushed is None:
+                pushed = down_pending.setdefault(len(export), {})
+            held = pushed.get(customer)
+            if held is None or offer < held:
+                pushed[customer] = offer
     while down_pending:
         level = min(down_pending)
-        for receiver, cands in down_pending.pop(level).items():
-            if (
-                receiver in down_final
-                or receiver in up_final
-                or receiver in peer_final
-            ):
+        pushed = None
+        for receiver, (_med, sender, path) in down_pending.pop(level).items():
+            if receiver in final:
                 continue
-            _med, sender, path = min(cands)
             export = intern_path((receiver,) + path)
-            down_final[receiver] = (sender, path, export)
+            final[receiver] = (sender, path, export)
+            offer = (0, receiver, export)
             for customer in customers_of[receiver]:
-                if customer in export:
+                if customer in final or customer in export:
                     continue
-                down_pending.setdefault(level + 1, {}).setdefault(
-                    customer, []
-                ).append((0, receiver, export))
+                if pushed is None:
+                    pushed = down_pending.setdefault(level + 1, {})
+                held = pushed.get(customer)
+                if held is None or offer < held:
+                    pushed[customer] = offer
     t3 = perf_counter()
     phase_seconds["down"] += t3 - t2
 
-    # Materialize wire/RIB state from the finals.  Announcements and
-    # routes are shared: one announcement per exporter, one route per
-    # (exporter, receiver-relationship class) — they compare equal to the
+    # Install wire/RIB state from the finals, exporter by exporter, in
+    # the layout the engine stores it.  Announcements and routes are
+    # shared: one announcement per exporter, one route per (exporter,
+    # receiver relationship class) — they compare equal to the
     # per-session objects the event engine builds.
     adj_in: Dict[int, Dict[int, Route]] = {}
-    sent: Dict[Tuple[int, int], Announcement] = {}
+    sent: Dict[int, Dict[int, Announcement]] = {}
 
+    row: Dict[int, Announcement] = {}
     ann_by_path: Dict[ASPath, Announcement] = {}
-    for n in nbr_rel[origin]:
+    for n, role in nbr_rel[origin].items():
         path = org.path_for(n)
         if path is None:
             continue
         path = intern_path(path)
         ann = ann_by_path.get(path)
         if ann is None:
-            ann = ann_by_path[path] = Announcement(
-                prefix=prefix, as_path=path, med=org.med
-            )
-        sent[(origin, n)] = ann
-        if n in path:
-            continue
-        rel = nbr_rel[n][origin]
-        adj_in.setdefault(n, {})[origin] = Route(
-            prefix=prefix,
-            as_path=path,
-            neighbor=origin,
-            relationship=rel,
-            local_pref=local_pref_for(rel),
-            med=org.med,
-        )
-
-    for finals, customer_only in (
-        (up_final, False),
-        (peer_final, True),
-        (down_final, True),
-    ):
-        for src, (sender, _path, export) in finals.items():
-            ann = None
-            routes_by_rel: Dict[Relationship, Route] = {}
-            for dst, dst_role in nbr_rel[src].items():
-                if dst == sender:
-                    continue  # never echo a route back to its supplier
-                if customer_only and dst_role is not Relationship.CUSTOMER:
-                    continue
-                if ann is None:
-                    ann = Announcement(prefix=prefix, as_path=export)
-                sent[(src, dst)] = ann
-                if dst in export:
-                    continue
-                rel = nbr_rel[dst][src]
-                route = routes_by_rel.get(rel)
-                if route is None:
-                    route = routes_by_rel[rel] = Route(
-                        prefix=prefix,
-                        as_path=export,
-                        neighbor=src,
-                        relationship=rel,
-                        local_pref=local_pref_for(rel),
-                    )
-                adj_in.setdefault(dst, {})[src] = route
-
-    best: Dict[int, Route] = {}
-    for finals in (up_final, peer_final, down_final):
-        for receiver, (sender, _path, _export) in finals.items():
-            route = adj_in.get(receiver, {}).get(sender)
-            if route is None:  # pragma: no cover - solver invariant
-                raise SimulationError(
-                    f"solver: AS{receiver} selected a route from "
-                    f"AS{sender} that was never exported"
+            ann = ann_by_path[path] = Announcement(prefix, path, med)
+        row[n] = ann
+        if n not in path:
+            rel = _RECEIVER_ROLE[role]
+            adj_in[n] = {
+                origin: Route(
+                    prefix, path, origin, rel, local_pref_for(rel), med
                 )
-            best[receiver] = route
+            }
+    if row:
+        sent[origin] = row
+
+    finals = iter(final.items())
+    # Customer-learned: told to every neighbour but the supplier.
+    for src, (sender, _path, export) in islice(finals, up_count):
+        roles = nbr_rel[src]
+        row = dict.fromkeys(roles, Announcement(prefix, export))
+        del row[sender]  # never echo a route back to its supplier
+        if row:
+            sent[src] = row
+        routes: Dict[Relationship, Route] = {}
+        for dst, role in roles.items():
+            if dst == sender or dst in export:
+                continue
+            rel = _RECEIVER_ROLE[role]
+            route = routes.get(rel)
+            if route is None:
+                route = routes[rel] = Route(
+                    prefix, export, src, rel, local_pref_for(rel)
+                )
+            rows = adj_in.get(dst)
+            if rows is None:
+                adj_in[dst] = {src: route}
+            else:
+                rows[src] = route
+    # Peer- and provider-learned: told to customers only, which never
+    # include the supplier and hear it from their provider.
+    for src, (_sender, _path, export) in finals:
+        customers = customers_of[src]
+        if not customers:
+            continue
+        sent[src] = dict.fromkeys(customers, Announcement(prefix, export))
+        route = None
+        for dst in customers:
+            if dst in export:
+                continue
+            if route is None:
+                route = Route(
+                    prefix, export, src, Relationship.PROVIDER,
+                    _PROVIDER_PREF,
+                )
+            rows = adj_in.get(dst)
+            if rows is None:
+                adj_in[dst] = {src: route}
+            else:
+                rows[src] = route
+    best: Dict[int, Route] = {}
+    try:
+        for receiver, (sender, _path, _export) in final.items():
+            best[receiver] = adj_in[receiver][sender]
+    except KeyError:  # pragma: no cover - solver invariant
+        raise SimulationError(
+            f"solver: AS{receiver} selected a route from "
+            f"AS{sender} that was never exported"
+        ) from None
     phase_seconds["install"] += perf_counter() - t3
 
     return PrefixSolution(

@@ -59,9 +59,9 @@ class BGPSpeaker:
     ) -> None:
         self.asn = asn
         self.neighbors = dict(neighbors)
-        #: (neighbor, engine session) in neighbor order; filled in by
+        #: neighbor -> engine session, in neighbor order; filled in by
         #: the engine that owns the sessions.
-        self.sessions: List[tuple] = []
+        self.sessions: Dict[int, object] = {}
         self.policy = PolicyEngine(asn, self.neighbors, config)
         #: the owning engine's cached verdict on its speakers' configs
         #: (the cell, not the engine: a back-reference would be a

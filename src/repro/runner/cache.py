@@ -33,7 +33,8 @@ from repro.runner.stats import RunStats
 #: receiver and FIFO floor, speakers their session list.
 #: 8: speakers carry their resolved policy, configs are frozen.
 #: 9: Prefix is a (base, length) tuple; schema-8 pickles carry its slots.
-CACHE_SCHEMA_VERSION = 9
+#: 10: PrefixSolution.sent by exporter, BGPSpeaker.sessions a dict.
+CACHE_SCHEMA_VERSION = 10
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 

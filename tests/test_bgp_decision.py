@@ -194,13 +194,13 @@ class TestSharedExport:
             changed = speaker.process(update)[3]
             assert changed
             engine._flush_all_sessions(speaker, P, speaker.best(P))
-        for neighbor, session in speaker.sessions:
+        for neighbor, session in speaker.sessions.items():
             assert session.sent.get(P) == speaker.desired_export(
                 P, neighbor
             )
         # One announcement object serves every admitted transit neighbor.
         told = [
-            session.sent[P] for _, session in speaker.sessions
+            session.sent[P] for session in speaker.sessions.values()
             if session.sent.get(P) is not None
         ]
         if source < len(rels) and told:

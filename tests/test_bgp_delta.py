@@ -297,6 +297,19 @@ class TestGate:
         assert "invalid origin path" in delta_unsupported_reason(
             engine, [bad_path]
         )
+        # An empty path is refused too (the event engine raises on it),
+        # and try_apply_delta counts the fallback instead of raising.
+        neighbor = next(iter(engine.speakers[origin].neighbors))
+        for empty in (
+            DeltaChange.originate(origin, prefix, path=()),
+            DeltaChange.originate(origin, prefix, per_neighbor={neighbor: ()}),
+        ):
+            assert "invalid origin path" in delta_unsupported_reason(
+                engine, [empty]
+            )
+            stats = RunStats()
+            assert try_apply_delta(engine, [empty], stats=stats) is None
+            assert stats.counters["solver.delta.fallback.invalid_path"] == 1
 
         stranger = DeltaChange.originate(10**9, prefix)
         assert "unknown AS" in delta_unsupported_reason(engine, [stranger])

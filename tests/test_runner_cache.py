@@ -4,7 +4,12 @@ import pickle
 
 from repro.bgp.engine import EngineConfig
 from repro.runner import DiskCache, RunStats, converged_internet
-from repro.runner.cache import cache_key, resolve_cache
+from repro.runner import cache as runner_cache
+from repro.runner.cache import (
+    CACHE_SCHEMA_VERSION,
+    cache_key,
+    resolve_cache,
+)
 
 
 class TestCacheKey:
@@ -17,6 +22,17 @@ class TestCacheKey:
         base = cache_key("ns", {"a": 1})
         assert cache_key("ns", {"a": 2}) != base
         assert cache_key("other", {"a": 1}) != base
+
+    def test_schema_9_entries_miss(self, tmp_path, monkeypatch):
+        """Schema-9 pickles carry ``(src, dst)``-keyed solution wire
+        state and list-shaped speaker sessions: never read them back."""
+        assert CACHE_SCHEMA_VERSION == 10
+        cache = DiskCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_cache, "CACHE_SCHEMA_VERSION", 9)
+            cache.put("converged", {"x": 1}, "schema-9 engine")
+            assert cache.get("converged", {"x": 1}) == "schema-9 engine"
+        assert cache.get("converged", {"x": 1}) is None
 
 
 class TestDiskCache:
