@@ -417,8 +417,8 @@ class BGPEngine:
             self.obs.emit(
                 "bgp.decision-change", self.now, "bgp.engine",
                 subject=str(prefix), asn=asn,
-                old_path=list(old.as_path) if old else None,
-                new_path=list(new.as_path) if new else None,
+                old_path=old.as_path if old else None,
+                new_path=new.as_path if new else None,
             )
         if self.on_change is not None:
             self.on_change(change)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.dataplane.forwarding import DataPlane, ForwardOutcome, ForwardResult
 from repro.net.addr import Address
+from repro.obs.events import Prepared, prepare
 
 #: Real traceroute gives up after a run of silent hops; so do we.
 _TRACEROUTE_GAP_LIMIT = 4
@@ -123,8 +124,13 @@ class Prober:
         self.retries_used = 0
         #: cumulative backoff the retries would have waited (seconds).
         self.retry_wait_seconds = 0.0
-        #: optional observability bus (duck-typed; see repro.obs.events).
+        #: optional observability bus (an :class:`~repro.obs.events.EventBus`).
         self.obs = None
+        #: (kind, source rid, destination int, spoofed, *outcome) -> that
+        #: probe event's prepared line; as many entries as distinct
+        #: (pair, outcome) combinations, so steady-state monitoring
+        #: renders no JSON.
+        self._prepared: Dict[tuple, Prepared] = {}
 
     def reseed(self, seed: int) -> None:
         """Replace the prober's RNG stream (reply-loss draws).
@@ -182,6 +188,22 @@ class Prober:
             and self.injector.receiver_down(receive_at)
         )
 
+    def _emit(
+        self, key: tuple, destination: Address, names: Tuple[str, ...]
+    ) -> None:
+        """Emit the probe event *key* names: ``(kind, source rid,
+        destination int, spoofed)`` followed by the values of the outcome
+        fields *names*."""
+        prepared = self._prepared.get(key)
+        if prepared is None:
+            kind, source_rid, _, spoofed, *outcome = key
+            prepared = self._prepared[key] = prepare(
+                kind, "dataplane.prober",
+                subject=f"{source_rid}->{destination}", spoofed=spoofed,
+                **dict(zip(names, outcome)),
+            )
+        self.obs.emit_prepared(prepared, self.dataplane.now)
+
     def _lost_probe_result(self, source_rid: str) -> ForwardResult:
         return ForwardResult(
             ForwardOutcome.DROPPED, (source_rid,), source_rid
@@ -225,12 +247,11 @@ class Prober:
             source_rid, destination, receive_at, claimed_address
         )
         if self.obs is not None:
-            self.obs.emit(
-                "probe.ping", self.dataplane.now, "dataplane.prober",
-                subject=f"{source_rid}->{destination}",
-                success=result.success,
-                spoofed=receive_at is not None
-                or claimed_address is not None,
+            self._emit(
+                ("probe.ping", source_rid, destination._value,
+                 receive_at is not None or claimed_address is not None,
+                 result.success),
+                destination, ("success",),
             )
         return result
 
@@ -325,11 +346,10 @@ class Prober:
             source_rid, destination, receive_at, max_ttl
         )
         if self.obs is not None:
-            self.obs.emit(
-                "probe.traceroute", self.dataplane.now, "dataplane.prober",
-                subject=f"{source_rid}->{destination}",
-                reached=result.reached, hops=len(result.hops),
-                spoofed=receive_at is not None,
+            self._emit(
+                ("probe.traceroute", source_rid, destination._value,
+                 receive_at is not None, result.reached, len(result.hops)),
+                destination, ("reached", "hops"),
             )
         return result
 
@@ -404,12 +424,11 @@ class Prober:
             source_rid, destination, receive_at, claimed_address
         )
         if self.obs is not None:
-            self.obs.emit(
-                "probe.rr-ping", self.dataplane.now, "dataplane.prober",
-                subject=f"{source_rid}->{destination}",
-                success=result.success, recorded=len(result.recorded),
-                spoofed=receive_at is not None
-                or claimed_address is not None,
+            self._emit(
+                ("probe.rr-ping", source_rid, destination._value,
+                 receive_at is not None or claimed_address is not None,
+                 result.success, len(result.recorded)),
+                destination, ("success", "recorded"),
             )
         return result
 

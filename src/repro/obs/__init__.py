@@ -18,9 +18,11 @@ with simulation time and sequence numbers only, so the event-log digest
 for a given seed is byte-identical at any worker count — traces are
 diffable artifacts that CI gates on (:mod:`repro.obs.export`).
 
-Core modules are instrumented without importing this package: each holds
-an ``obs`` attribute (default ``None``) and emits through it when a bus
-is attached via :meth:`~repro.control.lifeguard.Lifeguard.attach_observer`.
+Core modules are instrumented through an ``obs`` attribute (default
+``None``) and emit through it when a bus is attached via
+:meth:`~repro.control.lifeguard.Lifeguard.attach_observer`.  The prober
+alone imports :func:`repro.obs.events.prepare`, to render each of its
+probe events' lines once and emit them with ``emit_prepared``.
 """
 
 from repro.obs.events import EVENT_SCHEMA_VERSION, Event, EventBus

@@ -23,12 +23,19 @@ line until someone reads it: ``emit`` builds the line it hashes and
 writes anyway and keeps that string, and :meth:`EventBus.events` parses
 the ring back into :class:`Event` values.  A string is no work for the
 cyclic garbage collector; an object with a dict of fields is.
+
+A line is split at ``seq``: :func:`prepare` renders everything but
+``seq`` and ``t`` once, and :meth:`EventBus.emit_prepared` joins the
+two in.  ``emit`` is the two in a row; a caller that emits the same
+event over and over (the prober, once per probe) keeps the prepared
+parts and renders no JSON in steady state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -70,8 +77,8 @@ _INF = float("inf")
 
 def _encode(value: Any) -> str:
     """*value* as compact sorted-key ``json.dumps`` renders it: scalars
-    by the functions json itself ends in, the rest by json itself over
-    the :func:`_jsonable` form."""
+    and int sequences by the functions json itself ends in, the rest by
+    json itself over the :func:`_jsonable` form."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
@@ -81,17 +88,34 @@ def _encode(value: Any) -> str:
         return int.__repr__(value)
     if kind is float and -_INF < value < _INF:
         return float.__repr__(value)
+    if (kind is tuple or kind is list) and all(
+        type(item) is int for item in value
+    ):  # an AS path
+        return "[" + ",".join(map(int.__repr__, value)) + "]"
     return json.dumps(_jsonable(value), sort_keys=True, separators=(",", ":"))
 
 
+def _encode_time(t: Any) -> str:
+    t = float(t)
+    return float.__repr__(t) if -_INF < t < _INF else _encode(t)
+
+
+#: What every canonical line ends in, after ``t``'s value.
+_TAIL = ',"v":' + str(EVENT_SCHEMA_VERSION) + "}"
+_TAIL_LINE = _TAIL + "\n"
+
+#: ``(kind, head, mid)``: an event's canonical line without its ``seq``
+#: and ``t``, which go after ``head`` and after ``mid`` respectively.
+Prepared = Tuple[str, str, str]
+
+
 @lru_cache(maxsize=None)
-def _skeleton(
-    kind: str, component: str, has_subject: bool, names: Tuple[str, ...]
+def _head_template(
+    kind: str, component: str, names: Tuple[str, ...]
 ) -> Tuple[Tuple[str, ...], str]:
-    """One event shape's field names in sorted order and its canonical
-    line as a ``%`` template: sorted keys, ``kind`` / ``component`` /
-    ``v`` and the names as literals, a ``%s`` per value (the fields,
-    then ``seq`` as ``%d``, ``subject``, ``t``)."""
+    """One event shape's field names in sorted order and its head as a
+    ``%`` template: sorted keys, ``kind`` / ``component`` and the names
+    as literals, a ``%s`` per field value."""
     names = tuple(sorted(names))
     kind, component, *keys = (
         _encode_str(text).replace("%", "%%")
@@ -101,33 +125,31 @@ def _skeleton(
     return names, (
         '{"component":' + component
         + (',"fields":{' + fields + "}" if names else "")
-        + ',"kind":' + kind + ',"seq":%d'
-        + (',"subject":%s' if has_subject else "")
-        + ',"t":%s,"v":' + str(EVENT_SCHEMA_VERSION) + "}"
+        + ',"kind":' + kind + ',"seq":'
     )
 
 
-def _fill(
-    skeleton: Tuple[Tuple[str, ...], str],
-    seq: int,
-    t: float,
-    subject: Optional[str],
-    fields: Dict[str, Any],
-) -> str:
-    """One event's canonical line: its shape's *skeleton* filled in.
-    Only the field values can be of any type; ``seq`` is an int, ``t``
-    a float and the subject, when there is one, (nearly always) text."""
-    names, template = skeleton
-    values: List[Any] = []
-    for name in names:
-        values.append(_encode(fields[name]))
-    values.append(seq)
-    if subject is not None:
-        values.append(
-            _encode_str(subject) if type(subject) is str else _encode(subject)
-        )
-    values.append(float.__repr__(t) if -_INF < t < _INF else _encode(t))
-    return template % tuple(values)
+def _prepare(
+    kind: str, component: str, subject: Any, fields: Dict[str, Any]
+) -> Prepared:
+    """:func:`prepare` over a fields dict, so an :class:`Event` renders
+    whatever its field names are (``kind`` and ``subject`` included)."""
+    names, template = _head_template(kind, component, tuple(fields))
+    head = template % tuple([_encode(fields[name]) for name in names])
+    if subject is None:
+        return kind, head, ',"t":'
+    return kind, head, ',"subject":' + _encode(subject) + ',"t":'
+
+
+def prepare(
+    kind: str, component: str, subject: Any = None, **fields: Any
+) -> Prepared:
+    """The invariant part of an event's canonical line, rendered once:
+    everything up to and including ``"seq":`` (the *head*), then the
+    subject and ``,"t":`` (the *mid*).  A caller that emits the same
+    event again and again keeps the result and hands it to
+    :meth:`EventBus.emit_prepared`."""
+    return _prepare(kind, component, subject, fields)
 
 
 @dataclass(slots=True)
@@ -159,12 +181,12 @@ class Event:
 
     def canonical(self) -> str:
         """The digest-stable serialized form: :meth:`to_json` with
-        sorted keys and no spaces, filled into the shape's skeleton."""
-        skeleton = _skeleton(
-            self.kind, self.component, self.subject is not None,
-            tuple(self.fields),
+        sorted keys and no spaces, joined as :meth:`EventBus.emit_prepared`
+        joins it."""
+        _, head, mid = _prepare(
+            self.kind, self.component, self.subject, self.fields
         )
-        return _fill(skeleton, self.seq, self.t, self.subject, self.fields)
+        return f"{head}{self.seq}{mid}{_encode_time(self.t)}{_TAIL}"
 
     @classmethod
     def from_json(cls, blob: Dict[str, Any]) -> "Event":
@@ -184,8 +206,9 @@ class EventBus:
     *capacity* bounds the in-memory ring of canonical lines; evicted
     events are gone from :meth:`events` but remain in ``counts``,
     ``total`` and the running :meth:`digest` (and in the sink, if one is
-    attached).  *sink* is a path (truncated on open) or an open text
-    handle that receives one canonical JSON line per event as it
+    attached).  *sink* is a path — ``str``, ``bytes`` or
+    ``os.PathLike``, truncated on open — or an open text handle that
+    receives one canonical JSON line per event as it
     happens.  *metrics* is an optional
     :class:`~repro.obs.metrics.MetricsRegistry`; every emitted event
     increments its ``obs.events.<kind>`` counter, and components may
@@ -204,8 +227,6 @@ class EventBus:
         self.metrics = metrics
         #: events emitted over the bus's whole life (ring may hold fewer).
         self.total = 0
-        #: events evicted from the ring by newer ones.
-        self.evicted = 0
         #: per-kind emission counts (full history, not just the ring).
         self.counts: Dict[str, int] = {}
         #: kind -> its ``obs.events.<kind>`` counter in ``metrics``
@@ -215,11 +236,16 @@ class EventBus:
         self._sink_fh: Optional[IO[str]] = None
         self._owns_sink = False
         if sink is not None:
-            if isinstance(sink, (str, bytes)):
+            if isinstance(sink, (str, bytes, os.PathLike)):
                 self._sink_fh = open(sink, "w", encoding="utf-8")
                 self._owns_sink = True
             else:
                 self._sink_fh = sink
+
+    @property
+    def evicted(self) -> int:
+        """Events evicted from the ring by newer ones."""
+        return self.total - len(self._ring)
 
     # ------------------------------------------------------------------
     # Emission
@@ -232,15 +258,22 @@ class EventBus:
         subject: Optional[str] = None,
         **fields: Any,
     ) -> None:
-        """Record one event: sequence it, hash its canonical line, keep
-        the line in the ring and write it to the sink."""
-        skeleton = _skeleton(
-            kind, component, subject is not None, tuple(fields)
+        """Record one event: :func:`prepare` it and
+        :meth:`emit_prepared` it."""
+        self.emit_prepared(_prepare(kind, component, subject, fields), t)
+
+    def emit_prepared(self, prepared: Prepared, t: float) -> None:
+        """Record one :func:`prepare`-d event at *t*: sequence it, hash
+        its canonical line, keep the line in the ring and write it to
+        the sink."""
+        kind, head, mid = prepared
+        # A finite float, as sim time nearly always is, skips a call.
+        time = (
+            repr(t) if type(t) is float and -_INF < t < _INF
+            else _encode_time(t)
         )
-        line = _fill(skeleton, self.total, float(t), subject, fields) + "\n"
+        line = f"{head}{self.total}{mid}{time}{_TAIL_LINE}"
         self.total += 1
-        if len(self._ring) == self.capacity:
-            self.evicted += 1
         self._ring.append(line)
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self._hash.update(line.encode("utf-8"))

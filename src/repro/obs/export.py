@@ -106,6 +106,15 @@ def write_metrics_snapshot(metrics: Any, path: str) -> Dict[str, Any]:
     return snapshot
 
 
+def _prom_number(value: Any) -> str:
+    """*value* in full, as the JSON snapshot has it: an int as its
+    digits, a float by ``float.__repr__`` (never ``:g``'s six
+    significant digits)."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return float.__repr__(float(value))
+
+
 def prometheus_text(metrics: Any) -> str:
     """Render a snapshot in the Prometheus text exposition format."""
     snapshot = _as_snapshot(metrics)
@@ -117,18 +126,18 @@ def prometheus_text(metrics: Any) -> str:
     for name, value in snapshot.get("counters", {}).items():
         metric = prom_name(name)
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value:g}")
+        lines.append(f"{metric} {_prom_number(value)}")
     for name, value in snapshot.get("gauges", {}).items():
         metric = prom_name(name)
         lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value:g}")
+        lines.append(f"{metric} {_prom_number(value)}")
     for name, blob in snapshot.get("histograms", {}).items():
         metric = prom_name(name)
         lines.append(f"# TYPE {metric} histogram")
         for bound, cumulative in blob.get("buckets", []):
-            le = "+Inf" if bound == "+Inf" else f"{float(bound):g}"
+            le = "+Inf" if bound == "+Inf" else _prom_number(float(bound))
             lines.append(f'{metric}_bucket{{le="{le}"}} {cumulative}')
-        lines.append(f"{metric}_sum {blob.get('sum', 0.0):g}")
+        lines.append(f"{metric}_sum {_prom_number(blob.get('sum', 0.0))}")
         lines.append(f"{metric}_count {blob.get('count', 0)}")
     return "\n".join(lines) + "\n"
 

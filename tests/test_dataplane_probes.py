@@ -17,6 +17,7 @@ from repro.dataplane.probes import Prober
 from repro.dataplane.reverse_traceroute import ReverseTracerouteTool
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.obs.events import EventBus
 from repro.topology.generate import generate_internet, prefix_for_asn
 from repro.topology.routers import RouterTopology
 from tests.conftest import SMALL_SHAPE
@@ -46,6 +47,20 @@ def _helper_avoiding(prober, graph, topo, dst, avoid_asn, exclude):
 @pytest.fixture()
 def prober(dataplane):
     return Prober(dataplane)
+
+
+@pytest.fixture(scope="module")
+def world():
+    """The small seed-11 Internet with a fifth of its routers deaf to
+    ICMP: (graph, router topo, FIBs)."""
+    graph = generate_internet(SMALL_SHAPE, seed=11)
+    topo = RouterTopology.build(graph, seed=11, unresponsive_fraction=0.2)
+    engine = BGPEngine(graph)
+    for node in graph.nodes():
+        for prefix in node.prefixes:
+            engine.originate(node.asn, prefix)
+    engine.run()
+    return graph, topo, build_fibs(engine)
 
 
 class TestPing:
@@ -131,19 +146,6 @@ class TestPingAccountingPin:
     loss rate; an extra or a missing draw moves every number after it.
     """
 
-    @pytest.fixture(scope="class")
-    def world(self):
-        graph = generate_internet(SMALL_SHAPE, seed=11)
-        topo = RouterTopology.build(
-            graph, seed=11, unresponsive_fraction=0.2
-        )
-        engine = BGPEngine(graph)
-        for node in graph.nodes():
-            for prefix in node.prefixes:
-                engine.originate(node.asn, prefix)
-        engine.run()
-        return graph, topo, build_fibs(engine)
-
     @staticmethod
     def _state(rng):
         return hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
@@ -217,6 +219,132 @@ class TestPingAccountingPin:
             433, 1635, 635, 506, 336.5, "2bf10d080043c323",
         )
         assert self._state(injector._rng) == "e3136ffd1ea8d70d"
+
+
+#: Recorded before the prober kept prepared event lines.
+PROBE_EVENT_DIGEST = (
+    "a9d344c26dd0bdb1bfebac4d281d9247"
+    "37b3121029193def157c3c4a8f52721e"
+)
+PROBE_EVENT_COUNTS = {
+    "probe.ping": 1200, "probe.rr-ping": 848, "probe.traceroute": 200,
+}
+
+
+def probe_event_log(world):
+    """Every probe kind on an attached bus: plain, spoofed-to-a-helper
+    and claimed-source pings, plain and spoofed traceroutes, plain
+    record-route pings and reverse traceroute's spoofed ones, among a
+    dozen routers (so each pair
+    recurs with either outcome), 5% of replies lost and a transit AS
+    failed for part of the run.  Returns the bus's digest and counts."""
+    graph, topo, fibs = world
+    dataplane = DataPlane(topo, fibs, FailureSet())
+    prober = Prober(dataplane, reply_loss_rate=0.05, seed=7)
+    prober.obs = bus = EventBus()
+    tool = ReverseTracerouteTool(prober)
+    rng = random.Random(29)
+    pool = rng.sample(sorted(r.rid for r in topo.routers()), 12)
+    dataplane.failures.add(
+        ASForwardingFailure(
+            asn=sorted(graph.transit_ases())[2], start=100.0, end=250.0
+        )
+    )
+    for i in range(400):
+        dataplane.now = float(i)
+        src, dst, helper = rng.sample(pool, 3)
+        address = topo.router(dst).address
+        if i % 3 == 0:
+            address = address.value + 7  # a host beside the router
+        prober.ping(src, address)
+        prober.ping(src, address, receive_at=helper)
+        prober.ping(
+            src, address, claimed_address=topo.router(helper).address
+        )
+        if i % 4 == 0:
+            prober.traceroute(src, address, receive_at=helper)
+        elif i % 4 == 1:
+            prober.traceroute(src, address)
+        if i % 2 == 0:
+            tool.measure_incremental(src, address, vantage_rids=pool)
+        elif i % 5 == 0:
+            prober.rr_ping(src, address)
+    return bus.digest(), dict(sorted(bus.counts.items()))
+
+
+class TestProbeEventPin:
+    """The event lines of every probe kind, pinned: neither
+    ``test_control_pin.py`` digest covers ``probe.rr-ping`` or reply
+    loss."""
+
+    def test_every_probe_kind(self, world):
+        digest, counts = probe_event_log(world)
+        assert counts == PROBE_EVENT_COUNTS
+        assert digest == PROBE_EVENT_DIGEST
+
+
+class TestPreparedProbeLines:
+    def test_ring_lines_equal_plain_emit(self, small_internet, prober):
+        """One pair's outcome flips success -> failure -> success while
+        it is pinged plain and spoofed both ways, traced and
+        record-route pinged, and the bus is swapped for a fresh one
+        half-way: every line the prober's kept lines produce is the
+        line a plain ``emit`` of the same arguments produces."""
+        graph, topo, _ = small_internet
+        src, dst, helper = _stub_routers(graph, topo, 3)
+        dst_addr = topo.router(dst).address
+        transit = prober.dataplane.forward(src, dst_addr).as_level_hops(
+            topo
+        )[1]
+        prober.dataplane.failures.add(
+            ASForwardingFailure(
+                asn=transit, toward=prefix_for_asn(topo.router(dst).asn),
+                start=50.0, end=100.0,
+            )
+        )
+        buses = [EventBus(), EventBus()]
+        plain = [EventBus(), EventBus()]
+        outcomes = []
+        for step in range(6):
+            now = prober.dataplane.now = 30.0 * step
+            prober.obs, reference = buses[step // 3], plain[step // 3]
+
+            def expect(kind, spoofed, **outcome):
+                reference.emit(
+                    kind, now, "dataplane.prober",
+                    subject=f"{src}->{dst_addr}", spoofed=spoofed, **outcome,
+                )
+
+            for how in (
+                {}, {"receive_at": helper},
+                {"claimed_address": topo.router(helper).address},
+            ):
+                success = prober.ping(src, dst_addr, **how).success
+                expect("probe.ping", bool(how), success=success)
+                outcomes.append(success)
+                rr = prober.rr_ping(src, dst_addr, **how)
+                expect(
+                    "probe.rr-ping", bool(how), success=rr.success,
+                    recorded=len(rr.recorded),
+                )
+            for receive_at in (None, helper):
+                trace = prober.traceroute(src, dst_addr, receive_at=receive_at)
+                expect(
+                    "probe.traceroute", receive_at is not None,
+                    reached=trace.reached, hops=len(trace.hops),
+                )
+        assert outcomes == [True] * 6 + [False] * 6 + [True] * 6
+        for bus, reference in zip(buses, plain):
+            assert bus.total == 24
+            assert list(bus._ring) == list(reference._ring)
+            assert bus.digest() == reference.digest()
+        # Each (probe, outcome) is rendered once, whichever bus it meets.
+        distinct = {
+            (event.kind, event.subject, tuple(sorted(event.fields.items())))
+            for bus in buses
+            for event in bus.events()
+        }
+        assert len(prober._prepared) == len(distinct) < 48
 
 
 class TestTraceroute:

@@ -152,6 +152,19 @@ class TestExportHelpers:
         assert 'repro_repair_convergence_seconds_bucket{le="+Inf"} 1' in text
         assert "repro_repair_convergence_seconds_sum 52.8" in text
 
+    def test_prometheus_values_are_not_rounded(self):
+        # ``:g`` once exported these as 1.23457e+06 and 2.24621e+06.
+        registry = MetricsRegistry()
+        registry.inc("probes", 1234567)
+        registry.set_gauge("traffic.affected_user_minutes", 2246214.0)
+        registry.set_gauge("share", 0.1 + 0.2)
+        registry.observe("wall", 1234567.25)
+        lines = prometheus_text(registry).splitlines()
+        assert "repro_probes 1234567" in lines
+        assert "repro_traffic_affected_user_minutes 2246214.0" in lines
+        assert "repro_share 0.30000000000000004" in lines
+        assert "repro_wall_sum 1234567.25" in lines
+
     def test_prometheus_rejects_unknown_payload(self):
         with pytest.raises(TypeError):
             prometheus_text(42)

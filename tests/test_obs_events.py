@@ -1,5 +1,6 @@
 """Tests for the observability event bus (repro.obs.events)."""
 
+import enum
 import gc
 import hashlib
 import io
@@ -18,9 +19,16 @@ from repro.obs.events import (
     EVENT_SCHEMA_VERSION,
     Event,
     EventBus,
+    _encode,
     _jsonable,
+    prepare,
 )
 from repro.obs.metrics import MetricsRegistry
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
 
 
 class TestEvent:
@@ -234,6 +242,84 @@ class TestCanonicalEncoder:
             kept = [event.canonical() + "\n" for event in bus.events()]
             assert kept == expected[-bus.capacity:]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=_TEXT,
+        component=_TEXT,
+        subject=st.one_of(st.none(), _TEXT),
+        times=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.integers(min_value=-10, max_value=10 ** 6),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        fields=st.dictionaries(
+            # prepare()'s own parameter names cannot be field names.
+            _TEXT.filter(lambda n: n not in ("kind", "component", "subject")),
+            _VALUE,
+            max_size=5,
+        ),
+    )
+    def test_prepared_line_equals_json_dumps(
+        self, kind, component, subject, times, fields
+    ):
+        """One ``prepare``, emitted at several times: each line is the
+        ``json.dumps`` line of the matching plain ``emit`` call."""
+        sink = io.StringIO()
+        bus = EventBus(sink=sink, metrics=MetricsRegistry())
+        prepared = prepare(kind, component, subject=subject, **fields)
+        for t in times:
+            bus.emit_prepared(prepared, t)
+        expected = [
+            _call_line(seq, kind, t, component, subject, fields) + "\n"
+            for seq, t in enumerate(times)
+        ]
+        assert sink.getvalue() == "".join(expected)
+        assert [event.canonical() + "\n" for event in bus.events()] == expected
+        assert bus.counts == {kind: len(times)}
+        assert bus.metrics.counter_values() == {
+            f"obs.events.{kind}": len(times)
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.one_of(
+                st.integers(),
+                st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
+                st.booleans(),
+                st.sampled_from(list(_Level)),
+                st.just(Prefix("10.0.0.0/8")),
+            ),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=5),
+                st.lists(inner, max_size=5).map(tuple),
+            ),
+            max_leaves=10,
+        )
+    )
+    @example([])
+    @example(())
+    @example((3356, 174, 64512))
+    @example([1, True])
+    @example([1, _Level.HIGH])
+    @example([Prefix("10.0.0.0/8"), 8])
+    @example([[1, 2], [3]])
+    def test_int_sequences_render_as_json_dumps(self, value):
+        """The AS-path fast path (an exact list or tuple of exact ints)
+        and the values it must leave to ``json.dumps``: bools, int
+        enums, prefixes and nested sequences."""
+        reference = json.dumps(
+            _jsonable(value), sort_keys=True, separators=(",", ":")
+        )
+        assert _encode(value) == reference
+        assert Event(0, 0.0, "k", "c", fields={"p": value}).canonical() == (
+            '{"component":"c","fields":{"p":' + reference
+            + '},"kind":"k","seq":0,"t":0.0,"v":1}'
+        )
+
     def test_true_is_not_one_and_ints_are_not_floats(self):
         sink = io.StringIO()
         bus = EventBus(sink=sink)
@@ -298,6 +384,15 @@ class TestEventBus:
         events = [Event.from_json(json.loads(line)) for line in lines]
         assert events[0].fields == {"value": 7}
         assert events[1].kind == "b"
+
+    def test_path_sink(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("stale\n")
+        bus = EventBus(sink=path)
+        bus.emit("a", 1.0, "c", value=7)
+        bus.close()
+        (line,) = path.read_text().splitlines()
+        assert json.loads(line)["fields"] == {"value": 7}
 
     def test_default_capacity_is_bounded(self):
         assert EventBus().capacity == DEFAULT_CAPACITY
