@@ -92,6 +92,12 @@ Failure = Union[RouterFailure, LinkFailure, ASForwardingFailure]
 _Entry = Tuple[float, float, int, int, Any]
 
 
+def _scope(toward: Optional[Prefix]) -> Tuple[int, int]:
+    """``(mask, base)`` of the destinations *toward* names: ``(0, 0)``,
+    which every address matches, for all traffic."""
+    return (0, 0) if toward is None else (toward.mask, toward.base)
+
+
 def _bucket_drops(
     bucket: List[_Entry], destination: int, now: float
 ) -> bool:
@@ -115,10 +121,12 @@ class FailureSet:
     def __init__(self, failures: Iterable[Failure] = ()) -> None:
         self._failures: List[Failure] = []
         self._index: Dict[Any, List[_Entry]] = {}
-        #: Monotone change log: the index key of everything added or
-        #: dropped.  A data plane keeps a cursor into it to learn which
-        #: of its remembered walks a change can have touched.
-        self.changes: List[Any] = []
+        #: Monotone change log: ``(index key, toward mask, toward base)``
+        #: of everything added or dropped.  A data plane keeps a cursor
+        #: into it to learn which of its remembered walks a change can
+        #: have touched: those through the key, toward a destination
+        #: ``d`` with ``d & mask == base``.
+        self.changes: List[Tuple[Any, int, int]] = []
         for failure in failures:
             self.add(failure)
 
@@ -134,23 +142,18 @@ class FailureSet:
         return [(failure.a, failure.b)]
 
     def add(self, failure: Failure) -> Failure:
-        toward = failure.toward
-        entry = (
-            failure.start,
-            failure.end,
-            toward.mask if toward is not None else 0,
-            toward.base if toward is not None else 0,
-            failure,
-        )
+        mask, base = _scope(failure.toward)
+        entry = (failure.start, failure.end, mask, base, failure)
         self._failures.append(failure)
         for key in self._homes(failure):
             self._index.setdefault(key, []).append(entry)
-            self.changes.append(key)
+            self.changes.append((key, mask, base))
         return failure
 
     def remove(self, failure: Failure) -> None:
         """Drop *failure*; raises ValueError if it is not in the set."""
         self._failures.remove(failure)
+        mask, base = _scope(failure.toward)
         for key in self._homes(failure):
             bucket = self._index[key]
             for position, entry in enumerate(bucket):
@@ -159,11 +162,15 @@ class FailureSet:
                     break
             if not bucket:
                 del self._index[key]
-            self.changes.append(key)
+            self.changes.append((key, mask, base))
 
     def clear(self) -> None:
         self._failures.clear()
-        self.changes.extend(self._index)
+        self.changes.extend(
+            (key, mask, base)
+            for key, bucket in self._index.items()
+            for _start, _end, mask, base, _failure in bucket
+        )
         self._index.clear()
 
     def __len__(self) -> int:

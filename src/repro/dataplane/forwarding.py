@@ -15,21 +15,26 @@ for packets addressed to them.
 A walk is a pure function of what it read — the FIB maps of the ASes it
 crossed, the origins index, the failure buckets at the routers, ASes and
 links it passed (``now`` only through their windows), the static
-topology — and :meth:`DataPlane.forward` remembers it on those terms.
+topology — and of those, only the rows and failures that match its
+destination.  :meth:`DataPlane.forward` remembers it on those terms.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.dataplane.failures import FailureSet
 from repro.dataplane.fib import LOCAL, FibSnapshot
-from repro.net.addr import Address, address_int
+from repro.net.addr import Address, Prefix, address_int
 from repro.topology.routers import RouterTopology
 
 _MAX_ROUTER_HOPS = 256
+#: Moves one AS keeps the destinations of.  Older ones fold into a move
+#: that reaches every destination: a walk not asked for across that many
+#: moves of one AS it crossed is walked again, never served stale.
+_SCOPES_KEPT = 16
 
 
 class ForwardOutcome(enum.Enum):
@@ -93,6 +98,10 @@ class DataPlane:
         self._walks: Dict[Tuple[str, int, int], tuple] = {}
         #: asn -> the epoch at which its FIB map or failures last moved.
         self._stamps: Dict[int, int] = {}
+        #: asn -> (epoch, mask, base) per move behind its stamp, oldest
+        #: first: the move can reach destination ``d`` iff ``d & mask ==
+        #: base``.  At most _SCOPES_KEPT; older ones fold into the first.
+        self._scopes: Dict[int, List[Tuple[int, int, int]]] = {}
         self._epoch = 0
         self._seen = (fibs, self.failures, len(self.failures.changes))
         #: forward() calls answered from / added to the memo.
@@ -124,31 +133,67 @@ class DataPlane:
     # The walk
     # ------------------------------------------------------------------
     def _catch_up(self) -> None:
-        """Stamp what moved since the last walk: every AS whose map is a
-        different object in a rebound ``fibs`` (new map object, new
-        table), and the AS each key in the failure set's change log is
-        homed in (a link's is its sending router's).  Changed origins
-        or a swapped failure set drop every walk."""
+        """Stamp what moved since the last walk, and toward which
+        destinations: each row that differs between an AS's old and new
+        map in a rebound ``fibs`` (its prefix: only an address inside it
+        can resolve differently), and each entry of the failure set's
+        change log (the failure's ``toward``) in the AS its key is homed
+        in (a link's is its sending router's).  A changed origin row
+        drops the walks toward its prefix; a swapped failure set drops
+        every walk."""
         old, failures, cursor = self._seen
         fibs, changes = self.fibs, self.failures.changes
         self._seen = (fibs, self.failures, len(changes))
         self._epoch += 1
-        if self.failures is not failures or (
-            fibs is not old and fibs.origins != old.origins
-        ):
+        if self.failures is not failures:
             self._walks.clear()
             return
-        stale = {
-            asn
-            for asn in fibs.tables.keys() | old.tables.keys()
-            if fibs.tables.get(asn) is not old.tables.get(asn)
-        }
-        for key in changes[cursor:]:
+        moved = []
+        if fibs is not old:
+            if fibs.origins is not old.origins:
+                self._forget(_moved_rows(old.origins, fibs.origins))
+            tables, before = fibs.tables, old.tables
+            for asn in tables.keys() | before.keys():
+                new, was = tables.get(asn), before.get(asn)
+                if new is not was:
+                    moved += [
+                        (asn, prefix.mask, prefix.base)
+                        for prefix in _moved_rows(was, new)
+                    ]
+        for key, mask, base in changes[cursor:]:
             home = key[0] if type(key) is tuple else key
             if type(home) is str:
                 home = self.topo.router(home).asn
-            stale.add(home)
-        self._stamps.update(dict.fromkeys(stale, self._epoch))
+            moved.append((home, mask, base))
+        epoch, stamps, scopes = self._epoch, self._stamps, self._scopes
+        for asn, mask, base in moved:
+            stamps[asn] = epoch
+            kept = scopes.setdefault(asn, [])
+            kept.append((epoch, mask, base))
+            if len(kept) > _SCOPES_KEPT:
+                del kept[:-_SCOPES_KEPT]
+                kept[0] = (kept[0][0], 0, 0)
+
+    def _reaches(self, asn: int, walked: int, destination: int) -> bool:
+        """Can a move of *asn* since epoch *walked* have changed a walk
+        toward *destination*?"""
+        for epoch, mask, base in reversed(self._scopes[asn]):
+            if epoch <= walked:
+                return False
+            if destination & mask == base:
+                return True
+        return False
+
+    def _forget(self, prefixes) -> None:
+        """Drop the walks toward an address inside any of *prefixes*
+        (whose host may have moved)."""
+        scopes = [(prefix.mask, prefix.base) for prefix in prefixes]
+        walks = self._walks
+        for key in [
+            key for key in walks
+            if any(key[1] & mask == base for mask, base in scopes)
+        ]:
+            del walks[key]
 
     def forward(
         self,
@@ -161,7 +206,8 @@ class DataPlane:
 
         Served from the memo while *now* is inside the window the same
         (source, destination, ttl) was walked for and no AS it read has
-        been stamped since — checked once per change of the world: an
+        been stamped since by a move that reaches *destination* —
+        checked once per change of the world: an
         entry that passes is re-dated to the current epoch, and one
         dated to the current epoch is returned unread.  Otherwise the
         destination travels as an int and the current AS as a local;
@@ -188,7 +234,9 @@ class DataPlane:
                 return entry[0]
             stamps = self._stamps
             for asn in entry[4]:
-                if stamps.get(asn, 0) > walked:
+                if stamps.get(asn, 0) > walked and self._reaches(
+                    asn, walked, destination
+                ):
                     break
             else:
                 # Checked against everything stamped so far: as good as
@@ -280,3 +328,10 @@ class DataPlane:
             current_asn = next_asn
 
         return ended(ForwardOutcome.LOOP, current)
+
+
+def _moved_rows(
+    was: Optional[Mapping[Prefix, int]], new: Optional[Mapping[Prefix, int]]
+) -> Set[Prefix]:
+    """The prefixes whose row differs between two maps (None: no map)."""
+    return {prefix for prefix, _ in (was or {}).items() ^ (new or {}).items()}

@@ -35,8 +35,13 @@ from repro.dataplane.failures import (
     LinkFailure,
     RouterFailure,
 )
-from repro.dataplane.fib import DEFAULT_PREFIX, LOCAL, build_fibs
-from repro.dataplane.forwarding import DataPlane, ForwardOutcome
+from repro.dataplane.fib import (
+    DEFAULT_PREFIX,
+    LOCAL,
+    FibSnapshot,
+    build_fibs,
+)
+from repro.dataplane.forwarding import _SCOPES_KEPT, DataPlane, ForwardOutcome
 from repro.net.addr import Address, Prefix
 from repro.net.lpm import FlatLPM
 from repro.topology.generate import generate_internet
@@ -650,6 +655,109 @@ class TestWalkMemoUnderMutation:
             ]
             if walk.delivered and len(walk.hops) >= 3
         )
+
+    def _two_as_walk(self, topo, fibs):
+        """(source, destination, source AS) of a delivered walk that
+        leaves the source's AS."""
+        routers = sorted(r.rid for r in topo.routers())
+        return next(
+            (rid, topo.router(far).address.value, topo.router(rid).asn)
+            for rid in routers
+            for far in reversed(routers)
+            for walk in [DataPlane(topo, fibs).forward(
+                rid, topo.router(far).address
+            )]
+            if walk.delivered and len(walk.as_level_hops(topo)) >= 2
+        )
+
+    def test_a_move_toward_other_destinations_keeps_the_walk(self, world):
+        """A failure or a FIB row at an AS the walk crossed invalidates
+        it only if it matches the walk's destination."""
+        _graph, topo, _engine, fibs = world
+        source, value, asn = self._two_as_walk(topo, fibs)
+        failures = FailureSet()
+        plane = DataPlane(topo, fibs, failures)
+        walk = plane.forward(source, value)
+        inside = Prefix(value & 0xFFFFFF00, 24)
+        outside = next(p for p in sorted(fibs.origins) if value not in p)
+        failures.add(ASForwardingFailure(asn=asn, toward=outside))
+        assert failures.changes[-1] == (asn, outside.mask, outside.base)
+        assert plane.forward(source, value) is walk
+        table = fibs.tables[asn]
+        elsewhere = next(
+            p for p in sorted(table) if value not in p and table[p] != LOCAL
+        )
+        moved = FibSnapshot(
+            {**fibs.tables, asn: {**table, elsewhere: LOCAL}}, fibs.origins
+        )
+        plane.fibs = moved
+        assert plane.forward(source, value) is walk
+        assert (plane.walk_misses, plane.walk_hits) == (1, 2)
+        # Now one that reaches it: the walk dies in the source AS...
+        failures.add(ASForwardingFailure(asn=asn, toward=inside))
+        dropped = plane.forward(source, value)
+        assert dropped.outcome is ForwardOutcome.DROPPED
+        assert plane.walk_misses == 2
+        # ...and, the failure gone, a row for the destination itself
+        # makes the source AS claim it.
+        failures.clear()
+        plane.fibs = FibSnapshot(
+            {**moved.tables, asn: {**moved.tables[asn],
+                                   Prefix(value, 32): LOCAL}},
+            fibs.origins,
+        )
+        answer = plane.forward(source, value)
+        assert plane.walk_misses == 3
+        assert answer.outcome is ForwardOutcome.NO_ROUTE
+        assert answer == DataPlane(topo, plane.fibs).forward(source, value)
+
+    def test_a_moved_origin_drops_only_the_walks_toward_it(self, world):
+        _graph, topo, _engine, fibs = world
+        source, value, _asn = self._two_as_walk(topo, fibs)
+        other = next(p for p in sorted(fibs.origins) if value not in p)
+        plane = DataPlane(topo, fibs)
+        walk = plane.forward(source, value)
+        host = other.base + other.num_addresses - 2  # no router's
+        aside = plane.forward(source, host)
+        # Another AS takes over the prefix that hosts *host*.
+        owner = fibs.origins[other]
+        thief = next(a for a in sorted(fibs.tables) if a != owner)
+        plane.fibs = FibSnapshot(fibs.tables, {**fibs.origins, other: thief})
+        assert plane.forward(source, value) is walk
+        misses = plane.walk_misses
+        answer = plane.forward(source, host)
+        assert plane.walk_misses == misses + 1
+        assert answer.target_router != aside.target_router
+        assert answer == DataPlane(topo, plane.fibs).forward(source, host)
+
+    def test_the_scopes_an_as_keeps_are_bounded(self, world):
+        """Moves past _SCOPES_KEPT fold into one that reaches every
+        destination: a walk asked for all along stays remembered, one
+        not asked for across the fold is walked again."""
+        _graph, topo, _engine, fibs = world
+        source, value, asn = self._two_as_walk(topo, fibs)
+        failures = FailureSet()
+        plane = DataPlane(topo, fibs, failures)
+        walk = plane.forward(source, value)
+        outside = next(p for p in sorted(fibs.origins) if value not in p)
+
+        def flap():
+            failures.remove(
+                failures.add(ASForwardingFailure(asn=asn, toward=outside))
+            )
+
+        for _ in range(_SCOPES_KEPT):
+            flap()
+            assert plane.forward(source, value) is walk
+        assert len(plane._scopes[asn]) == _SCOPES_KEPT
+        assert plane._scopes[asn][0][1:] == (0, 0)
+        assert plane.walk_misses == 1
+        for _ in range(_SCOPES_KEPT):
+            flap()
+            plane.forward(source, outside.base + 1)  # a new epoch each
+        misses = plane.walk_misses
+        assert plane.forward(source, value) == walk
+        assert plane.walk_misses == misses + 1
 
     def test_a_swapped_failure_set_starts_over(self, world):
         """Two sets whose change logs are equally long: identity, not
