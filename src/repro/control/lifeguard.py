@@ -516,6 +516,12 @@ class Lifeguard:
                 f"vantage point {vp_name} down: isolation deferred",
             )
             return
+        # A verdict no poison may follow this round is not worth its
+        # probes, so the pacer is asked first.
+        paced = plan.pace(self.origin.pacer.allows(now))
+        if paced is not None:
+            self._carry_out(record, now, paced)
+            return
         # This run's isolation charge (None: verdict reused, no charge).
         charge: Optional[int] = None
         if plan.reuses_verdict(record, self.config.fallback_ladder):
@@ -573,7 +579,6 @@ class Lifeguard:
                 asn,
                 self.guard.breaker.state(pair, asn, now),
                 self.guard.breaker.failures(pair, asn),
-                self.origin.pacer.allows(now),
             ),
             charge,
         )

@@ -129,8 +129,29 @@ def _note(note: str) -> Tuple[str, Dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# Before the isolation: is there a verdict already, is there budget left
+# Before the isolation: may a poison go out at all, is there a verdict
+# already, is there budget left
 # ----------------------------------------------------------------------
+def pace(pacer_allows: bool) -> Optional[Outcome]:
+    """Defer while the announcement budget is spent (None: it is not).
+
+    The flap-damping guard of §6: one more announcement now risks
+    walking the prefix into damping penalty at a suppressing neighbor;
+    withdrawals stay exempt.  Asked before the isolation, because a
+    verdict that may not be acted on this round buys nothing: a paced
+    round sends no probes and takes no isolation charge.
+    """
+    if pacer_allows:
+        return None
+    return (
+        "defer",
+        "pacing",
+        "announcement budget exhausted: poisoning deferred "
+        "(flap-damping guard)",
+        True,
+    )
+
+
 def reuses_verdict(record: RepairRecord, ladder: bool) -> bool:
     """Escalated ladder rungs reuse the isolation verdict that blamed
     the AS in the first place: the outage has not moved, a fresh
@@ -242,19 +263,12 @@ def breaker_open(asn: int, failures: int) -> Outcome:
     return give_up(_settled(reason), _note(f"not poisoning: {reason}"))
 
 
-def admit(
-    asn: int,
-    breaker: BreakerState,
-    failures: int,
-    pacer_allows: bool,
-) -> Outcome:
+def admit(asn: int, breaker: BreakerState, failures: int) -> Outcome:
     """May a poison of *asn* go out this round?
 
-    An open breaker never poisons.  A breaker in backoff and a spent
-    announcement budget (the flap-damping guard of §6: one more
-    announcement now risks walking the prefix into damping penalty at a
-    suppressing neighbor; withdrawals stay exempt) both defer with the
-    isolation charge refunded.
+    An open breaker never poisons; a breaker in backoff defers with the
+    isolation charge refunded.  The announcement budget was asked
+    before the isolation (:func:`pace`).
     """
     if breaker is BreakerState.OPEN:
         return breaker_open(asn, failures)
@@ -263,14 +277,6 @@ def admit(
             "defer",
             "breaker-backoff",
             f"rollback backoff for AS{asn} pending: poisoning deferred",
-            True,
-        )
-    if not pacer_allows:
-        return (
-            "defer",
-            "pacing",
-            "announcement budget exhausted: poisoning deferred "
-            "(flap-damping guard)",
             True,
         )
     return ("poison", asn)

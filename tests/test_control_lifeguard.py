@@ -92,6 +92,67 @@ class TestEndToEndRepair:
         assert not new_poisons
 
 
+class TestPacedIsolation:
+    """A spent announcement budget defers before the isolation: a verdict
+    no poison may follow this round is not worth its probes."""
+
+    def test_paced_round_sends_no_probes_then_poisons(self):
+        scenario = build_deployment(scale="tiny", seed=5, num_providers=2)
+        lifeguard = scenario.lifeguard
+        target = scenario.targets[0]
+        bad_asn = scenario.reverse_transits(target)[0]
+        lifeguard.prime_atlas(now=0.0)
+        lifeguard.dataplane.failures.add(
+            ASForwardingFailure(
+                asn=bad_asn,
+                toward=lifeguard.sentinel_manager.sentinel,
+                start=1000.0,
+                end=8200.0,
+            )
+        )
+        # Fill the pacer's window before the outage is old enough to act
+        # on, then only monitor until the decision rule says poison.
+        spent_at = 900.0
+        lifeguard.origin.pacer.times.extend(
+            [spent_at] * lifeguard.config.announce_budget
+        )
+        now = 30.0
+        while now <= 1800.0:
+            lifeguard.begin_round(now)
+            now += 30.0
+        now -= 30.0
+        record = lifeguard.observed_records()[0]
+        assert not lifeguard.origin.pacer.allows(now)
+
+        probes = lifeguard.prober.probes_sent
+        charge = record.isolation_charge
+        entries = len(lifeguard.journal.entries)
+        lifeguard.stage_isolate(record, now)
+        new = lifeguard.journal.entries[entries:]
+        assert lifeguard.prober.probes_sent == probes
+        assert record.isolation_charge == charge
+        assert record.state is RepairState.OBSERVED
+        assert [
+            (e["event"], e.get("why")) for e in new if e["event"] != "note"
+        ] == [("deferred", "pacing")]
+
+        # Once the window slides past the spent slots, the same record
+        # is isolated and poisoned.
+        now = spent_at + lifeguard.config.announce_window + 30.0
+        lifeguard.begin_round(now)
+        assert lifeguard.origin.pacer.allows(now)
+        lifeguard.stage_isolate(record, now)
+        assert lifeguard.prober.probes_sent > probes
+        assert record.isolation_charge == charge + 1
+        assert record.poisoned_asn == bad_asn
+        assert record.state is RepairState.VERIFYING
+
+        live = [r.fingerprint() for r in lifeguard.records]
+        scenario.crash()
+        recovered = scenario.recover(now)
+        assert [r.fingerprint() for r in recovered.records] == live
+
+
 class TestSentinelHelpers:
     def test_covering_sentinel_is_one_bit_shorter(self, scenario):
         production = scenario.production_prefix

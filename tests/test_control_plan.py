@@ -137,23 +137,29 @@ def _gives_up(outcome):
 
 
 # ----------------------------------------------------------------------
-# May a poison go out: breaker, then pacer
+# May a poison go out: the pacer before the isolation, the breaker after
 # ----------------------------------------------------------------------
 class TestAdmission:
+    @given(st.booleans())
+    def test_a_spent_budget_defers_before_the_isolation(self, pacer_allows):
+        outcome = plan.pace(pacer_allows)
+        if pacer_allows:
+            assert outcome is None
+        else:
+            assert outcome[:2] == ("defer", "pacing")
+            assert outcome[2]  # the note says why
+
     @SETTINGS
-    @given(asns, breaker_states, failure_counts, st.booleans())
-    def test_gate_order(self, asn, breaker, failures, pacer_allows):
-        outcome = plan.admit(asn, breaker, failures, pacer_allows)
+    @given(asns, breaker_states, failure_counts)
+    def test_gate_order(self, asn, breaker, failures):
+        outcome = plan.admit(asn, breaker, failures)
         if breaker is BreakerState.OPEN:
-            # An open breaker never yields a poison, budget or not.
+            # An open breaker never yields a poison.
             assert _gives_up(outcome)
             assert outcome == plan.breaker_open(asn, failures)
         elif breaker is BreakerState.BACKOFF:
             assert outcome[:2] == ("defer", "breaker-backoff")
             assert outcome[3] is True  # the charge is refunded
-        elif not pacer_allows:
-            assert outcome[:2] == ("defer", "pacing")
-            assert outcome[3] is True
         else:
             assert outcome == ("poison", asn)
 
