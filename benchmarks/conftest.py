@@ -4,12 +4,8 @@ Each heavy study runs once per session (module fixtures below); the
 individual benchmarks measure a representative kernel of their experiment
 and print/archive a paper-vs-measured table under ``benchmarks/results/``.
 
-Two environment knobs plug the studies into the parallel runner:
-
-* ``REPRO_BENCH_WORKERS`` — worker processes per study (default 1);
-  results are byte-identical at any setting.
-* ``REPRO_CACHE_DIR`` — converged-topology cache directory; warm runs
-  skip the dominant medium-scale convergence cost entirely.
+``REPRO_BENCH_WORKERS`` sets the worker processes per study (default 1);
+results are byte-identical at any setting.
 """
 
 import os
@@ -21,7 +17,6 @@ from repro.experiments.alternate_paths import run_alternate_path_study
 from repro.experiments.convergence import run_poisoning_convergence_study
 from repro.experiments.diversity import run_provider_diversity_study
 from repro.experiments.efficacy import run_topology_efficacy_study
-from repro.runner.cache import DiskCache
 from repro.workloads.hubble import generate_hubble_dataset
 from repro.workloads.outages import generate_outage_trace
 
@@ -29,11 +24,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: Worker processes per study (the runner keeps results byte-identical).
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-
-
-def _cache():
-    """The shared converged-topology cache, when configured."""
-    return DiskCache.from_env()
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +48,7 @@ def mux_study():
     """The BGP-Mux poisoning study (Fig. 6, §5.1 wild half, §5.2 loss)."""
     study, graph = run_poisoning_convergence_study(
         scale="medium", seed=7, num_collector_peers=60, max_poisons=25,
-        workers=WORKERS, cache=_cache(),
+        workers=WORKERS,
     )
     return study, graph
 
@@ -68,7 +58,7 @@ def efficacy_study():
     """§5.1 topology-scale poisoning simulation."""
     study, graph = run_topology_efficacy_study(
         scale="medium", seed=7, num_origins=25, max_cases=60000,
-        workers=WORKERS, cache=_cache(),
+        workers=WORKERS,
     )
     return study, graph
 
@@ -78,7 +68,7 @@ def diversity_study():
     """§2.3 forward / §5.2 reverse provider-diversity study."""
     study, graph = run_provider_diversity_study(
         scale="medium", seed=7, num_feeds=40, max_reverse_feeds=24,
-        workers=WORKERS, cache=_cache(),
+        workers=WORKERS,
     )
     return study, graph
 
@@ -88,7 +78,7 @@ def accuracy_study():
     """§5.3 isolation accuracy study (with ICMP rate-limit noise)."""
     study, scenario = run_isolation_accuracy_study(
         scale="medium", seed=7, num_cases=60, reply_loss_rate=0.05,
-        workers=WORKERS, cache=_cache(),
+        workers=WORKERS,
     )
     return study, scenario
 
@@ -98,6 +88,6 @@ def alternate_study():
     """§2.2 spliced alternate-path study."""
     study, graph = run_alternate_path_study(
         scale="medium", seed=7, num_sites=100, num_outages=300,
-        workers=WORKERS, cache=_cache(),
+        workers=WORKERS,
     )
     return study, graph

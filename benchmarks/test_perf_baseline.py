@@ -90,7 +90,6 @@ def _write_candidate(results_dir):
             )
             if sum(wall.values())
             else 0.0,
-            "cache_hit_rate": None,
         },
         "benchmarks": dict(sorted(_MEASUREMENTS.items())),
     }
@@ -106,9 +105,7 @@ def test_solver_vs_event_convergence(scale, results_dir):
     baselines = {}
     for mode in (MODE_SOLVER, MODE_EVENT):
         start = time.perf_counter()
-        baselines[mode] = converged_internet(
-            scale, SEED, mode=mode, cache=None
-        )
+        baselines[mode] = converged_internet(scale, SEED, mode=mode)
         timings[mode] = time.perf_counter() - start
 
     _assert_equivalent(baselines[MODE_SOLVER], baselines[MODE_EVENT], scale)

@@ -5,32 +5,16 @@ experiment fixtures and printed side by side with the published value.
 """
 
 from repro.analysis.reporting import Table
-from repro.isolation.direction import FailureDirection
+from repro.experiments.summary import table1_rows
 
 
 def test_table1_key_results(benchmark, mux_study, efficacy_study,
                             accuracy_study, results_dir):
-    conv_study, mux_graph = mux_study
+    conv_study, _ = mux_study
     eff_study, _ = efficacy_study
     acc_study, _ = accuracy_study
 
-    def build_rows():
-        wild_fraction, found, total = conv_study.alternate_route_fraction()
-        loss = conv_study.loss_fractions((0.02,))
-        return {
-            "wild": (wild_fraction, found, total),
-            "sim": eff_study.fraction_with_alternates,
-            "instant": conv_study.instant_fraction(True, False),
-            "loss2": loss[0.02],
-            "consistency": acc_study.consistency,
-            "differs": acc_study.traceroute_difference_fraction,
-            "probes": acc_study.mean_probes,
-            "seconds": acc_study.mean_isolation_seconds(
-                (FailureDirection.REVERSE, FailureDirection.BIDIRECTIONAL)
-            ),
-        }
-
-    rows = benchmark(build_rows)
+    rows = benchmark(table1_rows, conv_study, eff_study, acc_study)
 
     table = Table(
         "Table 1: key results (paper vs measured)",

@@ -521,7 +521,6 @@ def _cmd_impact(args: argparse.Namespace) -> int:
         scale=args.scale,
         seed=args.seed,
         traffic=traffic,
-        cache=args.cache_dir,
     )
     table = Table(
         f"User impact of one repair ({args.scale}, seed {args.seed})",
@@ -577,7 +576,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
         only=args.only or None,
-        cache=args.cache_dir,
     )
     output = args.output or f"BENCH_{date.today().isoformat()}.json"
     with open(output, "w", encoding="utf-8") as handle:
@@ -598,12 +596,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "TOTAL", totals["wall_seconds"], totals["trials"],
         totals["trials_per_sec"],
     )
-    hit_rate = totals["cache_hit_rate"]
-    cache_note = (
-        "cache disabled" if hit_rate is None
-        else f"cache hit rate {hit_rate:.0%}"
-    )
-    table.add_note(f"{cache_note}; written to {output}")
+    table.add_note(f"written to {output}")
     table.emit()
     return 0
 
@@ -881,11 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless impact accrues before the repair and "
              "decreases monotonically to zero after it (CI smoke)",
     )
-    p.add_argument(
-        "--cache-dir", default=None,
-        help="topology/convergence cache directory "
-             "(default: $REPRO_CACHE_DIR, unset = no cache)",
-    )
     _add_metrics_out(p)
     p.set_defaults(func=_cmd_impact)
     p = sub.add_parser(
@@ -902,11 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         help="run just the named benchmark (repeatable)",
-    )
-    p.add_argument(
-        "--cache-dir", default=None,
-        help="topology/convergence cache directory "
-             "(default: $REPRO_CACHE_DIR, unset = no cache)",
     )
     _add_metrics_out(p)
     p.set_defaults(func=_cmd_bench)

@@ -24,7 +24,6 @@ from repro.dataplane.failures import ASForwardingFailure
 from repro.isolation.direction import FailureDirection
 from repro.isolation.isolator import IsolationResult
 from repro.runner.baseline import pack_snapshot, unpack_snapshot
-from repro.runner.cache import resolve_cache
 from repro.runner.core import derive_seed, run_trials
 from repro.runner.stats import RunStats
 from repro.topology.generate import prefix_for_asn
@@ -130,7 +129,6 @@ def run_isolation_accuracy_study(
     direction_mix: Tuple[float, float] = (0.35, 0.90),
     reply_loss_rate: float = 0.0,
     workers: int = 1,
-    cache=None,
     stats: Optional[RunStats] = None,
 ) -> Tuple[AccuracyStudy, DeploymentScenario]:
     """Inject failures and isolate each one.
@@ -151,10 +149,9 @@ def run_isolation_accuracy_study(
     rounds ran serially or across processes.
     """
     stats = stats if stats is not None else RunStats()
-    cache = resolve_cache(cache, stats)
     scenario = build_deployment(
         scale=scale, seed=seed, num_providers=2,
-        num_helper_vps=6, num_targets=6, cache=cache, stats=stats,
+        num_helper_vps=6, num_targets=6, stats=stats,
     )
     scenario.lifeguard.prime_atlas(now=0.0)
     scenario.lifeguard.prober.reply_loss_rate = reply_loss_rate

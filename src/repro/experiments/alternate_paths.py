@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.dataplane.fib import build_fibs
 from repro.dataplane.forwarding import DataPlane
 from repro.runner.baseline import converged_internet
-from repro.runner.cache import resolve_cache
 from repro.runner.core import derive_seed, run_trials
 from repro.runner.stats import RunStats
 from repro.splice.splicer import Hop, PathCorpus, Trace
@@ -112,7 +111,6 @@ def run_alternate_path_study(
     num_sites: int = 24,
     num_outages: int = 300,
     workers: int = 1,
-    cache=None,
     stats: Optional[RunStats] = None,
 ) -> Tuple[AlternatePathStudy, object]:
     """Build the corpus and run the splice test over synthetic outages.
@@ -123,8 +121,7 @@ def run_alternate_path_study(
     then fan across *workers* processes, byte-identical to a serial run.
     """
     stats = stats if stats is not None else RunStats()
-    cache = resolve_cache(cache, stats)
-    base = converged_internet(scale, seed, cache=cache, stats=stats)
+    base = converged_internet(scale, seed, stats=stats)
     graph, engine = base.graph, base.engine
     topo = RouterTopology.build(graph, seed=seed)
     dataplane = DataPlane(topo, build_fibs(engine))

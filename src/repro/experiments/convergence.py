@@ -20,7 +20,6 @@ from repro.bgp.engine import BGPEngine, EngineConfig
 from repro.bgp.messages import make_path, traversed_ases
 from repro.net.addr import Prefix
 from repro.runner.baseline import converged_internet, restore_snapshot
-from repro.runner.cache import resolve_cache
 from repro.runner.core import derive_seed, run_trials
 from repro.runner.stats import RunStats
 
@@ -193,7 +192,6 @@ def run_poisoning_convergence_study(
     exclude_tier1: bool = True,
     mrai: float = 30.0,
     workers: int = 1,
-    cache=None,
     stats: Optional[RunStats] = None,
 ) -> Tuple[ConvergenceStudy, object]:
     """Run the full study; returns (study, graph).
@@ -210,13 +208,11 @@ def run_poisoning_convergence_study(
     byte-identical to a serial run.
     """
     stats = stats if stats is not None else RunStats()
-    cache = resolve_cache(cache, stats)
     base = converged_internet(
         scale,
         seed,
         engine_config=EngineConfig(seed=seed, mrai=mrai),
         origin_providers=1,
-        cache=cache,
         stats=stats,
     )
     graph, origin_asn = base.graph, base.origin_asn

@@ -44,7 +44,6 @@ from repro.experiments.outage_stream import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.runner.cache import DiskCache, resolve_cache
 from repro.runner.core import run_trials
 from repro.runner.stats import RunStats
 from repro.workloads.scenarios import build_deployment
@@ -164,7 +163,6 @@ def _run_point(
     rate: float,
     ladder: bool,
     num_outages: int,
-    cache: Optional[DiskCache] = None,
     crash_controller: bool = False,
 ) -> DefensePoint:
     config = LifeguardConfig(
@@ -176,7 +174,6 @@ def _run_point(
         seed=seed,
         defense_rate=rate,
         lifeguard_config=config,
-        cache=cache,
     )
     plan = FaultPlan(seed=seed + 1)
     if crash_controller:
@@ -238,7 +235,7 @@ def _run_point(
 
 def _point_worker(context, cell: Tuple[float, bool]) -> DefensePoint:
     """One (rate, ladder) cell on its own deployment."""
-    scale, seed, num_outages, cache_root, crash_controller = context
+    scale, seed, num_outages, crash_controller = context
     rate, ladder = cell
     return _run_point(
         scale,
@@ -246,7 +243,6 @@ def _point_worker(context, cell: Tuple[float, bool]) -> DefensePoint:
         rate,
         ladder,
         num_outages,
-        cache=DiskCache.maybe(cache_root),
         crash_controller=crash_controller,
     )
 
@@ -257,7 +253,6 @@ def run_defense_study(
     rates: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
     num_outages: int = 3,
     workers: int = 1,
-    cache=None,
     stats: Optional[RunStats] = None,
     crash_controller: bool = False,
     ladder_arms: Sequence[bool] = (False, True),
@@ -270,14 +265,7 @@ def run_defense_study(
     recovered from its journal.
     """
     stats = stats if stats is not None else RunStats()
-    cache = resolve_cache(cache, stats)
-    context = (
-        scale,
-        seed,
-        num_outages,
-        cache.root if cache is not None else None,
-        crash_controller,
-    )
+    context = (scale, seed, num_outages, crash_controller)
     cells = [
         (float(rate), bool(ladder))
         for rate in rates

@@ -22,7 +22,6 @@ from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import traversed_ases, unique_ases
 from repro.bgp.origin import OriginController
 from repro.runner.baseline import converged_internet, restore_snapshot
-from repro.runner.cache import resolve_cache
 from repro.runner.core import derive_seed, run_trials
 from repro.runner.stats import RunStats
 
@@ -87,7 +86,6 @@ def run_provider_diversity_study(
     num_feeds: int = 40,
     max_reverse_feeds: Optional[int] = None,
     workers: int = 1,
-    cache=None,
     stats: Optional[RunStats] = None,
 ) -> Tuple[DiversityStudy, object]:
     """Run both halves over one multi-provider origin.
@@ -98,12 +96,10 @@ def run_provider_diversity_study(
     byte-identical to serial.
     """
     stats = stats if stats is not None else RunStats()
-    cache = resolve_cache(cache, stats)
     base = converged_internet(
         scale,
         seed,
         origin_providers=num_providers,
-        cache=cache,
         stats=stats,
     )
     graph, engine, origin_asn = base.graph, base.engine, base.origin_asn

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import unique_ases
 from repro.runner.baseline import converged_internet
-from repro.runner.cache import resolve_cache
 from repro.runner.stats import RunStats
 from repro.splice.simulate import (
     PoisonOutcome,
@@ -93,18 +92,15 @@ def run_topology_efficacy_study(
     num_origins: int = 25,
     max_cases: Optional[int] = None,
     workers: int = 1,
-    cache=None,
     stats: Optional[RunStats] = None,
 ) -> Tuple[EfficacyStudy, object]:
     """Build a converged Internet, harvest paths, simulate poisonings.
 
-    The converged control plane is served from the on-disk cache when one
-    is configured; the reachability trials fan out across *workers*
-    processes with results byte-identical to a serial run.
+    The reachability trials fan out across *workers* processes with
+    results byte-identical to a serial run.
     """
     stats = stats if stats is not None else RunStats()
-    cache = resolve_cache(cache, stats)
-    base = converged_internet(scale, seed, cache=cache, stats=stats)
+    base = converged_internet(scale, seed, stats=stats)
     graph, engine = base.graph, base.engine
 
     rng = random.Random(seed)

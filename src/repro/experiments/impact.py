@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.runner.cache import resolve_cache
 from repro.runner.stats import RunStats
 from repro.traffic.impact import ImpactLedger, ImpactSample
 from repro.traffic.matrix import (
@@ -74,15 +73,13 @@ def run_impact_study(
     fail_start: float = 1000.0,
     fail_end: float = 8200.0,
     end: float = 9600.0,
-    cache=None,
     stats: Optional[RunStats] = None,
     obs=None,
 ) -> Tuple[ImpactStudy, TrafficMatrix]:
     """Run the demo repair story with the impact ledger attached."""
     stats = stats or RunStats()
-    cache = resolve_cache(cache, stats)
     scenario, bad_asn = build_demo_scenario(
-        seed, scale, obs, fail_start, fail_end, cache=cache, stats=stats
+        seed, scale, obs, fail_start, fail_end, stats=stats
     )
     lifeguard = scenario.lifeguard
 

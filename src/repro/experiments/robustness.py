@@ -37,7 +37,6 @@ from repro.experiments.outage_stream import (
     stream_schedule,
 )
 from repro.faults.injector import FaultStats
-from repro.runner.cache import DiskCache, resolve_cache
 from repro.runner.core import run_trials
 from repro.runner.stats import RunStats
 from repro.workloads.scenarios import build_chaos_deployment
@@ -111,14 +110,12 @@ def _run_point(
     seed: int,
     intensity: float,
     num_outages: int,
-    cache: Optional[DiskCache] = None,
     crash_controller: bool = False,
 ) -> RobustnessPoint:
     scenario, injector = build_chaos_deployment(
         scale=scale,
         seed=seed,
         intensity=intensity,
-        cache=cache,
         crash_controller=crash_controller,
     )
     ledger = primed_ledger(scenario, seed)
@@ -161,13 +158,12 @@ def _run_point(
 
 def _point_worker(context, intensity: float) -> RobustnessPoint:
     """One intensity level on its own deployment (trivially independent)."""
-    scale, seed, num_outages, cache_root, crash_controller = context
+    scale, seed, num_outages, crash_controller = context
     return _run_point(
         scale,
         seed,
         intensity,
         num_outages,
-        cache=DiskCache.maybe(cache_root),
         crash_controller=crash_controller,
     )
 
@@ -178,7 +174,6 @@ def run_robustness_study(
     intensities: Sequence[float] = (0.0, 0.1, 0.3),
     num_outages: int = 3,
     workers: int = 1,
-    cache=None,
     stats: Optional[RunStats] = None,
     crash_controller: bool = False,
 ) -> RobustnessStudy:
@@ -189,14 +184,7 @@ def run_robustness_study(
     doubles as a crash-recovery measurement.
     """
     stats = stats if stats is not None else RunStats()
-    cache = resolve_cache(cache, stats)
-    context = (
-        scale,
-        seed,
-        num_outages,
-        cache.root if cache is not None else None,
-        crash_controller,
-    )
+    context = (scale, seed, num_outages, crash_controller)
     points = run_trials(
         _point_worker,
         list(intensities),

@@ -2,9 +2,9 @@
 
 ``repro.runner`` is the layer every experiment driver and benchmark runs
 on: a trial executor whose parallel results are byte-identical to serial
-(:mod:`repro.runner.core`), a content-addressed cache for generated
-topologies and converged control planes (:mod:`repro.runner.cache`,
-:mod:`repro.runner.baseline`), run accounting
+(:mod:`repro.runner.core`), construction of converged control planes
+and the snapshots trial workers restore them from
+(:mod:`repro.runner.baseline`), run accounting
 (:mod:`repro.runner.stats`), and the benchmark suite behind
 ``python -m repro bench`` (:mod:`repro.runner.bench`).
 """
@@ -15,24 +15,14 @@ from repro.runner.baseline import (
     restore_snapshot,
     trial_rng,
 )
-from repro.runner.cache import (
-    CACHE_SCHEMA_VERSION,
-    DiskCache,
-    cache_key,
-    resolve_cache,
-)
 from repro.runner.core import derive_seed, run_trials
 from repro.runner.stats import RunStats
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "ConvergedBaseline",
-    "DiskCache",
     "RunStats",
-    "cache_key",
     "converged_internet",
     "derive_seed",
-    "resolve_cache",
     "restore_snapshot",
     "run_trials",
     "trial_rng",

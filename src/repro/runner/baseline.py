@@ -1,4 +1,4 @@
-"""Cached construction of converged simulation baselines.
+"""Construction of converged simulation baselines.
 
 Nearly every experiment and benchmark starts the same way: generate a
 synthetic Internet, optionally attach a multihomed origin AS, originate
@@ -22,15 +22,12 @@ session state; they differ in bookkeeping byproducts (the event engine's
 ``change_log``/``updates_sent`` record the convergence storm, its RNG
 stream has advanced, and its clock sits at the convergence time), which
 no baseline consumer reads — trial drivers reseed and advance the clock
-before perturbing.  The resolved mode is part of the cache key, so the
-two flavors never serve each other's entries.
+before perturbing.
 
-The cached payload is the pickled ``(graph, engine, origin_asn)``
-triple, and unpickling restores the engine *exactly* (including its RNG
-stream), so cache hits are byte-identical to cold builds of the same
-mode.  Snapshots shipped to trial workers are zlib-compressed (level 1:
-the sweet spot — pickled engines are highly redundant, and heavier
-levels cost more time than the bytes they save).
+Snapshots shipped to trial workers are pickles of the engine, which
+restore it *exactly* (including its RNG stream), zlib-compressed at
+level 1: the sweet spot — pickled engines are highly redundant, and
+heavier levels cost more time than the bytes they save.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import os
 import pickle
 import random
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.bgp.engine import BGPEngine, EngineConfig
@@ -51,7 +48,6 @@ from repro.bgp.solver import (
     solver_unsupported_reason,
 )
 from repro.errors import SimulationError
-from repro.runner.cache import DiskCache
 from repro.runner.stats import RunStats
 from repro.topology.as_graph import ASGraph
 from repro.topology.generate import (
@@ -86,15 +82,8 @@ def pack_snapshot(obj: object) -> bytes:
 
 
 def unpack_snapshot(payload: bytes) -> object:
-    """Restore :func:`pack_snapshot` output (or a legacy raw pickle).
-
-    zlib streams start 0x78 and pickle protocol ≥ 2 streams start 0x80,
-    so uncompressed payloads from older callers are detected and loaded
-    directly.
-    """
-    if payload[:1] == b"\x78":
-        payload = zlib.decompress(payload)
-    return pickle.loads(payload)
+    """Restore :func:`pack_snapshot` output."""
+    return pickle.loads(zlib.decompress(payload))
 
 
 @dataclass
@@ -151,10 +140,10 @@ def converged_internet(
     origin_tier: int = 3,
     defense_rate: float = 0.0,
     mode: Optional[str] = None,
-    cache: Optional[DiskCache] = None,
+    cache: None = None,
     stats: Optional[RunStats] = None,
 ) -> ConvergedBaseline:
-    """Build (or load) a converged Internet at one of the named scales.
+    """Build a converged Internet at one of the named scales.
 
     With *origin_providers* set, a fresh multihomed origin AS (the
     BGP-Mux deployer) is attached before convergence and its prefixes are
@@ -172,16 +161,15 @@ def converged_internet(
     fraction of ASes before convergence; the origin AS never defends.
     Any nonzero rate puts defense import filters in play, so ``auto``
     mode falls back to the event engine via the solver gate.
-
-    The cache key covers the topology shape, seed, origin attachment,
-    defense rate, the full :class:`EngineConfig` and the resolved mode,
-    so changing any of them is a miss.
     """
     # Deferred: workloads.scenarios imports the control stack, which
     # reaches back into repro.runner — importing it at module scope would
     # make the import order between the two packages matter.
-    from repro.workloads.scenarios import SCALES, build_internet
+    from repro.workloads.scenarios import build_internet
 
+    # Only ``cache=None`` is accepted: bench/workloads.py still passes it.
+    if cache is not None:
+        raise TypeError("converged_internet() has no disk cache; omit cache=")
     stats = stats if stats is not None else RunStats()
     config = engine_config or EngineConfig(seed=seed)
     requested = resolve_baseline_mode(mode)
@@ -235,26 +223,6 @@ def converged_internet(
         else:
             effective = MODE_SOLVER
 
-    params = {
-        "scale": scale,
-        "shape": asdict(SCALES[scale]) if scale in SCALES else scale,
-        "seed": seed,
-        "engine": asdict(config),
-        "origin_providers": origin_providers,
-        "origin_asn_policy": origin_asn_policy,
-        "origin_tier": origin_tier,
-        "defense_rate": defense_rate,
-        "mode": effective,
-    }
-    if cache is not None:
-        with stats.timer("baseline.cache_read"):
-            cached = cache.get("converged", params)
-        if cached is not None:
-            graph, engine, origin_asn = cached
-            return ConvergedBaseline(
-                graph=graph, engine=engine, origin_asn=origin_asn
-            )
-
     with stats.timer("baseline.convergence"):
         if effective == MODE_SOLVER:
             engine.warm_start(solve(engine, originations, stats=stats))
@@ -262,10 +230,6 @@ def converged_internet(
             for org in originations:
                 engine.originate(org.asn, org.prefix)
             engine.run()
-
-    if cache is not None:
-        with stats.timer("baseline.cache_write"):
-            cache.put("converged", params, (graph, engine, origin_asn))
     return ConvergedBaseline(
         graph=graph, engine=engine, origin_asn=origin_asn
     )

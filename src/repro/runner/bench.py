@@ -3,8 +3,8 @@
 
 Runs the seven paper studies and the tiny impact study at a named scale
 through the parallel runner and emits a schema-versioned JSON document
-(``BENCH_<date>.json``) recording wall time, throughput, cache behaviour
-and each study's headline metrics.  CI archives these documents and
+(``BENCH_<date>.json``) recording wall time, throughput and each
+study's headline metrics.  CI archives these documents and
 gates merges on the throughput trajectory via ``benchmarks/compare.py``.
 The system's own speed (service rounds, repair steps, fuzz cases) is
 ``bench/``'s question and the solver-vs-event microbenchmark is
@@ -24,7 +24,6 @@ import time
 from datetime import date
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.runner.cache import DiskCache, resolve_cache
 from repro.runner.core import derive_seed, run_trials
 from repro.runner.stats import RunStats
 
@@ -43,22 +42,20 @@ def _efficacy_replica(
 ) -> Tuple[int, float, Dict[str, Any]]:
     from repro.experiments.efficacy import run_topology_efficacy_study
 
-    scale, max_cases, cache_root = context
+    scale, max_cases = context
     stats = RunStats()
     study, _graph = run_topology_efficacy_study(
         scale=scale,
         seed=replica_seed,
         max_cases=max_cases,
         workers=1,
-        cache=DiskCache.maybe(cache_root),
         stats=stats,
     )
     return len(study.outcomes), study.fraction_with_alternates, stats.as_dict()
 
 
 def _bench_efficacy(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
+    scale: str, seed: int, workers: int, stats: RunStats,
 ) -> BenchResult:
     max_cases = {"tiny": 400, "small": 1500, "medium": 4000}.get(scale, 1500)
     seeds = [
@@ -68,7 +65,7 @@ def _bench_efficacy(
     results = run_trials(
         _efficacy_replica,
         seeds,
-        context=(scale, max_cases, cache.root if cache else None),
+        context=(scale, max_cases),
         workers=workers,
         stats=stats,
         label="bench.efficacy",
@@ -87,8 +84,7 @@ def _bench_efficacy(
 
 
 def _bench_convergence(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
+    scale: str, seed: int, workers: int, stats: RunStats,
 ) -> BenchResult:
     from repro.experiments.convergence import (
         run_poisoning_convergence_study,
@@ -97,7 +93,7 @@ def _bench_convergence(
     max_poisons = {"tiny": 4, "small": 8, "medium": 12}.get(scale, 8)
     study, _graph = run_poisoning_convergence_study(
         scale=scale, seed=seed, max_poisons=max_poisons,
-        workers=workers, cache=cache, stats=stats,
+        workers=workers, stats=stats,
     )
     return len(study.trials), {
         "trials": len(study.trials),
@@ -109,15 +105,14 @@ def _bench_convergence(
 
 
 def _bench_accuracy(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
+    scale: str, seed: int, workers: int, stats: RunStats,
 ) -> BenchResult:
     from repro.experiments.accuracy import run_isolation_accuracy_study
 
     num_cases = {"tiny": 10, "small": 20, "medium": 30}.get(scale, 20)
     study, _scenario = run_isolation_accuracy_study(
         scale=scale, seed=seed, num_cases=num_cases,
-        reply_loss_rate=0.05, workers=workers, cache=cache, stats=stats,
+        reply_loss_rate=0.05, workers=workers, stats=stats,
     )
     return len(study.cases), {
         "cases": len(study.cases),
@@ -128,15 +123,14 @@ def _bench_accuracy(
 
 
 def _bench_diversity(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
+    scale: str, seed: int, workers: int, stats: RunStats,
 ) -> BenchResult:
     from repro.experiments.diversity import run_provider_diversity_study
 
     num_feeds = {"tiny": 16, "small": 30, "medium": 40}.get(scale, 30)
     study, _graph = run_provider_diversity_study(
         scale=scale, seed=seed, num_feeds=num_feeds,
-        workers=workers, cache=cache, stats=stats,
+        workers=workers, stats=stats,
     )
     trials = len(study.reverse_avoidable)
     return trials, {
@@ -147,8 +141,7 @@ def _bench_diversity(
 
 
 def _bench_alternate_paths(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
+    scale: str, seed: int, workers: int, stats: RunStats,
 ) -> BenchResult:
     from repro.experiments.alternate_paths import run_alternate_path_study
 
@@ -156,7 +149,7 @@ def _bench_alternate_paths(
     num_outages = {"tiny": 80, "small": 150, "medium": 300}.get(scale, 150)
     study, _graph = run_alternate_path_study(
         scale=scale, seed=seed, num_sites=num_sites,
-        num_outages=num_outages, workers=workers, cache=cache, stats=stats,
+        num_outages=num_outages, workers=workers, stats=stats,
     )
     return len(study.cases), {
         "cases": len(study.cases),
@@ -168,15 +161,14 @@ def _bench_alternate_paths(
 
 
 def _bench_robustness(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
+    scale: str, seed: int, workers: int, stats: RunStats,
 ) -> BenchResult:
     from repro.experiments.robustness import run_robustness_study
 
     num_outages = {"tiny": 2, "small": 3, "medium": 3}.get(scale, 3)
     study = run_robustness_study(
         scale="tiny", seed=seed, intensities=(0.0, 0.2),
-        num_outages=num_outages, workers=workers, cache=cache, stats=stats,
+        num_outages=num_outages, workers=workers, stats=stats,
     )
     trials = sum(p.injected for p in study.points)
     return trials, {
@@ -192,8 +184,7 @@ def _bench_robustness(
 
 
 def _bench_defenses(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
+    scale: str, seed: int, workers: int, stats: RunStats,
 ) -> BenchResult:
     """Defense sweep: repairs vs anti-poisoning filters, ladder off/on.
 
@@ -208,7 +199,7 @@ def _bench_defenses(
     rates = (0.0, 0.5, 1.0)
     study = run_defense_study(
         scale="tiny", seed=seed, rates=rates, num_outages=3,
-        workers=workers, cache=cache, stats=stats,
+        workers=workers, stats=stats,
     )
     trials = sum(p.injected for p in study.points)
     full_off = study.point(1.0, False)
@@ -227,16 +218,13 @@ def _bench_defenses(
 
 
 def _bench_impact(
-    scale: str, seed: int, workers: int,
-    cache: Optional[DiskCache], stats: RunStats,
+    scale: str, seed: int, workers: int, stats: RunStats,
 ) -> BenchResult:
     """The tiny repair story with the gravity matrix attached; a trial
     is one ledger sample taken."""
     from repro.experiments.impact import run_impact_study
 
-    study, _matrix = run_impact_study(
-        scale="tiny", seed=seed, cache=cache, stats=stats
-    )
+    study, _matrix = run_impact_study(scale="tiny", seed=seed, stats=stats)
     return len(study.samples), {
         "users_total": study.users_total,
         "peak_users_affected": study.peak_users_affected,
@@ -259,8 +247,7 @@ RETIRED = {
 
 #: Name -> body, in suite execution order.
 BENCHMARKS: Dict[
-    str,
-    Callable[[str, int, int, Optional[DiskCache], RunStats], BenchResult],
+    str, Callable[[str, int, int, RunStats], BenchResult]
 ] = {
     "efficacy": _bench_efficacy,
     "convergence": _bench_convergence,
@@ -278,7 +265,6 @@ def run_bench_suite(
     seed: int = 7,
     workers: int = 1,
     only: Optional[Sequence[str]] = None,
-    cache=None,
     stats: Optional[RunStats] = None,
 ) -> Dict[str, Any]:
     """Run the suite and return the BENCH document (a JSON-ready dict).
@@ -307,11 +293,8 @@ def run_bench_suite(
     total_trials = 0
     for name in chosen:
         stats = RunStats()
-        bench_cache = resolve_cache(cache, stats)
         start = time.perf_counter()
-        trials, metrics = BENCHMARKS[name](
-            scale, seed, workers, bench_cache, stats
-        )
+        trials, metrics = BENCHMARKS[name](scale, seed, workers, stats)
         wall = time.perf_counter() - start
         total_wall += wall
         total_trials += trials
@@ -338,7 +321,6 @@ def run_bench_suite(
             "trials_per_sec": round(total_trials / total_wall, 4)
             if total_wall
             else 0.0,
-            "cache_hit_rate": totals_stats.cache_hit_rate,
         },
         "benchmarks": benchmarks,
     }

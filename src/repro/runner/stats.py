@@ -2,7 +2,7 @@
 
 A :class:`RunStats` travels through a driver (and, merged, back from
 worker processes) so every run can report where its wall-clock time went:
-topology generation, BGP convergence, trial execution, cache traffic.
+topology generation, BGP convergence, trial execution.
 The ``bench`` subcommand serializes these into ``BENCH_*.json``.
 
 Since the observability subsystem landed, RunStats is a thin bridge over
@@ -68,17 +68,6 @@ class RunStats:
     def timers(self) -> Dict[str, float]:
         """Name -> cumulative seconds, sorted by name (read-only view)."""
         return self.registry.histogram_totals()
-
-    @property
-    def cache_hit_rate(self) -> Optional[float]:
-        """Hit rate over cache lookups, or None if the cache never ran."""
-        counters = self.counters
-        hits = counters.get("cache.hits", 0)
-        misses = counters.get("cache.misses", 0)
-        total = hits + misses
-        if not total:
-            return None
-        return hits / total
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """The legacy bench-JSON shape, keys sorted at every level."""

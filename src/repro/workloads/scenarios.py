@@ -197,10 +197,11 @@ def build_deployment(
     lifeguard_config: Optional[LifeguardConfig] = None,
     baseline_mode: Optional[str] = None,
     defense_rate: float = 0.0,
-    cache=None,
     stats=None,
     obs=None,
     journal=None,
+    *,
+    cache: None = None,
 ) -> DeploymentScenario:
     """Build the standard scenario.
 
@@ -210,8 +211,7 @@ def build_deployment(
     transit ASes, echoing the EC2 study's choice of high-degree networks.
 
     The converged control plane comes from
-    :func:`repro.runner.baseline.converged_internet`, so a configured
-    *cache* serves it from disk after the first build; *baseline_mode*
+    :func:`repro.runner.baseline.converged_internet`; *baseline_mode*
     is its ``mode`` knob (``auto``/``solver``/``event``).
 
     *obs* is an optional :class:`~repro.obs.events.EventBus`, attached
@@ -229,6 +229,9 @@ def build_deployment(
     # Deferred: runner.baseline reaches back into this module.
     from repro.runner.baseline import ORIGIN_ASN_EVEN, converged_internet
 
+    # Only ``cache=None`` is accepted: bench/workloads.py still passes it.
+    if cache is not None:
+        raise TypeError("build_deployment() has no disk cache; omit cache=")
     base = converged_internet(
         scale,
         seed,
@@ -237,7 +240,6 @@ def build_deployment(
         origin_asn_policy=ORIGIN_ASN_EVEN,
         defense_rate=defense_rate,
         mode=baseline_mode,
-        cache=cache,
         stats=stats,
     )
     graph, engine, origin_asn = base.graph, base.engine, base.origin_asn
@@ -331,7 +333,6 @@ def build_demo_scenario(
     obs=None,
     fail_start: float = 1000.0,
     fail_end: float = 8200.0,
-    cache=None,
     stats=None,
 ) -> Tuple[DeploymentScenario, int]:
     """The quickstart repair story, set up and about to start.
@@ -342,8 +343,7 @@ def build_demo_scenario(
     ``[fail_start, fail_end)``.  Returns the scenario and the failed ASN.
     """
     scenario = build_deployment(
-        scale=scale, seed=seed, num_providers=2, obs=obs,
-        cache=cache, stats=stats,
+        scale=scale, seed=seed, num_providers=2, obs=obs, stats=stats,
     )
     bad_asn = scenario.reverse_transits(scenario.targets[0])[0]
     scenario.lifeguard.prime_atlas(now=0.0)

@@ -15,13 +15,12 @@ from repro.topology.routers import RouterTopology
 SMALL_SHAPE = InternetShape(num_tier1=3, num_tier2=10, num_stubs=25)
 
 #: ``REPRO_*`` names a session may legitimately pick up on the way: the
-#: harness's own seed / scale / worker matrices and the cache path.
+#: harness's own seed / scale / worker matrices.
 HARNESS_ENV = {
     "REPRO_CHAOS_SEEDS",
     "REPRO_DELTA_SEEDS",
     "REPRO_PERF_SCALES",
     "REPRO_BENCH_WORKERS",
-    "REPRO_CACHE_DIR",
 }
 
 

@@ -56,7 +56,6 @@ def _deployment(scale, seed):
         mode=MODE_SOLVER,
         origin_providers=2,
         origin_asn_policy=ORIGIN_ASN_EVEN,
-        cache=None,
     )
 
 

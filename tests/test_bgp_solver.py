@@ -40,16 +40,16 @@ from repro.runner.baseline import (
     restore_snapshot,
     unpack_snapshot,
 )
-from repro.runner.cache import DiskCache
 from repro.runner.stats import RunStats
 from repro.topology.generate import InternetShape, generate_internet
+from repro.workloads.scenarios import build_deployment
 
 SEEDS = (0, 1, 2, 3, 4)
 
 
 def _build_pair(scale, seed):
-    solver = converged_internet(scale, seed, mode=MODE_SOLVER, cache=None)
-    event = converged_internet(scale, seed, mode=MODE_EVENT, cache=None)
+    solver = converged_internet(scale, seed, mode=MODE_SOLVER)
+    event = converged_internet(scale, seed, mode=MODE_EVENT)
     return solver, event
 
 
@@ -114,7 +114,6 @@ class TestSolverMatchesEventConvergence:
             engine_config=EngineConfig(seed=5),
             origin_providers=2,
             origin_asn_policy=ORIGIN_ASN_EVEN,
-            cache=None,
         )
         solver = converged_internet("small", 5, mode=MODE_SOLVER, **kwargs)
         event = converged_internet("small", 5, mode=MODE_EVENT, **kwargs)
@@ -122,7 +121,7 @@ class TestSolverMatchesEventConvergence:
         _assert_routing_equal(solver.engine, event.engine, "origin/small")
 
     def test_warm_start_skips_bookkeeping(self):
-        base = converged_internet("tiny", 0, mode=MODE_SOLVER, cache=None)
+        base = converged_internet("tiny", 0, mode=MODE_SOLVER)
         engine = base.engine
         assert engine.now == 0.0
         assert engine.change_log == []
@@ -135,7 +134,7 @@ class TestSolverMatchesEventConvergence:
     def test_solver_emits_metrics(self):
         stats = RunStats()
         base = converged_internet(
-            "tiny", 0, mode=MODE_SOLVER, cache=None, stats=stats
+            "tiny", 0, mode=MODE_SOLVER, stats=stats
         )
         prefixes = sum(len(n.prefixes) for n in base.graph.nodes())
         assert stats.counters["solver.prefixes_solved"] == prefixes
@@ -162,7 +161,6 @@ class TestPostPoisonSweep:
             origin_providers=2,
             origin_asn_policy=ORIGIN_ASN_EVEN,
             mode=mode,
-            cache=None,
         )
         engine, graph = base.engine, base.graph
         engine.advance_to(engine.now + 60.0)
@@ -221,7 +219,6 @@ class TestPoisonEquivalence:
             origin_providers=2,
             origin_asn_policy=ORIGIN_ASN_EVEN,
             mode=mode,
-            cache=None,
         )
         engine, graph = base.engine, base.graph
         # Step past every MRAI window left over from convergence, then
@@ -325,7 +322,7 @@ class TestSolverFallback:
         )
         stats = RunStats()
         base = converged_internet(
-            "tiny", 2, mode="auto", cache=None, stats=stats
+            "tiny", 2, mode="auto", stats=stats
         )
         assert stats.counters["solver.fallbacks"] == 1
         assert base.engine.change_log, "fallback should event-converge"
@@ -336,7 +333,7 @@ class TestSolverFallback:
             lambda engine, originations: "patched: unsupported",
         )
         with pytest.raises(SolverUnsupported):
-            converged_internet("tiny", 2, mode=MODE_SOLVER, cache=None)
+            converged_internet("tiny", 2, mode=MODE_SOLVER)
 
 
 class TestBaselineModeplumbing:
@@ -372,25 +369,11 @@ class TestBaselineModeplumbing:
             assert os.environ.get(ENV_BASELINE_MODE) == before
         assert seen == [MODE_EVENT, MODE_EVENT]
 
-    def test_cache_keys_separate_modes_but_share_auto(self, tmp_path):
-        stats = RunStats()
-        cache = DiskCache(tmp_path, stats=stats)
-        converged_internet(
-            "tiny", 4, mode=MODE_SOLVER, cache=cache, stats=stats
-        )
-        converged_internet(
-            "tiny", 4, mode=MODE_EVENT, cache=cache, stats=stats
-        )
-        assert stats.counters["cache.misses"] == 2
-        assert stats.counters.get("cache.hits", 0) == 0
-        # auto resolves to solver here, so it shares the solver entry...
-        warm = converged_internet(
-            "tiny", 4, mode="auto", cache=cache, stats=stats
-        )
-        assert stats.counters["cache.hits"] == 1
-        # ...and serves the solver flavor (no convergence bookkeeping).
-        assert warm.engine.change_log == []
-        assert "baseline.cache_read" in stats.timers
+    def test_cache_argument_accepts_only_none(self, tmp_path):
+        with pytest.raises(TypeError):
+            converged_internet("tiny", 4, cache=tmp_path)
+        with pytest.raises(TypeError):
+            build_deployment(scale="tiny", seed=4, cache=tmp_path)
 
 
 class TestSnapshotCompression:
@@ -402,14 +385,8 @@ class TestSnapshotCompression:
         raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(packed) < len(raw)
 
-    def test_legacy_raw_pickle_still_restores(self):
-        payload = {"legacy": True}
-        raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        assert raw[:1] == b"\x80"
-        assert unpack_snapshot(raw) == payload
-
     def test_baseline_snapshot_restores_equivalent_engine(self):
-        base = converged_internet("tiny", 6, cache=None)
+        base = converged_internet("tiny", 6)
         engine, origin_asn = restore_snapshot(base.snapshot())
         assert origin_asn == base.origin_asn
         _assert_routing_equal(engine, base.engine, "snapshot/tiny")

@@ -35,6 +35,12 @@ class TestParser:
             args = parser.parse_args([command, "--workers", "3"])
             assert args.workers == 3
 
+    @pytest.mark.parametrize("command", ["impact", "bench"])
+    def test_no_cache_dir_option(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--cache-dir", "x"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_defaults_are_literals_whatever_the_environment(
         self, monkeypatch
     ):
@@ -183,6 +189,17 @@ class TestBench:
         assert totals["trials"] == sum(
             b["trials"] for b in doc["benchmarks"].values()
         )
+
+    def test_totals_carry_no_cache_field(self, bench_doc):
+        _path, doc = bench_doc
+        assert set(doc["totals"]) == {
+            "wall_seconds", "trials", "trials_per_sec"
+        }
+        for bench in doc["benchmarks"].values():
+            assert not any(
+                name.startswith("baseline.cache")
+                for name in bench["stats"]["timers"]
+            )
 
     def test_compare_accepts_bench_output(self, bench_doc):
         path, _doc = bench_doc

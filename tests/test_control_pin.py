@@ -123,7 +123,7 @@ def service_crash_report():
     obs = EventBus(metrics=MetricsRegistry())
     scenario = build_deployment(
         scale="small", seed=3, num_helper_vps=3, num_targets=5,
-        obs=obs, cache=None, baseline_mode="auto",
+        obs=obs, baseline_mode="auto",
         lifeguard_config=LifeguardConfig(delta_mode="off"),
     )
     config = ServiceConfig(

@@ -378,7 +378,7 @@ class TestBaselineGateCounter:
             lambda engine, originations: "AS1: sibling link",
         )
         stats = RunStats()
-        converged_internet("tiny", 2, mode="auto", cache=None, stats=stats)
+        converged_internet("tiny", 2, mode="auto", stats=stats)
         assert stats.counters["solver.gate_rejections.sibling_link"] == 1
 
 

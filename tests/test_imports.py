@@ -55,13 +55,12 @@ def test_importing_the_program_imports_no_numeric_stack():
 #: Where the program may read (or, for the CLI, lend) the environment:
 #: file under ``src/repro`` -> the one function allowed to do it.
 ENV_SITES = {
-    "runner/cache.py": "from_env",
     "obs/export.py": "resolve_trace_dir",
     "runner/baseline.py": "resolve_baseline_mode",
     "cli.py": "main",
 }
 
-ENV_NAMES = {"REPRO_BASELINE_MODE", "REPRO_CACHE_DIR", "REPRO_TRACE_DIR"}
+ENV_NAMES = {"REPRO_BASELINE_MODE", "REPRO_TRACE_DIR"}
 
 
 def _enclosing_function(lines, index):
@@ -75,8 +74,8 @@ def _enclosing_function(lines, index):
 
 
 def test_the_environment_is_read_at_the_allow_listed_sites_only():
-    """Options are flags and arguments.  The environment carries two
-    deployment paths and the baseline mode a command hands its workers,
+    """Options are flags and arguments.  The environment carries the
+    trace directory and the baseline mode a command hands its workers,
     so a new ``REPRO_*`` variable fails here before it reaches README."""
     root = os.path.dirname(os.path.abspath(repro.__file__))
     reads, names = set(), set()

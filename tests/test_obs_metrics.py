@@ -140,10 +140,3 @@ class TestRunStatsBridge:
             stats.as_dict()["counters"]
             == registry.snapshot()["counters"]
         )
-
-    def test_cache_hit_rate(self):
-        stats = RunStats()
-        assert stats.cache_hit_rate is None
-        stats.count("cache.hits", 3)
-        stats.count("cache.misses", 1)
-        assert stats.cache_hit_rate == pytest.approx(0.75)

@@ -10,8 +10,10 @@ import pickle
 from repro.experiments.accuracy import run_isolation_accuracy_study
 from repro.experiments.alternate_paths import run_alternate_path_study
 from repro.experiments.convergence import run_poisoning_convergence_study
+from repro.experiments.defenses import run_defense_study
 from repro.experiments.diversity import run_provider_diversity_study
 from repro.experiments.efficacy import run_topology_efficacy_study
+from repro.experiments.robustness import run_robustness_study
 from repro.runner import RunStats, derive_seed, run_trials
 
 
@@ -111,6 +113,23 @@ class TestDriverParallelIdentity:
         serial, _ = run_alternate_path_study(workers=1, **kwargs)
         parallel, _ = run_alternate_path_study(workers=4, **kwargs)
         assert pickle.dumps(serial.cases) == pickle.dumps(parallel.cases)
+
+    def test_robustness(self):
+        kwargs = dict(
+            scale="tiny", seed=3, intensities=(0.0, 0.2), num_outages=2
+        )
+        serial = run_robustness_study(workers=1, **kwargs)
+        parallel = run_robustness_study(workers=2, **kwargs)
+        assert pickle.dumps(serial.points) == pickle.dumps(parallel.points)
+
+    def test_defenses(self):
+        kwargs = dict(
+            scale="tiny", seed=3, rates=(1.0,), num_outages=2,
+            crash_controller=True,
+        )
+        serial = run_defense_study(workers=1, **kwargs)
+        parallel = run_defense_study(workers=2, **kwargs)
+        assert pickle.dumps(serial.points) == pickle.dumps(parallel.points)
 
 
 class TestTrialIndependence:

@@ -439,7 +439,7 @@ class TestReadPathBehaviourPin:
         # the pin must not depend on what an earlier test left behind.
         scenario = build_deployment(
             scale="small", seed=3, num_helper_vps=3, num_targets=5,
-            obs=obs, cache=None, baseline_mode="auto",
+            obs=obs, baseline_mode="auto",
             lifeguard_config=LifeguardConfig(delta_mode="off"),
         )
         config = ServiceConfig(
@@ -501,7 +501,7 @@ def test_small_episode_reads_back_the_events_it_emitted():
     obs = EventBus(metrics=MetricsRegistry())
     scenario = build_deployment(
         scale="small", seed=3, num_helper_vps=3, num_targets=5,
-        obs=obs, cache=None, baseline_mode="auto",
+        obs=obs, baseline_mode="auto",
         lifeguard_config=LifeguardConfig(delta_mode="off"),
     )
     config = ServiceConfig(
