@@ -20,17 +20,22 @@ O(blast radius), not O(topology).  Clean prefixes are never touched.
 **Splice-back invariant.**  The engine tracks the
 :class:`~repro.bgp.solver.PrefixSolution` behind every prefix while its
 state is *analytic* (installed by ``warm_start`` or this module, never
-perturbed by event-path activity).  Splicing removes exactly the old
-solution's rows — Adj-RIB-In and Loc-RIB entries at the old cone's
-receivers, wire state on the sessions of the old ``sent`` exporters,
-diffed exporter by exporter — and installs the new solution the same
-way ``warm_start`` would, so the resulting engine
-state is identical — ``fuzz.diff.capture_state`` over every prefix
-returns an equal row set — to a cold full re-run of the solver on the
-new origination set.  The equality is pinned three ways: the post-poison /
+perturbed by event-path activity), and the solution *is* the prefix's
+routing state: its Adj-RIB-In and wire rows are derived from it only
+when ``BGPEngine.materialize`` writes them.  So a splice of a prefix
+whose rows are still pending is a swap — the new solution replaces the
+old one and stays pending — followed by the Loc-RIB pass: every AS
+whose selection changed is pinned and logged, in sorted order.  A
+prefix whose rows were already written has them dropped first (the old
+solution's receivers and exporters name every one) and becomes pending
+again.  There is no row or wire diff.  The resulting engine state is
+identical — ``fuzz.diff.capture_state`` over every prefix returns an
+equal row set — to a cold full re-run of the solver on the new
+origination set.  The equality is pinned four ways: the post-poison /
 post-unpoison sweeps in ``tests/test_bgp_solver.py``, the dedicated
-cycle tests in ``tests/test_bgp_delta.py``, and a third differential arm
-in the fuzz executor.
+cycle tests in ``tests/test_bgp_delta.py``, the capture / splice /
+capture ladder in ``tests/test_bgp_materialize.py``, and a third
+differential arm in the fuzz executor.
 
 **The gate.**  Like the solver, the delta path refuses anything it
 cannot model exactly — event-perturbed engines (stale Adj-RIB-In
@@ -254,7 +259,7 @@ def apply_delta(
             if owner == change.asn:
                 dirty[change.prefix] = None
         else:  # reset: the unique fixpoint is unchanged by a clean bounce
-            if (change.asn, change.peer) in engine._sessions:
+            if (change.asn, change.peer) in engine._session_map:
                 result.resets += 1
                 engine.session_resets += 1
                 if engine.obs is not None:
@@ -267,6 +272,7 @@ def apply_delta(
     splice_start = perf_counter()
     phase_seconds = {"up": 0.0, "across": 0.0, "down": 0.0, "install": 0.0}
     speakers = engine.speakers
+    pending = engine._rows_pending
     for prefix, org in dirty.items():
         old = analytic.get(prefix)
         if org is None and old is None:
@@ -277,28 +283,27 @@ def apply_delta(
             continue
         result.dirty_prefixes.append(prefix)
 
-        # Capture the outgoing state.  ``best`` excludes origin
+        # Capture the outgoing selections.  ``best`` excludes origin
         # self-routes (they come from BGPSpeaker.originate), so the
         # origin's entry is read from the live table before it changes.
-        old_rows = old.adj_in if old is not None else {}
-        old_sent = old.sent if old is not None else {}
-        old_best: Dict[int, Route] = (
-            dict(old.best) if old is not None else {}
-        )
+        old_best: Dict[int, Route] = {}
         origin_asns = set()
         if old is not None:
+            if prefix not in pending:
+                _drop_rows(speakers, prefix, old)
+            old_best = dict(old.best)
             origin_asns.add(old.origination.asn)
             origin_self = speakers[old.origination.asn].best(prefix)
             if origin_self is not None:
                 old_best[old.origination.asn] = origin_self
+            result.cone_asns.update(old.best)
 
         # Re-solve the prefix; propagation itself is cone-bounded.
         new_best: Dict[int, Route] = {}
         if org is None:
             speakers[old.origination.asn].stop_originating(prefix)
             del analytic[prefix]
-            new_rows: Dict[int, Dict[int, Route]] = {}
-            new_sent: Dict[int, Dict[int, object]] = {}
+            pending.pop(prefix, None)
         else:
             # A solution is a pure function of (origination, adjacency),
             # so repair ladders that revisit a config — every unpoison
@@ -323,39 +328,13 @@ def apply_delta(
                 per_neighbor=org.per_neighbor_dict(),
                 med=org.med,
             )
-            analytic[prefix] = solution
-            new_rows = solution.adj_in
-            new_sent = solution.sent
+            # The swap: the solution stands for the prefix's rows until
+            # engine.materialize writes them.
+            analytic[prefix] = pending[prefix] = solution
             new_best = dict(solution.best)
             new_best[org.asn] = speakers[org.asn].best(prefix)
             origin_asns.add(org.asn)
-
-        # Splice as a diff: rows/pins and exporters' wire rows whose old
-        # and new values are equal are left in place — by definition
-        # value-identical to what a cold re-run installs — so the work
-        # is O(actual reroutes), not O(cone).
-        for receiver in old_rows.keys() | new_rows.keys():
-            rows = new_rows.get(receiver)
-            if old_rows.get(receiver) != rows:
-                speakers[receiver].table.replace_rows(prefix, rows)
-        for src, row in new_sent.items():
-            old_row = old_sent.get(src)
-            if old_row == row:
-                continue
-            sessions = speakers[src].sessions
-            if old_row:
-                for dst in old_row.keys() - row.keys():
-                    sessions[dst].sent.pop(prefix, None)
-            for dst, announcement in row.items():
-                sessions[dst].sent[prefix] = announcement
-        for src, old_row in old_sent.items():
-            if src not in new_sent:
-                sessions = speakers[src].sessions
-                for dst in old_row:
-                    sessions[dst].sent.pop(prefix, None)
-
-        result.cone_asns.update(old_rows)
-        result.cone_asns.update(new_rows)
+            result.cone_asns.update(solution.best)
         result.cone_asns.update(origin_asns)
 
         # Pin changed Loc-RIB selections and account them.  Origin ASes
@@ -401,6 +380,17 @@ def apply_delta(
             "solver.delta.splice_seconds", result.splice_seconds
         )
     return result
+
+
+def _drop_rows(speakers, prefix: Prefix, solution: PrefixSolution) -> None:
+    """Remove the rows ``engine.materialize`` wrote for *solution*: the
+    Adj-RIB-In rows at its receivers (its ``best`` ASes) and the wire
+    rows its exporters (the origin and those receivers) hold."""
+    for asn in solution.best:
+        speakers[asn].table.replace_rows(prefix, None)
+    for asn in (solution.origination.asn, *solution.best):
+        for session in speakers[asn].sessions.values():
+            session.sent.pop(prefix, None)
 
 
 def try_apply_delta(

@@ -22,6 +22,7 @@ from repro.bgp.messages import (
 )
 from repro.bgp.policy import SpeakerConfig
 from repro.bgp.rib import Route
+from repro.bgp.solver import derive_rows
 from repro.bgp.speaker import BGPSpeaker
 from repro.errors import SimulationError
 from repro.net.addr import Prefix
@@ -120,7 +121,8 @@ class BGPEngine:
         self._queue: List[tuple] = []
         self._seq = itertools.count()
         self.speakers: Dict[int, BGPSpeaker] = {}
-        self._sessions: Dict[Tuple[int, int], _Session] = {}
+        #: (src, dst) -> session; read it through :attr:`_sessions`.
+        self._session_map: Dict[Tuple[int, int], _Session] = {}
         self.change_log: List[RouteChange] = []
         #: total updates (announcements + withdrawals) sent per directed
         #: session; Table 2's per-router load estimates read this.
@@ -140,6 +142,11 @@ class BGPEngine:
         #: (installed by warm_start / apply_delta and not since perturbed
         #: by event-path activity).  None: the delta path must fall back.
         self._analytic: Optional[Dict[Prefix, object]] = None
+        #: prefix -> PrefixSolution for the analytic prefixes whose
+        #: Adj-RIB-In and wire rows are not written yet (their Loc-RIB
+        #: is): :meth:`materialize` writes them.  A dict, not a set, so
+        #: a pickled engine restores it in the same order.
+        self._rows_pending: Dict[Prefix, object] = {}
         #: adjacency index cached for repro.bgp.delta (topology is
         #: immutable for the engine's lifetime).
         self._delta_adjacency = None
@@ -167,7 +174,7 @@ class BGPEngine:
                 jitter = self._rng.uniform(
                     config.mrai_jitter_min, config.mrai_jitter_max
                 )
-                session = self._sessions[(asn, neighbor)] = _Session(
+                session = self._session_map[(asn, neighbor)] = _Session(
                     (asn, neighbor), config.mrai * jitter
                 )
                 speaker.sessions[neighbor] = session
@@ -249,10 +256,11 @@ class BGPEngine:
         resets produce.  Call :meth:`run` afterwards to quiesce.  Returns
         False (no-op) if the ASes are not BGP neighbors.
         """
-        if (as_a, as_b) not in self._sessions:
+        sessions = self._session_map
+        if (as_a, as_b) not in sessions:
             return False
         self._invalidate_analytic()
-        pair = (self._sessions[(as_a, as_b)], self._sessions[(as_b, as_a)])
+        pair = (sessions[(as_a, as_b)], sessions[(as_b, as_a)])
         for session in pair:
             session.last_sent_time.clear()
             session.sent.clear()
@@ -284,26 +292,39 @@ class BGPEngine:
         """Install a solver-computed converged state (no events run).
 
         *result* is a :class:`repro.bgp.solver.SolverResult`.  Afterwards
-        the engine is at quiescence: every Loc-RIB/Adj-RIB-In entry and
-        every session's advertised state match what event-driven
-        convergence of the same originations would have produced, so all
-        subsequent perturbations (new originations, poisons, session
-        resets) behave identically.  The clock stays at its current value
-        and ``last_sent_time`` stays empty — the converged announcements
-        were "sent long ago", so no MRAI timer gates the first
-        post-warm-start update, just as a long-quiesced event engine
-        behaves.  The convergence process itself is not simulated, so
-        ``change_log``/``updates_sent`` record nothing for it.
+        the engine is at quiescence and routes exactly as event-driven
+        convergence of the same originations would: the originations and
+        every Loc-RIB selection are installed here, and each prefix's
+        Adj-RIB-In and wire rows are left pending — its
+        :class:`~repro.bgp.solver.PrefixSolution` stands for them until
+        :meth:`materialize` writes them, which happens before the event
+        path or an out-of-band reader touches a row.  So every
+        subsequent perturbation (new originations, poisons, session
+        resets) behaves identically.  The clock stays at its current
+        value and ``last_sent_time`` stays empty — the converged
+        announcements were "sent long ago", so no MRAI timer gates the
+        first post-warm-start update, just as a long-quiesced event
+        engine behaves.  The convergence process itself is not
+        simulated, so ``change_log``/``updates_sent`` record nothing for
+        it.
 
-        Requires a fresh engine (nothing originated, no queued events).
+        Requires a fresh engine: nothing originated, no events run or
+        queued, no analytic state installed before.
         """
-        if self._queue:
+        if (
+            self._queue
+            or self.change_log
+            or self.updates_sent
+            or self._analytic is not None
+            or any(speaker._origins for speaker in self.speakers.values())
+        ):
             raise SimulationError(
-                "warm_start requires an idle engine (events pending)"
+                "warm_start requires a fresh engine (prior originations, "
+                "events or analytic state)"
             )
         for org in result.originations:
             # State-only origination: no change log, no session flush —
-            # the solved session state below already reflects it.
+            # the solution stands for the session state.
             self.speakers[org.asn].originate(
                 org.prefix,
                 path=org.path,
@@ -313,16 +334,10 @@ class BGPEngine:
         speakers = self.speakers
         for solution in result.solutions:
             prefix = solution.prefix
-            best = solution.best
-            for receiver, routes in solution.adj_in.items():
-                speakers[receiver].table.load(
-                    prefix, routes, best.get(receiver)
-                )
-            for src, row in solution.sent.items():
-                sessions = speakers[src].sessions
-                for dst, announcement in row.items():
-                    sessions[dst].sent[prefix] = announcement
+            for receiver, route in solution.best.items():
+                speakers[receiver].table.pin_best(prefix, route)
         self._analytic = {s.prefix: s for s in result.solutions}
+        self._rows_pending = dict(self._analytic)
         self._fib_dirty = None
         if self.obs is not None:
             self.obs.emit(
@@ -330,6 +345,37 @@ class BGPEngine:
                 subject=f"{len(result.solutions)} prefixes",
                 prefixes=len(result.solutions),
             )
+
+    def materialize(self) -> None:
+        """Write the Adj-RIB-In and wire rows of every pending analytic
+        prefix (:func:`repro.bgp.solver.derive_rows`).
+
+        The one door to a row: the event path passes through it (via
+        :meth:`_invalidate_analytic`) before it touches one, and so do
+        out-of-band readers of Adj-RIB-In or wire state.  Each prefix's
+        rows are new dicts this engine owns — never the solution's or
+        the solution memo's, which other engines may share.  Loc-RIB is
+        not written: it was pinned when the solution was installed.
+        """
+        pending = self._rows_pending
+        if not pending:
+            return
+        speakers = self.speakers
+        for prefix, solution in pending.items():
+            adj_in, sent = derive_rows(solution)
+            for receiver, routes in adj_in.items():
+                speakers[receiver].table.replace_rows(prefix, routes)
+            for src, row in sent.items():
+                sessions = speakers[src].sessions
+                for dst, announcement in row.items():
+                    sessions[dst].sent[prefix] = announcement
+        pending.clear()
+
+    @property
+    def _sessions(self) -> Dict[Tuple[int, int], _Session]:
+        """(src, dst) -> session, every row written (:meth:`materialize`)."""
+        self.materialize()
+        return self._session_map
 
     def advance_to(self, time: float) -> None:
         """Move the idle engine clock forward to *time*.
@@ -521,12 +567,12 @@ class BGPEngine:
     # Incremental convergence (repro.bgp.delta)
     # ------------------------------------------------------------------
     def _invalidate_analytic(self) -> None:
-        """Event-path activity: the analytic state map is no longer
-        trustworthy for splicing (crossed messages can leave artifacts the
-        per-prefix solutions do not describe), so the delta gate must
-        refuse until the next warm_start.  The solution memo goes with
-        it: event-path processing mutates Adj-RIB-In row dicts in place,
-        and splicing shares those dicts with memoized solutions."""
+        """Event-path activity: write every pending row first (the event
+        path reads and mutates rows), then drop the analytic state map —
+        crossed messages can leave artifacts the per-prefix solutions do
+        not describe, so the delta gate must refuse from now on.  The
+        solution memo goes with it: only a splice reads it."""
+        self.materialize()
         self._analytic = None
         self._delta_solutions.clear()
 

@@ -83,9 +83,12 @@ class RouteTable:
     Keeps the Adj-RIB-In (one route per (prefix, neighbor)) and the Loc-RIB
     (the selected best route per prefix).  Invariant: the Loc-RIB entry
     is :func:`best_route` of the prefix's rows not in ``suppressed``.
-    :meth:`decide` keeps it one row at a time; :meth:`load` and
-    :meth:`replace_rows` / :meth:`pin_best` install analytic state that
-    satisfies it by construction.
+    :meth:`decide` keeps it one row at a time; :meth:`pin_best` and
+    :meth:`replace_rows` install analytic state that satisfies it by
+    construction.  A warm-started table may hold a prefix's pinned
+    selection before its rows: the owning engine writes them
+    (:meth:`BGPEngine.materialize`) before anything reads or mutates
+    one.
     """
 
     def __init__(self) -> None:
@@ -147,35 +150,15 @@ class RouteTable:
                     return old, old, False
         return self.reselect(prefix)
 
-    def load(
-        self,
-        prefix: Prefix,
-        routes: Dict[int, Route],
-        best: Optional[Route],
-    ) -> None:
-        """Bulk-install solver-computed state for *prefix*.
-
-        Merges *routes* (neighbor ASN -> route) into the Adj-RIB-In and
-        pins the Loc-RIB selection without re-running the decision
-        process — the caller (:meth:`BGPEngine.warm_start`) guarantees
-        *best* is what :func:`best_route` would pick.
-        """
-        self._adj_in.setdefault(prefix, {}).update(routes)
-        if best is not None:
-            self._loc[prefix] = best
-
     def replace_rows(
         self, prefix: Prefix, routes: Optional[Dict[int, Route]]
     ) -> None:
         """Overwrite the whole Adj-RIB-In row set for *prefix*.
 
-        ``None``/empty removes the prefix.  Delta splicing uses this for
-        receivers whose rows actually changed; :meth:`load`'s merge
-        semantics would leave stale senders behind.  Takes ownership of
-        *routes* (installed by reference, not copied): the delta path
-        hands over solver-built dicts it never mutates, and any event-
-        path activity that would mutate them in place first invalidates
-        the analytic state they came from.
+        ``None``/empty removes the prefix.  Takes ownership of *routes*
+        (installed by reference, not copied): materialisation hands over
+        dicts derived for this table alone, which the event path may
+        then mutate in place.
         """
         if routes:
             self._adj_in[prefix] = routes
@@ -184,7 +167,8 @@ class RouteTable:
 
     def pin_best(self, prefix: Prefix, best: Optional[Route]) -> None:
         """Set (or clear, with None) the Loc-RIB selection for *prefix*
-        without re-running the decision process (see :meth:`load`)."""
+        without re-running the decision process: the caller guarantees
+        *best* is what :func:`best_route` would pick."""
         if best is not None:
             self._loc[prefix] = best
         else:

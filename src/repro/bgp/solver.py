@@ -1,7 +1,7 @@
 """Analytic Gao-Rexford route solver.
 
 Event-driven convergence is the dominant cost of building a baseline
-(~13 s at the medium scale), yet under pure Gao-Rexford policy the
+(~1.7 s at the medium scale), yet under pure Gao-Rexford policy the
 converged state is the *unique* stable routing — a pure function of
 topology plus origination config, independent of message timing.  This
 module computes it directly with the classic three-phase propagation,
@@ -24,9 +24,14 @@ Loop prevention (the mechanism poisoning exploits) is applied per offer:
 a receiver already on the path rejects it, exactly like the engine's
 import filter with ``loop_max_occurrences=1``.
 
-A :class:`SolverResult` then materializes per-exporter wire rows and
-Adj-RIB-In/Loc-RIB entries; :meth:`BGPEngine.warm_start` installs them
-so the engine is at quiescence and behaves identically to an
+A :class:`PrefixSolution` *is* the prefix's routing state: the
+per-receiver finals and the Loc-RIB selection (``best``) they imply.
+The Adj-RIB-In rows and per-session wire rows follow from the finals
+and are not built by the solve; :func:`derive_rows` derives them, fresh
+on every call, in the order the engine stores them.
+:meth:`BGPEngine.warm_start` pins the Loc-RIBs and leaves every prefix's
+rows pending; :meth:`BGPEngine.materialize` writes them before anything
+reads or mutates one, so the engine behaves identically to an
 event-converged one for all subsequent perturbations.
 
 The solver refuses configurations it cannot model exactly —
@@ -37,6 +42,7 @@ The solver refuses configurations it cannot model exactly —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,8 +56,10 @@ from repro.topology.relationships import Relationship, local_pref_for
 #: The role a receiver assigns the AS exporting to it, keyed by the role
 #: the exporter assigns the receiver (one edge, seen from its other end).
 _RECEIVER_ROLE = {role: role.inverse() for role in Relationship}
+#: Local-pref per relationship class of the neighbour a route came from.
+_LOCAL_PREF = {role: local_pref_for(role) for role in Relationship}
 #: Local-pref of a route a customer hears from its provider.
-_PROVIDER_PREF = local_pref_for(Relationship.PROVIDER)
+_PROVIDER_PREF = _LOCAL_PREF[Relationship.PROVIDER]
 
 
 class SolverUnsupported(SimulationError):
@@ -104,20 +112,51 @@ class Origination:
         return dict(self.per_neighbor)
 
 
+#: (nbr_rel, providers_of, peers_of, customers_of): the per-AS adjacency
+#: split by the role each end plays, precomputed once per topology and
+#: shared across every prefix (and cached on the engine by the delta path
+#: — the topology never changes during a run).
+Adjacency = Tuple[
+    Dict[int, Dict[int, Relationship]],
+    Dict[int, List[int]],
+    Dict[int, List[int]],
+    Dict[int, List[int]],
+]
+
+
 @dataclass
 class PrefixSolution:
-    """Converged state for one prefix, ready for warm-start installation."""
+    """Converged state for one prefix: the source of truth its rows are
+    derived from (:func:`derive_rows`).  ``adj_in`` and ``sent`` are
+    those rows as read-only views, derived on first read and kept: for
+    inspection only — the engine installs fresh rows of its own."""
 
     prefix: Prefix
     origination: Origination
-    #: receiver ASN -> sender ASN -> installed Adj-RIB-In route.
-    adj_in: Dict[int, Dict[int, Route]]
-    #: receiver ASN -> selected Loc-RIB route (the origin is absent; its
-    #: self-route comes from :meth:`BGPSpeaker.originate`).
+    #: receiver ASN -> (sender, path heard, path exported), in selection
+    #: order: the first ``up_count`` are customer-learned, then
+    #: peer-learned, then provider-learned.
+    final: Dict[int, Tuple[int, ASPath, ASPath]]
+    up_count: int
+    #: receiver ASN -> selected Loc-RIB route, in ``final`` order (the
+    #: origin is absent; its self-route comes from
+    #: :meth:`BGPSpeaker.originate`).  The ASes holding Adj-RIB-In rows
+    #: are exactly these receivers.
     best: Dict[int, Route]
-    #: exporter ASN -> receiver ASN -> announcement on the wire (the
-    #: ``_Session.sent`` entry of ``speakers[exporter].sessions[receiver]``).
-    sent: Dict[int, Dict[int, Announcement]]
+    #: the adjacency the solve ran over (:func:`derive_rows` reads it).
+    adjacency: Adjacency = field(repr=False, compare=False)
+
+    @cached_property
+    def adj_in(self) -> Dict[int, Dict[int, Route]]:
+        """receiver ASN -> sender ASN -> Adj-RIB-In route."""
+        return derive_rows(self)[0]
+
+    @cached_property
+    def sent(self) -> Dict[int, Dict[int, Announcement]]:
+        """exporter ASN -> receiver ASN -> announcement on the wire (the
+        ``_Session.sent`` entry of ``speakers[exporter].sessions
+        [receiver]``)."""
+        return derive_rows(self)[1]
 
 
 @dataclass
@@ -127,12 +166,6 @@ class SolverResult:
     originations: List[Origination]
     solutions: List[PrefixSolution]
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def loc_rib(self, prefix: Prefix) -> Dict[int, Route]:
-        for solution in self.solutions:
-            if solution.prefix == prefix:
-                return dict(solution.best)
-        return {}
 
 
 def speaker_config_reason(engine) -> Optional[str]:
@@ -189,8 +222,8 @@ def solver_unsupported_reason(
             return f"origination from unknown AS{org.asn}"
         if org.prefix in seen_prefixes:
             # Found by differential fuzzing: the solver solves each
-            # origination independently and warm_start merges the
-            # solutions (table.load pins blindly), while the event
+            # origination independently and warm_start pins each
+            # solution's selections blindly, while the event
             # engine computes true anycast routing — so any duplicate
             # prefix (MOAS, or repeated same-AS configs where the
             # engine's last-write-wins) must take the event path.
@@ -268,18 +301,6 @@ def solve(
         solutions=solutions,
         phase_seconds=phase_seconds,
     )
-
-
-#: (nbr_rel, providers_of, peers_of, customers_of): the per-AS adjacency
-#: split by the role each end plays, precomputed once per topology and
-#: shared across every prefix (and cached on the engine by the delta path
-#: — the topology never changes during a run).
-Adjacency = Tuple[
-    Dict[int, Dict[int, Relationship]],
-    Dict[int, List[int]],
-    Dict[int, List[int]],
-    Dict[int, List[int]],
-]
 
 
 def build_adjacency(engine) -> Adjacency:
@@ -414,11 +435,60 @@ def solve_prefix(
     t3 = perf_counter()
     phase_seconds["down"] += t3 - t2
 
-    # Install wire/RIB state from the finals, exporter by exporter, in
-    # the layout the engine stores it.  Announcements and routes are
-    # shared: one announcement per exporter, one route per (exporter,
-    # receiver relationship class) — they compare equal to the
-    # per-session objects the event engine builds.
+    # Install: each receiver's selection, read straight off its final;
+    # the rows behind it are left to derive_rows.  A transit sender
+    # tells every receiver of one relationship class the same route,
+    # so those selections share one object, as the rows do.
+    best: Dict[int, Route] = {}
+    shared: Dict[tuple, Route] = {}
+    for receiver, (sender, path, _export) in final.items():
+        rel = _RECEIVER_ROLE[nbr_rel[sender][receiver]]
+        if sender == origin:
+            best[receiver] = Route(
+                prefix, intern_path(path), origin, rel, _LOCAL_PREF[rel], med
+            )
+            continue
+        route = shared.get((sender, rel))
+        if route is None:
+            route = shared[sender, rel] = Route(
+                prefix, path, sender, rel, _LOCAL_PREF[rel]
+            )
+        best[receiver] = route
+    phase_seconds["install"] += perf_counter() - t3
+
+    return PrefixSolution(
+        prefix=prefix,
+        origination=org,
+        final=final,
+        up_count=up_count,
+        best=best,
+        adjacency=adjacency,
+    )
+
+
+def derive_rows(
+    solution: PrefixSolution,
+) -> Tuple[Dict[int, Dict[int, Route]], Dict[int, Dict[int, Announcement]]]:
+    """The Adj-RIB-In and wire rows *solution*'s finals imply, as
+    ``(adj_in, sent)``: receiver -> sender -> route and exporter ->
+    receiver -> announcement.
+
+    Built exporter by exporter, in the layout and insertion order the
+    engine stores them, into new dicts on every call: the caller owns
+    them (:meth:`BGPEngine.materialize` installs them by reference).
+    Announcements and routes are shared: one announcement per exporter,
+    one route per (exporter, receiver relationship class), and that
+    route is the very ``best`` object of the receivers that selected it
+    (a Loc-RIB entry and its Adj-RIB-In row are one object, as when the
+    event engine selects a row) — they compare equal to the per-session
+    objects the event engine builds.
+    """
+    nbr_rel, _providers_of, _peers_of, customers_of = solution.adjacency
+    org = solution.origination
+    origin = org.asn
+    prefix = solution.prefix
+    med = org.med
+    best = solution.best
     adj_in: Dict[int, Dict[int, Route]] = {}
     sent: Dict[int, Dict[int, Announcement]] = {}
 
@@ -434,18 +504,22 @@ def solve_prefix(
             ann = ann_by_path[path] = Announcement(prefix, path, med)
         row[n] = ann
         if n not in path:
-            rel = _RECEIVER_ROLE[role]
-            adj_in[n] = {
-                origin: Route(
-                    prefix, path, origin, rel, local_pref_for(rel), med
-                )
-            }
+            route = best.get(n)
+            if route is None or route.neighbor != origin:
+                rel = _RECEIVER_ROLE[role]
+                route = Route(prefix, path, origin, rel, _LOCAL_PREF[rel], med)
+            adj_in[n] = {origin: route}
     if row:
         sent[origin] = row
 
-    finals = iter(final.items())
+    # What a transit exporter tells one relationship class is the route
+    # those of its receivers that selected it hold: reuse that object.
+    selected = {
+        (route.neighbor, route.relationship): route for route in best.values()
+    }
+    finals = iter(solution.final.items())
     # Customer-learned: told to every neighbour but the supplier.
-    for src, (sender, _path, export) in islice(finals, up_count):
+    for src, (sender, _path, export) in islice(finals, solution.up_count):
         roles = nbr_rel[src]
         row = dict.fromkeys(roles, Announcement(prefix, export))
         del row[sender]  # never echo a route back to its supplier
@@ -458,9 +532,10 @@ def solve_prefix(
             rel = _RECEIVER_ROLE[role]
             route = routes.get(rel)
             if route is None:
-                route = routes[rel] = Route(
-                    prefix, export, src, rel, local_pref_for(rel)
-                )
+                route = selected.get((src, rel))
+                if route is None:
+                    route = Route(prefix, export, src, rel, _LOCAL_PREF[rel])
+                routes[rel] = route
             rows = adj_in.get(dst)
             if rows is None:
                 adj_in[dst] = {src: route}
@@ -478,30 +553,15 @@ def solve_prefix(
             if dst in export:
                 continue
             if route is None:
-                route = Route(
-                    prefix, export, src, Relationship.PROVIDER,
-                    _PROVIDER_PREF,
-                )
+                route = selected.get((src, Relationship.PROVIDER))
+                if route is None:
+                    route = Route(
+                        prefix, export, src, Relationship.PROVIDER,
+                        _PROVIDER_PREF,
+                    )
             rows = adj_in.get(dst)
             if rows is None:
                 adj_in[dst] = {src: route}
             else:
                 rows[src] = route
-    best: Dict[int, Route] = {}
-    try:
-        for receiver, (sender, _path, _export) in final.items():
-            best[receiver] = adj_in[receiver][sender]
-    except KeyError:  # pragma: no cover - solver invariant
-        raise SimulationError(
-            f"solver: AS{receiver} selected a route from "
-            f"AS{sender} that was never exported"
-        ) from None
-    phase_seconds["install"] += perf_counter() - t3
-
-    return PrefixSolution(
-        prefix=prefix,
-        origination=org,
-        adj_in=adj_in,
-        best=best,
-        sent=sent,
-    )
+    return adj_in, sent

@@ -213,8 +213,12 @@ def build_fibs(
             tables.pop(asn, None)
             contested.update(p for p, v in old.items() if v == LOCAL)
             continue
+        # A prefix with rows but no selection has no FIB row, so the
+        # Loc-RIB's prefixes are every row there can be.
         rows = dirty_asns[asn] if named else (
-            old.keys() | speaker.table.prefixes() | {DEFAULT_PREFIX}
+            old.keys()
+            | speaker.table.best_routes().mapping.keys()
+            | {DEFAULT_PREFIX}
         )
         fib = tables[asn] = dict(old)
         for prefix in rows:

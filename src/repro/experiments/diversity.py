@@ -62,6 +62,7 @@ def _forward_last_link_avoidable(
         return None
     prefix = node.prefixes[0]
     speaker = engine.speakers[origin_asn]
+    engine.materialize()
     candidates = speaker.table.candidates(prefix)
     routes = [r for r in candidates if r.neighbor != origin_asn]
     if not routes:

@@ -115,7 +115,9 @@ def capture_state(
 ) -> StateSnapshot:
     """One engine's observable routing state for *prefixes* (None:
     every prefix it holds): one dict copy per speaker and per session,
-    or one lookup each per asked prefix."""
+    or one lookup each per asked prefix.  The wire section reads
+    ``engine._sessions``, which writes any pending rows first
+    (:meth:`BGPEngine.materialize`)."""
     return StateSnapshot(
         {
             asn: held

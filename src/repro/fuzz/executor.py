@@ -229,9 +229,9 @@ def _delta_arm(
     are exactly what the delta gate exists to refuse.
 
     The arm warm-starts from *solution*, the solver arm's own result:
-    ``solve`` is pure in graph, configs and originations, ``warm_start``
-    copies its rows into the tables, and the divergence hook corrupts
-    the solver arm's engine, not the solution.
+    ``solve`` is pure in graph, configs and originations, each engine
+    materialises rows of its own from it, and the divergence hook
+    corrupts the solver arm's engine, not the solution.
     """
     try:
         engine = BGPEngine(

@@ -9,7 +9,7 @@ produce that converged state:
   (:mod:`repro.bgp.solver`) computes the unique stable routing directly
   and :meth:`~repro.bgp.engine.BGPEngine.warm_start` installs it.  No
   events run, so this is O(V+E) per prefix instead of simulating the
-  full update storm (~13 s at the medium scale before the solver).
+  full update storm (~1.7 s at the medium scale).
 * ``mode="event"`` — classic event-driven convergence, required when the
   configuration has features the solver cannot model (sibling links,
   local-pref overrides, damping, ...).
@@ -97,7 +97,10 @@ class ConvergedBaseline:
 
     def snapshot(self) -> bytes:
         """Compressed pickle of the engine (which carries the graph) for
-        trial workers."""
+        trial workers, its pending rows written first
+        (:meth:`BGPEngine.materialize`): unpickling written rows costs a
+        trial less than deriving them would."""
+        self.engine.materialize()
         return pack_snapshot((self.engine, self.origin_asn))
 
 

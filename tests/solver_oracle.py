@@ -1,11 +1,15 @@
-"""The per-prefix solve ``repro.bgp.solver`` ran before its one-pass install.
+"""The per-prefix solve ``repro.bgp.solver`` ran before its one-pass
+install, and the eager warm start that loaded its rows.
 
 :func:`repro.bgp.solver.solve_prefix` keeps one best offer per
-receiver, installs in one pass and groups wire rows by exporter; this
-is the list-and-``min`` propagation and the ``(src, dst)``-keyed
+receiver and leaves rows to :func:`repro.bgp.solver.derive_rows`, which
+groups wire rows by exporter; :func:`oracle_solve_prefix` is the
+list-and-``min`` propagation and the ``(src, dst)``-keyed
 materialisation it replaced, kept as the independent oracle the tests
-hold its values and dict insertion order to.  The library does not
-import it.
+hold its values and dict insertion order to.  :func:`eager_warm_start`
+installs those rows the way ``BGPEngine.warm_start`` did before rows
+became lazy — every Adj-RIB-In and wire row up front — so a test can
+hold a materialised engine to it.  The library does not import either.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Dict, List, Tuple
 
 from repro.bgp.messages import Announcement, ASPath, intern_path
 from repro.bgp.rib import Route
+from repro.bgp.solver import build_adjacency
 from repro.errors import SimulationError
 from repro.topology.relationships import Relationship, local_pref_for
 
@@ -183,3 +188,27 @@ def oracle_solve_prefix(org, adjacency):
                 )
             best[receiver] = route
     return adj_in, best, sent
+
+
+def eager_warm_start(engine, originations) -> None:
+    """Install the converged state of *originations* into the fresh
+    *engine* with every row written: the originations, then per
+    prefix each receiver's Adj-RIB-In rows and selection and each
+    session's announcement, in :func:`oracle_solve_prefix`'s order."""
+    speakers = engine.speakers
+    for org in originations:
+        speakers[org.asn].originate(
+            org.prefix,
+            path=org.path,
+            per_neighbor=org.per_neighbor_dict(),
+            med=org.med,
+        )
+    adjacency = build_adjacency(engine)
+    for org in originations:
+        adj_in, best, sent = oracle_solve_prefix(org, adjacency)
+        for receiver, routes in adj_in.items():
+            table = speakers[receiver].table
+            table.replace_rows(org.prefix, dict(routes))
+            table.pin_best(org.prefix, best[receiver])
+        for (src, dst), announcement in sent.items():
+            speakers[src].sessions[dst].sent[org.prefix] = announcement
