@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from datetime import date
 from typing import List, Optional
 
 from repro.analysis.reporting import Table
@@ -567,40 +566,6 @@ def _cmd_impact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runner.bench import run_bench_suite
-
-    doc = _measured(
-        args, run_bench_suite,
-        scale=args.scale,
-        seed=args.seed,
-        workers=args.workers,
-        only=args.only or None,
-    )
-    output = args.output or f"BENCH_{date.today().isoformat()}.json"
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    table = Table(
-        f"Benchmark suite ({doc['scale']}, {doc['workers']} workers)",
-        ["benchmark", "wall (s)", "trials", "trials/s"],
-    )
-    for name, bench in doc["benchmarks"].items():
-        table.add_row(
-            name, bench["wall_seconds"], bench["trials"],
-            bench["trials_per_sec"],
-        )
-    totals = doc["totals"]
-    table.add_row(
-        "TOTAL", totals["wall_seconds"], totals["trials"],
-        totals["trials_per_sec"],
-    )
-    table.add_note(f"written to {output}")
-    table.emit()
-    return 0
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import run_campaign
 
@@ -676,15 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="LIFEGUARD (SIGCOMM'12) reproduction experiments",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--baseline-mode",
-        choices=("auto", "solver", "event"),
-        default=None,
-        help="how converged baselines are produced: the analytic "
-             "Gao-Rexford solver, the event-driven engine, or auto "
-             "(solver with event fallback; default, also settable via "
-             "$REPRO_BASELINE_MODE)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("fig1", help="outage duration CDFs").set_defaults(
@@ -877,23 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics_out(p)
     p.set_defaults(func=_cmd_impact)
     p = sub.add_parser(
-        "bench",
-        help="run the benchmark suite and write BENCH_<date>.json",
-    )
-    p.add_argument("--scale", default="small")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--output", default=None,
-        help="output path (default BENCH_<date>.json in the cwd)",
-    )
-    p.add_argument(
-        "--only",
-        action="append",
-        help="run just the named benchmark (repeatable)",
-    )
-    _add_metrics_out(p)
-    p.set_defaults(func=_cmd_bench)
-    p = sub.add_parser(
         "fuzz",
         help="differentially fuzz the analytic solver against the "
              "event engine; nonzero exit on any divergence or crash",
@@ -935,22 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.baseline_mode:
-        return args.func(args)
-    # Via the environment so trial workers (fresh processes) and deeply
-    # nested converged_internet() calls all see the choice — for the
-    # length of the command, not of the calling process.
-    from repro.runner.baseline import ENV_BASELINE_MODE
-
-    previous = os.environ.get(ENV_BASELINE_MODE)
-    os.environ[ENV_BASELINE_MODE] = args.baseline_mode
-    try:
-        return args.func(args)
-    finally:
-        if previous is None:
-            del os.environ[ENV_BASELINE_MODE]
-        else:
-            os.environ[ENV_BASELINE_MODE] = previous
+    return args.func(args)
 
 
 if __name__ == "__main__":

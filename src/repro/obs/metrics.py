@@ -10,8 +10,8 @@ cleanly as event logs.
 :class:`~repro.runner.stats.RunStats` (the accounting object every
 experiment driver already threads through) is now a thin bridge over a
 registry: its counters are registry counters and its phase timers are
-registry histograms, so one snapshot captures both the legacy bench
-fields and anything the event bus recorded.
+registry histograms, so one snapshot captures both the driver's phase
+timers and anything the event bus recorded.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@
 on: a trial executor whose parallel results are byte-identical to serial
 (:mod:`repro.runner.core`), construction of converged control planes
 and the snapshots trial workers restore them from
-(:mod:`repro.runner.baseline`), run accounting
-(:mod:`repro.runner.stats`), and the benchmark suite behind
-``python -m repro bench`` (:mod:`repro.runner.bench`).
+(:mod:`repro.runner.baseline`), and run accounting
+(:mod:`repro.runner.stats`).
 """
 
 from repro.runner.baseline import (

@@ -32,7 +32,6 @@ heavier levels cost more time than the bytes they save.
 
 from __future__ import annotations
 
-import os
 import pickle
 import random
 import zlib
@@ -63,10 +62,6 @@ ORIGIN_ASN_EVEN = "even"  # next even ASN with a dark odd sibling (sentinel)
 MODE_AUTO = "auto"
 MODE_SOLVER = "solver"
 MODE_EVENT = "event"
-
-#: Environment override for the default baseline mode (CLI ``--baseline-mode``
-#: sets it); an explicit ``mode=`` argument always wins.
-ENV_BASELINE_MODE = "REPRO_BASELINE_MODE"
 
 #: zlib level for snapshot payloads: level 1 already shrinks pickled
 #: engines ~5x; higher levels trade measurable CPU for few extra bytes.
@@ -123,8 +118,8 @@ def _even_origin_asn(graph: ASGraph) -> int:
 
 
 def resolve_baseline_mode(mode: Optional[str]) -> str:
-    """Normalize a ``mode`` argument (None: env var, then ``auto``)."""
-    resolved = mode or os.environ.get(ENV_BASELINE_MODE) or MODE_AUTO
+    """Normalize a ``mode`` argument (None means ``auto``)."""
+    resolved = mode or MODE_AUTO
     if resolved not in (MODE_AUTO, MODE_SOLVER, MODE_EVENT):
         raise SimulationError(
             f"unknown baseline mode {resolved!r}; pick from "
@@ -156,8 +151,7 @@ def converged_internet(
     *mode* selects how convergence is produced (module docstring);
     ``"solver"`` raises :class:`~repro.bgp.solver.SolverUnsupported` when
     the config has features the solver cannot model, ``"auto"`` (the
-    default, overridable via ``REPRO_BASELINE_MODE``) falls back to the
-    event engine instead.
+    default) falls back to the event engine instead.
 
     *defense_rate* deploys the measured anti-poisoning defenses
     (:func:`~repro.topology.generate.assign_defense_configs`) on that

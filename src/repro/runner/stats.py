@@ -3,12 +3,13 @@
 A :class:`RunStats` travels through a driver (and, merged, back from
 worker processes) so every run can report where its wall-clock time went:
 topology generation, BGP convergence, trial execution.
-The ``bench`` subcommand serializes these into ``BENCH_*.json``.
+``--metrics-out`` snapshots them, and worker processes ship theirs home
+in the :meth:`RunStats.as_dict` form.
 
 Since the observability subsystem landed, RunStats is a thin bridge over
 a :class:`~repro.obs.metrics.MetricsRegistry`: counters are registry
 counters and phase timers are registry histograms (the timer value is the
-histogram's running total, so the legacy ``as_dict`` shape is unchanged
+histogram's running total, so the ``as_dict`` shape holds plain seconds
 while full latency distributions come along for free).  Pass an existing
 registry to share one metrics namespace between a stats object and an
 event bus; omit it and RunStats owns a private one.
@@ -70,7 +71,8 @@ class RunStats:
         return self.registry.histogram_totals()
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """The legacy bench-JSON shape, keys sorted at every level."""
+        """Counters and rounded timers as plain dicts, keys sorted at every
+        level (what a worker process returns)."""
         return {
             "counters": self.counters,
             "timers": {

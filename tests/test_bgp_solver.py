@@ -30,7 +30,6 @@ from repro.bgp.solver import (
 from repro.errors import SimulationError
 from repro.fuzz.diff import canonical_blob, capture_state
 from repro.runner.baseline import (
-    ENV_BASELINE_MODE,
     MODE_EVENT,
     MODE_SOLVER,
     ORIGIN_ASN_EVEN,
@@ -337,37 +336,11 @@ class TestSolverFallback:
 
 
 class TestBaselineModeplumbing:
-    def test_resolve_mode_env_and_validation(self, monkeypatch):
-        monkeypatch.delenv(ENV_BASELINE_MODE, raising=False)
+    def test_resolve_mode_defaults_to_auto_and_validates(self):
         assert resolve_baseline_mode(None) == "auto"
-        monkeypatch.setenv(ENV_BASELINE_MODE, MODE_EVENT)
-        assert resolve_baseline_mode(None) == MODE_EVENT
         assert resolve_baseline_mode(MODE_SOLVER) == MODE_SOLVER
         with pytest.raises(SimulationError):
             resolve_baseline_mode("warp")
-
-    def test_cli_flag_sets_env(self, monkeypatch):
-        """``--baseline-mode`` is visible (to this process and to any
-        worker it forks) for the length of the command and not after."""
-        import os
-
-        from repro import cli
-
-        seen = []
-
-        def command(args):
-            seen.append(resolve_baseline_mode(None))
-            raise RuntimeError("a command that dies still restores")
-
-        monkeypatch.setattr(cli, "_cmd_fig1", command)
-        monkeypatch.delenv(ENV_BASELINE_MODE, raising=False)
-        for before in (None, MODE_SOLVER):
-            if before is not None:
-                monkeypatch.setenv(ENV_BASELINE_MODE, before)
-            with pytest.raises(RuntimeError):
-                cli.main(["--baseline-mode", "event", "fig1"])
-            assert os.environ.get(ENV_BASELINE_MODE) == before
-        assert seen == [MODE_EVENT, MODE_EVENT]
 
     def test_cache_argument_accepts_only_none(self, tmp_path):
         with pytest.raises(TypeError):

@@ -2,10 +2,7 @@
 
 import dataclasses
 import functools
-import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -13,7 +10,6 @@ import repro.obs
 from repro.cli import build_parser, main
 from repro.obs import EventBus
 from repro.obs.export import event_log_digest, read_events_jsonl
-from repro.runner.bench import BENCH_SCHEMA_VERSION, BENCHMARKS, RETIRED
 from repro.service import LifeguardService
 
 
@@ -25,21 +21,52 @@ class TestParser:
     def test_known_subcommands(self):
         parser = build_parser()
         for command in ("fig1", "fig5", "fig6", "efficacy", "accuracy",
-                        "table2", "demo", "chaos", "bench"):
+                        "table2", "demo", "chaos"):
             args = parser.parse_args([command])
             assert args.command == command
 
     def test_workers_flag(self):
         parser = build_parser()
-        for command in ("fig6", "efficacy", "accuracy", "chaos", "bench"):
+        for command in ("fig6", "efficacy", "accuracy", "chaos"):
             args = parser.parse_args([command, "--workers", "3"])
             assert args.workers == 3
 
-    @pytest.mark.parametrize("command", ["impact", "bench"])
-    def test_no_cache_dir_option(self, command, capsys):
+    def test_no_cache_dir_option(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args([command, "--cache-dir", "x"])
+            build_parser().parse_args(["impact", "--cache-dir", "x"])
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["--baseline-mode", "event", "fig1"]],
+        ids=["bench", "baseline-mode"],
+    )
+    def test_retired_commands_and_options_are_usage_errors(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_main_dispatches_and_leaves_the_environment_alone(
+        self, monkeypatch
+    ):
+        """``main`` hands the parsed arguments to the command and returns
+        its exit code; no option reaches the command through
+        ``os.environ``, which is the same before and after."""
+        from repro import cli
+
+        seen = []
+
+        def command(args):
+            seen.append((args.command, dict(os.environ)))
+            return 3
+
+        monkeypatch.setattr(cli, "_cmd_fig1", command)
+        before = dict(os.environ)
+        assert main(["fig1"]) == 3
+        assert seen == [("fig1", before)]
+        assert dict(os.environ) == before
 
     def test_defaults_are_literals_whatever_the_environment(
         self, monkeypatch
@@ -159,134 +186,3 @@ class TestCommands:
         assert len(logged) > 100
         assert event_log_digest(logged) == report.digest
         assert f"event digest {report.digest[:16]}" in capsys.readouterr().out
-
-
-class TestBench:
-    @pytest.fixture(scope="class")
-    def bench_doc(self, tmp_path_factory):
-        """One quick bench run shared by the document checks."""
-        out = tmp_path_factory.mktemp("bench") / "BENCH_test.json"
-        code = main([
-            "bench", "--scale", "tiny", "--only", "alternate_paths",
-            "--only", "efficacy", "--output", str(out),
-        ])
-        assert code == 0
-        with open(out, "r", encoding="utf-8") as handle:
-            return out, json.load(handle)
-
-    def test_document_shape(self, bench_doc):
-        _path, doc = bench_doc
-        assert doc["schema_version"] == BENCH_SCHEMA_VERSION
-        assert doc["scale"] == "tiny"
-        assert doc["workers"] == 1
-        assert set(doc["benchmarks"]) == {"alternate_paths", "efficacy"}
-        for bench in doc["benchmarks"].values():
-            assert bench["trials"] > 0
-            assert bench["wall_seconds"] > 0
-            assert bench["trials_per_sec"] > 0
-            assert "metrics" in bench and "stats" in bench
-        totals = doc["totals"]
-        assert totals["trials"] == sum(
-            b["trials"] for b in doc["benchmarks"].values()
-        )
-
-    def test_totals_carry_no_cache_field(self, bench_doc):
-        _path, doc = bench_doc
-        assert set(doc["totals"]) == {
-            "wall_seconds", "trials", "trials_per_sec"
-        }
-        for bench in doc["benchmarks"].values():
-            assert not any(
-                name.startswith("baseline.cache")
-                for name in bench["stats"]["timers"]
-            )
-
-    def test_compare_accepts_bench_output(self, bench_doc):
-        path, _doc = bench_doc
-        script = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "compare.py"
-        )
-        result = subprocess.run(
-            [sys.executable, script, str(path), str(path)],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "0 regressed" in result.stdout
-
-    def test_compare_gates_on_regression(self, bench_doc, tmp_path):
-        _path, doc = bench_doc
-        # Inflate wall times past compare's noise floor so the gate
-        # applies, then halve the candidate's throughput.
-        base = json.loads(json.dumps(doc))
-        for bench in base["benchmarks"].values():
-            bench["wall_seconds"] = 10.0
-        slow = json.loads(json.dumps(base))
-        for bench in slow["benchmarks"].values():
-            bench["trials_per_sec"] *= 0.5
-        base_path = tmp_path / "base.json"
-        base_path.write_text(json.dumps(base))
-        slow_path = tmp_path / "slow.json"
-        slow_path.write_text(json.dumps(slow))
-        script = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "compare.py"
-        )
-        result = subprocess.run(
-            [sys.executable, script, str(base_path), str(slow_path)],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 1
-        assert "REGRESSED" in result.stdout
-
-    def test_compare_skips_sub_noise_floor_runs(self, bench_doc, tmp_path):
-        path, doc = bench_doc
-        slow = json.loads(json.dumps(doc))
-        for bench in slow["benchmarks"].values():
-            bench["wall_seconds"] = 0.05
-            bench["trials_per_sec"] *= 0.5
-        slow_path = tmp_path / "slow.json"
-        slow_path.write_text(json.dumps(slow))
-        script = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "compare.py"
-        )
-        result = subprocess.run(
-            [sys.executable, script, str(path), str(slow_path)],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0
-        assert "not gated" in result.stdout
-
-    def test_compare_rejects_wrong_schema(self, bench_doc, tmp_path):
-        path, doc = bench_doc
-        bad = json.loads(json.dumps(doc))
-        bad["schema_version"] = 999
-        bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(bad))
-        script = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "compare.py"
-        )
-        result = subprocess.run(
-            [sys.executable, script, str(path), str(bad_path)],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode != 0
-
-    def test_unknown_benchmark_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="nope") as raised:
-            main([
-                "bench", "--scale", "tiny", "--only", "nope",
-                "--output", str(tmp_path / "x.json"),
-            ])
-        assert "measured by" not in str(raised.value)
-        # A retired entry's error says which harness measures it now.
-        assert not set(RETIRED) & set(BENCHMARKS)
-        for name, harness in RETIRED.items():
-            with pytest.raises(ValueError) as raised:
-                main([
-                    "bench", "--scale", "tiny", "--only", name,
-                    "--output", str(tmp_path / "x.json"),
-                ])
-            assert f"{name!r} is measured by {harness}" in str(raised.value)

@@ -52,15 +52,11 @@ def test_importing_the_program_imports_no_numeric_stack():
     assert done.returncode == 0, done.stderr
 
 
-#: Where the program may read (or, for the CLI, lend) the environment:
-#: file under ``src/repro`` -> the one function allowed to do it.
-ENV_SITES = {
-    "obs/export.py": "resolve_trace_dir",
-    "runner/baseline.py": "resolve_baseline_mode",
-    "cli.py": "main",
-}
+#: Where the program may read the environment: file under ``src/repro``
+#: -> the one function allowed to do it.
+ENV_SITES = {"obs/export.py": "resolve_trace_dir"}
 
-ENV_NAMES = {"REPRO_BASELINE_MODE", "REPRO_TRACE_DIR"}
+ENV_NAMES = {"REPRO_TRACE_DIR"}
 
 
 def _enclosing_function(lines, index):
@@ -75,8 +71,8 @@ def _enclosing_function(lines, index):
 
 def test_the_environment_is_read_at_the_allow_listed_sites_only():
     """Options are flags and arguments.  The environment carries the
-    trace directory and the baseline mode a command hands its workers,
-    so a new ``REPRO_*`` variable fails here before it reaches README."""
+    trace directory alone, so a new ``REPRO_*`` variable fails here
+    before it reaches README."""
     root = os.path.dirname(os.path.abspath(repro.__file__))
     reads, names = set(), set()
     for folder, _dirs, files in os.walk(root):

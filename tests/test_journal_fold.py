@@ -382,11 +382,10 @@ class TestPacerSurvivesReplay:
     after an earlier ``engine.run()`` in the same tick the two differ
     (delta off), so a recovered pacer disagreed with the live one.
 
-    ``[auto]`` must really splice: while ``repro.cli.main`` leaked
-    ``--baseline-mode event`` into the process, the default-mode
-    deployment below was event-converged in a full tier-1 run (never
-    alone), every announcement fell back and ``[auto]`` was ``[off]``
-    under another name."""
+    ``[auto]`` must really splice: the default-mode deployment below is
+    solver-built, so every announcement takes the delta path; if it were
+    event-converged, every announcement would fall back and ``[auto]``
+    would be ``[off]`` under another name."""
 
     @pytest.mark.parametrize("delta_mode", ["off", "auto"])
     def test_recovered_pacer_equals_live(self, delta_mode):

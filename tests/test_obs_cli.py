@@ -47,7 +47,7 @@ class TestParser:
 
     def test_metrics_out_on_experiment_commands(self):
         parser = build_parser()
-        for command in ("fig6", "efficacy", "accuracy", "chaos", "bench"):
+        for command in ("fig6", "efficacy", "accuracy", "chaos"):
             args = parser.parse_args([command, "--metrics-out", "m.json"])
             assert args.metrics_out == "m.json"
 

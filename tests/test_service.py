@@ -265,9 +265,9 @@ class TestAdmissionController:
 
 class TestServiceReport:
     def test_as_dict_keeps_its_keys_order_and_special_cases(self):
-        """``baseline.json``'s service entry and ``repro serve
-        --metrics-out`` serialize this dict: same 29 keys, same order,
-        queue peaks sorted, user-minutes rounded to 6 places."""
+        """``repro serve`` prints this dict as its table and the control
+        pin records it: same 29 keys, same order, queue peaks sorted,
+        user-minutes rounded to 6 places."""
         report = ServiceReport(
             duration=14430.0, rounds=470, monitored_pairs=24, arrivals=21,
             records=24, repaired=1, completed=1, settled=24, pending=0,
