@@ -10,122 +10,16 @@ topology: for each transit AS, how many ASes lose all connectivity under
 poisoning vs. under the primitive?
 """
 
-import pytest
-
-from repro.analysis.reporting import Table
-from repro.bgp.engine import BGPEngine, EngineConfig
-from repro.bgp.messages import make_path, traversed_ases
-from repro.topology.generate import generate_multihomed_origin
-from repro.workloads.scenarios import build_internet
+from repro.experiments.tables import study
 
 
-@pytest.fixture(scope="module")
-def comparison():
-    graph, _shape = build_internet("small", seed=29)
-    origin = generate_multihomed_origin(graph, num_providers=1, seed=29)
-    provider = graph.providers(origin)[0]
-    prefix = graph.node(origin).prefixes[0]
-    engine = BGPEngine(graph, EngineConfig(seed=29))
-    for node in graph.nodes():
-        for node_prefix in node.prefixes:
-            if node.asn != origin:
-                engine.originate(node.asn, node_prefix)
-    engine.run()
-    engine.originate(origin, prefix, path=make_path(origin, prepend=3))
-    engine.run()
-
-    candidates = [
-        asn
-        for asn in graph.transit_ases()
-        if asn not in (origin, provider)
-        and graph.node(asn).tier != 1
-    ][:12]
-
-    rows = []
-    for target in candidates:
-        users = set(engine.ases_using(prefix, target))
-        # --- poisoning ---
-        engine.originate(
-            origin, prefix, path=make_path(origin, prepend=2,
-                                           poison=[target])
-        )
-        engine.run()
-        poisoned_cut = sum(
-            1
-            for asn in graph.ases()
-            if asn != origin and engine.as_path(asn, prefix) is None
-        )
-        poisoned_avoiding = sum(
-            1
-            for asn in users
-            if engine.as_path(asn, prefix) is not None
-            and target not in traversed_ases(
-                engine.as_path(asn, prefix), origin
-            )
-        )
-        # --- AVOID_PROBLEM ---
-        engine.originate(
-            origin, prefix, path=make_path(origin, prepend=3),
-            avoid={target},
-        )
-        engine.run()
-        avoid_cut = sum(
-            1
-            for asn in graph.ases()
-            if asn != origin and engine.as_path(asn, prefix) is None
-        )
-        avoid_avoiding = sum(
-            1
-            for asn in users
-            if engine.as_path(asn, prefix) is not None
-            and target not in traversed_ases(
-                engine.as_path(asn, prefix), origin
-            )
-        )
-        notified = engine.avoid_notifications().get(target, 0) > 0
-        rows.append({
-            "target": target,
-            "users": len(users),
-            "poisoned_cut": poisoned_cut,
-            "poisoned_avoiding": poisoned_avoiding,
-            "avoid_cut": avoid_cut,
-            "avoid_avoiding": avoid_avoiding,
-            "notified": notified,
-        })
-        # Reset to the clean baseline for the next target.
-        engine.originate(
-            origin, prefix, path=make_path(origin, prepend=3)
-        )
-        engine.run()
-    return rows
-
-
-def test_ablation_avoid_problem_vs_poisoning(benchmark, comparison,
-                                             results_dir):
-    rows = benchmark(lambda: comparison)
-
-    table = Table(
-        "Ablation: poisoning vs idealized AVOID_PROBLEM",
-        ["target AS", "users", "cut off (poison)", "cut off (avoid)",
-         "rerouted (poison)", "rerouted (avoid)", "notified"],
-    )
-    for row in rows:
-        table.add_row(
-            f"AS{row['target']}", row["users"], row["poisoned_cut"],
-            row["avoid_cut"], row["poisoned_avoiding"],
-            row["avoid_avoiding"], row["notified"],
-        )
-    total_poison_cut = sum(r["poisoned_cut"] for r in rows)
-    total_avoid_cut = sum(r["avoid_cut"] for r in rows)
-    table.add_note(
-        f"total cut off: poisoning {total_poison_cut}, "
-        f"AVOID_PROBLEM {total_avoid_cut} (the Backup Property)"
-    )
-    table.emit(results_dir, "ablation_avoid_problem.txt")
+def test_ablation_avoid_problem_vs_poisoning(write):
+    write("ablation_avoid_problem")
+    rows = study("avoid_problem")
 
     # The primitive never cuts anyone off; poisoning does.
-    assert total_avoid_cut == 0
-    assert total_poison_cut > 0
+    assert sum(r["avoid_cut"] for r in rows) == 0
+    assert sum(r["poisoned_cut"] for r in rows) > 0
     # Both implement the Avoidance Property for ASes with alternatives.
     for row in rows:
         assert row["avoid_avoiding"] >= row["poisoned_avoiding"]

@@ -7,45 +7,9 @@ global convergence time scales with the timer, as expected from the
 Labovitz convergence results the paper builds on.
 """
 
-import pytest
 
-from repro.analysis.reporting import Table
-from repro.experiments.convergence import run_poisoning_convergence_study
-
-
-@pytest.fixture(scope="module")
-def mrai_sweep():
-    results = {}
-    for mrai in (5.0, 30.0, 60.0):
-        study, _graph = run_poisoning_convergence_study(
-            scale="small", seed=23, num_collector_peers=30,
-            max_poisons=8, measure_loss=False, mrai=mrai,
-        )
-        results[mrai] = study
-    return results
-
-
-def test_ablation_mrai(benchmark, mrai_sweep, results_dir):
-    def summarize():
-        rows = []
-        for mrai, study in sorted(mrai_sweep.items()):
-            rows.append((
-                mrai,
-                study.instant_fraction(True, False),
-                study.instant_fraction(False, False),
-                study.global_convergence_percentile(False, 0.5) or 0.0,
-            ))
-        return rows
-
-    rows = benchmark(summarize)
-    table = Table(
-        "Ablation: MRAI timer vs convergence",
-        ["MRAI (s)", "instant (prepend)", "instant (no prepend)",
-         "global conv. median, no prepend (s)"],
-    )
-    for row in rows:
-        table.add_row(*row)
-    table.emit(results_dir, "ablation_mrai.txt")
+def test_ablation_mrai(write):
+    rows = write("ablation_mrai").rows
 
     by_mrai = {r[0]: r for r in rows}
     # Prepending wins at every timer setting.

@@ -6,101 +6,13 @@ The paper discusses three deployments: a covering less-specific sentinel
 each style delivers exactly its promised properties.
 """
 
-import pytest
-
-from repro.analysis.reporting import Table
-from repro.control.sentinel import SentinelManager, SentinelStyle
-from repro.dataplane.probes import Prober
-from repro.net.addr import Prefix
-from repro.workloads.scenarios import build_deployment
+from repro.experiments.tables import study
 
 
-@pytest.fixture(scope="module")
-def poisoned_world():
-    """A deployment with a poisoned AS that has a captive stub behind it."""
-    scenario = build_deployment(scale="small", seed=17, num_providers=2)
-    graph = scenario.graph
-    engine = scenario.engine
-    lifeguard = scenario.lifeguard
-    production = scenario.production_prefix
+def test_ablation_sentinel_styles(write):
+    write("ablation_sentinel")
 
-    # Find a transit AS with a single-homed customer (the captive).
-    captive, poisoned = None, None
-    for stub in graph.stubs():
-        providers = graph.providers(stub)
-        if len(providers) == 1 and not graph.is_stub(providers[0]):
-            path = engine.as_path(stub, production)
-            if path is None:
-                continue
-            if providers[0] in path and providers[0] not in graph.providers(
-                scenario.origin_asn
-            ):
-                captive, poisoned = stub, providers[0]
-                break
-    if captive is None:
-        pytest.skip("topology has no captive stub to demonstrate with")
-    lifeguard.origin.poison([poisoned])
-    engine.run()
-    lifeguard.refresh_dataplane()
-    return scenario, captive, poisoned
-
-
-def test_ablation_sentinel_styles(benchmark, poisoned_world, results_dir):
-    scenario, captive, poisoned = poisoned_world
-    lifeguard = scenario.lifeguard
-    engine = scenario.engine
-    production = scenario.production_prefix
-    topo = scenario.topo
-    origin_router = topo.routers_of(scenario.origin_asn)[0]
-    prober = Prober(lifeguard.dataplane)
-
-    def evaluate_styles():
-        rows = []
-        sentinel = lifeguard.sentinel_manager.sentinel
-        # LESS_SPECIFIC: captive has the covering route, probes flow.
-        captive_route = engine.as_path(captive, sentinel)
-        captive_production = engine.as_path(captive, production)
-        less_specific = SentinelManager(
-            prober, origin_router, production,
-            style=SentinelStyle.LESS_SPECIFIC,
-        )
-        rows.append((
-            "less-specific",
-            captive_production is None and captive_route is not None,
-            less_specific.can_detect_repair,
-            less_specific.provides_backup_route,
-        ))
-        # DISJOINT: repair detection only.
-        disjoint = SentinelManager(
-            prober, origin_router, production,
-            style=SentinelStyle.DISJOINT,
-            disjoint_prefix=Prefix("198.51.0.0/16"),
-        )
-        rows.append((
-            "disjoint", False, disjoint.can_detect_repair,
-            disjoint.provides_backup_route,
-        ))
-        # NONE: nothing.
-        none = SentinelManager(
-            prober, origin_router, production, style=SentinelStyle.NONE,
-        )
-        rows.append((
-            "none", False, none.can_detect_repair,
-            none.provides_backup_route,
-        ))
-        return rows
-
-    rows = benchmark(evaluate_styles)
-    table = Table(
-        "Ablation: sentinel styles (Sec 7.2)",
-        ["style", "captive keeps covering route", "repair detectable",
-         "backup property"],
-    )
-    for row in rows:
-        table.add_row(*row)
-    table.emit(results_dir, "ablation_sentinel.txt")
-
-    by_style = {r[0]: r for r in rows}
+    by_style = {r[0]: r for r in study("sentinel_styles")}
     # Captive lost the production route but keeps the covering sentinel.
     assert by_style["less-specific"][1]
     assert by_style["less-specific"][2] and by_style["less-specific"][3]

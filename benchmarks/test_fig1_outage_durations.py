@@ -6,43 +6,15 @@ unavailability came from outages longer than 10 minutes.
 """
 
 from repro.analysis.cdf import CDF
-from repro.analysis.reporting import Table
+from repro.experiments.tables import study
 
 
-def test_fig1_duration_vs_unavailability(benchmark, outage_trace,
-                                         results_dir):
-    trace = outage_trace
-
-    def build_curves():
-        points = [90, 120, 300, 600, 1800, 3600, 21600, 86400, 604800]
-        return trace.duration_cdf(points)
-
-    curve = benchmark(build_curves)
-
-    table = Table(
-        "Fig. 1: outage durations vs unavailability (paper vs measured)",
-        ["duration", "CDF of outages", "CDF of unavailability"],
-    )
-    for seconds, events, downtime in curve:
-        label = (
-            f"{seconds / 60:.0f} min"
-            if seconds < 3600
-            else f"{seconds / 3600:.0f} h"
-        )
-        table.add_row(label, events, downtime)
-    frac_short = trace.fraction_shorter_than(600.0)
-    share_long = trace.unavailability_share_longer_than(600.0)
-    table.add_note(
-        f"outages <= 10 min: measured {frac_short:.1%} (paper: >90%)"
-    )
-    table.add_note(
-        f"unavailability from > 10 min: measured {share_long:.1%} "
-        "(paper: 84%)"
-    )
-    table.emit(results_dir, "fig1_outage_durations.txt")
+def test_fig1_duration_vs_unavailability(write):
+    write("fig1_outage_durations")
+    trace = study("outage_trace")
 
     # The headline shape must hold.
-    assert frac_short > 0.90
-    assert 0.75 <= share_long <= 0.92
+    assert trace.fraction_shorter_than(600.0) > 0.90
+    assert 0.75 <= trace.unavailability_share_longer_than(600.0) <= 0.92
     cdf = CDF(trace.durations)
     assert cdf.median == 90.0  # paper: median was the 90 s minimum

@@ -6,71 +6,29 @@ those lasting 10 minutes, 68% persisted at least another 5.  This is the
 evidence for poisoning only after a persistence threshold.
 """
 
-from repro.analysis.reporting import Table
 from repro.analysis.residual import residual_duration_curve
 from repro.control.decision import ResidualDurationModel
+from repro.experiments.tables import study
 
 
-def test_fig5_residual_duration(benchmark, outage_trace, results_dir):
-    durations = outage_trace.durations
-
-    curve = benchmark(
-        residual_duration_curve, durations, tuple(range(0, 31, 5))
-    )
-
-    table = Table(
-        "Fig. 5: residual duration after X minutes (measured)",
-        ["elapsed (min)", "survivors", "mean (min)", "median (min)",
-         "25th pct (min)"],
-    )
-    for point in curve:
-        table.add_row(
-            point.elapsed_minutes,
-            point.survivors,
-            point.mean_minutes,
-            point.median_minutes,
-            point.p25_minutes,
-        )
-    model = ResidualDurationModel(durations)
-    p5 = model.survival_probability(300.0, 300.0)
-    p10 = model.survival_probability(600.0, 300.0)
-    surviving_5min = 1.0 - outage_trace.fraction_shorter_than(299.0)
-    table.add_note(
-        f"outages persisting >= 5 min: {surviving_5min:.1%} (paper: 12%)"
-    )
-    table.add_note(
-        f"P(>=5 more min | lasted 5): {p5:.0%} (paper: 51%)"
-    )
-    table.add_note(
-        f"P(>=5 more min | lasted 10): {p10:.0%} (paper: 68%)"
-    )
-    table.emit(results_dir, "fig5_residual_duration.txt")
+def test_fig5_residual_duration(write):
+    write("fig5_residual_duration")
+    trace = study("outage_trace")
+    curve = residual_duration_curve(trace.durations, tuple(range(0, 31, 5)))
+    model = ResidualDurationModel(trace.durations)
 
     # Shape: residual duration grows with elapsed time (the paper's
     # core claim), and the conditional survival probabilities are high.
     medians = [p.median_minutes for p in curve if p.median_minutes]
     assert medians[0] < medians[-1]
-    assert 0.40 <= p5 <= 0.80
-    assert 0.55 <= p10 <= 0.90
-    assert 0.06 <= surviving_5min <= 0.20
+    assert 0.40 <= model.survival_probability(300.0, 300.0) <= 0.80
+    assert 0.55 <= model.survival_probability(600.0, 300.0) <= 0.90
+    assert 0.06 <= 1.0 - trace.fraction_shorter_than(299.0) <= 0.20
 
 
-def test_fig5_poison_decision_rule(benchmark, outage_trace, results_dir):
+def test_fig5_poison_decision_rule(write):
     """§4.2's decision: wait ~5 minutes, then poisoning pays off."""
-    model = ResidualDurationModel(outage_trace.durations)
-
-    def decide_across_ages():
-        return [model.decide(age) for age in (60, 180, 300, 420, 600)]
-
-    decisions = benchmark(decide_across_ages)
-    table = Table(
-        "Poison decision vs outage age (measured)",
-        ["age (s)", "poison?", "median residual (s)"],
-    )
-    for decision in decisions:
-        table.add_row(
-            decision.elapsed, decision.poison, decision.expected_residual
-        )
-    table.emit(results_dir, "fig5_decision_rule.txt")
-    assert not decisions[0].poison   # young outages: wait
-    assert decisions[-1].poison      # persistent outages: act
+    write("fig5_decision_rule")
+    model = ResidualDurationModel(study("outage_trace").durations)
+    assert not model.decide(60).poison   # young outages: wait
+    assert model.decide(600).poison      # persistent outages: act

@@ -7,91 +7,28 @@ peers also settle faster with prepending (96% vs 86% within 50 s).
 Global convergence medians: 91 s with prepending vs 133 s without.
 """
 
-from repro.analysis.reporting import Table
-from repro.bgp.collectors import summarize_convergence
+from repro.experiments.tables import study
 
 
-def test_fig6_convergence_curves(benchmark, mux_study, results_dir):
-    study, _graph = mux_study
-
-    def summarize_all():
-        out = {}
-        for prepended in (True, False):
-            for changed in (False, True):
-                records = study.convergence_records(prepended, changed)
-                out[(prepended, changed)] = summarize_convergence(records)
-        return out
-
-    summaries = benchmark(summarize_all)
-
-    table = Table(
-        "Fig. 6: convergence after poisoning (paper vs measured)",
-        ["curve", "peers", "instant (measured)", "within 50s (measured)",
-         "paper anchor"],
-    )
-    anchors = {
-        (True, False): ">=95% instant, 99% within 50s",
-        (False, False): "<70% instant, 94% within 50s",
-        (True, True): "96% within 50s",
-        (False, True): "86% within 50s",
-    }
-    for (prepended, changed), summary in summaries.items():
-        name = (
-            f"{'prepend' if prepended else 'no-prepend'}, "
-            f"{'change' if changed else 'no-change'}"
-        )
-        table.add_row(
-            name,
-            summary["peers"],
-            study.instant_fraction(prepended, changed),
-            study.converged_within(prepended, changed, 50.0),
-            anchors[(prepended, changed)],
-        )
-    for prepended in (True, False):
-        median = study.global_convergence_percentile(prepended, 0.5)
-        p90 = study.global_convergence_percentile(prepended, 0.9)
-        table.add_note(
-            f"global convergence {'with' if prepended else 'without'} "
-            f"prepending: median {median:.0f}s, p90 {p90:.0f}s "
-            f"(paper: {'91s/200s' if prepended else '133s/226s'})"
-        )
-    table.emit(results_dir, "fig6_convergence.txt")
+def test_fig6_convergence_curves(write):
+    write("fig6_convergence")
+    conv, _graph = study("mux")
 
     # Shape assertions: prepending keeps unaffected peers stable.
-    assert study.instant_fraction(True, False) >= 0.95
-    assert study.instant_fraction(False, False) < 0.70
-    assert study.converged_within(True, False, 50.0) >= 0.95
+    assert conv.instant_fraction(True, False) >= 0.95
+    assert conv.instant_fraction(False, False) < 0.70
+    assert conv.converged_within(True, False, 50.0) >= 0.95
     # Prepending speeds global convergence.
     assert (
-        study.global_convergence_percentile(True, 0.5)
-        <= study.global_convergence_percentile(False, 0.5)
+        conv.global_convergence_percentile(True, 0.5)
+        <= conv.global_convergence_percentile(False, 0.5)
     )
 
 
-def test_fig6_update_counts(benchmark, mux_study, results_dir):
+def test_fig6_update_counts(write):
     """Paper: with prepending, 97% of unaffected peers made only a single
     update; without, only 64% (36% explored alternatives)."""
-    study, _graph = mux_study
-
-    def single_update_fractions():
-        out = {}
-        for prepended in (True, False):
-            records = study.convergence_records(prepended, False)
-            if records:
-                out[prepended] = sum(
-                    1 for r in records if r.num_updates == 1
-                ) / len(records)
-            else:
-                out[prepended] = 1.0
-        return out
-
-    fractions = benchmark(single_update_fractions)
-    table = Table(
-        "Fig. 6 companion: single-update fraction for unaffected peers",
-        ["baseline", "single-update fraction", "paper"],
-    )
-    table.add_row("O-O-O (prepend)", fractions[True], "97%")
-    table.add_row("O (no prepend)", fractions[False], "64%")
-    table.emit(results_dir, "fig6_update_counts.txt")
-    assert fractions[True] > fractions[False]
-    assert fractions[True] >= 0.90
+    table = write("fig6_update_counts")
+    prepend, plain = (row[1] for row in table.rows)
+    assert prepend > plain
+    assert prepend >= 0.90

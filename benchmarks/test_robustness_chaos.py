@@ -9,78 +9,25 @@ count at zero — deferring on thin evidence instead of poisoning the wrong
 AS.
 """
 
-import pytest
-
-from repro.analysis.reporting import Table
-from repro.experiments.robustness import run_robustness_study
-
-#: moderate = 10% probe loss (plus scaled latency/BGP/atlas/sentinel
-#: faults), one vantage-point crash window, one BGP session reset.
-MODERATE = 0.1
+from repro.experiments.tables import MODERATE, study
 
 
-@pytest.fixture(scope="module")
-def robustness_study():
-    return run_robustness_study(
-        scale="tiny", seed=0, intensities=(0.0, MODERATE, 0.3),
-        num_outages=3,
-    )
-
-
-def test_chaos_repair_under_faults(benchmark, robustness_study,
-                                   results_dir):
-    study = robustness_study
-
-    def metrics():
-        by_intensity = {p.intensity: p for p in study.points}
-        return (
-            by_intensity[0.0].repair_fraction,
-            by_intensity[MODERATE].repair_fraction,
-            study.max_false_poisons,
-        )
-
-    clean_fraction, moderate_fraction, false_poisons = benchmark(metrics)
-
-    table = Table(
-        "Robustness: repair under injected infrastructure faults",
-        ["intensity", "injected", "detected", "repaired", "unpoisoned",
-         "false poisons", "deferrals", "fault events"],
-    )
-    for point in study.points:
-        table.add_row(
-            point.intensity,
-            point.injected,
-            point.detected,
-            point.repaired,
-            point.completed,
-            point.false_poisons,
-            point.deferrals,
-            point.stats.total_events if point.stats else 0,
-        )
-    table.add_note(
-        "chaos plan at intensity i: probe loss i, latency spikes and BGP "
-        "message drops i/2, duplication and atlas corruption i/4, "
-        "sentinel false negatives i; plus one VP crash window and one "
-        "BGP session reset at i > 0"
-    )
-    table.add_note(
-        "deferrals are the DEGRADED path working: low-confidence "
-        "isolations that held fire instead of acting"
-    )
-    table.emit(results_dir, "robustness.txt")
+def test_chaos_repair_under_faults(write):
+    write("robustness")
+    robustness = study("robustness")
+    by_intensity = {p.intensity: p for p in robustness.points}
 
     # A clean run must repair everything it injected.
-    assert clean_fraction == 1.0
+    assert by_intensity[0.0].repair_fraction == 1.0
     # Moderate chaos: repair a majority of the injected outages ...
-    assert moderate_fraction > 0.5
+    assert by_intensity[MODERATE].repair_fraction > 0.5
     # ... and never poison an AS that was not actually broken.
-    assert false_poisons == 0
+    assert robustness.max_false_poisons == 0
 
 
-def test_chaos_injector_actually_fired(robustness_study):
+def test_chaos_injector_actually_fired():
     """The nonzero-intensity points must really have injected faults."""
-    study = robustness_study
-    for point in study.points:
+    for point in study("robustness").points:
         if point.intensity == 0.0:
             assert point.stats.total_events == 0
         else:

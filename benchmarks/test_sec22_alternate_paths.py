@@ -12,67 +12,27 @@ did) and the ground-truth valley-free test the triple heuristic
 approximates.  The paper's numbers sit between the bounds.
 """
 
-from repro.analysis.reporting import Table
+from repro.experiments.tables import study
 
 
-def test_sec22_alternate_path_existence(benchmark, alternate_study,
-                                        results_dir):
-    study, _graph = alternate_study
-
-    def summarize():
-        return (
-            study.overall_fraction,
-            study.fraction_for_long_outages(3600.0),
-            study.overall_fraction_valley,
-            study.fraction_for_long_outages(3600.0, valley=True),
-        )
-
-    overall, long_frac, overall_v, long_v = benchmark(summarize)
-
-    table = Table(
-        "Sec 2.2: spliced alternate paths during outages",
-        ["population", "triple test", "valley-free test", "paper"],
-    )
-    table.add_row("all outages", overall, overall_v, "49%")
-    table.add_row("outages >= 1 hour", long_frac, long_v, "83%")
-    table.add_note(f"corpus: {study.corpus_size} all-pairs traceroutes, "
-                   f"{len(study.cases)} synthetic outages")
-    table.add_note(
-        "triple test under-observes compliant splices in the smaller "
-        "mesh; ground truth (valley) is the upper bound it approximates"
-    )
-    table.emit(results_dir, "sec22_alternate_paths.txt")
+def test_sec22_alternate_path_existence(write):
+    write("sec22_alternate_paths")
+    alternate, _graph = study("alternate_paths")
+    overall_v = alternate.overall_fraction_valley
+    long_v = alternate.fraction_for_long_outages(3600.0, valley=True)
 
     # Shape: alternates exist for roughly half the outages under the
     # conservative test; long/core outages are at least as avoidable,
     # and strictly more avoidable under the ground-truth test.
-    assert 0.35 <= overall <= 0.70
+    assert 0.35 <= alternate.overall_fraction <= 0.70
     assert long_v >= overall_v
     assert long_v >= 0.80
     assert overall_v >= 0.75
 
 
-def test_sec22_splice_persistence(benchmark, alternate_study, results_dir):
+def test_sec22_splice_persistence(write):
     """Paper: for 98% of outages where an alternate existed in the first
     round, it persisted for the outage's duration.  Simulated paths are
-    stable between control-plane events, so persistence is exact; the
-    kernel re-checks splices for the cases that had them."""
-    study, _graph = alternate_study
-    with_alternates = [c for c in study.cases if c.alternate_exists]
-
-    def persistence():
-        # Paths in the corpus are stable across rounds; re-evaluating the
-        # same splice for later rounds must find it again.
-        return sum(1 for _ in with_alternates) / max(
-            1, len(with_alternates)
-        )
-
-    fraction = benchmark(persistence)
-    table = Table(
-        "Sec 2.2: persistence of first-round alternates",
-        ["metric", "measured", "paper"],
-    )
-    table.add_row("alternate persisted for outage duration", fraction,
-                  "98%")
-    table.emit(results_dir, "sec22_persistence.txt")
-    assert fraction >= 0.95
+    stable between control-plane events, so persistence is exact."""
+    (row,) = write("sec22_persistence").rows
+    assert row[1] >= 0.95

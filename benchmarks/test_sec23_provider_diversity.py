@@ -7,33 +7,15 @@ path for 90% of 114 feed ASes by choosing another provider; on the
 AS links while leaving them with a route.
 """
 
-from repro.analysis.reporting import Table
+from repro.experiments.tables import study
 
 
-def test_sec23_forward_vs_reverse_avoidance(benchmark, diversity_study,
-                                            results_dir):
-    study, _graph = diversity_study
-
-    def fractions():
-        return study.forward_fraction, study.reverse_fraction
-
-    forward, reverse = benchmark(fractions)
-
-    table = Table(
-        "Sec 2.3/5.2: last-link avoidance with 5 providers",
-        ["direction", "mechanism", "measured", "paper"],
-    )
-    table.add_row("forward", "choose a different provider", forward, "90%")
-    table.add_row("reverse", "selective poisoning", reverse, "73%")
-    table.add_note(
-        f"{len(study.forward_avoidable)} feed ASes (forward), "
-        f"{len(study.reverse_avoidable)} (reverse), "
-        f"{study.num_providers} providers"
-    )
-    table.emit(results_dir, "sec23_provider_diversity.txt")
+def test_sec23_forward_vs_reverse_avoidance(write):
+    write("sec23_provider_diversity")
+    diversity, _graph = study("diversity")
 
     # Shape: both mechanisms avoid a solid majority of links.
-    assert forward >= 0.60
-    assert reverse >= 0.60
+    assert diversity.forward_fraction >= 0.60
+    assert diversity.reverse_fraction >= 0.60
     # And neither is trivially perfect (single-homed feeds exist).
-    assert reverse <= 0.98
+    assert diversity.reverse_fraction <= 0.98

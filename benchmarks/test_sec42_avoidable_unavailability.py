@@ -11,36 +11,16 @@ from repro.analysis.availability import (
     avoidable_unavailability,
     latency_sweep,
 )
-from repro.analysis.reporting import Table
+from repro.experiments.tables import study
 
 
-def test_sec42_avoidable_unavailability(benchmark, outage_trace,
-                                        results_dir):
-    durations = outage_trace.durations
-
-    result = benchmark(
-        avoidable_unavailability, durations, DEFAULT_REPAIR_LATENCY
-    )
-
-    table = Table(
-        "Sec 4.2: unavailability avoidable under a repair budget",
-        ["repair latency", "avoided downtime", "outages repaired"],
-    )
-    for point in latency_sweep(durations):
-        table.add_row(
-            f"{point.repair_latency / 60:.0f} min",
-            point.avoided_fraction,
-            f"{point.outages_repaired}/{point.outages_total}",
-        )
-    table.add_note(
-        f"paper anchor: 7 min budget avoids ~80% "
-        f"(measured {result.avoided_fraction:.1%})"
-    )
-    table.emit(results_dir, "sec42_avoidable_unavailability.txt")
+def test_sec42_avoidable_unavailability(write):
+    write("sec42_avoidable_unavailability")
+    durations = study("outage_trace").durations
+    result = avoidable_unavailability(durations, DEFAULT_REPAIR_LATENCY)
 
     # The headline claim: the 7-minute budget saves most of the downtime.
     assert 0.70 <= result.avoided_fraction <= 0.92
     # Monotone: a faster repair saves more.
-    sweep = latency_sweep(durations)
-    fractions = [p.avoided_fraction for p in sweep]
+    fractions = [p.avoided_fraction for p in latency_sweep(durations)]
     assert fractions == sorted(fractions, reverse=True)

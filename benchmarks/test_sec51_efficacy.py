@@ -6,62 +6,18 @@ of the failures were poisons of a stub's only provider.  In simulation
 over ~10M (path, transit AS) cases: alternates existed in 90%.
 """
 
-from repro.analysis.reporting import Table
-from repro.splice.simulate import simulate_poisoning
+from repro.experiments.tables import study
 
 
-def test_sec51_wild_poisonings(benchmark, mux_study, results_dir):
-    study, graph = mux_study
-
-    def wild_summary():
-        fraction, found, total = study.alternate_route_fraction()
-        stub_share = study.cutoff_stub_fraction(graph)
-        return fraction, found, total, stub_share
-
-    fraction, found, total, stub_share = benchmark(wild_summary)
-
-    table = Table(
-        "Sec 5.1: alternate routes after real poisonings",
-        ["metric", "measured", "paper"],
-    )
-    table.add_row(
-        "affected peers finding an alternate",
-        f"{fraction:.1%} ({found}/{total})",
-        "77% (102/132)",
-    )
-    table.add_row(
-        "cut-off cases that were a stub's only provider",
-        stub_share,
-        "2/3",
-    )
-    table.emit(results_dir, "sec51_wild.txt")
+def test_sec51_wild_poisonings(write):
+    write("sec51_wild")
+    fraction, _found, total = study("mux")[0].alternate_route_fraction()
     assert 0.6 <= fraction <= 0.95
     assert total >= 30
 
 
-def test_sec51_simulated_poisonings(benchmark, efficacy_study, results_dir):
-    study, graph = efficacy_study
-
-    # Kernel: one representative reachability question.
-    sample = study.outcomes[0]
-    benchmark(
-        simulate_poisoning, graph, sample.source, sample.origin,
-        sample.poisoned,
-    )
-
-    table = Table(
-        "Sec 5.1: simulated poisonings over the path corpus",
-        ["metric", "measured", "paper"],
-    )
-    table.add_row(
-        "cases with a policy-compliant alternate",
-        study.fraction_with_alternates,
-        "90% (of ~10M cases)",
-    )
-    table.add_note(
-        f"{len(study.outcomes)} simulated cases from "
-        f"{study.corpus_paths} harvested AS paths"
-    )
-    table.emit(results_dir, "sec51_simulated.txt")
-    assert 0.80 <= study.fraction_with_alternates <= 0.97
-    assert len(study.outcomes) >= 5000
+def test_sec51_simulated_poisonings(write):
+    write("sec51_simulated")
+    efficacy, _graph = study("efficacy")
+    assert 0.80 <= efficacy.fraction_with_alternates <= 0.97
+    assert len(efficacy.outcomes) >= 5000

@@ -5,33 +5,15 @@ convergence was under 1%; 98% stayed under 2%; only 2% of poisonings had
 any 10-second round above 10% loss.  Working routes are barely disturbed.
 """
 
-from repro.analysis.reporting import Table
+from repro.experiments.tables import study
 
 
-def test_sec52_convergence_loss(benchmark, mux_study, results_dir):
-    study, _graph = mux_study
-
-    def loss_summary():
-        return study.loss_fractions((0.01, 0.02)), study.spike_fraction(0.10)
-
-    fractions, spikes = benchmark(loss_summary)
-
-    table = Table(
-        "Sec 5.2: loss during convergence (prepended baseline)",
-        ["metric", "measured", "paper"],
-    )
-    table.add_row("poisonings with overall loss < 1%", fractions[0.01],
-                  "60%")
-    table.add_row("poisonings with overall loss < 2%", fractions[0.02],
-                  "98%")
-    table.add_row("poisonings with any 10s round > 10% loss", spikes,
-                  "2%")
-    trials = [t for t in study.trials if t.prepended_baseline]
-    table.add_note(f"{len(trials)} poisonings, "
-                   f"{len(study.collector_peers)} probe sources each")
-    table.emit(results_dir, "sec52_loss.txt")
+def test_sec52_convergence_loss(write):
+    write("sec52_loss")
+    conv, _graph = study("mux")
+    fractions = conv.loss_fractions((0.01, 0.02))
 
     # Shape: convergence loss is minimal for the vast majority.
     assert fractions[0.01] >= 0.60
     assert fractions[0.02] >= 0.90
-    assert spikes <= 0.10
+    assert conv.spike_fraction(0.10) <= 0.10

@@ -6,114 +6,15 @@ instead, without cutting I2 off and without changing how ASes that never
 used I2 routed.  We recreate the situation with a two-provider origin.
 """
 
-import pytest
-
-from repro.analysis.reporting import Table
-from repro.bgp.messages import traversed_ases
-from repro.workloads.scenarios import build_deployment
+from repro.experiments.tables import study
 
 
-@pytest.fixture(scope="module")
-def selective_result():
-    scenario = build_deployment(scale="small", seed=13, num_providers=2)
-    engine = scenario.engine
-    graph = scenario.graph
-    origin = scenario.origin_asn
-    prefix = scenario.production_prefix
-    controller = scenario.lifeguard.origin
-    provider_a, provider_b = controller.providers
+def test_sec52_selective_poisoning(write):
+    write("sec52_selective")
+    result = study("selective")
 
-    candidates = []
-    for asn in graph.transit_ases():
-        if asn in (provider_a, provider_b, origin):
-            continue
-        best = engine.best_route(asn, prefix)
-        if best is None:
-            continue
-        used = traversed_ases(best.as_path, origin)
-        if provider_a in used or provider_b in used:
-            candidates.append((asn, used))
-    candidates.sort(key=lambda c: -graph.degree(c[0]))
-    peers = [a for a in graph.transit_ases() if a != origin]
-    before = {peer: engine.as_path(peer, prefix) for peer in peers}
-
-    # Selective poisoning needs the target to reach the two providers
-    # over disjoint paths (§3.1.2) — the paper chose Internet2 because
-    # UWash and UWisc met exactly that condition.  Try candidates until
-    # one keeps its route under the selective poison.
-    for target_asn, used in candidates:
-        poisoned_provider = provider_a if provider_a in used else provider_b
-        clean_provider = (
-            provider_b if poisoned_provider == provider_a else provider_a
-        )
-        controller.poison_selectively(target_asn, [poisoned_provider])
-        engine.run()
-        if engine.best_route(target_asn, prefix) is not None:
-            after = {
-                peer: engine.as_path(peer, prefix) for peer in peers
-            }
-            return {
-                "scenario": scenario,
-                "origin": origin,
-                "target": target_asn,
-                "clean_provider": clean_provider,
-                "before": before,
-                "after": after,
-                "peers": peers,
-            }
-        controller.unpoison()
-        engine.run()
-    pytest.skip("no target with disjoint provider paths in this draw")
-
-
-def test_sec52_selective_poisoning(benchmark, selective_result,
-                                   results_dir):
-    data = benchmark(lambda: selective_result)
-    origin = data["origin"]
-    target = data["target"]
-    engine = data["scenario"].engine
-    prefix = data["scenario"].production_prefix
-
-    target_route = engine.best_route(target, prefix)
-    assert target_route is not None, "selective poison cut the target off"
-    target_used = traversed_ases(target_route.as_path, origin)
-
-    unrelated_changed = 0
-    unrelated_total = 0
-    for peer in data["peers"]:
-        if peer == target:
-            continue
-        was, now = data["before"][peer], data["after"][peer]
-        was_via_target = was is not None and target in traversed_ases(
-            was, origin
-        )
-        if was_via_target:
-            continue  # peers through the target legitimately move
-        unrelated_total += 1
-        if (was is None) != (now is None) or (
-            was is not None
-            and traversed_ases(was, origin) != traversed_ases(now, origin)
-        ):
-            unrelated_changed += 1
-
-    table = Table(
-        "Sec 5.2: selective poisoning (I2 experiment analogue)",
-        ["metric", "measured", "paper"],
+    # The target keeps a route, and it leaves through the clean provider.
+    assert result["clean_egress"]
+    assert result["unrelated_changed"] <= max(
+        1, result["unrelated_total"] // 20
     )
-    table.add_row(
-        "target AS keeps a route", target_route is not None, "yes"
-    )
-    table.add_row(
-        "target egresses via the clean provider",
-        bool(target_used and target_used[-1] == data["clean_provider"]),
-        "yes (PNW Gigapop)",
-    )
-    table.add_row(
-        "unrelated ASes whose path changed",
-        f"{unrelated_changed}/{unrelated_total}",
-        "0/33 collector peers",
-    )
-    table.emit(results_dir, "sec52_selective.txt")
-
-    assert target_used and target_used[-1] == data["clean_provider"]
-    assert unrelated_changed <= max(1, unrelated_total // 20)

@@ -6,104 +6,24 @@ Paper: fault isolation takes ~280 probes per outage and completes in
 option probes (vs 35 from scratch) plus ~2 traceroutes per path.
 """
 
-import pytest
-
-from repro.analysis.reporting import Table
-from repro.dataplane.probes import Prober
+from repro.experiments.tables import study
 from repro.isolation.direction import FailureDirection
-from repro.measure.atlas import (
-    OPTION_PROBES_AMORTIZED,
-    OPTION_PROBES_FRESH,
-    AtlasRefresher,
-    PathAtlas,
-)
-
-#: Probe budget available to the measurement infrastructure, packets/sec.
-#: 225 paths/min at (10 option + ~30 traceroute) probes/path ~= 150 pps,
-#: the rate-limit-bounded budget the paper's deployment worked within.
-PROBE_BUDGET_PPS = 150.0
+from repro.measure.atlas import OPTION_PROBES_FRESH
 
 
-def test_sec54_isolation_cost(benchmark, accuracy_study, results_dir):
-    study, _scenario = accuracy_study
-
-    def cost_summary():
-        return (
-            study.mean_probes,
-            study.mean_isolation_seconds(
-                (FailureDirection.REVERSE, FailureDirection.BIDIRECTIONAL)
-            ),
-        )
-
-    probes, seconds = benchmark(cost_summary)
-    table = Table(
-        "Sec 5.4: isolation cost per outage",
-        ["metric", "measured", "paper"],
+def test_sec54_isolation_cost(write):
+    write("sec54_isolation_cost")
+    accuracy, _scenario = study("accuracy")
+    seconds = accuracy.mean_isolation_seconds(
+        (FailureDirection.REVERSE, FailureDirection.BIDIRECTIONAL)
     )
-    table.add_row("probe packets per isolated outage", probes, "~280")
-    table.add_row(
-        "isolation time, reverse/bidirectional outages (s)", seconds,
-        "140 s average",
-    )
-    table.add_note(
-        "probe counts are lower than the paper's because the synthetic "
-        "topology has shorter paths (fewer hops to test per atlas path)"
-    )
-    table.emit(results_dir, "sec54_isolation_cost.txt")
-    assert 10 <= probes <= 500
+    assert 10 <= accuracy.mean_probes <= 500
     assert 100 <= seconds <= 200
 
 
-def test_sec54_atlas_refresh_rate(benchmark, small_scenario, results_dir):
-    scenario = small_scenario
-    lifeguard = scenario.lifeguard
-    atlas = PathAtlas()
-    refresher = AtlasRefresher(
-        Prober(lifeguard.dataplane),
-        scenario.vantage_points,
-        atlas,
-    )
-    # Warm pass (from-scratch costs), then the steady-state pass.
-    refresher.refresh_all(scenario.targets, now=0.0)
-
-    def steady_state_refresh():
-        return refresher.refresh_all(scenario.targets, now=600.0)
-
-    stats = benchmark.pedantic(
-        steady_state_refresh, rounds=3, iterations=1
-    )
-    probes_per_path = (
-        (stats.option_probes + stats.traceroute_probes)
-        / max(1, stats.paths_refreshed)
-    )
-    paths_per_minute = PROBE_BUDGET_PPS * 60.0 / probes_per_path
-
-    table = Table(
-        "Sec 5.4: atlas refresh throughput",
-        ["metric", "measured", "paper"],
-    )
-    table.add_row(
-        "option probes per refreshed path (amortized)",
-        stats.option_probes / max(1, stats.paths_refreshed),
-        f"{OPTION_PROBES_AMORTIZED} (vs {OPTION_PROBES_FRESH} fresh)",
-    )
-    table.add_row("total probes per path", probes_per_path, "~10 + 2 tr")
-    table.add_row(
-        f"paths/minute at {PROBE_BUDGET_PPS:.0f} pps budget",
-        paths_per_minute,
-        "225 mean / 502 peak",
-    )
-    table.emit(results_dir, "sec54_atlas_refresh.txt")
-    assert stats.paths_refreshed > 0
-    assert probes_per_path < OPTION_PROBES_FRESH + 40
-    assert paths_per_minute > 100
-
-
-@pytest.fixture(scope="module")
-def small_scenario():
-    from repro.workloads.scenarios import build_deployment
-
-    return build_deployment(
-        scale="small", seed=31, num_providers=2,
-        num_helper_vps=6, num_targets=8,
-    )
+def test_sec54_atlas_refresh_rate(write):
+    write("sec54_atlas_refresh")
+    refresh = study("atlas_refresh")
+    assert refresh["paths_refreshed"] > 0
+    assert refresh["probes_per_path"] < OPTION_PROBES_FRESH + 40
+    assert refresh["paths_per_minute"] > 100

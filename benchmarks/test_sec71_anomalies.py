@@ -7,148 +7,18 @@ customer updates whose path contains one of their tier-1 peers, which
 kept the paper's tier-1 poisons from propagating via Georgia Tech.
 """
 
-import pytest
-
-from repro.analysis.reporting import Table
-from repro.bgp.engine import BGPEngine, EngineConfig
-from repro.bgp.messages import make_path
-from repro.bgp.policy import SpeakerConfig
-from repro.workloads.scenarios import build_internet
+from repro.experiments.tables import study
 
 
-@pytest.fixture(scope="module")
-def anomaly_world():
-    graph, _shape = build_internet("small", seed=37)
-    # Georgia Tech's provider was Cogent, a tier-1 whose settlement-free
-    # peers are the other tier-1s: attach the origin directly to one.
-    from repro.topology.generate import prefix_for_asn
-    from repro.topology.relationships import Relationship
-
-    origin = max(graph.ases()) + 1
-    graph.add_as(origin, tier=3, prefixes=[prefix_for_asn(origin)])
-    provider = next(n.asn for n in graph.nodes() if n.tier == 1)
-    graph.add_link(origin, provider, Relationship.PROVIDER)
-    prefix = graph.node(origin).prefixes[0]
-
-    transits = [
-        asn
-        for asn in graph.transit_ases()
-        if asn not in (origin, provider) and graph.node(asn).tier != 1
-    ]
-    no_loop_detect = transits[0]
-    maxas_two = transits[1]
-    # The Cogent-like filter sits on the origin's (tier-1) provider.
-    cogent_like = provider
-    tier1_peer = next(
-        (n for n in graph.peers(provider) if graph.node(n).tier == 1),
-        None,
-    )
-
-    configs = {
-        no_loop_detect: SpeakerConfig(loop_max_occurrences=0),
-        maxas_two: SpeakerConfig(loop_max_occurrences=2),
-        cogent_like: SpeakerConfig(reject_peer_paths_from_customers=True),
-    }
-    engine = BGPEngine(graph, EngineConfig(seed=37),
-                       speaker_configs=configs)
-    for node in graph.nodes():
-        for node_prefix in node.prefixes:
-            if node.asn != origin:
-                engine.originate(node.asn, node_prefix)
-    engine.run()
-    engine.originate(origin, prefix, path=make_path(origin, prepend=3))
-    engine.run()
-    return {
-        "graph": graph,
-        "engine": engine,
-        "origin": origin,
-        "prefix": prefix,
-        "no_loop_detect": no_loop_detect,
-        "maxas_two": maxas_two,
-        "cogent_like": cogent_like,
-        "tier1_peer": tier1_peer,
-    }
+def test_sec71_loop_detection_quirks(write):
+    write("sec71_loop_quirks")
+    quirks = study("anomalies")["loop_quirks"]
+    assert quirks["disabled"] == (True, True)
+    assert quirks["maxas-2"] == (True, False)
 
 
-def test_sec71_loop_detection_quirks(benchmark, anomaly_world, results_dir):
-    world = benchmark(lambda: anomaly_world)
-    engine = world["engine"]
-    origin, prefix = world["origin"], world["prefix"]
-
-    results = {}
-    for label, target in (
-        ("disabled", world["no_loop_detect"]),
-        ("maxas-2", world["maxas_two"]),
-    ):
-        engine.originate(
-            origin, prefix, path=make_path(origin, prepend=2,
-                                           poison=[target])
-        )
-        engine.run()
-        single = engine.as_path(target, prefix) is not None
-        engine.originate(
-            origin, prefix,
-            path=make_path(origin, prepend=2, poison=[target, target]),
-        )
-        engine.run()
-        double = engine.as_path(target, prefix) is not None
-        results[label] = (single, double)
-        engine.originate(origin, prefix, path=make_path(origin, prepend=3))
-        engine.run()
-
-    table = Table(
-        "Sec 7.1: loop-detection quirks vs poisoning",
-        ["network type", "keeps route after single poison",
-         "keeps route after double poison", "paper"],
-    )
-    table.add_row("loop detection disabled", results["disabled"][0],
-                  results["disabled"][1], "immune to poisoning")
-    table.add_row("maxas-limit 2 (AS286-style)", results["maxas-2"][0],
-                  results["maxas-2"][1],
-                  "single ineffective, double works")
-    table.emit(results_dir, "sec71_loop_quirks.txt")
-
-    assert results["disabled"] == (True, True)
-    assert results["maxas-2"] == (True, False)
-
-
-def test_sec71_cogent_filter_blocks_propagation(benchmark, anomaly_world,
-                                                results_dir):
-    world = benchmark(lambda: anomaly_world)
-    if world["tier1_peer"] is None:
-        pytest.skip("provider has no tier-1 peer in this draw")
-    engine = world["engine"]
-    graph = world["graph"]
-    origin, prefix = world["origin"], world["prefix"]
-    tier1 = world["tier1_peer"]
-
-    reachable_before = sum(
-        1
-        for asn in graph.ases()
-        if asn != origin and engine.as_path(asn, prefix) is not None
-    )
-    engine.originate(
-        origin, prefix, path=make_path(origin, prepend=2, poison=[tier1])
-    )
-    engine.run()
-    reachable_after = sum(
-        1
-        for asn in graph.ases()
-        if asn != origin and engine.as_path(asn, prefix) is not None
-    )
-    engine.originate(origin, prefix, path=make_path(origin, prepend=3))
-    engine.run()
-
-    table = Table(
-        "Sec 7.1: Cogent-style filter vs tier-1 poisons",
-        ["metric", "measured", "paper"],
-    )
-    table.add_row("ASes with a route before the tier-1 poison",
-                  reachable_before, "-")
-    table.add_row("ASes with a route after (filtered at the provider)",
-                  reachable_after,
-                  "poisons of Cogent's tier-1 peers did not propagate")
-    table.emit(results_dir, "sec71_cogent_filter.txt")
-
+def test_sec71_cogent_filter_blocks_propagation(write):
+    write("sec71_cogent_filter")
+    before, after = study("anomalies")["cogent_filter"]
     # The provider rejects the update outright, so propagation collapses.
-    assert reachable_after < reachable_before * 0.2
+    assert after < before * 0.2

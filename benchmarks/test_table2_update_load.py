@@ -8,53 +8,14 @@ significant, and waiting longer or monitoring fewer networks brings it
 back under 10%.
 """
 
-from repro.analysis.reporting import Table
-from repro.workloads.hubble import (
-    EDGE_ROUTER_DAILY_UPDATES,
-    estimate_update_load,
-)
-
-#: Paper's Table 2 values for side-by-side display, keyed (I, T, d).
-PAPER_TABLE2 = {
-    (0.01, 0.5, 5): 393, (0.01, 1.0, 5): 783,
-    (0.01, 0.5, 15): 137, (0.01, 1.0, 15): 275,
-    (0.01, 0.5, 60): 58, (0.01, 1.0, 60): 115,
-    (0.1, 0.5, 5): 3931, (0.1, 1.0, 5): 7866,
-    (0.1, 0.5, 15): 1370, (0.1, 1.0, 15): 2748,
-    (0.1, 0.5, 60): 576, (0.1, 1.0, 60): 1154,
-    (0.5, 0.5, 5): 19625, (0.5, 1.0, 5): 39200,
-    (0.5, 0.5, 15): 6874, (0.5, 1.0, 15): 13714,
-    (0.5, 0.5, 60): 2889, (0.5, 1.0, 60): 5771,
-}
+from repro.experiments.tables import PAPER_TABLE2
+from repro.workloads.hubble import EDGE_ROUTER_DAILY_UPDATES
 
 
-def test_table2_update_load(benchmark, hubble_dataset, results_dir):
-    grid = benchmark(estimate_update_load, hubble_dataset)
-
-    table = Table(
-        "Table 2: additional daily path changes (paper vs measured)",
-        ["I", "T", "d (min)", "measured", "paper", "% of edge router load"],
-    )
-    by_key = {}
-    for cell in grid:
-        key = (
-            cell.deploying_fraction,
-            cell.monitored_fraction,
-            int(cell.wait_minutes),
-        )
-        by_key[key] = cell.daily_path_changes
-        table.add_row(
-            cell.deploying_fraction,
-            cell.monitored_fraction,
-            int(cell.wait_minutes),
-            cell.daily_path_changes,
-            PAPER_TABLE2[key],
-            100.0 * cell.daily_path_changes / EDGE_ROUTER_DAILY_UPDATES,
-        )
-    table.add_note(
-        "reference: edge router ~110K updates/day, tier-1 255K-315K"
-    )
-    table.emit(results_dir, "table2_update_load.txt")
+def test_table2_update_load(write):
+    table = write("table2_update_load")
+    # (I, T, d) -> measured daily path changes.
+    by_key = {tuple(row[:3]): row[3] for row in table.rows}
 
     # Shape assertions: within ~2x of the paper cell-by-cell, exact
     # linear scaling in I and T, and the qualitative load conclusions.

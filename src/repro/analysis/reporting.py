@@ -1,15 +1,14 @@
 """Plain-text rendering of the reproduced tables and figures.
 
-Every benchmark prints (and archives under ``benchmarks/results/``) a
-paper-vs-measured table built with these helpers, so the reproduction can
-be eyeballed without plotting.
+Every paper-vs-measured table (:mod:`repro.experiments.tables`, archived
+under ``benchmarks/results/``) and every CLI report is built with these
+helpers, so the reproduction can be eyeballed without plotting.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Cell = Union[str, int, float, None]
 
@@ -79,19 +78,10 @@ class Table:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
 
-    def emit(self, results_dir: Optional[str] = None,
-             filename: Optional[str] = None) -> str:
-        """Print the table and optionally archive it; returns the text."""
+    def emit(self) -> str:
+        """Print the table between blank lines; returns the text."""
         text = self.render()
         print("\n" + text + "\n")
-        if results_dir is not None:
-            os.makedirs(results_dir, exist_ok=True)
-            name = filename or (
-                self.title.lower().replace(" ", "_")[:60] + ".txt"
-            )
-            with open(os.path.join(results_dir, name), "w",
-                      encoding="utf-8") as handle:
-                handle.write(text + "\n")
         return text
 
 

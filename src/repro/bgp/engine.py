@@ -121,7 +121,8 @@ class BGPEngine:
         self._queue: List[tuple] = []
         self._seq = itertools.count()
         self.speakers: Dict[int, BGPSpeaker] = {}
-        #: (src, dst) -> session; read it through :attr:`_sessions`.
+        #: (src, dst) -> session.  A reader of ``sent`` rows calls
+        #: :meth:`materialize` first: a warm start leaves them pending.
         self._session_map: Dict[Tuple[int, int], _Session] = {}
         self.change_log: List[RouteChange] = []
         #: total updates (announcements + withdrawals) sent per directed
@@ -370,12 +371,6 @@ class BGPEngine:
                 for dst, announcement in row.items():
                     sessions[dst].sent[prefix] = announcement
         pending.clear()
-
-    @property
-    def _sessions(self) -> Dict[Tuple[int, int], _Session]:
-        """(src, dst) -> session, every row written (:meth:`materialize`)."""
-        self.materialize()
-        return self._session_map
 
     def advance_to(self, time: float) -> None:
         """Move the idle engine clock forward to *time*.

@@ -42,7 +42,6 @@ The solver refuses configurations it cannot model exactly —
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -127,9 +126,7 @@ Adjacency = Tuple[
 @dataclass
 class PrefixSolution:
     """Converged state for one prefix: the source of truth its rows are
-    derived from (:func:`derive_rows`).  ``adj_in`` and ``sent`` are
-    those rows as read-only views, derived on first read and kept: for
-    inspection only — the engine installs fresh rows of its own."""
+    derived from (:func:`derive_rows`)."""
 
     prefix: Prefix
     origination: Origination
@@ -145,18 +142,6 @@ class PrefixSolution:
     best: Dict[int, Route]
     #: the adjacency the solve ran over (:func:`derive_rows` reads it).
     adjacency: Adjacency = field(repr=False, compare=False)
-
-    @cached_property
-    def adj_in(self) -> Dict[int, Dict[int, Route]]:
-        """receiver ASN -> sender ASN -> Adj-RIB-In route."""
-        return derive_rows(self)[0]
-
-    @cached_property
-    def sent(self) -> Dict[int, Dict[int, Announcement]]:
-        """exporter ASN -> receiver ASN -> announcement on the wire (the
-        ``_Session.sent`` entry of ``speakers[exporter].sessions
-        [receiver]``)."""
-        return derive_rows(self)[1]
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Command-line entry point: run the reproduction's studies from a shell.
 
-Installed as ``lifeguard-repro`` (see pyproject).  Each subcommand runs
-one of the evaluation studies at a configurable scale and prints the same
-paper-vs-measured tables the benchmarks archive.
+Installed as ``lifeguard-repro`` (see pyproject).  ``table`` prints the
+paper's tables exactly as ``benchmarks/results/`` holds them (see
+:mod:`repro.experiments.tables`); the other subcommands run the demo,
+the service and the system's own studies at a configurable scale.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.reporting import Table
-from repro.analysis.residual import residual_duration_curve
-from repro.workloads.outages import generate_outage_trace
 
 
 def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
@@ -23,6 +22,11 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
         "--metrics-out", default=None,
         help="write a deterministic metrics snapshot (JSON) to this path",
     )
+
+
+def _unit_interval(values) -> bool:
+    """Whether *values* is a non-empty sequence of numbers in [0, 1]."""
+    return bool(values) and all(0.0 <= value <= 1.0 for value in values)
 
 
 def _measured(args: argparse.Namespace, study, **kwargs):
@@ -39,127 +43,25 @@ def _measured(args: argparse.Namespace, study, **kwargs):
     return result
 
 
-def _cmd_fig1(args: argparse.Namespace) -> int:
-    trace = generate_outage_trace(seed=args.seed)
-    table = Table(
-        "Fig. 1: outage durations vs unavailability",
-        ["duration (min)", "CDF of outages", "CDF of unavailability"],
-    )
-    for seconds, events, downtime in trace.duration_cdf(
-        [90, 300, 600, 3600, 86400]
-    ):
-        table.add_row(seconds / 60.0, events, downtime)
-    table.emit()
-    return 0
+def _cmd_table(args: argparse.Namespace) -> int:
+    """Print (or, with ``--out``, write) the named paper tables."""
+    from repro.experiments.tables import TABLES, table_text, write_table
 
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    trace = generate_outage_trace(seed=args.seed)
-    table = Table(
-        "Fig. 5: residual duration after X minutes",
-        ["elapsed (min)", "survivors", "mean (min)", "median (min)",
-         "25th pct (min)"],
-    )
-    for point in residual_duration_curve(
-        trace.durations, tuple(range(0, 31, 5))
-    ):
-        table.add_row(
-            point.elapsed_minutes, point.survivors, point.mean_minutes,
-            point.median_minutes, point.p25_minutes,
-        )
-    table.emit()
-    return 0
-
-
-def _cmd_fig6(args: argparse.Namespace) -> int:
-    from repro.experiments.convergence import (
-        run_poisoning_convergence_study,
-    )
-
-    study, _graph = _measured(
-        args, run_poisoning_convergence_study,
-        scale=args.scale, seed=args.seed, max_poisons=args.max_poisons,
-        workers=args.workers,
-    )
-    table = Table(
-        "Fig. 6: convergence after poisoning",
-        ["curve", "peers", "instant", "within 50s"],
-    )
-    for prepended in (True, False):
-        for changed in (False, True):
-            records = study.convergence_records(prepended, changed)
-            name = (
-                f"{'prepend' if prepended else 'no-prepend'}, "
-                f"{'change' if changed else 'no-change'}"
+    names = args.names or list(TABLES)
+    unknown = [name for name in names if name not in TABLES]
+    if unknown:
+        print(f"unknown table(s) {', '.join(unknown)}; known: "
+              f"{', '.join(TABLES)}", file=sys.stderr)
+        return 2
+    for index, name in enumerate(names):
+        if args.out:
+            write_table(name, args.out, workers=args.workers)
+            print(os.path.join(args.out, f"{name}.txt"))
+        else:
+            # One blank line between tables; each is its file's bytes.
+            sys.stdout.write(
+                ("\n" if index else "") + table_text(name, args.workers)
             )
-            table.add_row(
-                name,
-                len(records),
-                study.instant_fraction(prepended, changed),
-                study.converged_within(prepended, changed, 50.0),
-            )
-    table.emit()
-    return 0
-
-
-def _cmd_efficacy(args: argparse.Namespace) -> int:
-    from repro.experiments.efficacy import run_topology_efficacy_study
-
-    study, _graph = _measured(
-        args, run_topology_efficacy_study,
-        scale=args.scale, seed=args.seed, max_cases=args.max_cases,
-        workers=args.workers,
-    )
-    table = Table("Sec 5.1: simulated poisoning efficacy",
-                  ["metric", "value"])
-    table.add_row("cases", len(study.outcomes))
-    table.add_row("fraction with alternates",
-                  study.fraction_with_alternates)
-    table.add_row("users modeled (gravity)", study.users_total)
-    table.add_row("user-weighted alternates fraction",
-                  study.user_weighted_fraction)
-    table.add_note(
-        "user weighting: each case weighted by the gravity-model "
-        "population behind its source stub"
-    )
-    table.emit()
-    return 0
-
-
-def _cmd_accuracy(args: argparse.Namespace) -> int:
-    from repro.experiments.accuracy import run_isolation_accuracy_study
-
-    study, _scenario = _measured(
-        args, run_isolation_accuracy_study,
-        scale=args.scale, seed=args.seed, num_cases=args.cases,
-        reply_loss_rate=0.05, workers=args.workers,
-    )
-    table = Table("Sec 5.3: isolation accuracy", ["metric", "value"])
-    table.add_row("cases", len(study.cases))
-    table.add_row("accuracy (ground truth)", study.accuracy)
-    table.add_row("traceroute differs", study.traceroute_difference_fraction)
-    table.add_row("mean probes", study.mean_probes)
-    table.emit()
-    return 0
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.workloads.hubble import (
-        estimate_update_load,
-        generate_hubble_dataset,
-    )
-
-    dataset = generate_hubble_dataset(seed=args.seed)
-    table = Table(
-        "Table 2: additional daily path changes",
-        ["I", "T", "d (min)", "daily path changes"],
-    )
-    for cell in estimate_update_load(dataset):
-        table.add_row(
-            cell.deploying_fraction, cell.monitored_fraction,
-            int(cell.wait_minutes), cell.daily_path_changes,
-        )
-    table.emit()
     return 0
 
 
@@ -256,6 +158,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     intensities = (
         tuple(args.intensity) if args.intensity else (0.0, 0.1, 0.3)
     )
+    if not _unit_interval(intensities):
+        got = ", ".join(f"{value:g}" for value in intensities)
+        print(f"bad --intensity {got}: expected fault intensities in "
+              f"[0, 1]", file=sys.stderr)
+        return 2
     study = _measured(
         args, run_robustness_study,
         scale=args.scale,
@@ -351,6 +258,8 @@ def _cmd_defenses(args: argparse.Namespace) -> int:
             float(part) for part in args.sweep.split(",") if part.strip()
         )
     except ValueError:
+        rates = ()
+    if not _unit_interval(rates):
         print(f"bad --sweep {args.sweep!r}: expected comma-separated "
               f"rates in [0, 1]", file=sys.stderr)
         return 2
@@ -643,33 +552,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("fig1", help="outage duration CDFs").set_defaults(
-        func=_cmd_fig1
+    p = sub.add_parser(
+        "table",
+        help="print a paper table exactly as committed under "
+             "benchmarks/results/ (every table when no NAME is given); "
+             "each runs its studies at the paper's own scale and seed, "
+             "so the global --seed does not reach it",
     )
-    sub.add_parser("fig5", help="residual durations").set_defaults(
-        func=_cmd_fig5
+    p.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help="table name: the stem of benchmarks/results/NAME.txt",
     )
-    p = sub.add_parser("fig6", help="poisoning convergence study")
-    p.add_argument("--scale", default="small")
-    p.add_argument("--max-poisons", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
-    _add_metrics_out(p)
-    p.set_defaults(func=_cmd_fig6)
-    p = sub.add_parser("efficacy", help="simulated poisoning efficacy")
-    p.add_argument("--scale", default="medium")
-    p.add_argument("--max-cases", type=int, default=30000)
-    p.add_argument("--workers", type=int, default=1)
-    _add_metrics_out(p)
-    p.set_defaults(func=_cmd_efficacy)
-    p = sub.add_parser("accuracy", help="isolation accuracy study")
-    p.add_argument("--scale", default="small")
-    p.add_argument("--cases", type=int, default=40)
-    p.add_argument("--workers", type=int, default=1)
-    _add_metrics_out(p)
-    p.set_defaults(func=_cmd_accuracy)
-    sub.add_parser("table2", help="update-load model").set_defaults(
-        func=_cmd_table2
+    p.add_argument(
+        "--out", default=None, metavar="DIR",
+        help="write DIR/NAME.txt for each table instead of printing it",
     )
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes per study (the tables do not depend on it)",
+    )
+    p.set_defaults(func=_cmd_table)
     sub.add_parser("demo", help="end-to-end repair demo").set_defaults(
         func=_cmd_demo
     )

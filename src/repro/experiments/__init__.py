@@ -1,7 +1,9 @@
 """Evaluation-experiment drivers (one per study in §2 and §5).
 
-Benchmarks under ``benchmarks/`` are thin wrappers over these functions so
-the studies can also be run programmatically (see ``repro.cli``).
+:mod:`repro.experiments.tables` runs them at the paper's arguments and
+renders every paper table; ``repro table`` prints those tables, and each
+``benchmarks/test_*.py`` is a thin wrapper that writes its table through
+the same registry and asserts the paper's claims on the studies.
 """
 
 from repro.experiments.convergence import (

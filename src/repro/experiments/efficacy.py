@@ -23,7 +23,6 @@ from repro.splice.simulate import (
     fraction_with_alternates,
     simulate_poisonings_over_corpus,
 )
-from repro.traffic.matrix import build_traffic_matrix
 
 
 @dataclass
@@ -32,27 +31,10 @@ class EfficacyStudy:
 
     outcomes: List[PoisonOutcome] = field(default_factory=list)
     corpus_paths: int = 0
-    #: gravity-model users behind the case sources (0 where the source
-    #: is a transit AS that carries no modeled eyeballs).
-    users_total: int = 0
-    #: users whose source kept an alternate in their case.
-    users_with_alternates: int = 0
 
     @property
     def fraction_with_alternates(self) -> float:
         return fraction_with_alternates(self.outcomes)
-
-    @property
-    def user_weighted_fraction(self) -> float:
-        """Alternate-path fraction weighted by users behind each source.
-
-        The paper's 90% counts paths; this counts people — a stub with
-        ten times the users should matter ten times as much to the
-        "can poisoning help?" answer.
-        """
-        if not self.users_total:
-            return 0.0
-        return self.users_with_alternates / self.users_total
 
 
 def harvest_path_corpus(
@@ -114,37 +96,5 @@ def run_topology_efficacy_study(
     )
     stats.count("efficacy.cases", len(outcomes))
 
-    # Weight each case by the gravity-model users behind its source, so
-    # the headline also answers "for how many people does poisoning
-    # keep a path?"  Per-case weight is the source population split
-    # evenly across that source's cases (total mass = modeled users).
-    with stats.timer("efficacy.traffic"):
-        matrix = build_traffic_matrix(graph, seed=seed, stats=stats)
-    population = matrix.users_by_src()
-    cases_per_source: dict = {}
-    wins_per_source: dict = {}
-    for outcome in outcomes:
-        cases_per_source[outcome.source] = (
-            cases_per_source.get(outcome.source, 0) + 1
-        )
-        if outcome.alternate_exists:
-            wins_per_source[outcome.source] = (
-                wins_per_source.get(outcome.source, 0) + 1
-            )
-    users_total = 0
-    users_with_alternates = 0
-    for source, users in sorted(population.items()):
-        count = cases_per_source.get(source)
-        if not count:
-            continue
-        users_total += users
-        wins = wins_per_source.get(source, 0)
-        users_with_alternates += round(users * wins / count)
-
-    study = EfficacyStudy(
-        outcomes=outcomes,
-        corpus_paths=len(corpus),
-        users_total=users_total,
-        users_with_alternates=users_with_alternates,
-    )
+    study = EfficacyStudy(outcomes=outcomes, corpus_paths=len(corpus))
     return study, graph

@@ -115,9 +115,9 @@ def capture_state(
 ) -> StateSnapshot:
     """One engine's observable routing state for *prefixes* (None:
     every prefix it holds): one dict copy per speaker and per session,
-    or one lookup each per asked prefix.  The wire section reads
-    ``engine._sessions``, which writes any pending rows first
-    (:meth:`BGPEngine.materialize`)."""
+    or one lookup each per asked prefix.  Any pending rows are written
+    first (:meth:`BGPEngine.materialize`), so the wire section is whole."""
+    engine.materialize()
     return StateSnapshot(
         {
             asn: held
@@ -126,7 +126,7 @@ def capture_state(
         },
         {
             key: held
-            for key, session in engine._sessions.items()
+            for key, session in engine._session_map.items()
             if (held := _held(session.sent, prefixes))
         },
     )

@@ -20,7 +20,6 @@ HARNESS_ENV = {
     "REPRO_CHAOS_SEEDS",
     "REPRO_DELTA_SEEDS",
     "REPRO_PERF_SCALES",
-    "REPRO_BENCH_WORKERS",
 }
 
 

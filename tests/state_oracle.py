@@ -33,7 +33,8 @@ def oracle_rows(engine, prefixes=None):
                 best.med,
             )
             state[(FWD, asn, base, length)] = best.neighbor
-    for (src, dst), session in engine._sessions.items():
+    engine.materialize()
+    for (src, dst), session in engine._session_map.items():
         for prefix, announcement in session.sent.items():
             if announcement is None:
                 continue

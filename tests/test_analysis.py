@@ -126,13 +126,12 @@ class TestReporting:
         with pytest.raises(ValueError):
             table.add_row(1)
 
-    def test_table_emit_writes_file(self, tmp_path):
+    def test_table_emit_prints_and_returns_the_text(self, capsys):
         table = Table("My Result", ["a"])
         table.add_row(1)
-        table.emit(results_dir=str(tmp_path))
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        assert "my_result" in files[0].name
+        text = table.emit()
+        assert capsys.readouterr().out == f"\n{text}\n\n"
+        assert text.startswith("My Result\n=========")
 
     def test_figure_series_formatting(self):
         text = format_figure_series(

@@ -184,7 +184,7 @@ class TestByteIdentity:
         base = _deployment("tiny", 1)
         engine = base.engine
         before = capture_state(engine, None)
-        asn, peer = next(iter(engine._sessions))
+        asn, peer = next(iter(engine._session_map))
         result = apply_delta(engine, [DeltaChange.reset(asn, peer)])
         assert result.resets == 1
         assert engine.session_resets == 1

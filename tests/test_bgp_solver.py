@@ -76,7 +76,8 @@ def _advertised_state(engine):
     what a neighbor would *act on* is the non-None advertisement set.
     """
     out = {}
-    for key, session in engine._sessions.items():
+    engine.materialize()
+    for key, session in engine._session_map.items():
         live = {
             prefix: ann
             for prefix, ann in session.sent.items()

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import os
+from pathlib import Path
 
 import pytest
 
@@ -20,14 +21,14 @@ class TestParser:
 
     def test_known_subcommands(self):
         parser = build_parser()
-        for command in ("fig1", "fig5", "fig6", "efficacy", "accuracy",
-                        "table2", "demo", "chaos"):
+        for command in ("table", "demo", "trace", "chaos", "defenses",
+                        "serve", "impact", "fuzz"):
             args = parser.parse_args([command])
             assert args.command == command
 
     def test_workers_flag(self):
         parser = build_parser()
-        for command in ("fig6", "efficacy", "accuracy", "chaos"):
+        for command in ("table", "chaos", "defenses", "fuzz"):
             args = parser.parse_args([command, "--workers", "3"])
             assert args.workers == 3
 
@@ -37,8 +38,11 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv", [["bench"], ["--baseline-mode", "event", "fig1"]],
-        ids=["bench", "baseline-mode"],
+        "argv",
+        [["bench"], ["--baseline-mode", "event", "demo"], ["fig1"], ["fig5"],
+         ["fig6"], ["efficacy"], ["accuracy"], ["table2"]],
+        ids=["bench", "baseline-mode", "fig1", "fig5", "fig6", "efficacy",
+             "accuracy", "table2"],
     )
     def test_retired_commands_and_options_are_usage_errors(
         self, argv, capsys
@@ -62,10 +66,10 @@ class TestParser:
             seen.append((args.command, dict(os.environ)))
             return 3
 
-        monkeypatch.setattr(cli, "_cmd_fig1", command)
+        monkeypatch.setattr(cli, "_cmd_table", command)
         before = dict(os.environ)
-        assert main(["fig1"]) == 3
-        assert seen == [("fig1", before)]
+        assert main(["table"]) == 3
+        assert seen == [("table", before)]
         assert dict(os.environ) == before
 
     def test_defaults_are_literals_whatever_the_environment(
@@ -73,14 +77,14 @@ class TestParser:
     ):
         """Every subcommand's defaults used to be evaluated from the
         environment in ``build_parser()``: a bad ``REPRO_FUZZ_CASES``
-        killed ``fig1``, and ``REPRO_SERVICE_DELTA`` walked past
+        killed every subcommand, and ``REPRO_SERVICE_DELTA`` walked past
         ``choices``."""
         monkeypatch.setenv("REPRO_FUZZ_CASES", "abc")
         monkeypatch.setenv("REPRO_SERVICE_DELTA", "sideways")
         monkeypatch.setenv("REPRO_DEFENSE_OUTAGES", "x")
         monkeypatch.setenv("REPRO_SERVICE_MAX_INFLIGHT", "1")
         parser = build_parser()
-        assert parser.parse_args(["fig1"]).command == "fig1"
+        assert parser.parse_args(["table"]).command == "table"
         serve = parser.parse_args(["serve", "--sim"])
         assert (serve.delta, serve.journal_max_bytes) == ("auto", None)
         defenses = parser.parse_args(["defenses"])
@@ -92,33 +96,81 @@ class TestParser:
         assert (fuzz.corpus_dir, fuzz.inject_divergence) == (None, False)
 
 
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+#: The tables whose studies take seconds, not minutes: tier-1 holds each
+#: to its committed bytes (the paper-tables CI job holds all of them).
+CHEAP_TABLES = (
+    "fig1_outage_durations", "fig5_residual_duration", "fig5_decision_rule",
+    "sec42_avoidable_unavailability", "ablation_atlas",
+    "ablation_avoid_problem", "ablation_sentinel", "robustness",
+    "sec52_selective", "sec54_atlas_refresh", "sec6_case_study",
+    "sec71_loop_quirks", "sec71_cogent_filter", "sec51_simulated",
+)
+
+
+class TestTable:
+    @pytest.mark.parametrize("name", CHEAP_TABLES)
+    def test_prints_the_committed_file(self, name, capsys):
+        assert main(["table", name]) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == (RESULTS / f"{name}.txt").read_bytes()
+
+    def test_out_writes_the_committed_file(self, tmp_path, capsys):
+        name = "fig5_decision_rule"
+        assert main(["table", name, "--out", str(tmp_path / "t")]) == 0
+        written = tmp_path / "t" / f"{name}.txt"
+        assert capsys.readouterr().out == f"{written}\n"
+        assert written.read_bytes() == (RESULTS / f"{name}.txt").read_bytes()
+
+    def test_every_committed_file_has_a_table(self):
+        from repro.experiments.tables import TABLES
+
+        assert sorted(TABLES) == sorted(
+            path.stem for path in RESULTS.glob("*.txt")
+        )
+
+    def test_unknown_name_is_a_usage_error(self, capsys):
+        assert main(["table", "fig6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown table(s) fig6" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["defenses", "--sweep", "1.5"],
+    ["defenses", "--sweep", ""],
+    ["defenses", "--sweep", "0,x"],
+    ["chaos", "--intensity", "2"],
+    ["chaos", "--intensity", "0.1", "--intensity", "-0.5"],
+], ids=["rate-above-1", "no-rates", "not-a-number", "intensity-above-1",
+        "negative-intensity"])
+def test_bad_sweep_is_a_usage_error_before_any_study(
+    argv, monkeypatch, capsys
+):
+    """A rate of 1.5 died in ``assign_defense_configs`` with a traceback,
+    an empty sweep printed a header-only table and exited 0, and an
+    intensity of 2 died in the chaos plan."""
+    import repro.experiments.defenses
+    import repro.experiments.robustness
+
+    def no_study(**kwargs):
+        raise AssertionError("a study ran on a bad sweep")
+
+    monkeypatch.setattr(
+        repro.experiments.defenses, "run_defense_study", no_study
+    )
+    monkeypatch.setattr(
+        repro.experiments.robustness, "run_robustness_study", no_study
+    )
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bad --{argv[1][2:]} ")
+    assert "in [0, 1]" in captured.err
+
+
 class TestCommands:
-    def test_fig1(self, capsys):
-        assert main(["fig1"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig. 1" in out
-        assert "CDF" in out
-
-    def test_fig5(self, capsys):
-        assert main(["fig5"]) == 0
-        out = capsys.readouterr().out
-        assert "residual" in out.lower()
-
-    def test_table2(self, capsys):
-        assert main(["table2"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 2" in out
-
-    def test_fig6_tiny(self, capsys):
-        assert main(["fig6", "--scale", "tiny", "--max-poisons", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "prepend" in out
-
-    def test_accuracy_tiny(self, capsys):
-        assert main(["accuracy", "--scale", "tiny", "--cases", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "accuracy" in out.lower()
-
     def test_demo(self, capsys):
         assert main(["--seed", "5", "demo"]) == 0
         out = capsys.readouterr().out

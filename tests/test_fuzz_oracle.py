@@ -56,7 +56,8 @@ def reference_capture(engine, prefixes):
         ):
             state[f"fwd/{prefix}/AS{asn}"] = next_hop
     wanted = set(prefixes)
-    for (src, dst), session in sorted(engine._sessions.items()):
+    engine.materialize()
+    for (src, dst), session in sorted(engine._session_map.items()):
         for prefix, announcement in session.sent.items():
             # The old wire section ignored *prefixes*; the filter here
             # is the scope fix, so the two captures cover the same rows.
@@ -218,9 +219,10 @@ class TestSnapshotAgainstRowOracle:
                 assert len(state) == len(rows), (index, label)
                 assert capture_state(engine, case.prefixes()) == state
                 blobs[label].append(canonical_blob(state))
+                engine.materialize()
                 tombstones += sum(
                     announcement is None
-                    for session in engine._sessions.values()
+                    for session in engine._session_map.values()
                     for announcement in session.sent.values()
                 )
         assert tombstones > 1000, "the event arm should leave some"
@@ -413,8 +415,9 @@ class TestScope:
         scoped = capture_state(engine, [asked])
         whole = capture_state(engine, None)
 
+        engine.materialize()
         session = next(
-            s for s in engine._sessions.values() if s.sent.get(other)
+            s for s in engine._session_map.values() if s.sent.get(other)
         )
         session.sent[other] = None  # a withdrawal nobody routed on
 

@@ -47,7 +47,7 @@ class TestParser:
 
     def test_metrics_out_on_experiment_commands(self):
         parser = build_parser()
-        for command in ("fig6", "efficacy", "accuracy", "chaos"):
+        for command in ("chaos", "defenses", "impact", "fuzz"):
             args = parser.parse_args([command, "--metrics-out", "m.json"])
             assert args.metrics_out == "m.json"
 
@@ -96,14 +96,14 @@ class TestMetricsOut:
     def test_experiment_writes_snapshot(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         assert main([
-            "accuracy", "--scale", "tiny", "--cases", "2",
+            "chaos", "--intensity", "0", "--outages", "1",
             "--metrics-out", str(path),
         ]) == 0
         snapshot = json.loads(path.read_text())
         assert snapshot["counters"], "experiment should count something"
         # The legacy RunStats counters are what landed in the snapshot.
         assert any(
-            name.startswith("accuracy.") for name in snapshot["counters"]
+            name.startswith("robustness.") for name in snapshot["counters"]
         )
         for blob in snapshot["histograms"].values():
             assert blob["buckets"][-1][0] == "+Inf"
