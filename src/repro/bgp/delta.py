@@ -41,9 +41,9 @@ differential arm in the fuzz executor.
 cannot model exactly — event-perturbed engines (stale Adj-RIB-In
 artifacts from message crossing make splice bounds unsound), attached
 fault hooks (faults need transmitted messages), avoid-hints/communities,
-MOAS, non-default policy.  :func:`try_apply_delta` turns a refusal into
-an accounted fallback (``solver.delta.fallbacks``) so callers simply
-take the event path.
+invalid paths, plus the solver's own policy, origin and MOAS checks.
+:func:`try_apply_delta` turns a refusal into an accounted fallback
+(``solver.delta.fallbacks[.<slug>]``) so callers take the event path.
 
 A clean session reset is modelled as a routing no-op: Gao-Rexford
 convergence is unique, so with no message faults the event engine
@@ -62,22 +62,21 @@ from repro.bgp.rib import Route
 from repro.bgp.solver import (
     Origination,
     PrefixSolution,
+    Refusal,
+    SolverUnsupported,
     build_adjacency,
-    gate_reason_slug,
+    count_refusal,
+    duplicate_prefix_reason,
     solve_prefix,
     speaker_config_reason,
+    unknown_origin_reason,
 )
-from repro.errors import SimulationError
 from repro.net.addr import Prefix
 
 #: Per-engine solution memo bound; a repair ladder cycles through a
 #: handful of announcement shapes, so the memo is cleared wholesale on
 #: overflow rather than tracking recency.
 _SOLUTION_MEMO_CAP = 64
-
-
-class DeltaUnsupported(SimulationError):
-    """The change set has a feature the delta path cannot model."""
 
 
 @dataclass(frozen=True)
@@ -153,23 +152,30 @@ class DeltaResult:
 
 def delta_unsupported_reason(
     engine, changes: Sequence[DeltaChange]
-) -> Optional[str]:
+) -> Optional[Refusal]:
     """Why *changes* cannot be delta-applied to *engine* (None: they can).
 
-    Mirrors :func:`~repro.bgp.solver.solver_unsupported_reason` but for
-    a perturbation of an already-analytic engine; reasons share the
-    solver's slug table (:func:`~repro.bgp.solver.gate_reason_slug`).
+    The splice counterpart of
+    :func:`~repro.bgp.solver.solver_unsupported_reason`: it checks the
+    engine's state and the change set itself, and takes the speaker
+    config, unknown-origin and duplicate-prefix checks from the solver.
     """
     analytic = getattr(engine, "_analytic", None)
     if analytic is None:
-        return (
+        return Refusal(
+            "not_analytic",
             "engine state is not analytic "
-            "(cold start or event-path activity)"
+            "(cold start or event-path activity)",
         )
     if engine._queue:
-        return "events pending (delta needs a quiescent engine)"
+        return Refusal(
+            "events_pending", "events pending (delta needs a quiescent engine)"
+        )
     if engine.fault_hook is not None:
-        return "fault hook attached (message faults need the event engine)"
+        return Refusal(
+            "fault_hook",
+            "fault hook attached (message faults need the event engine)",
+        )
     # A speaker's config changes only through its ``reconfigure``, which
     # empties this cell, so the config sweep is cached (the gate runs
     # on every repair announcement).
@@ -182,12 +188,18 @@ def delta_unsupported_reason(
     for change in changes:
         if change.kind == "originate":
             if change.avoid:
-                return "avoid-hint announcements need the event engine"
+                return Refusal(
+                    "avoid_hint",
+                    "avoid-hint announcements need the event engine",
+                )
             if change.communities:
-                return "communities need the event engine"
+                return Refusal(
+                    "communities", "communities need the event engine"
+                )
             org = change.origination
-            if org.asn not in engine.speakers:
-                return f"origination from unknown AS{org.asn}"
+            refusal = unknown_origin_reason(engine, org)
+            if refusal is not None:
+                return refusal
             paths = [org.path]
             if org.per_neighbor is not None:
                 paths.extend(path for _, path in org.per_neighbor)
@@ -195,27 +207,22 @@ def delta_unsupported_reason(
                 if path is None:
                     continue
                 if not path or path[0] != org.asn or path[-1] != org.asn:
-                    return (
+                    return Refusal(
+                        "invalid_path",
                         f"invalid origin path {path} for AS{org.asn} "
-                        "(the event engine raises)"
+                        "(the event engine raises)",
                     )
-            if org.prefix in owners:
-                owner = owners[org.prefix]
-            else:
+            owner = owners.get(org.prefix)
+            if owner is None:
                 existing = analytic.get(org.prefix)
-                owner = (
-                    existing.origination.asn
-                    if existing is not None
-                    else org.asn
-                )
+                owner = existing.origination.asn if existing else org.asn
             if owner != org.asn:
-                return (
-                    f"multiple originations of {org.prefix} "
-                    "(anycast/MOAS needs the event engine)"
-                )
+                return duplicate_prefix_reason(org.prefix)
             owners[org.prefix] = org.asn
         elif change.kind not in ("withdraw", "reset"):
-            return f"unknown delta change kind {change.kind!r}"
+            return Refusal(
+                "unknown_change", f"unknown delta change kind {change.kind!r}"
+            )
     return None
 
 
@@ -224,17 +231,19 @@ def apply_delta(
 ) -> DeltaResult:
     """Splice *changes* into *engine*'s analytic converged state.
 
-    Raises :class:`DeltaUnsupported` when the gate refuses; use
-    :func:`try_apply_delta` for the accounted-fallback variant.  On
-    success the engine is at the exact state a cold
+    Raises :class:`~repro.bgp.solver.SolverUnsupported` when the gate
+    refuses; use :func:`try_apply_delta` for the accounted-fallback
+    variant.  On success the engine is at the exact state a cold
     ``solve`` + ``warm_start`` of the post-change origination set would
     produce, with one :class:`~repro.bgp.engine.RouteChange` logged per
     AS whose Loc-RIB selection changed (sorted per prefix, so the log —
     and the ``bgp.decision-change`` events behind it — is deterministic).
     """
-    reason = delta_unsupported_reason(engine, changes)
-    if reason is not None:
-        raise DeltaUnsupported(f"delta recomputation cannot model: {reason}")
+    refusal = delta_unsupported_reason(engine, changes)
+    if refusal is not None:
+        raise SolverUnsupported(
+            f"delta recomputation cannot model: {refusal}"
+        )
     analytic: Dict[Prefix, PrefixSolution] = engine._analytic
     adjacency = engine._delta_adjacency
     if adjacency is None:
@@ -398,22 +407,21 @@ def try_apply_delta(
 ) -> Optional[DeltaResult]:
     """:func:`apply_delta`, or None with fallback accounting.
 
-    A gate refusal emits a ``bgp.delta-fallback`` event (slugged reason)
-    and bumps ``solver.delta.fallbacks`` so dashboards can see how often
+    A gate refusal emits a ``bgp.delta-fallback`` event (subject: the
+    refusal's slug) and counts ``solver.delta.fallbacks`` plus
+    ``solver.delta.fallbacks.<slug>`` so dashboards can see how often
     the full replay path still runs.
     """
-    reason = delta_unsupported_reason(engine, changes)
-    if reason is None:
+    refusal = delta_unsupported_reason(engine, changes)
+    if refusal is None:
         return apply_delta(engine, changes, stats=stats)
-    slug = gate_reason_slug(reason)
     if stats is not None:
-        stats.count("solver.delta.fallbacks")
-        stats.count(f"solver.delta.fallback.{slug}")
+        count_refusal(stats, "solver.delta", refusal)
     obs = engine.obs
     if obs is not None:
         obs.emit(
             "bgp.delta-fallback", engine.now, "bgp.engine",
-            subject=slug, reason=reason,
+            subject=refusal.slug, reason=refusal.reason,
         )
         metrics = getattr(obs, "metrics", None)
         if metrics is not None:

@@ -583,14 +583,6 @@ class BGPEngine:
         self._fib_dirty = {}
         return dirty
 
-    def try_apply_delta(self, changes, stats=None):
-        """Splice a change set into the analytic converged state
-        (:func:`repro.bgp.delta.apply_delta`), or None with fallback
-        accounting."""
-        from repro.bgp.delta import try_apply_delta
-
-        return try_apply_delta(self, changes, stats=stats)
-
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------

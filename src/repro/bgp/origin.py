@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bgp.delta import DeltaChange, DeltaResult
+from repro.bgp.delta import DeltaChange, DeltaResult, try_apply_delta
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import ASPath, make_path
 from repro.errors import ControlError
@@ -415,7 +415,7 @@ class OriginController:
             self.origin_asn, prefix, path=path,
             per_neighbor=per_neighbor, avoid=avoid,
         )
-        result = self.engine.try_apply_delta([change], stats=self.stats)
+        result = try_apply_delta(self.engine, [change], stats=self.stats)
         if result is None:
             self.delta_fallbacks += 1
             return False

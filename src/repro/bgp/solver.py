@@ -35,8 +35,10 @@ reads or mutates one, so the engine behaves identically to an
 event-converged one for all subsequent perturbations.
 
 The solver refuses configurations it cannot model exactly —
-:func:`solver_unsupported_reason` names the offending feature — and
-``runner.baseline`` falls back to event-driven convergence in that case.
+:func:`solver_unsupported_reason` returns a :class:`Refusal` naming the
+offending feature and its slug — and ``runner.baseline`` falls back to
+event-driven convergence in that case.  This module is the one gate:
+the splice gate in :mod:`repro.bgp.delta` calls its checks.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bgp.messages import Announcement, ASPath, intern_path
 from repro.bgp.rib import Route
@@ -63,6 +65,24 @@ _PROVIDER_PREF = _LOCAL_PREF[Relationship.PROVIDER]
 
 class SolverUnsupported(SimulationError):
     """The configuration has a feature the analytic solver cannot model."""
+
+
+class Refusal(NamedTuple):
+    """Why the analytic model cannot describe a configuration: a metrics
+    ``slug`` named at the refusing check, and the ``reason`` (its str)."""
+
+    slug: str
+    reason: str
+
+    def __str__(self) -> str:
+        return self.reason
+
+
+def count_refusal(stats, scope: str, refusal: Refusal) -> None:
+    """Count *refusal* as ``<scope>.fallbacks`` and ``.fallbacks.<slug>``
+    (scope ``solver`` for a baseline, ``solver.delta`` for a splice)."""
+    stats.count(f"{scope}.fallbacks")
+    stats.count(f"{scope}.fallbacks.{refusal.slug}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +173,16 @@ class SolverResult:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
 
-def speaker_config_reason(engine) -> Optional[str]:
+#: Speaker-config fields any set value of which changes which routing
+#: is stable, in check order; each field name is its own slug.
+_POLICY_FLAGS = (
+    "reject_peer_paths_from_customers", "honours_communities",
+    "local_pref_overrides", "flap_damping", "filter_poisoned_paths",
+    "reject_reserved_asns", "as_path_max_length", "peerlock_protected",
+)
+
+
+def speaker_config_reason(engine) -> Optional[Refusal]:
     """Why per-speaker policy keeps the analytic model out (None: clean).
 
     Shared by :func:`solver_unsupported_reason` and the delta gate
@@ -163,31 +192,39 @@ def speaker_config_reason(engine) -> Optional[str]:
     for asn, speaker in engine.speakers.items():
         config = speaker.policy.config
         if config.loop_max_occurrences != 1:
-            return f"AS{asn}: loop_max_occurrences != 1"
-        if config.reject_peer_paths_from_customers:
-            return f"AS{asn}: reject_peer_paths_from_customers"
-        if config.honours_communities:
-            return f"AS{asn}: honours_communities"
-        if config.local_pref_overrides:
-            return f"AS{asn}: local_pref_overrides"
-        if config.flap_damping:
-            return f"AS{asn}: flap_damping"
-        if config.filter_poisoned_paths:
-            return f"AS{asn}: filter_poisoned_paths"
-        if config.reject_reserved_asns:
-            return f"AS{asn}: reject_reserved_asns"
-        if config.as_path_max_length:
-            return f"AS{asn}: as_path_max_length"
-        if config.peerlock_protected:
-            return f"AS{asn}: peerlock_protected"
+            return Refusal(
+                "loop_max_occurrences", f"AS{asn}: loop_max_occurrences != 1"
+            )
+        for flag in _POLICY_FLAGS:
+            if getattr(config, flag):
+                return Refusal(flag, f"AS{asn}: {flag}")
         if Relationship.SIBLING in speaker.neighbors.values():
-            return f"AS{asn}: sibling link"
+            return Refusal("sibling_link", f"AS{asn}: sibling link")
     return None
+
+
+def unknown_origin_reason(engine, org: Origination) -> Optional[Refusal]:
+    """Refuses an origination from an AS the engine lacks (both gates)."""
+    if org.asn in engine.speakers:
+        return None
+    return Refusal("unknown_origin", f"origination from unknown AS{org.asn}")
+
+
+def duplicate_prefix_reason(prefix: Prefix) -> Refusal:
+    """The refusal of a second origination of *prefix* (found by
+    differential fuzzing: each solution is solved and pinned on its own,
+    while the event engine computes true anycast routing).  A cold solve
+    refuses any repeat, a splice one another AS already originates."""
+    return Refusal(
+        "duplicate_prefix",
+        f"multiple originations of {prefix} "
+        "(anycast/MOAS needs the event engine)",
+    )
 
 
 def solver_unsupported_reason(
     engine, originations: Sequence[Origination]
-) -> Optional[str]:
+) -> Optional[Refusal]:
     """Why the analytic solver cannot model this setup (None: it can).
 
     The solver assumes default Gao-Rexford decision/export behaviour:
@@ -195,66 +232,27 @@ def solver_unsupported_reason(
     Cogent peer filter, community-driven export, flap damping and the
     anti-poisoning import filters (poisoned-path/reserved-ASN rejection,
     path-length caps, Peerlock) all change which routing is stable, so
-    any of them forces the event engine.  Announcement-level features the engine layers on top
-    (communities, AVOID_PROBLEM hints) are likewise out of scope.
+    any of them forces the event engine.  Announcement-level features
+    the engine layers on top (communities, AVOID_PROBLEM hints) are
+    likewise out of scope.
     """
-    reason = speaker_config_reason(engine)
-    if reason is not None:
-        return reason
+    refusal = speaker_config_reason(engine)
+    if refusal is not None:
+        return refusal
     seen_prefixes = set()
     for org in originations:
-        if org.asn not in engine.speakers:
-            return f"origination from unknown AS{org.asn}"
+        refusal = unknown_origin_reason(engine, org)
+        if refusal is not None:
+            return refusal
         if org.prefix in seen_prefixes:
-            # Found by differential fuzzing: the solver solves each
-            # origination independently and warm_start pins each
-            # solution's selections blindly, while the event
-            # engine computes true anycast routing — so any duplicate
-            # prefix (MOAS, or repeated same-AS configs where the
-            # engine's last-write-wins) must take the event path.
-            return (
-                f"multiple originations of {org.prefix} "
-                "(anycast/MOAS needs the event engine)"
-            )
+            return duplicate_prefix_reason(org.prefix)
         seen_prefixes.add(org.prefix)
     if engine.change_log or engine.updates_sent or engine._queue:
-        return "engine has prior activity (warm_start needs a fresh one)"
+        return Refusal(
+            "prior_activity",
+            "engine has prior activity (warm_start needs a fresh one)",
+        )
     return None
-
-
-#: substring -> slug mapping for gate reasons (metrics/budget keys).
-_GATE_REASON_SLUGS = (
-    ("loop_max_occurrences", "loop_max_occurrences"),
-    ("reject_peer_paths_from_customers",
-     "reject_peer_paths_from_customers"),
-    ("honours_communities", "honours_communities"),
-    ("local_pref_overrides", "local_pref_overrides"),
-    ("flap_damping", "flap_damping"),
-    ("filter_poisoned_paths", "filter_poisoned_paths"),
-    ("reject_reserved_asns", "reject_reserved_asns"),
-    ("as_path_max_length", "as_path_max_length"),
-    ("peerlock_protected", "peerlock_protected"),
-    ("sibling link", "sibling_link"),
-    ("multiple originations", "duplicate_prefix"),
-    ("unknown AS", "unknown_origin"),
-    ("prior activity", "prior_activity"),
-    # Delta-gate-only reasons (repro.bgp.delta shares this slug table).
-    ("not analytic", "not_analytic"),
-    ("events pending", "events_pending"),
-    ("fault hook", "fault_hook"),
-    ("avoid-hint", "avoid_hint"),
-    ("communities", "communities"),
-    ("invalid origin path", "invalid_path"),
-    ("unknown delta change", "unknown_change"),
-)
-
-
-def gate_reason_slug(reason: str) -> str:
-    """A stable metrics-key slug for a gate-rejection reason string."""
-    for marker, slug in _GATE_REASON_SLUGS:
-        if marker in reason:
-            return slug
-    return "other"
 
 
 def solve(
@@ -268,9 +266,9 @@ def solve(
     read.  *stats* (duck-typed :class:`~repro.runner.stats.RunStats`)
     receives ``solver.prefixes_solved`` and per-phase timers.
     """
-    reason = solver_unsupported_reason(engine, originations)
-    if reason is not None:
-        raise SolverUnsupported(f"analytic solver cannot model: {reason}")
+    refusal = solver_unsupported_reason(engine, originations)
+    if refusal is not None:
+        raise SolverUnsupported(f"analytic solver cannot model: {refusal}")
 
     adjacency = build_adjacency(engine)
     phase_seconds = {"up": 0.0, "across": 0.0, "down": 0.0, "install": 0.0}

@@ -319,6 +319,23 @@ def _cmd_defenses(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_serve_option(args: argparse.Namespace) -> Optional[str]:
+    """The usage error for the first out-of-range ``serve`` number."""
+    if not args.interarrival > 0:
+        return (f"bad --interarrival {args.interarrival:g}: expected "
+                f"seconds > 0")
+    if args.outage_duration is not None and not args.outage_duration > 0:
+        return (f"bad --outage-duration {args.outage_duration:g}: "
+                f"expected seconds > 0")
+    if not _unit_interval([args.intensity]):
+        return (f"bad --intensity {args.intensity:g}: expected a fault "
+                f"intensity in [0, 1]")
+    if args.journal_flush_every < 1:
+        return (f"bad --journal-flush-every {args.journal_flush_every}: "
+                f"expected an entry count >= 1")
+    return None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the continuous-operation service daemon over a simulated
     streaming outage workload."""
@@ -338,6 +355,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "only simulated operation is implemented: pass --sim",
             file=sys.stderr,
         )
+        return 2
+    bad = _bad_serve_option(args)
+    if bad is not None:
+        print(bad, file=sys.stderr)
         return 2
 
     registry = MetricsRegistry()

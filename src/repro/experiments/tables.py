@@ -40,7 +40,6 @@ from repro.measure.atlas import OPTION_PROBES_AMORTIZED, OPTION_PROBES_FRESH
 from repro.workloads.hubble import (
     EDGE_ROUTER_DAILY_UPDATES,
     estimate_update_load,
-    generate_hubble_dataset,
 )
 from repro.workloads.outages import generate_outage_trace
 
@@ -88,7 +87,6 @@ def _mrai_sweep(workers: int = 1):
 STUDIES: Dict[str, Study] = {
     # The calibrated EC2-like trace (Fig. 1, Fig. 5, §4.2).
     "outage_trace": Study(generate_outage_trace, {"seed": 2012}),
-    "hubble": Study(generate_hubble_dataset, {"days": 7.0, "seed": 2012}),
     # The BGP-Mux poisoning study (Fig. 6, §5.1 wild half, §5.2 loss).
     "mux": Study(run_poisoning_convergence_study, {
         "scale": "medium", "seed": 7, "num_collector_peers": 60,
@@ -274,13 +272,13 @@ def sec42_avoidable_unavailability(trace) -> Table:
     return table
 
 
-@_table("hubble")
-def table2_update_load(dataset) -> Table:
+@_table()
+def table2_update_load() -> Table:
     table = Table(
         "Table 2: additional daily path changes (paper vs measured)",
         ["I", "T", "d (min)", "measured", "paper", "% of edge router load"],
     )
-    for cell in estimate_update_load(dataset):
+    for cell in estimate_update_load():
         key = (
             cell.deploying_fraction,
             cell.monitored_fraction,

@@ -13,13 +13,14 @@ Observability: each case emits a ``fuzz.case`` event and each failure a
 stats registry (``fuzz.cases``, ``fuzz.equal``, ``fuzz.divergence``,
 ``fuzz.crash``, ``fuzz.gate_rejected``, ``fuzz.gate_rejections.<slug>``
 and ``fuzz.shrink_runs``).  The per-reason gate counters are the
-"conservative rejection budget" the report surfaces.  Every case also
-ships back its wall time (``fuzz.run_case``) and what :func:`run_case`
-recorded about its own cost (solver phases, ``fuzz.capture`` /
-``fuzz.compare`` wall timers, ``fuzz.capture_rows``); the campaign
-merges them and sets the ``fuzz.verify_share`` gauge — capture plus
-compare as a fraction of the time spent inside ``run_case`` — so a
-metrics snapshot says what the oracle cost without a profiler.
+"conservative rejection budget" the report surfaces, keyed by the slug
+the gate's refusal carried.  Every case also ships back its wall time
+(``fuzz.run_case``) and what :func:`run_case` recorded about its own
+cost (solver phases, ``fuzz.capture`` / ``fuzz.compare`` wall timers,
+``fuzz.capture_rows``); the campaign merges them and sets the
+``fuzz.verify_share`` gauge — capture plus compare as a fraction of the
+time spent inside ``run_case`` — so a metrics snapshot says what the
+oracle cost without a profiler.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.bgp.solver import gate_reason_slug
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.corpus import make_entry, write_entry
 from repro.fuzz.executor import (
@@ -121,6 +121,7 @@ def _case_worker(context, index: int) -> dict:
         "index": index,
         "verdict": result.verdict,
         "reason": result.reason,
+        "slug": result.slug,
         "crash_side": result.crash_side,
         "stats": stats.as_dict(),
     }
@@ -173,7 +174,7 @@ def run_campaign(
             stats.count("fuzz.equal")
         elif verdict == VERDICT_GATE_REJECTED:
             report.gate_rejected += 1
-            slug = gate_reason_slug(row["reason"] or "")
+            slug = row["slug"]
             report.gate_reasons[slug] = report.gate_reasons.get(slug, 0) + 1
             stats.count("fuzz.gate_rejected")
             stats.count(f"fuzz.gate_rejections.{slug}")

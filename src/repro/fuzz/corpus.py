@@ -11,8 +11,9 @@ entry on both backends each run, so a fixed bug stays fixed.
 * ``"equal"`` — both backends must hold equal row sets (the normal pin
   for a fixed divergence);
 * ``"gate-reject"`` — :func:`~repro.bgp.solver.solver_unsupported_reason`
-  must refuse the case, with ``reason_contains`` (optional) naming the
-  expected reason fragment (the pin for a gate gap the fuzzer exposed).
+  must refuse the case, with ``reason_contains`` (optional) naming a
+  fragment of the refusal's reason text (the pin for a gate gap the
+  fuzzer exposed).
 """
 
 from __future__ import annotations

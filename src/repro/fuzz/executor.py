@@ -4,7 +4,7 @@ Protocol (mirrors the solver's poison-equivalence tests):
 
 1. Gate — :func:`~repro.bgp.solver.solver_unsupported_reason` on a fresh
    engine.  A rejection is a *budget* entry (conservative by design),
-   not a failure.
+   not a failure; the result carries the refusal's reason and slug.
 2. Baselines — solver side: ``solve`` + ``warm_start`` on that fresh
    engine; event side: a second fresh engine (same ``engine_seed``, so
    identical construction-time MRAI jitter draws) originates everything
@@ -81,6 +81,8 @@ class CaseResult:
     verdict: str
     #: gate reason, or ``ExcType: message`` for crashes.
     reason: Optional[str] = None
+    #: the gate refusal's slug (gate-rejected results only).
+    slug: Optional[str] = None
     #: which side crashed or diverged when it was not the solver-vs-event
     #: pair: "solver", "event", "setup" or "delta".
     crash_side: Optional[str] = None
@@ -129,9 +131,11 @@ def run_case(
     solver_engine = BGPEngine(
         graph, EngineConfig(seed=case.engine_seed), case.speaker_configs()
     )
-    reason = solver_unsupported_reason(solver_engine, originations)
-    if reason is not None:
-        return CaseResult(VERDICT_GATE_REJECTED, reason=reason)
+    refusal = solver_unsupported_reason(solver_engine, originations)
+    if refusal is not None:
+        return CaseResult(
+            VERDICT_GATE_REJECTED, reason=refusal.reason, slug=refusal.slug
+        )
 
     try:
         solution = solve(solver_engine, originations, stats=stats)
@@ -244,11 +248,11 @@ def _delta_arm(
         engine.reseed(derive_seed(case.seed, "fuzz-perturb"))
         for action in case.actions:
             change = _delta_change(action)
-            reason = delta_unsupported_reason(engine, [change])
-            if reason is not None:
+            refusal = delta_unsupported_reason(engine, [change])
+            if refusal is not None:
                 if stats is not None:
                     stats.count("fuzz.delta_arm_skips")
-                return f"skipped: {reason}"
+                return f"skipped: {refusal}"
             apply_delta(engine, [change], stats=stats)
         delta_state = _capture(engine, stats)
     except Exception as exc:

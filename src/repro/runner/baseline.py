@@ -17,12 +17,13 @@ produce that converged state:
 The default ``mode="auto"`` picks the solver whenever
 :func:`~repro.bgp.solver.solver_unsupported_reason` clears the config
 and falls back to the event engine otherwise (counted as
-``solver.fallbacks``).  Both modes yield identical Loc-RIB/Adj-RIB and
-session state; they differ in bookkeeping byproducts (the event engine's
-``change_log``/``updates_sent`` record the convergence storm, its RNG
-stream has advanced, and its clock sits at the convergence time), which
-no baseline consumer reads — trial drivers reseed and advance the clock
-before perturbing.
+``solver.fallbacks`` and ``solver.fallbacks.<slug>``).  Deployments,
+studies and the CLI all converge in ``auto``.  Both modes yield
+identical Loc-RIB/Adj-RIB and session state; they differ in bookkeeping
+byproducts (the event engine's ``change_log``/``updates_sent`` record
+the convergence storm, its RNG stream has advanced, and its clock sits
+at the convergence time), which no baseline consumer reads — trial
+drivers reseed and advance the clock before perturbing.
 
 Snapshots shipped to trial workers are pickles of the engine, which
 restore it *exactly* (including its RNG stream), zlib-compressed at
@@ -41,8 +42,7 @@ from typing import Optional, Tuple
 from repro.bgp.engine import BGPEngine, EngineConfig
 from repro.bgp.solver import (
     Origination,
-    SolverUnsupported,
-    gate_reason_slug,
+    count_refusal,
     solve,
     solver_unsupported_reason,
 )
@@ -117,17 +117,6 @@ def _even_origin_asn(graph: ASGraph) -> int:
     return candidate
 
 
-def resolve_baseline_mode(mode: Optional[str]) -> str:
-    """Normalize a ``mode`` argument (None means ``auto``)."""
-    resolved = mode or MODE_AUTO
-    if resolved not in (MODE_AUTO, MODE_SOLVER, MODE_EVENT):
-        raise SimulationError(
-            f"unknown baseline mode {resolved!r}; pick from "
-            f"{[MODE_AUTO, MODE_SOLVER, MODE_EVENT]}"
-        )
-    return resolved
-
-
 def converged_internet(
     scale: str = "small",
     seed: int = 0,
@@ -167,9 +156,14 @@ def converged_internet(
     # Only ``cache=None`` is accepted: bench/workloads.py still passes it.
     if cache is not None:
         raise TypeError("converged_internet() has no disk cache; omit cache=")
+    requested = mode or MODE_AUTO
+    if requested not in (MODE_AUTO, MODE_SOLVER, MODE_EVENT):
+        raise SimulationError(
+            f"unknown baseline mode {requested!r}; pick from "
+            f"{[MODE_AUTO, MODE_SOLVER, MODE_EVENT]}"
+        )
     stats = stats if stats is not None else RunStats()
     config = engine_config or EngineConfig(seed=seed)
-    requested = resolve_baseline_mode(mode)
 
     with stats.timer("baseline.topology"):
         graph, _shape = build_internet(scale, seed)
@@ -206,22 +200,16 @@ def converged_internet(
         for prefix in node.prefixes
     ]
 
-    effective = requested
-    if requested != MODE_EVENT:
-        reason = solver_unsupported_reason(engine, originations)
-        if reason is not None:
-            if requested == MODE_SOLVER:
-                raise SolverUnsupported(
-                    f"analytic solver cannot model: {reason}"
-                )
-            effective = MODE_EVENT
-            stats.count("solver.fallbacks")
-            stats.count(f"solver.gate_rejections.{gate_reason_slug(reason)}")
-        else:
-            effective = MODE_SOLVER
+    # In solver mode, ``solve`` runs the gate and raises on a refusal.
+    solved = requested != MODE_EVENT
+    if requested == MODE_AUTO:
+        refusal = solver_unsupported_reason(engine, originations)
+        if refusal is not None:
+            solved = False
+            count_refusal(stats, "solver", refusal)
 
     with stats.timer("baseline.convergence"):
-        if effective == MODE_SOLVER:
+        if solved:
             engine.warm_start(solve(engine, originations, stats=stats))
         else:
             for org in originations:

@@ -2,8 +2,8 @@
 
 The paper's measurement studies ran against the live Internet; these
 modules generate the synthetic equivalents: outage traces calibrated to
-the published duration distributions (Fig. 1/Fig. 5), a Hubble-like
-poisonable-outage dataset for the Table 2 load model, and ready-made
+the published duration distributions (Fig. 1/Fig. 5), the Table 2
+update-load model over that distribution, and ready-made
 simulation scenarios (topology + BGP + data plane + LIFEGUARD deployment)
 shared by the tests, examples and benchmarks.
 """
@@ -16,7 +16,6 @@ from repro.workloads.outages import (
     generate_outage_schedule,
     generate_outage_trace,
 )
-from repro.workloads.hubble import HubbleDataset, generate_hubble_dataset
 from repro.workloads.scenarios import (
     DeploymentScenario,
     build_chaos_deployment,
@@ -31,8 +30,6 @@ __all__ = [
     "ScheduledOutage",
     "generate_outage_schedule",
     "generate_outage_trace",
-    "HubbleDataset",
-    "generate_hubble_dataset",
     "DeploymentScenario",
     "build_internet",
     "build_chaos_deployment",

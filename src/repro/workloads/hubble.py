@@ -1,4 +1,4 @@
-"""Hubble-like poisonable-outage dataset for the Table 2 load model (§5.4).
+"""The Table 2 update-load model (§5.4), with P(d) in closed form.
 
 Table 2 estimates the Internet-wide update load poisoning would add:
 
@@ -16,9 +16,11 @@ Back-solving the published table gives the anchor values
 
     P(5) ~= 78,600   P(15) ~= 27,400   P(60) ~= 11,500  outages/day.
 
-The generator reproduces a synthetic per-outage dataset whose thresholded
-daily counts land on those anchors, so the Table 2 bench can recompute the
-whole grid from raw events rather than hard-coding it.
+Like the paper, we extrapolate with the EC2 duration distribution: P(5)
+is the anchor, and every other P(d) scales it by the calibrated outage
+mixture's survival function (:func:`~repro.workloads.outages
+.duration_survival`), P(d) = P(5) * S(60 d) / S(300) — evaluated, not
+estimated from a sampled event population.
 """
 
 from __future__ import annotations
@@ -26,55 +28,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.errors import ReproError
-from repro.workloads.outages import OutageTraceConfig, generate_outage_trace
-
-#: Hubble monitored 92% of edge ASes; ~1% of ASes on monitored paths are
-#: poisonable transits (the paper's Ih and Th).
-HUBBLE_EDGE_COVERAGE = 0.92
-HUBBLE_TRANSIT_FRACTION = 0.01
+from repro.workloads.outages import duration_survival
 
 #: Anchor: aggregate poisonable outages per day lasting >= 5 minutes,
 #: back-solved from the published table (P(5) = 393 / (0.01 * 0.5)).
 P5_PER_DAY = 78_600.0
 
 
-@dataclass
-class HubbleDataset:
-    """Synthetic daily poisonable-outage events with durations (seconds)."""
-
-    durations: List[float]
-    days: float
-
-    def outages_per_day_at_least(self, minutes: float) -> float:
-        """P(d): daily rate of outages lasting at least *minutes*."""
-        if self.days <= 0:
-            raise ReproError("dataset covers no time")
-        threshold = minutes * 60.0
-        return sum(1 for d in self.durations if d >= threshold) / self.days
-
-
-def generate_hubble_dataset(
-    days: float = 7.0, seed: int = 0
-) -> HubbleDataset:
-    """Generate *days* worth of poisonable outage events.
-
-    Durations are drawn from the same calibrated mixture as the EC2 trace
-    (the paper extrapolates the Hubble distribution with the EC2 one), and
-    the daily volume is scaled so the >= 5 minute rate hits the published
-    anchor.
-    """
-    # Estimate the >= 5 min fraction of the duration mixture, then size
-    # the event population so P(5) lands on the anchor.
-    probe = generate_outage_trace(
-        OutageTraceConfig(num_outages=20000), seed=seed
+def outages_per_day_at_least(minutes: float) -> float:
+    """P(d): daily rate of poisonable outages lasting at least *minutes*
+    (60 d a whole number of 30 s rounds in [220 s, 2 days], else
+    :class:`~repro.errors.ReproError`)."""
+    return (
+        P5_PER_DAY
+        * duration_survival(minutes * 60.0)
+        / duration_survival(300.0)
     )
-    frac_ge_5 = 1.0 - probe.fraction_shorter_than(300.0 - 1e-9)
-    total_events = int(P5_PER_DAY * days / max(frac_ge_5, 1e-9))
-    trace = generate_outage_trace(
-        OutageTraceConfig(num_outages=total_events), seed=seed + 1
-    )
-    return HubbleDataset(durations=trace.durations, days=days)
 
 
 @dataclass
@@ -88,18 +57,17 @@ class LoadEstimate:
 
 
 def estimate_update_load(
-    dataset: HubbleDataset,
     deploying_fractions: Sequence[float] = (0.01, 0.1, 0.5),
     monitored_fractions: Sequence[float] = (0.5, 1.0),
     wait_minutes: Sequence[float] = (5.0, 15.0, 60.0),
     updates_per_poison: float = 1.0,
 ) -> List[LoadEstimate]:
-    """Recompute the Table 2 grid from the raw event dataset."""
+    """The Table 2 grid: I x T x P(d) x U per cell."""
     out: List[LoadEstimate] = []
     for i in deploying_fractions:
         for t in monitored_fractions:
             for d in wait_minutes:
-                p = dataset.outages_per_day_at_least(d)
+                p = outages_per_day_at_least(d)
                 out.append(
                     LoadEstimate(
                         deploying_fraction=i,

@@ -15,6 +15,7 @@ benches report generated-vs-paper side by side.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -109,6 +110,29 @@ def _sample_duration(rng: random.Random, config: OutageTraceConfig) -> float:
     # durations are multiples of 30 s (median exactly 90 s).
     rounds = int(duration // config.round_seconds)
     return rounds * config.round_seconds
+
+
+def duration_survival(seconds: float) -> float:
+    """S(T) = 0.86 e^(-(T-90)/30) + 0.14 (220/T)^0.7: the share of
+    outages drawn from the default mixture lasting at least *seconds*.
+
+    Exact for T a whole number of 30 s rounds in [220, 172800] s: there a
+    quantised duration reaches T exactly when its raw draw does, and
+    neither the 90 s floor nor the 2-day cap moves a draw across T.
+    Any other T is refused.
+    """
+    config = OutageTraceConfig()
+    in_range = config.tail_scale <= seconds <= config.max_duration
+    if not in_range or seconds % config.round_seconds:
+        raise ReproError(
+            f"S({seconds:g}) is exact only for multiples of "
+            f"{config.round_seconds:g} s in "
+            f"[{config.tail_scale:g}, {config.max_duration:g}]"
+        )
+    bulk = math.exp((MIN_OUTAGE_SECONDS - seconds) / config.short_mean_excess)
+    tail = (config.tail_scale / seconds) ** config.tail_alpha
+    share = config.short_fraction
+    return share * bulk + (1.0 - share) * tail
 
 
 def generate_outage_trace(

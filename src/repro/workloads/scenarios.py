@@ -195,7 +195,6 @@ def build_deployment(
     num_targets: int = 4,
     engine_config: Optional[EngineConfig] = None,
     lifeguard_config: Optional[LifeguardConfig] = None,
-    baseline_mode: Optional[str] = None,
     defense_rate: float = 0.0,
     stats=None,
     obs=None,
@@ -211,8 +210,7 @@ def build_deployment(
     transit ASes, echoing the EC2 study's choice of high-degree networks.
 
     The converged control plane comes from
-    :func:`repro.runner.baseline.converged_internet`; *baseline_mode*
-    is its ``mode`` knob (``auto``/``solver``/``event``).
+    :func:`repro.runner.baseline.converged_internet` in ``auto`` mode.
 
     *obs* is an optional :class:`~repro.obs.events.EventBus`, attached
     via :meth:`~repro.control.lifeguard.Lifeguard.attach_observer`
@@ -239,7 +237,6 @@ def build_deployment(
         origin_providers=num_providers,
         origin_asn_policy=ORIGIN_ASN_EVEN,
         defense_rate=defense_rate,
-        mode=baseline_mode,
         stats=stats,
     )
     graph, engine, origin_asn = base.graph, base.engine, base.origin_asn

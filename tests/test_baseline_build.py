@@ -18,18 +18,13 @@ from repro.experiments.efficacy import run_topology_efficacy_study
 from repro.experiments.impact import run_impact_study
 from repro.experiments.robustness import run_robustness_study
 from repro.runner import RunStats, converged_internet
-from repro.errors import SimulationError
 from repro.runner.baseline import (
-    MODE_AUTO,
     MODE_EVENT,
     MODE_SOLVER,
     restore_snapshot,
     unpack_snapshot,
 )
-from repro.workloads.scenarios import (
-    build_chaos_deployment,
-    build_deployment,
-)
+from repro.workloads.scenarios import build_chaos_deployment
 
 DRIVERS = (
     run_isolation_accuracy_study,
@@ -106,42 +101,6 @@ class TestConvergedBuild:
         assert not any(
             name.startswith("baseline.cache") for name in stats.timers
         )
-
-
-class TestDeploymentMode:
-    """``build_deployment(baseline_mode=)`` is the one way to pick a
-    deployment's routing pipeline: the argument alone decides it."""
-
-    @pytest.mark.parametrize(
-        "mode, solved",
-        [(None, True), (MODE_AUTO, True), (MODE_SOLVER, True),
-         (MODE_EVENT, False)],
-        ids=["default", "auto", "solver", "event"],
-    )
-    def test_mode_reaches_the_baseline(self, mode, solved):
-        stats = RunStats()
-        build_deployment(scale="tiny", seed=4, baseline_mode=mode,
-                         stats=stats)
-        assert ("solver.prefixes_solved" in stats.counters) == solved
-        assert "solver.fallbacks" not in stats.counters
-
-    def test_solver_and_event_deployments_route_alike(self):
-        solver = build_deployment(scale="tiny", seed=4,
-                                  baseline_mode=MODE_SOLVER)
-        event = build_deployment(scale="tiny", seed=4,
-                                 baseline_mode=MODE_EVENT)
-        assert solver.origin_asn == event.origin_asn
-        assert solver.vp_asns == event.vp_asns
-        assert solver.targets == event.targets
-        assert _routing(solver) == _routing(event)
-        prefix = solver.production_prefix
-        assert solver.engine.forwarding_next_hops(
-            prefix
-        ) == event.engine.forwarding_next_hops(prefix)
-
-    def test_an_unknown_mode_is_refused(self):
-        with pytest.raises(SimulationError, match="warp"):
-            build_deployment(scale="tiny", seed=4, baseline_mode="warp")
 
 
 class TestSnapshot:

@@ -19,7 +19,6 @@ import pytest
 
 from repro.bgp.delta import (
     DeltaChange,
-    DeltaUnsupported,
     apply_delta,
     delta_unsupported_reason,
     try_apply_delta,
@@ -27,7 +26,7 @@ from repro.bgp.delta import (
 from repro.bgp.engine import BGPEngine, EngineConfig
 from repro.bgp.messages import make_path
 from repro.bgp.origin import OriginController
-from repro.bgp.solver import solve
+from repro.bgp.solver import Refusal, SolverUnsupported, solve
 from repro.control.lifeguard import LifeguardConfig
 from repro.errors import ControlError
 from repro.fuzz.diff import canonical_blob, capture_state
@@ -269,6 +268,8 @@ class TestGate:
                 OriginController(engine, origin, prefix, delta_mode=bad)
 
     def test_refusals(self):
+        """Every refusal site of the splice gate, by slug and by its
+        exact reason text."""
         base, engine = self._engine()
         origin = base.origin_asn
         prefix = base.graph.node(origin).prefixes[0]
@@ -277,24 +278,35 @@ class TestGate:
         assert delta_unsupported_reason(engine, [ok]) is None
 
         hook, engine.fault_hook = engine.fault_hook, lambda m: m
-        assert "fault hook" in delta_unsupported_reason(engine, [ok])
+        assert delta_unsupported_reason(engine, [ok]) == Refusal(
+            "fault_hook",
+            "fault hook attached (message faults need the event engine)",
+        )
         engine.fault_hook = hook
 
         engine._queue.append(object())
-        assert "events pending" in delta_unsupported_reason(engine, [ok])
+        assert delta_unsupported_reason(engine, [ok]) == Refusal(
+            "events_pending", "events pending (delta needs a quiescent engine)"
+        )
         engine._queue.pop()
 
         avoid = DeltaChange.originate(origin, prefix, avoid=(1,))
-        assert "avoid-hint" in delta_unsupported_reason(engine, [avoid])
+        assert delta_unsupported_reason(engine, [avoid]) == Refusal(
+            "avoid_hint", "avoid-hint announcements need the event engine"
+        )
 
         tagged = DeltaChange.originate(
             origin, prefix, communities=((64512, 1),)
         )
-        assert "communities" in delta_unsupported_reason(engine, [tagged])
+        assert delta_unsupported_reason(engine, [tagged]) == Refusal(
+            "communities", "communities need the event engine"
+        )
 
         bad_path = DeltaChange.originate(origin, prefix, path=(origin, 0))
-        assert "invalid origin path" in delta_unsupported_reason(
-            engine, [bad_path]
+        assert delta_unsupported_reason(engine, [bad_path]) == Refusal(
+            "invalid_path",
+            f"invalid origin path {(origin, 0)} for AS{origin} "
+            "(the event engine raises)",
         )
         # An empty path is refused too (the event engine raises on it),
         # and try_apply_delta counts the fallback instead of raising.
@@ -303,15 +315,19 @@ class TestGate:
             DeltaChange.originate(origin, prefix, path=()),
             DeltaChange.originate(origin, prefix, per_neighbor={neighbor: ()}),
         ):
-            assert "invalid origin path" in delta_unsupported_reason(
-                engine, [empty]
+            assert delta_unsupported_reason(engine, [empty]) == Refusal(
+                "invalid_path",
+                f"invalid origin path () for AS{origin} "
+                "(the event engine raises)",
             )
             stats = RunStats()
             assert try_apply_delta(engine, [empty], stats=stats) is None
-            assert stats.counters["solver.delta.fallback.invalid_path"] == 1
+            assert stats.counters["solver.delta.fallbacks.invalid_path"] == 1
 
         stranger = DeltaChange.originate(10**9, prefix)
-        assert "unknown AS" in delta_unsupported_reason(engine, [stranger])
+        assert delta_unsupported_reason(engine, [stranger]) == Refusal(
+            "unknown_origin", f"origination from unknown AS{10**9}"
+        )
 
         taken, solution = next(iter(engine._analytic.items()))
         owner = solution.origination.asn
@@ -319,13 +335,21 @@ class TestGate:
             asn for asn in engine.speakers if asn != owner
         )
         moas = DeltaChange.originate(other, taken)
-        assert "multiple originations" in delta_unsupported_reason(
-            engine, [moas]
+        assert delta_unsupported_reason(engine, [moas]) == Refusal(
+            "duplicate_prefix",
+            f"multiple originations of {taken} "
+            "(anycast/MOAS needs the event engine)",
         )
 
         weird = DeltaChange(kind="frobnicate")
-        assert "unknown delta change" in delta_unsupported_reason(
-            engine, [weird]
+        assert delta_unsupported_reason(engine, [weird]) == Refusal(
+            "unknown_change", "unknown delta change kind 'frobnicate'"
+        )
+
+        # The speaker-config check is the solver's own, slug and text.
+        engine.speakers[origin].reconfigure(flap_damping=True)
+        assert delta_unsupported_reason(engine, [ok]) == Refusal(
+            "flap_damping", f"AS{origin}: flap_damping"
         )
 
     def test_event_activity_turns_the_gate_off(self):
@@ -334,11 +358,15 @@ class TestGate:
         prefix = base.graph.node(origin).prefixes[0]
         engine.originate(origin, prefix)
         engine.run()
-        reason = delta_unsupported_reason(
+        refusal = delta_unsupported_reason(
             engine, [DeltaChange.originate(origin, prefix)]
         )
-        assert "not analytic" in reason
-        with pytest.raises(DeltaUnsupported):
+        assert refusal == Refusal(
+            "not_analytic",
+            "engine state is not analytic "
+            "(cold start or event-path activity)",
+        )
+        with pytest.raises(SolverUnsupported, match="not analytic"):
             apply_delta(engine, [DeltaChange.originate(origin, prefix)])
 
     def test_try_apply_counts_and_emits_the_fallback(self):
@@ -351,7 +379,7 @@ class TestGate:
         change = DeltaChange.originate(origin, prefix, avoid=(1,))
         assert try_apply_delta(engine, [change], stats=stats) is None
         assert stats.counters["solver.delta.fallbacks"] == 1
-        assert stats.counters["solver.delta.fallback.avoid_hint"] == 1
+        assert stats.counters["solver.delta.fallbacks.avoid_hint"] == 1
         assert bus.counts["bgp.delta-fallback"] == 1
         snapshot = bus.metrics.snapshot()
         assert snapshot["counters"]["solver.delta.fallbacks"] == 1

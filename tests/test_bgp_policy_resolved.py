@@ -22,7 +22,7 @@ from repro.bgp.delta import DeltaChange, delta_unsupported_reason
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import Announcement, make_path
 from repro.bgp.policy import NO_EXPORT_TO_PEERS, SpeakerConfig
-from repro.bgp.solver import Origination, solve
+from repro.bgp.solver import Origination, Refusal, solve
 from repro.bgp.speaker import BGPSpeaker
 from repro.net.addr import Prefix
 from repro.topology.as_graph import ASGraph
@@ -180,8 +180,8 @@ class TestReconfigure:
 
         engine.speakers[2].reconfigure(filter_poisoned_paths=True)
         assert engine.speakers[2].policy.config.filter_poisoned_paths
-        assert delta_unsupported_reason(engine, [poison]) == (
-            "AS2: filter_poisoned_paths"
+        assert delta_unsupported_reason(engine, [poison]) == Refusal(
+            "filter_poisoned_paths", "AS2: filter_poisoned_paths"
         )
         engine.originate(1, P, path=poisoned)
         engine.run()
@@ -207,8 +207,8 @@ class TestReconfigure:
         change = DeltaChange.withdraw(1, P)
         assert delta_unsupported_reason(restored, [change]) is None
         restored.speakers[4].reconfigure(reject_reserved_asns=True)
-        assert delta_unsupported_reason(restored, [change]) == (
-            "AS4: reject_reserved_asns"
+        assert delta_unsupported_reason(restored, [change]) == Refusal(
+            "reject_reserved_asns", "AS4: reject_reserved_asns"
         )
 
     def test_keeps_the_other_fields_and_resolves_again(self):

@@ -23,6 +23,7 @@ from repro.bgp.origin import OriginController
 from repro.bgp.policy import SpeakerConfig
 from repro.bgp.solver import (
     Origination,
+    Refusal,
     SolverUnsupported,
     solve,
     solver_unsupported_reason,
@@ -35,7 +36,6 @@ from repro.runner.baseline import (
     ORIGIN_ASN_EVEN,
     converged_internet,
     pack_snapshot,
-    resolve_baseline_mode,
     restore_snapshot,
     unpack_snapshot,
 )
@@ -44,6 +44,8 @@ from repro.topology.generate import InternetShape, generate_internet
 from repro.workloads.scenarios import build_deployment
 
 SEEDS = (0, 1, 2, 3, 4)
+#: what a monkeypatched gate refuses with.
+PATCHED = Refusal("patched", "patched: unsupported")
 
 
 def _build_pair(scale, seed):
@@ -304,8 +306,8 @@ class TestSolverFallback:
         engine, originations = self._engine()
         engine.originate(originations[0].asn, originations[0].prefix)
         engine.run()
-        reason = solver_unsupported_reason(engine, originations)
-        assert reason is not None and "prior activity" in reason
+        refusal = solver_unsupported_reason(engine, originations)
+        assert refusal is not None and refusal.slug == "prior_activity"
 
     def test_warm_start_requires_idle_engine(self):
         engine, originations = self._engine()
@@ -318,30 +320,30 @@ class TestSolverFallback:
     def test_auto_falls_back_and_counts(self, monkeypatch):
         monkeypatch.setattr(
             "repro.runner.baseline.solver_unsupported_reason",
-            lambda engine, originations: "patched: unsupported",
+            lambda engine, originations: PATCHED,
         )
         stats = RunStats()
         base = converged_internet(
             "tiny", 2, mode="auto", stats=stats
         )
         assert stats.counters["solver.fallbacks"] == 1
+        assert stats.counters["solver.fallbacks.patched"] == 1
         assert base.engine.change_log, "fallback should event-converge"
 
     def test_solver_mode_raises_instead_of_falling_back(self, monkeypatch):
+        # In solver mode the refusal comes from ``solve``'s own gate.
         monkeypatch.setattr(
-            "repro.runner.baseline.solver_unsupported_reason",
-            lambda engine, originations: "patched: unsupported",
+            "repro.bgp.solver.solver_unsupported_reason",
+            lambda engine, originations: PATCHED,
         )
-        with pytest.raises(SolverUnsupported):
+        with pytest.raises(SolverUnsupported, match="patched: unsupported"):
             converged_internet("tiny", 2, mode=MODE_SOLVER)
 
 
 class TestBaselineModeplumbing:
-    def test_resolve_mode_defaults_to_auto_and_validates(self):
-        assert resolve_baseline_mode(None) == "auto"
-        assert resolve_baseline_mode(MODE_SOLVER) == MODE_SOLVER
-        with pytest.raises(SimulationError):
-            resolve_baseline_mode("warp")
+    def test_an_unknown_mode_is_refused(self):
+        with pytest.raises(SimulationError, match="warp"):
+            converged_internet("tiny", 4, mode="warp")
 
     def test_cache_argument_accepts_only_none(self, tmp_path):
         with pytest.raises(TypeError):

@@ -137,25 +137,43 @@ class TestTable:
         assert "unknown table(s) fig6" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["defenses", "--sweep", "1.5"],
-    ["defenses", "--sweep", ""],
-    ["defenses", "--sweep", "0,x"],
-    ["chaos", "--intensity", "2"],
-    ["chaos", "--intensity", "0.1", "--intensity", "-0.5"],
+SERVE = ["serve", "--sim", "--scale", "tiny", "--duration", "1200"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["defenses", "--sweep", "1.5"], "in [0, 1]"),
+    (["defenses", "--sweep", ""], "in [0, 1]"),
+    (["defenses", "--sweep", "0,x"], "in [0, 1]"),
+    (["chaos", "--intensity", "2"], "in [0, 1]"),
+    (["chaos", "--intensity", "0.1", "--intensity", "-0.5"], "in [0, 1]"),
+    (SERVE + ["--interarrival", "0"], "seconds > 0"),
+    (SERVE + ["--interarrival", "-60"], "seconds > 0"),
+    (SERVE + ["--intensity", "2"], "in [0, 1]"),
+    (SERVE + ["--intensity", "-1"], "in [0, 1]"),
+    (SERVE + ["--outage-duration", "-10"], "seconds > 0"),
+    (SERVE + ["--journal", "flush.jsonl", "--journal-flush-every", "0"],
+     "entry count >= 1"),
 ], ids=["rate-above-1", "no-rates", "not-a-number", "intensity-above-1",
-        "negative-intensity"])
+        "negative-intensity", "serve-zero-interarrival",
+        "serve-negative-interarrival", "serve-intensity-above-1",
+        "serve-negative-intensity", "serve-negative-outage-duration",
+        "serve-zero-flush-every"])
 def test_bad_sweep_is_a_usage_error_before_any_study(
-    argv, monkeypatch, capsys
+    argv, expected, monkeypatch, capsys, tmp_path
 ):
     """A rate of 1.5 died in ``assign_defense_configs`` with a traceback,
     an empty sweep printed a header-only table and exited 0, and an
-    intensity of 2 died in the chaos plan."""
+    intensity of 2 died in the chaos plan.  ``serve`` divided by a zero
+    interarrival, ran no arrivals on a negative one or on a negative
+    outage duration, died in the fault plan on an intensity of 2, ran
+    without its injector on a negative one, and died in the journal on
+    a zero flush interval."""
     import repro.experiments.defenses
     import repro.experiments.robustness
+    import repro.workloads.scenarios
 
     def no_study(**kwargs):
-        raise AssertionError("a study ran on a bad sweep")
+        raise AssertionError("a study ran on a bad number")
 
     monkeypatch.setattr(
         repro.experiments.defenses, "run_defense_study", no_study
@@ -163,11 +181,21 @@ def test_bad_sweep_is_a_usage_error_before_any_study(
     monkeypatch.setattr(
         repro.experiments.robustness, "run_robustness_study", no_study
     )
+    monkeypatch.setattr(
+        repro.workloads.scenarios, "build_deployment", no_study
+    )
+    monkeypatch.setattr(
+        repro.workloads.scenarios, "build_chaos_deployment", no_study
+    )
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"bad --{argv[1][2:]} ")
-    assert "in [0, 1]" in captured.err
+    flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+    assert captured.err.startswith(f"bad {flag} ")
+    assert captured.err.count("\n") == 1
+    assert expected in captured.err
+    assert not list(tmp_path.iterdir()), "a journal file was opened"
 
 
 class TestCommands:

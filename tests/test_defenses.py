@@ -21,7 +21,11 @@ from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import make_path
 from repro.bgp.origin import OriginController
 from repro.bgp.policy import SpeakerConfig, looks_poisoned
-from repro.bgp.solver import Origination, solver_unsupported_reason
+from repro.bgp.solver import (
+    Origination,
+    Refusal,
+    solver_unsupported_reason,
+)
 from repro.control.journal import RepairJournal
 from repro.control.lifeguard import (
     LADDER_STRATEGIES,
@@ -260,24 +264,69 @@ class TestLooksPoisoned:
         assert not looks_poisoned((3, 2, 1, 1, 1))
 
 
+#: Each speaker-config refusal of the solver gate: (config on AS3,
+#: slug, reason).
+SPEAKER_CONFIG_REFUSALS = [
+    (SpeakerConfig(loop_max_occurrences=2), "loop_max_occurrences",
+     "AS3: loop_max_occurrences != 1"),
+    (SpeakerConfig(reject_peer_paths_from_customers=True),
+     "reject_peer_paths_from_customers",
+     "AS3: reject_peer_paths_from_customers"),
+    (SpeakerConfig(honours_communities=True), "honours_communities",
+     "AS3: honours_communities"),
+    (SpeakerConfig(local_pref_overrides={2: 150}),
+     "local_pref_overrides", "AS3: local_pref_overrides"),
+    (SpeakerConfig(flap_damping=True), "flap_damping",
+     "AS3: flap_damping"),
+    (SpeakerConfig(filter_poisoned_paths=True),
+     "filter_poisoned_paths", "AS3: filter_poisoned_paths"),
+    (SpeakerConfig(reject_reserved_asns=True),
+     "reject_reserved_asns", "AS3: reject_reserved_asns"),
+    (SpeakerConfig(as_path_max_length=10), "as_path_max_length",
+     "AS3: as_path_max_length"),
+    (SpeakerConfig(peerlock_protected=(10,)), "peerlock_protected",
+     "AS3: peerlock_protected"),
+]
+
+
 class TestSolverGateDefenses:
-    """Every control-plane defense knob forces the event engine."""
+    """Every control-plane defense knob forces the event engine, and
+    every refusal of the solver gate names its slug and its reason."""
 
     @pytest.mark.parametrize(
-        "config, slug",
-        [
-            (SpeakerConfig(filter_poisoned_paths=True),
-             "filter_poisoned_paths"),
-            (SpeakerConfig(reject_reserved_asns=True),
-             "reject_reserved_asns"),
-            (SpeakerConfig(as_path_max_length=10), "as_path_max_length"),
-            (SpeakerConfig(peerlock_protected=(10,)), "peerlock_protected"),
-        ],
+        "config, slug, reason", SPEAKER_CONFIG_REFUSALS,
+        ids=[slug for _, slug, _ in SPEAKER_CONFIG_REFUSALS],
     )
-    def test_defense_knobs_are_gate_rejected(self, config, slug):
+    def test_defense_knobs_are_gate_rejected(self, config, slug, reason):
         engine = BGPEngine(_line_graph(), speaker_configs={3: config})
-        reason = solver_unsupported_reason(engine, [])
-        assert reason == f"AS3: {slug}"
+        refusal = solver_unsupported_reason(engine, [])
+        assert refusal == Refusal(slug, reason)
+        assert str(refusal) == reason
+
+    def test_sibling_link_refusal(self):
+        graph = _line_graph()
+        graph.add_as(5)
+        graph.add_link(5, 3, Relationship.SIBLING)
+        refusal = solver_unsupported_reason(BGPEngine(graph), [])
+        assert refusal == Refusal("sibling_link", "AS3: sibling link")
+
+    def test_origination_refusals(self):
+        engine = BGPEngine(_line_graph())
+        stranger = Origination.make(99, P)
+        assert solver_unsupported_reason(engine, [stranger]) == Refusal(
+            "unknown_origin", "origination from unknown AS99"
+        )
+        twice = [Origination.make(1, P), Origination.make(1, P)]
+        assert solver_unsupported_reason(engine, twice) == Refusal(
+            "duplicate_prefix",
+            f"multiple originations of {P} "
+            "(anycast/MOAS needs the event engine)",
+        )
+        engine.originate(1, P)
+        assert solver_unsupported_reason(engine, []) == Refusal(
+            "prior_activity",
+            "engine has prior activity (warm_start needs a fresh one)",
+        )
 
     def test_default_route_is_solver_supported(self):
         # Data-plane only: the solver's control-plane answer is right.

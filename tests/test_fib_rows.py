@@ -356,7 +356,7 @@ class TestARepairStepCompilesNothing:
 
     def test_ladder_patches_and_a_new_prefix_regrows_once(self, counted):
         scenario = build_deployment(
-            "small", seed=3, baseline_mode="solver",
+            "small", seed=3,
             lifeguard_config=LifeguardConfig(delta_mode="auto"),
         )
         lifeguard, graph = scenario.lifeguard, scenario.graph

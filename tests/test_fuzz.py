@@ -19,6 +19,7 @@ from repro.fuzz import (
     shrink_case,
     single_reductions,
 )
+from repro.bgp.solver import Refusal
 from repro.fuzz.corpus import load_entries, replay_entry
 from repro.runner.baseline import converged_internet
 from repro.runner.stats import RunStats
@@ -375,11 +376,14 @@ class TestBaselineGateCounter:
     def test_auto_fallback_counts_reason_slug(self, monkeypatch):
         monkeypatch.setattr(
             "repro.runner.baseline.solver_unsupported_reason",
-            lambda engine, originations: "AS1: sibling link",
+            lambda engine, originations: Refusal(
+                "sibling_link", "AS1: sibling link"
+            ),
         )
         stats = RunStats()
         converged_internet("tiny", 2, mode="auto", stats=stats)
-        assert stats.counters["solver.gate_rejections.sibling_link"] == 1
+        assert stats.counters["solver.fallbacks"] == 1
+        assert stats.counters["solver.fallbacks.sibling_link"] == 1
 
 
 class TestFuzzCLI:

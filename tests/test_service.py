@@ -435,11 +435,11 @@ class TestReadPathBehaviourPin:
 
     def test_small_episode_is_what_it_was(self):
         obs = EventBus(metrics=MetricsRegistry())
-        # Every mode an environment variable could pick is spelled out:
-        # the pin must not depend on what an earlier test left behind.
+        # The delta mode is spelled out: the pin must not depend on
+        # what an earlier test left behind.
         scenario = build_deployment(
             scale="small", seed=3, num_helper_vps=3, num_targets=5,
-            obs=obs, baseline_mode="auto",
+            obs=obs,
             lifeguard_config=LifeguardConfig(delta_mode="off"),
         )
         config = ServiceConfig(
@@ -501,7 +501,7 @@ def test_small_episode_reads_back_the_events_it_emitted():
     obs = EventBus(metrics=MetricsRegistry())
     scenario = build_deployment(
         scale="small", seed=3, num_helper_vps=3, num_targets=5,
-        obs=obs, baseline_mode="auto",
+        obs=obs,
         lifeguard_config=LifeguardConfig(delta_mode="off"),
     )
     config = ServiceConfig(

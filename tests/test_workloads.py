@@ -1,5 +1,7 @@
-"""Tests for the outage trace generator, Hubble dataset, and scenarios."""
+"""Tests for the outage trace generator, the Table 2 load model, and
+scenarios."""
 
+import math
 import statistics
 
 import pytest
@@ -7,11 +9,14 @@ import pytest
 from repro.control.decision import ResidualDurationModel
 from repro.errors import ReproError
 from repro.workloads.hubble import (
+    P5_PER_DAY,
     estimate_update_load,
-    generate_hubble_dataset,
+    outages_per_day_at_least,
 )
 from repro.workloads.outages import (
     MIN_OUTAGE_SECONDS,
+    OutageTraceConfig,
+    duration_survival,
     generate_outage_trace,
 )
 from repro.workloads.scenarios import build_deployment, build_internet
@@ -66,22 +71,46 @@ class TestOutageTrace:
         assert downtime == tuple(sorted(downtime))
 
 
-class TestHubbleDataset:
+class TestDurationSurvival:
+    def test_closed_form(self):
+        for seconds in (300.0, 900.0, 3600.0):
+            expected = 0.86 * math.exp(-(seconds - 90.0) / 30.0) + (
+                0.14 * (220.0 / seconds) ** 0.7
+            )
+            assert duration_survival(seconds) == pytest.approx(expected)
+
+    def test_a_sampled_trace_agrees_within_sampling_error(self):
+        n = 20_000
+        trace = generate_outage_trace(
+            OutageTraceConfig(num_outages=n), seed=3
+        )
+        for seconds in (300.0, 900.0, 3600.0, 86400.0):
+            s = duration_survival(seconds)
+            observed = sum(d >= seconds for d in trace.durations) / n
+            assert abs(observed - s) <= 4.0 * math.sqrt(s * (1 - s) / n), (
+                seconds, observed, s,
+            )
+
+    def test_outside_the_exact_range_is_refused(self):
+        for seconds in (90.0, 200.0, 250.0, 2e5):
+            with pytest.raises(ReproError):
+                duration_survival(seconds)
+        with pytest.raises(ReproError):
+            outages_per_day_at_least(7.25)
+
+
+class TestUpdateLoadModel:
     def test_p5_anchor(self):
-        dataset = generate_hubble_dataset(days=7.0, seed=1)
-        p5 = dataset.outages_per_day_at_least(5)
-        assert 60_000 <= p5 <= 95_000  # anchor 78,600
+        assert outages_per_day_at_least(5) == pytest.approx(P5_PER_DAY)
 
     def test_rates_decrease_with_duration(self):
-        dataset = generate_hubble_dataset(days=7.0, seed=1)
-        p5 = dataset.outages_per_day_at_least(5)
-        p15 = dataset.outages_per_day_at_least(15)
-        p60 = dataset.outages_per_day_at_least(60)
+        p5 = outages_per_day_at_least(5)
+        p15 = outages_per_day_at_least(15)
+        p60 = outages_per_day_at_least(60)
         assert p5 > p15 > p60 > 0
 
     def test_update_load_grid(self):
-        dataset = generate_hubble_dataset(days=7.0, seed=1)
-        grid = estimate_update_load(dataset)
+        grid = estimate_update_load()
         assert len(grid) == 18  # 3 x 2 x 3
         # Load scales linearly in I and T.
         by_key = {
@@ -93,6 +122,10 @@ class TestHubbleDataset:
         assert large == pytest.approx(small * 10)
         # Small deployments stay under 1% of an edge router's daily load.
         assert by_key[(0.01, 1.0, 15.0)].daily_path_changes < 1100
+        # I = 0.01, T = 0.5 at d = 5 is the paper's own cell.
+        assert by_key[(0.01, 0.5, 5.0)].daily_path_changes == (
+            pytest.approx(393.0)
+        )
 
 
 class TestScenarios:
