@@ -29,6 +29,22 @@ def _unit_interval(values) -> bool:
     return bool(values) and all(0.0 <= value <= 1.0 for value in values)
 
 
+def _usage_error(message: str) -> int:
+    """Refuse a bad option value: one stderr line, exit status 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
+def _bad_scale(scale: str, known=None) -> Optional[str]:
+    """The usage error for a ``--scale`` that names none of *known*
+    (default: the deployment topology scales)."""
+    if known is None:
+        from repro.workloads.scenarios import SCALES as known
+    if scale in known:
+        return None
+    return f"bad --scale {scale}: expected one of {', '.join(known)}"
+
+
 def _measured(args: argparse.Namespace, study, **kwargs):
     """Run *study* with a fresh RunStats threaded through it, honoring
     ``--metrics-out``; returns what the study returned."""
@@ -96,7 +112,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.obs.export import (
         check_trace_determinism,
-        resolve_trace_dir,
         write_events_jsonl,
         write_metrics_snapshot,
     )
@@ -134,7 +149,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"events: {bus.total} ({len(bus.counts)} kinds), "
           f"digest {bus.digest()[:16]}…")
 
-    trace_dir = resolve_trace_dir(args.trace_dir)
+    trace_dir = args.trace_dir
+    if trace_dir:
+        os.makedirs(trace_dir, exist_ok=True)
     events_out = args.events_out or (
         os.path.join(trace_dir, f"trace-seed{args.seed}-events.jsonl")
         if trace_dir else None
@@ -160,9 +177,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     if not _unit_interval(intensities):
         got = ", ".join(f"{value:g}" for value in intensities)
-        print(f"bad --intensity {got}: expected fault intensities in "
-              f"[0, 1]", file=sys.stderr)
-        return 2
+        return _usage_error(f"bad --intensity {got}: expected fault "
+                            f"intensities in [0, 1]")
+    bad = _bad_scale(args.scale)
+    if bad is not None:
+        return _usage_error(bad)
     study = _measured(
         args, run_robustness_study,
         scale=args.scale,
@@ -260,9 +279,11 @@ def _cmd_defenses(args: argparse.Namespace) -> int:
     except ValueError:
         rates = ()
     if not _unit_interval(rates):
-        print(f"bad --sweep {args.sweep!r}: expected comma-separated "
-              f"rates in [0, 1]", file=sys.stderr)
-        return 2
+        return _usage_error(f"bad --sweep {args.sweep!r}: expected "
+                            f"comma-separated rates in [0, 1]")
+    bad = _bad_scale(args.scale)
+    if bad is not None:
+        return _usage_error(bad)
     study = _measured(
         args, run_defense_study,
         scale=args.scale,
@@ -320,7 +341,16 @@ def _cmd_defenses(args: argparse.Namespace) -> int:
 
 
 def _bad_serve_option(args: argparse.Namespace) -> Optional[str]:
-    """The usage error for the first out-of-range ``serve`` number."""
+    """The usage error for the first out-of-range ``serve`` option."""
+    bad = _bad_scale(args.scale)
+    if bad is not None:
+        return bad
+    if not args.duration > 0:
+        return f"bad --duration {args.duration:g}: expected seconds > 0"
+    if args.targets < 1:
+        return f"bad --targets {args.targets}: expected a count >= 1"
+    if args.vps < 0:
+        return f"bad --vps {args.vps}: expected a count >= 0"
     if not args.interarrival > 0:
         return (f"bad --interarrival {args.interarrival:g}: expected "
                 f"seconds > 0")
@@ -330,9 +360,6 @@ def _bad_serve_option(args: argparse.Namespace) -> Optional[str]:
     if not _unit_interval([args.intensity]):
         return (f"bad --intensity {args.intensity:g}: expected a fault "
                 f"intensity in [0, 1]")
-    if args.journal_flush_every < 1:
-        return (f"bad --journal-flush-every {args.journal_flush_every}: "
-                f"expected an entry count >= 1")
     return None
 
 
@@ -350,16 +377,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         build_deployment,
     )
 
-    if not args.sim:
-        print(
-            "only simulated operation is implemented: pass --sim",
-            file=sys.stderr,
-        )
-        return 2
     bad = _bad_serve_option(args)
     if bad is not None:
-        print(bad, file=sys.stderr)
-        return 2
+        return _usage_error(bad)
 
     registry = MetricsRegistry()
     # The sink, not the ring, is the whole log: a long run evicts.
@@ -367,9 +387,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     journal = None
     if args.journal:
         journal = RepairJournal(
-            args.journal,
-            flush_every=args.journal_flush_every,
-            max_bytes=args.journal_max_bytes,
+            args.journal, max_bytes=args.journal_max_bytes
         )
     injector = None
     common = dict(
@@ -379,7 +397,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_targets=args.targets,
         obs=bus,
         journal=journal,
-        lifeguard_config=LifeguardConfig(delta_mode=args.delta),
+        lifeguard_config=LifeguardConfig(delta_mode="auto"),
     )
     if args.intensity > 0:
         scenario, injector = build_chaos_deployment(
@@ -442,6 +460,9 @@ def _cmd_impact(args: argparse.Namespace) -> int:
     from repro.experiments.impact import run_impact_study
     from repro.traffic.matrix import TrafficConfig
 
+    bad = _bad_scale(args.scale)
+    if bad is not None:
+        return _usage_error(bad)
     traffic = TrafficConfig()
     if args.users is not None:
         traffic.total_users = args.users
@@ -497,8 +518,11 @@ def _cmd_impact(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz import run_campaign
+    from repro.fuzz import FUZZ_SCALES, run_campaign
 
+    bad = _bad_scale(args.scale, FUZZ_SCALES)
+    if bad is not None:
+        return _usage_error(bad)
     report = _measured(
         args, run_campaign,
         seed=args.seed,
@@ -608,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-dir", default=None,
         help="directory for default-named artifacts "
-             "(default: $REPRO_TRACE_DIR, unset = no artifacts)",
+             "(default: none written)",
     )
     p.add_argument(
         "--check-determinism", type=int, default=0, metavar="WORKERS",
@@ -671,10 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the continuous-operation repair daemon over a "
              "streaming simulated outage workload",
     )
-    p.add_argument(
-        "--sim", action="store_true",
-        help="drive a simulated deployment (required; the only mode)",
-    )
     p.add_argument("--scale", default="tiny")
     p.add_argument(
         "--duration", type=float, default=14400.0,
@@ -703,14 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos fault intensity in [0, 1] (0 = no injector)",
     )
     p.add_argument(
-        "--delta", choices=["off", "auto"], default="auto",
-        help="incremental convergence for repair announcements: 'auto' "
-             "splices poison/unpoison blast radii into the analytic "
-             "converged state (falling back to full event replay when "
-             "the gate refuses, e.g. under chaos faults); 'off' always "
-             "replays (default auto)",
-    )
-    p.add_argument(
         "--crash-at", type=float, default=None,
         help="crash the controller at this sim time and recover it "
              "from the journal",
@@ -722,11 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--journal-max-bytes", type=int, default=None,
         help="rotate + compact the journal past this size (default: never)",
-    )
-    p.add_argument(
-        "--journal-flush-every", type=int, default=1,
-        help="flush the journal every N entries (lag between flushes "
-             "is the fsync-lag overload signal)",
     )
     p.add_argument(
         "--events-out", default=None,

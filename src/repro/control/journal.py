@@ -21,14 +21,8 @@ test compares them byte-for-byte).  Entries share a small schema::
      ...event-specific fields...}
 
 Journals default to in-memory (pure simulation runs pay no I/O); pass a
-path to persist every entry, which is what the chaos CI job uploads when
-a crash-recovery test fails.
-
-**Durability vs throughput** — *flush_every* batches flushes: 1 (the
-default) flushes after every entry, exactly the old behaviour; larger
-values let a high-rate service amortize the I/O and expose the resulting
-write lag via :attr:`RepairJournal.lag`, which the service's admission
-control watches as an overload signal.
+path to persist every entry, flushed as it is appended, which is what
+the chaos CI job uploads when a crash-recovery test fails.
 
 **Rotation & compaction** — a week-long service run appends forever, so
 with *max_bytes* (or *max_entries*) set the journal rotates: the active
@@ -37,7 +31,8 @@ that begins with a ``compacted`` marker followed by a complete snapshot
 of the still-live state.  Compaction may be any rewrite that preserves
 the fold: applying the compacted entries must rebuild the state the
 original entries did — every non-terminal record, the breaker charges,
-the pacer slots still inside the window, the service's cursor — and
+the pacer slots still inside the window of the controller that owns
+the journal, the service's cursor — and
 :func:`_compact` does it by keeping every entry of every non-terminal
 outage, synthesizing ``breaker`` and ``pacer`` entries standing in for
 the dropped terminal records' circuit-breaker charges and
@@ -48,7 +43,7 @@ service's arrival index) survive.
 Replay across segments reads them oldest-first; a marker means "what
 follows supersedes everything before", so :meth:`RepairJournal.load`
 resets its accumulated entries at each one.  Superseded segments beyond
-*retain_segments* are deleted — that is the disk bound.
+the newest :data:`RETAINED_SEGMENTS` are deleted — that is the disk bound.
 """
 
 from __future__ import annotations
@@ -61,6 +56,9 @@ from repro.errors import ControlError
 
 #: Journal schema version, bumped on incompatible entry changes.
 JOURNAL_VERSION = 1
+
+#: Rotated segments kept on disk; older ones are deleted.
+RETAINED_SEGMENTS = 2
 
 #: Stable identity of one outage: (vp_name, destination string, start).
 #: Object identity is useless here — record objects die with the process
@@ -108,26 +106,18 @@ class RepairJournal:
         self,
         path: Optional[str] = None,
         *,
-        flush_every: int = 1,
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
-        retain_segments: int = 2,
-        pacer_window: float = 5400.0,
     ) -> None:
-        if flush_every < 1:
-            raise ControlError("flush_every must be >= 1")
         self.path = path
         self.entries: List[Dict[str, Any]] = []
-        self.flush_every = flush_every
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        self.retain_segments = retain_segments
-        #: announcement-pacing window; compaction prunes synthesized pacer
-        #: timestamps older than this (they can never count again).
-        self.pacer_window = pacer_window
-        #: entries written but not yet flushed (the fsync-lag signal).
-        self.pending = 0
-        self.flushes = 0
+        #: the owning controller's announcement-pacing window (set by
+        #: :class:`~repro.control.lifeguard.Lifeguard`); compaction prunes
+        #: pacer timestamps older than this, which can never count again.
+        #: Unowned, nothing is provably stale, so every slot is kept.
+        self.pacer_window = float("inf")
         self.rotations = 0
         #: entries dropped by compaction over the journal's life.
         self.compacted_away = 0
@@ -149,11 +139,6 @@ class RepairJournal:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    @property
-    def lag(self) -> int:
-        """Unflushed entries — the journal's write (fsync) lag."""
-        return self.pending
-
     def append(
         self,
         event: str,
@@ -176,24 +161,14 @@ class RepairJournal:
         if self._fh is not None:
             line = json.dumps(entry, sort_keys=True) + "\n"
             self._fh.write(line)
+            self._fh.flush()
             self._bytes += len(line.encode("utf-8"))
-            self.pending += 1
-            if self.pending >= self.flush_every:
-                self.flush()
         if self._due_for_rotation():
             self._rotate(now=float(t))
         return entry
 
-    def flush(self) -> None:
-        """Force buffered entries to disk (clears :attr:`lag`)."""
-        if self._fh is not None and self.pending:
-            self._fh.flush()
-            self.flushes += 1
-        self.pending = 0
-
     def close(self) -> None:
         if self._fh is not None:
-            self.flush()
             self._fh.close()
             self._fh = None
 
@@ -201,19 +176,15 @@ class RepairJournal:
         """What a restarted process picks up of this (closed) journal.
 
         An in-memory journal is itself; a file-backed one is read back
-        from disk — only what was flushed — and resumed for appending
-        with the same settings.
+        from disk and resumed for appending with the same rotation bounds.
         """
         if self.path is None:
             return self
         return RepairJournal.load(
             self.path,
             resume=True,
-            flush_every=self.flush_every,
             max_bytes=self.max_bytes,
             max_entries=self.max_entries,
-            retain_segments=self.retain_segments,
-            pacer_window=self.pacer_window,
         )
 
     # ------------------------------------------------------------------
@@ -237,7 +208,6 @@ class RepairJournal:
         self._segment += 1
         self.rotations += 1
         if self._fh is not None:
-            self.flush()
             self._fh.close()
             os.replace(self.path, f"{self.path}.{self._segment}")
         kept, marker = _compact(
@@ -253,14 +223,13 @@ class RepairJournal:
                 self._fh.write(line)
                 self._bytes += len(line.encode("utf-8"))
             self._fh.flush()
-            self.flushes += 1
             self._prune_segments()
         self._floor_bytes = self._bytes
         self._floor_entries = len(self.entries)
 
     def _prune_segments(self) -> None:
         """Delete superseded segments beyond the retention count."""
-        keep_from = self._segment - self.retain_segments + 1
+        keep_from = self._segment - RETAINED_SEGMENTS + 1
         for index in _rotated_indices(self.path):
             if index < keep_from:
                 os.remove(f"{self.path}.{index}")

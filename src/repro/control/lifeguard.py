@@ -164,6 +164,8 @@ class Lifeguard:
             delta_mode=self.config.delta_mode,
         )
         self.journal = journal if journal is not None else RepairJournal()
+        # Compaction keeps the pacer slots this controller still counts.
+        self.journal.pacer_window = self.origin.pacer.window
         self.guard = RepairGuard(
             self.prober,
             vantage_points,

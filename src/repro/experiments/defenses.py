@@ -43,7 +43,7 @@ from repro.experiments.outage_stream import (
     stream_schedule,
 )
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan
 from repro.runner.core import run_trials
 from repro.runner.stats import RunStats
 from repro.workloads.scenarios import build_deployment
@@ -54,10 +54,10 @@ from repro.workloads.scenarios import build_deployment
 #: the same number of plain retries so the comparison is fair.
 BREAKER_BUDGET = 4
 
-#: Mid-sweep controller kill time (between the second and third injected
-#: outage) and how long the controller stays down.
+#: Mid-sweep controller kill time with ``crash_controller``, during the
+#: second injected outage.
 CRASH_AT = 14500.0
-CRASH_DOWN_FOR = 300.0
+
 
 def is_abandoned(record) -> bool:
     """A record the state machine left mid-flight at run end.
@@ -175,22 +175,16 @@ def _run_point(
         defense_rate=rate,
         lifeguard_config=config,
     )
-    plan = FaultPlan(seed=seed + 1)
-    if crash_controller:
-        plan.add(
-            FaultSpec(
-                FaultKind.CONTROLLER_CRASH,
-                start=CRASH_AT,
-                end=CRASH_AT + CRASH_DOWN_FOR,
-            )
-        )
-    injector = FaultInjector(plan)
+    injector = FaultInjector(FaultPlan(seed=seed + 1))
     injector.attach(scenario.lifeguard)
     # Defended cells that lose repairs show up in the ledger as extra
     # affected-user-minutes, not just missing repair counts.
     ledger = primed_ledger(scenario, seed)
     schedule, end = stream_schedule(num_outages, seed)
-    stream = run_outage_stream(scenario, schedule, injector, ledger, end)
+    stream = run_outage_stream(
+        scenario, schedule, injector, ledger, end,
+        crash_at=CRASH_AT if crash_controller else None,
+    )
 
     point = DefensePoint(
         rate=rate,

@@ -3,7 +3,7 @@
 The robustness sweep and the defense sweep ask different questions of
 the same experiment: stream scheduled failures of avoidable transit ASes
 into a deployment, tick the controller through them — killing and
-recovering it when the fault plan says so — and attribute the resulting
+recovering it when the study asks — and attribute the resulting
 repair records back to the failures at the AS level.  That experiment
 lives here once; a study keeps its deployment, its point type and its
 own counters over what :func:`run_outage_stream` returns.
@@ -12,7 +12,7 @@ own counters over what :func:`run_outage_stream` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.control.record import RepairRecord
 from repro.faults.injector import FaultInjector
@@ -24,7 +24,7 @@ from repro.workloads.outages import (
     ScheduledOutage,
     generate_outage_schedule,
 )
-from repro.workloads.scenarios import DeploymentScenario
+from repro.workloads.scenarios import CRASH_DOWNTIME, DeploymentScenario
 
 #: Ground-truth failure schedule: the same calibrated arrival generator
 #: the service daemon streams from (:func:`generate_outage_schedule`), in
@@ -88,7 +88,7 @@ class OutageStream:
     #: the last controller incarnation's records (journal-recovered if
     #: the controller was ever killed).
     records: List[RepairRecord] = field(default_factory=list)
-    #: scheduled controller kills the harness executed.
+    #: controller kills the harness executed (one at ``crash_at``).
     controller_crashes: int = 0
     #: repair records carried across the journal-replay recovery.
     recovered_records: int = 0
@@ -122,13 +122,15 @@ def run_outage_stream(
     injector: FaultInjector,
     ledger: ImpactLedger,
     end: float,
+    crash_at: Optional[float] = None,
 ) -> OutageStream:
     """Inject *schedule* as ground truth and tick the loop to *end*.
 
     Scheduled outage *k* fails an avoidable transit AS behind target
-    ``k mod len(targets)`` (skipped when the path offers none).  The
-    *injector*'s plan may kill the controller between ticks; it comes
-    back through :meth:`DeploymentScenario.recover`.  *ledger* (primed
+    ``k mod len(targets)`` (skipped when the path offers none).  With
+    *crash_at*, the controller dies before the first tick at or after
+    that time and comes back :data:`CRASH_DOWNTIME` later through
+    :meth:`DeploymentScenario.recover`.  *ledger* (primed
     by the caller against the pristine FIBs) lives outside the
     controller, so it keeps counting stranded users while nobody
     repairs: routers forward on their last-installed FIBs.
@@ -169,11 +171,11 @@ def run_outage_stream(
             lifeguard = scenario.recover(now, injector=injector)
             stream.recovered_records = len(lifeguard.records)
             down_until = None
-        due = injector.controller_crash_due(now)
-        if due is not None:
+        if crash_at is not None and now >= crash_at:
             # The process dies before this round runs.
+            crash_at = None
             scenario.crash()
-            down_until = max(due, now)
+            down_until = now + CRASH_DOWNTIME
             stream.controller_crashes += 1
             continue
         lifeguard.tick(now)

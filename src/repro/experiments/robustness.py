@@ -15,10 +15,10 @@ the measurement and control machinery at a swept intensity, then scores
 * deferrals — rounds where the DEGRADED path held fire on thin evidence;
 * rollbacks / breaker opens — poisons the repair guard withdrew and
   (pair, ASN) combinations it gave up on;
-* crash recovery — with ``crash_controller`` the schedule kills the
-  controller mid-run and the harness rebuilds it from its write-ahead
-  journal, so the sweep also measures whether in-flight repairs survive
-  a restart.
+* crash recovery — with ``crash_controller`` the harness kills the
+  controller at :data:`CRASH_AT` (at nonzero intensity: intensity 0
+  stays the null run) and rebuilds it from its write-ahead journal, so
+  the sweep also measures whether in-flight repairs survive a restart.
 
 Intensity 0 doubles as the reproducibility anchor: an attached injector
 with an empty plan must leave the run byte-identical to no injector.
@@ -40,6 +40,10 @@ from repro.faults.injector import FaultStats
 from repro.runner.core import run_trials
 from repro.runner.stats import RunStats
 from repro.workloads.scenarios import build_chaos_deployment
+
+#: Controller kill time with ``crash_controller``: 4000 s into the chaos
+#: window, during the first injected outage.
+CRASH_AT = 4900.0
 
 
 @dataclass
@@ -113,14 +117,14 @@ def _run_point(
     crash_controller: bool = False,
 ) -> RobustnessPoint:
     scenario, injector = build_chaos_deployment(
-        scale=scale,
-        seed=seed,
-        intensity=intensity,
-        crash_controller=crash_controller,
+        scale=scale, seed=seed, intensity=intensity
     )
     ledger = primed_ledger(scenario, seed)
     schedule, end = stream_schedule(num_outages, seed)
-    stream = run_outage_stream(scenario, schedule, injector, ledger, end)
+    crash_at = CRASH_AT if crash_controller and intensity > 0 else None
+    stream = run_outage_stream(
+        scenario, schedule, injector, ledger, end, crash_at=crash_at
+    )
 
     point = RobustnessPoint(
         intensity=intensity,
@@ -179,9 +183,9 @@ def run_robustness_study(
 ) -> RobustnessStudy:
     """Sweep fault intensity; each point is an independent deployment.
 
-    With *crash_controller*, every point's schedule also kills the
-    controller mid-run and recovers it from its journal, so the sweep
-    doubles as a crash-recovery measurement.
+    With *crash_controller*, every point above intensity 0 also kills
+    the controller mid-run and recovers it from its journal, so the
+    sweep doubles as a crash-recovery measurement.
     """
     stats = stats if stats is not None else RunStats()
     context = (scale, seed, num_outages, crash_controller)

@@ -13,6 +13,11 @@ the plan) and is consulted by every subsystem it is attached to:
   discrete events: vantage-point crash/restore windows, BGP session
   resets, and atlas staleness/truncation passes.
 
+The controller process is not one of them: it cannot be killed by the
+injector it is calling.  A harness that crashes it — the service
+daemon's loop, or :func:`~repro.experiments.outage_stream.run_outage_stream`
+— does so at its own ``crash_at``.
+
 Every stochastic decision guards ``rate <= 0`` *before* drawing, so a
 zero-intensity plan consumes no randomness and an attached injector is
 observationally absent — the property the reproducibility test pins down.
@@ -47,7 +52,6 @@ class FaultStats:
     atlas_entries_dropped: int = 0
     atlas_entries_truncated: int = 0
     sentinel_suppressed: int = 0
-    controller_crashes: int = 0
 
     @property
     def total_events(self) -> int:
@@ -61,7 +65,6 @@ class FaultStats:
             + self.atlas_entries_dropped
             + self.atlas_entries_truncated
             + self.sentinel_suppressed
-            + self.controller_crashes
         )
 
 
@@ -214,25 +217,6 @@ class FaultInjector:
         self._apply_session_resets(now, result)
         self._apply_atlas_faults(lifeguard.atlas, now, result)
         return result
-
-    def controller_crash_due(self, now: float) -> Optional[float]:
-        """If a scheduled controller crash is due at *now*, consume it.
-
-        Returns the scheduled restart time, or None.  The injector cannot
-        kill the process that is calling it — the experiment harness polls
-        this *between* ticks, drops the controller object, lets the network
-        run dark until the restart time, and rebuilds the controller with
-        :meth:`Lifeguard.recover`.  One-shot per spec, like session resets.
-        """
-        for index, spec in enumerate(self.plan.specs):
-            if spec.kind is not FaultKind.CONTROLLER_CRASH:
-                continue
-            if index in self._fired or now < spec.start:
-                continue
-            self._fired.add(index)
-            self.stats.controller_crashes += 1
-            return spec.end
-        return None
 
     def _apply_vp_crashes(self, now: float, result: ApplyResult) -> None:
         if self._vantage is None:

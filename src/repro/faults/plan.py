@@ -5,6 +5,8 @@ fault kind, an activation window, and either a stochastic rate (per-event
 faults like probe loss) or a concrete subject (a vantage point to crash, a
 BGP session to reset).  Plans are pure data: nothing happens until a
 :class:`~repro.faults.injector.FaultInjector` is attached to a deployment.
+Every kind breaks LIFEGUARD's plumbing, never the controller process:
+its crashes are scheduled by the harness that owns its lifecycle.
 
 :meth:`FaultPlan.standard` scales every stochastic rate off a single
 ``intensity`` knob so experiments can sweep one axis; at intensity 0 it
@@ -49,12 +51,6 @@ class FaultKind(enum.Enum):
     #: a successful sentinel repair-probe reply is lost, so a repaired
     #: failure looks unrepaired for another check interval.
     SENTINEL_FALSE_NEGATIVE = "sentinel-false-negative"
-    #: the LIFEGUARD controller process dies at ``start`` and is restarted
-    #: (recovered from its journal) at ``end``.  The network keeps running:
-    #: announcements stay up, outages keep evolving — only the control
-    #: loop's memory is lost.  Fired by the experiment harness, which owns
-    #: the controller's lifecycle; the injector just schedules it.
-    CONTROLLER_CRASH = "controller-crash"
 
 
 #: Kinds driven by a per-event probability (``rate``).
@@ -106,15 +102,6 @@ class FaultSpec:
             if not math.isfinite(self.start):
                 raise ControlError(
                     "BGP_SESSION_RESET needs a finite start time"
-                )
-        if self.kind is FaultKind.CONTROLLER_CRASH:
-            if not math.isfinite(self.start) or not math.isfinite(self.end):
-                raise ControlError(
-                    "CONTROLLER_CRASH needs finite crash and restart times"
-                )
-            if self.end < self.start:
-                raise ControlError(
-                    "CONTROLLER_CRASH restart precedes the crash"
                 )
 
 
@@ -175,56 +162,47 @@ class FaultPlan:
         intensity: float,
         seed: int = 0,
         start: float = float("-inf"),
-        end: float = float("inf"),
         crashes: Sequence[Tuple[str, float, float]] = (),
         resets: Sequence[Tuple[int, int, float]] = (),
-        controller_crashes: Sequence[Tuple[float, float]] = (),
-        probe_timeout_latency: float = 5.0,
     ) -> "FaultPlan":
         """The one-knob chaos schedule used by the robustness bench.
 
         *intensity* in [0, 1] scales every stochastic rate: probe loss at
         ``intensity``, latency spikes and BGP message drops at half of it,
         duplication and atlas corruption at a quarter, sentinel false
-        negatives at ``intensity``.  *crashes* lists
-        ``(vp_name, t_down, t_up)`` windows, *resets* lists
-        ``(as_a, as_b, t)`` session resets, and *controller_crashes* lists
-        ``(t_crash, t_restart)`` kill/recover windows for the controller
-        itself; all are dropped entirely at intensity 0 so a
-        zero-intensity plan is empty.
+        negatives at ``intensity``, all from *start* on.  *crashes* lists
+        ``(vp_name, t_down, t_up)`` windows and *resets* lists
+        ``(as_a, as_b, t)`` session resets; both are dropped entirely at
+        intensity 0 so a zero-intensity plan is empty.  The controller
+        process is no fault kind: the harness that owns its lifecycle
+        schedules its crashes.
         """
         if not 0.0 <= intensity <= 1.0:
             raise ControlError(f"intensity {intensity} outside [0, 1]")
         plan = cls(seed=seed)
         if intensity == 0.0:
             return plan
-        window = dict(start=start, end=end)
-        plan.add(FaultSpec(FaultKind.PROBE_LOSS, rate=intensity, **window))
+        plan.add(FaultSpec(FaultKind.PROBE_LOSS, rate=intensity, start=start))
         plan.add(
-            FaultSpec(
-                FaultKind.PROBE_LATENCY,
-                rate=intensity / 2,
-                latency=probe_timeout_latency,
-                **window,
-            )
+            FaultSpec(FaultKind.PROBE_LATENCY, rate=intensity / 2, start=start)
         )
         plan.add(
             FaultSpec(FaultKind.BGP_MESSAGE_DROP, rate=intensity / 2,
-                      **window)
+                      start=start)
         )
         plan.add(
             FaultSpec(FaultKind.BGP_MESSAGE_DUPLICATE, rate=intensity / 4,
-                      **window)
+                      start=start)
         )
         plan.add(
-            FaultSpec(FaultKind.ATLAS_STALE, rate=intensity / 4, **window)
+            FaultSpec(FaultKind.ATLAS_STALE, rate=intensity / 4, start=start)
         )
         plan.add(
-            FaultSpec(FaultKind.ATLAS_PARTIAL, rate=intensity / 4, **window)
+            FaultSpec(FaultKind.ATLAS_PARTIAL, rate=intensity / 4, start=start)
         )
         plan.add(
             FaultSpec(
-                FaultKind.SENTINEL_FALSE_NEGATIVE, rate=intensity, **window
+                FaultKind.SENTINEL_FALSE_NEGATIVE, rate=intensity, start=start
             )
         )
         for name, t_down, t_up in crashes:
@@ -240,14 +218,6 @@ class FaultPlan:
                     session=(as_a, as_b),
                     start=when,
                     end=when,
-                )
-            )
-        for t_crash, t_restart in controller_crashes:
-            plan.add(
-                FaultSpec(
-                    FaultKind.CONTROLLER_CRASH,
-                    start=t_crash,
-                    end=t_restart,
                 )
             )
         return plan

@@ -179,7 +179,6 @@ class RefreshStats:
 #: §5.4 cost model constants.
 OPTION_PROBES_FRESH = 35      # from-scratch reverse traceroute
 OPTION_PROBES_AMORTIZED = 10  # with caching/reuse across converging paths
-TRACEROUTES_PER_REFRESH = 2   # slightly more than 2 reported; we use 2
 
 
 class AtlasRefresher:

@@ -16,7 +16,6 @@ from repro.dataplane.probes import Prober
 from repro.measure.vantage import VantagePoint, VantageSet
 from repro.net.addr import Address
 
-ROUND_INTERVAL = 30.0
 PINGS_PER_ROUND = 2
 CONSECUTIVE_FAILURES_FOR_OUTAGE = 4
 

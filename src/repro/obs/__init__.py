@@ -31,7 +31,6 @@ from repro.obs.export import (
     event_log_digest,
     prometheus_text,
     read_events_jsonl,
-    resolve_trace_dir,
     write_events_jsonl,
     write_metrics_snapshot,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "event_log_digest",
     "prometheus_text",
     "read_events_jsonl",
-    "resolve_trace_dir",
     "write_events_jsonl",
     "write_metrics_snapshot",
 ]

@@ -23,28 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 
-#: Environment variable naming the default output directory for
-#: ``repro trace`` artifacts (event log, metrics snapshot, timeline).
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-
 _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def resolve_trace_dir(override: Optional[str] = None) -> Optional[str]:
-    """The trace artifact directory: explicit override, else
-    ``$REPRO_TRACE_DIR``, else None (no artifacts written)."""
-    directory = override or os.environ.get(TRACE_DIR_ENV)
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    return directory
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.runner.baseline import (
     ConvergedBaseline,
     converged_internet,
     restore_snapshot,
-    trial_rng,
 )
 from repro.runner.core import derive_seed, run_trials
 from repro.runner.stats import RunStats
@@ -24,5 +23,4 @@ __all__ = [
     "derive_seed",
     "restore_snapshot",
     "run_trials",
-    "trial_rng",
 ]

@@ -34,7 +34,6 @@ heavier levels cost more time than the bytes they save.
 from __future__ import annotations
 
 import pickle
-import random
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -124,7 +123,6 @@ def converged_internet(
     engine_config: Optional[EngineConfig] = None,
     origin_providers: Optional[int] = None,
     origin_asn_policy: str = ORIGIN_ASN_NEXT,
-    origin_tier: int = 3,
     defense_rate: float = 0.0,
     mode: Optional[str] = None,
     cache: None = None,
@@ -179,7 +177,6 @@ def converged_internet(
                 num_providers=origin_providers,
                 seed=seed,
                 asn=asn,
-                tier=origin_tier,
             )
 
     defense_configs = (
@@ -218,10 +215,3 @@ def converged_internet(
     return ConvergedBaseline(
         graph=graph, engine=engine, origin_asn=origin_asn
     )
-
-
-def trial_rng(master_seed: int, *components) -> random.Random:
-    """A dedicated RNG for one trial (see :func:`derive_seed`)."""
-    from repro.runner.core import derive_seed
-
-    return random.Random(derive_seed(master_seed, *components))

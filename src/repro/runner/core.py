@@ -45,10 +45,7 @@ def _run_chunk(
     worker: Callable[[Any, Any], Any],
     context: Any,
     chunk: Sequence[Any],
-    batched: bool,
 ) -> List[Any]:
-    if batched:
-        return list(worker(context, list(chunk)))
     return [worker(context, unit) for unit in chunk]
 
 
@@ -74,7 +71,6 @@ def run_trials(
     stats: Optional[RunStats] = None,
     label: str = "trials",
     chunks_per_worker: int = 4,
-    batched: bool = False,
 ) -> List[Any]:
     """Run ``worker(context, unit)`` for every unit; results in unit order.
 
@@ -82,12 +78,6 @@ def run_trials(
     pickling).  With more, units are grouped into contiguous chunks and
     executed on a process pool; *worker* must be a module-level function
     and *context* plus units must be picklable.
-
-    ``batched=True`` changes the worker contract to
-    ``worker(context, chunk) -> [result, ...]`` (one result per unit, in
-    chunk order) — for drivers that amortize an expensive per-process
-    setup, e.g. rebuilding a deployment, across a whole chunk.  Batched
-    callers usually also want ``chunks_per_worker=1``.
     """
     units = list(units)
     stats = stats if stats is not None else RunStats()
@@ -95,7 +85,7 @@ def run_trials(
     with stats.timer(f"{label}.wall"):
         if workers <= 1 or len(units) <= 1:
             stats.count(f"{label}.serial_runs")
-            return _run_chunk(worker, context, units, batched)
+            return _run_chunk(worker, context, units)
         chunks = _chunked(units, workers, chunks_per_worker)
         results: List[Any] = [None] * len(units)
         pool_size = min(workers, len(chunks))
@@ -106,9 +96,7 @@ def run_trials(
         stats.registry.set_gauge(f"{label}.pool_size", pool_size)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = {
-                pool.submit(_run_chunk, worker, context, chunk, batched): (
-                    indices
-                )
+                pool.submit(_run_chunk, worker, context, chunk): indices
                 for indices, chunk in chunks
             }
             for future in as_completed(futures):

@@ -1,6 +1,6 @@
 """Admission control and tiered graceful degradation for the daemon.
 
-The service watches four overload signals every round:
+The service watches three overload signals every round:
 
 * **in-flight poisons** — records in VERIFYING/POISONED; each one holds
   announced state in other networks' tables, so runaway concurrency is a
@@ -9,9 +9,6 @@ The service watches four overload signals every round:
   against the per-round probe budget (the paper's measurement costs,
   §5.3, are the scarce resource a real deployment rations; the monitor's
   own pings are fixed by the pair count, so they are no load signal);
-* **journal write lag** — unflushed write-ahead entries; falling behind
-  the journal means a crash loses decisions, so lag sheds load before it
-  sheds durability;
 * **queue occupancy** — the deepest stage's waiting items over the
   backlog capacity.
 
@@ -54,12 +51,11 @@ class ServiceTier(enum.IntEnum):
 
 @dataclass(frozen=True)
 class OverloadSignals:
-    """One round's view of the four watermarked quantities."""
+    """One round's view of the three watermarked quantities."""
 
     inflight: int
     #: probes the stages sent last round / probe budget per round.
     probe_utilisation: float
-    journal_lag: int
     #: deepest stage's waiting items / backlog capacity.
     queue_occupancy: float
 
@@ -75,7 +71,6 @@ class Watermarks:
 
     max_inflight: int = 48
     probe_budget_per_round: int = 4096
-    max_journal_lag: int = 256
     queue_high: float = 0.75
     low_fraction: float = 0.5
 
@@ -84,7 +79,6 @@ class Watermarks:
             (
                 signals.inflight > self.max_inflight,
                 signals.probe_utilisation > 1.0,
-                signals.journal_lag > self.max_journal_lag,
                 signals.queue_occupancy > self.queue_high,
             )
         )
@@ -94,8 +88,6 @@ class Watermarks:
         return (
             signals.inflight <= self.max_inflight * self.low_fraction
             and signals.probe_utilisation <= self.low_fraction
-            and signals.journal_lag
-            <= self.max_journal_lag * self.low_fraction
             and signals.queue_occupancy
             <= self.queue_high * self.low_fraction
         )

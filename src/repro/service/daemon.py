@@ -48,7 +48,7 @@ from repro.workloads.outages import (
     ScheduledOutage,
     generate_outage_schedule,
 )
-from repro.workloads.scenarios import DeploymentScenario
+from repro.workloads.scenarios import CRASH_DOWNTIME, DeploymentScenario
 
 #: Default streaming workload: Poisson arrivals, one outage per ten
 #: minutes on average, durations sampled from the paper's Fig. 1 mixture.
@@ -70,8 +70,6 @@ QUEUE_CAPACITY = 256
 #: Sim seconds an item may wait in one stage before its journaled
 #: timeout moves it to the front.
 STAGE_DEADLINE = 1800.0
-#: Sim seconds a crashed controller stays down before recovery.
-CRASH_DOWNTIME = 300.0
 
 
 @dataclass
@@ -99,8 +97,6 @@ class QueueItem:
     """One outage's place in the backlog; its stage is its record's."""
 
     key: OutageKey
-    #: sim time the record entered its current stage.
-    enqueued: float
     #: breach => journaled timeout + move-to-front retry, never a drop.
     deadline: float
     #: times the item was served and stayed, or breached its deadline.
@@ -143,7 +139,7 @@ class Backlog:
     def push(self, key: OutageKey, now: float) -> None:
         """Enter *key* at the tail as a fresh item of its stage."""
         self.items.pop(key, None)
-        self.items[key] = QueueItem(key, now, now + STAGE_DEADLINE)
+        self.items[key] = QueueItem(key, now + STAGE_DEADLINE)
 
     def admit(self, keys: List[OutageKey], now: float) -> List[OutageKey]:
         """Queue *keys* for isolation while there is room; returns the
@@ -578,7 +574,6 @@ class LifeguardService:
             inflight=len(self.lifeguard.in_flight_records()),
             probe_utilisation=self._discretionary
             / max(1, watermarks.probe_budget_per_round),
-            journal_lag=self.journal.lag,
             queue_occupancy=max(self.backlog.depths().values())
             / QUEUE_CAPACITY,
         )
@@ -676,7 +671,6 @@ class LifeguardService:
         for stage, depth in depths.items():
             self._gauge(f"service.queue_depth.{stage}", depth)
         self._gauge("service.repairs_in_flight", inflight)
-        self._gauge("service.journal_lag", self.journal.lag)
         self._gauge("service.monitored_pairs", self.monitored_pairs)
         dataplane = self.lifeguard.dataplane
         self._gauge("dataplane.walk_memo.hits", dataplane.walk_hits)

@@ -12,7 +12,7 @@ from repro.splice.reachability import (
     valley_free_path,
 )
 from repro.splice.three_tuple import TripleSet
-from repro.splice.splicer import PathCorpus, find_spliced_path
+from repro.splice.splicer import PathCorpus
 from repro.splice.simulate import (
     PoisonOutcome,
     simulate_poisoning,
@@ -25,7 +25,6 @@ __all__ = [
     "valley_free_path",
     "TripleSet",
     "PathCorpus",
-    "find_spliced_path",
     "PoisonOutcome",
     "simulate_poisoning",
     "simulate_poisonings_over_corpus",

@@ -183,12 +183,3 @@ class PathCorpus:
 def _ALWAYS_ALLOWED(left, joint, right):  # noqa: N802 - sentinel callable
     return True
 
-
-def find_spliced_path(
-    corpus: PathCorpus,
-    source: str,
-    destination: str,
-    avoid_asns: Iterable[int],
-) -> Optional[SplicedPath]:
-    """Convenience wrapper over :meth:`PathCorpus.find_splice`."""
-    return corpus.find_splice(source, destination, avoid_asns)

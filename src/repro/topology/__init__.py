@@ -8,7 +8,7 @@ run traceroute-realistic forwarding walks.
 from repro.topology.relationships import Relationship
 from repro.topology.as_graph import ASGraph, ASNode
 from repro.topology.generate import InternetShape, generate_internet
-from repro.topology.routers import Interface, Router, RouterTopology
+from repro.topology.routers import Router, RouterTopology
 from repro.topology.serialize import (
     load_as_graph,
     loads_as_graph,
@@ -23,7 +23,6 @@ __all__ = [
     "InternetShape",
     "generate_internet",
     "Router",
-    "Interface",
     "RouterTopology",
     "load_as_graph",
     "loads_as_graph",

@@ -236,9 +236,8 @@ def generate_multihomed_origin(
     num_providers: int,
     seed: int = 0,
     asn: Optional[int] = None,
-    tier: int = 3,
 ) -> int:
-    """Attach a fresh origin AS (the LIFEGUARD deployer) to the graph.
+    """Attach a fresh stub origin AS (the LIFEGUARD deployer) to the graph.
 
     Picks *num_providers* distinct tier-2 providers (the BGP-Mux model: one
     university provider per mux site) and returns the new ASN.
@@ -251,7 +250,7 @@ def generate_multihomed_origin(
         raise TopologyError(
             f"only {len(candidates)} tier-2 ASes for {num_providers} providers"
         )
-    graph.add_as(asn, tier=tier, prefixes=[prefix_for_asn(asn)])
+    graph.add_as(asn, tier=3, prefixes=[prefix_for_asn(asn)])
     for provider in rng.sample(candidates, num_providers):
         graph.add_link(asn, provider, Relationship.PROVIDER)
     return asn

@@ -35,14 +35,6 @@ class Router:
     responds_to_ping: bool = True
 
 
-@dataclass(frozen=True)
-class Interface:
-    """An (router, neighbor-router) adjacency used to name inter-AS links."""
-
-    local: str
-    remote: str
-
-
 class RouterTopology:
     """Router-level expansion of an :class:`ASGraph`.
 

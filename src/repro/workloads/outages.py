@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence
 from repro.errors import ReproError
 
 MIN_OUTAGE_SECONDS = 90.0
-TEN_MINUTES = 600.0
 
 
 @dataclass

@@ -24,6 +24,10 @@ from repro.splice.reachability import reachable_set_avoiding
 from repro.topology.routers import RouterTopology
 from repro.workloads.outages import generate_outage_trace
 
+#: Sim seconds a crashed controller stays down before the harness
+#: recovers it (the service daemon's loop and the outage stream's alike).
+CRASH_DOWNTIME = 300.0
+
 #: Named topology scales.
 SCALES: Dict[str, InternetShape] = {
     "tiny": InternetShape(num_tier1=3, num_tier2=8, num_stubs=20),
@@ -143,11 +147,11 @@ class DeploymentScenario:
     def crash(self) -> None:
         """Kill the controller.
 
-        The journal is flushed and closed (the write-ahead contract:
-        anything journaled survives; with ``flush_every > 1`` the
-        unflushed tail is legitimately lost).  The network, the failure
-        set, the config and the rotated journal segments outlive the
-        process; nobody watches until :meth:`recover`.
+        The journal is closed (the write-ahead contract: every entry was
+        flushed as it was appended, so anything journaled survives).  The
+        network, the failure set, the config and the rotated journal
+        segments outlive the process; nobody watches until
+        :meth:`recover`.
         """
         lifeguard = self.lifeguard
         lifeguard.journal.close()
@@ -388,26 +392,21 @@ def build_chaos_deployment(
     seed: int = 0,
     intensity: float = 0.1,
     chaos_start: float = 900.0,
-    chaos_end: float = float("inf"),
     crash_helper: bool = True,
     reset_session: bool = True,
-    crash_controller: bool = False,
-    controller_crash_at: float = 4000.0,
-    controller_down_for: float = 300.0,
     **deployment_kwargs,
 ) -> Tuple[DeploymentScenario, FaultInjector]:
     """The standard deployment with a fault injector attached.
 
-    The injector runs :meth:`FaultPlan.standard` at *intensity* inside
-    ``[chaos_start, chaos_end)``: stochastic probe loss / latency spikes /
-    BGP message faults / atlas corruption / sentinel false negatives, plus
+    The injector runs :meth:`FaultPlan.standard` at *intensity* from
+    *chaos_start* on: stochastic probe loss / latency spikes / BGP
+    message faults / atlas corruption / sentinel false negatives, plus
     (at nonzero intensity) one helper vantage-point crash window and one
-    transit BGP session reset.  With *crash_controller*, a
-    CONTROLLER_CRASH is scheduled at ``chaos_start + controller_crash_at``
-    (the experiment harness polls for it and rebuilds the controller from
-    its journal after *controller_down_for* seconds).  At intensity 0 the
-    plan is empty, so the attached injector must be observationally absent
-    — the reproducibility property the test suite pins.
+    transit BGP session reset.  The injector never touches the controller
+    process itself: a harness that kills it does so on its own schedule
+    (``crash_at``).  At intensity 0 the plan is empty, so the attached
+    injector must be observationally absent — the reproducibility
+    property the test suite pins.
     """
     scenario = build_deployment(scale=scale, seed=seed, **deployment_kwargs)
     crashes = []
@@ -419,18 +418,12 @@ def build_chaos_deployment(
     if reset_session:
         as_a, as_b = _transit_session(scenario.graph, scenario.origin_asn)
         resets.append((as_a, as_b, chaos_start + 2100.0))
-    controller_crashes = []
-    if crash_controller:
-        when = chaos_start + controller_crash_at
-        controller_crashes.append((when, when + controller_down_for))
     plan = FaultPlan.standard(
         intensity,
         seed=seed + 1,
         start=chaos_start,
-        end=chaos_end,
         crashes=crashes,
         resets=resets,
-        controller_crashes=controller_crashes,
     )
     injector = FaultInjector(plan)
     injector.attach(scenario.lifeguard)

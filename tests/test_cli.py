@@ -40,9 +40,11 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [["bench"], ["--baseline-mode", "event", "demo"], ["fig1"], ["fig5"],
-         ["fig6"], ["efficacy"], ["accuracy"], ["table2"]],
+         ["fig6"], ["efficacy"], ["accuracy"], ["table2"], ["serve", "--sim"],
+         ["serve", "--delta", "off"], ["serve", "--journal-flush-every", "4"]],
         ids=["bench", "baseline-mode", "fig1", "fig5", "fig6", "efficacy",
-             "accuracy", "table2"],
+             "accuracy", "table2", "serve-sim", "serve-delta",
+             "serve-journal-flush-every"],
     )
     def test_retired_commands_and_options_are_usage_errors(
         self, argv, capsys
@@ -85,8 +87,8 @@ class TestParser:
         monkeypatch.setenv("REPRO_SERVICE_MAX_INFLIGHT", "1")
         parser = build_parser()
         assert parser.parse_args(["table"]).command == "table"
-        serve = parser.parse_args(["serve", "--sim"])
-        assert (serve.delta, serve.journal_max_bytes) == ("auto", None)
+        serve = parser.parse_args(["serve"])
+        assert (serve.scale, serve.journal_max_bytes) == ("tiny", None)
         defenses = parser.parse_args(["defenses"])
         assert (defenses.scale, defenses.sweep, defenses.outages) == (
             "tiny", "0,0.25,0.5,0.75,1.0", 3
@@ -137,7 +139,7 @@ class TestTable:
         assert "unknown table(s) fig6" in captured.err
 
 
-SERVE = ["serve", "--sim", "--scale", "tiny", "--duration", "1200"]
+SERVE = ["serve", "--scale", "tiny", "--duration", "1200"]
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -151,13 +153,23 @@ SERVE = ["serve", "--sim", "--scale", "tiny", "--duration", "1200"]
     (SERVE + ["--intensity", "2"], "in [0, 1]"),
     (SERVE + ["--intensity", "-1"], "in [0, 1]"),
     (SERVE + ["--outage-duration", "-10"], "seconds > 0"),
-    (SERVE + ["--journal", "flush.jsonl", "--journal-flush-every", "0"],
-     "entry count >= 1"),
+    (SERVE + ["--journal", "bad.jsonl", "--targets", "0"], "count >= 1"),
+    (SERVE + ["--targets", "-2"], "count >= 1"),
+    (SERVE + ["--vps", "-1"], "count >= 0"),
+    (SERVE + ["--duration", "-5"], "seconds > 0"),
+    (SERVE + ["--scale", "huge"], "one of tiny, small, medium, large"),
+    (["chaos", "--scale", "huge"], "one of tiny, small, medium, large"),
+    (["defenses", "--scale", "huge"], "one of tiny, small, medium, large"),
+    (["impact", "--scale", "huge"], "one of tiny, small, medium, large"),
+    (["fuzz", "--scale", "huge"], "one of tiny, small, medium"),
 ], ids=["rate-above-1", "no-rates", "not-a-number", "intensity-above-1",
         "negative-intensity", "serve-zero-interarrival",
         "serve-negative-interarrival", "serve-intensity-above-1",
         "serve-negative-intensity", "serve-negative-outage-duration",
-        "serve-zero-flush-every"])
+        "serve-zero-targets", "serve-negative-targets",
+        "serve-negative-vps", "serve-negative-duration", "serve-huge-scale",
+        "chaos-huge-scale", "defenses-huge-scale", "impact-huge-scale",
+        "fuzz-huge-scale"])
 def test_bad_sweep_is_a_usage_error_before_any_study(
     argv, expected, monkeypatch, capsys, tmp_path
 ):
@@ -165,11 +177,16 @@ def test_bad_sweep_is_a_usage_error_before_any_study(
     an empty sweep printed a header-only table and exited 0, and an
     intensity of 2 died in the chaos plan.  ``serve`` divided by a zero
     interarrival, ran no arrivals on a negative one or on a negative
-    outage duration, died in the fault plan on an intensity of 2, ran
-    without its injector on a negative one, and died in the journal on
-    a zero flush interval."""
+    outage duration, died in the fault plan on an intensity of 2, and
+    ran without its injector on a negative one.  It monitored one target
+    at ``--targets 0`` or ``-2``, sliced ``stubs[:-1]`` for 80 pairs at
+    ``--vps -1`` and ran five rounds at ``--duration -5``; an unknown
+    ``--scale`` died with a traceback while building the world, in every
+    command that builds one."""
     import repro.experiments.defenses
+    import repro.experiments.impact
     import repro.experiments.robustness
+    import repro.fuzz
     import repro.workloads.scenarios
 
     def no_study(**kwargs):
@@ -187,6 +204,10 @@ def test_bad_sweep_is_a_usage_error_before_any_study(
     monkeypatch.setattr(
         repro.workloads.scenarios, "build_chaos_deployment", no_study
     )
+    monkeypatch.setattr(
+        repro.experiments.impact, "run_impact_study", no_study
+    )
+    monkeypatch.setattr(repro.fuzz, "run_campaign", no_study)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -208,7 +229,7 @@ class TestCommands:
         self, monkeypatch, capsys
     ):
         def serve():
-            assert main(["--seed", "3", "serve", "--sim"]) == 0
+            assert main(["--seed", "3", "serve"]) == 0
             return capsys.readouterr().out
 
         unset = serve()
@@ -234,7 +255,7 @@ class TestCommands:
             LifeguardService, "run",
             lambda self: dataclasses.replace(run(self), **stub),
         )
-        code = main(["--seed", "3", "serve", "--sim", "--duration", "600"])
+        code = main(["--seed", "3", "serve", "--duration", "600"])
         err = capsys.readouterr().err
         assert code == (1 if stub else 0)
         assert err == (
@@ -258,7 +279,7 @@ class TestCommands:
         )
         path = str(tmp_path / "events.jsonl")
         assert main([
-            "--seed", "3", "serve", "--sim", "--duration", "600",
+            "--seed", "3", "serve", "--duration", "600",
             "--events-out", path,
         ]) == 0
         (report,) = reports

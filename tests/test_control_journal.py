@@ -103,27 +103,6 @@ class TestPersistedJournal:
         assert len(RepairJournal.load(str(path))) == 1
 
 
-class TestBufferedFlushing:
-    def test_flush_every_batches_and_exposes_lag(self, tmp_path):
-        path = str(tmp_path / "buffered.jsonl")
-        journal = RepairJournal(path, flush_every=3)
-        journal.append("observed", 1.0, key=KEY)
-        journal.append("observed", 2.0, key=KEY)
-        assert journal.lag == 2
-        assert journal.flushes == 0
-        journal.append("observed", 3.0, key=KEY)
-        assert journal.lag == 0
-        assert journal.flushes == 1
-        journal.append("observed", 4.0, key=KEY)
-        journal.close()
-        assert journal.lag == 0
-        assert len(RepairJournal.load(path)) == 4
-
-    def test_flush_every_must_be_positive(self):
-        with pytest.raises(ControlError, match="flush_every"):
-            RepairJournal(flush_every=0)
-
-
 def _finish(journal, key, t, state="unpoisoned"):
     """Journal a minimal terminal lifecycle for *key*."""
     journal.append("observed", t, key=key)
@@ -176,9 +155,9 @@ class TestRotationAndCompaction:
 
     def test_terminal_announcements_become_pacer_entry(self, tmp_path):
         path = str(tmp_path / "pacer.jsonl")
-        journal = RepairJournal(
-            path, max_entries=4, pacer_window=2000.0
-        )
+        journal = RepairJournal(path, max_entries=4)
+        # What an owning controller with a 2000 s pacing window sets.
+        journal.pacer_window = 2000.0
         journal.append("announced", 100.0, prefix="0.0.1.0/24")
         _finish(journal, KEY, 3000.0)
         journal.append("announced", 3500.0, prefix="0.0.1.0/24")
@@ -235,9 +214,7 @@ class TestRotationAndCompaction:
 
     def test_superseded_segments_are_pruned(self, tmp_path):
         path = str(tmp_path / "prune.jsonl")
-        journal = RepairJournal(
-            path, max_entries=2, retain_segments=2
-        )
+        journal = RepairJournal(path, max_entries=2)
         for index in range(12):
             _finish(
                 journal,
@@ -255,3 +232,44 @@ class TestRotationAndCompaction:
         )
         assert len(segments) == 2
         assert segments[-1].endswith(str(journal.rotations))
+
+
+class TestCompactionFollowsTheOwningPacer:
+    def test_recovered_pacer_counts_what_the_live_one_counts(self):
+        """Compaction pruned pacer slots with a window of its own (5400 s
+        by default) however wide the controller's pacing window was: at
+        a 10800 s window, a rotation at t=7000 dropped the slots of
+        t<=1600, so at t=9000 the recovered pacer counted three fewer
+        announcements than the live one and allowed three more."""
+        from repro.control.lifeguard import Lifeguard, LifeguardConfig
+        from repro.workloads.scenarios import build_deployment
+
+        config = LifeguardConfig(announce_window=10800.0)
+        scenario = build_deployment(
+            scale="tiny", seed=5, lifeguard_config=config
+        )
+        live = scenario.lifeguard
+        for t in (1000.0, 2000.0, 3000.0, 4000.0):
+            live._commit("announced", None, t)
+        # The next entry crosses the bound and rotates at t=7000.
+        live.journal.max_entries = len(live.journal)
+        live._commit("announced", None, 7000.0)
+        assert live.journal.rotations == 1
+        assert live.journal.of_event("announced") == []
+
+        recovered = Lifeguard.recover(
+            live.journal,
+            engine=scenario.engine,
+            topo=scenario.topo,
+            origin_asn=scenario.origin_asn,
+            vantage_points=scenario.vantage_points,
+            targets=scenario.targets,
+            duration_history=scenario.duration_history,
+            config=config,
+            now=9000.0,
+            reprime_atlas=False,
+        )
+        assert recovered.origin.pacer.times == live.origin.pacer.times
+        assert recovered.origin.pacer.allows(9000.0) is (
+            live.origin.pacer.allows(9000.0)
+        )

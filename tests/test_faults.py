@@ -61,7 +61,6 @@ class TestFaultPlan:
             0.0,
             crashes=[("helper0", 100.0, 200.0)],
             resets=[(1, 2, 50.0)],
-            controller_crashes=[(300.0, 600.0)],
         )
         assert plan.specs == []
         assert plan.is_null
@@ -71,7 +70,6 @@ class TestFaultPlan:
             0.2,
             crashes=[("helper0", 1.0, 2.0)],
             resets=[(1, 2, 3.0)],
-            controller_crashes=[(4.0, 5.0)],
         )
         kinds = {spec.kind for spec in plan.specs}
         assert kinds == set(FaultKind)

@@ -9,14 +9,14 @@ fail there too.  A fresh interpreter, because this process has long
 since imported whatever pytest's plugins wanted.
 
 The second check is a source scan of the same promise's other half: what
-the program is handed from outside is arguments, plus the three
-environment variables on the allow-list below.  A third scan keeps one
-door shut: a speaker resolves its config once, so nothing assigns to a
-speaker's policy or config but ``BGPSpeaker.reconfigure``.  A fourth
-keeps the repair loop's five decisions at one definition each, a fifth
-keeps the service daemon from storing a record's stage, and a sixth
-keeps the controller cut along its seam: the fold and the policy hold no
-deployment, the shell decides nothing.
+the program is handed from outside is arguments, and no environment
+variable.  A third scan keeps one door shut: a speaker resolves its
+config once, so nothing assigns to a speaker's policy or config but
+``BGPSpeaker.reconfigure``.  A fourth keeps the repair loop's five
+decisions at one definition each, a fifth keeps the service daemon from
+storing a record's stage, and a sixth keeps the controller cut along its
+seam: the fold and the policy hold no deployment, the shell decides
+nothing.
 """
 
 import ast
@@ -53,10 +53,10 @@ def test_importing_the_program_imports_no_numeric_stack():
 
 
 #: Where the program may read the environment: file under ``src/repro``
-#: -> the one function allowed to do it.
-ENV_SITES = {"obs/export.py": "resolve_trace_dir"}
+#: -> the one function allowed to do it.  Nowhere.
+ENV_SITES = {}
 
-ENV_NAMES = {"REPRO_TRACE_DIR"}
+ENV_NAMES = set()
 
 
 def _enclosing_function(lines, index):
@@ -70,9 +70,8 @@ def _enclosing_function(lines, index):
 
 
 def test_the_environment_is_read_at_the_allow_listed_sites_only():
-    """Options are flags and arguments.  The environment carries the
-    trace directory alone, so a new ``REPRO_*`` variable fails here
-    before it reaches README."""
+    """Options are flags and arguments, never the environment, so a new
+    ``REPRO_*`` variable fails here before it reaches README."""
     root = os.path.dirname(os.path.abspath(repro.__file__))
     reads, names = set(), set()
     for folder, _dirs, files in os.walk(root):
@@ -180,12 +179,17 @@ def test_one_of_each_around_the_repair_loop():
         ("dataplane/forwarding.py", None),  # the definition
         ("workloads/scenarios.py", "_transits"),
     }
-    # One way back from a crash, one crash-able tick loop.
+    # One way back from a crash, and one schedule for one: the two
+    # harness loops kill the controller at their own crash_at and keep
+    # it down for the one CRASH_DOWNTIME, defined beside crash/recover.
     assert _sites(r"Lifeguard\.recover\(") == {
         ("workloads/scenarios.py", "recover")
     }
-    assert _sites(r"controller_crash_due\(") == {
-        ("faults/injector.py", None),  # the definition
+    assert _sites(r"^CRASH_DOWNTIME = ") == {("workloads/scenarios.py", None)}
+    assert {
+        site for site in _sites(r"\bCRASH_DOWNTIME\b") if site[1] is not None
+    } == {
+        ("service/daemon.py", "run"),
         ("experiments/outage_stream.py", "run_outage_stream"),
     }
     # ... which the defense study calls instead of borrowing the

@@ -12,12 +12,10 @@ import pytest
 from repro.cli import build_parser, main
 from repro.obs.events import EventBus
 from repro.obs.export import (
-    TRACE_DIR_ENV,
     demo_event_digests,
     event_log_digest,
     prometheus_text,
     read_events_jsonl,
-    resolve_trace_dir,
     write_events_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -78,11 +76,18 @@ class TestTraceCommand:
         assert "counters" in snapshot and "histograms" in snapshot
         assert snapshot["counters"]["obs.events.control.state"] > 0
 
-    def test_trace_dir_env_names_artifacts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path))
+    def test_trace_dir_names_artifacts(self, tmp_path, monkeypatch, capsys):
+        """``--trace-dir`` creates its directory and writes the
+        default-named artifacts there; without it (or ``--events-out`` /
+        ``--metrics-out``) the run writes nothing."""
+        monkeypatch.chdir(tmp_path)
         assert main(["--seed", "3", "trace"]) == 0
-        assert (tmp_path / "trace-seed3-events.jsonl").exists()
-        assert (tmp_path / "trace-seed3-metrics.json").exists()
+        assert not list(tmp_path.iterdir())
+        target = tmp_path / "artifacts"
+        assert main(["--seed", "3", "trace", "--trace-dir", str(target)]) == 0
+        assert sorted(path.name for path in target.iterdir()) == [
+            "trace-seed3-events.jsonl", "trace-seed3-metrics.json",
+        ]
 
     def test_check_determinism_gate(self, capsys):
         assert main([
@@ -130,15 +135,6 @@ class TestExportHelpers:
         assert event_log_digest(read_events_jsonl(str(path))) == (
             bus.digest()
         )
-
-    def test_resolve_trace_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_DIR_ENV, raising=False)
-        assert resolve_trace_dir(None) is None
-        target = tmp_path / "artifacts"
-        assert resolve_trace_dir(str(target)) == str(target)
-        assert target.is_dir()
-        monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "from-env"))
-        assert resolve_trace_dir(None) == str(tmp_path / "from-env")
 
     def test_prometheus_text(self):
         registry = MetricsRegistry()

@@ -21,10 +21,6 @@ def _square(context, unit):
     return context + unit * unit
 
 
-def _batched_squares(context, chunk):
-    return [context + unit * unit for unit in chunk]
-
-
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(7, "trial", 3) == derive_seed(7, "trial", 3)
@@ -46,18 +42,6 @@ class TestRunTrials:
         serial = run_trials(_square, units, context=100, workers=1)
         parallel = run_trials(_square, units, context=100, workers=4)
         assert serial == [100 + u * u for u in units]
-        assert parallel == serial
-
-    def test_batched_contract(self):
-        units = list(range(11))
-        serial = run_trials(
-            _batched_squares, units, context=5, workers=1, batched=True
-        )
-        parallel = run_trials(
-            _batched_squares, units, context=5, workers=3, batched=True,
-            chunks_per_worker=1,
-        )
-        assert serial == [5 + u * u for u in units]
         assert parallel == serial
 
     def test_stats_record_mode_and_units(self):

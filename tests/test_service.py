@@ -85,7 +85,7 @@ class TestBacklog:
         assert list(backlog.items) == ["d", "a", "b"]
         stayed, moved = backlog.items["a"], backlog.items["b"]
         assert (stayed.attempts, stayed.deadline) == (1, 50.0 + STAGE_DEADLINE)
-        assert (moved.attempts, moved.enqueued) == (0, 50.0)
+        assert (moved.attempts, moved.deadline) == (0, 50.0 + STAGE_DEADLINE)
 
     def test_expire_boosts_breached_items_to_front(self):
         backlog, stages = _backlog()
@@ -204,20 +204,17 @@ class TestOverloadRecovers:
         assert report.duration <= last_end + 1800.0
 
 
-def _signals(inflight=0, probes=0.0, lag=0, occupancy=0.0):
+def _signals(inflight=0, probes=0.0, occupancy=0.0):
     return OverloadSignals(
         inflight=inflight,
         probe_utilisation=probes,
-        journal_lag=lag,
         queue_occupancy=occupancy,
     )
 
 
 class TestAdmissionController:
     def _controller(self):
-        return AdmissionController(
-            Watermarks(max_inflight=8, max_journal_lag=16)
-        )
+        return AdmissionController(Watermarks(max_inflight=8))
 
     def test_escalates_one_tier_per_breach(self):
         controller = self._controller()
@@ -225,17 +222,17 @@ class TestAdmissionController:
             ServiceTier.THROTTLED
         )
         assert controller.evaluate(
-            _signals(inflight=9, lag=17)
+            _signals(inflight=9, occupancy=1.0)
         ) is ServiceTier.PAUSED
         # Capped at PAUSED no matter how many breaches.
         assert controller.evaluate(
-            _signals(inflight=9, lag=17, occupancy=1.0, probes=2.0)
+            _signals(inflight=9, occupancy=1.0, probes=2.0)
         ) is ServiceTier.PAUSED
         assert controller.transitions == 2
 
     def test_recovers_one_tier_per_calm_round(self):
         controller = self._controller()
-        controller.evaluate(_signals(inflight=9, lag=17, occupancy=1.0))
+        controller.evaluate(_signals(inflight=9, occupancy=1.0, probes=2.0))
         assert controller.tier is ServiceTier.PAUSED
         # Not calm (inflight above the low watermark): tier holds.
         assert controller.evaluate(_signals(inflight=5)) is (
