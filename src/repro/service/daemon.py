@@ -675,6 +675,12 @@ class LifeguardService:
         dataplane = self.lifeguard.dataplane
         self._gauge("dataplane.walk_memo.hits", dataplane.walk_hits)
         self._gauge("dataplane.walk_memo.misses", dataplane.walk_misses)
+        # The ledger's failure-free walks (one per FIB snapshot) and the
+        # samples that reused the last classification whole.
+        self._gauge("traffic.ledger.walks", self.ledger.walks)
+        self._gauge(
+            "traffic.ledger.classify_reused", self.ledger.classify_reused
+        )
         fibs = dataplane.fibs  # rows re-read vs whole-column fallbacks
         self._gauge("dataplane.fib.rows_patched", fibs.rows_patched)
         self._gauge("dataplane.fib.columns_compiled", fibs.columns_compiled)

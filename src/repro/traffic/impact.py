@@ -1,9 +1,9 @@
 """Affected-user-minutes accounting over the AS-level data plane.
 
 The :class:`ImpactLedger` owns a traffic matrix and, at every sample
-time, walks each flow's AS-level forwarding path against the current FIB
-snapshot and failure set.  A flow is *affected* when it was deliverable
-at baseline but is now blackholed by an active
+time, classifies each flow against the current FIB snapshot and failure
+set.  A flow is *affected* when it was deliverable at baseline but is
+now blackholed by an active
 :class:`~repro.dataplane.failures.ASForwardingFailure`, has lost its
 route, or loops.  Between consecutive samples the ledger integrates
 ``affected_users x dt`` (left-Riemann, minutes), accumulated both in
@@ -11,10 +11,14 @@ total and per outage-identity key so the numbers compose with the repair
 journal: a crashed controller restores the accumulators from the last
 journaled sample and keeps integrating byte-identically.
 
-Path walks are batched: flows are grouped by their current AS, and
-every table of a snapshot is a column over one shared
+Classification is two steps.  A failure-free walk, done once per
+snapshot object, records where each flow ends and which AS it is at on
+each hop; flows are grouped by their current AS, and every table of a
+snapshot is a column over one shared
 :class:`~repro.net.lpm.PrefixAxis`, so a flow's destination is bisected
-to its slot once per axis and each hop is one list index.
+to its slot once per axis and each hop is one list index.  An overlay
+then marks dropped, at the earliest hop that crosses an AS failure live
+at the sample time, only the flows the walk saw at a failing AS.
 """
 
 from __future__ import annotations
@@ -37,11 +41,26 @@ LOOP_KEY = "loop"
 #: Hop budget for the AS-level walk; beyond this a flow counts as looping.
 MAX_HOPS = 64
 
+#: A flow's (state, attribution key); None before it is classified.
+State = Optional[Tuple[str, Optional[str]]]
+
+#: asn -> [(hop, flows at that AS at that hop)], hops ascending.
+Visits = Dict[int, List[Tuple[int, List[int]]]]
+
+_DELIVERED: State = ("delivered", None)
+_NO_ROUTE: State = ("no-route", NO_ROUTE_KEY)
+_LOOP: State = ("loop", LOOP_KEY)
+
 
 def impact_key(failure: ASForwardingFailure) -> str:
     """Stable outage identity for *failure* (no process-local ids)."""
     toward = str(failure.toward) if failure.toward is not None else "*"
-    return f"AS{failure.asn}:{toward}@{failure.start:g}"
+    # '{:g}' keeps 6 significant digits: where that loses the start,
+    # two outages of one AS would share a key, so the full repr goes in.
+    start = f"{failure.start:g}"
+    if float(start) != failure.start:
+        start = repr(failure.start)
+    return f"AS{failure.asn}:{toward}@{start}"
 
 
 @dataclass
@@ -79,6 +98,12 @@ class ImpactLedger:
         #: failures) and answered; how often that answer was handed back.
         self._seen: Tuple[Any, Any, Any] = (None, None, None)
         self.classify_reused = 0
+        #: The snapshot object last walked failure-free, each flow's end
+        #: on it and where the walk went; how many walks there were.
+        self._walked: Tuple[Any, Any, Any] = (None, None, None)
+        self.walks = 0
+        #: Each flow's destination as an int, for the failures' masks.
+        self._addrs = [flow.dst_address.value for flow in matrix.flows]
         #: The axis the flows' destinations were last bisected on, and
         #: each flow's slot on it.
         self._axis: Any = None
@@ -94,91 +119,98 @@ class ImpactLedger:
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
-    def _classify(
-        self, fibs: Any, failures: Any, now: float
-    ) -> List[Optional[Tuple[str, Optional[str]]]]:
-        """Per-flow (state, attribution-key); state in
-        {delivered, dropped, no-route, loop}.  A function of the snapshot
-        and the AS failures live at *now* alone: the same snapshot object
-        and an equal live view get the previous answer back."""
-        live = failures.active_by_asn(now) if failures is not None else {}
-        if fibs is self._seen[0] and live == self._seen[1]:
-            self.classify_reused += 1
-            return self._seen[2]
+    def _walk(self, fibs: Any) -> Tuple[List[State], Visits]:
+        """Each flow's end on *fibs* with no failure in force (delivered,
+        no-route or loop), and where the walk went: ``asn -> [(hop,
+        flows at that AS at that hop)]``, hops ascending.  Walked once
+        per snapshot object."""
+        if fibs is self._walked[0]:
+            return self._walked[1], self._walked[2]
+        self.walks += 1
         self._fibset.attach(fibs)
         flows = self.matrix.flows
+        addrs = self._addrs
         axis = fibs.axis
         if axis is not self._axis:
             bases = axis.bases
             self._axis = axis
-            self._slots = [
-                bisect_right(bases, flow.dst_address.value) - 1
-                for flow in flows
-            ]
+            self._slots = [bisect_right(bases, addr) - 1 for addr in addrs]
         slots = self._slots
-        #: asn -> (toward mask, toward base, attribution key) per active
-        #: AS failure, straight from the failure set's AS index.
-        active: Dict[int, List[Tuple[int, int, str]]] = {
-            asn: [
-                (mask, base, impact_key(failure))
-                for mask, base, failure in bucket
-            ]
-            for asn, bucket in live.items()
-        }
-        results: List[Optional[Tuple[str, Optional[str]]]] = [None] * len(
-            flows
-        )
+        ends: List[State] = [None] * len(flows)
+        visits: Visits = {}
         frontier: Dict[int, List[int]] = {}
         for idx, flow in enumerate(flows):
             frontier.setdefault(flow.src_asn, []).append(idx)
-        for _ in range(MAX_HOPS):
+        for hop in range(MAX_HOPS):
             if not frontier:
                 break
             next_frontier: Dict[int, List[int]] = {}
-            for asn in sorted(frontier):
-                idxs = frontier[asn]
-                drops = active.get(asn)
-                remaining: List[int] = []
-                for i in idxs:
-                    if drops:
-                        addr = flows[i].dst_address.value
-                        key = next(
-                            (
-                                k
-                                for mask, base, k in drops
-                                if addr & mask == base
-                            ),
-                            None,
-                        )
-                        if key is not None:
-                            results[i] = ("dropped", key)
-                            continue
-                    remaining.append(i)
-                if not remaining:
-                    continue
+            for asn, idxs in frontier.items():
+                visits.setdefault(asn, []).append((hop, idxs))
                 table = self._fibset.table(asn)
                 if table is None:
-                    hops = [None] * len(remaining)
+                    hops: List[Optional[int]] = [None] * len(idxs)
                 elif table.axis is axis:
                     values = table.values
-                    hops = [values[slots[i]] for i in remaining]
+                    hops = [values[slots[i]] for i in idxs]
                 else:
                     # A clean table left on the axis a regrow replaced.
-                    hops = [
-                        table.resolve(flows[i].dst_address.value)
-                        for i in remaining
-                    ]
-                for i, nh in zip(remaining, hops):
+                    hops = [table.resolve(addrs[i]) for i in idxs]
+                for i, nh in zip(idxs, hops):
                     if nh is None:
-                        results[i] = ("no-route", NO_ROUTE_KEY)
+                        ends[i] = _NO_ROUTE
                     elif nh == LOCAL:
-                        results[i] = ("delivered", None)
+                        ends[i] = _DELIVERED
                     else:
                         next_frontier.setdefault(nh, []).append(i)
             frontier = next_frontier
         for idxs in frontier.values():
             for i in idxs:
-                results[i] = ("loop", LOOP_KEY)
+                ends[i] = _LOOP
+        self._walked = (fibs, ends, visits)
+        return ends, visits
+
+    def _classify(self, fibs: Any, failures: Any, now: float) -> List[State]:
+        """Per-flow (state, attribution-key); state in
+        {delivered, dropped, no-route, loop}.  A function of the snapshot
+        and the AS failures live at *now* alone: the same snapshot object
+        and an equal live view get the previous answer back.
+
+        A flow is dropped by the first live failure, in its AS's bucket
+        order, that matches its destination at the earliest hop of its
+        failure-free walk that is at a failing AS; up to that hop the
+        walk and the flow's path under the failures agree."""
+        live = failures.active_by_asn(now) if failures is not None else {}
+        if fibs is self._seen[0] and live == self._seen[1]:
+            self.classify_reused += 1
+            return self._seen[2]
+        ends, visits = self._walk(fibs)
+        addrs = self._addrs
+        #: flow -> (hop, key) of the earliest failure it runs into.
+        hit: Dict[int, Tuple[int, str]] = {}
+        for asn, bucket in live.items():
+            seen_at = visits.get(asn)
+            if not seen_at:
+                continue
+            drops = [
+                (mask, base, impact_key(failure))
+                for mask, base, failure in bucket
+            ]
+            for hop, idxs in seen_at:
+                for i in idxs:
+                    earlier = hit.get(i)
+                    if earlier is not None and earlier[0] < hop:
+                        continue
+                    addr = addrs[i]
+                    for mask, base, key in drops:
+                        if addr & mask == base:
+                            hit[i] = (hop, key)
+                            break
+        # Always a new list: observe() reuses a tally only for the very
+        # list it counted.
+        results = list(ends)
+        for i, (_hop, key) in hit.items():
+            results[i] = ("dropped", key)
         self._seen = (fibs, live, results)
         return results
 

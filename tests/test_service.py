@@ -449,7 +449,11 @@ class TestReadPathBehaviourPin:
             traffic=TrafficConfig(),
         )
         service = LifeguardService(scenario, config, obs=obs)
-        report = service.run()
+        lifeguard = scenario.lifeguard
+        with mock.patch.object(
+            lifeguard, "refresh_dataplane", wraps=lifeguard.refresh_dataplane
+        ) as refresh:
+            report = service.run()
         assert (
             report.monitored_pairs, report.rounds, report.records,
             report.repaired, report.completed, report.pending,
@@ -476,6 +480,15 @@ class TestReadPathBehaviourPin:
         assert gauges["dataplane.fib.axis_regrown"] == 0
         assert (fibs.columns_compiled, fibs.axis_regrown) == (0, 0)
         assert service.ledger.classify_reused > report.rounds // 2
+        # The ledger walks each snapshot once: the one it was primed on
+        # and at most one per FIB refresh; the gauges say so too.
+        ledger = service.ledger
+        assert 0 < ledger.walks <= refresh.call_count + 1
+        assert gauges["traffic.ledger.walks"] == ledger.walks
+        assert (
+            gauges["traffic.ledger.classify_reused"]
+            == ledger.classify_reused
+        )
         assert "walk_hits" not in report.as_dict()
         # Nothing in the loop reads engine.change_log, so the daemon
         # keeps one round of it: every finished round's changes were

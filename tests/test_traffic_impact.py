@@ -5,10 +5,12 @@ Three layers under test:
 * the :class:`~repro.traffic.impact.ImpactLedger` itself — flow
   classification against failures, left-Riemann integration, and the
   journal round-trip: a ledger restored mid-stream from ``state_json``
-  must continue byte-identically with the original; its two shortcuts
-  (one bisect per flow per axis, the last tally handed back) are held
-  to a per-flow, per-hop reference over a snapshot chain that regrows
-  the axis under some tables and not others;
+  must continue byte-identically with the original; its shortcuts (one
+  bisect per flow per axis, one failure-free walk per snapshot with the
+  live failures overlaid on it, the last tally handed back) are held to
+  a per-flow, per-hop reference over a snapshot chain that regrows the
+  axis under some tables and not others, and over one snapshot with a
+  loop and a route-less AS while overlapping failures come and go;
 * the end-to-end impact study behind ``repro impact --check`` — user
   pain accrues before the repair lands and decays monotonically to zero
   after (the CI smoke assertions), swept over ``REPRO_CHAOS_SEEDS``;
@@ -19,6 +21,8 @@ Three layers under test:
 """
 
 import os
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,6 +102,39 @@ class TestImpactLedger:
         done = ledger.observe(660.0, fibs, failures)
         assert done.affected_users == 0
         assert ledger.peak_affected == first.affected_users
+
+    def test_outage_keys_keep_every_start(self, setting):
+        """Two outages of one AS 30 s apart, 10^7 s into a run, keep two
+        keys (six significant digits would fold both into one); a start
+        that the short form holds exactly keeps the short form."""
+        graph, fibs, matrix = setting
+        bad = _transit_asn(graph, matrix, fibs)
+        first = ASForwardingFailure(
+            asn=bad, start=10_000_020.0, end=10_000_050.0
+        )
+        second = ASForwardingFailure(
+            asn=bad, start=10_000_050.0, end=10_000_080.0
+        )
+        assert impact_key(first) == f"AS{bad}:*@10000020.0"
+        assert impact_key(second) == f"AS{bad}:*@10000050.0"
+        assert impact_key(
+            ASForwardingFailure(asn=7, start=10_000_000.0)
+        ) == "AS7:*@1e+07"
+        assert impact_key(ASForwardingFailure(asn=7, start=1050.0)) == (
+            "AS7:*@1050"
+        )
+        ledger = ImpactLedger(matrix)
+        ledger.prime(fibs)
+        failures = FailureSet([first, second])
+        users = [
+            ledger.observe(now, fibs, failures).affected_users
+            for now in (10_000_030.0, 10_000_060.0, 10_000_090.0)
+        ]
+        assert users[0] == users[1] > 0 == users[2]
+        assert ledger.user_minutes_by_key == {
+            impact_key(first): users[0] * 0.5,
+            impact_key(second): users[1] * 0.5,
+        }
 
     def test_integration_is_left_riemann(self, setting):
         graph, fibs, matrix = setting
@@ -231,6 +268,20 @@ def _reference_sample(matrix, fibs, failures, now, excluded=()):
 
 def _sample(sample):
     return sample.affected_users, sample.delivered_users, sample.by_key
+
+
+def _path(fibs, flow):
+    """(ASes visited, end) of *flow* on *fibs* with no failure in force:
+    the end is delivered, no-route or loop (hop budget spent)."""
+    path = [flow.src_asn]
+    for _ in range(MAX_HOPS):
+        hop = fibs.next_hop_as(path[-1], flow.dst_address)
+        if hop is None:
+            return path, "no-route"
+        if hop == LOCAL:
+            return path, "delivered"
+        path.append(hop)
+    return path, "loop"
 
 
 class TestLedgerShortcuts:
@@ -376,6 +427,105 @@ class TestLedgerShortcuts:
         sample.by_key["scribble"] = 1
         assert ledger.observe(480.0, fibs, failures).by_key == {}
         assert ledger.tally_reused == 6
+
+    def test_the_overlay_on_one_snapshot_equals_the_per_hop_walk(
+        self, small_internet
+    ):
+        """One snapshot with a route-less AS and a forwarding loop, six
+        failures whose windows open and close across the script: every
+        sample equals the per-hop reference, and the snapshot was walked
+        once."""
+        graph, _topo, engine = small_internet
+        fibs = build_fibs(engine)
+        matrix = build_traffic_matrix(
+            graph, seed=3, config=TrafficConfig(total_users=50_000)
+        )
+        flows = matrix.flows
+        healthy = [_path(fibs, flow)[0] for flow in flows]
+        # A flow through two transit ASes, *near* then *far*.
+        long = next(i for i, p in enumerate(healthy) if len(p) >= 4)
+        near, far = healthy[long][1:3]
+        # A looping prefix: *back* hands it back to *front*.
+        looped = next(
+            i for i, p in enumerate(healthy)
+            if len(p) >= 3 and not {near, far} & set(p)
+        )
+        front, back = healthy[looped][1:3]
+        # The busiest other transit AS loses every route.
+        busiest = [
+            asn for asn, _n in Counter(
+                asn for p in healthy for asn in p[1:-1]
+            ).most_common()
+        ]
+        dead = next(
+            asn for asn in busiest if asn not in {near, far, front, back}
+        )
+        odd = FibSnapshot(
+            tables={
+                **fibs.tables,
+                dead: {},
+                back: {
+                    **fibs.tables[back], flows[looped].dst_prefix: front
+                },
+            },
+            origins=dict(fibs.origins),
+        )
+        paths = [_path(odd, flow) for flow in flows]
+        assert paths[looped][1] == "loop" and front in paths[looped][0]
+        assert paths[long][0][1:3] == [near, far]
+        assert any(end == "no-route" and dead in p for p, end in paths)
+        # A failure toward one prefix at an AS that carries others too.
+        busy = next(
+            asn for asn in busiest
+            if asn not in {near, far, front, back, dead}
+        )
+        through = [i for i, (p, _end) in enumerate(paths) if busy in p]
+        toward = flows[through[0]].dst_prefix
+        assert {flows[i].dst_prefix == toward for i in through} == {
+            True, False
+        }, "the scoped failure should spare some flows"
+
+        # The far AS's failures go in first: the earlier hop still wins.
+        # Within the far AS's bucket the first match wins.
+        failures = FailureSet([
+            ASForwardingFailure(
+                asn=far, toward=flows[long].dst_prefix,
+                start=600.0, end=780.0,
+            ),
+            ASForwardingFailure(asn=far, start=120.0, end=720.0),
+            ASForwardingFailure(asn=near, start=300.0, end=540.0),
+            ASForwardingFailure(asn=dead, start=240.0, end=600.0),
+            ASForwardingFailure(
+                asn=busy, toward=toward, start=420.0, end=900.0
+            ),
+            ASForwardingFailure(asn=front, start=480.0, end=1020.0),
+        ])
+        scoped_key, far_key, near_key, _dead, _busy, front_key = (
+            impact_key(f) for f in failures
+        )
+
+        def alone(i, now):
+            one = SimpleNamespace(flows=[flows[i]])
+            return _reference_sample(one, odd, failures, now)[2]
+
+        assert alone(long, 150.0) == {far_key: flows[long].users}
+        assert alone(long, 330.0) == {near_key: flows[long].users}
+        assert alone(long, 630.0) == {scoped_key: flows[long].users}
+        assert alone(looped, 300.0) == {LOOP_KEY: flows[looped].users}
+        assert alone(looped, 510.0) == {front_key: flows[looped].users}
+
+        ledger = ImpactLedger(matrix)
+        ledger.restore_state({"baseline_unroutable": []})
+        outcomes = set()
+        for step in range(1, 21):
+            now = 60.0 * step
+            got = _sample(ledger.observe(now, odd, failures))
+            assert got == _reference_sample(matrix, odd, failures, now), now
+            outcomes.update(got[2])
+        assert outcomes == {impact_key(f) for f in failures} | {
+            LOOP_KEY, NO_ROUTE_KEY,
+        }
+        assert ledger.walks == 1
 
 
 class TestImpactStudy:
