@@ -22,13 +22,17 @@ O(V + E) per prefix, no events and no MRAI:
 
 Loop prevention (the mechanism poisoning exploits) is applied per offer:
 a receiver already on the path rejects it, exactly like the engine's
-import filter with ``loop_max_occurrences=1``.
+import filter with ``loop_max_occurrences=1``.  The solve builds no path
+to do so: a path is its AS, that AS's sender chain (all final already)
+and the seed path the origin announced to the chain's first hop, so the
+check is membership in the finals or in that seed.
 
-A :class:`PrefixSolution` *is* the prefix's routing state: the
-per-receiver finals and the Loc-RIB selection (``best``) they imply.
-The Adj-RIB-In rows and per-session wire rows follow from the finals
-and are not built by the solve; :func:`derive_rows` derives them, fresh
-on every call, in the order the engine stores them.
+A :class:`PrefixSolution` *is* the prefix's routing state: the Loc-RIB
+selection (``best``) of every receiver, in selection order.  A path is
+built only for an AS some receiver selected (the path of their route);
+the Adj-RIB-In rows and per-session wire rows, and the path of an
+exporter nobody selected, are not built by the solve: :func:`derive_rows`
+derives them, fresh on every call, in the order the engine stores them.
 :meth:`BGPEngine.warm_start` pins the Loc-RIBs and leaves every prefix's
 rows pending; :meth:`BGPEngine.materialize` writes them before anything
 reads or mutates one, so the engine behaves identically to an
@@ -150,16 +154,16 @@ class PrefixSolution:
 
     prefix: Prefix
     origination: Origination
-    #: receiver ASN -> (sender, path heard, path exported), in selection
-    #: order: the first ``up_count`` are customer-learned, then
-    #: peer-learned, then provider-learned.
-    final: Dict[int, Tuple[int, ASPath, ASPath]]
-    up_count: int
-    #: receiver ASN -> selected Loc-RIB route, in ``final`` order (the
-    #: origin is absent; its self-route comes from
-    #: :meth:`BGPSpeaker.originate`).  The ASes holding Adj-RIB-In rows
-    #: are exactly these receivers.
+    #: receiver ASN -> selected Loc-RIB route, in selection order: the
+    #: first ``up_count`` are customer-learned, then peer-learned, then
+    #: provider-learned.  The origin is absent (its self-route comes from
+    #: :meth:`BGPSpeaker.originate`).  A receiver's route names its
+    #: sender, and the path it exports is itself, then that route's
+    #: path: held as its receivers' route path if it is a sender, built
+    #: only when rows are derived if not.  The ASes holding Adj-RIB-In
+    #: rows are exactly these receivers.
     best: Dict[int, Route]
+    up_count: int
     #: the adjacency the solve ran over (:func:`derive_rows` reads it).
     adjacency: Adjacency = field(repr=False, compare=False)
 
@@ -326,9 +330,12 @@ def solve_prefix(
 
     # Seed offers straight from the origination config, split by the
     # relationship class the *receiver* assigns the origin (the inverse
-    # of the origin's role for it).  An offer is (med, sender, path);
-    # each pending level keeps a receiver's least offer, compared with
-    # ``<`` — the one ``min`` over all of them would pick.
+    # of the origin's role for it).  An offer is (med, sender), or
+    # (length, med, sender) among peers; each pending level keeps a
+    # receiver's least offer, compared with ``<`` — the one ``min`` over
+    # all of them would pick.  A receiver never hears one sender twice,
+    # so no comparison needs the path.
+    seeds: Dict[int, ASPath] = {}
     up_pending: Dict[int, Dict[int, tuple]] = {}
     peer_best: Dict[int, tuple] = {}
     down_pending: Dict[int, Dict[int, tuple]] = {}
@@ -336,79 +343,94 @@ def solve_prefix(
         path = org.path_for(n)
         if path is None or n in path:
             continue
+        seeds[n] = path
         if role is Relationship.PEER:
-            peer_best[n] = (len(path), med, origin, path)
+            peer_best[n] = (len(path), med, origin)
         else:
             pending = (
                 up_pending if role is Relationship.PROVIDER else down_pending
             )
-            pending.setdefault(len(path), {})[n] = (med, origin, path)
+            pending.setdefault(len(path), {})[n] = (med, origin)
 
-    # final: ASN -> (sender, path, export_path), customer-learned first,
-    # then peer-learned, then provider-learned.  An AS appears once
-    # (local-pref dominance); an AS already final is skipped when an
-    # offer to it is pushed, and when a seed or same-level offer pops.
-    final: Dict[int, tuple] = {}
+    # Per final AS, customer-learned first, then peer-learned, then
+    # provider-learned: its sender, the seed its chain starts from and
+    # (for the holders phase 3 seeds from) the length of the path it
+    # exports.  That path is the AS, its sender chain, then the seed.
+    # Every AS on the chain is final, so an offer loops exactly when its
+    # receiver is final or in the seed (and the origin, which every seed
+    # holds, is never final).  An AS appears once (local-pref
+    # dominance); an AS already final is skipped when an offer to it is
+    # pushed, and when a seed or same-level offer pops.
+    sender_of: Dict[int, int] = {}
+    length: Dict[int, int] = {}
+    seed_of: Dict[int, ASPath] = {}
     while up_pending:
         level = min(up_pending)
         pushed = None
-        for receiver, (_med, sender, path) in up_pending.pop(level).items():
-            if receiver in final:
+        for receiver, (_med, sender) in up_pending.pop(level).items():
+            if receiver in sender_of:
                 continue
-            export = intern_path((receiver,) + path)
-            final[receiver] = (sender, path, export)
-            offer = (0, receiver, export)
+            seed = seeds[receiver] if sender == origin else seed_of[sender]
+            sender_of[receiver] = sender
+            length[receiver] = level + 1
+            seed_of[receiver] = seed
+            offer = (0, receiver)
             for provider in providers_of[receiver]:
-                if provider in final or provider in export:
+                if provider in sender_of or provider in seed:
                     continue
                 if pushed is None:
                     pushed = up_pending.setdefault(level + 1, {})
                 held = pushed.get(provider)
                 if held is None or offer < held:
                     pushed[provider] = offer
-    up_count = len(final)
+    up_count = len(sender_of)
     t1 = perf_counter()
     phase_seconds["up"] += t1 - t0
 
     # Phase 2: one-hop exports of customer-learned bests to peers.
-    for holder, (_sender, _path, export) in final.items():
-        offer = (len(export), 0, holder, export)
+    for holder, seed in seed_of.items():
+        offer = (length[holder], 0, holder)
         for peer in peers_of[holder]:
-            if peer in final or peer in export:
+            if peer in sender_of or peer in seed:
                 continue
             held = peer_best.get(peer)
             if held is None or offer < held:
                 peer_best[peer] = offer
-    for receiver, (_length, _med, sender, path) in peer_best.items():
-        if receiver not in final:
-            final[receiver] = (sender, path, intern_path((receiver,) + path))
+    for receiver, (length_heard, _med, sender) in peer_best.items():
+        if receiver not in sender_of:
+            sender_of[receiver] = sender
+            length[receiver] = length_heard + 1
+            seed_of[receiver] = (
+                seeds[receiver] if sender == origin else seed_of[sender]
+            )
     t2 = perf_counter()
     phase_seconds["across"] += t2 - t1
 
     # Phase 3: customer/peer holders export down; provider-learned routes
     # cascade along customer links in path-length order.
-    for holder, (_sender, _path, export) in final.items():
-        offer = (0, holder, export)
+    for holder, seed in seed_of.items():
+        offer = (0, holder)
         pushed = None
         for customer in customers_of[holder]:
-            if customer in final or customer in export:
+            if customer in sender_of or customer in seed:
                 continue
             if pushed is None:
-                pushed = down_pending.setdefault(len(export), {})
+                pushed = down_pending.setdefault(length[holder], {})
             held = pushed.get(customer)
             if held is None or offer < held:
                 pushed[customer] = offer
     while down_pending:
         level = min(down_pending)
         pushed = None
-        for receiver, (_med, sender, path) in down_pending.pop(level).items():
-            if receiver in final:
+        for receiver, (_med, sender) in down_pending.pop(level).items():
+            if receiver in sender_of:
                 continue
-            export = intern_path((receiver,) + path)
-            final[receiver] = (sender, path, export)
-            offer = (0, receiver, export)
+            seed = seeds[receiver] if sender == origin else seed_of[sender]
+            sender_of[receiver] = sender
+            seed_of[receiver] = seed
+            offer = (0, receiver)
             for customer in customers_of[receiver]:
-                if customer in final or customer in export:
+                if customer in sender_of or customer in seed:
                     continue
                 if pushed is None:
                     pushed = down_pending.setdefault(level + 1, {})
@@ -418,23 +440,27 @@ def solve_prefix(
     t3 = perf_counter()
     phase_seconds["down"] += t3 - t2
 
-    # Install: each receiver's selection, read straight off its final;
-    # the rows behind it are left to derive_rows.  A transit sender
-    # tells every receiver of one relationship class the same route,
-    # so those selections share one object, as the rows do.
+    # Install: each receiver's selection, in selection order; the rows
+    # behind it are left to derive_rows.  A path is built only for a
+    # sender, from its own selection (a sender is final before any of
+    # its receivers), and a transit sender tells every receiver of one
+    # relationship class the same route, so those selections share one
+    # object, as the rows do.
     best: Dict[int, Route] = {}
     shared: Dict[tuple, Route] = {}
-    for receiver, (sender, path, _export) in final.items():
+    for receiver, sender in sender_of.items():
         rel = _RECEIVER_ROLE[nbr_rel[sender][receiver]]
         if sender == origin:
             best[receiver] = Route(
-                prefix, intern_path(path), origin, rel, _LOCAL_PREF[rel], med
+                prefix, intern_path(seeds[receiver]), origin, rel,
+                _LOCAL_PREF[rel], med,
             )
             continue
         route = shared.get((sender, rel))
         if route is None:
             route = shared[sender, rel] = Route(
-                prefix, path, sender, rel, _LOCAL_PREF[rel]
+                prefix, intern_path((sender,) + best[sender].as_path),
+                sender, rel, _LOCAL_PREF[rel],
             )
         best[receiver] = route
     phase_seconds["install"] += perf_counter() - t3
@@ -442,9 +468,8 @@ def solve_prefix(
     return PrefixSolution(
         prefix=prefix,
         origination=org,
-        final=final,
-        up_count=up_count,
         best=best,
+        up_count=up_count,
         adjacency=adjacency,
     )
 
@@ -452,13 +477,15 @@ def solve_prefix(
 def derive_rows(
     solution: PrefixSolution,
 ) -> Tuple[Dict[int, Dict[int, Route]], Dict[int, Dict[int, Announcement]]]:
-    """The Adj-RIB-In and wire rows *solution*'s finals imply, as
+    """The Adj-RIB-In and wire rows *solution* implies, as
     ``(adj_in, sent)``: receiver -> sender -> route and exporter ->
     receiver -> announcement.
 
     Built exporter by exporter, in the layout and insertion order the
     engine stores them, into new dicts on every call: the caller owns
     them (:meth:`BGPEngine.materialize` installs them by reference).
+    An exporter's path is built here from its own selection (interned,
+    so a sender's is the object its receivers' selections carry).
     Announcements and routes are shared: one announcement per exporter,
     one route per (exporter, receiver relationship class), and that
     route is the very ``best`` object of the receivers that selected it
@@ -500,9 +527,11 @@ def derive_rows(
     selected = {
         (route.neighbor, route.relationship): route for route in best.values()
     }
-    finals = iter(solution.final.items())
+    entries = iter(best.items())
     # Customer-learned: told to every neighbour but the supplier.
-    for src, (sender, _path, export) in islice(finals, solution.up_count):
+    for src, heard in islice(entries, solution.up_count):
+        sender = heard.neighbor
+        export = intern_path((src,) + heard.as_path)
         roles = nbr_rel[src]
         row = dict.fromkeys(roles, Announcement(prefix, export))
         del row[sender]  # never echo a route back to its supplier
@@ -526,10 +555,11 @@ def derive_rows(
                 rows[src] = route
     # Peer- and provider-learned: told to customers only, which never
     # include the supplier and hear it from their provider.
-    for src, (_sender, _path, export) in finals:
+    for src, heard in entries:
         customers = customers_of[src]
         if not customers:
             continue
+        export = intern_path((src,) + heard.as_path)
         sent[src] = dict.fromkeys(customers, Announcement(prefix, export))
         route = None
         for dst in customers:

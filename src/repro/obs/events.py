@@ -76,12 +76,14 @@ _INF = float("inf")
 
 
 def _encode(value: Any) -> str:
-    """*value* as compact sorted-key ``json.dumps`` renders it: scalars
-    and int sequences by the functions json itself ends in, the rest by
-    json itself over the :func:`_jsonable` form."""
+    """*value* as compact sorted-key ``json.dumps`` renders it: None,
+    scalars and int sequences by the functions json itself ends in, the
+    rest by json itself over the :func:`_jsonable` form."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
+    if value is None:
+        return "null"
     if kind is bool:
         return "true" if value else "false"
     if kind is int:

@@ -14,10 +14,12 @@ No baseline consumer reads any of that, which is what the
 poison-equivalence test pins down.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
+from repro.bgp import messages
 from repro.bgp.engine import BGPEngine, EngineConfig
 from repro.bgp.origin import OriginController
 from repro.bgp.policy import SpeakerConfig
@@ -142,6 +144,50 @@ class TestSolverMatchesEventConvergence:
         assert stats.counters["solver.prefixes_solved"] == prefixes
         for phase in ("up", "across", "down", "install"):
             assert f"solver.phase_{phase}" in stats.timers
+
+
+def _held_paths(solution):
+    """Every AS-path tuple (an exact tuple of ints) reachable from
+    *solution*'s state, by id: all but its inputs (prefix, origination)
+    and the adjacency every solution shares."""
+    stack = [
+        getattr(solution, f.name)
+        for f in dataclasses.fields(solution)
+        if f.name not in ("prefix", "origination", "adjacency")
+    ]
+    seen, paths = set(), {}
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) is tuple and obj and all(type(x) is int for x in obj):
+            paths[id(obj)] = obj
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return paths
+
+
+class TestPathsOnDemand:
+    """A solution holds one route per AS, and the solve builds a path
+    only for an AS some receiver selected: a cold medium build holds
+    9,696 distinct AS-path tuples, where one export path per final AS
+    made 60,516.  A count, so it repeats exactly."""
+
+    def test_every_held_path_is_a_selected_route_path(self):
+        messages.clear_interned_paths()
+        base = converged_internet("medium", 0, mode=MODE_SOLVER)
+        held = {}
+        for solution in base.engine._analytic.values():
+            paths = _held_paths(solution)
+            selected = {id(r.as_path) for r in solution.best.values()}
+            assert paths.keys() <= selected, solution.prefix
+            held.update(paths)
+        assert len(held) == 9_696
+        assert len(messages._interned_paths) == 9_696
 
 
 class TestPostPoisonSweep:

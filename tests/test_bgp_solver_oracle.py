@@ -148,6 +148,22 @@ class TestDrawnGraphs:
         ],
         [Origination.make(1, P, per_neighbor={2: (1, 1), 3: (1,)}, med=5)],
     ))
+    @example((
+        # Origin 1 under providers 2 and 3, both under 4 and 5; the path
+        # to 2 poisons 4 and the path to 3 poisons 5.  So 5 hears only
+        # 2's chain and 4 only 3's: an offer's loop check reads its own
+        # chain's first-hop path, not the origination's or another's.
+        [1, 2, 3, 4, 5],
+        [
+            (1, 2, Relationship.PROVIDER),
+            (1, 3, Relationship.PROVIDER),
+            (2, 4, Relationship.PROVIDER),
+            (2, 5, Relationship.PROVIDER),
+            (3, 4, Relationship.PROVIDER),
+            (3, 5, Relationship.PROVIDER),
+        ],
+        [Origination.make(1, P, per_neighbor={2: (1, 4, 1), 3: (1, 5, 1)})],
+    ))
     def test_values_and_order_match(self, drawn):
         asns, links, originations = drawn
         adjacency = _adjacency(asns, links)

@@ -287,6 +287,7 @@ class TestCanonicalEncoder:
     @given(
         st.recursive(
             st.one_of(
+                st.none(),
                 st.integers(),
                 st.integers(min_value=-(10 ** 40), max_value=10 ** 40),
                 st.booleans(),
@@ -307,10 +308,13 @@ class TestCanonicalEncoder:
     @example([1, _Level.HIGH])
     @example([Prefix("10.0.0.0/8"), 8])
     @example([[1, 2], [3]])
+    @example(None)
+    @example([1, None])
     def test_int_sequences_render_as_json_dumps(self, value):
         """The AS-path fast path (an exact list or tuple of exact ints)
         and the values it must leave to ``json.dumps``: bools, int
-        enums, prefixes and nested sequences."""
+        enums, prefixes and nested sequences; and ``None``, which takes
+        a fast path of its own."""
         reference = json.dumps(
             _jsonable(value), sort_keys=True, separators=(",", ":")
         )
