@@ -76,7 +76,7 @@ def main():
           f"through AS{uunet}, which blackholes it - test traffic begins "
           "to fail\n")
 
-    lifeguard.run(start=OUTAGE_START, end=END_OF_STUDY)
+    scenario.run(END_OF_STUDY, start=OUTAGE_START)
 
     record = next(
         r for r in lifeguard.records if r.poisoned_asn == uunet

@@ -13,7 +13,7 @@ ever blaming a healthy AS.
 Run:  python examples/chaos_drill.py
 """
 
-from repro.control.lifeguard import RepairState
+from repro.control.record import IN_FLIGHT, RepairState
 from repro.dataplane.failures import ASForwardingFailure
 from repro.workloads.scenarios import build_chaos_deployment
 
@@ -51,7 +51,7 @@ def main():
     )
 
     print("Running the monitoring loop under chaos...\n")
-    lifeguard.run(start=30.0, end=12000.0)
+    scenario.run(12000.0)
 
     stats = injector.stats
     print("chaos fault report")
@@ -72,8 +72,9 @@ def main():
     ]
     wrong = [
         r
-        for r in lifeguard.poisoned_records()
-        if r.poisoned_asn != bad_asn
+        for r in lifeguard.records
+        if r.state in (*IN_FLIGHT, RepairState.UNPOISONED)
+        and r.poisoned_asn != bad_asn
     ]
     deferrals = sum(
         1

@@ -46,7 +46,7 @@ def main():
     )
 
     print("Running the monitoring loop (30 s rounds)...\n")
-    lifeguard.run(start=30.0, end=9600.0)
+    scenario.run(9600.0)
 
     for record in lifeguard.records:
         if record.poisoned_asn != bad_asn:

@@ -149,23 +149,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"events: {bus.total} ({len(bus.counts)} kinds), "
           f"digest {bus.digest()[:16]}…")
 
-    trace_dir = args.trace_dir
-    if trace_dir:
-        os.makedirs(trace_dir, exist_ok=True)
-    events_out = args.events_out or (
-        os.path.join(trace_dir, f"trace-seed{args.seed}-events.jsonl")
-        if trace_dir else None
-    )
-    metrics_out = args.metrics_out or (
-        os.path.join(trace_dir, f"trace-seed{args.seed}-metrics.json")
-        if trace_dir else None
-    )
-    if events_out:
-        count = write_events_jsonl(bus.events(), events_out)
-        print(f"wrote {count} events to {events_out}")
-    if metrics_out:
-        write_metrics_snapshot(registry, metrics_out)
-        print(f"wrote metrics snapshot to {metrics_out}")
+    if args.events_out:
+        count = write_events_jsonl(bus.events(), args.events_out)
+        print(f"wrote {count} events to {args.events_out}")
+    if args.metrics_out:
+        write_metrics_snapshot(registry, args.metrics_out)
+        print(f"wrote metrics snapshot to {args.metrics_out}")
     return 0
 
 
@@ -389,7 +378,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal = RepairJournal(
             args.journal, max_bytes=args.journal_max_bytes
         )
-    injector = None
     common = dict(
         scale=args.scale,
         seed=args.seed,
@@ -400,7 +388,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         lifeguard_config=LifeguardConfig(delta_mode="auto"),
     )
     if args.intensity > 0:
-        scenario, injector = build_chaos_deployment(
+        scenario, _ = build_chaos_deployment(
             intensity=args.intensity, **common
         )
     else:
@@ -415,9 +403,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         crash_at=args.crash_at,
     )
-    service = LifeguardService(
-        scenario, config, obs=bus, injector=injector
-    )
+    service = LifeguardService(scenario, config, obs=bus)
     report = service.run()
 
     table = Table(
@@ -628,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--events-out", default=None,
         help="write the event log (canonical JSONL) to this path",
-    )
-    p.add_argument(
-        "--trace-dir", default=None,
-        help="directory for default-named artifacts "
-             "(default: none written)",
     )
     p.add_argument(
         "--check-determinism", type=int, default=0, metavar="WORKERS",

@@ -36,7 +36,6 @@ repairs idempotently instead of forgetting them.
 
 from __future__ import annotations
 
-import enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.bgp.engine import BGPEngine
@@ -78,15 +77,6 @@ from repro.measure.vantage import VantageSet
 from repro.net.addr import Address, Prefix
 from repro.splice.reachability import reachable_set_avoiding
 from repro.topology.routers import RouterTopology
-
-
-class OperatingMode(enum.Enum):
-    """How much of the deployment's own infrastructure is healthy."""
-
-    NORMAL = "normal"
-    #: some vantage points are down: isolation runs on thinner evidence
-    #: and poisoning defers until confidence recovers.
-    DEGRADED = "degraded"
 
 
 class _ReachableAvoiding(dict):
@@ -183,13 +173,6 @@ class Lifeguard:
         self.injector = None
         #: optional observability bus (duck-typed; see repro.obs.events).
         self.obs = None
-
-    @property
-    def mode(self) -> OperatingMode:
-        """DEGRADED while any of our own vantage points is down."""
-        if self.vantage_points.down_names():
-            return OperatingMode.DEGRADED
-        return OperatingMode.NORMAL
 
     # ------------------------------------------------------------------
     # Setup
@@ -421,13 +404,6 @@ class Lifeguard:
         for record in self.records:
             if record.state is not RepairState.OBSERVED:
                 self.run_stage(record, now)
-
-    def run(self, start: float, end: float) -> None:
-        """Tick from *start* to *end* at the monitor interval."""
-        now = start
-        while now <= end:
-            self.tick(now)
-            now += self.config.monitor_interval
 
     def _journal_ended_outages(self) -> None:
         for record in self.records:
@@ -890,8 +866,3 @@ class Lifeguard:
     def in_flight_records(self) -> List[RepairRecord]:
         """Records whose poison is on the wire right now."""
         return [r for r in self.records if r.state in IN_FLIGHT]
-
-    def poisoned_records(self) -> List[RepairRecord]:
-        """Records that reached the POISONED (or later) state."""
-        reached = IN_FLIGHT + (RepairState.UNPOISONED,)
-        return [r for r in self.records if r.state in reached]

@@ -36,14 +36,7 @@ from repro.control.lifeguard import (
     RepairState,
     stage_of,
 )
-from repro.experiments.outage_stream import (
-    InjectedOutage,
-    primed_ledger,
-    run_outage_stream,
-    stream_schedule,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.experiments.outage_stream import StreamScore, run_outage_stream
 from repro.runner.core import run_trials
 from repro.runner.stats import RunStats
 from repro.workloads.scenarios import build_deployment
@@ -75,49 +68,19 @@ def is_abandoned(record) -> bool:
 
 
 @dataclass
-class DefensePoint:
+class DefensePoint(StreamScore):
     """One (deployment rate, ladder arm) cell of the sweep."""
 
     rate: float
     ladder: bool
-    outages: List[InjectedOutage] = field(default_factory=list)
     #: ladder escalations across all records.
     escalations: int = 0
     #: repairs completed by an escalated rung (ladder_step > 0).
     ladder_repairs: int = 0
-    rollbacks: int = 0
-    breaker_opens: int = 0
     #: records still mid-flight at run end (liveness gate).
     abandoned: int = 0
-    controller_crashes: int = 0
-    recovered_records: int = 0
     #: verified_time - outage start, per verified repair of a true AS.
     repair_times: List[float] = field(default_factory=list)
-    #: gravity-model users behind the deployment's stub ASes.
-    users_total: int = 0
-    #: most users simultaneously stranded at any sample.
-    peak_users_affected: int = 0
-    #: integrated user impact across the whole cell (minutes) — the
-    #: user-facing cost of repairs the defenses filtered away.
-    affected_user_minutes: float = 0.0
-
-    @property
-    def injected(self) -> int:
-        return len(self.outages)
-
-    @property
-    def detected(self) -> int:
-        return sum(o.detected for o in self.outages)
-
-    @property
-    def repaired(self) -> int:
-        return sum(o.poisoned_true for o in self.outages)
-
-    @property
-    def repair_fraction(self) -> float:
-        if not self.outages:
-            return 0.0
-        return self.repaired / len(self.outages)
 
     @property
     def mean_time_to_repair(self) -> Optional[float]:
@@ -175,27 +138,15 @@ def _run_point(
         defense_rate=rate,
         lifeguard_config=config,
     )
-    injector = FaultInjector(FaultPlan(seed=seed + 1))
-    injector.attach(scenario.lifeguard)
     # Defended cells that lose repairs show up in the ledger as extra
     # affected-user-minutes, not just missing repair counts.
-    ledger = primed_ledger(scenario, seed)
-    schedule, end = stream_schedule(num_outages, seed)
     stream = run_outage_stream(
-        scenario, schedule, injector, ledger, end,
+        scenario, num_outages, seed,
         crash_at=CRASH_AT if crash_controller else None,
     )
 
-    point = DefensePoint(
-        rate=rate,
-        ladder=ladder,
-        outages=stream.outages,
-        controller_crashes=stream.controller_crashes,
-        recovered_records=stream.recovered_records,
-        users_total=ledger.matrix.total_users,
-        peak_users_affected=ledger.peak_affected,
-        affected_user_minutes=ledger.user_minutes,
-    )
+    point = DefensePoint(rate=rate, ladder=ladder)
+    point.tally(stream)
     # A repair counts only once verification promoted it — a poison the
     # defenses filtered never verifies, so it never scores.
     verified_states = (RepairState.POISONED, RepairState.UNPOISONED)
@@ -217,13 +168,9 @@ def _run_point(
                 first.verified_time - first.outage.start
             )
     for record in stream.records:
-        point.rollbacks += record.rollbacks
         point.escalations += record.escalations
         if is_abandoned(record):
             point.abandoned += 1
-        for note in record.notes:
-            if "circuit breaker open" in note:
-                point.breaker_opens += 1
     return point
 
 

@@ -90,29 +90,19 @@ def run_impact_study(
     ledger = ImpactLedger(matrix)
     # Failures live in the data plane, so the FIBs are still pristine.
     baseline_unroutable = ledger.prime(lifeguard.dataplane.fibs)
-
-    samples: List[ImpactSample] = []
-    repair_time: Optional[float] = None
-    minutes_before_repair = 0.0
-    interval = lifeguard.config.monitor_interval
-    now = 30.0
     with stats.timer("impact.wall"):
-        while now <= end:
-            lifeguard.tick(now)
-            sample = ledger.observe(
-                now, lifeguard.dataplane.fibs, lifeguard.dataplane.failures
-            )
-            samples.append(sample)
-            if repair_time is None:
-                poisons = [
-                    r.poison_time
-                    for r in lifeguard.records
-                    if r.poison_time is not None
-                ]
-                if poisons:
-                    repair_time = min(poisons)
-                    minutes_before_repair = ledger.user_minutes
-            now += interval
+        samples = scenario.run(end, ledger=ledger).samples
+
+    # A re-poison overwrites a record's poison time, so the repair is
+    # the first poison the journal holds, and the minutes before it are
+    # those integrated up to the sample of the tick that poisoned.
+    repair_time = next(
+        (e["poison_time"] for e in lifeguard.journal if "poison_time" in e),
+        None,
+    )
+    minutes_before_repair = next(
+        (s.user_minutes for s in samples if s.t == repair_time), 0.0
+    )
 
     lpm_entries = sum(
         len(t) for t in lifeguard.dataplane.fibs.tables.values()

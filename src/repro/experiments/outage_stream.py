@@ -2,29 +2,28 @@
 
 The robustness sweep and the defense sweep ask different questions of
 the same experiment: stream scheduled failures of avoidable transit ASes
-into a deployment, tick the controller through them — killing and
-recovering it when the study asks — and attribute the resulting
-repair records back to the failures at the AS level.  That experiment
-lives here once; a study keeps its deployment, its point type and its
-own counters over what :func:`run_outage_stream` returns.
+into a deployment, run the study loop through them
+(:meth:`~repro.workloads.scenarios.DeploymentScenario.run`, killing and
+recovering the controller when the study asks) and attribute the
+resulting repair records back to the failures at the AS level.  That
+experiment and the scoreboard both studies keep live here once; a study
+keeps its deployment, its point type and its own counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.control.record import RepairRecord
-from repro.faults.injector import FaultInjector
 from repro.net.addr import Address
 from repro.traffic.impact import ImpactLedger
 from repro.traffic.matrix import build_traffic_matrix
 from repro.workloads.outages import (
     OutageArrivalConfig,
-    ScheduledOutage,
     generate_outage_schedule,
 )
-from repro.workloads.scenarios import CRASH_DOWNTIME, DeploymentScenario
+from repro.workloads.scenarios import DeploymentScenario, LoopRun
 
 #: Ground-truth failure schedule: the same calibrated arrival generator
 #: the service daemon streams from (:func:`generate_outage_schedule`), in
@@ -37,30 +36,6 @@ STREAM_ARRIVALS = OutageArrivalConfig(
     spacing=9000.0,
     duration=7200.0,
 )
-
-
-def stream_schedule(
-    num_outages: int, seed: int
-) -> Tuple[List[ScheduledOutage], float]:
-    """The standard schedule and the sim time its run ends at."""
-    schedule = generate_outage_schedule(
-        num_outages, STREAM_ARRIVALS, seed=seed
-    )
-    end = (
-        STREAM_ARRIVALS.first_arrival
-        + num_outages * STREAM_ARRIVALS.spacing
-        + 2400.0
-    )
-    return schedule, end
-
-
-def primed_ledger(scenario: DeploymentScenario, seed: int) -> ImpactLedger:
-    """User-impact accounting for one run: a gravity-model matrix over
-    the deployment's stub ASes, its baseline fixed against the pristine
-    FIBs, to be integrated against the live ones at every tick."""
-    ledger = ImpactLedger(build_traffic_matrix(scenario.graph, seed=seed))
-    ledger.prime(scenario.lifeguard.dataplane.fibs)
-    return ledger
 
 
 @dataclass
@@ -84,14 +59,12 @@ class InjectedOutage:
 class OutageStream:
     """What one run of the harness produced."""
 
-    outages: List[InjectedOutage] = field(default_factory=list)
+    outages: List[InjectedOutage]
     #: the last controller incarnation's records (journal-recovered if
     #: the controller was ever killed).
-    records: List[RepairRecord] = field(default_factory=list)
-    #: controller kills the harness executed (one at ``crash_at``).
-    controller_crashes: int = 0
-    #: repair records carried across the journal-replay recovery.
-    recovered_records: int = 0
+    records: List[RepairRecord]
+    ledger: ImpactLedger
+    loop: LoopRun
 
     def detections_of(self, outage: InjectedOutage) -> List[RepairRecord]:
         """Records of *outage*: a record counts for the outage whose
@@ -118,33 +91,38 @@ class OutageStream:
 
 def run_outage_stream(
     scenario: DeploymentScenario,
-    schedule: Sequence[ScheduledOutage],
-    injector: FaultInjector,
-    ledger: ImpactLedger,
-    end: float,
+    num_outages: int,
+    seed: int,
     crash_at: Optional[float] = None,
 ) -> OutageStream:
-    """Inject *schedule* as ground truth and tick the loop to *end*.
+    """Inject *num_outages* of :data:`STREAM_ARRIVALS` as ground truth
+    and run the study loop to 2400 s past the last arrival slot.
 
     Scheduled outage *k* fails an avoidable transit AS behind target
-    ``k mod len(targets)`` (skipped when the path offers none).  With
-    *crash_at*, the controller dies before the first tick at or after
-    that time and comes back :data:`CRASH_DOWNTIME` later through
-    :meth:`DeploymentScenario.recover`.  *ledger* (primed
-    by the caller against the pristine FIBs) lives outside the
-    controller, so it keeps counting stranded users while nobody
-    repairs: routers forward on their last-installed FIBs.
+    ``k mod len(targets)`` (skipped when the path offers none).
+    *crash_at* is :meth:`DeploymentScenario.run`'s.  User impact is a
+    gravity-model matrix over the deployment's stub ASes, its baseline
+    fixed against the pristine FIBs before anything fails.
     """
-    lifeguard = scenario.lifeguard
-    lifeguard.prime_atlas(now=0.0)
-    stream = OutageStream()
+    ledger = ImpactLedger(build_traffic_matrix(scenario.graph, seed=seed))
+    ledger.prime(scenario.lifeguard.dataplane.fibs)
+    schedule = generate_outage_schedule(
+        num_outages, STREAM_ARRIVALS, seed=seed
+    )
+    end = (
+        STREAM_ARRIVALS.first_arrival
+        + num_outages * STREAM_ARRIVALS.spacing
+        + 2400.0
+    )
+    scenario.lifeguard.prime_atlas(now=0.0)
+    outages = []
     for scheduled in schedule:
         target = scenario.targets[scheduled.index % len(scenario.targets)]
         true_asn = scenario.avoidable_transit(target)
         if true_asn is None:
             continue
         scenario.fail_transit(true_asn, scheduled.start, scheduled.end)
-        stream.outages.append(
+        outages.append(
             InjectedOutage(
                 target=target,
                 target_asn=scenario.topo.router_by_address(target).asn,
@@ -153,42 +131,65 @@ def run_outage_stream(
                 end=scheduled.end,
             )
         )
-
-    interval = lifeguard.config.monitor_interval
-    fibs = lifeguard.dataplane.fibs
-    failures = lifeguard.dataplane.failures
-    now = 30.0
-    down_until = None
-    while now <= end:
-        if down_until is not None:
-            # Controller dead: the network keeps evolving, repairs stay
-            # announced, outages keep aging — nobody is watching.
-            if now < down_until:
-                scenario.engine.advance_to(now)
-                ledger.observe(now, fibs, failures)
-                now += interval
-                continue
-            lifeguard = scenario.recover(now, injector=injector)
-            stream.recovered_records = len(lifeguard.records)
-            down_until = None
-        if crash_at is not None and now >= crash_at:
-            # The process dies before this round runs.
-            crash_at = None
-            scenario.crash()
-            down_until = now + CRASH_DOWNTIME
-            stream.controller_crashes += 1
-            continue
-        lifeguard.tick(now)
-        fibs = lifeguard.dataplane.fibs
-        ledger.observe(now, fibs, failures)
-        now += interval
-    if down_until is not None:
-        # The run ended inside the outage window: restart anyway so the
-        # scoreboard reads the journal-recovered records, not nothing.
-        lifeguard = scenario.recover(end, injector=injector)
-        stream.recovered_records = len(lifeguard.records)
-
-    stream.records = lifeguard.records
-    for outage in stream.outages:
+    loop = scenario.run(end, ledger=ledger, crash_at=crash_at)
+    stream = OutageStream(
+        outages, scenario.lifeguard.records, ledger, loop
+    )
+    for outage in outages:
         outage.detected = bool(stream.detections_of(outage))
     return stream
+
+
+@dataclass(kw_only=True)
+class StreamScore:
+    """The scoreboard every outage-stream study keeps; :meth:`tally`
+    fills it from one :class:`OutageStream`."""
+
+    outages: List[InjectedOutage] = field(default_factory=list)
+    #: poisons the repair guard verified as ineffective/harmful and undid.
+    rollbacks: int = 0
+    #: (pair, ASN) combinations the circuit breaker gave up on.
+    breaker_opens: int = 0
+    #: scheduled controller kills the harness executed.
+    controller_crashes: int = 0
+    #: repair records carried across the journal-replay recovery.
+    recovered_records: int = 0
+    #: gravity-model users behind the deployment's stub ASes.
+    users_total: int = 0
+    #: most users simultaneously stranded at any sample.
+    peak_users_affected: int = 0
+    #: integrated user impact across the whole run (minutes).
+    affected_user_minutes: float = 0.0
+
+    @property
+    def injected(self) -> int:
+        return len(self.outages)
+
+    @property
+    def detected(self) -> int:
+        return sum(o.detected for o in self.outages)
+
+    @property
+    def repaired(self) -> int:
+        return sum(o.poisoned_true for o in self.outages)
+
+    @property
+    def repair_fraction(self) -> float:
+        if not self.outages:
+            return 0.0
+        return self.repaired / len(self.outages)
+
+    def tally(self, stream: OutageStream) -> None:
+        """Take the stream's outages, crash and ledger numbers, and count
+        rollbacks and breaker opens over its records."""
+        self.outages = stream.outages
+        self.controller_crashes = stream.loop.controller_crashes
+        self.recovered_records = stream.loop.recovered_records
+        self.users_total = stream.ledger.matrix.total_users
+        self.peak_users_affected = stream.ledger.peak_affected
+        self.affected_user_minutes = stream.ledger.user_minutes
+        for record in stream.records:
+            self.rollbacks += record.rollbacks
+            self.breaker_opens += sum(
+                "circuit breaker open" in note for note in record.notes
+            )

@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.control.record import RepairState
-from repro.experiments.outage_stream import (
-    InjectedOutage,
-    primed_ledger,
-    run_outage_stream,
-    stream_schedule,
-)
+from repro.experiments.outage_stream import StreamScore, run_outage_stream
 from repro.faults.injector import FaultStats
 from repro.runner.core import run_trials
 from repro.runner.stats import RunStats
@@ -47,55 +42,22 @@ CRASH_AT = 4900.0
 
 
 @dataclass
-class RobustnessPoint:
+class RobustnessPoint(StreamScore):
     """One intensity level of the sweep."""
 
     intensity: float
-    outages: List[InjectedOutage] = field(default_factory=list)
     #: poisons of ASes that were never broken (must stay zero).
     false_poisons: int = 0
     #: degraded-path holds: low confidence or dead-VP deferrals.
     deferrals: int = 0
     #: outages abandoned after the isolation retry budget ran dry.
     retry_exhausted: int = 0
-    #: poisons the repair guard verified as ineffective/harmful and undid.
-    rollbacks: int = 0
-    #: (pair, ASN) combinations the circuit breaker gave up on.
-    breaker_opens: int = 0
-    #: scheduled controller kills the harness executed.
-    controller_crashes: int = 0
-    #: repair records carried across the journal-replay recovery.
-    recovered_records: int = 0
     #: what the injector actually did during the run.
     stats: Optional[FaultStats] = None
-    #: gravity-model users behind the deployment's stub ASes.
-    users_total: int = 0
-    #: most users simultaneously stranded at any sample.
-    peak_users_affected: int = 0
-    #: integrated user impact across the whole point (minutes).
-    affected_user_minutes: float = 0.0
-
-    @property
-    def injected(self) -> int:
-        return len(self.outages)
-
-    @property
-    def detected(self) -> int:
-        return sum(o.detected for o in self.outages)
-
-    @property
-    def repaired(self) -> int:
-        return sum(o.poisoned_true for o in self.outages)
 
     @property
     def completed(self) -> int:
         return sum(o.unpoisoned for o in self.outages)
-
-    @property
-    def repair_fraction(self) -> float:
-        if not self.outages:
-            return 0.0
-        return self.repaired / len(self.outages)
 
 
 @dataclass
@@ -119,23 +81,11 @@ def _run_point(
     scenario, injector = build_chaos_deployment(
         scale=scale, seed=seed, intensity=intensity
     )
-    ledger = primed_ledger(scenario, seed)
-    schedule, end = stream_schedule(num_outages, seed)
     crash_at = CRASH_AT if crash_controller and intensity > 0 else None
-    stream = run_outage_stream(
-        scenario, schedule, injector, ledger, end, crash_at=crash_at
-    )
+    stream = run_outage_stream(scenario, num_outages, seed, crash_at)
 
-    point = RobustnessPoint(
-        intensity=intensity,
-        outages=stream.outages,
-        controller_crashes=stream.controller_crashes,
-        recovered_records=stream.recovered_records,
-        stats=injector.stats,
-        users_total=ledger.matrix.total_users,
-        peak_users_affected=ledger.peak_affected,
-        affected_user_minutes=ledger.user_minutes,
-    )
+    point = RobustnessPoint(intensity=intensity, stats=injector.stats)
+    point.tally(stream)
     for outage in point.outages:
         repairs = stream.repairs_of(outage)
         outage.poisoned_true = bool(repairs)
@@ -149,14 +99,11 @@ def _run_point(
             and record.poisoned_asn not in true_asns
         ):
             point.false_poisons += 1
-        point.rollbacks += record.rollbacks
         for note in record.notes:
             if "deferr" in note or "deferred" in note:
                 point.deferrals += 1
             if "retry budget" in note:
                 point.retry_exhausted += 1
-            if "circuit breaker open" in note:
-                point.breaker_opens += 1
     return point
 
 

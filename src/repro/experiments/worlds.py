@@ -26,7 +26,11 @@ from repro.topology.generate import (
     prefix_for_asn,
 )
 from repro.topology.relationships import Relationship
-from repro.workloads.scenarios import build_deployment, build_internet
+from repro.workloads.scenarios import (
+    build_demo_scenario,
+    build_deployment,
+    build_internet,
+)
 
 HOUR = 3600.0
 #: §6: the outage began 8:15 pm and the network fixed it just after 4 am.
@@ -311,22 +315,12 @@ def case_study():
     """§6 re-enacted: a reverse-path failure toward the sentinel from
     8:15 pm to just after 4 am, and LIFEGUARD running through it.
     Returns the failed AS's repair record and the AS."""
-    scenario = build_deployment(scale="small", seed=21, num_providers=2)
-    lifeguard = scenario.lifeguard
-    target = scenario.targets[0]
-    bad_asn = scenario.reverse_transits(target)[0]
-    lifeguard.prime_atlas(now=0.0)
-    lifeguard.dataplane.failures.add(
-        ASForwardingFailure(
-            asn=bad_asn,
-            toward=lifeguard.sentinel_manager.sentinel,
-            start=OUTAGE_START,
-            end=REPAIR_TIME,
-        )
+    scenario, bad_asn = build_demo_scenario(
+        seed=21, scale="small", fail_start=OUTAGE_START, fail_end=REPAIR_TIME
     )
-    lifeguard.run(start=OUTAGE_START, end=30.0 * HOUR)
+    scenario.run(30.0 * HOUR, start=OUTAGE_START)
     record = next(
-        r for r in lifeguard.records if r.poisoned_asn == bad_asn
+        r for r in scenario.lifeguard.records if r.poisoned_asn == bad_asn
     )
     return record, bad_asn
 

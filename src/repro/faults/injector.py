@@ -15,8 +15,10 @@ the plan) and is consulted by every subsystem it is attached to:
 
 The controller process is not one of them: it cannot be killed by the
 injector it is calling.  A harness that crashes it — the service
-daemon's loop, or :func:`~repro.experiments.outage_stream.run_outage_stream`
-— does so at its own ``crash_at``.
+daemon's loop, or the study loop
+:meth:`~repro.workloads.scenarios.DeploymentScenario.run` — does so at
+its own ``crash_at``, and the recovered controller gets the same
+injector back.
 
 Every stochastic decision guards ``rate <= 0`` *before* drawing, so a
 zero-intensity plan consumes no randomness and an attached injector is

@@ -284,12 +284,10 @@ class LifeguardService:
         scenario: DeploymentScenario,
         config: Optional[ServiceConfig] = None,
         obs=None,
-        injector=None,
     ) -> None:
         self.scenario = scenario
         self.config = config or ServiceConfig()
         self.obs = obs
-        self.injector = injector
         self.admission = AdmissionController(Watermarks())
         self.backlog = Backlog(
             lambda key: stage_of(self.lifeguard.record(key))
@@ -712,9 +710,7 @@ class LifeguardService:
     # ------------------------------------------------------------------
     def _recover(self, now: float) -> None:
         """Bring the controller back, then the service state around it."""
-        lifeguard = self.scenario.recover(
-            now, injector=self.injector, obs=self.obs
-        )
+        lifeguard = self.scenario.recover(now)
         self._restore_from_journal(lifeguard.journal, now)
         self._emit(
             "service.recovered",

@@ -71,6 +71,8 @@ class ImpactSample:
     affected_users: int
     delivered_users: int
     by_key: Dict[str, int] = field(default_factory=dict)
+    #: affected-user-minutes integrated from the first sample to *t*.
+    user_minutes: float = 0.0
 
 
 class ImpactLedger:
@@ -282,6 +284,7 @@ class ImpactLedger:
             affected_users=affected,
             delivered_users=delivered,
             by_key=by_key,
+            user_minutes=self.user_minutes,
         )
 
     # ------------------------------------------------------------------

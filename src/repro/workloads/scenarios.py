@@ -9,7 +9,9 @@ and a :class:`~repro.control.lifeguard.Lifeguard` instance on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.bgp.engine import BGPEngine, EngineConfig
 from repro.control.lifeguard import Lifeguard, LifeguardConfig
@@ -24,8 +26,11 @@ from repro.splice.reachability import reachable_set_avoiding
 from repro.topology.routers import RouterTopology
 from repro.workloads.outages import generate_outage_trace
 
+if TYPE_CHECKING:
+    from repro.traffic.impact import ImpactLedger, ImpactSample
+
 #: Sim seconds a crashed controller stays down before the harness
-#: recovers it (the service daemon's loop and the outage stream's alike).
+#: recovers it (the service daemon's loop and the study loop alike).
 CRASH_DOWNTIME = 300.0
 
 #: Named topology scales.
@@ -149,25 +154,30 @@ class DeploymentScenario:
 
         The journal is closed (the write-ahead contract: every entry was
         flushed as it was appended, so anything journaled survives).  The
-        network, the failure set, the config and the rotated journal
-        segments outlive the process; nobody watches until
-        :meth:`recover`.
+        network, the failure set, the config, the rotated journal
+        segments and the harness's attached injector and observer
+        outlive the process; nobody watches until :meth:`recover`.
         """
         lifeguard = self.lifeguard
         lifeguard.journal.close()
         self._survivors = (
-            lifeguard.journal, lifeguard.config, lifeguard.dataplane.failures
+            lifeguard.journal,
+            lifeguard.config,
+            lifeguard.dataplane.failures,
+            lifeguard.injector,
+            lifeguard.obs,
         )
         self.lifeguard = None
 
-    def recover(self, now: float, injector=None, obs=None) -> Lifeguard:
+    def recover(self, now: float) -> Lifeguard:
         """Rebuild the controller from what outlived :meth:`crash`.
 
-        The observer and the chaos injector are wired back in *before*
-        the atlas is re-primed, so the restarted controller's background
-        measurements are observed, and suffer faults, like live ones.
+        The dead controller's observer and fault injector are wired back
+        in *before* the atlas is re-primed, so the restarted controller's
+        background measurements are observed, and suffer faults, like
+        live ones.
         """
-        journal, config, failures = self._survivors
+        journal, config, failures, injector, obs = self._survivors
         self._survivors = None
         lifeguard = Lifeguard.recover(
             journal.reopened(),
@@ -189,6 +199,79 @@ class DeploymentScenario:
         lifeguard.prime_atlas(now)
         self.lifeguard = lifeguard
         return lifeguard
+
+    # ------------------------------------------------------------------
+    # The study loop
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        end: float,
+        start: float = 30.0,
+        ledger: Optional[ImpactLedger] = None,
+        crash_at: Optional[float] = None,
+    ) -> LoopRun:
+        """Tick the controller from *start* to *end* at the monitor
+        interval.
+
+        With *crash_at*, the controller dies before the first tick at or
+        after that time and comes back :data:`CRASH_DOWNTIME` later
+        through :meth:`recover` (at *end* if the run ends first, so the
+        caller reads the journal-recovered records, not nothing).
+        *ledger* (primed by the caller against the pristine FIBs) lives
+        outside the controller and samples after every tick, so it keeps
+        counting stranded users while nobody repairs: routers forward on
+        their last-installed FIBs.
+        """
+        loop = LoopRun()
+        lifeguard = self.lifeguard
+        interval = lifeguard.config.monitor_interval
+        fibs = lifeguard.dataplane.fibs
+        failures = lifeguard.dataplane.failures
+        now = start
+        down_until = None
+        while now <= end:
+            if down_until is not None:
+                # Controller dead: the network keeps evolving, repairs
+                # stay announced, outages keep aging — nobody watches.
+                if now < down_until:
+                    self.engine.advance_to(now)
+                    if ledger is not None:
+                        loop.samples.append(
+                            ledger.observe(now, fibs, failures)
+                        )
+                    now += interval
+                    continue
+                lifeguard = self.recover(now)
+                loop.recovered_records = len(lifeguard.records)
+                down_until = None
+            if crash_at is not None and now >= crash_at:
+                # The process dies before this round runs.
+                crash_at = None
+                self.crash()
+                down_until = now + CRASH_DOWNTIME
+                loop.controller_crashes += 1
+                continue
+            lifeguard.tick(now)
+            fibs = lifeguard.dataplane.fibs
+            if ledger is not None:
+                loop.samples.append(ledger.observe(now, fibs, failures))
+            now += interval
+        if down_until is not None:
+            lifeguard = self.recover(end)
+            loop.recovered_records = len(lifeguard.records)
+        return loop
+
+
+@dataclass
+class LoopRun:
+    """What one :meth:`DeploymentScenario.run` saw besides the records."""
+
+    #: the ledger's sample after every tick and every dead round.
+    samples: List[ImpactSample] = field(default_factory=list)
+    #: controller kills executed (one at ``crash_at``).
+    controller_crashes: int = 0
+    #: repair records carried across the journal-replay recovery.
+    recovered_records: int = 0
 
 
 def build_deployment(
@@ -368,7 +451,7 @@ def run_demo_scenario(
     scenario, bad_asn = build_demo_scenario(
         seed, scale, obs, fail_start, fail_end
     )
-    scenario.lifeguard.run(start=30.0, end=end)
+    scenario.run(end)
     return scenario, bad_asn
 
 

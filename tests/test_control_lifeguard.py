@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.control.lifeguard import RepairState
+from repro.control.record import IN_FLIGHT, RepairState
 from repro.control.sentinel import covering_sentinel, unused_half
 from repro.dataplane.failures import ASForwardingFailure
 from repro.isolation.direction import FailureDirection
 from repro.workloads.scenarios import build_deployment
+
+
+def _poisoned(lifeguard):
+    """Records that reached POISONED (or a later state)."""
+    reached = (*IN_FLIGHT, RepairState.UNPOISONED)
+    return [r for r in lifeguard.records if r.state in reached]
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +52,7 @@ class TestEndToEndRepair:
         )
         lifeguard.dataplane.failures.add(failure)
 
-        lifeguard.run(start=30.0, end=9600.0)
+        scenario.run(9600.0)
 
         poisoned = [
             r for r in lifeguard.records if r.poisoned_asn == bad_asn
@@ -82,11 +88,11 @@ class TestEndToEndRepair:
                 end=start + 180.0,
             )
         )
-        before = len(lifeguard.poisoned_records())
-        lifeguard.run(start=start, end=start + 1200.0)
+        before = len(_poisoned(lifeguard))
+        scenario.run(start + 1200.0, start=start)
         new_poisons = [
             r
-            for r in lifeguard.poisoned_records()[before:]
+            for r in _poisoned(lifeguard)[before:]
             if r.outage.start >= start - 1.0
         ]
         assert not new_poisons

@@ -146,8 +146,8 @@ def _sites(pattern, after=None):
 
 def test_one_of_each_around_the_repair_loop():
     """The staging rule, the announcement door, the ground-truth picker,
-    the crash/recover path and the outage-stream harness were each
-    written out two to five times; a new copy fails here."""
+    the crash/recover path and the study loop were each written out two
+    to five times; a new copy fails here."""
     # One staging rule: the table has one reader, "healed means done" is
     # decided once (recovery's hand-back of ongoing outages to the
     # monitor is the other place an outage's end is read), and the
@@ -179,9 +179,10 @@ def test_one_of_each_around_the_repair_loop():
         ("dataplane/forwarding.py", None),  # the definition
         ("workloads/scenarios.py", "_transits"),
     }
-    # One way back from a crash, and one schedule for one: the two
-    # harness loops kill the controller at their own crash_at and keep
-    # it down for the one CRASH_DOWNTIME, defined beside crash/recover.
+    # One way back from a crash, and one schedule for one: the service
+    # and the study loop kill the controller at their own crash_at and
+    # keep it down for the one CRASH_DOWNTIME, defined beside
+    # crash/recover.
     assert _sites(r"Lifeguard\.recover\(") == {
         ("workloads/scenarios.py", "recover")
     }
@@ -190,7 +191,15 @@ def test_one_of_each_around_the_repair_loop():
         site for site in _sites(r"\bCRASH_DOWNTIME\b") if site[1] is not None
     } == {
         ("service/daemon.py", "run"),
-        ("experiments/outage_stream.py", "run_outage_stream"),
+        ("workloads/scenarios.py", "run"),
+    }
+    # One study loop: every study, the demo and the case study tick the
+    # controller through DeploymentScenario.run; the controller keeps no
+    # loop of its own (the service's rounds are the other driver).
+    assert _sites(r"\.tick\(") == {("workloads/scenarios.py", "run")}
+    assert not {
+        site for site in _sites(r"^    def run\(")
+        if site[0] == "control/lifeguard.py"
     }
     # ... which the defense study calls instead of borrowing the
     # robustness study's private parts (module-level private imports).

@@ -121,7 +121,7 @@ class _Run:
             fallback_ladder=True,
             breaker_max_failures=len(LADDER_STRATEGIES) - 1,
         )
-        scenario, injector = build_chaos_deployment(
+        scenario, _ = build_chaos_deployment(
             scale="tiny",
             seed=seed,
             intensity=0.2,
@@ -141,9 +141,7 @@ class _Run:
             seed=seed,
             drain=9000.0,
         )
-        service = LifeguardService(
-            scenario, self.service_config, injector=injector
-        )
+        service = LifeguardService(scenario, self.service_config)
         service.start()
         #: (now, entry count, tags, controller state, service state)
         self.boundaries = []

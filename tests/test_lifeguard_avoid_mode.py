@@ -3,7 +3,8 @@ poisoning (the idealized mode, LifeguardConfig.use_avoid_problem)."""
 
 import pytest
 
-from repro.control.lifeguard import LifeguardConfig, RepairState
+from repro.control.lifeguard import LifeguardConfig
+from repro.control.record import IN_FLIGHT, RepairState
 from repro.dataplane.failures import ASForwardingFailure
 from repro.workloads.scenarios import build_deployment
 
@@ -29,7 +30,7 @@ class TestAvoidProblemMode:
                 asn=bad_asn, toward=sentinel, start=1000.0, end=8200.0
             )
         )
-        lifeguard.run(start=30.0, end=9600.0)
+        scenario.run(9600.0)
 
         record = next(
             r for r in lifeguard.records if r.poisoned_asn == bad_asn
@@ -49,7 +50,10 @@ class TestAvoidProblemMode:
         (the Backup Property), so no sentinel fallback is needed for it."""
         lifeguard = scenario.lifeguard
         engine = scenario.engine
-        record = lifeguard.poisoned_records()[0]
+        record = next(
+            r for r in lifeguard.records
+            if r.state in (*IN_FLIGHT, RepairState.UNPOISONED)
+        )
         # The repair is over by now; re-apply the hint and check.
         lifeguard.origin.avoid_problem([record.poisoned_asn])
         engine.run()

@@ -1,7 +1,7 @@
 """Edge cases of the LIFEGUARD control loop: decisions not to poison."""
 
 
-from repro.control.lifeguard import OperatingMode, RepairState
+from repro.control.record import IN_FLIGHT, RepairState
 from repro.control.plan import unpoisonable
 from repro.dataplane.failures import ASForwardingFailure
 from repro.faults import FaultKind, FaultSpec
@@ -11,6 +11,12 @@ from repro.workloads.scenarios import (
     build_chaos_deployment,
     build_deployment,
 )
+
+
+def _poisoned(lifeguard):
+    """Records that reached POISONED (or a later state)."""
+    reached = (*IN_FLIGHT, RepairState.UNPOISONED)
+    return [r for r in lifeguard.records if r.state in reached]
 
 
 def _first_transit_on_reverse_path(scenario):
@@ -49,8 +55,8 @@ class TestNoAlternateDecision:
                 start=500.0,
             )
         )
-        lifeguard.run(start=500.0, end=2000.0)
-        assert not lifeguard.poisoned_records()
+        scenario.run(2000.0, start=500.0)
+        assert not _poisoned(lifeguard)
         blamed_provider = [
             r
             for r in lifeguard.records
@@ -101,10 +107,10 @@ class TestNoAlternateDecision:
                 start=500.0,
             )
         )
-        lifeguard.run(start=500.0, end=2000.0)
+        scenario.run(2000.0, start=500.0)
         poisons_of_target = [
             r
-            for r in lifeguard.poisoned_records()
+            for r in _poisoned(lifeguard)
             if r.poisoned_asn == target_asn
         ]
         assert not poisons_of_target
@@ -132,16 +138,16 @@ class TestDegradedOperation:
                 start=500.0,
             )
         )
-        lifeguard.run(start=30.0, end=1440.0)
-        assert lifeguard.mode is OperatingMode.DEGRADED
+        scenario.run(1440.0)
+        assert lifeguard.vantage_points.down_names()
         events = lifeguard.monitor.run_round(1440.0)
         assert MonitorEvent.VP_DOWN in events.values()
         assert MonitorEvent.OUTAGE_STARTED not in events.values()
         assert lifeguard.monitor.outages == []
         # Once the VP restarts, live rounds rebuild the failure streak and
         # detection fires for real.
-        lifeguard.run(start=1530.0, end=3000.0)
-        assert lifeguard.mode is OperatingMode.NORMAL
+        scenario.run(3000.0, start=1530.0)
+        assert not lifeguard.vantage_points.down_names()
         assert lifeguard.monitor.outages
         assert all(
             o.vp_name == "origin" for o in lifeguard.monitor.outages
@@ -166,9 +172,9 @@ class TestDegradedOperation:
                 start=500.0,
             )
         )
-        lifeguard.run(start=30.0, end=3000.0)
-        assert lifeguard.mode is OperatingMode.DEGRADED
-        assert not lifeguard.poisoned_records()
+        scenario.run(3000.0)
+        assert lifeguard.vantage_points.down_names()
+        assert not _poisoned(lifeguard)
         record = next(
             r for r in lifeguard.records if r.outage.vp_name == "origin"
         )
@@ -204,7 +210,7 @@ class TestDegradedOperation:
                 start=500.0, end=3000.0,
             )
         )
-        lifeguard.run(start=30.0, end=9000.0)
+        scenario.run(9000.0)
         record = next(
             r for r in lifeguard.records if r.poisoned_asn == bad_asn
         )
@@ -266,7 +272,7 @@ class TestDeferralRetry:
         lifeguard.origin.pacer.times.extend(
             [spent_at] * lifeguard.config.announce_budget
         )
-        lifeguard.run(start=30.0, end=9600.0)
+        scenario.run(9600.0)
 
         deferrals = [
             e
@@ -293,7 +299,7 @@ class TestDeferralRetry:
                 lifeguard.guard.breaker.record_failure(
                     (vp, str(dst)), bad_asn, failed_at
                 )
-        lifeguard.run(start=30.0, end=9600.0)
+        scenario.run(9600.0)
 
         deferrals = [
             e

@@ -145,7 +145,7 @@ class TestDegradedDeferral:
                 end=8200.0,
             )
         )
-        lifeguard.run(start=30.0, end=9600.0)
+        scenario.run(9600.0)
 
         record = next(
             r for r in lifeguard.records if r.poisoned_asn == bad_asn

@@ -36,12 +36,10 @@ class TestParser:
         args = build_parser().parse_args([
             "trace", "--check-determinism", "4",
             "--events-out", "e.jsonl", "--metrics-out", "m.json",
-            "--trace-dir", "out",
         ])
         assert args.check_determinism == 4
         assert args.events_out == "e.jsonl"
         assert args.metrics_out == "m.json"
-        assert args.trace_dir == "out"
 
     def test_metrics_out_on_experiment_commands(self):
         parser = build_parser()
@@ -76,18 +74,12 @@ class TestTraceCommand:
         assert "counters" in snapshot and "histograms" in snapshot
         assert snapshot["counters"]["obs.events.control.state"] > 0
 
-    def test_trace_dir_names_artifacts(self, tmp_path, monkeypatch, capsys):
-        """``--trace-dir`` creates its directory and writes the
-        default-named artifacts there; without it (or ``--events-out`` /
-        ``--metrics-out``) the run writes nothing."""
+    def test_writes_no_artifact_unless_asked(
+        self, tmp_path, monkeypatch, capsys
+    ):
         monkeypatch.chdir(tmp_path)
         assert main(["--seed", "3", "trace"]) == 0
         assert not list(tmp_path.iterdir())
-        target = tmp_path / "artifacts"
-        assert main(["--seed", "3", "trace", "--trace-dir", str(target)]) == 0
-        assert sorted(path.name for path in target.iterdir()) == [
-            "trace-seed3-events.jsonl", "trace-seed3-metrics.json",
-        ]
 
     def test_check_determinism_gate(self, capsys):
         assert main([

@@ -277,7 +277,7 @@ class TestNullFaultPlanIdentity:
                 end=2000.0,
             )
         )
-        lifeguard.run(start=30.0, end=2400.0)
+        scenario.run(2400.0)
         return repr(
             (
                 lifeguard.prober.probes_sent,

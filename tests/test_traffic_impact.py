@@ -546,6 +546,30 @@ class TestImpactStudy:
             > 0.0
         )
 
+    #: ``(repair_time, user_minutes_before_repair, affected_user_minutes,
+    #: peak_users_affected, len(samples), final_affected_users)`` per
+    #: seed, recorded at ``4d7f028`` while the study ran its own loop.
+    #: Seed 0 is the one whose users stay stranded past the repair, so
+    #: its two integrals differ.
+    PINNED = {
+        0: (1320.0, 33395.0, 390010.0, 6679, 320, 0),
+        3: (1320.0, 47200.0, 47200.0, 9440, 320, 0),
+        5: (1320.0, 17005.0, 17005.0, 3401, 320, 0),
+        7: (1320.0, 29880.0, 29880.0, 5976, 320, 0),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_timeline(self, seed):
+        study, _ = run_impact_study(scale="tiny", seed=seed)
+        assert (
+            study.repair_time,
+            study.user_minutes_before_repair,
+            study.affected_user_minutes,
+            study.peak_users_affected,
+            len(study.samples),
+            study.final_affected_users,
+        ) == self.PINNED[seed]
+
     def test_same_seed_studies_agree(self):
         a, _ = run_impact_study(scale="tiny", seed=SEEDS[0])
         b, _ = run_impact_study(scale="tiny", seed=SEEDS[0])
