@@ -13,6 +13,7 @@ ever blaming a healthy AS.
 Run:  python examples/chaos_drill.py
 """
 
+from repro.control.plan import MAX_ISOLATION_ATTEMPTS
 from repro.control.record import IN_FLIGHT, RepairState
 from repro.dataplane.failures import ASForwardingFailure
 from repro.workloads.scenarios import build_chaos_deployment
@@ -93,7 +94,7 @@ def main():
           f"{record.isolation.blamed_asn} (confidence "
           f"{record.isolation.confidence:.2f}, "
           f"attempt {record.isolation_attempts} of "
-          f"{lifeguard.config.max_isolation_attempts}) -> poisoned")
+          f"{MAX_ISOLATION_ATTEMPTS}) -> poisoned")
     print(f"t={record.repair_detected_time:7.0f}s  sentinel saw the "
           "repair through the probe loss")
     print(f"t={record.unpoison_time:7.0f}s  poison withdrawn")

@@ -40,13 +40,25 @@ from repro.bgp.messages import ASPath, make_path
 from repro.errors import ControlError
 from repro.net.addr import Prefix
 
+#: origin copies on the baseline announcement (O-O-O): the room a poison
+#: takes without lengthening the path (§3.1.1).
+BASELINE_PREPEND = 3
+#: extra origin copies a ledgered "prepend" entry adds at its providers.
+PREPEND_EXTRA = 3
+#: the pacer's sliding window and the announcements allowed inside it.
+#: They stay clear of RFC 2439 damping: at 1000 penalty per update, a
+#: 2000 suppress threshold and a 900 s half-life, more than ~6 updates
+#: inside 90 minutes risks suppression at a damping-enabled neighbor.
+PACER_WINDOW = 5400.0
+PACER_BUDGET = 6
+
 
 @dataclass
 class AnnouncementSpec:
     """Desired announcement state for one prefix at the origin."""
 
     prefix: Prefix
-    prepend: int = 3
+    prepend: int = BASELINE_PREPEND
     #: ASes inserted into the path (globally, unless selective overrides).
     poisoned: Tuple[int, ...] = ()
     #: provider ASN -> poison list for that provider only (selective
@@ -76,32 +88,22 @@ class AnnouncementSpec:
 
 
 class AnnouncementPacer:
-    """Sliding-window announcement budget for one prefix.
+    """Sliding-window announcement budget for one prefix:
+    :data:`PACER_BUDGET` announcements within any :data:`PACER_WINDOW`
+    seconds."""
 
-    ``max_announcements`` within any ``window`` seconds.  Defaults stay
-    clear of RFC 2439 damping: at 1000 penalty per update, a 2000 suppress
-    threshold and a 900 s half-life, more than ~6 updates inside 90 minutes
-    risks suppression at a damping-enabled neighbor.
-    """
-
-    def __init__(
-        self,
-        window: float = 5400.0,
-        max_announcements: int = 6,
-    ) -> None:
-        self.window = window
-        self.max_announcements = max_announcements
+    def __init__(self) -> None:
         #: times of every recorded announcement (grows for the run's
         #: duration; experiment runs are bounded, so no eviction).
         self.times: List[float] = []
 
     def _in_window(self, now: float) -> int:
-        floor = now - self.window
+        floor = now - PACER_WINDOW
         return sum(1 for t in self.times if t > floor)
 
     def allows(self, now: float) -> bool:
         """Would one more announcement at *now* stay inside the budget?"""
-        return self._in_window(now) < self.max_announcements
+        return self._in_window(now) < PACER_BUDGET
 
     def record(self, now: float) -> None:
         """Take one slot.  Announcements are a multiset: two repairs
@@ -119,9 +121,6 @@ class OriginController:
         origin_asn: int,
         production_prefix: Prefix,
         sentinel_prefix: Optional[Prefix] = None,
-        prepend: int = 3,
-        prepend_extra: int = 3,
-        pacer: Optional[AnnouncementPacer] = None,
         delta_mode: str = "off",
     ) -> None:
         if origin_asn not in engine.speakers:
@@ -142,21 +141,16 @@ class OriginController:
         self.providers: List[int] = sorted(
             engine.speakers[origin_asn].neighbors
         )
-        self._spec = AnnouncementSpec(
-            prefix=production_prefix, prepend=prepend
-        )
-        #: extra prepend a ledgered "prepend" entry adds at its providers.
-        self.prepend_extra = prepend_extra
-        self._avoid_hint: frozenset = frozenset()
+        self._spec = AnnouncementSpec(prefix=production_prefix)
         #: active remediations keyed by the repair that owns them; each
-        #: value is ``(mode, value)`` where mode is "poison"/"avoid"
-        #: (value: poisoned/avoided ASNs) or "prepend"/"suppress" (value:
-        #: provider ASNs steered or withheld), and every announcement
-        #: carries the per-mode union of the values.
+        #: value is ``(mode, value)`` where mode is "poison" (value:
+        #: poisoned ASNs) or "prepend"/"suppress" (value: provider ASNs
+        #: steered or withheld), and every announcement carries the
+        #: per-mode union of the values.
         self._ledger: Dict[str, Tuple[str, Tuple[int, ...]]] = {}
         #: damping-aware announcement budget (advisory: consulted and
         #: charged by the control loop, never by ``_apply``).
-        self.pacer = pacer if pacer is not None else AnnouncementPacer()
+        self.pacer = AnnouncementPacer()
         #: history of (time, description) announcement changes.
         self.log: List[Tuple[float, str]] = []
         #: optional observability bus (duck-typed; see repro.obs.events).
@@ -212,15 +206,13 @@ class OriginController:
         route-flap-damping headroom for nothing.
         """
         poisoned = self._ledger_union("poison")
-        avoid = frozenset(self._ledger_union("avoid"))
         overrides = {
-            provider: self.prepend_extra
+            provider: PREPEND_EXTRA
             for provider in self._ledger_union("prepend")
         }
         suppressed = self._ledger_union("suppress")
         if (
             poisoned == self._spec.poisoned
-            and avoid == self._avoid_hint
             and overrides == self._spec.prepend_overrides
             and suppressed == self._spec.suppressed_providers
             and not self._spec.selective
@@ -231,7 +223,6 @@ class OriginController:
         self._spec.selective = {}
         self._spec.prepend_overrides = overrides
         self._spec.suppressed_providers = suppressed
-        self._avoid_hint = avoid
         self._apply(description)
         return True
 
@@ -276,30 +267,13 @@ class OriginController:
         }
         self._apply(f"selective poison {target} via {list(via_providers)}")
 
-    def avoid_problem(
-        self, asns: Iterable[int], key: str = "default"
-    ) -> bool:
-        """Announce the idealized AVOID_PROBLEM(X, P) hint (§3).
-
-        Instead of poisoning, attach the signed avoid attribute to a clean
-        baseline announcement: ASes with alternatives route around X, ASes
-        without keep their tainted route (Backup Property), and X's
-        operators are notified.  This is the primitive poisoning
-        approximates; it requires protocol support no deployed router has.
-        """
-        avoid_list = tuple(asns)
-        if self.origin_asn in avoid_list:
-            raise ControlError("cannot avoid the origin itself")
-        self._ledger[key] = ("avoid", avoid_list)
-        return self._apply_ledger(f"avoid-problem {avoid_list} [{key}]")
-
     def steer_prepend(
         self, providers: Sequence[int], key: str = "default"
     ) -> bool:
         """Prepend-only steering: pad the path via *providers* (§3.1.2).
 
         The announcement through each listed provider carries
-        ``prepend_extra`` additional origin copies, making that ingress
+        :data:`PREPEND_EXTRA` additional origin copies, making that ingress
         unattractive without inserting any foreign ASN — so poisoned-path
         filters, reserved-ASN rejection and Peerlock have nothing to
         match.  Ledgered like a poison; concurrent repairs compose.
@@ -357,7 +331,7 @@ class OriginController:
             del self._ledger[key]
             remaining = tuple(
                 value
-                for mode in ("poison", "avoid", "prepend", "suppress")
+                for mode in ("poison", "prepend", "suppress")
                 for value in self._ledger_union(mode)
             )
             suffix = f"remaining {remaining}" if remaining else "baseline"
@@ -367,7 +341,6 @@ class OriginController:
         self._spec.selective = {}
         self._spec.suppressed_providers = ()
         self._spec.prepend_overrides = {}
-        self._avoid_hint = frozenset()
         self._apply("unpoison")
         return True
 
@@ -400,7 +373,6 @@ class OriginController:
         prefix: Prefix,
         path: Optional[ASPath],
         per_neighbor: Optional[Dict[int, Optional[ASPath]]] = None,
-        avoid: frozenset = frozenset(),
     ) -> bool:
         """Route one (re-)origination through the incremental path.
 
@@ -412,8 +384,7 @@ class OriginController:
         if self.delta_mode == "off":
             return False
         change = DeltaChange.originate(
-            self.origin_asn, prefix, path=path,
-            per_neighbor=per_neighbor, avoid=avoid,
+            self.origin_asn, prefix, path=path, per_neighbor=per_neighbor
         )
         result = try_apply_delta(self.engine, [change], stats=self.stats)
         if result is None:
@@ -430,16 +401,14 @@ class OriginController:
             for provider in self.providers
         }
         path = make_path(self.origin_asn, prepend=self._spec.prepend)
-        avoid = self._avoid_hint
         if not self._try_delta_originate(
-            self.production_prefix, path, per_neighbor, avoid
+            self.production_prefix, path, per_neighbor
         ):
             self.engine.originate(
                 self.origin_asn,
                 self.production_prefix,
                 path=path,
                 per_neighbor=per_neighbor,
-                avoid=avoid,
             )
         self.log.append((self.engine.now, description))
         if self.obs is not None:

@@ -21,6 +21,11 @@ from typing import List, Optional, Sequence
 
 from repro.errors import ControlError
 
+#: :meth:`ResidualDurationModel.decide`'s *remediation_time* and
+#: *min_elapsed*, which every deployment runs with.
+REMEDIATION_TIME = 120.0
+MIN_PERSISTENCE = 300.0
+
 
 @dataclass(frozen=True)
 class PoisonDecision:
@@ -90,8 +95,8 @@ class ResidualDurationModel:
     def decide(
         self,
         elapsed: float,
-        remediation_time: float = 120.0,
-        min_elapsed: float = 300.0,
+        remediation_time: float = REMEDIATION_TIME,
+        min_elapsed: float = MIN_PERSISTENCE,
     ) -> PoisonDecision:
         """Should we poison an outage that has lasted *elapsed* seconds?
 

@@ -44,6 +44,13 @@ class BreakerState(enum.Enum):
     OPEN = "open"
 
 
+#: rollbacks of the same (outage, ASN) before the breaker opens, unless
+#: :class:`~repro.control.plan.LifeguardConfig` says otherwise.
+BREAKER_MAX_FAILURES = 3
+#: wait after a first rollback; it doubles with every further one.
+BREAKER_BACKOFF = 600.0
+
+
 @dataclass
 class _BreakerEntry:
     failures: int = 0
@@ -53,11 +60,8 @@ class _BreakerEntry:
 class PoisonBreaker:
     """Failure counting + exponential backoff per (outage, poisoned ASN)."""
 
-    def __init__(
-        self, max_failures: int = 3, backoff: float = 600.0
-    ) -> None:
+    def __init__(self, max_failures: int = BREAKER_MAX_FAILURES) -> None:
         self.max_failures = max_failures
-        self.backoff = backoff
         self._entries: Dict[Tuple[OutageKey, int], _BreakerEntry] = {}
         #: optional observability bus (duck-typed; see repro.obs.events).
         self.obs = None
@@ -75,8 +79,9 @@ class PoisonBreaker:
         entry = self._entries.get((key, asn))
         if entry is None or entry.failures == 0:
             return float("-inf")
-        # 1st rollback waits `backoff`, 2nd `2*backoff`, 3rd `4*backoff`...
-        return entry.last_failure + self.backoff * (
+        # 1st rollback waits BREAKER_BACKOFF, the 2nd twice it, the 3rd
+        # four times...
+        return entry.last_failure + BREAKER_BACKOFF * (
             2 ** (entry.failures - 1)
         )
 

@@ -31,8 +31,8 @@ that begins with a ``compacted`` marker followed by a complete snapshot
 of the still-live state.  Compaction may be any rewrite that preserves
 the fold: applying the compacted entries must rebuild the state the
 original entries did — every non-terminal record, the breaker charges,
-the pacer slots still inside the window of the controller that owns
-the journal, the service's cursor — and
+the pacer slots still inside :data:`~repro.bgp.origin.PACER_WINDOW`,
+the service's cursor — and
 :func:`_compact` does it by keeping every entry of every non-terminal
 outage, synthesizing ``breaker`` and ``pacer`` entries standing in for
 the dropped terminal records' circuit-breaker charges and
@@ -52,6 +52,7 @@ import json
 import os
 from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.bgp.origin import PACER_WINDOW
 from repro.errors import ControlError
 
 #: Journal schema version, bumped on incompatible entry changes.
@@ -113,11 +114,6 @@ class RepairJournal:
         self.entries: List[Dict[str, Any]] = []
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        #: the owning controller's announcement-pacing window (set by
-        #: :class:`~repro.control.lifeguard.Lifeguard`); compaction prunes
-        #: pacer timestamps older than this, which can never count again.
-        #: Unowned, nothing is provably stale, so every slot is kept.
-        self.pacer_window = float("inf")
         self.rotations = 0
         #: entries dropped by compaction over the journal's life.
         self.compacted_away = 0
@@ -210,9 +206,7 @@ class RepairJournal:
         if self._fh is not None:
             self._fh.close()
             os.replace(self.path, f"{self.path}.{self._segment}")
-        kept, marker = _compact(
-            self.entries, self.pacer_window, self._segment, now
-        )
+        kept, marker = _compact(self.entries, self._segment, now)
         self.compacted_away += marker["dropped"]
         self.entries = kept
         if self.path is not None:
@@ -328,7 +322,6 @@ def _read_segment(path: str, entries: List[Dict[str, Any]]) -> None:
 
 def _compact(
     entries: List[Dict[str, Any]],
-    pacer_window: float,
     segment: int,
     now: float,
 ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
@@ -351,7 +344,8 @@ def _compact(
             else:
                 terminal.discard(key)
 
-    floor = now - pacer_window
+    # A pacer slot at or before the floor can never count again.
+    floor = now - PACER_WINDOW
     pacer_times: List[float] = []
     breaker: Dict[Tuple[str, str, int], List[float]] = {}
     keyless_last: Dict[str, Dict[str, Any]] = {}

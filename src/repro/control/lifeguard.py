@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.bgp.engine import BGPEngine
-from repro.bgp.origin import AnnouncementPacer, OriginController
+from repro.bgp.origin import OriginController
 from repro.control import plan
 from repro.control.decision import ResidualDurationModel
 from repro.control.guard import PoisonBreaker, RepairGuard, VerifyVerdict
@@ -50,12 +50,10 @@ from repro.control.journal import (
     key_from_json,
     outage_key,
 )
-from repro.control.plan import LifeguardConfig
+from repro.control.plan import MAX_ISOLATION_ATTEMPTS, LifeguardConfig
 from repro.control.record import (
     IN_FLIGHT,
-    LADDER_STRATEGIES,  # noqa: F401  (re-exported, as is STAGE_FOR_STATE:
     RECORD_REDUCERS,
-    STAGE_FOR_STATE,  # noqa: F401   importers find the vocabulary here)
     RepairRecord,
     RepairState,
     fold,
@@ -77,6 +75,9 @@ from repro.measure.vantage import VantageSet
 from repro.net.addr import Address, Prefix
 from repro.splice.reachability import reachable_set_avoiding
 from repro.topology.routers import RouterTopology
+
+#: how often a poisoned record probes the sentinel for repair.
+REPAIR_CHECK_INTERVAL = 600.0
 
 
 class _ReachableAvoiding(dict):
@@ -146,22 +147,14 @@ class Lifeguard:
             origin_asn,
             self.production_prefix,
             sentinel_prefix=self.sentinel_manager.sentinel,
-            prepend=self.config.prepend,
-            pacer=AnnouncementPacer(
-                window=self.config.announce_window,
-                max_announcements=self.config.announce_budget,
-            ),
             delta_mode=self.config.delta_mode,
         )
         self.journal = journal if journal is not None else RepairJournal()
-        # Compaction keeps the pacer slots this controller still counts.
-        self.journal.pacer_window = self.origin.pacer.window
         self.guard = RepairGuard(
             self.prober,
             vantage_points,
             breaker=PoisonBreaker(
-                max_failures=self.config.breaker_max_failures,
-                backoff=self.config.breaker_backoff,
+                max_failures=self.config.breaker_max_failures
             ),
         )
         #: every outage's record, in detection order; a record is the
@@ -476,11 +469,7 @@ class Lifeguard:
     def stage_isolate(self, record: RepairRecord, now: float) -> None:
         """Isolation (the effect) → poison decision for one OBSERVED
         record."""
-        decision = self.decision_model.decide(
-            now - record.outage.start,
-            remediation_time=self.config.remediation_time,
-            min_elapsed=self.config.min_persistence,
-        )
+        decision = self.decision_model.decide(now - record.outage.start)
         if not decision.poison:
             return  # re-evaluated next tick while the outage persists
         key = record.key
@@ -508,7 +497,7 @@ class Lifeguard:
         else:
             # The charge is held here until its journal entry applies it.
             charge, spent = plan.charge_isolation(
-                record, self.config.max_isolation_attempts
+                record, MAX_ISOLATION_ATTEMPTS
             )
             if spent is not None:
                 self._carry_out(record, now, spent)
@@ -535,7 +524,6 @@ class Lifeguard:
             )
             discount, rejected = plan.judge_verdict(
                 isolation,
-                self.config,
                 self.origin_asn,
                 self._asn_of_address(record.outage.destination),
                 self._reachable_avoiding(),
@@ -601,7 +589,6 @@ class Lifeguard:
             providers=self.origin.providers,
             suppressed=suppressed,
             best_path=route.as_path if route is not None else None,
-            avoid_problem=self.config.use_avoid_problem,
         )
         # Write-ahead: the intent hits the journal before the network.
         self._commit(
@@ -611,9 +598,7 @@ class Lifeguard:
             asns=list(asns), providers=list(providers),
         )
         owner = ledger_key(record.key, record.ladder_step)
-        if mode == "avoid":
-            send, value = self.origin.avoid_problem, asns
-        elif mode == "prepend":
+        if mode == "prepend":
             send, value = self.origin.steer_prepend, providers
         elif mode == "suppress":
             send, value = self.origin.suppress_providers, providers
@@ -723,7 +708,7 @@ class Lifeguard:
         """Repair-detection probe (the effect), and the unpoison it may
         justify, for one POISONED record."""
         since_last = now - record.last_repair_check
-        if since_last < self.config.repair_check_interval:
+        if since_last < REPAIR_CHECK_INTERVAL:
             return
         test_destinations = [
             self.topo.router(rid).address

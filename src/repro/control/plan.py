@@ -34,7 +34,7 @@ from typing import (
     Any, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-from repro.control.guard import BreakerState
+from repro.control.guard import BREAKER_MAX_FAILURES, BreakerState
 from repro.control.record import (
     IN_FLIGHT,
     LADDER_STRATEGIES,
@@ -48,42 +48,25 @@ from repro.isolation.isolator import IsolationResult
 from repro.splice.reachability import reachable_set_avoiding
 from repro.topology.as_graph import ASGraph
 
+#: refuse to poison below this isolation confidence; the outage is
+#: re-isolated on later ticks instead (poisoning the wrong AS breaks
+#: working paths, so thin evidence defers, it does not act).
+MIN_CONFIDENCE = 0.5
+#: an isolation run whose serialized measurement schedule exceeds this
+#: many seconds keeps only :data:`TIMEOUT_DISCOUNT` of its confidence.
+ISOLATION_TIMEOUT = 600.0
+#: isolation runs per outage before giving up (NOT_POISONED).
+MAX_ISOLATION_ATTEMPTS = 3
+
+
 @dataclass
 class LifeguardConfig:
-    """Operating parameters of the deployment."""
+    """The settings a deployment varies; every other operating value is
+    a constant beside the code that reads it."""
 
     monitor_interval: float = 30.0
-    #: outage age before poisoning is considered (§4.2 waits ~5 minutes).
-    min_persistence: float = 300.0
-    #: expected remediation cost used by the decision rule.
-    remediation_time: float = 120.0
-    #: how often to probe the sentinel for repair while poisoned.
-    repair_check_interval: float = 600.0
-    #: prepend count for the baseline announcement (O-O-O).
-    prepend: int = 3
-    #: remediate with the idealized AVOID_PROBLEM(X, P) primitive instead
-    #: of BGP poisoning.  Requires protocol support no deployed router
-    #: has (§3) — available in simulation to quantify the gap.
-    use_avoid_problem: bool = False
-    #: refuse to poison below this isolation confidence; the outage is
-    #: re-isolated on later ticks instead (poisoning the wrong AS breaks
-    #: working paths, so thin evidence defers, it does not act).
-    min_confidence: float = 0.5
-    #: give up on an isolation run whose serialized measurement schedule
-    #: exceeds this many seconds; counts as a failed attempt.
-    isolation_timeout: float = 600.0
-    #: isolation runs per outage before giving up (NOT_POISONED).
-    max_isolation_attempts: int = 3
     #: rollbacks of the same (pair, ASN) before the breaker opens.
-    breaker_max_failures: int = 3
-    #: base backoff after a rollback; doubles per subsequent failure.
-    breaker_backoff: float = 600.0
-    #: announcement pacing budget (flap-damping guard, §6): at most
-    #: ``announce_budget`` announcements inside any ``announce_window``
-    #: seconds; new poisons defer when the budget is spent (withdrawals
-    #: are never blocked — safety beats pacing).
-    announce_window: float = 5400.0
-    announce_budget: int = 6
+    breaker_max_failures: int = BREAKER_MAX_FAILURES
     #: escalate rolled-back repairs along
     #: :data:`~repro.control.record.LADDER_STRATEGIES` (deeper poison ->
     #: prepend-only steering -> selective advertisement) instead of
@@ -103,7 +86,7 @@ class LifeguardConfig:
 LADDER_TOP_STEP = len(LADDER_STRATEGIES) - 1
 #: extra ASNs (beyond the blamed one) the "multi-poison" rung may add
 #: to cover the blamed AS's transit neighborhood.  (How many copies the
-#: "prepend" rung adds is ``OriginController.prepend_extra``.)
+#: "prepend" rung adds is :data:`repro.bgp.origin.PREPEND_EXTRA`.)
 MAX_EXTRA_POISONS = 2
 #: confidence left to an isolation that overran its timeout.
 TIMEOUT_DISCOUNT = 0.5
@@ -212,7 +195,6 @@ def unpoisonable(
 
 def judge_verdict(
     isolation: IsolationResult,
-    config: LifeguardConfig,
     origin_asn: int,
     target_asn: Optional[int],
     reachable: Mapping[int, Set[int]],
@@ -229,19 +211,19 @@ def judge_verdict(
     the verdict stands.
     """
     discount, confidence = None, isolation.confidence
-    if isolation.elapsed_seconds > config.isolation_timeout:
+    if isolation.elapsed_seconds > ISOLATION_TIMEOUT:
         discount = (
             TIMEOUT_DISCOUNT,
             f"isolation ran {isolation.elapsed_seconds:.0f}s, past "
-            f"the {config.isolation_timeout:.0f}s timeout",
+            f"the {ISOLATION_TIMEOUT:.0f}s timeout",
         )
         confidence *= TIMEOUT_DISCOUNT
-    if confidence < config.min_confidence:
+    if confidence < MIN_CONFIDENCE:
         return discount, (
             "defer",
             "low-confidence",
             f"degraded isolation (confidence {confidence:.2f} < "
-            f"{config.min_confidence:.2f}): deferring poisoning",
+            f"{MIN_CONFIDENCE:.2f}): deferring poisoning",
             False,
         )
     blamed = isolation.blamed_asn
@@ -307,7 +289,6 @@ def remediation(
     providers: Sequence[int],
     suppressed: Set[int],
     best_path: Optional[Sequence[int]],
-    avoid_problem: bool = False,
 ) -> Remediation:
     """``(mode, asns, providers)`` for the record's current rung.
 
@@ -318,8 +299,6 @@ def remediation(
     suppressible provider left) falls back to the plain poison rather
     than stalling the repair.
     """
-    if avoid_problem:
-        return ("avoid", (asn,), ())
     step = min(record.ladder_step, LADDER_TOP_STEP)
     strategy = LADDER_STRATEGIES[step]
     if strategy == "multi-poison":

@@ -106,7 +106,7 @@ def run_provider_diversity_study(
     graph, engine, origin_asn = base.graph, base.engine, base.origin_asn
     prefix = graph.node(origin_asn).prefixes[0]
 
-    controller = OriginController(engine, origin_asn, prefix, prepend=3)
+    controller = OriginController(engine, origin_asn, prefix)
     controller.announce_baseline()
     engine.run()
     with stats.timer("diversity.snapshot"):
@@ -173,7 +173,7 @@ def _reverse_worker(context, feed: int) -> Optional[Tuple[int, bool]]:
     snapshot, origin_asn, prefix, master_seed = context
     engine, _ = restore_snapshot(snapshot)
     engine.reseed(derive_seed(master_seed, "diversity-feed", feed))
-    controller = OriginController(engine, origin_asn, prefix, prepend=3)
+    controller = OriginController(engine, origin_asn, prefix)
     baseline = engine.best_route(feed, prefix)
     if baseline is None:
         return None

@@ -27,7 +27,7 @@ with an empty plan must leave the run byte-identical to no injector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.control.record import RepairState
 from repro.experiments.outage_stream import StreamScore, run_outage_stream
@@ -58,6 +58,14 @@ class RobustnessPoint(StreamScore):
     @property
     def completed(self) -> int:
         return sum(o.unpoisoned for o in self.outages)
+
+    def count_notes(self, notes: Iterable[str]) -> None:
+        """Count one record's deferral and retry-exhaustion notes."""
+        for note in notes:
+            if "deferr" in note:
+                self.deferrals += 1
+            if "retry budget" in note:
+                self.retry_exhausted += 1
 
 
 @dataclass
@@ -99,11 +107,7 @@ def _run_point(
             and record.poisoned_asn not in true_asns
         ):
             point.false_poisons += 1
-        for note in record.notes:
-            if "deferr" in note or "deferred" in note:
-                point.deferrals += 1
-            if "retry budget" in note:
-                point.retry_exhausted += 1
+        point.count_notes(record.notes)
     return point
 
 

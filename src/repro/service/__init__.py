@@ -16,7 +16,6 @@ from repro.service.admission import (
     AdmissionController,
     OverloadSignals,
     ServiceTier,
-    Watermarks,
 )
 from repro.service.daemon import (
     DEFAULT_ARRIVALS,
@@ -35,5 +34,4 @@ __all__ = [
     "ServiceConfig",
     "ServiceReport",
     "ServiceTier",
-    "Watermarks",
 ]

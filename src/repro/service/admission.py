@@ -32,6 +32,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+#: High watermarks: above any one, the tier escalates.  Each signal's
+#: low watermark is LOW_FRACTION of its high one; with every signal at
+#: or below its low watermark, the tier recovers one step.
+MAX_INFLIGHT = 48
+PROBE_BUDGET_PER_ROUND = 4096
+QUEUE_HIGH = 0.75
+LOW_FRACTION = 0.5
+
 
 class ServiceTier(enum.IntEnum):
     """Degradation ladder, least to most defensive."""
@@ -60,55 +68,31 @@ class OverloadSignals:
     queue_occupancy: float
 
 
-@dataclass
-class Watermarks:
-    """Thresholds driving tier transitions.
-
-    Each signal has a high watermark (breach => escalate) and an implied
-    low watermark (``low_fraction`` of high; all signals below => one
-    step of recovery).
-    """
-
-    max_inflight: int = 48
-    probe_budget_per_round: int = 4096
-    queue_high: float = 0.75
-    low_fraction: float = 0.5
-
-    def breaches(self, signals: OverloadSignals) -> int:
-        return sum(
-            (
-                signals.inflight > self.max_inflight,
-                signals.probe_utilisation > 1.0,
-                signals.queue_occupancy > self.queue_high,
-            )
-        )
-
-    def calm(self, signals: OverloadSignals) -> bool:
-        """All signals below their low watermarks (safe to recover)."""
-        return (
-            signals.inflight <= self.max_inflight * self.low_fraction
-            and signals.probe_utilisation <= self.low_fraction
-            and signals.queue_occupancy
-            <= self.queue_high * self.low_fraction
-        )
-
-
 class AdmissionController:
     """Hysteretic tier state machine over the overload signals."""
 
-    def __init__(self, watermarks: Watermarks) -> None:
-        self.watermarks = watermarks
+    def __init__(self) -> None:
         self.tier = ServiceTier.NORMAL
         self.transitions = 0
 
     def evaluate(self, signals: OverloadSignals) -> ServiceTier:
         """Advance the tier for one round; returns the (new) tier."""
-        breaches = self.watermarks.breaches(signals)
+        breaches = sum(
+            (
+                signals.inflight > MAX_INFLIGHT,
+                signals.probe_utilisation > 1.0,
+                signals.queue_occupancy > QUEUE_HIGH,
+            )
+        )
         if breaches:
             target = ServiceTier(
                 min(int(ServiceTier.PAUSED), int(self.tier) + breaches)
             )
-        elif self.watermarks.calm(signals):
+        elif (
+            signals.inflight <= MAX_INFLIGHT * LOW_FRACTION
+            and signals.probe_utilisation <= LOW_FRACTION
+            and signals.queue_occupancy <= QUEUE_HIGH * LOW_FRACTION
+        ):
             target = ServiceTier(max(0, int(self.tier) - 1))
         else:
             target = self.tier

@@ -36,10 +36,10 @@ from repro.control.lifeguard import Lifeguard, RepairState, stage_of
 from repro.control.record import STAGES
 from repro.errors import ControlError
 from repro.service.admission import (
+    PROBE_BUDGET_PER_ROUND,
     AdmissionController,
     OverloadSignals,
     ServiceTier,
-    Watermarks,
 )
 from repro.traffic.impact import ImpactLedger
 from repro.traffic.matrix import TrafficConfig, build_traffic_matrix
@@ -288,7 +288,7 @@ class LifeguardService:
         self.scenario = scenario
         self.config = config or ServiceConfig()
         self.obs = obs
-        self.admission = AdmissionController(Watermarks())
+        self.admission = AdmissionController()
         self.backlog = Backlog(
             lambda key: stage_of(self.lifeguard.record(key))
         )
@@ -567,11 +567,9 @@ class LifeguardService:
         return len(breached)
 
     def _signals(self, now: float) -> OverloadSignals:
-        watermarks = self.admission.watermarks
         return OverloadSignals(
             inflight=len(self.lifeguard.in_flight_records()),
-            probe_utilisation=self._discretionary
-            / max(1, watermarks.probe_budget_per_round),
+            probe_utilisation=self._discretionary / PROBE_BUDGET_PER_ROUND,
             queue_occupancy=max(self.backlog.depths().values())
             / QUEUE_CAPACITY,
         )

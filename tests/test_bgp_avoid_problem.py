@@ -10,8 +10,6 @@ import pytest
 
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import make_path, traversed_ases
-from repro.bgp.origin import OriginController
-from repro.errors import ControlError
 from repro.net.addr import Prefix
 from repro.topology.as_graph import ASGraph
 from repro.topology.relationships import Relationship
@@ -119,24 +117,3 @@ class TestComparisonWithPoisoning:
         engine.originate(1, P, path=make_path(1, prepend=3))
         engine.run()
         assert engine.best_route(5, P).neighbor == 6  # back to preferred
-
-
-class TestOriginControllerIntegration:
-    def test_avoid_problem_via_controller(self, world):
-        engine = world
-        controller = OriginController(engine, 1, P)
-        controller.announce_baseline()
-        engine.run()
-        controller.avoid_problem([6])
-        engine.run()
-        assert 6 not in traversed_ases(engine.best_route(5, P).as_path, 1)
-        assert engine.as_path(7, P) is not None
-        controller.unpoison()
-        engine.run()
-        assert engine.best_route(5, P).neighbor == 6
-
-    def test_avoid_origin_rejected(self, world):
-        engine = world
-        controller = OriginController(engine, 1, P)
-        with pytest.raises(ControlError):
-            controller.avoid_problem([1])

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.control.guard import (
+    BREAKER_BACKOFF,
     BreakerState,
     PoisonBreaker,
     VerifyOutcome,
     VerifyVerdict,
 )
-from repro.control.lifeguard import LifeguardConfig, RepairState
+from repro.control.lifeguard import REPAIR_CHECK_INTERVAL, RepairState
 from repro.control.record import ledger_key
 from repro.dataplane.failures import ASForwardingFailure
 from repro.workloads.scenarios import build_deployment
@@ -23,20 +24,23 @@ class TestPoisonBreaker:
         assert breaker.state(PAIR, 8, now=0.0) is BreakerState.CLOSED
 
     def test_backoff_doubles_per_failure(self):
-        breaker = PoisonBreaker(max_failures=5, backoff=100.0)
+        breaker = PoisonBreaker(max_failures=5)
         breaker.record_failure(PAIR, 8, now=1000.0)
-        assert breaker.retry_at(PAIR, 8) == 1100.0
-        breaker.record_failure(PAIR, 8, now=1100.0)
-        assert breaker.retry_at(PAIR, 8) == 1300.0
-        breaker.record_failure(PAIR, 8, now=1300.0)
-        assert breaker.retry_at(PAIR, 8) == 1700.0
+        assert breaker.retry_at(PAIR, 8) == 1000.0 + BREAKER_BACKOFF
+        breaker.record_failure(PAIR, 8, now=2000.0)
+        assert breaker.retry_at(PAIR, 8) == 2000.0 + 2 * BREAKER_BACKOFF
+        breaker.record_failure(PAIR, 8, now=4000.0)
+        assert breaker.retry_at(PAIR, 8) == 4000.0 + 4 * BREAKER_BACKOFF
 
     def test_state_walks_backoff_then_closed_then_open(self):
-        breaker = PoisonBreaker(max_failures=2, backoff=100.0)
+        breaker = PoisonBreaker(max_failures=2)
+        retry_at = 1000.0 + BREAKER_BACKOFF
         breaker.record_failure(PAIR, 8, now=1000.0)
-        assert breaker.state(PAIR, 8, now=1050.0) is BreakerState.BACKOFF
-        assert breaker.state(PAIR, 8, now=1100.0) is BreakerState.CLOSED
-        breaker.record_failure(PAIR, 8, now=1100.0)
+        assert breaker.state(PAIR, 8, now=retry_at - 1) is (
+            BreakerState.BACKOFF
+        )
+        assert breaker.state(PAIR, 8, now=retry_at) is BreakerState.CLOSED
+        breaker.record_failure(PAIR, 8, now=retry_at)
         assert breaker.state(PAIR, 8, now=99999.0) is BreakerState.OPEN
 
     def test_entries_are_independent_per_pair_and_asn(self):
@@ -147,7 +151,6 @@ class TestIneffectivePoisonRollback:
             scale="tiny",
             seed=5,
             num_providers=2,
-            lifeguard_config=LifeguardConfig(breaker_backoff=120.0),
         )
         lifeguard = scenario.lifeguard
         target = scenario.targets[0]
@@ -161,9 +164,11 @@ class TestIneffectivePoisonRollback:
         )
         # Tick until the poison lands, then break the *alternate* path it
         # rerouted onto — from here on, no poison of bad_asn can work.
+        # The first rollback lands before t=1500; the two retries after
+        # it wait BREAKER_BACKOFF and twice that.
         now = 30.0
         alt_broken = False
-        while now <= 2400.0:
+        while now <= 1500.0 + 3 * BREAKER_BACKOFF:
             lifeguard.tick(now)
             verifying = next(
                 (
@@ -204,10 +209,7 @@ class TestIneffectivePoisonRollback:
             for e in lifeguard.journal.for_outage(record.key)
             if e["event"] == "poison"
         ]
-        assert (
-            rollbacks[0]["t"] - poisons[0]["t"]
-            <= lifeguard.config.repair_check_interval
-        )
+        assert rollbacks[0]["t"] - poisons[0]["t"] <= REPAIR_CHECK_INTERVAL
 
     def test_breaker_opens_after_max_failures(self, run):
         lifeguard, record, bad_asn = run

@@ -1,9 +1,11 @@
 """Unit tests for the write-ahead repair journal."""
 
 import json
+import math
 
 import pytest
 
+from repro.bgp.origin import PACER_WINDOW
 from repro.control.journal import (
     JOURNAL_VERSION,
     RepairJournal,
@@ -156,14 +158,14 @@ class TestRotationAndCompaction:
     def test_terminal_announcements_become_pacer_entry(self, tmp_path):
         path = str(tmp_path / "pacer.jsonl")
         journal = RepairJournal(path, max_entries=4)
-        # What an owning controller with a 2000 s pacing window sets.
-        journal.pacer_window = 2000.0
         journal.append("announced", 100.0, prefix="0.0.1.0/24")
         _finish(journal, KEY, 3000.0)
         journal.append("announced", 3500.0, prefix="0.0.1.0/24")
-        # The 5th entry rotates at t=4000: the window floor is 2000, so
-        # the announcement at 100.0 can never count again and is pruned.
-        journal.append("note", 4000.0, text="tick")
+        # The 5th entry rotates at t=7000: the window floor lies between
+        # the two announcements, so the one at 100.0 can never count
+        # again and is pruned.
+        assert 100.0 <= 7000.0 - PACER_WINDOW < 3500.0
+        journal.append("note", 7000.0, text="tick")
         journal.close()
 
         (synth,) = journal.of_event("pacer")
@@ -236,24 +238,25 @@ class TestRotationAndCompaction:
 
 class TestCompactionFollowsTheOwningPacer:
     def test_recovered_pacer_counts_what_the_live_one_counts(self):
-        """Compaction pruned pacer slots with a window of its own (5400 s
-        by default) however wide the controller's pacing window was: at
-        a 10800 s window, a rotation at t=7000 dropped the slots of
-        t<=1600, so at t=9000 the recovered pacer counted three fewer
-        announcements than the live one and allowed three more."""
-        from repro.control.lifeguard import Lifeguard, LifeguardConfig
+        """Compaction keeps exactly the pacer slots inside PACER_WINDOW
+        of the rotation.  It once pruned with a window of its own while
+        the controller paced with another, and the recovered pacer
+        counted fewer announcements than the live one.  A slot on the
+        window's floor can never count again and goes, the next float
+        above it stays: a compaction window any wider or narrower than
+        the pacer's keeps another set."""
+        from repro.control.lifeguard import Lifeguard
         from repro.workloads.scenarios import build_deployment
 
-        config = LifeguardConfig(announce_window=10800.0)
-        scenario = build_deployment(
-            scale="tiny", seed=5, lifeguard_config=config
-        )
+        scenario = build_deployment(scale="tiny", seed=5)
         live = scenario.lifeguard
-        for t in (1000.0, 2000.0, 3000.0, 4000.0):
+        rotate_at = 7000.0
+        floor = rotate_at - PACER_WINDOW
+        for t in (floor, math.nextafter(floor, math.inf), 3000.0, 4000.0):
             live._commit("announced", None, t)
-        # The next entry crosses the bound and rotates at t=7000.
+        # The next entry crosses the bound and rotates at rotate_at.
         live.journal.max_entries = len(live.journal)
-        live._commit("announced", None, 7000.0)
+        live._commit("announced", None, rotate_at)
         assert live.journal.rotations == 1
         assert live.journal.of_event("announced") == []
 
@@ -265,11 +268,13 @@ class TestCompactionFollowsTheOwningPacer:
             vantage_points=scenario.vantage_points,
             targets=scenario.targets,
             duration_history=scenario.duration_history,
-            config=config,
+            config=live.config,
             now=9000.0,
             reprime_atlas=False,
         )
-        assert recovered.origin.pacer.times == live.origin.pacer.times
+        assert recovered.origin.pacer.times == [
+            t for t in live.origin.pacer.times if t > floor
+        ]
         assert recovered.origin.pacer.allows(9000.0) is (
             live.origin.pacer.allows(9000.0)
         )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bgp.origin import PACER_BUDGET, PACER_WINDOW
 from repro.control.record import IN_FLIGHT, RepairState
 from repro.control.sentinel import covering_sentinel, unused_half
 from repro.dataplane.failures import ASForwardingFailure
@@ -119,9 +120,7 @@ class TestPacedIsolation:
         # Fill the pacer's window before the outage is old enough to act
         # on, then only monitor until the decision rule says poison.
         spent_at = 900.0
-        lifeguard.origin.pacer.times.extend(
-            [spent_at] * lifeguard.config.announce_budget
-        )
+        lifeguard.origin.pacer.times.extend([spent_at] * PACER_BUDGET)
         now = 30.0
         while now <= 1800.0:
             lifeguard.begin_round(now)
@@ -144,7 +143,7 @@ class TestPacedIsolation:
 
         # Once the window slides past the spent slots, the same record
         # is isolated and poisoned.
-        now = spent_at + lifeguard.config.announce_window + 30.0
+        now = spent_at + PACER_WINDOW + 30.0
         lifeguard.begin_round(now)
         assert lifeguard.origin.pacer.allows(now)
         lifeguard.stage_isolate(record, now)

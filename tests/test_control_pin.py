@@ -18,12 +18,11 @@ from types import SimpleNamespace
 import pytest
 
 from repro.control.lifeguard import (
-    STAGE_FOR_STATE,
     LifeguardConfig,
     RepairState,
     stage_of,
 )
-from repro.control.record import STAGES
+from repro.control.record import STAGE_FOR_STATE, STAGES
 from repro.experiments.defenses import run_defense_study
 from repro.experiments.robustness import run_robustness_study
 from repro.obs.events import EventBus

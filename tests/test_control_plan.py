@@ -187,11 +187,8 @@ class TestVerdict:
         st.floats(min_value=0.0, max_value=2000.0),
         st.floats(min_value=0.01, max_value=1.0),
         st.booleans(),
-        st.floats(min_value=0.05, max_value=0.95),
     )
-    def test_gate_order(
-        self, blame, elapsed, confidence, suspect, min_confidence
-    ):
+    def test_gate_order(self, blame, elapsed, confidence, suspect):
         graph, origin, target, blamed = blame
         blamed = blamed if suspect else None
         reachable = _reachable(graph, origin, blamed) if suspect else {}
@@ -204,21 +201,17 @@ class TestVerdict:
             elapsed_seconds=elapsed,
         )
         discount, outcome = plan.judge_verdict(
-            verdict,
-            plan.LifeguardConfig(
-                isolation_timeout=600.0, min_confidence=min_confidence
-            ),
-            origin, target, reachable,
+            verdict, origin, target, reachable
         )
         # A pure function: the discount is returned, not applied.
         assert verdict.confidence == confidence
-        if elapsed > 600.0:
+        if elapsed > plan.ISOLATION_TIMEOUT:
             factor, why = discount
             assert factor == plan.TIMEOUT_DISCOUNT and "timeout" in why
             confidence *= factor
         else:
             assert discount is None
-        if confidence < min_confidence:
+        if confidence < plan.MIN_CONFIDENCE:
             # Thin evidence defers, and the charge stays spent: a later
             # run may learn more.
             assert outcome[:2] == ("defer", "low-confidence")
@@ -304,11 +297,8 @@ class TestRemediation:
         poisonable_blames(),
         records(),
         st.data(),
-        st.booleans(),
     )
-    def test_remediation_keeps_the_prefix_announced(
-        self, blame, record, data, avoid_problem
-    ):
+    def test_remediation_keeps_the_prefix_announced(self, blame, record, data):
         graph, origin, target, blamed = blame
         providers = sorted(graph.providers(origin))
         suppressed = set(
@@ -328,12 +318,10 @@ class TestRemediation:
             record, blamed,
             graph=graph, origin_asn=origin, target_asn=target,
             providers=providers, suppressed=suppressed,
-            best_path=best_path, avoid_problem=avoid_problem,
+            best_path=best_path,
         )
         step = min(record.ladder_step, plan.LADDER_TOP_STEP)
-        if avoid_problem:
-            assert (mode, poisoned, via) == ("avoid", (blamed,), ())
-        elif mode == "poison":
+        if mode == "poison":
             assert via == () and poisoned[0] == blamed
             assert origin not in poisoned
             if LADDER_STRATEGIES[step] == "poison":

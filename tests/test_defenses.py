@@ -27,13 +27,8 @@ from repro.bgp.solver import (
     solver_unsupported_reason,
 )
 from repro.control.journal import RepairJournal
-from repro.control.lifeguard import (
-    LADDER_STRATEGIES,
-    Lifeguard,
-    LifeguardConfig,
-    RepairState,
-)
-from repro.control.record import ledger_key
+from repro.control.lifeguard import Lifeguard, LifeguardConfig, RepairState
+from repro.control.record import LADDER_STRATEGIES, ledger_key
 from repro.dataplane.failures import ASForwardingFailure, FailureSet
 from repro.dataplane.fib import build_fibs
 from repro.dataplane.forwarding import DataPlane

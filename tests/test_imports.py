@@ -26,10 +26,15 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 
 import repro
+from repro.bgp import origin
+from repro.control import decision, guard
 from repro.control.lifeguard import Lifeguard
+from repro.control.plan import LifeguardConfig
 from repro.control.record import RECORD_REDUCERS
+from repro.service.admission import AdmissionController
 
 CHECK = (
     "import sys, repro, repro.service, repro.fuzz, repro.cli; "
@@ -146,8 +151,8 @@ def _sites(pattern, after=None):
 
 def test_one_of_each_around_the_repair_loop():
     """The staging rule, the announcement door, the ground-truth picker,
-    the crash/recover path and the study loop were each written out two
-    to five times; a new copy fails here."""
+    the crash/recover path, the study loop and the pacer's window were
+    each written out two to five times; a new copy fails here."""
     # One staging rule: the table has one reader, "healed means done" is
     # decided once (recovery's hand-back of ongoing outages to the
     # monitor is the other place an outage's end is read), and the
@@ -205,6 +210,33 @@ def test_one_of_each_around_the_repair_loop():
     # robustness study's private parts (module-level private imports).
     assert ("experiments/defenses.py", None) not in _sites(
         r"import .*\b_\w+|^    _\w+,$"
+    )
+    # One value per operating constant: the config keeps the settings a
+    # program varies, the journal has no copy of the pacer's window, the
+    # controller has one repair path (AVOID_PROBLEM is measured on the
+    # engine, and named only as the ablation table), and the pacer,
+    # breaker, decision rule and admission read their module constants.
+    assert [f.name for f in fields(LifeguardConfig)] == [
+        "monitor_interval",
+        "breaker_max_failures",
+        "fallback_ladder",
+        "delta_mode",
+    ]
+    assert not _sites(r"pacer_window")
+    assert {f for f, _ in _sites(r"avoid_problem\b")} == {
+        "experiments/tables.py"
+    }
+    assert not inspect.signature(origin.AnnouncementPacer).parameters
+    assert list(inspect.signature(guard.PoisonBreaker).parameters) == [
+        "max_failures"
+    ]
+    assert not inspect.signature(AdmissionController).parameters
+    decide = inspect.signature(decision.ResidualDurationModel.decide)
+    assert decide.parameters["remediation_time"].default is (
+        decision.REMEDIATION_TIME
+    )
+    assert decide.parameters["min_elapsed"].default is (
+        decision.MIN_PERSISTENCE
     )
 
 

@@ -19,19 +19,15 @@ from dataclasses import fields
 
 import pytest
 
+from repro.bgp.origin import PACER_WINDOW
 from repro.control.journal import (
     SERVICE_KINDS,
     TERMINAL_STATES,
     RepairJournal,
     _compact,
 )
-from repro.control.lifeguard import (
-    LADDER_STRATEGIES,
-    Lifeguard,
-    LifeguardConfig,
-    RepairState,
-)
-from repro.control.record import RepairRecord, ledger_key
+from repro.control.lifeguard import Lifeguard, LifeguardConfig, RepairState
+from repro.control.record import LADDER_STRATEGIES, RepairRecord, ledger_key
 from repro.errors import ControlError
 from repro.service import LifeguardService, ServiceConfig
 from repro.workloads.outages import (
@@ -270,14 +266,13 @@ def _terminal_keys(lifeguard):
 
 class TestCompactionPreservesTheFold:
     def _assert_same_fold(self, run, full_entries, compacted, now):
-        window = run.config.announce_window
         full = run.fold(full_entries)
         small = run.fold(compacted)
         kept = {r.key for r in small.records}
         # Only terminal records may be dropped...
         assert {r.key for r in full.records} - kept <= _terminal_keys(full)
         # ...and everything else folds to the same state.
-        floor = now - window
+        floor = now - PACER_WINDOW
         assert _controller_state(small, kept, floor) == _controller_state(
             full, kept, floor
         )
@@ -294,11 +289,10 @@ class TestCompactionPreservesTheFold:
         ) == full_journal.count_of("service-arrival")
 
     def test_each_cut_folds_the_same_compacted(self, run):
-        window = run.config.announce_window
         dropped_any = False
         for now, count, _, _, _ in run.sampled():
             prefix = run.entries[:count]
-            compacted, marker = _compact(prefix, window, 1, now)
+            compacted, marker = _compact(prefix, 1, now)
             dropped_any = dropped_any or marker["dropped"] > 0
             self._assert_same_fold(run, prefix, compacted, now)
         assert dropped_any, "compaction never had anything to drop"
@@ -323,12 +317,14 @@ class TestCompactionPreservesTheFold:
         journal.append("state", 6030.0, key=done, state="not-poisoned")
         journal.append("observed", 5110.0, key=live, detected=5110.0)
         journal.append("isolation-spend", 5400.0, key=live, used=1)
-        compacted, marker = _compact(journal.entries, 5400.0, 1, 7000.0)
+        compacted, marker = _compact(journal.entries, 1, 7000.0)
         assert marker["dropped"] == 7
         host = build_deployment(scale="tiny", seed=5)
         config = LifeguardConfig()
         full = _controller_state(
-            _fold(host, config, journal.entries), {live}, 7000.0 - 5400.0
+            _fold(host, config, journal.entries),
+            {live},
+            7000.0 - PACER_WINDOW,
         )
         folded = _fold(host, config, compacted)
         small = _controller_state(folded)
@@ -341,14 +337,11 @@ class TestCompactionPreservesTheFold:
 
     def test_chained_compactions_fold_the_same(self, run):
         """Compact, keep appending, compact again — as rotation does."""
-        window = run.config.announce_window
         log, done = [], 0
         for segment, (now, count, _, _, _) in enumerate(
             run.sampled(), start=1
         ):
-            log, _ = _compact(
-                log + run.entries[done:count], window, segment, now
-            )
+            log, _ = _compact(log + run.entries[done:count], segment, now)
             done = count
             self._assert_same_fold(run, run.entries[:count], log, now)
 

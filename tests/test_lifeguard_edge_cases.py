@@ -1,8 +1,10 @@
 """Edge cases of the LIFEGUARD control loop: decisions not to poison."""
 
 
+from repro.bgp.origin import PACER_BUDGET, PACER_WINDOW
+from repro.control.guard import BREAKER_BACKOFF
+from repro.control.plan import MIN_CONFIDENCE, unpoisonable
 from repro.control.record import IN_FLIGHT, RepairState
-from repro.control.plan import unpoisonable
 from repro.dataplane.failures import ASForwardingFailure
 from repro.faults import FaultKind, FaultSpec
 from repro.measure.atlas import AtlasRefresher, PathAtlas
@@ -179,7 +181,7 @@ class TestDegradedOperation:
             r for r in lifeguard.records if r.outage.vp_name == "origin"
         )
         assert record.isolation is not None
-        assert record.isolation.confidence < lifeguard.config.min_confidence
+        assert record.isolation.confidence < MIN_CONFIDENCE
         assert any("deferring poisoning" in note for note in record.notes)
         assert record.state is RepairState.NOT_POISONED
         assert any("retry budget" in note for note in record.notes)
@@ -269,9 +271,7 @@ class TestDeferralRetry:
         # Spend the whole announcement budget just before the decision
         # point, so the first poison attempt hits the flap-damping guard.
         spent_at = 1300.0
-        lifeguard.origin.pacer.times.extend(
-            [spent_at] * lifeguard.config.announce_budget
-        )
+        lifeguard.origin.pacer.times.extend([spent_at] * PACER_BUDGET)
         scenario.run(9600.0)
 
         deferrals = [
@@ -284,7 +284,7 @@ class TestDeferralRetry:
             r for r in lifeguard.records if r.poisoned_asn == bad_asn
         )
         # The poison happened -- after the budget freed, not never.
-        free_at = spent_at + lifeguard.config.announce_window
+        free_at = spent_at + PACER_WINDOW
         assert record.poison_time >= free_at
         assert all(e["t"] < free_at for e in deferrals)
         assert record.state is RepairState.UNPOISONED
@@ -310,6 +310,6 @@ class TestDeferralRetry:
         record = next(
             r for r in lifeguard.records if r.poisoned_asn == bad_asn
         )
-        retry_at = failed_at + lifeguard.config.breaker_backoff
+        retry_at = failed_at + BREAKER_BACKOFF
         assert record.poison_time >= retry_at
         assert record.state is RepairState.UNPOISONED

@@ -33,9 +33,9 @@ from repro.service import (
     ServiceConfig,
     ServiceReport,
     ServiceTier,
-    Watermarks,
     daemon,
 )
+from repro.service.admission import LOW_FRACTION, MAX_INFLIGHT
 from repro.service.daemon import STAGE_DEADLINE
 from repro.traffic import TrafficConfig
 from repro.workloads.outages import OutageArrivalConfig
@@ -214,28 +214,32 @@ def _signals(inflight=0, probes=0.0, occupancy=0.0):
 
 class TestAdmissionController:
     def _controller(self):
-        return AdmissionController(Watermarks(max_inflight=8))
+        return AdmissionController()
 
     def test_escalates_one_tier_per_breach(self):
         controller = self._controller()
-        assert controller.evaluate(_signals(inflight=9)) is (
+        over = MAX_INFLIGHT + 1
+        assert controller.evaluate(_signals(inflight=over)) is (
             ServiceTier.THROTTLED
         )
         assert controller.evaluate(
-            _signals(inflight=9, occupancy=1.0)
+            _signals(inflight=over, occupancy=1.0)
         ) is ServiceTier.PAUSED
         # Capped at PAUSED no matter how many breaches.
         assert controller.evaluate(
-            _signals(inflight=9, occupancy=1.0, probes=2.0)
+            _signals(inflight=over, occupancy=1.0, probes=2.0)
         ) is ServiceTier.PAUSED
         assert controller.transitions == 2
 
     def test_recovers_one_tier_per_calm_round(self):
         controller = self._controller()
-        controller.evaluate(_signals(inflight=9, occupancy=1.0, probes=2.0))
+        controller.evaluate(
+            _signals(inflight=MAX_INFLIGHT + 1, occupancy=1.0, probes=2.0)
+        )
         assert controller.tier is ServiceTier.PAUSED
         # Not calm (inflight above the low watermark): tier holds.
-        assert controller.evaluate(_signals(inflight=5)) is (
+        low = int(MAX_INFLIGHT * LOW_FRACTION)
+        assert controller.evaluate(_signals(inflight=low + 1)) is (
             ServiceTier.PAUSED
         )
         for expected in (
