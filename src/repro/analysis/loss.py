@@ -1,7 +1,8 @@
 """Packet loss during BGP convergence, by control-plane replay (§5.2).
 
-The engine records every Loc-RIB change with its timestamp.  Replaying
-those changes yields the AS-level forwarding state at any instant during
+A route collector records every Loc-RIB change with its timestamp
+(:attr:`~repro.bgp.collectors.RouteCollector.changes`).  Replaying those
+changes yields the AS-level forwarding state at any instant during
 convergence; walking test sources toward the origin at 10-second sample
 points (the cadence of the paper's ping experiment) classifies each
 (sample, source) as delivered, blackholed (some AS transiently lacks a
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bgp.engine import BGPEngine
+from repro.bgp.engine import RouteChange
 from repro.net.addr import Prefix
 
 _MAX_AS_HOPS = 64
@@ -35,15 +36,18 @@ class LossSample:
 
 
 class ConvergenceLossReplay:
-    """Replays the change log to measure transient loss for one prefix."""
+    """Replays recorded Loc-RIB changes to measure transient loss for one
+    prefix.  *changes* must cover every AS from before the prefix was
+    first announced (a collector attached before the run records that)."""
 
-    def __init__(self, engine: BGPEngine, prefix: Prefix) -> None:
-        self.engine = engine
+    def __init__(
+        self, changes: Iterable[RouteChange], prefix: Prefix
+    ) -> None:
         self.prefix = prefix
         #: per-AS sorted (time, next_hop_asn or None); next_hop == asn
         #: marks local delivery (the origin).
         self._timeline: Dict[int, List[Tuple[float, Optional[int]]]] = {}
-        for change in engine.change_log:
+        for change in changes:
             if change.prefix != prefix:
                 continue
             next_hop = change.new.neighbor if change.new else None

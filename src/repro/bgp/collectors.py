@@ -1,9 +1,10 @@
 """Route collectors: the RouteViews / RIPE RIS observation model.
 
 A collector has a set of *peer* ASes that feed it their best route for each
-prefix.  In the simulation we read the engine's change log instead of
-modelling extra sessions — what the collector sees is exactly the sequence
-of best-route changes at each peer, timestamped.
+prefix.  In the simulation the collector listens on the engine's
+``on_change`` door from the moment it is built instead of modelling extra
+sessions — what it sees is exactly the sequence of best-route changes at
+each peer, timestamped, as they happen.
 
 The convergence metrics implemented here mirror §5.2 of the paper: per-peer
 convergence time is the span from a peer's first update after an event to
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.bgp.engine import BGPEngine
+from repro.bgp.engine import BGPEngine, RouteChange
 from repro.bgp.messages import ASPath
 from repro.net.addr import Prefix
 
@@ -54,7 +55,11 @@ class PeerConvergence:
 
 
 class RouteCollector:
-    """Observes best-route changes at a set of peer ASes."""
+    """Observes best-route changes at a set of peer ASes.
+
+    Attach it before the run it should observe: it hears the changes
+    made from its construction on, and none before.
+    """
 
     def __init__(self, engine: BGPEngine, peers: Iterable[int]) -> None:
         self.engine = engine
@@ -62,6 +67,12 @@ class RouteCollector:
         unknown = self.peers - set(engine.speakers)
         if unknown:
             raise ValueError(f"collector peers not in topology: {unknown}")
+        #: every Loc-RIB change since attachment, in order, at every AS:
+        #: :meth:`updates` keeps the peers' ones, and loss replay
+        #: (:class:`~repro.analysis.loss.ConvergenceLossReplay`) walks
+        #: them all.
+        self.changes: List[RouteChange] = []
+        engine.on_change.append(self.changes.append)
 
     # ------------------------------------------------------------------
     # Raw update streams
@@ -74,7 +85,7 @@ class RouteCollector:
     ) -> List[CollectorUpdate]:
         """Updates from collector peers, optionally filtered."""
         out: List[CollectorUpdate] = []
-        for change in self.engine.change_log:
+        for change in self.changes:
             if change.asn not in self.peers:
                 continue
             if not since < change.time <= until:

@@ -235,9 +235,9 @@ def apply_delta(
     refuses; use :func:`try_apply_delta` for the accounted-fallback
     variant.  On success the engine is at the exact state a cold
     ``solve`` + ``warm_start`` of the post-change origination set would
-    produce, with one :class:`~repro.bgp.engine.RouteChange` logged per
-    AS whose Loc-RIB selection changed (sorted per prefix, so the log —
-    and the ``bgp.decision-change`` events behind it — is deterministic).
+    produce, with one Loc-RIB change reported per AS whose selection
+    changed (sorted per prefix, so the ``on_change`` listeners and the
+    ``bgp.decision-change`` events hear them in a deterministic order).
     """
     refusal = delta_unsupported_reason(engine, changes)
     if refusal is not None:

@@ -56,7 +56,8 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class RouteChange:
-    """One Loc-RIB change, recorded for collectors and loss replay."""
+    """One Loc-RIB change, as :attr:`BGPEngine.on_change` listeners hear
+    it (a route collector records them; the engine keeps none)."""
 
     time: float
     asn: int
@@ -124,12 +125,16 @@ class BGPEngine:
         #: (src, dst) -> session.  A reader of ``sent`` rows calls
         #: :meth:`materialize` first: a warm start leaves them pending.
         self._session_map: Dict[Tuple[int, int], _Session] = {}
-        self.change_log: List[RouteChange] = []
+        #: Loc-RIB changes made over the engine's life (the solver
+        #: gate's and warm_start's witness of prior activity).
+        self.changes = 0
         #: total updates (announcements + withdrawals) sent per directed
         #: session; Table 2's per-router load estimates read this.
         self.updates_sent: Dict[Tuple[int, int], int] = {}
-        #: optional hook fired on every Loc-RIB change.
-        self.on_change: Optional[Callable[[RouteChange], None]] = None
+        #: listeners called with a :class:`RouteChange` on every Loc-RIB
+        #: change, in attach order; none by default, and a pickled
+        #: snapshot carries none (:meth:`__getstate__`).
+        self.on_change: List[Callable[[RouteChange], None]] = []
         #: optional chaos hook consulted per transmitted update; returns
         #: None (deliver normally), "drop" or "duplicate".  Wired up by
         #: :class:`repro.faults.injector.FaultInjector`.
@@ -179,6 +184,13 @@ class BGPEngine:
                     (asn, neighbor), config.mrai * jitter
                 )
                 speaker.sessions[neighbor] = session
+
+    def __getstate__(self) -> dict:
+        """Pickle state without the ``on_change`` listeners: a restored
+        snapshot is an engine that nobody listens to yet."""
+        state = self.__dict__.copy()
+        state["on_change"] = []
+        return state
 
     # ------------------------------------------------------------------
     # Event queue plumbing
@@ -306,15 +318,15 @@ class BGPEngine:
         announcements were "sent long ago", so no MRAI timer gates the
         first post-warm-start update, just as a long-quiesced event
         engine behaves.  The convergence process itself is not
-        simulated, so ``change_log``/``updates_sent`` record nothing for
-        it.
+        simulated, so ``changes``/``updates_sent`` count nothing for it
+        and no ``on_change`` listener hears it.
 
         Requires a fresh engine: nothing originated, no events run or
         queued, no analytic state installed before.
         """
         if (
             self._queue
-            or self.change_log
+            or self.changes
             or self.updates_sent
             or self._analytic is not None
             or any(speaker._origins for speaker in self.speakers.values())
@@ -445,8 +457,7 @@ class BGPEngine:
         new: Optional[Route],
         moved: bool = False,
     ) -> None:
-        change = RouteChange(self.now, asn, prefix, old, new)
-        self.change_log.append(change)
+        self.changes += 1
         if self._fib_dirty is not None:
             old_nh = old.neighbor if old is not None else None
             new_nh = new.neighbor if new is not None else None
@@ -461,8 +472,10 @@ class BGPEngine:
                 old_path=old.as_path if old else None,
                 new_path=new.as_path if new else None,
             )
-        if self.on_change is not None:
-            self.on_change(change)
+        if self.on_change:
+            change = RouteChange(self.now, asn, prefix, old, new)
+            for listener in self.on_change:
+                listener(change)
 
     # ------------------------------------------------------------------
     # Session flushing with MRAI

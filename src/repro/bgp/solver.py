@@ -251,7 +251,7 @@ def solver_unsupported_reason(
         if org.prefix in seen_prefixes:
             return duplicate_prefix_reason(org.prefix)
         seen_prefixes.add(org.prefix)
-    if engine.change_log or engine.updates_sent or engine._queue:
+    if engine.changes or engine.updates_sent or engine._queue:
         return Refusal(
             "prior_activity",
             "engine has prior activity (warm_start needs a fresh one)",

@@ -9,6 +9,7 @@ the service and the system's own studies at a configurable scale.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -112,7 +113,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.obs.export import (
         check_trace_determinism,
-        write_events_jsonl,
+        read_events_jsonl,
         write_metrics_snapshot,
     )
     from repro.workloads.scenarios import run_demo_scenario
@@ -140,18 +141,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return 1
         return 0
 
+    # The bus keeps no event: the timelines are read back from its sink.
     registry = MetricsRegistry()
-    bus = EventBus(metrics=registry)
+    sink = args.events_out or io.StringIO()
+    bus = EventBus(sink=sink, metrics=registry)
     run_demo_scenario(seed=args.seed, obs=bus)
-    timelines = assemble_timelines(bus.events())
+    bus.close()
+    if not args.events_out:
+        sink.seek(0)
+    timelines = assemble_timelines(read_events_jsonl(sink))
     print(render_timelines(timelines))
     print()
     print(f"events: {bus.total} ({len(bus.counts)} kinds), "
           f"digest {bus.digest()[:16]}…")
 
     if args.events_out:
-        count = write_events_jsonl(bus.events(), args.events_out)
-        print(f"wrote {count} events to {args.events_out}")
+        print(f"wrote {bus.total} events to {args.events_out}")
     if args.metrics_out:
         write_metrics_snapshot(registry, args.metrics_out)
         print(f"wrote metrics snapshot to {args.metrics_out}")
@@ -371,7 +376,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _usage_error(bad)
 
     registry = MetricsRegistry()
-    # The sink, not the ring, is the whole log: a long run evicts.
+    # The bus keeps no event: --events-out is the log.
     bus = EventBus(sink=args.events_out, metrics=registry)
     journal = None
     if args.journal:

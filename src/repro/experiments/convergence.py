@@ -325,7 +325,7 @@ def _trial_worker(context, unit) -> PoisonTrial:
         elif poisoned not in traversed_ases(path, origin_asn):
             trial.found_alternate.add(peer)
     if measure_loss:
-        replay = ConvergenceLossReplay(engine, prefix)
+        replay = ConvergenceLossReplay(collector.changes, prefix)
         sources = sorted(collector.peers)
         window_end = max(settle_time, event_time + 10.0)
         trial.loss_overall = replay.overall_loss_rate(

@@ -12,7 +12,11 @@ the measurement and control machinery at a swept intensity, then scores
   failed AS (and later detected repair and unpoisoned);
 * false poisons — poisoning an AS that was never broken, the failure
   mode graceful degradation exists to prevent;
-* deferrals — rounds where the DEGRADED path held fire on thin evidence;
+* deferrals — distinct deferral notes per outage record: any note
+  whose text contains "deferr", so low-confidence isolations and dead-VP
+  isolations, but also pacing (announcement budget exhausted), rollback
+  backoff and deferred verification.  A repeated text counts once per
+  record; low-confidence notes differ by their confidence value;
 * rollbacks / breaker opens — poisons the repair guard withdrew and
   (pair, ASN) combinations it gave up on;
 * crash recovery — with ``crash_controller`` the harness kills the
@@ -48,7 +52,9 @@ class RobustnessPoint(StreamScore):
     intensity: float
     #: poisons of ASes that were never broken (must stay zero).
     false_poisons: int = 0
-    #: degraded-path holds: low confidence or dead-VP deferrals.
+    #: distinct note texts containing "deferr", per record, summed:
+    #: low-confidence and dead-VP isolation deferrals, pacing and
+    #: rollback-backoff poisoning deferrals and deferred verifications.
     deferrals: int = 0
     #: outages abandoned after the isolation retry budget ran dry.
     retry_exhausted: int = 0
@@ -60,7 +66,8 @@ class RobustnessPoint(StreamScore):
         return sum(o.unpoisoned for o in self.outages)
 
     def count_notes(self, notes: Iterable[str]) -> None:
-        """Count one record's deferral and retry-exhaustion notes."""
+        """Count one record's deferral and retry-exhaustion notes (its
+        notes are distinct texts: a repeated one is noted once)."""
         for note in notes:
             if "deferr" in note:
                 self.deferrals += 1

@@ -5,7 +5,7 @@ Three pillars, one constraint:
 * :mod:`repro.obs.events` — a schema-versioned **event bus**: sim-time-
   stamped, sequence-numbered events from every instrumented subsystem
   (BGP engine, prober, monitor, isolator, guard, control loop), with a
-  bounded ring buffer, a streaming JSONL sink and a running digest.
+  running digest and a streaming JSONL sink; the bus keeps no event.
 * :mod:`repro.obs.metrics` — a **metrics registry** of named counters,
   gauges and histograms with deterministic snapshots;
   :class:`~repro.runner.stats.RunStats` is a thin bridge over it.
@@ -31,7 +31,6 @@ from repro.obs.export import (
     event_log_digest,
     prometheus_text,
     read_events_jsonl,
-    write_events_jsonl,
     write_metrics_snapshot,
 )
 from repro.obs.metrics import (
@@ -65,6 +64,5 @@ __all__ = [
     "event_log_digest",
     "prometheus_text",
     "read_events_jsonl",
-    "write_events_jsonl",
     "write_metrics_snapshot",
 ]

@@ -16,13 +16,12 @@ ran serially or fanned out over eight workers.  That makes event logs
 *diffable artifacts*: CI records them, and a digest mismatch between
 worker counts is a reproducibility bug by definition.
 
-The bus keeps a bounded ring buffer of canonical lines (old events fall
-off; the digest and per-kind counts cover the full history) and can
-stream every event to a JSONL sink as it is emitted.  An event is its
-line until someone reads it: ``emit`` builds the line it hashes and
-writes anyway and keeps that string, and :meth:`EventBus.events` parses
-the ring back into :class:`Event` values.  A string is no work for the
-cyclic garbage collector; an object with a dict of fields is.
+The bus keeps no event.  It sequences each one, hashes its canonical
+line into a running digest, counts it per kind and writes the line to a
+JSONL sink when a reader attached one before the run — a file, or an
+``io.StringIO`` for a reader that wants the log in memory.  The sink is
+the log: :func:`repro.obs.export.read_events_jsonl` parses it back into
+:class:`Event` values.  A run nobody reads pays for no history.
 
 A line is split at ``seq``: :func:`prepare` renders everything but
 ``seq`` and ``t`` once, and :meth:`EventBus.emit_prepared` joins the
@@ -36,19 +35,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Deque, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, IO, Optional, Tuple
 
 from repro.errors import error_context
 from repro.net.addr import Prefix
 
 #: Bump on incompatible changes to the serialized event layout.
 EVENT_SCHEMA_VERSION = 1
-
-#: Default ring capacity: large enough for a full demo-scale repair story.
-DEFAULT_CAPACITY = 65536
 
 
 def _jsonable(value: Any) -> Any:
@@ -203,15 +198,13 @@ class Event:
 
 
 class EventBus:
-    """Bounded, digest-carrying event stream with an optional JSONL sink.
+    """Digest-carrying event stream with an optional JSONL sink.
 
-    *capacity* bounds the in-memory ring of canonical lines; evicted
-    events are gone from :meth:`events` but remain in ``counts``,
-    ``total`` and the running :meth:`digest` (and in the sink, if one is
-    attached).  *sink* is a path — ``str``, ``bytes`` or
-    ``os.PathLike``, truncated on open — or an open text handle that
-    receives one canonical JSON line per event as it
-    happens.  *metrics* is an optional
+    The bus keeps no event: ``total``, ``counts`` and the running
+    :meth:`digest` cover every one, and *sink* receives one canonical
+    JSON line per event as it happens.  *sink* is a path — ``str``,
+    ``bytes`` or ``os.PathLike``, truncated on open — or an open text
+    handle.  *metrics* is an optional
     :class:`~repro.obs.metrics.MetricsRegistry`; every emitted event
     increments its ``obs.events.<kind>`` counter, and components may
     route histogram observations through :meth:`observe`.
@@ -219,17 +212,13 @@ class EventBus:
 
     def __init__(
         self,
-        capacity: int = DEFAULT_CAPACITY,
         sink: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ) -> None:
-        self.capacity = capacity
-        #: each event's canonical line, newline included.
-        self._ring: Deque[str] = deque(maxlen=capacity)
         self.metrics = metrics
-        #: events emitted over the bus's whole life (ring may hold fewer).
+        #: events emitted over the bus's whole life.
         self.total = 0
-        #: per-kind emission counts (full history, not just the ring).
+        #: per-kind emission counts.
         self.counts: Dict[str, int] = {}
         #: kind -> its ``obs.events.<kind>`` counter in ``metrics``
         #: (registries never drop a counter, so the handle stays good).
@@ -243,11 +232,6 @@ class EventBus:
                 self._owns_sink = True
             else:
                 self._sink_fh = sink
-
-    @property
-    def evicted(self) -> int:
-        """Events evicted from the ring by newer ones."""
-        return self.total - len(self._ring)
 
     # ------------------------------------------------------------------
     # Emission
@@ -266,8 +250,7 @@ class EventBus:
 
     def emit_prepared(self, prepared: Prepared, t: float) -> None:
         """Record one :func:`prepare`-d event at *t*: sequence it, hash
-        its canonical line, keep the line in the ring and write it to
-        the sink."""
+        its canonical line and write the line to the sink."""
         kind, head, mid = prepared
         # A finite float, as sim time nearly always is, skips a call.
         time = (
@@ -276,7 +259,6 @@ class EventBus:
         )
         line = f"{head}{self.total}{mid}{time}{_TAIL_LINE}"
         self.total += 1
-        self._ring.append(line)
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self._hash.update(line.encode("utf-8"))
         if self._sink_fh is not None:
@@ -311,26 +293,11 @@ class EventBus:
         if self.metrics is not None:
             self.metrics.observe(name, value)
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def events(self) -> List[Event]:
-        """The events still in the ring, oldest first, parsed from their
-        lines: field values come back in their :func:`_jsonable` form
-        (tuples as lists, prefixes and other objects as their text)."""
-        return [Event.from_json(json.loads(line)) for line in self._ring]
-
     def digest(self) -> str:
-        """SHA-256 over the canonical line of every event ever emitted.
-
-        Covers the full history (including ring-evicted events), so two
-        runs agree iff they emitted the identical event sequence — the
-        property the cross-worker determinism test asserts.
-        """
+        """SHA-256 over the canonical line of every event ever emitted,
+        so two runs agree iff they emitted the identical event sequence
+        — the property the cross-worker determinism test asserts."""
         return self._hash.hexdigest()
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
     # ------------------------------------------------------------------
     # Sink management

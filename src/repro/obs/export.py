@@ -2,9 +2,8 @@
 
 Three output formats, all deterministic:
 
-* **JSONL event logs** — one canonical line per event; the same format
-  the bus's streaming sink writes, so a post-hoc export and a live sink
-  are interchangeable artifacts.
+* **JSONL event logs** — one canonical line per event, as the bus's
+  sink writes them; :func:`read_events_jsonl` parses a log back.
 * **Metrics snapshots** — the registry's sorted-key JSON, accepted from
   a :class:`~repro.obs.metrics.MetricsRegistry`, a
   :class:`~repro.runner.stats.RunStats` bridge, or a raw snapshot dict.
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
@@ -35,29 +35,22 @@ _PROM_NAME = re.compile(r"[^a-zA-Z0-9_:]")
 # ----------------------------------------------------------------------
 # Event logs
 # ----------------------------------------------------------------------
-def write_events_jsonl(events: Iterable[Event], path: str) -> int:
-    """Write *events* as canonical JSONL; returns the line count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(event.canonical() + "\n")
-            count += 1
-    return count
-
-
-def read_events_jsonl(path: str) -> List[Event]:
-    events: List[Event] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(Event.from_json(json.loads(line)))
-    return events
+def read_events_jsonl(source: Any) -> List[Event]:
+    """The events of a JSONL event log.  *source* is what an
+    :class:`~repro.obs.events.EventBus` takes as its sink: a path, or an
+    open text handle read from its current position (seek an
+    ``io.StringIO`` sink to 0 first)."""
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as handle:
+            return read_events_jsonl(handle)
+    return [
+        Event.from_json(json.loads(line)) for line in source if line.strip()
+    ]
 
 
 def event_log_digest(events: Iterable[Event]) -> str:
     """SHA-256 over canonical event lines — matches
-    :meth:`EventBus.digest` whenever the ring never evicted."""
+    :meth:`EventBus.digest` for the events the bus's sink received."""
     digest = hashlib.sha256()
     for event in events:
         digest.update(event.canonical().encode("utf-8"))

@@ -20,13 +20,14 @@ and falls back to the event engine otherwise (counted as
 ``solver.fallbacks`` and ``solver.fallbacks.<slug>``).  Deployments,
 studies and the CLI all converge in ``auto``.  Both modes yield
 identical Loc-RIB/Adj-RIB and session state; they differ in bookkeeping
-byproducts (the event engine's ``change_log``/``updates_sent`` record
+byproducts (the event engine's ``changes``/``updates_sent`` count
 the convergence storm, its RNG stream has advanced, and its clock sits
 at the convergence time), which no baseline consumer reads — trial
 drivers reseed and advance the clock before perturbing.
 
 Snapshots shipped to trial workers are pickles of the engine, which
-restore it *exactly* (including its RNG stream), zlib-compressed at
+restore it *exactly* (including its RNG stream; ``on_change`` listeners
+are left behind), zlib-compressed at
 level 1: the sweet spot — pickled engines are highly redundant, and
 heavier levels cost more time than the bytes they save.
 """

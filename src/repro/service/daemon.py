@@ -300,9 +300,6 @@ class LifeguardService:
         self.crashes = 0
         self.shed = 0
         self.deferred = 0
-        #: RouteChanges dropped from ``engine.change_log``: nothing in the
-        #: control loop reads the log, so a daemon keeps one round of it.
-        self.changes_dropped = 0
         self.ttr: List[float] = []
         self._ttr_done: set = set()
         self._shed_logged: set = set()
@@ -681,10 +678,6 @@ class LifeguardService:
         self._gauge("dataplane.fib.rows_patched", fibs.rows_patched)
         self._gauge("dataplane.fib.columns_compiled", fibs.columns_compiled)
         self._gauge("dataplane.fib.axis_regrown", fibs.axis_regrown)
-        change_log = self.lifeguard.engine.change_log
-        self.changes_dropped += len(change_log)
-        change_log.clear()
-        self._gauge("bgp.change_log.dropped", self.changes_dropped)
         for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
             value = _percentile(self.ttr, q)
             if value is not None:

@@ -62,7 +62,8 @@ class TestResidualCurve:
 class TestLossReplay:
     @pytest.fixture()
     def poisoned_engine(self):
-        """Diamond where poisoning A(6) forces E(5) to reroute."""
+        """Diamond where poisoning A(6) forces E(5) to reroute; the
+        Loc-RIB changes are recorded from before the first announcement."""
         g = ASGraph()
         for asn in (1, 2, 3, 4, 5, 6):
             g.add_as(asn)
@@ -75,24 +76,26 @@ class TestLossReplay:
         g.add_link(5, 4, Relationship.PROVIDER)
         g.add_link(5, 6, Relationship.PROVIDER)
         engine = BGPEngine(g)
+        recorded = []
+        engine.on_change.append(recorded.append)
         engine.originate(1, p, path=make_path(1, prepend=3))
         engine.run()
         poison_time = engine.now
         engine.originate(1, p, path=make_path(1, prepend=3, poison=[6]))
         engine.run()
-        return engine, p, poison_time
+        return engine, recorded, p, poison_time
 
     def test_sources_delivered_after_convergence(self, poisoned_engine):
-        engine, prefix, poison_time = poisoned_engine
-        replay = ConvergenceLossReplay(engine, prefix)
+        engine, recorded, prefix, poison_time = poisoned_engine
+        replay = ConvergenceLossReplay(recorded, prefix)
         assert replay.delivery_outcome(5, engine.now + 1) == "delivered"
         assert replay.delivery_outcome(3, engine.now + 1) == "delivered"
         # The poisoned AS itself is cut off.
         assert replay.delivery_outcome(6, engine.now + 1) == "blackhole"
 
     def test_loss_timeline_bounds(self, poisoned_engine):
-        engine, prefix, poison_time = poisoned_engine
-        replay = ConvergenceLossReplay(engine, prefix)
+        engine, recorded, prefix, poison_time = poisoned_engine
+        replay = ConvergenceLossReplay(recorded, prefix)
         samples = replay.loss_timeline(
             [3, 4, 5], poison_time, engine.now + 10
         )
@@ -101,8 +104,8 @@ class TestLossReplay:
         assert samples[-1].lost == 0
 
     def test_overall_loss_excludes_cut_off_sources(self, poisoned_engine):
-        engine, prefix, poison_time = poisoned_engine
-        replay = ConvergenceLossReplay(engine, prefix)
+        engine, recorded, prefix, poison_time = poisoned_engine
+        replay = ConvergenceLossReplay(recorded, prefix)
         rate = replay.overall_loss_rate(
             [3, 4, 5, 6], poison_time, engine.now + 10
         )

@@ -226,11 +226,14 @@ class TestInstrumentation:
 
     def test_change_log_records_event_times(self):
         engine = BGPEngine(line_graph())
+        recorded = []
+        engine.on_change.append(recorded.append)
         engine.originate(1, P)
         engine.run()
-        times = [c.time for c in engine.change_log]
+        times = [c.time for c in recorded]
         assert times == sorted(times)
-        assert {c.asn for c in engine.change_log} == {1, 2, 3, 4}
+        assert {c.asn for c in recorded} == {1, 2, 3, 4}
+        assert engine.changes == len(recorded)
 
     def test_ases_using(self):
         engine = BGPEngine(diamond_graph())

@@ -13,6 +13,7 @@ accounting), the per-engine solution memo, reset-as-no-op semantics,
 delta-instrumented runs.
 """
 
+import io
 import os
 
 import pytest
@@ -31,6 +32,7 @@ from repro.control.lifeguard import LifeguardConfig
 from repro.errors import ControlError
 from repro.fuzz.diff import canonical_blob, capture_state
 from repro.obs.events import EventBus
+from repro.obs.export import read_events_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.baseline import (
     MODE_SOLVER,
@@ -425,7 +427,8 @@ class TestObservability:
     def test_bgp_delta_event_fields(self):
         base = _deployment("tiny", 9)
         engine = base.engine
-        bus = EventBus(metrics=MetricsRegistry())
+        sink = io.StringIO()
+        bus = EventBus(sink=sink, metrics=MetricsRegistry())
         engine.obs = bus
         origin = base.origin_asn
         prefix = base.graph.node(origin).prefixes[0]
@@ -443,7 +446,10 @@ class TestObservability:
                 )
             ],
         )
-        deltas = [e for e in bus.events() if e.kind == "bgp.delta"]
+        sink.seek(0)
+        deltas = [
+            e for e in read_events_jsonl(sink) if e.kind == "bgp.delta"
+        ]
         assert len(deltas) == 2
         poisoned = deltas[-1]
         assert poisoned.fields["prefixes"] == 1

@@ -1,5 +1,7 @@
 """Engine edge cases: clock control, MRAI batching, error handling."""
 
+import pickle
+
 import pytest
 
 from repro.bgp.engine import BGPEngine, EngineConfig
@@ -94,7 +96,7 @@ class TestBoundaryChecks:
                 engine.originate(1, P, **kwargs)
         speaker = engine.speakers[1]
         assert not speaker.originates(P) and speaker.best(P) is None
-        assert engine.change_log == [] and engine.updates_sent == {}
+        assert engine.changes == 0 and engine.updates_sent == {}
 
     @pytest.mark.parametrize(
         "bad",
@@ -147,6 +149,22 @@ class TestLifetime:
             assert [probe() for probe in probes] == [None, None, None]
         finally:
             gc.enable()
+
+    def test_a_snapshot_carries_no_listener(self):
+        """Listeners hear every change the counter counts; a pickled
+        engine restores with none (a lambda would not even pickle)."""
+        engine = BGPEngine(chain())
+        heard = []
+        engine.on_change.append(lambda change: heard.append(change))
+        engine.originate(1, P)
+        engine.run()
+        assert len(heard) == engine.changes == 4
+        restored = pickle.loads(pickle.dumps(engine))
+        assert restored.on_change == [] and len(engine.on_change) == 1
+        assert restored.changes == 4
+        restored.originate(1, P, path=make_path(1, prepend=2))
+        restored.run()
+        assert restored.changes > 4 and len(heard) == 4
 
 
 class TestErrorPaths:

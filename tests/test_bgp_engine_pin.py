@@ -5,10 +5,10 @@ Each case is driven through the event engine alone with an
 recorder: originate everything, ``run(until=now + 0.5)``, ``run()``,
 ``consume_fib_dirty()``, then the fuzz executor's perturbation script
 (settle, reseed, faults, actions).  The fingerprint covers every
-observable the engine has — bus bytes, change-log rows in order, update
-counters, both clocks, the RNG stream position, the dirty FIB rows and
-the whole converged state — so a change that moves one event, one
-ordering or one random draw fails here.
+observable the engine has — bus bytes, recorded Loc-RIB changes in
+order, update counters, both clocks, the RNG stream position, the dirty
+FIB rows and the whole converged state — so a change that moves one
+event, one ordering or one random draw fails here.
 
 The constants were recorded at commit ``598883b`` (the parent of the PR
 that rewrote the event loop) and pass there unchanged.  The "decorated"
@@ -72,12 +72,12 @@ def fingerprint(case, decorate=False):
     engine = BGPEngine(
         case.build_graph(), EngineConfig(seed=case.engine_seed), configs
     )
-    bus = EventBus(capacity=16)
+    bus = EventBus()
     engine.obs = bus
     for speaker in engine.speakers.values():
         speaker.obs = bus
     seen = []
-    engine.on_change = seen.append
+    engine.on_change.append(seen.append)
     for spec in case.originations:
         org = spec.resolve()
         communities, avoid = extras.get((spec.asn, spec.prefix), ((), ()))
@@ -91,9 +91,7 @@ def fingerprint(case, decorate=False):
     cold_dirty = engine.consume_fib_dirty()
     _perturb(engine, case)
     dirty = engine.consume_fib_dirty()
-    assert len(seen) == len(engine.change_log) and all(
-        a is b for a, b in zip(seen, engine.change_log)
-    )
+    assert len(seen) == engine.changes
     changes = [
         (
             c.time, c.asn, c.prefix.base, c.prefix.length,
@@ -105,7 +103,7 @@ def fingerprint(case, decorate=False):
                 c.old.neighbor, c.old.local_pref, c.old.med
             ),
         )
-        for c in engine.change_log
+        for c in seen
     ]
     rows = sorted(
         (asn, sorted((p.base, p.length) for p in prefixes))

@@ -52,6 +52,7 @@ from repro.runner.baseline import (
     converged_internet,
 )
 from repro.topology.as_graph import ASGraph
+from repro.topology.relationships import Relationship
 from tests.solver_oracle import eager_warm_start
 from tests.state_oracle import oracle_rows
 from tests.test_bgp_solver_oracle import graphs_and_originations
@@ -201,11 +202,15 @@ class TestOutOfBandReaders:
         lazy, eager, _ = self._pair()
         a = min(lazy.speakers)
         b = min(lazy.speakers[a].neighbors)
+        recorded = {}
         for engine in (lazy, eager):
+            recorded[engine] = []
+            engine.on_change.append(recorded[engine].append)
             engine.reset_session(a, b)
             engine.run()
         assert lazy._analytic is None and not lazy._rows_pending
-        assert lazy.change_log == eager.change_log
+        assert recorded[lazy] == recorded[eager]
+        assert lazy.changes == eager.changes
         assert lazy.updates_sent == eager.updates_sent
         assert _rows(lazy) == _rows(eager)
 
@@ -384,5 +389,27 @@ class TestWarmStartNeedsAFreshEngine:
             engine.updates_sent[(org.asn, org.asn)] = 1
         else:
             engine._analytic = {}
+        with pytest.raises(SimulationError, match="fresh engine"):
+            engine.warm_start(result)
+
+    def test_sessionless_origin_and_withdrawal_is_prior_activity(self):
+        """An AS with no sessions announces a prefix and withdraws it:
+        no update goes out, no origin stays and no event waits, so the
+        Loc-RIB change counter is the only witness, and it suffices."""
+        graph = ASGraph()
+        for asn in (1, 2, 3):
+            graph.add_as(asn)
+        graph.add_link(1, 2, Relationship.PROVIDER)
+        originations = [Origination.make(1, Prefix("10.1.0.0/16"))]
+        result = solve(BGPEngine(graph), originations)
+        engine = BGPEngine(graph)
+        engine.originate(3, Prefix("10.3.0.0/16"))
+        engine.withdraw_origin(3, Prefix("10.3.0.0/16"))
+        engine.run()
+        assert engine.updates_sent == {} and not engine._queue
+        assert not any(s._origins for s in engine.speakers.values())
+        assert engine.changes == 2
+        refusal = solver_unsupported_reason(engine, originations)
+        assert refusal is not None and refusal.slug == "prior_activity"
         with pytest.raises(SimulationError, match="fresh engine"):
             engine.warm_start(result)

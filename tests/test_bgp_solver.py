@@ -7,7 +7,7 @@ session state — and perturbations applied after a warm start unfold
 exactly as they would on an event-converged engine.
 
 The two modes are *not* byte-identical: the event engine's bookkeeping
-byproducts (``change_log``, ``updates_sent``, advanced clock/RNG) record
+byproducts (``changes``, ``updates_sent``, advanced clock/RNG) record
 the convergence storm, and in-flight message crossing can leave stale
 Adj-RIB-In entries for withdrawn announcements (no per-session FIFO).
 No baseline consumer reads any of that, which is what the
@@ -128,7 +128,7 @@ class TestSolverMatchesEventConvergence:
         base = converged_internet("tiny", 0, mode=MODE_SOLVER)
         engine = base.engine
         assert engine.now == 0.0
-        assert engine.change_log == []
+        assert engine.changes == 0
         assert engine.updates_sent == {}
         # ... and yet every AS routes.
         prefix = next(iter(base.graph.nodes())).prefixes[0]
@@ -275,6 +275,8 @@ class TestPoisonEquivalence:
         engine.reseed(20120813)
         t0 = engine.now
         updates_before = dict(engine.updates_sent)
+        recorded = []
+        engine.on_change.append(recorded.append)
 
         production = graph.node(base.origin_asn).prefixes[0]
         controller = OriginController(
@@ -295,7 +297,7 @@ class TestPoisonEquivalence:
                 change.old.as_path if change.old else None,
                 change.new.as_path if change.new else None,
             )
-            for change in engine.change_log
+            for change in recorded
             if change.time > t0
         ]
         deltas = {
@@ -374,7 +376,7 @@ class TestSolverFallback:
         )
         assert stats.counters["solver.fallbacks"] == 1
         assert stats.counters["solver.fallbacks.patched"] == 1
-        assert base.engine.change_log, "fallback should event-converge"
+        assert base.engine.changes, "fallback should event-converge"
 
     def test_solver_mode_raises_instead_of_falling_back(self, monkeypatch):
         # In solver mode the refusal comes from ``solve``'s own gate.

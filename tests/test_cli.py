@@ -1,15 +1,12 @@
 """Tests for the lifeguard-repro command-line interface."""
 
 import dataclasses
-import functools
 import os
 from pathlib import Path
 
 import pytest
 
-import repro.obs
 from repro.cli import build_parser, main
-from repro.obs import EventBus
 from repro.obs.export import event_log_digest, read_events_jsonl
 from repro.service import LifeguardService
 
@@ -265,12 +262,10 @@ class TestCommands:
     def test_serve_events_out_is_the_whole_log(
         self, monkeypatch, tmp_path, capsys
     ):
-        """It was written from the ring after the run: a run that evicted
-        left only the ring's last events in the file, and their digest
-        was not the one printed.  A 100-event ring makes this run evict."""
-        monkeypatch.setattr(
-            repro.obs, "EventBus", functools.partial(EventBus, capacity=100)
-        )
+        """The bus keeps no event, so the file is the log: every event
+        of the run is in it, and its digest is the one printed.  (It was
+        once written from a bounded ring after the run, and a run that
+        overflowed the ring left only its last events in the file.)"""
         reports = []
         run = LifeguardService.run
         monkeypatch.setattr(

@@ -1,6 +1,7 @@
 """Tests for ping/traceroute/spoofed probes and reverse traceroute."""
 
 import hashlib
+import io
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from repro.dataplane.reverse_traceroute import ReverseTracerouteTool
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs.events import EventBus
+from repro.obs.export import read_events_jsonl
 from repro.topology.generate import generate_internet, prefix_for_asn
 from repro.topology.routers import RouterTopology
 from tests.conftest import SMALL_SHAPE
@@ -284,7 +286,7 @@ class TestProbeEventPin:
 
 
 class TestPreparedProbeLines:
-    def test_ring_lines_equal_plain_emit(self, small_internet, prober):
+    def test_sink_lines_equal_plain_emit(self, small_internet, prober):
         """One pair's outcome flips success -> failure -> success while
         it is pinged plain and spoofed both ways, traced and
         record-route pinged, and the bus is swapped for a fresh one
@@ -302,8 +304,9 @@ class TestPreparedProbeLines:
                 start=50.0, end=100.0,
             )
         )
-        buses = [EventBus(), EventBus()]
-        plain = [EventBus(), EventBus()]
+        sinks = [io.StringIO() for _ in range(4)]
+        buses = [EventBus(sink=sink) for sink in sinks[:2]]
+        plain = [EventBus(sink=sink) for sink in sinks[2:]]
         outcomes = []
         for step in range(6):
             now = prober.dataplane.now = 30.0 * step
@@ -334,15 +337,17 @@ class TestPreparedProbeLines:
                     reached=trace.reached, hops=len(trace.hops),
                 )
         assert outcomes == [True] * 6 + [False] * 6 + [True] * 6
-        for bus, reference in zip(buses, plain):
+        for bus, reference, sink, reference_sink in zip(
+            buses, plain, sinks[:2], sinks[2:]
+        ):
             assert bus.total == 24
-            assert list(bus._ring) == list(reference._ring)
+            assert sink.getvalue() == reference_sink.getvalue()
             assert bus.digest() == reference.digest()
         # Each (probe, outcome) is rendered once, whichever bus it meets.
         distinct = {
             (event.kind, event.subject, tuple(sorted(event.fields.items())))
-            for bus in buses
-            for event in bus.events()
+            for sink in sinks[:2]
+            for event in read_events_jsonl(io.StringIO(sink.getvalue()))
         }
         assert len(prober._prepared) == len(distinct) < 48
 

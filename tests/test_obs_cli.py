@@ -5,6 +5,7 @@ Covers ``repro trace`` (timeline rendering, artifact writing, the
 and the cross-worker event-log digest equality the subsystem guarantees.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -16,12 +17,32 @@ from repro.obs.export import (
     event_log_digest,
     prometheus_text,
     read_events_jsonl,
-    write_events_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
 
 #: Shortened demo horizon shared by the determinism checks (CI-cheap).
 SHORT_DEMO = dict(fail_start=1000.0, fail_end=2400.0, end=3000.0)
+
+#: seed -> (SHA-256 of ``repro --seed S trace --events-out events.jsonl``'s
+#: stdout, SHA-256 of the events file, events), recorded when the bus
+#: still kept a ring that ``trace`` read its timelines from.
+TRACE_PINS = {
+    3: (
+        "dd812884b1db4cf83adfef74d0489ce9f2df621b7de297bc321898e15c9fab02",
+        "71391ffafcb3c3d3127197a0ec6a650415e6142ff187e113154e3b2b316e7332",
+        9021,
+    ),
+    5: (
+        "284b72c48af5934a8bfb3239a3f642848c963d6343ab588f70c0f434c2fb3b79",
+        "97269386a5a7ce965414429b57c52e85e4e6ad29052e0c245217c2a1dd570dd2",
+        8945,
+    ),
+    7: (
+        "ae7fd30108dfc93a5d805ce96b46355b094048c0d7b83130efe2d56883910bcc",
+        "cdd6682ab9fe5f899a3fa7bc36b8d39f847d61776567955495a512de6d3639f6",
+        8841,
+    ),
+}
 
 
 class TestParser:
@@ -74,6 +95,24 @@ class TestTraceCommand:
         assert "counters" in snapshot and "histograms" in snapshot
         assert snapshot["counters"]["obs.events.control.state"] > 0
 
+    @pytest.mark.parametrize("seed", sorted(TRACE_PINS))
+    def test_output_and_event_log_pinned(
+        self, seed, tmp_path, monkeypatch, capsys
+    ):
+        """The rendered timelines, the digest line and the event log,
+        byte for byte; the event log's SHA-256 is the bus digest."""
+        stdout_sha, log_sha, events = TRACE_PINS[seed]
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "--seed", str(seed), "trace", "--events-out", "events.jsonl",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {events} events to events.jsonl" in out
+        assert f"digest {log_sha[:16]}…" in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha
+        log = (tmp_path / "events.jsonl").read_bytes()
+        assert hashlib.sha256(log).hexdigest() == log_sha
+
     def test_writes_no_artifact_unless_asked(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -119,14 +158,16 @@ class TestCrossWorkerDeterminism:
 
 class TestExportHelpers:
     def test_event_log_digest_matches_bus(self, tmp_path):
-        bus = EventBus()
+        path = tmp_path / "log.jsonl"
+        bus = EventBus(sink=str(path))
         bus.emit("a", 1.0, "c", x=1)
         bus.emit("b", 2.0, "c")
-        path = tmp_path / "log.jsonl"
-        assert write_events_jsonl(bus.events(), str(path)) == 2
-        assert event_log_digest(read_events_jsonl(str(path))) == (
-            bus.digest()
-        )
+        bus.close()
+        events = read_events_jsonl(str(path))
+        assert len(events) == 2
+        assert event_log_digest(events) == bus.digest()
+        with open(path, encoding="utf-8") as handle:
+            assert read_events_jsonl(handle) == events
 
     def test_prometheus_text(self):
         registry = MetricsRegistry()

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.errors import MeasurementError, error_context
 from repro.net.addr import Prefix
 from repro.obs.events import (
-    DEFAULT_CAPACITY,
     EVENT_SCHEMA_VERSION,
     Event,
     EventBus,
@@ -23,7 +22,13 @@ from repro.obs.events import (
     _jsonable,
     prepare,
 )
+from repro.obs.export import read_events_jsonl
 from repro.obs.metrics import MetricsRegistry
+
+
+def _read(sink):
+    """The events an in-memory sink received, parsed back."""
+    return read_events_jsonl(io.StringIO(sink.getvalue()))
 
 
 class _Level(enum.IntEnum):
@@ -57,16 +62,16 @@ class TestEvent:
         assert again == event
 
     def test_events_carry_no_dict_and_survive_pickling(self):
-        bus = EventBus()
-        bus.emit("k", 1.0, "c", subject="s", x=[1, 2])
-        (event,) = bus.events()
+        sink = io.StringIO()
+        EventBus(sink=sink).emit("k", 1.0, "c", subject="s", x=[1, 2])
+        (event,) = _read(sink)
         assert not hasattr(event, "__dict__")
         assert pickle.loads(pickle.dumps(event)) == event
 
     def test_unjsonable_emit_fields_become_strings(self):
-        bus = EventBus()
-        bus.emit("k", 0.0, "c", obj=object())
-        (event,) = bus.events()
+        sink = io.StringIO()
+        EventBus(sink=sink).emit("k", 0.0, "c", obj=object())
+        (event,) = _read(sink)
         assert isinstance(event.fields["obj"], str)
         json.loads(event.canonical())  # must serialize cleanly
 
@@ -80,7 +85,7 @@ class TestEvent:
         line = sink.getvalue()
         assert '"prefix":"10.0.0.0/8"' in line
         assert '"prefixes":["10.0.0.0/8"]' in line
-        (event,) = bus.events()
+        (event,) = _read(sink)
         assert event.fields == {
             "prefix": "10.0.0.0/8", "prefixes": ["10.0.0.0/8"]
         }
@@ -175,8 +180,8 @@ class TestCanonicalEncoder:
         line = _call_line(1, kind, t, component, subject, fields)
         # JSON escapes every newline inside a value: one event per line.
         assert sink.getvalue().split("\n")[1] == line
-        # What the ring gives back renders to the same line.
-        (_, event) = bus.events()
+        # What the sink gives back renders to the same line.
+        (_, event) = _read(sink)
         assert event.canonical() == line
 
     @settings(max_examples=120, deadline=None)
@@ -219,10 +224,10 @@ class TestCanonicalEncoder:
         """What ``emit`` hashes and writes — not only what
         ``canonical()`` renders afterwards — is the ``json.dumps`` line,
         a shape seen before or not, whatever else hangs off the bus."""
-        sink = io.StringIO()
+        sink, other = io.StringIO(), io.StringIO()
         buses = [
             EventBus(),
-            EventBus(capacity=2),
+            EventBus(sink=other),
             EventBus(metrics=MetricsRegistry()),
             EventBus(sink=sink, metrics=MetricsRegistry()),
         ]
@@ -238,9 +243,9 @@ class TestCanonicalEncoder:
         assert sink.getvalue() == text
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert [bus.digest() for bus in buses] == [digest] * len(buses)
-        for bus in buses:
-            kept = [event.canonical() + "\n" for event in bus.events()]
-            assert kept == expected[-bus.capacity:]
+        assert other.getvalue() == text
+        parsed = [event.canonical() + "\n" for event in _read(sink)]
+        assert parsed == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -277,7 +282,7 @@ class TestCanonicalEncoder:
             for seq, t in enumerate(times)
         ]
         assert sink.getvalue() == "".join(expected)
-        assert [event.canonical() + "\n" for event in bus.events()] == expected
+        assert [event.canonical() + "\n" for event in _read(sink)] == expected
         assert bus.counts == {kind: len(times)}
         assert bus.metrics.counter_values() == {
             f"obs.events.{kind}": len(times)
@@ -333,7 +338,7 @@ class TestCanonicalEncoder:
             '"yes":true,"zero":0},"kind":"k","seq":0,"t":30.0,"v":1}'
         )
         assert sink.getvalue() == line + "\n"
-        (event,) = bus.events()
+        (event,) = _read(sink)
         assert event.canonical() == line
         assert [type(event.fields[name]) for name in ("yes", "one", "f")] == [
             bool, int, float
@@ -350,26 +355,29 @@ class TestCanonicalEncoder:
 
 class TestEventBus:
     def test_emit_assigns_monotonic_seq(self):
-        bus = EventBus()
+        sink = io.StringIO()
+        bus = EventBus(sink=sink)
         for i in range(5):
             bus.emit("tick", float(i), "test")
-        assert [e.seq for e in bus.events()] == list(range(5))
+        assert [e.seq for e in _read(sink)] == list(range(5))
         assert bus.total == 5
 
-    def test_ring_eviction_keeps_digest_over_full_history(self):
-        small = EventBus(capacity=4)
-        full = EventBus()
+    def test_bus_keeps_no_event_but_digests_every_one(self):
+        """Without a sink nothing can read an event back, yet the
+        digest, total and counts cover every emission."""
+        sink = io.StringIO()
+        bare, logged = EventBus(), EventBus(sink=sink)
         for i in range(10):
-            small.emit("tick", float(i), "test", n=i)
-            full.emit("tick", float(i), "test", n=i)
-        assert len(small.events()) == 4
-        assert small.evicted == 6
-        assert small.total == 10
-        # The digest covers every emission, not just the survivors.
-        assert small.digest() == full.digest()
+            bare.emit("tick", float(i), "test", n=i)
+            logged.emit("tick", float(i), "test", n=i)
+        assert not hasattr(bare, "events")
+        assert bare.total == 10 and bare.counts == {"tick": 10}
+        assert bare.digest() == logged.digest() == hashlib.sha256(
+            sink.getvalue().encode("utf-8")
+        ).hexdigest()
 
-    def test_digest_ignores_capacity_and_sink(self, tmp_path):
-        a = EventBus(capacity=2)
+    def test_digest_ignores_sink(self, tmp_path):
+        a = EventBus()
         b = EventBus(sink=str(tmp_path / "events.jsonl"))
         for bus in (a, b):
             bus.emit("x", 1.0, "c", k="v")
@@ -398,26 +406,30 @@ class TestEventBus:
         (line,) = path.read_text().splitlines()
         assert json.loads(line)["fields"] == {"value": 7}
 
-    def test_default_capacity_is_bounded(self):
-        assert EventBus().capacity == DEFAULT_CAPACITY
-
-    def test_the_ring_gives_the_collector_nothing_to_track(self):
-        """The ring keeps lines: 2,000 events with list and dict fields
-        add no object the cyclic collector walks (an ``Event`` with its
-        fields dict added five apiece)."""
+    def test_bus_has_no_history_to_size(self):
         bus = EventBus()
-        bus.emit("k", 0.0, "c", subject="s", hops=[0], seen={"a": 0})
+        for name in ("capacity", "evicted", "events", "_ring"):
+            assert not hasattr(bus, name), name
+        with pytest.raises(TypeError):
+            len(bus)
+
+    def test_emit_leaves_the_collector_nothing_to_track(self):
+        """2,000 events with list and dict fields, on a bare bus and on
+        one with a sink, add no object the cyclic collector walks."""
+        buses = [EventBus(), EventBus(sink=io.StringIO())]
+        for bus in buses:
+            bus.emit("k", 0.0, "c", subject="s", hops=[0], seen={"a": 0})
         gc.collect()
         before = len(gc.get_objects())
         for i in range(2000):
-            bus.emit(
-                "k", float(i), "c", subject="s",
-                hops=[i, i + 1], seen={"a": i, "b": [i]},
-            )
+            for bus in buses:
+                bus.emit(
+                    "k", float(i), "c", subject="s",
+                    hops=[i, i + 1], seen={"a": i, "b": [i]},
+                )
         gc.collect()
         assert len(gc.get_objects()) - before < 50
-        assert len(bus) == 2001
-        assert not any(gc.is_tracked(line) for line in bus._ring)
+        assert [bus.total for bus in buses] == [2001, 2001]
 
     def test_counts_per_kind(self):
         bus = EventBus()
@@ -462,13 +474,14 @@ class TestErrorEvents:
         assert ctx == {"message": "nope", "type": "ValueError"}
 
     def test_emit_error(self):
-        bus = EventBus()
+        sink = io.StringIO()
+        bus = EventBus(sink=sink)
         exc = MeasurementError("boom", vp="vp0", target="t")
         bus.emit_error(
             "isolation.failed", 5.0, "isolation.isolator", exc,
             subject="vp0|t",
         )
-        (event,) = bus.events()
+        (event,) = _read(sink)
         assert event.kind == "isolation.failed"
         assert event.fields["error"]["type"] == "MeasurementError"
         assert event.fields["error"]["vp"] == "vp0"

@@ -6,11 +6,13 @@ detection → isolation → poison → convergence → verification →
 repair-detection → unpoison — reconstructs from the event log alone.
 """
 
+import io
 import json
 
 import pytest
 
 from repro.obs.events import Event, EventBus
+from repro.obs.export import read_events_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     Span,
@@ -27,16 +29,20 @@ DEMO_KWARGS = dict(seed=0, fail_start=1000.0, fail_end=2400.0, end=3600.0)
 
 @pytest.fixture(scope="module")
 def observed_demo():
+    """(events read back from the bus's sink, registry, scenario, the
+    injected AS)."""
     registry = MetricsRegistry()
-    bus = EventBus(metrics=registry)
+    sink = io.StringIO()
+    bus = EventBus(sink=sink, metrics=registry)
     scenario, bad_asn = run_demo_scenario(obs=bus, **DEMO_KWARGS)
-    return bus, registry, scenario, bad_asn
+    sink.seek(0)
+    return read_events_jsonl(sink), registry, scenario, bad_asn
 
 
 @pytest.fixture(scope="module")
 def repaired_timeline(observed_demo):
-    bus, _registry, _scenario, _bad_asn = observed_demo
-    timelines = assemble_timelines(bus.events())
+    events, _registry, _scenario, _bad_asn = observed_demo
+    timelines = assemble_timelines(events)
     repaired = [tl for tl in timelines if tl.final_state == "unpoisoned"]
     assert repaired, "demo should complete at least one full repair"
     return repaired[0]
@@ -67,7 +73,7 @@ class TestEndToEndTimeline:
     def test_poison_blames_injected_asn(
         self, observed_demo, repaired_timeline
     ):
-        _bus, _registry, _scenario, bad_asn = observed_demo
+        _events, _registry, _scenario, bad_asn = observed_demo
         assert repaired_timeline.span("poison").detail["asn"] == bad_asn
         assert (
             repaired_timeline.span("isolation").detail["blamed_asn"]
@@ -93,19 +99,19 @@ class TestEndToEndTimeline:
             assert phase in text
 
     def test_assembly_is_pure_over_serialized_events(self, observed_demo):
-        bus, _registry, _scenario, _bad_asn = observed_demo
-        direct = render_timelines(assemble_timelines(bus.events()))
+        events, _registry, _scenario, _bad_asn = observed_demo
+        direct = render_timelines(assemble_timelines(events))
         replayed = render_timelines(
             assemble_timelines(
                 Event.from_json(json.loads(e.canonical()))
-                for e in bus.events()
+                for e in events
             )
         )
         assert replayed == direct
 
     def test_event_stream_covers_all_layers(self, observed_demo):
-        bus, _registry, _scenario, _bad_asn = observed_demo
-        components = {e.component for e in bus.events()}
+        events, _registry, _scenario, _bad_asn = observed_demo
+        components = {e.component for e in events}
         for component in (
             "bgp.engine", "control.lifeguard", "control.guard",
             "dataplane.prober", "measure.monitor", "isolation.isolator",
@@ -115,7 +121,7 @@ class TestEndToEndTimeline:
     def test_metrics_registry_saw_events_and_convergence(
         self, observed_demo
     ):
-        _bus, registry, _scenario, _bad_asn = observed_demo
+        _events, registry, _scenario, _bad_asn = observed_demo
         counters = registry.counter_values()
         assert counters["obs.events.control.state"] > 0
         assert counters["obs.events.probe.ping"] > 0

@@ -12,6 +12,7 @@ come from ``REPRO_CHAOS_SEEDS`` so CI can sweep a matrix.
 """
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from repro.control.journal import RepairJournal
 from repro.control.lifeguard import LifeguardConfig
 from repro.obs.events import EventBus
+from repro.obs.export import read_events_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     AdmissionController,
@@ -494,25 +496,25 @@ class TestReadPathBehaviourPin:
             == ledger.classify_reused
         )
         assert "walk_hits" not in report.as_dict()
-        # Nothing in the loop reads engine.change_log, so the daemon
-        # keeps one round of it: every finished round's changes were
-        # dropped and counted — in a gauge, never on the bus.
-        assert scenario.engine.change_log == []
-        assert gauges["bgp.change_log.dropped"] == service.changes_dropped
-        assert service.changes_dropped > 500
+        # Nothing in the loop listens to the engine's Loc-RIB changes,
+        # so the engine kept none: it counted them.
+        assert scenario.engine.on_change == []
+        assert not hasattr(scenario.engine, "change_log")
+        assert scenario.engine.changes > 500
 
 
 def test_small_episode_reads_back_the_events_it_emitted():
-    """``TestReadPathBehaviourPin``'s episode read back from the ring.
+    """``TestReadPathBehaviourPin``'s episode read back from its sink.
 
-    The ring keeps each event's canonical line and ``events()`` parses
-    it; the hash over the parsed events (``repr`` tells a tuple from a
-    list, ``True`` from ``1``, ``1`` from ``1.0``) was recorded when the
-    ring still held the ``Event`` objects ``emit`` had built, and
-    re-recorded with the count above when the pacer moved ahead of the
-    isolation.
+    The sink receives each event's canonical line and
+    ``read_events_jsonl`` parses it; the hash over the parsed events
+    (``repr`` tells a tuple from a list, ``True`` from ``1``, ``1`` from
+    ``1.0``) was recorded when the bus still kept the ``Event`` objects
+    ``emit`` had built, and re-recorded with the count above when the
+    pacer moved ahead of the isolation.
     """
-    obs = EventBus(metrics=MetricsRegistry())
+    sink = io.StringIO()
+    obs = EventBus(sink=sink, metrics=MetricsRegistry())
     scenario = build_deployment(
         scale="small", seed=3, num_helper_vps=3, num_targets=5,
         obs=obs,
@@ -528,7 +530,8 @@ def test_small_episode_reads_back_the_events_it_emitted():
         traffic=TrafficConfig(),
     )
     LifeguardService(scenario, config, obs=obs).run()
-    blobs = [event.to_json() for event in obs.events()]
+    sink.seek(0)
+    blobs = [event.to_json() for event in read_events_jsonl(sink)]
     assert len(blobs) == 5778
     assert hashlib.sha256(repr(blobs).encode("utf-8")).hexdigest() == (
         "1d744b1b01f9432687d5be2fc48d0836"
