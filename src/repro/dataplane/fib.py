@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Mapping, Optional, Set, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
 
 from repro.bgp.engine import BGPEngine
 from repro.net.addr import Address, Prefix, address_int
@@ -42,10 +42,8 @@ class FibSnapshot:
     #: prefix -> originating asn, for host-attachment decisions.
     origins: Dict[Prefix, int] = field(default_factory=dict)
     #: Running totals over the incremental refreshes behind this
-    #: snapshot: rows re-read, columns compiled whole because the axis
-    #: under them had regrown, axes regrown for a never-seen prefix.
+    #: snapshot: rows re-read, axes regrown for a never-seen prefix.
     rows_patched: int = field(default=0, compare=False)
-    columns_compiled: int = field(default=0, compare=False)
     axis_regrown: int = field(default=0, compare=False)
     #: asn -> interval table compiled from ``tables[asn]`` on first use;
     #: build_fibs carries clean ASes' entries into the next snapshot.
@@ -111,15 +109,23 @@ class FibSnapshot:
         return self._origin_index.resolve(destination)
 
     def _carried(
-        self, table: FlatLPM, fib: Mapping[Prefix, int], rows: Iterable[Prefix]
+        self,
+        table: FlatLPM,
+        fib: Mapping[Prefix, int],
+        rows: Iterable[Prefix],
+        fresh: Dict[PrefixAxis, List[int]],
     ) -> FlatLPM:
         """A predecessor's *table* brought to *fib*, of which *rows*
-        moved: patched while it stands on this snapshot's axis, compiled
-        whole (and counted) once the axis has regrown under it."""
-        if table.axis is self._axis:
-            return table.patched(fib, rows)
-        self.columns_compiled += 1
-        return self._compile(fib)
+        moved: first re-cut onto this snapshot's axis if that has regrown
+        under it (*fresh* holds each older axis's fresh slots, found once
+        per refresh), then patched."""
+        axis = self._axis
+        if table.axis is not axis:
+            slots = fresh.get(table.axis)
+            if slots is None:
+                slots = fresh[table.axis] = axis.fresh_slots(table.axis)
+            table = table.recut(axis, slots)
+        return table.patched(fib, rows)
 
 
 def _next_hop(asn: int, route) -> int:
@@ -182,7 +188,8 @@ def build_fibs(
     asn -> the prefixes whose next hop moved; a bare set of ASNs means
     every row of those ASes), only those rows are re-read into a copy of
     the dirty AS's map, and its table, if compiled, is patched under
-    them.  Every other AS *shares its map object* — and the interval
+    them — first re-cut onto the axis if a never-seen prefix regrew it.
+    Every other AS *shares its map object* — and the interval
     table already compiled from it — with the previous snapshot, as is
     ``origins`` unless a row changed a LOCAL claim.
     ``dirty_asns=None`` means the change set is unbounded — full rebuild.
@@ -237,8 +244,11 @@ def build_fibs(
     if newcomers:
         snapshot._axis = PrefixAxis(axis.spans.keys() | newcomers)
         snapshot.axis_regrown += 1
+    fresh: Dict[PrefixAxis, List[int]] = {}
     for asn, (table, rows) in compiled.items():
-        snapshot._flat[asn] = snapshot._carried(table, tables[asn], rows)
+        snapshot._flat[asn] = snapshot._carried(
+            table, tables[asn], rows, fresh
+        )
     if contested:
         origins = snapshot.origins = dict(previous.origins)
         for prefix in contested:
@@ -248,6 +258,6 @@ def build_fibs(
                     _claim(origins, asn, prefix)
         if previous._origin_index is not None:
             snapshot._origin_index = snapshot._carried(
-                previous._origin_index, origins, contested
+                previous._origin_index, origins, contested, fresh
             )
     return snapshot

@@ -81,6 +81,19 @@ class PrefixAxis:
             for prefix in entries
         }
 
+    def fresh_slots(self, older: "PrefixAxis") -> List[int]:
+        """This axis's slots whose base *older* lacks, ascending.
+
+        *older* must be an axis over a subset of this one's prefixes —
+        an earlier axis of the same chain of refreshes — so its bases
+        are a subset of these: each fresh slot splits one of its slots.
+        """
+        bases = self.bases
+        fresh = sorted(set(bases).difference(older.bases))
+        if len(bases) - len(fresh) != len(older.bases):
+            raise ValueError("the older axis holds a base this one lacks")
+        return [bisect_left(bases, base) for base in fresh]
+
 
 class FlatLPM:
     """A prefix -> value map compiled to a column over a prefix axis.
@@ -145,6 +158,19 @@ class FlatLPM:
                         values[slot] = value
                         break
         return FlatLPM(self.axis, values, len(fib))
+
+    def recut(self, axis: PrefixAxis, fresh: Iterable[int]) -> "FlatLPM":
+        """This table moved onto *axis*, a regrowth of its own, whose
+        *fresh* slots (:meth:`PrefixAxis.fresh_slots`) it lacks.
+
+        The map has no row for a prefix the old axis never held, so a
+        fresh slot resolves as the slot it splits: a copied column with
+        that value inserted at each fresh slot, in ascending order.
+        """
+        values = self.values.copy()
+        for slot in fresh:
+            values.insert(slot, values[slot - 1])
+        return FlatLPM(axis, values, self.size)
 
     def resolve(self, address: Union[int, str, Address]) -> Optional[int]:
         """Next hop for *address*: the most specific covering prefix's."""

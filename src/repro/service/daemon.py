@@ -674,9 +674,8 @@ class LifeguardService:
         self._gauge(
             "traffic.ledger.classify_reused", self.ledger.classify_reused
         )
-        fibs = dataplane.fibs  # rows re-read vs whole-column fallbacks
+        fibs = dataplane.fibs  # rows re-read, axes regrown under them
         self._gauge("dataplane.fib.rows_patched", fibs.rows_patched)
-        self._gauge("dataplane.fib.columns_compiled", fibs.columns_compiled)
         self._gauge("dataplane.fib.axis_regrown", fibs.axis_regrown)
         for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
             value = _percentile(self.ttr, q)

@@ -11,8 +11,10 @@ answer as a trie of the *full* build's map does at every boundary, and
 ``origin_for`` as a linear scan of the full build's origins.  The
 stateful test drives that through both routing paths (the delta splice
 and the event engine), axis growth, MOAS, whole-prefix withdrawals,
-several ``run()``s per look and next hops that flap back; the ladder
-test pins the point of it all — a repair step compiles nothing.
+several ``run()``s per look and next hops that flap back, and counts
+that no refresh compiles a column whole; the ladder test pins the point
+of it all — a repair step compiles nothing, and a never-seen prefix
+re-cuts each compiled column onto one new axis.
 """
 
 import random
@@ -20,6 +22,7 @@ import random
 import pytest
 
 from repro.bgp.engine import BGPEngine, EngineConfig
+from repro.bgp.messages import make_path
 from repro.bgp.origin import OriginController
 from repro.bgp.policy import SpeakerConfig
 from repro.bgp.solver import Origination, solve
@@ -66,12 +69,45 @@ def _analytic_world(scale, seed):
     return graph, engine, origin
 
 
+@pytest.fixture()
+def counted(monkeypatch):
+    """Counts of full-column compiles, axis constructions, columns
+    re-cut onto a regrown axis and fresh-slot lists found for one."""
+    counts = {"compile": 0, "axis": 0, "recut": 0, "fresh": 0}
+    compile_ = FlatLPM.compile.__func__
+    init = PrefixAxis.__init__
+    recut = FlatLPM.recut
+    fresh_slots = PrefixAxis.fresh_slots
+
+    def counting_compile(cls, fib, axis=None):
+        counts["compile"] += 1
+        return compile_(cls, fib, axis)
+
+    def counting_init(self, prefixes):
+        counts["axis"] += 1
+        init(self, prefixes)
+
+    def counting_recut(self, axis, fresh):
+        counts["recut"] += 1
+        return recut(self, axis, fresh)
+
+    def counting_fresh_slots(self, older):
+        counts["fresh"] += 1
+        return fresh_slots(self, older)
+
+    monkeypatch.setattr(FlatLPM, "compile", classmethod(counting_compile))
+    monkeypatch.setattr(PrefixAxis, "__init__", counting_init)
+    monkeypatch.setattr(FlatLPM, "recut", counting_recut)
+    monkeypatch.setattr(PrefixAxis, "fresh_slots", counting_fresh_slots)
+    return counts
+
+
 class TestPatchedEqualsRebuiltEqualsOracle:
     @pytest.mark.parametrize("compile_up_front", [True, False],
                              ids=["compiled", "lazy"])
     @pytest.mark.parametrize("scale,seed", [("tiny", 0), ("tiny", 2),
                                             ("small", 3)])
-    def test_every_refresh(self, scale, seed, compile_up_front):
+    def test_every_refresh(self, scale, seed, compile_up_front, counted):
         graph, engine, origin = _analytic_world(scale, seed)
         rng = random.Random(9000 + seed)
         controller = OriginController(
@@ -187,7 +223,14 @@ class TestPatchedEqualsRebuiltEqualsOracle:
             step(index)
             dirty = engine.consume_fib_dirty()
             assert dirty is not None
+            compiles, axes = counted["compile"], counted["axis"]
             current = build_fibs(engine, previous, dirty)
+            # A refresh compiles no column whole, even when it regrows
+            # the axis: a carried column is re-cut, then patched.
+            assert counted["compile"] == compiles
+            assert counted["axis"] - axes == (
+                current.axis_regrown - previous.axis_regrown
+            ) <= 1
             full = build_fibs(engine)
             assert current.tables == full.tables, seen
             assert current.origins == full.origins, seen
@@ -218,7 +261,7 @@ class TestPatchedEqualsRebuiltEqualsOracle:
         assert controller.delta_fallbacks, "the event path never ran"
         assert previous.rows_patched and previous.axis_regrown
         if compile_up_front:
-            assert previous.columns_compiled
+            assert counted["recut"], "no column ever left an old axis"
 
 
 class TestOneRuleForARow:
@@ -335,25 +378,6 @@ class TestOneRuleForARow:
 class TestARepairStepCompilesNothing:
     """The regression guard for the gain, outside the benchmark."""
 
-    @pytest.fixture()
-    def counted(self, monkeypatch):
-        """Counts of full-column compiles and axis constructions."""
-        counts = {"compile": 0, "axis": 0}
-        compile_ = FlatLPM.compile.__func__
-        init = PrefixAxis.__init__
-
-        def counting_compile(cls, fib, axis=None):
-            counts["compile"] += 1
-            return compile_(cls, fib, axis)
-
-        def counting_init(self, prefixes):
-            counts["axis"] += 1
-            init(self, prefixes)
-
-        monkeypatch.setattr(FlatLPM, "compile", classmethod(counting_compile))
-        monkeypatch.setattr(PrefixAxis, "__init__", counting_init)
-        return counts
-
     def test_ladder_patches_and_a_new_prefix_regrows_once(self, counted):
         scenario = build_deployment(
             "small", seed=3,
@@ -365,7 +389,7 @@ class TestARepairStepCompilesNothing:
         for asn in start.tables:
             start.flat(asn)
         start.origin_for(0)
-        counted.update(compile=0, axis=0)
+        counted.update(dict.fromkeys(counted, 0))
 
         providers = set(graph.providers(lifeguard.origin_asn))
         first, second = sorted(
@@ -401,17 +425,17 @@ class TestARepairStepCompilesNothing:
             previous = current
         assert controller.delta_applied > 0
         assert controller.delta_fallbacks == 0
-        assert counted == {"compile": 0, "axis": 0}
+        assert counted == {"compile": 0, "axis": 0, "recut": 0, "fresh": 0}
         assert previous.rows_patched - start.rows_patched == moved
-        assert previous.columns_compiled == start.columns_compiled
         assert previous.axis_regrown == start.axis_regrown
         # The unpoison put every next hop back.
         assert previous.tables == start.tables
 
         # A more-specific nobody has seen: one new axis, and every AS
-        # that learns it — all of them, each compiled — leaves the old
-        # axis through one whole-column compile, as does the origins
-        # index.  ASes that learn nothing would keep their old table.
+        # that learns it — all of them, each compiled — has its column
+        # re-cut onto it and patched, as does the origins index; none
+        # is compiled whole.  ASes that learn nothing would keep their
+        # old table.
         stub = next(
             n.asn for n in graph.nodes()
             if n.tier == 3 and n.asn != lifeguard.origin_asn and n.prefixes
@@ -422,18 +446,81 @@ class TestARepairStepCompilesNothing:
         lifeguard.refresh_dataplane()
         grown = lifeguard.dataplane.fibs
         assert all(specific in fib for fib in grown.tables.values())
-        assert counted == {"compile": len(grown.tables) + 1, "axis": 1}
+        assert counted == {
+            "compile": 0, "axis": 1, "recut": len(grown.tables) + 1,
+            "fresh": 1,
+        }
         assert grown.axis_regrown == previous.axis_regrown + 1
-        assert grown.columns_compiled == (
-            previous.columns_compiled + len(grown.tables) + 1
-        )
         assert grown.flat(stub).bases is not previous.flat(stub).bases
+        for asn, fib in grown.tables.items():
+            assert grown.flat(asn).bases is grown.axis.bases
+            _assert_matches_oracle(grown.flat(asn), fib)
+        for prefix in grown.origins:
+            for address in (prefix.base, prefix.base + 1):
+                assert grown.origin_for(address) == _linear_origin(
+                    grown.origins, address
+                )
         assert grown.origin_for(specific.base + 1) == stub
         assert grown.tables[stub][specific] == LOCAL
+        # Every column read above was the carried one: none compiled.
+        assert counted["compile"] == 0
         # From here on the new axis is the shared one: patches again.
-        counted.update(compile=0, axis=0)
+        counted.update(dict.fromkeys(counted, 0))
         controller.poison([first], key="repair")
         engine.run()
         lifeguard.refresh_dataplane()
         assert lifeguard.dataplane.fibs is not grown
-        assert counted == {"compile": 0, "axis": 0}
+        assert counted == {"compile": 0, "axis": 0, "recut": 0, "fresh": 0}
+
+    def test_a_column_carried_across_skipped_axes(self, counted):
+        # AS3 never learns the first newcomer (the path poisons it), so
+        # its column sits out one regrown axis and leaves the first axis
+        # for the third at the second refresh; the others, and the
+        # origins column, move from the second.  Nothing is compiled
+        # whole and each source axis's fresh slots are found once.
+        # Stubs 1 and 3 under one provider, 2; each originates a /16.
+        g = ASGraph()
+        for asn, tier in ((1, 3), (2, 2), (3, 3)):
+            g.add_as(asn, tier=tier)
+            g.assign_prefix(asn, Prefix(f"10.10{asn}.0.0/16"))
+        g.add_link(1, 2, Relationship.PROVIDER)
+        g.add_link(3, 2, Relationship.PROVIDER)
+        engine = BGPEngine(g)
+        for node in g.nodes():
+            engine.originate(node.asn, node.prefixes[0])
+        engine.run()
+        engine.consume_fib_dirty()
+        first = build_fibs(engine)
+        for asn in first.tables:
+            first.flat(asn)
+        first.origin_for(0)
+        counted.update(dict.fromkeys(counted, 0))
+
+        specific = Prefix("10.101.1.0/24")
+        engine.originate(1, specific, path=make_path(1, poison=[3]))
+        engine.run()
+        second = build_fibs(engine, first, engine.consume_fib_dirty())
+        assert specific not in second.tables[3]
+        assert second.tables[3] is first.tables[3]
+        assert second.flat(3) is first.flat(3)
+        assert second.flat(1).axis is second.axis is not first.axis
+        assert counted == {"compile": 0, "axis": 1, "recut": 3, "fresh": 1}
+
+        engine.originate(2, BRAND_NEW)
+        engine.run()
+        third = build_fibs(engine, second, engine.consume_fib_dirty())
+        assert counted == {"compile": 0, "axis": 2, "recut": 7, "fresh": 3}
+        full = build_fibs(engine)
+        assert third.tables == full.tables and third.origins == full.origins
+        assert third.axis_regrown == 2
+        for asn, fib in third.tables.items():
+            assert third.flat(asn).axis is third.axis
+            _assert_matches_oracle(third.flat(asn), fib)
+        for prefix in third.origins:
+            for address in (prefix.base, prefix.base + 1):
+                assert third.origin_for(address) == _linear_origin(
+                    third.origins, address
+                )
+        assert third.origin_for(BRAND_NEW.base) == 2
+        assert third.origin_for(specific.base) == 1
+        assert counted["compile"] == 0

@@ -14,6 +14,8 @@ ends.  The ``origin_for`` tests cover the index over
 ``TestPatchedColumns`` holds the write side to the same oracle: a column
 patched under changed rows equals one compiled whole, on a shared,
 unmerged ``PrefixAxis`` whose ``bases`` no patch ever moves.
+``TestRegrownAxis`` does the same across a regrown axis: a column re-cut
+onto it and then patched equals one compiled whole over the new axis.
 """
 
 import random
@@ -266,6 +268,108 @@ class TestPatchedColumns:
             table.patched({inside: 1, outside: 2}, [outside])
         # Announced and withdrawn between two looks: nothing to re-read.
         assert table.patched({inside: 1}, [outside]).values == table.values
+
+
+def _commonest_cover(a, b):
+    """The longest prefix holding both *a* and *b*."""
+    differ = (a.base ^ b.base).bit_length()
+    length = min(32 - differ, a.length, b.length)
+    return Prefix(a.base & _mask(length), length)
+
+
+class TestRegrownAxis:
+    """A never-seen prefix regrows the axis; a compiled column leaves
+    the old one by a re-cut (each fresh slot takes the value of the slot
+    it splits) and then the ordinary patch — and lands on exactly the
+    column a whole compile over the new axis would paint."""
+
+    @staticmethod
+    def _batch(rng, universe):
+        """Prefixes a refresh may meet, in every shape a re-cut must
+        split right: a more-specific inside a present prefix, a
+        less-specific enclosing several, 0.0.0.0/0, the /32 at the top
+        of the space, and one the axis already holds."""
+        present = sorted(universe)
+        outer = rng.choice([p for p in present if p.length < 32])
+        length = rng.randint(outer.length + 1, min(32, outer.length + 8))
+        bits = rng.getrandbits(32) & _mask(length) & ~_mask(outer.length)
+        a, b = rng.sample(present, 2)
+        return {
+            Prefix(outer.base | bits, length),
+            _commonest_cover(a, b),
+            Prefix(0, 0),
+            Prefix(_SPACE - 1, 32),
+            rng.choice(present),
+        }
+
+    @staticmethod
+    def _moved(rng, fib, rows):
+        """*fib* with *rows* re-read: set, or (if present) sometimes gone."""
+        after = dict(fib)
+        for prefix in rows:
+            if prefix in after and rng.random() < 0.3:
+                del after[prefix]
+            else:
+                after[prefix] = rng.randint(-1, 3)
+        return after
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_recut_then_patched_equals_compiled_equals_oracle(self, seed):
+        rng = random.Random(9100 + seed)
+        universe = _random_fib(rng, entries=rng.randint(2, 40))
+        axis = PrefixAxis(universe)
+        # Per-AS columns, an origins column (prefix -> owning AS) and
+        # one column nothing touches until the last batch, so with two
+        # or more batches it skips every axis in between.
+        maps = {
+            name: {p: rng.randint(-1, 3) for p in universe
+                   if rng.random() < 0.7}
+            for name in ("a", "b", "c", "skips")
+        }
+        maps["origins"] = {p: rng.randint(1, 9) for p in universe}
+        columns = {name: FlatLPM.compile(fib, axis)
+                   for name, fib in maps.items()}
+        batches = 1 + seed % 3
+        for index in range(batches):
+            newcomers = self._batch(rng, universe)
+            universe = {**universe, **dict.fromkeys(newcomers)}
+            grown = PrefixAxis(universe)
+            for name, fib in maps.items():
+                if name == "skips" and index < batches - 1:
+                    continue
+                table = columns[name]
+                fresh = grown.fresh_slots(table.axis)
+                assert fresh == sorted(set(fresh))
+                assert len(grown.bases) - len(fresh) == len(table.bases)
+                recut = table.recut(grown, fresh)
+                assert recut.bases is grown.bases
+                # The re-cut alone moves no answer, and leaves its
+                # source as it was.
+                assert recut.intervals() == table.intervals()
+                assert recut.values == FlatLPM.compile(fib, grown).values
+                _assert_matches_oracle(recut, fib)
+                _assert_matches_oracle(table, fib)
+                # Some newcomers arrive, and up to two old rows move.
+                arrive = rng.randint(1, len(newcomers))
+                rows = set(rng.sample(sorted(newcomers), arrive))
+                rows.update(rng.sample(sorted(fib), min(len(fib), 2)))
+                after = self._moved(rng, fib, rows)
+                patched = recut.patched(after, rows)
+                assert patched.bases is grown.bases
+                assert len(patched) == len(after)
+                assert patched.values == FlatLPM.compile(after, grown).values
+                _assert_matches_oracle(patched, after)
+                maps[name], columns[name] = after, patched
+            axis = grown
+        assert all(table.axis is axis for table in columns.values())
+
+    def test_fresh_slots_refuse_an_axis_that_is_no_ancestor(self):
+        left, right = Prefix("10.0.0.0/8"), Prefix("192.0.2.0/24")
+        grown = PrefixAxis([left, Prefix("10.1.0.0/16")])
+        assert grown.fresh_slots(PrefixAxis([left])) == [2, 3]
+        assert grown.fresh_slots(grown) == []
+        with pytest.raises(ValueError):
+            grown.fresh_slots(PrefixAxis([right]))
 
 
 class TestDefaultRouteBoundary:
