@@ -8,10 +8,10 @@ a single priority queue; speakers are pure state machines.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bgp.messages import (
@@ -33,6 +33,10 @@ from repro.topology.as_graph import ASGraph
 #: DELIVER a=receiving ASN b=update; MRAI_EXPIRE a=session b=prefix;
 #: DAMPING_REUSE a=ASN b=prefix c=neighbor.
 EVENT_DELIVER, EVENT_MRAI_EXPIRE, EVENT_DAMPING_REUSE = range(3)
+
+#: Builds a tuple value without its class's Python ``__new__`` (the
+#: per-message :class:`Withdrawal`; every field given, nothing to check).
+_new = tuple.__new__
 
 
 @dataclass
@@ -71,6 +75,7 @@ class _Session:
 
     __slots__ = (
         "key", "mrai", "floor", "last_sent_time", "sent", "timer_pending",
+        "updates",
     )
 
     def __init__(self, key: Tuple[int, int], mrai: float) -> None:
@@ -93,6 +98,8 @@ class _Session:
         self.sent: Dict[Prefix, Optional[Announcement]] = {}
         #: prefixes with an MRAI expiry event already queued.
         self.timer_pending: Set[Prefix] = set()
+        #: updates (announcements + withdrawals) sent on this session.
+        self.updates = 0
 
 
 class BGPEngine:
@@ -128,9 +135,6 @@ class BGPEngine:
         #: Loc-RIB changes made over the engine's life (the solver
         #: gate's and warm_start's witness of prior activity).
         self.changes = 0
-        #: total updates (announcements + withdrawals) sent per directed
-        #: session; Table 2's per-router load estimates read this.
-        self.updates_sent: Dict[Tuple[int, int], int] = {}
         #: listeners called with a :class:`RouteChange` on every Loc-RIB
         #: change, in attach order; none by default, and a pickled
         #: snapshot carries none (:meth:`__getstate__`).
@@ -167,23 +171,42 @@ class BGPEngine:
         #: asn -> prefixes whose forwarding next hop changed since the
         #: last consume_fib_dirty().  None: unknown — rebuild everything.
         self._fib_dirty: Optional[Dict[int, Set[Prefix]]] = None
+        #: the two per-delivery delay draws' low ends and spans, the
+        #: terms of ``Random.uniform``'s arithmetic (:meth:`_send`).
+        self._delay_terms = (
+            config.proc_delay_min,
+            config.proc_delay_max - config.proc_delay_min,
+            config.link_delay_min,
+            config.link_delay_max - config.link_delay_min,
+        )
         speaker_configs = speaker_configs or {}
+        session_map, mrai = self._session_map, config.mrai
+        # One ``Random.uniform`` draw per session, spelled out.
+        jitter_min = config.mrai_jitter_min
+        jitter_span = config.mrai_jitter_max - jitter_min
+        rand = self._rng.random
         for asn in graph.ases():
-            neighbor_rels = {
-                n: graph.relationship(asn, n) for n in graph.neighbors(asn)
-            }
+            neighbor_rels = graph.neighbor_roles(asn)
             speaker = self.speakers[asn] = BGPSpeaker(
                 asn, neighbor_rels, speaker_configs.get(asn),
                 self._config_verdict,
             )
+            sessions = speaker.sessions
             for neighbor in neighbor_rels:
-                jitter = self._rng.uniform(
-                    config.mrai_jitter_min, config.mrai_jitter_max
+                key = (asn, neighbor)
+                session = session_map[key] = sessions[neighbor] = _Session(
+                    key, mrai * (jitter_min + jitter_span * rand())
                 )
-                session = self._session_map[(asn, neighbor)] = _Session(
-                    (asn, neighbor), config.mrai * jitter
-                )
-                speaker.sessions[neighbor] = session
+
+    @property
+    def updates_sent(self) -> Dict[Tuple[int, int], int]:
+        """Updates (announcements + withdrawals) sent so far per directed
+        session, for the sessions that sent any (a new dict per read)."""
+        return {
+            key: session.updates
+            for key, session in self._session_map.items()
+            if session.updates
+        }
 
     def __getstate__(self) -> dict:
         """Pickle state without the ``on_change`` listeners: a restored
@@ -200,7 +223,7 @@ class BGPEngine:
             raise SimulationError(
                 f"event scheduled in the past ({time} < {self.now})"
             )
-        heapq.heappush(self._queue, (time, next(self._seq), code, a, b, c))
+        heappush(self._queue, (time, next(self._seq), code, a, b, c))
 
     def reseed(self, seed: int) -> None:
         """Replace the engine's RNG stream (timing jitter draws).
@@ -236,7 +259,7 @@ class BGPEngine:
         *avoid* attaches an AVOID_PROBLEM(X, P) hint (the idealized
         primitive; see :mod:`repro.bgp.messages`).
         """
-        self._invalidate_analytic()
+        self._invalidate_analytic(prefix)
         speaker = self.speakers[asn]
         old_best = speaker.best(prefix)
         speaker.originate(
@@ -250,7 +273,7 @@ class BGPEngine:
 
     def withdraw_origin(self, asn: int, prefix: Prefix) -> None:
         """Stop originating *prefix* at *asn*."""
-        self._invalidate_analytic()
+        self._invalidate_analytic(prefix)
         speaker = self.speakers[asn]
         speaker.stop_originating(prefix)
         # Logged without its old route: the FIB row counts as moved even
@@ -359,30 +382,39 @@ class BGPEngine:
                 prefixes=len(result.solutions),
             )
 
-    def materialize(self) -> None:
-        """Write the Adj-RIB-In and wire rows of every pending analytic
-        prefix (:func:`repro.bgp.solver.derive_rows`).
+    def materialize(self, prefix: Optional[Prefix] = None) -> None:
+        """Write the Adj-RIB-In and wire rows of *prefix* if it is
+        pending, or of every pending prefix when *prefix* is None
+        (:func:`repro.bgp.solver.derive_rows`).
 
         The one door to a row: the event path passes through it (via
-        :meth:`_invalidate_analytic`) before it touches one, and so do
-        out-of-band readers of Adj-RIB-In or wire state.  Each prefix's
-        rows are new dicts this engine owns — never the solution's or
-        the solution memo's, which other engines may share.  Loc-RIB is
-        not written: it was pinned when the solution was installed.
+        :meth:`_invalidate_analytic`) before it touches one — for the
+        one prefix an origination or withdrawal touches, for every
+        prefix on a session reset — and so do out-of-band readers of
+        Adj-RIB-In or wire state.  Each prefix's rows are new dicts
+        this engine owns — never the solution's or the solution memo's,
+        which other engines may share.  Loc-RIB is not written: it was
+        pinned when the solution was installed.
         """
         pending = self._rows_pending
         if not pending:
             return
+        if prefix is None:
+            for held, solution in pending.items():
+                self._write_rows(held, solution)
+            pending.clear()
+        elif prefix in pending:
+            self._write_rows(prefix, pending.pop(prefix))
+
+    def _write_rows(self, prefix: Prefix, solution) -> None:
         speakers = self.speakers
-        for prefix, solution in pending.items():
-            adj_in, sent = derive_rows(solution)
-            for receiver, routes in adj_in.items():
-                speakers[receiver].table.replace_rows(prefix, routes)
-            for src, row in sent.items():
-                sessions = speakers[src].sessions
-                for dst, announcement in row.items():
-                    sessions[dst].sent[prefix] = announcement
-        pending.clear()
+        adj_in, sent = derive_rows(solution)
+        for receiver, routes in adj_in.items():
+            speakers[receiver].table.replace_rows(prefix, routes)
+        for src, row in sent.items():
+            sessions = speakers[src].sessions
+            for dst, announcement in row.items():
+                sessions[dst].sent[prefix] = announcement
 
     def advance_to(self, time: float) -> None:
         """Move the idle engine clock forward to *time*.
@@ -408,7 +440,7 @@ class BGPEngine:
         """
         processed = 0
         queue, speakers = self._queue, self.speakers
-        pop = heapq.heappop
+        pop = heappop
         while queue:
             time = queue[0][0]
             if until is not None and time > until:
@@ -485,9 +517,16 @@ class BGPEngine:
     ) -> None:
         """Tell every neighbor of *speaker* what it should now hear about
         *prefix*, *best* being the speaker's Loc-RIB entry for it."""
-        if best is None or speaker.originates(prefix):
+        if prefix in speaker._origins:
             for session in speaker.sessions.values():
                 self._flush_session(session, prefix)
+            return
+        if best is None:
+            # No route: every neighbor that still holds one is told to
+            # withdraw it (desired_export is None throughout).
+            for session in speaker.sessions.values():
+                if session.sent.get(prefix) is not None:
+                    self._send(session, prefix, None)
             return
         # A transit route is told identically to every neighbor the
         # export policy admits (desired_export's rules, in its order):
@@ -520,42 +559,48 @@ class BGPEngine:
     ) -> None:
         """Transmit *desired*, which differs from what *session* last
         sent for *prefix* — or arm the MRAI timer that will.
-        Withdrawals are conventionally not rate-limited (WRATE off)."""
+        Withdrawals are conventionally not rate-limited (WRATE off).
+        Both pushes skip :meth:`_push`'s check: an MRAI expiry lies
+        ahead of now, and so does an arrival (the delays are >= 0)."""
+        now = self.now
         if desired is not None:
             last = session.last_sent_time.get(prefix)
-            if last is not None and self.now < last + session.mrai:
+            if last is not None and now < last + session.mrai:
                 if prefix not in session.timer_pending:
                     session.timer_pending.add(prefix)
-                    self._push(
-                        last + session.mrai, EVENT_MRAI_EXPIRE,
-                        session, prefix,
-                    )
+                    heappush(self._queue, (
+                        last + session.mrai, next(self._seq),
+                        EVENT_MRAI_EXPIRE, session, prefix, None,
+                    ))
                 return
         session.sent[prefix] = desired
-        session.last_sent_time[prefix] = now = self.now
-        key = session.key
-        self.updates_sent[key] = self.updates_sent.get(key, 0) + 1
+        session.last_sent_time[prefix] = now
+        session.updates += 1
+        src, dst = session.key
         if self.obs is not None:
             self.obs.emit(
                 "bgp.update-sent", now, "bgp.engine",
-                subject=str(prefix), src=key[0], dst=key[1],
+                subject=str(prefix), src=src, dst=dst,
                 update="withdraw" if desired is None else "announce",
                 path=list(desired.as_path) if desired is not None else None,
             )
-        update = Withdrawal(prefix, key[0]) if desired is None else desired
+        update = desired
+        if desired is None:
+            update = _new(Withdrawal, (prefix, src))
         deliveries = 1
         if self.fault_hook is not None:
-            action = self.fault_hook(key[0], key[1], update)
+            action = self.fault_hook(src, dst, update)
             if action == "drop":
                 # The sender believes the update went out (session state
                 # already says so); the receiver never sees it.  The
                 # resulting RIB inconsistency persists until the next
                 # update or session reset — exactly a real silent loss.
-                deliveries = 0
-            elif action == "duplicate":
+                return
+            if action == "duplicate":
                 deliveries = 2
-        config, rand = self.config, self._rng.random
-        proc_min, link_min = config.proc_delay_min, config.link_delay_min
+        rand = self._rng.random
+        proc_min, proc_span, link_min, link_span = self._delay_terms
+        queue, seq = self._queue, self._seq
         for _ in range(deliveries):
             # Two ``Random.uniform`` draws spelled out, processing first
             # (the stream order every digest was recorded under).  FIFO
@@ -563,24 +608,28 @@ class BGPEngine:
             # which is send order.
             arrival = (
                 now
-                + (proc_min + (config.proc_delay_max - proc_min) * rand())
-                + (link_min + (config.link_delay_max - link_min) * rand())
+                + (proc_min + proc_span * rand())
+                + (link_min + link_span * rand())
             )
             if arrival < session.floor:
                 arrival = session.floor
             session.floor = arrival
-            self._push(arrival, EVENT_DELIVER, key[1], update)
+            heappush(queue, (
+                arrival, next(seq), EVENT_DELIVER, dst, update, None,
+            ))
 
     # ------------------------------------------------------------------
     # Incremental convergence (repro.bgp.delta)
     # ------------------------------------------------------------------
-    def _invalidate_analytic(self) -> None:
-        """Event-path activity: write every pending row first (the event
-        path reads and mutates rows), then drop the analytic state map —
-        crossed messages can leave artifacts the per-prefix solutions do
-        not describe, so the delta gate must refuse from now on.  The
-        solution memo goes with it: only a splice reads it."""
-        self.materialize()
+    def _invalidate_analytic(self, prefix: Optional[Prefix] = None) -> None:
+        """Event-path activity on *prefix* (None: on every prefix): write
+        its pending rows first (the event path reads and mutates them;
+        its messages carry that prefix alone), then drop the analytic
+        state map — crossed messages can leave artifacts the per-prefix
+        solutions do not describe, so the delta gate must refuse from
+        now on.  The solution memo goes with it: only a splice reads
+        it."""
+        self.materialize(prefix)
         self._analytic = None
         self._delta_solutions.clear()
 

@@ -30,12 +30,13 @@ check is membership in the finals or in that seed.
 A :class:`PrefixSolution` *is* the prefix's routing state: the Loc-RIB
 selection (``best``) of every receiver, in selection order.  A path is
 built only for an AS some receiver selected (the path of their route);
-the Adj-RIB-In rows and per-session wire rows, and the path of an
-exporter nobody selected, are not built by the solve: :func:`derive_rows`
-derives them, fresh on every call, in the order the engine stores them.
+the per-session wire rows, the Adj-RIB-In rows and the path of an
+exporter nobody selected are not built by the solve: :func:`derive_wire`
+derives the wire rows and :func:`derive_rows` the Adj-RIB-In rows from
+them, fresh on every call, in the order the engine stores them.
 :meth:`BGPEngine.warm_start` pins the Loc-RIBs and leaves every prefix's
-rows pending; :meth:`BGPEngine.materialize` writes them before anything
-reads or mutates one, so the engine behaves identically to an
+rows pending; :meth:`BGPEngine.materialize` writes a prefix's rows before
+anything reads or mutates one, so the engine behaves identically to an
 event-converged one for all subsequent perturbations.
 
 The solver refuses configurations it cannot model exactly —
@@ -63,8 +64,6 @@ from repro.topology.relationships import Relationship, local_pref_for
 _RECEIVER_ROLE = {role: role.inverse() for role in Relationship}
 #: Local-pref per relationship class of the neighbour a route came from.
 _LOCAL_PREF = {role: local_pref_for(role) for role in Relationship}
-#: Local-pref of a route a customer hears from its provider.
-_PROVIDER_PREF = _LOCAL_PREF[Relationship.PROVIDER]
 
 
 class SolverUnsupported(SimulationError):
@@ -164,7 +163,7 @@ class PrefixSolution:
     #: rows are exactly these receivers.
     best: Dict[int, Route]
     up_count: int
-    #: the adjacency the solve ran over (:func:`derive_rows` reads it).
+    #: the adjacency the solve ran over (the row derivations read it).
     adjacency: Adjacency = field(repr=False, compare=False)
 
 
@@ -474,104 +473,114 @@ def solve_prefix(
     )
 
 
-def derive_rows(
+def derive_wire(
     solution: PrefixSolution,
-) -> Tuple[Dict[int, Dict[int, Route]], Dict[int, Dict[int, Announcement]]]:
-    """The Adj-RIB-In and wire rows *solution* implies, as
-    ``(adj_in, sent)``: receiver -> sender -> route and exporter ->
-    receiver -> announcement.
+) -> Dict[int, Dict[int, Announcement]]:
+    """The wire rows *solution* implies: exporter -> receiver ->
+    announcement, the one statement of what a converged prefix's
+    sessions carry.
 
-    Built exporter by exporter, in the layout and insertion order the
-    engine stores them, into new dicts on every call: the caller owns
-    them (:meth:`BGPEngine.materialize` installs them by reference).
-    An exporter's path is built here from its own selection (interned,
-    so a sender's is the object its receivers' selections carry).
-    Announcements and routes are shared: one announcement per exporter,
-    one route per (exporter, receiver relationship class), and that
-    route is the very ``best`` object of the receivers that selected it
-    (a Loc-RIB entry and its Adj-RIB-In row are one object, as when the
-    event engine selects a row) — they compare equal to the per-session
-    objects the event engine builds.
+    Built exporter by exporter — the origin, then every receiver in
+    selection order — each row in its neighbor order, into new dicts
+    on every call: the caller owns them.  An exporter's path is built
+    here from its own selection (interned, so a sender's is the object
+    its receivers' selections carry), and one announcement stands for
+    all of an exporter's receivers (per path, at the origin).  They
+    compare equal to the per-session objects the event engine builds.
     """
     nbr_rel, _providers_of, _peers_of, customers_of = solution.adjacency
     org = solution.origination
     origin = org.asn
     prefix = solution.prefix
-    med = org.med
-    best = solution.best
-    adj_in: Dict[int, Dict[int, Route]] = {}
     sent: Dict[int, Dict[int, Announcement]] = {}
 
     row: Dict[int, Announcement] = {}
     ann_by_path: Dict[ASPath, Announcement] = {}
-    for n, role in nbr_rel[origin].items():
+    for n in nbr_rel[origin]:
         path = org.path_for(n)
         if path is None:
             continue
         path = intern_path(path)
         ann = ann_by_path.get(path)
         if ann is None:
-            ann = ann_by_path[path] = Announcement(prefix, path, med)
+            ann = ann_by_path[path] = Announcement(prefix, path, org.med)
         row[n] = ann
-        if n not in path:
-            route = best.get(n)
-            if route is None or route.neighbor != origin:
-                rel = _RECEIVER_ROLE[role]
-                route = Route(prefix, path, origin, rel, _LOCAL_PREF[rel], med)
-            adj_in[n] = {origin: route}
     if row:
         sent[origin] = row
+
+    entries = iter(solution.best.items())
+    # Customer-learned: told to every neighbour but the supplier.
+    for src, heard in islice(entries, solution.up_count):
+        row = dict.fromkeys(
+            nbr_rel[src],
+            Announcement(prefix, intern_path((src,) + heard.as_path)),
+        )
+        del row[heard.neighbor]  # never echo a route back to its supplier
+        if row:
+            sent[src] = row
+    # Peer- and provider-learned: told to customers only, which never
+    # include the supplier.
+    for src, heard in entries:
+        customers = customers_of[src]
+        if customers:
+            sent[src] = dict.fromkeys(
+                customers,
+                Announcement(prefix, intern_path((src,) + heard.as_path)),
+            )
+    return sent
+
+
+def derive_rows(
+    solution: PrefixSolution,
+) -> Tuple[Dict[int, Dict[int, Route]], Dict[int, Dict[int, Announcement]]]:
+    """The Adj-RIB-In and wire rows *solution* implies, as
+    ``(adj_in, sent)``: receiver -> sender -> route and
+    :func:`derive_wire`'s exporter -> receiver -> announcement.
+
+    Each announcement a receiver does not reject as a loop is its row
+    from that exporter, in the layout and insertion order the engine
+    stores them, in new dicts on every call: the caller owns them
+    (:meth:`BGPEngine.materialize` installs them by reference).  Routes
+    are shared: one per (exporter, receiver relationship class), and
+    that route is the very ``best`` object of the receivers that
+    selected it (a Loc-RIB entry and its Adj-RIB-In row are one object,
+    as when the event engine selects a row) — they compare equal to the
+    per-session objects the event engine builds.
+    """
+    sent = derive_wire(solution)
+    nbr_rel = solution.adjacency[0]
+    org = solution.origination
+    origin = org.asn
+    prefix = solution.prefix
+    best = solution.best
+    adj_in: Dict[int, Dict[int, Route]] = {}
 
     # What a transit exporter tells one relationship class is the route
     # those of its receivers that selected it hold: reuse that object.
     selected = {
         (route.neighbor, route.relationship): route for route in best.values()
     }
-    entries = iter(best.items())
-    # Customer-learned: told to every neighbour but the supplier.
-    for src, heard in islice(entries, solution.up_count):
-        sender = heard.neighbor
-        export = intern_path((src,) + heard.as_path)
+    for src, row in sent.items():
         roles = nbr_rel[src]
-        row = dict.fromkeys(roles, Announcement(prefix, export))
-        del row[sender]  # never echo a route back to its supplier
-        if row:
-            sent[src] = row
         routes: Dict[Relationship, Route] = {}
-        for dst, role in roles.items():
-            if dst == sender or dst in export:
-                continue
-            rel = _RECEIVER_ROLE[role]
-            route = routes.get(rel)
-            if route is None:
-                route = selected.get((src, rel))
-                if route is None:
-                    route = Route(prefix, export, src, rel, _LOCAL_PREF[rel])
-                routes[rel] = route
-            rows = adj_in.get(dst)
-            if rows is None:
-                adj_in[dst] = {src: route}
-            else:
-                rows[src] = route
-    # Peer- and provider-learned: told to customers only, which never
-    # include the supplier and hear it from their provider.
-    for src, heard in entries:
-        customers = customers_of[src]
-        if not customers:
-            continue
-        export = intern_path((src,) + heard.as_path)
-        sent[src] = dict.fromkeys(customers, Announcement(prefix, export))
-        route = None
-        for dst in customers:
-            if dst in export:
-                continue
-            if route is None:
-                route = selected.get((src, Relationship.PROVIDER))
-                if route is None:
+        for dst, ann in row.items():
+            path = ann.as_path
+            if dst in path:
+                continue  # the receiver's loop check rejects it
+            rel = _RECEIVER_ROLE[roles[dst]]
+            if src == origin:
+                route = best.get(dst)
+                if route is None or route.neighbor != origin:
                     route = Route(
-                        prefix, export, src, Relationship.PROVIDER,
-                        _PROVIDER_PREF,
+                        prefix, path, origin, rel, _LOCAL_PREF[rel], org.med
                     )
+            else:
+                route = routes.get(rel)
+                if route is None:
+                    route = selected.get((src, rel))
+                    if route is None:
+                        route = Route(prefix, path, src, rel, _LOCAL_PREF[rel])
+                    routes[rel] = route
             rows = adj_in.get(dst)
             if rows is None:
                 adj_in[dst] = {src: route}

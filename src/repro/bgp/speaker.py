@@ -22,6 +22,12 @@ from repro.topology.relationships import Relationship
 #: Local-pref for self-originated routes; above any learned route.
 ORIGIN_LOCAL_PREF = 200
 
+#: Builds a tuple value without its class's Python ``__new__``: the
+#: per-message ``Route`` and ``Announcement`` below give every field,
+#: and their path is non-empty by construction (the public constructors
+#: keep their defaults and checks for every other caller).
+_new = tuple.__new__
+
 
 @dataclass
 class OriginEntry:
@@ -182,26 +188,22 @@ class BGPSpeaker:
         reaches into remote ASes: the poisoned AS filters the update
         (loop!) and thereby loses the path.
         """
-        prefix = update.prefix
         policy = self.policy
-        resolved = None
+        route = None
         if isinstance(update, Withdrawal):
-            neighbor = update.sender
+            prefix, neighbor = update
         else:
-            as_path = update.as_path
+            prefix, as_path, med, communities, avoid = update
             neighbor = as_path[0]  # its sender, without the property
             resolved = policy.imports.get(neighbor)
             if resolved is None:
                 raise BGPError(
                     f"AS{self.asn} got update from non-neighbor AS{neighbor}"
                 )
-            if self.asn in update.avoid:
+            if avoid and self.asn in avoid:
                 self.avoid_notifications += 1
-        if policy.config.flap_damping:
-            self._apply_damping(prefix, neighbor, now)
-        route = None
-        if resolved is not None:
-            # Import filter: loop prevention, then the configured checks.
+            # Import filter: loop prevention, then the configured checks
+            # (pure, so it may run before the damping charge below).
             relationship, local_pref, checks = resolved
             limit = policy.loop_limit
             if limit <= 0 or as_path.count(self.asn) < limit:
@@ -209,16 +211,12 @@ class BGPSpeaker:
                     if rejects(as_path):
                         break
                 else:
-                    route = Route(
-                        prefix,
-                        as_path,
-                        neighbor,
-                        relationship,
-                        local_pref,
-                        update.med,
-                        update.communities,
-                        update.avoid,
-                    )
+                    route = _new(Route, (
+                        prefix, as_path, neighbor, relationship,
+                        local_pref, med, communities, avoid,
+                    ))
+        if policy.config.flap_damping:
+            self._apply_damping(prefix, neighbor, now)
         return (prefix,) + self.table.decide(prefix, neighbor, route)
 
     def forget_neighbor(
@@ -359,13 +357,13 @@ class BGPSpeaker:
         neighbor the export policy admits, so the engine builds it once
         per decision change.  MED resets when crossing an AS;
         AVOID_PROBLEM is transitive by design."""
-        return Announcement(
+        return _new(Announcement, (
             best.prefix,
             intern_path((self.asn,) + best.as_path),
             0,
             self.policy.outbound_communities(best.communities),
             best.avoid,
-        )
+        ))
 
     # ------------------------------------------------------------------
     # Introspection

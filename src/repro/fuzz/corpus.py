@@ -4,7 +4,8 @@ Every failing (or gate-pinning) case the fuzzer keeps becomes one
 ``fuzz-<digest12>.json`` file: the full case, what the fuzzer observed
 when it found it, and what a healthy tree must observe on replay
 (``expect``).  ``tests/test_fuzz_corpus.py`` replays every committed
-entry on both backends each run, so a fixed bug stays fixed.
+entry on both backends each run (``tests/corpus_replay.py`` reads and
+judges them), so a fixed bug stays fixed.
 
 ``expect`` values:
 
@@ -20,15 +21,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.fuzz.case import CASE_SCHEMA, FuzzCase
-from repro.fuzz.executor import (
-    VERDICT_EQUAL,
-    VERDICT_GATE_REJECTED,
-    CaseResult,
-    run_case,
-)
+from repro.fuzz.executor import CaseResult
 
 EXPECT_EQUAL = "equal"
 EXPECT_GATE_REJECT = "gate-reject"
@@ -75,42 +71,3 @@ def write_entry(corpus_dir: str, entry: dict) -> str:
         json.dump(entry, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def load_entries(corpus_dir: str) -> List[Tuple[str, dict]]:
-    """Every (path, entry) under *corpus_dir*, sorted by filename."""
-    if not os.path.isdir(corpus_dir):
-        return []
-    out: List[Tuple[str, dict]] = []
-    for name in sorted(os.listdir(corpus_dir)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(corpus_dir, name)
-        with open(path, "r", encoding="utf-8") as handle:
-            out.append((path, json.load(handle)))
-    return out
-
-
-def replay_entry(entry: dict) -> Tuple[bool, str]:
-    """Replay one corpus entry against its expectation.
-
-    Returns (ok, detail) — detail carries the observed verdict plus the
-    first diff rows, so a failing replay is directly actionable.
-    """
-    case = FuzzCase.from_json(entry["case"])
-    result = run_case(case)
-    expect = entry.get("expect", EXPECT_EQUAL)
-    detail = f"verdict={result.verdict}"
-    if result.reason:
-        detail += f" reason={result.reason!r}"
-    if result.diff:
-        detail += f" diff={result.diff[:3]!r}"
-    if expect == EXPECT_EQUAL:
-        return result.verdict == VERDICT_EQUAL, detail
-    if expect == EXPECT_GATE_REJECT:
-        fragment = entry.get("reason_contains", "")
-        ok = result.verdict == VERDICT_GATE_REJECTED and (
-            fragment in (result.reason or "")
-        )
-        return ok, detail
-    return False, f"unknown expectation {expect!r} ({detail})"

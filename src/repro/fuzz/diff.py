@@ -2,7 +2,9 @@
 
 A capture is a :class:`StateSnapshot`: ``dict`` copies of each speaker's
 Loc-RIB and of each session's standing announcements, holding the
-engine's own ``Route`` / ``Announcement`` tuples.  It stands for a set
+engine's own ``Route`` / ``Announcement`` tuples (a prefix whose rows
+are still pending contributes the announcements its solution implies,
+:func:`~repro.bgp.solver.derive_wire`).  It stands for a set
 of rows (:meth:`StateSnapshot.rows`), each an int-tuple key and a value
 made of ints and the engine's interned AS-path tuples.  Scope (and what
 is deliberately excluded) follows the solver's equivalence contract:
@@ -54,6 +56,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.bgp.solver import derive_wire
 from repro.net.addr import Prefix
 
 #: Section tags, the first element of every row key.
@@ -67,7 +70,8 @@ StateMap = Dict[Tuple[int, ...], object]
 class StateSnapshot:
     """One engine's compared state at one moment, as the engine holds
     it.  The dicts are copies, so later engine activity does not reach
-    a snapshot; the tuples in them are the engine's and immutable."""
+    a snapshot; the tuples in them are immutable (the engine's, or
+    derived from a pending prefix's solution)."""
 
     #: asn -> prefix -> selected ``Route``; no empty inner dict.
     locrib: Dict[int, Dict[Prefix, tuple]]
@@ -115,20 +119,34 @@ def capture_state(
 ) -> StateSnapshot:
     """One engine's observable routing state for *prefixes* (None:
     every prefix it holds): one dict copy per speaker and per session,
-    or one lookup each per asked prefix.  Any pending rows are written
-    first (:meth:`BGPEngine.materialize`), so the wire section is whole."""
-    engine.materialize()
+    or one lookup each per asked prefix.  A prefix whose rows are still
+    pending has no wire rows on its sessions: they are read straight
+    from its solution (:func:`~repro.bgp.solver.derive_wire`), and
+    nothing is written to the engine, so the capture equals the one
+    taken after :meth:`BGPEngine.materialize`."""
+    wire = {
+        key: held
+        for key, session in engine._session_map.items()
+        if (held := _held(session.sent, prefixes))
+    }
+    pending = engine._rows_pending
+    if prefixes is not None:
+        pending = {p: pending[p] for p in prefixes if p in pending}
+    for prefix, solution in pending.items():
+        for src, row in derive_wire(solution).items():
+            for dst, announcement in row.items():
+                held = wire.get((src, dst))
+                if held is None:
+                    wire[src, dst] = {prefix: announcement}
+                else:
+                    held[prefix] = announcement
     return StateSnapshot(
         {
             asn: held
             for asn, speaker in engine.speakers.items()
             if (held := _held(speaker.table.best_routes().mapping, prefixes))
         },
-        {
-            key: held
-            for key, session in engine._session_map.items()
-            if (held := _held(session.sent, prefixes))
-        },
+        wire,
     )
 
 

@@ -20,10 +20,11 @@ and falls back to the event engine otherwise (counted as
 ``solver.fallbacks`` and ``solver.fallbacks.<slug>``).  Deployments,
 studies and the CLI all converge in ``auto``.  Both modes yield
 identical Loc-RIB/Adj-RIB and session state; they differ in bookkeeping
-byproducts (the event engine's ``changes``/``updates_sent`` count
-the convergence storm, its RNG stream has advanced, and its clock sits
-at the convergence time), which no baseline consumer reads — trial
-drivers reseed and advance the clock before perturbing.
+byproducts (the event engine's ``changes`` and per-session update
+counts record the convergence storm, its RNG stream has advanced, and
+its clock sits at the convergence time), which no baseline consumer
+reads — trial drivers reseed and advance the clock before perturbing,
+and Table 2's update load is ``estimate_update_load``'s closed form.
 
 Snapshots shipped to trial workers are pickles of the engine, which
 restore it *exactly* (including its RNG stream; ``on_change`` listeners

@@ -132,6 +132,13 @@ class ASGraph:
             raise TopologyError(f"AS{asn} not in graph")
         return iter(self._edges[asn])
 
+    def neighbor_roles(self, asn: int) -> Dict[int, Relationship]:
+        """The role each neighbor of *asn* plays for it, in neighbor
+        order: the graph's own map, which the caller must not mutate."""
+        if asn not in self._edges:
+            raise TopologyError(f"AS{asn} not in graph")
+        return self._edges[asn]
+
     def relationship(self, a: int, b: int) -> Relationship:
         """The role *b* plays for *a*; raises if not adjacent."""
         try:

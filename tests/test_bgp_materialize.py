@@ -21,7 +21,12 @@ Pinned here:
 * capture, splice, capture mid-ladder equals a cold solve, rows and
   Adj-RIB-In included;
 * the fuzz executor's injected divergence survives materialisation;
-* ``warm_start`` refuses an engine that is not fresh.
+* ``warm_start`` refuses an engine that is not fresh;
+* rows on demand, over the campaign: an event-path origination or
+  withdrawal writes its own prefix's rows alone, a capture of a partly
+  pending engine writes nothing and equals its capture after
+  ``materialize()``, and ``derive_rows``' wire half is
+  ``derive_wire``.
 """
 
 import os
@@ -35,6 +40,7 @@ from repro.bgp.origin import OriginController
 from repro.bgp.solver import (
     Origination,
     derive_rows,
+    derive_wire,
     solve,
     solver_unsupported_reason,
 )
@@ -42,7 +48,7 @@ from repro.dataplane.fib import build_fibs
 from repro.errors import SimulationError
 from repro.experiments.diversity import _forward_last_link_avoidable
 from repro.fuzz import executor
-from repro.fuzz.diff import capture_state
+from repro.fuzz.diff import canonical_blob, capture_state
 from repro.fuzz.executor import VERDICT_DIVERGENCE, run_case
 from repro.fuzz.gen import generate_case
 from repro.net.addr import Prefix
@@ -386,7 +392,8 @@ class TestWarmStartNeedsAFreshEngine:
         elif residue == "change_log":
             engine._log_change(org.asn, org.prefix, None, None)
         elif residue == "updates":
-            engine.updates_sent[(org.asn, org.asn)] = 1
+            session = next(iter(engine.speakers[org.asn].sessions.values()))
+            session.updates = 1
         else:
             engine._analytic = {}
         with pytest.raises(SimulationError, match="fresh engine"):
@@ -413,3 +420,107 @@ class TestWarmStartNeedsAFreshEngine:
         assert refusal is not None and refusal.slug == "prior_activity"
         with pytest.raises(SimulationError, match="fresh engine"):
             engine.warm_start(result)
+
+
+def _admitted(seed, scale, count=SWEEP_CASES):
+    """(case, graph, SolverResult) for each of the first *count* cases
+    of campaign *seed* at *scale* that the solver gate admits."""
+    for index in range(count):
+        case = generate_case(seed, index, scale)
+        graph = case.build_graph()
+        originations = case.resolved_originations()
+        probe = BGPEngine(graph, EngineConfig(), case.speaker_configs())
+        if solver_unsupported_reason(probe, originations) is not None:
+            continue
+        yield case, graph, solve(probe, originations)
+
+
+def _only(rows, prefix):
+    """The part of one ``_rows`` section held for *prefix*."""
+    return {key: value for key, value in rows.items() if key[-1] == prefix}
+
+
+class TestRowsOnDemand:
+    @pytest.mark.parametrize("op", ("reannounce", "withdraw"))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_event_path_writes_only_its_prefix(self, seed, op):
+        checked = 0
+        for case, graph, result in _admitted(seed, "small"):
+            configs = case.speaker_configs()
+            config = EngineConfig(seed=case.engine_seed)
+            lazy = BGPEngine(graph, config, configs)
+            lazy.warm_start(result)
+            eager = BGPEngine(graph, config, configs)
+            eager_warm_start(eager, result.originations)
+            org = result.originations[checked % len(result.originations)]
+            for engine in (lazy, eager):
+                if op == "reannounce":
+                    engine.originate(
+                        org.asn, org.prefix, path=org.path,
+                        per_neighbor=org.per_neighbor_dict(), med=org.med,
+                    )
+                else:
+                    engine.withdraw_origin(org.asn, org.prefix)
+                engine.run()
+            assert list(lazy._rows_pending) == [
+                s.prefix for s in result.solutions if s.prefix != org.prefix
+            ]
+            lazy_adj_in, lazy_wire = _rows(lazy)
+            eager_adj_in, eager_wire = _rows(eager)
+            assert _only(lazy_adj_in, org.prefix) == _only(
+                eager_adj_in, org.prefix
+            )
+            # Any other prefix holds its origin's self-route alone.
+            assert all(
+                [sender for sender, _route in rows] == [asn]
+                for (asn, prefix), rows in lazy_adj_in.items()
+                if prefix != org.prefix
+            )
+            assert lazy_wire == _only(eager_wire, org.prefix)
+            assert _loc_ribs(lazy) == _loc_ribs(eager)
+            lazy.materialize()
+            assert _rows(lazy) == (eager_adj_in, eager_wire)
+            checked += 1
+        assert checked > SWEEP_CASES // 3
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_capture_of_a_partly_pending_engine(self, seed):
+        partly = 0
+        for case, graph, result in _admitted(seed, "medium"):
+            engine = BGPEngine(
+                graph, EngineConfig(seed=case.engine_seed),
+                case.speaker_configs(),
+            )
+            engine.warm_start(result)
+            executor._perturb(engine, case)
+            pending = list(engine._rows_pending)
+            if pending and len(pending) < len(result.solutions):
+                partly += 1
+            held = _rows(engine)
+            some = pending[:2] + [o.prefix for o in result.originations[:2]]
+            lazy_all = capture_state(engine)
+            lazy_some = capture_state(engine, some)
+            assert list(engine._rows_pending) == pending  # wrote nothing
+            assert _rows(engine) == held
+            engine.materialize()
+            written_all = capture_state(engine)
+            assert lazy_all.locrib == written_all.locrib
+            assert lazy_all.wire == written_all.wire
+            assert canonical_blob(lazy_all) == canonical_blob(written_all)
+            assert lazy_some == capture_state(engine, some)
+        assert partly > 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_derive_rows_wire_half_is_derive_wire(self, seed):
+        solutions = 0
+        for _case, _graph, result in _admitted(seed, "medium"):
+            for solution in result.solutions:
+                _adj_in, sent = derive_rows(solution)
+                wire = derive_wire(solution)
+                assert sent == wire
+                assert [list(row.items()) for row in sent.values()] == [
+                    list(row.items()) for row in wire.values()
+                ]
+                assert list(sent) == list(wire)
+                solutions += 1
+        assert solutions > SWEEP_CASES

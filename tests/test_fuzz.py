@@ -20,9 +20,9 @@ from repro.fuzz import (
     single_reductions,
 )
 from repro.bgp.solver import Refusal
-from repro.fuzz.corpus import load_entries, replay_entry
 from repro.runner.baseline import converged_internet
 from repro.runner.stats import RunStats
+from tests.corpus_replay import load_entries, replay_entry
 
 
 class TestGenerator:

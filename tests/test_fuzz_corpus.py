@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.fuzz.case import CASE_SCHEMA
-from repro.fuzz.corpus import load_entries, replay_entry
+from tests.corpus_replay import load_entries, replay_entry
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus", "fuzz")
 
