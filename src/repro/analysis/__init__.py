@@ -3,7 +3,7 @@
 from repro.analysis.cdf import CDF
 from repro.analysis.residual import residual_duration_curve, ResidualPoint
 from repro.analysis.loss import ConvergenceLossReplay, LossSample
-from repro.analysis.reporting import Table, format_figure_series
+from repro.analysis.reporting import Table
 
 __all__ = [
     "CDF",
@@ -12,5 +12,4 @@ __all__ = [
     "ConvergenceLossReplay",
     "LossSample",
     "Table",
-    "format_figure_series",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.errors import ReproError
 
@@ -57,16 +57,3 @@ class CDF:
     @property
     def max(self) -> float:
         return self._values[-1]
-
-    def points(
-        self, num_points: int = 50
-    ) -> List[Tuple[float, float]]:
-        """(x, P(X <= x)) pairs suitable for plotting/printing."""
-        if num_points < 2:
-            raise ReproError("need at least two points")
-        out = []
-        for i in range(num_points):
-            fraction = i / (num_points - 1)
-            x = self.percentile(fraction)
-            out.append((x, self.at(x)))
-        return out

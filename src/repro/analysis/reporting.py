@@ -8,7 +8,7 @@ helpers, so the reproduction can be eyeballed without plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import List, Union
 
 Cell = Union[str, int, float, None]
 
@@ -83,18 +83,3 @@ class Table:
         text = self.render()
         print("\n" + text + "\n")
         return text
-
-
-def format_figure_series(
-    title: str,
-    series: Sequence[Tuple[str, Iterable[Tuple[float, float]]]],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render one or more (x, y) series as aligned text columns."""
-    lines = [title, "=" * len(title)]
-    for name, points in series:
-        lines.append(f"[{name}]  ({x_label} -> {y_label})")
-        for x, y in points:
-            lines.append(f"  {x:>12.2f}  {y:>8.4f}")
-    return "\n".join(lines)

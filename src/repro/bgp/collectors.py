@@ -32,10 +32,6 @@ class CollectorUpdate:
     prefix: Prefix
     as_path: Optional[ASPath]  # None = withdrawal
 
-    @property
-    def is_withdrawal(self) -> bool:
-        return self.as_path is None
-
 
 @dataclass
 class PeerConvergence:

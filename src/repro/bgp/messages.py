@@ -73,11 +73,6 @@ def make_path(
     return head + tuple(poison_list) + (origin,)
 
 
-def occurrences(path: ASPath, asn: int) -> int:
-    """How many times *asn* appears in the path."""
-    return sum(1 for hop in path if hop == asn)
-
-
 def traversed_ases(path: ASPath, origin: int) -> Tuple[int, ...]:
     """The ASes traffic actually crosses before reaching *origin*.
 

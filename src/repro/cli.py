@@ -105,17 +105,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run the demo scenario under observation and print its repair
     timeline (or check cross-worker event-log determinism)."""
-    from repro.obs import (
-        EventBus,
-        MetricsRegistry,
-        assemble_timelines,
-        render_timelines,
-    )
+    from repro.obs import EventBus, MetricsRegistry
     from repro.obs.export import (
         check_trace_determinism,
         read_events_jsonl,
         write_metrics_snapshot,
     )
+    from repro.obs.trace import assemble_timelines, render_timelines
     from repro.workloads.scenarios import run_demo_scenario
 
     if args.check_determinism:

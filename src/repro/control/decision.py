@@ -83,12 +83,6 @@ class ResidualDurationModel:
     def median_residual(self, elapsed: float) -> Optional[float]:
         return self.residual_percentile(elapsed, 0.5)
 
-    def mean_residual(self, elapsed: float) -> Optional[float]:
-        residuals = [d - elapsed for d in self.survivors(elapsed)]
-        if not residuals:
-            return None
-        return sum(residuals) / len(residuals)
-
     # ------------------------------------------------------------------
     # The decision rule
     # ------------------------------------------------------------------

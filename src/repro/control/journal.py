@@ -4,13 +4,12 @@ Every decision the controller makes — observing an outage, poisoning,
 verifying, rolling back, unpoisoning, deferring — is appended to a
 :class:`RepairJournal` *before* the corresponding announcement happens
 (write-ahead semantics), and the entry is the only thing that changes
-controller state: the live loop appends an entry and applies it through
-:meth:`~repro.control.lifeguard.Lifeguard.apply`, and a controller that
-crashes mid-repair is rebuilt by
-:meth:`~repro.control.lifeguard.Lifeguard.recover` applying the same
+controller state: the live loop appends an entry and folds it through
+:func:`commit`, and a controller that crashes mid-repair is rebuilt by
+:meth:`~repro.control.lifeguard.Lifeguard.recover` folding the same
 entries again (the *fold* of the journal), then reconciling the origin's
 intended announcement state against whatever the network still carries.
-DESIGN.md ("Journal entry kinds") tabulates every kind.
+:data:`KINDS` registers every kind with the owner that folds it.
 
 The journal is JSON Lines: one entry per line, sorted keys, so files are
 diffable, greppable, and stable across runs (the crash-recovery property
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.origin import PACER_WINDOW
 from repro.errors import ControlError
@@ -70,20 +69,72 @@ OutageKey = Tuple[str, str, float]
 #: drops their entries (values of the journal's ``state`` events).
 TERMINAL_STATES = ("not-poisoned", "unpoisoned")
 
-#: Kinds the service daemon journals here and folds itself (see
-#: :mod:`repro.service.daemon`); the controller's fold passes over them.
-SERVICE_KINDS = frozenset(
-    (
-        "service-plan",
-        "service-arrival",
-        "service-tier",
-        "service-shed",
-        "service-defer",
-        "service-timeout",
-        "traffic-plan",
-        "traffic-sample",
-    )
-)
+#: Every journal entry kind and its owner, the fold that gives it
+#: meaning: ``record`` kinds change only the record of the outage they
+#: name (:data:`repro.control.record.RECORD_REDUCERS`), ``controller``
+#: kinds the controller's own state (its record index, pacer slots,
+#: breaker charges) or its audit trail, ``service`` kinds the service
+#: daemon's, and ``journal`` kinds are written by compaction in place of
+#: what it dropped.  Each owner keeps a reducer per kind it folds;
+#: DESIGN.md ("Journal entry kinds") tabulates them.
+KINDS: Dict[str, str] = {
+    **dict.fromkeys(
+        ("announce-baseline", "announced", "observed", "recovered"),
+        "controller",
+    ),
+    **dict.fromkeys(
+        (
+            "outage-ended", "note", "isolation-spend", "isolated",
+            "isolation-discount", "deferred", "poison", "escalate",
+            "rollback", "repair-check", "state", "unpoison",
+        ),
+        "record",
+    ),
+    **dict.fromkeys(("compacted", "pacer", "breaker"), "journal"),
+    **dict.fromkeys(
+        (
+            "service-plan", "service-arrival", "service-tier",
+            "service-shed", "service-defer", "service-timeout",
+            "traffic-plan", "traffic-sample",
+        ),
+        "service",
+    ),
+}
+
+
+def owner_of(kind: str) -> str:
+    """The owner of *kind*.  The one check of a kind, on a live commit
+    and on replay alike: a kind the registry does not hold is an error."""
+    owner = KINDS.get(kind)
+    if owner is None:
+        raise ControlError(f"unknown journal entry kind {kind!r}")
+    return owner
+
+
+def reducer_of(reducers: Dict[str, Any], kind: str) -> Any:
+    """The reducer *reducers* holds for *kind*; None for a kind another
+    owner folds."""
+    reducer = reducers.get(kind)
+    if reducer is None:
+        owner_of(kind)
+    return reducer
+
+
+def commit(
+    journal: "RepairJournal",
+    apply: Callable[[Dict[str, Any], Any], None],
+    kind: str,
+    t: float,
+    key: Optional[OutageKey] = None,
+    live: Any = None,
+    **fields: Any,
+) -> None:
+    """The one door an entry enters state by: journal it (write-ahead),
+    then fold it through *apply* — the function replay folds every
+    journaled entry with.  *live* is the value only the running process
+    holds, for the reducer to adopt."""
+    owner_of(kind)
+    apply(journal.append(kind, t, key=key, **fields), live)
 
 
 def outage_key(vp_name: str, destination, start: float) -> OutageKey:

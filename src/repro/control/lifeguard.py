@@ -44,11 +44,13 @@ from repro.control import plan
 from repro.control.decision import ResidualDurationModel
 from repro.control.guard import PoisonBreaker, RepairGuard, VerifyVerdict
 from repro.control.journal import (
-    SERVICE_KINDS,
+    KINDS,
     OutageKey,
     RepairJournal,
+    commit,
     key_from_json,
     outage_key,
+    reducer_of,
 )
 from repro.control.plan import MAX_ISOLATION_ATTEMPTS, LifeguardConfig
 from repro.control.record import (
@@ -227,15 +229,13 @@ class Lifeguard:
         live=None,
         **fields,
     ) -> None:
-        """Journal one entry (write-ahead), mirror it, then apply it.
+        """Journal one entry (write-ahead) and apply it, then mirror it.
 
         *live* is the value only the running process holds (the
         monitor's outage, the full isolation evidence) for the reducer
         to adopt where recovery rebuilds one from the entry's fields.
         """
-        if kind not in self._REDUCERS:
-            raise ControlError(f"unknown journal entry kind {kind!r}")
-        entry = self.journal.append(kind, now, key=key, **fields)
+        commit(self.journal, self.apply, kind, now, key, live, **fields)
         if self.obs is not None:
             # Mirror the write-ahead journal onto the event bus: one
             # control.* event per journal entry, with the outage's ledger
@@ -246,7 +246,6 @@ class Lifeguard:
                 subject=ledger_key(key) if key else None,
                 **fields,
             )
-        self.apply(entry, live)
 
     def apply(self, entry: Dict[str, object], live=None) -> None:
         """Fold one journal entry into controller state.
@@ -256,11 +255,9 @@ class Lifeguard:
         recovery calls it on every journaled entry.
         """
         kind = entry["event"]
-        reducer = self._REDUCERS.get(kind)
+        reducer = reducer_of(self._REDUCERS, kind)
         if reducer is None:
-            if kind in SERVICE_KINDS:
-                return  # the service daemon folds its own entries
-            raise ControlError(f"unknown journal entry kind {kind!r}")
+            return  # the service daemon folds its own entries
         record = None
         if "outage" in entry:
             record = self.record(key_from_json(entry["outage"]))
@@ -328,9 +325,9 @@ class Lifeguard:
     def _on_marker(self, entry, record, live) -> None:
         """Bookkeeping markers carry no controller state."""
 
-    #: entry kind -> reducer.  Every kind the controller journals is
-    #: here; committing or loading any other kind is an error.  Most
-    #: change only the record of the outage they name.
+    #: entry kind -> reducer, for every record, controller and journal
+    #: kind (:data:`~repro.control.journal.KINDS`).  Most change only
+    #: the record of the outage they name.
     _REDUCERS = {
         **dict.fromkeys(RECORD_REDUCERS, _on_record),
         "announce-baseline": _on_announced,
@@ -342,9 +339,9 @@ class Lifeguard:
         "recovered": _on_marker,
         "compacted": _on_marker,
     }
-    #: kinds folded without a known record (every other reducer skips an
-    #: entry whose outage was never observed).
-    _UNSCOPED = frozenset(_REDUCERS) - frozenset(RECORD_REDUCERS)
+    #: kinds folded without a known record (a record kind's reducer skips
+    #: an entry whose outage was never observed).
+    _UNSCOPED = frozenset(k for k, o in KINDS.items() if o != "record")
 
     # ------------------------------------------------------------------
     # Main loop

@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.control.journal import OutageKey, key_from_json, outage_key
+from repro.control.journal import (
+    OutageKey,
+    key_from_json,
+    outage_key,
+    owner_of,
+)
 from repro.isolation.direction import FailureDirection
 from repro.isolation.isolator import IsolationResult
 from repro.measure.monitor import OutageRecord
@@ -92,7 +97,6 @@ def stage_of(record: "RepairRecord") -> Optional[str]:
 _STATE_FIELDS = (
     "poisoned_asn",
     "poison_time",
-    "convergence_seconds",
     "verified_time",
     "repair_detected_time",
     "unpoison_time",
@@ -111,26 +115,39 @@ class RepairRecord:
     isolation: Optional[IsolationResult] = None
     poisoned_asn: Optional[int] = None
     poison_time: Optional[float] = None
-    convergence_seconds: Optional[float] = None
+    #: ``(poison time, seconds to converge)`` of every poison, oldest
+    #: first.
+    convergences: List[Tuple[float, float]] = field(default_factory=list)
     repair_detected_time: Optional[float] = None
     unpoison_time: Optional[float] = None
     #: isolation runs consumed out of the per-outage retry budget.
     isolation_attempts: int = 0
+    #: when the first isolation run was charged, and when the latest
+    #: verdict was journaled.
+    isolation_start: Optional[float] = None
+    isolated_time: Optional[float] = None
+    #: ``(t, why)`` of every deferral back to OBSERVED.
+    deferrals: List[Tuple[float, str]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
     #: destinations reachable immediately before the poison — the control
     #: set the post-poison verification re-probes for collateral damage.
     control_set: Tuple[str, ...] = ()
     #: when post-poison verification promoted VERIFYING -> POISONED.
     verified_time: Optional[float] = None
-    #: poisons of this outage withdrawn by the guard.
-    rollbacks: int = 0
+    #: ``(t, asn, reason, breaker failures)`` of every poison of this
+    #: outage the guard withdrew.
+    rollbacks: List[Tuple[float, Optional[int], Optional[str], int]] = (
+        field(default_factory=list)
+    )
     #: current rung on :data:`LADDER_STRATEGIES` (0: plain poison).
     ladder_step: int = 0
     #: strategy of the current rung when the ladder escalated (None while
     #: still on the plain poison).
     fallback_strategy: Optional[str] = None
-    #: how many times the ladder escalated for this outage.
-    escalations: int = 0
+    #: ``(t, step, strategy, blamed asn)`` of every ladder escalation.
+    escalations: List[Tuple[float, int, str, Optional[int]]] = field(
+        default_factory=list
+    )
     #: ASNs carried by the current/last poison announcement.
     poison_set: Tuple[int, ...] = ()
     #: providers steered (prepend) or withheld (selective-advertise) by
@@ -143,6 +160,14 @@ class RepairRecord:
     #: when the sentinel was last probed for repair; a record rolled
     #: back and re-poisoned schedules its checks off the latest poison.
     last_repair_check: float = float("-inf")
+    #: when the first repair check ran, how many ran, and how many of
+    #: those were skipped for want of a responsive router.
+    first_repair_check: Optional[float] = None
+    repair_checks: int = 0
+    skipped_repair_checks: int = 0
+    #: ``(t, reason)`` of the give-up that settled the record
+    #: NOT_POISONED.
+    gave_up: Optional[Tuple[float, Optional[str]]] = None
     #: the monitor's end of the outage has reached the journal.
     end_journaled: bool = False
     #: last poison intent, ``(mode, asns, providers, step)``: what
@@ -150,6 +175,11 @@ class RepairRecord:
     poison_intent: Optional[
         Tuple[str, Tuple[int, ...], Tuple[int, ...], int]
     ] = None
+
+    @property
+    def convergence_seconds(self) -> Optional[float]:
+        """How long the latest poison took to converge."""
+        return self.convergences[-1][1] if self.convergences else None
 
     @property
     def key(self) -> OutageKey:
@@ -193,6 +223,18 @@ def ledger_key(key: OutageKey, step: int = 0) -> str:
         # ladder existed replay unchanged.
         return f"{base}|step{step}"
     return base
+
+
+def ledger_outage(name: str) -> Optional[OutageKey]:
+    """The outage a step-0 ledger key (a bus subject) names — the inverse
+    of :func:`ledger_key`; None for any other string."""
+    parts = name.split("|")
+    if len(parts) != 3:
+        return None
+    try:
+        return (parts[0], parts[1], float(parts[2]))
+    except ValueError:
+        return None
 
 
 def _canonical(value: Any) -> Any:
@@ -246,6 +288,8 @@ def _on_note(record, entry, live) -> None:
 
 def _on_isolation_spend(record, entry, live) -> None:
     record.isolation_charge = entry["used"]
+    if record.isolation_start is None:
+        record.isolation_start = entry["t"]
 
 
 def _on_isolated(record, entry, live) -> None:
@@ -261,6 +305,9 @@ def _on_isolated(record, entry, live) -> None:
     record.isolation_attempts = entry.get(
         "attempts", record.isolation_attempts
     )
+    record.isolated_time = entry["t"]
+    if record.isolation_start is None:
+        record.isolation_start = entry["t"]
     record.state = RepairState.ISOLATED
 
 
@@ -273,6 +320,7 @@ def _on_deferred(record, entry, live) -> None:
     # Back to OBSERVED so ongoing_outages() revisits the record on
     # a later tick (ISOLATED is never re-ticked).
     record.state = RepairState.OBSERVED
+    record.deferrals.append((entry["t"], entry["why"]))
 
 
 def _on_poison(record, entry, live) -> None:
@@ -288,15 +336,24 @@ def _on_poison(record, entry, live) -> None:
 def _on_escalate(record, entry, live) -> None:
     record.ladder_step = entry["step"]
     record.fallback_strategy = entry["strategy"]
-    record.escalations += 1
+    record.escalations.append(
+        (entry["t"], entry["step"], entry["strategy"], entry.get("asn"))
+    )
 
 
 def _on_rollback(record, entry, live) -> None:
-    record.rollbacks += 1
+    record.rollbacks.append(
+        (entry["t"], entry.get("asn"), entry.get("reason"), entry["failures"])
+    )
 
 
 def _on_repair_check(record, entry, live) -> None:
     record.last_repair_check = entry["t"]
+    if record.first_repair_check is None:
+        record.first_repair_check = entry["t"]
+    record.repair_checks += 1
+    if entry.get("skipped"):
+        record.skipped_repair_checks += 1
 
 
 def _on_state(record, entry, live) -> None:
@@ -306,7 +363,13 @@ def _on_state(record, entry, live) -> None:
             if isinstance(value, list):
                 value = tuple(value)  # JSON round-trips tuples as lists
             setattr(record, name, value)
+    if "convergence_seconds" in entry:
+        record.convergences.append(
+            (entry["poison_time"], entry["convergence_seconds"])
+        )
     record.state = RepairState(entry["state"])
+    if record.state is RepairState.NOT_POISONED:
+        record.gave_up = (entry["t"], entry.get("reason"))
     if "poison_time" in entry:
         # Later repair-check entries overwrite this in order.
         record.last_repair_check = entry["poison_time"]
@@ -346,3 +409,27 @@ def fold(record: RepairRecord, entry: Dict[str, Any], live=None) -> None:
     one from the entry's fields.
     """
     RECORD_REDUCERS[entry["event"]](record, entry, live)
+
+
+def fold_records(entries: Iterable[Dict[str, Any]]) -> List[RepairRecord]:
+    """The records *entries* build, in detection order: the record half
+    of the controller's fold, for a reader with no controller (``repro
+    trace`` folds the entries the controller mirrored onto the bus).
+
+    An ``observed`` entry opens a record and a record kind folds into
+    the record it names; one naming an outage never observed is passed
+    over, as the controller passes it over.
+    """
+    records: Dict[OutageKey, RepairRecord] = {}
+    for entry in entries:
+        owner = owner_of(entry["event"])
+        if "outage" not in entry:
+            continue
+        key = key_from_json(entry["outage"])
+        record = records.get(key)
+        if record is None:
+            if entry["event"] == "observed":
+                records[key] = observe(entry)
+        elif owner == "record":
+            fold(record, entry)
+    return list(records.values())

@@ -168,7 +168,7 @@ def _run_point(
                 first.verified_time - first.outage.start
             )
     for record in stream.records:
-        point.escalations += record.escalations
+        point.escalations += len(record.escalations)
         if is_abandoned(record):
             point.abandoned += 1
     return point

@@ -189,7 +189,7 @@ class StreamScore:
         self.peak_users_affected = stream.ledger.peak_affected
         self.affected_user_minutes = stream.ledger.user_minutes
         for record in stream.records:
-            self.rollbacks += record.rollbacks
+            self.rollbacks += len(record.rollbacks)
             self.breaker_opens += sum(
                 "circuit breaker open" in note for note in record.notes
             )

@@ -295,18 +295,6 @@ class FuzzCase:
             )
         return plan
 
-    def prefixes(self) -> List[Prefix]:
-        """Every prefix the case touches, in canonical order."""
-        names = {org.prefix for org in self.originations}
-        names.update(
-            act.prefix
-            for act in self.actions
-            if act.prefix and act.op in ("announce", "withdraw")
-        )
-        out = [Prefix(name) for name in names]
-        out.sort()
-        return out
-
     def summary(self) -> str:
         return (
             f"{len(self.ases)} ASes, {len(self.links)} links, "

@@ -122,7 +122,9 @@ def run_case(
     try:
         graph = case.build_graph()
         originations = case.resolved_originations()
-        case.prefixes()  # a malformed action prefix is a set-up crash
+        for action in case.actions:
+            if action.prefix and action.op in ("announce", "withdraw"):
+                Prefix(action.prefix)  # malformed: a set-up crash too
     except Exception as exc:
         return CaseResult(
             VERDICT_CRASH, reason=_crash_reason(exc), crash_side="setup"

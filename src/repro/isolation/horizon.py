@@ -58,11 +58,6 @@ class HorizonResult:
     last_reaching: Optional[HopVerdict] = None
     probes_used: int = 0
 
-    def reaches(self) -> List[HopVerdict]:
-        return [
-            v for v in self.verdicts if v.status is HopStatus.REACHES_SOURCE
-        ]
-
 
 class ReachabilityHorizon:
     """Probes historical paths and locates the horizon."""

@@ -193,15 +193,3 @@ class PingMonitor:
     def ongoing_outages(self) -> List[OutageRecord]:
         """Outages that have not yet ended."""
         return [o for o in self.outages if o.end is None]
-
-    def is_partial(self, outage: OutageRecord) -> bool:
-        """True if some other vantage point currently reaches the target.
-
-        Partial outages are rerouting candidates: connectivity exists, so
-        a policy-compliant alternate path may too (79% of the EC2 study's
-        outages were partial).
-        """
-        for vp in self.vantage_points.live_others(outage.vp_name):
-            if self.prober.ping(vp.rid, outage.destination).success:
-                return True
-        return False

@@ -47,11 +47,6 @@ class ResponsivenessDB:
                 history.last_response_time, time
             )
 
-    def ever_responded(self, address: Union[str, Address]) -> bool:
-        """True if the address has answered at least once."""
-        history = self._history.get(Address(address).value)
-        return bool(history and history.successes > 0)
-
     def configured_silent(self, address: Union[str, Address]) -> bool:
         """True if silence should be attributed to ICMP configuration.
 
@@ -65,10 +60,6 @@ class ResponsivenessDB:
             history.successes == 0
             and history.attempts >= MIN_ATTEMPTS_FOR_VERDICT
         )
-
-    def informative_silence(self, address: Union[str, Address]) -> bool:
-        """True if a current non-response is evidence of a problem."""
-        return self.ever_responded(address)
 
     def last_response_time(self, address: Union[str, Address]) -> float:
         """Time of the most recent response (-inf if never)."""

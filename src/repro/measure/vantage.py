@@ -70,10 +70,6 @@ class VantageSet:
     def is_up(self, name: str) -> bool:
         return name not in self._down
 
-    def down_names(self) -> List[str]:
-        """Names of currently-dead vantage points."""
-        return sorted(self._down)
-
     def live(self) -> List[VantagePoint]:
         """All vantage points currently up."""
         return [vp for vp in self._by_name.values() if self.is_up(vp.name)]

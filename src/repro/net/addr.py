@@ -174,11 +174,6 @@ class Prefix(tuple):
         return self._mask_for(self[1])
 
     @property
-    def network(self) -> Address:
-        """The network address as an :class:`Address`."""
-        return Address(self[0])
-
-    @property
     def num_addresses(self) -> int:
         """Number of addresses covered by this prefix."""
         return 1 << (32 - self[1])

@@ -179,12 +179,3 @@ class FlatLPM:
 
     def __len__(self) -> int:
         return self.size
-
-    def intervals(self) -> List[Tuple[int, Optional[int]]]:
-        """The (base, value) boundaries, equal-valued neighbours merged:
-        tables on any two axes compare equal iff they resolve alike."""
-        merged = [(0, self.values[0])]
-        for base, value in zip(self.bases, self.values):
-            if merged[-1][1] != value:
-                merged.append((base, value))
-        return merged

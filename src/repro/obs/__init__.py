@@ -12,6 +12,9 @@ Three pillars, one constraint:
 * :mod:`repro.obs.trace` — **repair-timeline tracing**: span trees per
   outage (detection → isolation → poison → convergence → verification →
   unpoison) with causal references to the BGP updates each phase caused.
+  It renders the controller's records, so it sits above
+  :mod:`repro.control` and is imported by name, not from this package
+  (which the prober imports).
 
 The constraint: *no wall clock in event identity*.  Events are stamped
 with simulation time and sequence numbers only, so the event-log digest
@@ -39,13 +42,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.trace import (
-    RepairTimeline,
-    Span,
-    assemble_timelines,
-    render_timeline,
-    render_timelines,
-)
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -55,11 +51,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RepairTimeline",
-    "Span",
-    "assemble_timelines",
-    "render_timeline",
-    "render_timelines",
     "check_trace_determinism",
     "event_log_digest",
     "prometheus_text",

@@ -1,14 +1,20 @@
-"""Repair-timeline tracing: span trees over the event log.
+"""Repair-timeline tracing: span trees over the controller's records.
 
 One outage's lifecycle under LIFEGUARD is a sequence of causally linked
 phases — detection → isolation → poison → convergence → verification →
-repair detection → unpoison — each of which the control loop already
-emits ``control.*`` events for (they mirror the write-ahead journal).
-:func:`assemble_timelines` folds a recorded event stream into one
-:class:`RepairTimeline` per outage: a tree of :class:`Span` objects,
-each carrying the sim-time window of its phase and **causal references**
+repair detection → unpoison.  The controller journals every decision and
+mirrors each entry onto the bus as a ``control.*`` event;
+:func:`assemble_timelines` reads those events back as the entries they
+mirror, folds them into records
+(:class:`~repro.control.record.RepairRecord`) with
+:func:`repro.control.record.fold_records` — the same reducers the live
+loop and crash recovery run — and renders each record as one
+:class:`RepairTimeline`: a tree of :class:`Span` objects, each carrying
+the sim-time window of its phase and **causal references**
 (sequence-number ranges) to the ``bgp.update-sent`` events that phase
-triggered on the wire.
+triggered on the wire.  Nothing here knows a journal kind: a span is
+drawn from record fields, so a live controller's records
+(:func:`timelines_of`) and the event log render the same story.
 
 Assembly is a pure function of the event list: the same events always
 produce the same spans, so a timeline rendered from a live bus, from a
@@ -19,14 +25,24 @@ JSONL file, or from a CI artifact is the same artifact.  Rendering
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.control.journal import key_to_json
+from repro.control.record import (
+    RepairRecord,
+    RepairState,
+    fold_records,
+    ledger_outage,
+)
 from repro.obs.events import Event
 
 #: Spans keep at most this many explicit BGP update seq references; the
 #: count and the (first, last) range are always exact.
 MAX_CAUSAL_REFS = 512
+
+_CONTROL = "control."
 
 
 @dataclass
@@ -57,7 +73,7 @@ class Span:
 
 @dataclass
 class RepairTimeline:
-    """Everything one outage went through, reconstructed from events."""
+    """Everything one outage went through, rendered from its record."""
 
     vp_name: str
     destination: str
@@ -66,64 +82,155 @@ class RepairTimeline:
     final_state: Optional[str] = None
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def subject(self) -> str:
-        return f"{self.vp_name}|{self.destination}|{self.outage_start!r}"
 
-    def span(self, name: str) -> Optional[Span]:
-        for span in self.spans:
-            if span.name == name:
-                return span
+def _mirrored_entries(events: Iterable[Event]) -> Iterator[Dict[str, Any]]:
+    """Each ``control.*`` event back as the journal entry it mirrors: the
+    subject is the outage's ledger key, and None fields are dropped as
+    the journal drops them."""
+    for event in events:
+        if not event.kind.startswith(_CONTROL):
+            continue
+        entry = {
+            name: value
+            for name, value in event.fields.items()
+            if value is not None
+        }
+        entry["t"] = event.t
+        entry["event"] = event.kind[len(_CONTROL):]
+        key = ledger_outage(event.subject) if event.subject else None
+        if key is not None:
+            entry["outage"] = key_to_json(key)
+        yield entry
+
+
+def _final_state(record: RepairRecord) -> Optional[str]:
+    # Until its first journaled state a record is in progress; only a
+    # rolled-back one is sent back to OBSERVED by a state entry.
+    if record.state is RepairState.OBSERVED and not record.rollbacks:
         return None
-
-    def phase_names(self) -> List[str]:
-        return [span.name for span in self.spans]
+    return record.state.value
 
 
-def _parse_subject(subject: str) -> Optional[Tuple[str, str, float]]:
-    parts = subject.split("|")
-    if len(parts) != 3:
-        return None
-    try:
-        return parts[0], parts[1], float(parts[2])
-    except ValueError:
-        return None
+def timeline_of(record: RepairRecord) -> RepairTimeline:
+    """One record's repair story as spans and notes."""
+    outage = record.outage
+    spans = [Span("detection", outage.start, outage.detected)]
+    if record.isolation_start is not None:
+        detail: Dict[str, Any] = {"attempts": record.isolation_charge}
+        if record.isolation is not None:
+            detail.update(
+                direction=record.isolation.direction.value,
+                blamed_asn=record.isolation.blamed_asn,
+                confidence=record.isolation.confidence,
+            )
+        spans.append(
+            Span("isolation", record.isolation_start, record.isolated_time,
+                 detail)
+        )
+    poisoned = record.poison_time
+    if poisoned is not None:
+        mode, asns, providers, step = record.poison_intent
+        detail = {"asn": record.poisoned_asn, "mode": mode}
+        if step:
+            detail.update(
+                step=step, asns=list(asns), providers=list(providers)
+            )
+        converged = [
+            Span("convergence", t, t + seconds, {"seconds": seconds})
+            for t, seconds in record.convergences
+        ]
+        spans.append(Span("poison", poisoned, poisoned, detail,
+                          children=converged))
+        spans.append(Span("verification", poisoned, record.verified_time))
+    for t, asn, reason, failures in record.rollbacks:
+        spans.append(Span("rollback", t, t, {
+            "asn": asn, "reason": reason, "failures": failures,
+        }))
+    for t, step, strategy, asn in record.escalations:
+        spans.append(Span("fallback", t, t, {
+            "step": step, "strategy": strategy, "asn": asn,
+        }))
+    detected = record.repair_detected_time
+    first_check = record.first_repair_check
+    if first_check is not None or detected is not None:
+        detail = {}
+        if record.repair_checks:
+            detail["checks"] = record.repair_checks
+        if record.skipped_repair_checks:
+            detail["skipped"] = record.skipped_repair_checks
+        start = first_check if first_check is not None else detected
+        spans.append(Span("repair-detection", start, detected, detail))
+    if record.unpoison_time is not None:
+        spans.append(
+            Span("unpoison", record.unpoison_time, record.unpoison_time)
+        )
+    # By onset; phases that open together keep lifecycle order.
+    spans.sort(key=lambda span: span.start)
+
+    notes = [(t, f"deferred at t={t:g}: {why}") for t, why in record.deferrals]
+    if record.end_journaled:
+        notes.insert(0, (outage.end, f"outage ended at t={outage.end:g}"))
+    notes.extend(
+        (t, f"escalated to {strategy} (step {step}) at t={t:g}")
+        for t, step, strategy, _asn in record.escalations
+    )
+    if record.gave_up is not None:
+        t, reason = record.gave_up
+        if reason is None:
+            reason = "no reason recorded"
+        notes.append((t, f"gave up at t={t:g}: {reason}"))
+    # By time; an outage's end is journaled ahead of its round's stages.
+    notes.sort(key=lambda note: note[0])
+    return RepairTimeline(
+        vp_name=outage.vp_name,
+        destination=str(outage.destination),
+        outage_start=outage.start,
+        spans=spans,
+        final_state=_final_state(record),
+        notes=[text for _t, text in notes],
+    )
 
 
-def _ensure_span(timeline: RepairTimeline, name: str) -> Span:
-    span = timeline.span(name)
-    if span is None:
-        span = Span(name=name)
-        timeline.spans.append(span)
-    return span
+def timelines_of(records: Iterable[RepairRecord]) -> List[RepairTimeline]:
+    """Every record's timeline, by outage start, vantage point and
+    destination."""
+    return sorted(
+        (timeline_of(record) for record in records),
+        key=lambda tl: (tl.outage_start, tl.vp_name, tl.destination),
+    )
 
 
 def _attach_causal_refs(
     timelines: Iterable[RepairTimeline], events: List[Event]
 ) -> None:
-    """Link each span to the BGP updates its window triggered."""
-    updates = [e for e in events if e.kind == "bgp.update-sent"]
-    if not updates:
-        return
+    """Link each span, children included, to the BGP updates its window
+    triggered."""
+    # The bus clock never runs backwards, so this keeps seq order; it
+    # is what the bisection below relies on.
+    updates = sorted(
+        (e for e in events if e.kind == "bgp.update-sent"),
+        key=lambda e: e.t,
+    )
+    times = [update.t for update in updates]
+    seqs = [update.seq for update in updates]
+
+    def link(span: Span) -> None:
+        if span.start is None:
+            return
+        end = span.end if span.end is not None else float("inf")
+        lo = bisect_left(times, span.start)
+        hi = bisect_right(times, end)
+        if hi > lo:
+            span.bgp_updates += hi - lo
+            span.bgp_update_seqs.extend(
+                seqs[lo:min(hi, lo + MAX_CAUSAL_REFS)]
+            )
+        for child in span.children:
+            link(child)
+
     for timeline in timelines:
         for span in timeline.spans:
-            if span.start is None:
-                continue
-            end = span.end if span.end is not None else float("inf")
-            for update in updates:
-                if span.start <= update.t <= end:
-                    span.bgp_updates += 1
-                    if len(span.bgp_update_seqs) < MAX_CAUSAL_REFS:
-                        span.bgp_update_seqs.append(update.seq)
-            for child in span.children:
-                c_end = child.end if child.end is not None else float("inf")
-                for update in updates:
-                    if child.start is not None and (
-                        child.start <= update.t <= c_end
-                    ):
-                        child.bgp_updates += 1
-                        if len(child.bgp_update_seqs) < MAX_CAUSAL_REFS:
-                            child.bgp_update_seqs.append(update.seq)
+            link(span)
 
 
 def assemble_timelines(
@@ -139,172 +246,9 @@ def assemble_timelines(
     events = [
         e if isinstance(e, Event) else Event.from_json(e) for e in events
     ]
-    timelines: Dict[str, RepairTimeline] = {}
-
-    def timeline_for(subject: str) -> Optional[RepairTimeline]:
-        timeline = timelines.get(subject)
-        if timeline is None:
-            parsed = _parse_subject(subject)
-            if parsed is None:
-                return None
-            vp, dst, start = parsed
-            timeline = RepairTimeline(
-                vp_name=vp, destination=dst, outage_start=start
-            )
-            timelines[subject] = timeline
-        return timeline
-
-    for event in events:
-        if not event.kind.startswith("control.") or event.subject is None:
-            continue
-        timeline = timeline_for(event.subject)
-        if timeline is None:
-            continue
-        kind = event.kind[len("control."):]
-        fields = event.fields
-        if kind == "observed":
-            span = _ensure_span(timeline, "detection")
-            span.start = timeline.outage_start
-            span.end = fields.get("detected", event.t)
-        elif kind == "isolation-spend":
-            span = _ensure_span(timeline, "isolation")
-            if span.start is None:
-                span.start = event.t
-            span.detail["attempts"] = fields.get(
-                "used", span.detail.get("attempts", 0)
-            )
-        elif kind == "isolated":
-            span = _ensure_span(timeline, "isolation")
-            if span.start is None:
-                span.start = event.t
-            span.end = event.t
-            span.detail.update(
-                direction=fields.get("direction"),
-                blamed_asn=fields.get("blamed_asn"),
-                confidence=fields.get("confidence"),
-            )
-        elif kind == "deferred":
-            why = fields.get("why", "unknown")
-            timeline.notes.append(f"deferred at t={event.t:g}: {why}")
-        elif kind == "poison":
-            span = _ensure_span(timeline, "poison")
-            span.start = event.t
-            span.detail.update(
-                asn=fields.get("asn"), mode=fields.get("mode", "poison")
-            )
-            if fields.get("step"):
-                span.detail.update(
-                    step=fields.get("step"),
-                    asns=fields.get("asns"),
-                    providers=fields.get("providers"),
-                )
-        elif kind == "escalate":
-            span = Span(
-                name="fallback",
-                start=event.t,
-                end=event.t,
-                detail={
-                    "step": fields.get("step"),
-                    "strategy": fields.get("strategy"),
-                    "asn": fields.get("asn"),
-                },
-            )
-            timeline.spans.append(span)
-            timeline.notes.append(
-                f"escalated to {fields.get('strategy')} "
-                f"(step {fields.get('step')}) at t={event.t:g}"
-            )
-        elif kind == "rollback":
-            span = Span(
-                name="rollback",
-                start=event.t,
-                end=event.t,
-                detail={
-                    "asn": fields.get("asn"),
-                    "reason": fields.get("reason"),
-                    "failures": fields.get("failures"),
-                },
-            )
-            timeline.spans.append(span)
-        elif kind == "repair-check":
-            span = _ensure_span(timeline, "repair-detection")
-            if span.start is None:
-                span.start = event.t
-            span.detail["checks"] = span.detail.get("checks", 0) + 1
-            if fields.get("skipped"):
-                span.detail["skipped"] = (
-                    span.detail.get("skipped", 0) + 1
-                )
-        elif kind == "unpoison":
-            span = _ensure_span(timeline, "unpoison")
-            span.start = event.t
-        elif kind == "state":
-            state = fields.get("state")
-            timeline.final_state = state
-            if state == "verifying":
-                poison = _ensure_span(timeline, "poison")
-                poison.end = event.t
-                convergence = fields.get("convergence_seconds")
-                poison_time = fields.get("poison_time", event.t)
-                if convergence is not None:
-                    poison.children.append(
-                        Span(
-                            name="convergence",
-                            start=poison_time,
-                            end=poison_time + convergence,
-                            detail={"seconds": convergence},
-                        )
-                    )
-                verification = _ensure_span(timeline, "verification")
-                verification.start = event.t
-            elif state == "poisoned":
-                if "verified_time" in fields:
-                    verification = _ensure_span(timeline, "verification")
-                    verification.end = fields["verified_time"]
-                else:
-                    poison = _ensure_span(timeline, "poison")
-                    poison.end = event.t
-                    convergence = fields.get("convergence_seconds")
-                    poison_time = fields.get("poison_time", event.t)
-                    if convergence is not None:
-                        poison.children.append(
-                            Span(
-                                name="convergence",
-                                start=poison_time,
-                                end=poison_time + convergence,
-                                detail={"seconds": convergence},
-                            )
-                        )
-            elif state == "unpoisoned":
-                span = _ensure_span(timeline, "unpoison")
-                span.end = event.t
-                if "repair_detected_time" in fields:
-                    repair = _ensure_span(timeline, "repair-detection")
-                    repair.end = fields["repair_detected_time"]
-                    if repair.start is None:
-                        repair.start = repair.end
-            elif state == "not-poisoned":
-                timeline.notes.append(
-                    f"gave up at t={event.t:g}: "
-                    f"{fields.get('reason', 'no reason recorded')}"
-                )
-        elif kind == "outage-ended":
-            timeline.notes.append(f"outage ended at t={event.t:g}")
-
-    ordered = sorted(
-        timelines.values(),
-        key=lambda tl: (tl.outage_start, tl.vp_name, tl.destination),
-    )
-    # Order spans by phase onset; repair-detection may have opened before
-    # verification closed, so sort rather than trust insertion order.
-    for timeline in ordered:
-        timeline.spans.sort(
-            key=lambda s: (
-                s.start if s.start is not None else float("inf")
-            )
-        )
-    _attach_causal_refs(ordered, events)
-    return ordered
+    timelines = timelines_of(fold_records(_mirrored_entries(events)))
+    _attach_causal_refs(timelines, events)
+    return timelines
 
 
 # ----------------------------------------------------------------------

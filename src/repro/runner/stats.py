@@ -47,9 +47,6 @@ class RunStats:
         finally:
             self.add_time(name, time.perf_counter() - start)
 
-    def merge(self, other: "RunStats") -> None:
-        self.registry.merge(other.registry)
-
     def merge_dict(self, payload: Mapping[str, Mapping[str, float]]) -> None:
         """Merge the :meth:`as_dict` form (as returned by workers)."""
         for name, amount in payload.get("counters", {}).items():

@@ -31,10 +31,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.control.journal import OutageKey, RepairJournal
+from repro.control.journal import (
+    OutageKey,
+    RepairJournal,
+    commit,
+    reducer_of,
+)
 from repro.control.lifeguard import Lifeguard, RepairState, stage_of
 from repro.control.record import STAGES
-from repro.errors import ControlError
 from repro.service.admission import (
     PROBE_BUDGET_PER_ROUND,
     AdmissionController,
@@ -380,12 +384,15 @@ class LifeguardService:
         key: Optional[OutageKey] = None,
         **values,
     ) -> None:
-        """Journal one service entry (write-ahead), then apply it —
-        through the reducer :meth:`_restore_from_journal` folds with."""
-        if kind not in self._REDUCERS:
-            raise ControlError(f"unknown journal entry kind {kind!r}")
-        entry = self.journal.append(kind, now, key=key, **values)
-        self._REDUCERS[kind](self, entry)
+        """Journal one service entry (write-ahead), then apply it."""
+        commit(self.journal, self._apply, kind, now, key, **values)
+
+    def _apply(self, entry, live=None) -> None:
+        """Fold one journal entry into service state — on a live commit
+        and for every entry :meth:`_restore_from_journal` replays."""
+        reducer = reducer_of(self._REDUCERS, entry["event"])
+        if reducer is not None:
+            reducer(self, entry)
 
     def _on_plan(self, entry) -> None:
         self.plan = [(target, asn) for target, asn in entry["targets"]]
@@ -412,9 +419,8 @@ class LifeguardService:
     def _on_audit(self, entry) -> None:
         """Dispositions journaled for the record; no service state."""
 
-    #: entry kind -> reducer, for every kind the service journals
-    #: (:data:`repro.control.journal.SERVICE_KINDS`) plus the
-    #: compaction marker.
+    #: entry kind -> reducer, for every service kind
+    #: (:data:`repro.control.journal.KINDS`) plus the compaction marker.
     _REDUCERS = {
         "service-plan": _on_plan,
         "service-arrival": _on_arrival,
@@ -721,9 +727,7 @@ class LifeguardService:
         self.ledger = ImpactLedger(self._build_matrix())
         self.cursor = 0
         for entry in journal:
-            reducer = self._REDUCERS.get(entry["event"])
-            if reducer is not None:
-                reducer(self, entry)
+            self._apply(entry)
         self.backlog.items.clear()
         for record in self.lifeguard.records:
             # OBSERVED records re-enter through admission control.

@@ -6,26 +6,18 @@ over the relationship-labelled AS graph, and the paper's observed
 seen in some measured path — usable when relationships are unknown.
 """
 
-from repro.splice.reachability import (
-    valley_free_reachable,
-    reachable_set_avoiding,
-    valley_free_path,
-)
+from repro.splice.reachability import reachable_set_avoiding
 from repro.splice.three_tuple import TripleSet
 from repro.splice.splicer import PathCorpus
 from repro.splice.simulate import (
     PoisonOutcome,
-    simulate_poisoning,
     simulate_poisonings_over_corpus,
 )
 
 __all__ = [
-    "valley_free_reachable",
     "reachable_set_avoiding",
-    "valley_free_path",
     "TripleSet",
     "PathCorpus",
     "PoisonOutcome",
-    "simulate_poisoning",
     "simulate_poisonings_over_corpus",
 ]

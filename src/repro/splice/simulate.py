@@ -29,19 +29,6 @@ class PoisonOutcome:
     alternate_exists: bool
 
 
-def simulate_poisoning(
-    graph: ASGraph, source: int, origin: int, poisoned: int
-) -> PoisonOutcome:
-    """Does *source* keep a valley-free route to *origin* without *poisoned*?"""
-    reachable = reachable_set_avoiding(graph, origin, avoid=[poisoned])
-    return PoisonOutcome(
-        source=source,
-        origin=origin,
-        poisoned=poisoned,
-        alternate_exists=source in reachable,
-    )
-
-
 def poisonable_transits(path: Sequence[int]) -> List[int]:
     """Transit ASes on *path* eligible for simulated poisoning.
 

@@ -10,7 +10,7 @@ BitTorrent + BGP-feed corpus.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 
 class TripleSet:
@@ -18,11 +18,10 @@ class TripleSet:
 
     def __init__(self) -> None:
         self._triples: Set[Tuple[int, int, int]] = set()
-        self._pairs: Set[Tuple[int, int]] = set()
         self.paths_observed = 0
 
     def observe_path(self, path: Sequence[int]) -> None:
-        """Record every triple (and adjacency pair) from one AS path.
+        """Record every triple from one AS path.
 
         Consecutive duplicates (prepending) are collapsed first.
         """
@@ -31,18 +30,10 @@ class TripleSet:
             if not collapsed or collapsed[-1] != asn:
                 collapsed.append(asn)
         self.paths_observed += 1
-        for i in range(len(collapsed) - 1):
-            self._pairs.add((collapsed[i], collapsed[i + 1]))
-            self._pairs.add((collapsed[i + 1], collapsed[i]))
         for i in range(len(collapsed) - 2):
             a, b, c = collapsed[i : i + 3]
             self._triples.add((a, b, c))
             self._triples.add((c, b, a))  # observed transit is bidirectional
-
-    def observe_paths(self, paths: Iterable[Sequence[int]]) -> None:
-        """Record many paths."""
-        for path in paths:
-            self.observe_path(path)
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -50,29 +41,6 @@ class TripleSet:
     def allows_triple(self, a: int, b: int, c: int) -> bool:
         """True if B has been seen carrying traffic between A and C."""
         return (a, b, c) in self._triples
-
-    def allows_adjacency(self, a: int, b: int) -> bool:
-        """True if the A-B link has been seen in any path."""
-        return (a, b) in self._pairs
-
-    def allows_path(self, path: Sequence[int]) -> bool:
-        """Full-path check: every internal triple must have been observed.
-
-        Paths of length <= 2 only require their adjacencies to be known.
-        """
-        collapsed: List[int] = []
-        for asn in path:
-            if not collapsed or collapsed[-1] != asn:
-                collapsed.append(asn)
-        if len(collapsed) < 2:
-            return True
-        for i in range(len(collapsed) - 1):
-            if not self.allows_adjacency(collapsed[i], collapsed[i + 1]):
-                return False
-        for i in range(len(collapsed) - 2):
-            if not self.allows_triple(*collapsed[i : i + 3]):
-                return False
-        return True
 
     def allows_splice(
         self, left: Sequence[int], joint: int, right: Sequence[int]

@@ -9,12 +9,6 @@ from repro.topology.relationships import Relationship
 from repro.topology.as_graph import ASGraph, ASNode
 from repro.topology.generate import InternetShape, generate_internet
 from repro.topology.routers import Router, RouterTopology
-from repro.topology.serialize import (
-    load_as_graph,
-    loads_as_graph,
-    dump_as_graph,
-    dumps_as_graph,
-)
 
 __all__ = [
     "Relationship",
@@ -24,8 +18,4 @@ __all__ = [
     "generate_internet",
     "Router",
     "RouterTopology",
-    "load_as_graph",
-    "loads_as_graph",
-    "dump_as_graph",
-    "dumps_as_graph",
 ]

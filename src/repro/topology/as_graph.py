@@ -7,7 +7,7 @@ poisoning simulations all run over an :class:`ASGraph`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import TopologyError
 from repro.net.addr import Prefix
@@ -176,10 +176,6 @@ class ASGraph:
         if asn not in self._edges:
             raise TopologyError(f"AS{asn} not in graph")
         return len(self._edges[asn])
-
-    def origin_of(self, prefix: Prefix) -> Optional[int]:
-        """The AS that originates exactly *prefix*, if any."""
-        return self._prefix_origin.get(prefix)
 
     def prefixes(self) -> Iterator[Tuple[Prefix, int]]:
         """All (prefix, origin ASN) pairs."""

@@ -72,19 +72,6 @@ class TrafficMatrix:
             h.update(b"\n")
         return h.hexdigest()
 
-    def users_by_src(self) -> Dict[int, int]:
-        """Total modeled users per source AS."""
-        out: Dict[int, int] = {}
-        for flow in self.flows:
-            out[flow.src_asn] = out.get(flow.src_asn, 0) + flow.users
-        return out
-
-    def users_toward(self, prefix: Prefix) -> int:
-        """Users whose destination address falls inside *prefix*."""
-        return sum(
-            f.users for f in self.flows if f.dst_address in prefix
-        )
-
 
 def _largest_remainder(total: int, weights: Sequence[float]) -> List[int]:
     """Split *total* integer units across *weights* deterministically."""

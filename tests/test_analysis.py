@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.cdf import CDF
 from repro.analysis.loss import ConvergenceLossReplay
-from repro.analysis.reporting import Table, format_figure_series
+from repro.analysis.reporting import Table
 from repro.analysis.residual import residual_duration_curve
 from repro.bgp.engine import BGPEngine
 from repro.bgp.messages import make_path
@@ -35,8 +35,7 @@ class TestCDF:
 
     def test_points_monotonic(self):
         cdf = CDF(range(100))
-        points = cdf.points(num_points=11)
-        ys = [y for _, y in points]
+        ys = [cdf.at(cdf.percentile(i / 10)) for i in range(11)]
         assert ys == sorted(ys)
         assert ys[-1] == 1.0
 
@@ -135,10 +134,3 @@ class TestReporting:
         text = table.emit()
         assert capsys.readouterr().out == f"\n{text}\n\n"
         assert text.startswith("My Result\n=========")
-
-    def test_figure_series_formatting(self):
-        text = format_figure_series(
-            "Fig X", [("events", [(1.0, 0.5), (10.0, 1.0)])],
-            x_label="minutes", y_label="cdf",
-        )
-        assert "Fig X" in text and "events" in text

@@ -57,7 +57,7 @@ class TestCollector:
         engine.withdraw_origin(1, P)
         engine.run()
         updates = collector.updates(prefix=P, since=t0)
-        assert any(u.is_withdrawal for u in updates)
+        assert any(u.as_path is None for u in updates)
 
     def test_convergence_after_poison(self, world):
         engine, collector = world

@@ -129,7 +129,7 @@ def _columns(note):
             peak_affected=0,
             user_minutes=0.0,
         ),
-        records=[SimpleNamespace(rollbacks=0, notes=[note])],
+        records=[SimpleNamespace(rollbacks=[], notes=[note])],
     )
     point.tally(stream)
     point.count_notes([note])

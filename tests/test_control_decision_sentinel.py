@@ -32,7 +32,6 @@ class TestResidualDurationModel:
         model = ResidualDurationModel([100.0])
         assert model.survival_probability(200, 10) == 0.0
         assert model.median_residual(200) is None
-        assert model.mean_residual(200) is None
 
     def test_decide_waits_for_young_outages(self):
         model = ResidualDurationModel([90.0] * 50 + [7200.0] * 50)
@@ -128,7 +127,6 @@ class TestResidualModelAgainstNaiveReference:
                         naive.residual_percentile(x, fraction)
                     ), (sample, x, fraction)
                 assert model.median_residual(x) == naive.median_residual(x)
-                assert model.mean_residual(x) == naive.mean_residual(x)
                 for more in (0.0, 120.0, rng.uniform(0.0, 2000.0)):
                     assert model.survival_probability(x, more) == (
                         naive.survival_probability(x, more)

@@ -214,7 +214,7 @@ class TestIneffectivePoisonRollback:
     def test_breaker_opens_after_max_failures(self, run):
         lifeguard, record, bad_asn = run
         assert record.state is RepairState.NOT_POISONED
-        assert record.rollbacks == lifeguard.config.breaker_max_failures
+        assert len(record.rollbacks) == lifeguard.config.breaker_max_failures
         assert any(
             "circuit breaker open" in note for note in record.notes
         )
@@ -253,7 +253,7 @@ class TestEffectivePoisonVerified:
         assert record.state is RepairState.UNPOISONED
         assert record.verified_time is not None
         assert record.verified_time > record.poison_time
-        assert record.rollbacks == 0
+        assert record.rollbacks == []
         assert any("verified" in note for note in record.notes)
         # The pre-poison control snapshot rode along in the journal (here
         # empty: AS8 sat on every target's reverse path, so nothing else

@@ -35,7 +35,7 @@ class TestScenarioWiring:
     def test_sentinel_unused_half_is_dark(self, scenario):
         sentinel = scenario.lifeguard.sentinel_manager.sentinel
         half = unused_half(scenario.production_prefix, sentinel)
-        assert scenario.graph.origin_of(half) is None
+        assert half not in dict(scenario.graph.prefixes())
 
 
 class TestEndToEndRepair:

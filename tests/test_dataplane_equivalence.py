@@ -47,7 +47,7 @@ from repro.net.lpm import FlatLPM
 from repro.topology.generate import generate_internet
 from repro.topology.routers import RouterTopology
 from repro.workloads.scenarios import SCALES
-from tests.trie_oracle import PrefixTrie
+from tests.trie_oracle import PrefixTrie, intervals
 
 WORLDS = [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 3)]
 TIMES = (-50.0, 0.0, 99.0, 100.0, 150.0, 199.0, 200.0, 1e9)
@@ -996,8 +996,8 @@ class TestCompiledTablesAcrossRebuilds:
                 assert current.flat(asn) is previous.flat(asn)
             for asn in dirty:
                 assert current.tables[asn] is not previous.tables[asn]
-                assert current.flat(asn).intervals() == (
-                    full.flat(asn).intervals()
+                assert intervals(current.flat(asn)) == (
+                    intervals(full.flat(asn))
                 )
             # The poisoned stub is left with its /0 and no more.
             assert (prefix in current.tables[stub]) == (path != poisoned)

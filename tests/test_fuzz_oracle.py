@@ -29,9 +29,21 @@ from repro.fuzz.diff import (
     capture_state,
     diff_states,
 )
+from repro.net.addr import Prefix
 from repro.runner.core import derive_seed
 from repro.topology.relationships import Relationship
 from tests.state_oracle import oracle_rows
+
+
+def case_prefixes(case):
+    """Every prefix *case* touches, in canonical order."""
+    names = {org.prefix for org in case.originations}
+    names.update(
+        act.prefix
+        for act in case.actions
+        if act.prefix and act.op in ("announce", "withdraw")
+    )
+    return sorted(Prefix(name) for name in names)
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +144,7 @@ class TestReferenceEquivalence:
         for index in range(150):
             del captures[:]
             case = generate_case(0, index, "medium")
-            prefixes = case.prefixes()
+            prefixes = case_prefixes(case)
             result = run_case(case, inject_divergence=inject)
             if len(captures) < 2:
                 continue  # gate-rejected before any capture
@@ -217,7 +229,7 @@ class TestSnapshotAgainstRowOracle:
                 rows = oracle_rows(engine)
                 assert state.rows() == rows, (index, label)
                 assert len(state) == len(rows), (index, label)
-                assert capture_state(engine, case.prefixes()) == state
+                assert capture_state(engine, case_prefixes(case)) == state
                 blobs[label].append(canonical_blob(state))
                 engine.materialize()
                 tombstones += sum(
@@ -411,7 +423,7 @@ class TestScope:
     def test_wire_only_difference_on_an_unrequested_prefix(self):
         case = generate_case(0, 3, "small")
         engine = _converged(case)
-        asked, other = case.prefixes()[:2]
+        asked, other = case_prefixes(case)[:2]
         scoped = capture_state(engine, [asked])
         whole = capture_state(engine, None)
 
@@ -431,7 +443,7 @@ class TestScope:
     def test_scoped_capture_is_the_whole_one_filtered(self):
         case = generate_case(0, 3, "small")
         engine = _converged(case)
-        asked = case.prefixes()[0]
+        asked = case_prefixes(case)[0]
         scoped = capture_state(engine, [asked])
         assert len(scoped) and scoped.rows() == {
             key: value
@@ -439,7 +451,7 @@ class TestScope:
             if key[-2:] == (asked.base, asked.length)
         }
         assert {key[0] for key in scoped.rows()} == {FWD, LOCRIB, WIRE}
-        assert capture_state(engine, case.prefixes()) == capture_state(
+        assert capture_state(engine, case_prefixes(case)) == capture_state(
             engine, None
         )
         nothing = capture_state(engine, [])
@@ -473,8 +485,8 @@ class TestGoldenRendering:
         after.run()
         after.originate(second.asn, second.prefix, path=(2, 2, 2), med=7)
         after.run()
-        left = capture_state(before, case.prefixes())
-        right = capture_state(after, case.prefixes())
+        left = capture_state(before, case_prefixes(case))
+        right = capture_state(after, case_prefixes(case))
 
         assert diff_states(left, right) == [
             ("fwd/0.1.0.0/16/AS1", "1", None),

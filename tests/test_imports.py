@@ -31,6 +31,7 @@ from dataclasses import fields
 import repro
 from repro.bgp import origin
 from repro.control import decision, guard
+from repro.control.journal import KINDS
 from repro.control.lifeguard import Lifeguard
 from repro.control.plan import LifeguardConfig
 from repro.control.record import RECORD_REDUCERS
@@ -320,6 +321,8 @@ def test_the_controller_stays_cut_along_its_seam():
             assert ast.unparse(node).endswith("is not None"), (
                 ast.unparse(node)
             )
-    # The controller's table still covers every record-scoped kind (and
-    # DESIGN.md's table is held to it by test_journal_fold).
-    assert set(RECORD_REDUCERS) <= set(Lifeguard._REDUCERS)
+    # The record fold's table holds exactly the registry's record kinds
+    # (DESIGN.md's table is held to the registry by test_journal_fold).
+    assert set(RECORD_REDUCERS) == {
+        kind for kind, owner in KINDS.items() if owner == "record"
+    }

@@ -21,13 +21,18 @@ import pytest
 
 from repro.bgp.origin import PACER_WINDOW
 from repro.control.journal import (
-    SERVICE_KINDS,
+    KINDS,
     TERMINAL_STATES,
     RepairJournal,
     _compact,
 )
 from repro.control.lifeguard import Lifeguard, LifeguardConfig, RepairState
-from repro.control.record import LADDER_STRATEGIES, RepairRecord, ledger_key
+from repro.control.record import (
+    LADDER_STRATEGIES,
+    RECORD_REDUCERS,
+    RepairRecord,
+    ledger_key,
+)
 from repro.errors import ControlError
 from repro.service import LifeguardService, ServiceConfig
 from repro.workloads.outages import (
@@ -446,21 +451,44 @@ class TestUnknownEntryKinds:
 
     def test_service_kinds_pass_through_the_controller_fold(self):
         scenario = build_deployment(scale="tiny", seed=5)
-        for kind in sorted(SERVICE_KINDS):
-            scenario.lifeguard.apply({"v": 1, "t": 0.0, "event": kind})
+        for kind, owner in sorted(KINDS.items()):
+            if owner == "service":
+                scenario.lifeguard.apply({"v": 1, "t": 0.0, "event": kind})
+
+    def test_replayed_service_journal_with_an_unknown_kind_is_refused(self):
+        scenario = build_deployment(scale="tiny", seed=5)
+        service = LifeguardService(scenario, ServiceConfig())
+        journal = RepairJournal()
+        journal.entries = [{"v": 1, "t": 0.0, "event": "service-arival"}]
+        with pytest.raises(ControlError, match="'service-arival'"):
+            service._restore_from_journal(journal, 0.0)
 
 
 class TestDocumentedKinds:
     def test_design_table_lists_exactly_the_reducer_tables(self):
+        """DESIGN.md's table is the registry, kind and owner."""
         with open(DESIGN, encoding="utf-8") as handle:
             text = handle.read()
         section = text.split("### Journal entry kinds", 1)[1]
         section = section.split("\n## ", 1)[0]
-        documented = set(re.findall(r"^\| `([a-z-]+)` \|", section, re.M))
-        tables = set(Lifeguard._REDUCERS) | set(LifeguardService._REDUCERS)
-        assert documented == tables
-        # The service's table is the controller's notion of foreign kinds.
-        assert set(LifeguardService._REDUCERS) - {"compacted"} == set(
-            SERVICE_KINDS
+        documented = dict(
+            re.findall(r"^\| `([a-z-]+)` \|.*\| ([a-z]+) \|$", section, re.M)
         )
-        assert not set(Lifeguard._REDUCERS) & set(SERVICE_KINDS)
+        assert documented == KINDS
+
+    def test_every_registered_kind_has_a_reducer_in_its_owner(self):
+        controller = set(Lifeguard._REDUCERS)
+        service = set(LifeguardService._REDUCERS)
+        owned = {
+            "record": set(RECORD_REDUCERS) & controller,
+            "controller": controller,
+            "service": service,
+            "journal": controller | service,
+        }
+        for kind, owner in KINDS.items():
+            assert kind in owned[owner], (kind, owner)
+        # ... and no owner folds a kind the registry does not hold.
+        assert set(RECORD_REDUCERS) | controller | service == set(KINDS)
+        assert not controller & {
+            kind for kind, owner in KINDS.items() if owner == "service"
+        }

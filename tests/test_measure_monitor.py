@@ -51,8 +51,6 @@ class TestResponsivenessDB:
     def test_ever_responded(self):
         db = ResponsivenessDB()
         db.record("10.0.0.1", True, time=5.0)
-        assert db.ever_responded("10.0.0.1")
-        assert db.informative_silence("10.0.0.1")
         assert db.last_response_time("10.0.0.1") == 5.0
 
     def test_configured_silent_needs_attempts(self):
@@ -73,7 +71,7 @@ class TestResponsivenessDB:
     def test_unknown_address_not_silent(self):
         db = ResponsivenessDB()
         assert not db.configured_silent("10.9.9.9")
-        assert not db.ever_responded("10.9.9.9")
+        assert db.last_response_time("10.9.9.9") == float("-inf")
 
 
 class TestPingMonitor:

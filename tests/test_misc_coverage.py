@@ -1,4 +1,4 @@
-"""Smaller behaviours: file I/O, partial-outage checks, probe helpers."""
+"""Smaller behaviours: partial-outage checks, probe helpers."""
 
 import pytest
 
@@ -6,26 +6,7 @@ from repro.dataplane.failures import ASForwardingFailure
 from repro.dataplane.probes import Prober
 from repro.measure.monitor import PingMonitor
 from repro.measure.vantage import VantageSet
-from repro.topology.generate import (
-    InternetShape,
-    generate_internet,
-    prefix_for_asn,
-)
-from repro.topology.serialize import (
-    dump_as_graph_path,
-    load_as_graph_path,
-)
-
-
-class TestSerializeFiles:
-    def test_file_roundtrip(self, tmp_path):
-        graph = generate_internet(
-            InternetShape(num_tier1=3, num_tier2=5, num_stubs=8), seed=3
-        )
-        path = tmp_path / "topology.as-rel"
-        dump_as_graph_path(graph, path)
-        loaded = load_as_graph_path(path)
-        assert sorted(loaded.links()) == sorted(graph.links())
+from repro.topology.generate import prefix_for_asn
 
 
 class TestPartialOutageCheck:
@@ -66,7 +47,11 @@ class TestPartialOutageCheck:
         for round_index in range(5):
             monitor.run_round(now=30.0 * round_index)
         assert monitor.outages
-        assert monitor.is_partial(monitor.outages[0])
+        # Partial: another vantage point still reaches the target.
+        assert any(
+            prober.ping(vp.rid, target).success
+            for vp in vps.live_others("vp0")
+        )
 
 
 class TestProbeResultHelpers:

@@ -125,7 +125,7 @@ class TestRunStatsBridge:
         a.count("c")
         b.count("c", 4)
         b.add_time("t", 2.0)
-        a.merge(b)
+        a.merge_dict(b.as_dict())
         a.merge_dict({"counters": {"c": 5}, "timers": {"t": 1.0}})
         assert a.counters == {"c": 10}
         assert a.timers == {"t": 3.0}

@@ -3,7 +3,8 @@
 The end-to-end half runs the demo scenario (shortened horizon) under an
 observed bus once per module and asserts the full repair lifecycle —
 detection → isolation → poison → convergence → verification →
-repair-detection → unpoison — reconstructs from the event log alone.
+repair-detection → unpoison — reconstructs from the event log alone,
+and that it is the story the live controller's own records tell.
 """
 
 import io
@@ -11,6 +12,9 @@ import json
 
 import pytest
 
+from repro.control.plan import LifeguardConfig
+from repro.control.record import LADDER_STRATEGIES
+from repro.errors import ControlError
 from repro.obs.events import Event, EventBus
 from repro.obs.export import read_events_jsonl
 from repro.obs.metrics import MetricsRegistry
@@ -19,12 +23,23 @@ from repro.obs.trace import (
     assemble_timelines,
     render_timeline,
     render_timelines,
+    timelines_of,
 )
-from repro.workloads.scenarios import run_demo_scenario
+from repro.service import LifeguardService, ServiceConfig
+from repro.workloads.outages import OutageArrivalConfig
+from repro.workloads.scenarios import (
+    build_chaos_deployment,
+    run_demo_scenario,
+)
 
 #: Shortened demo horizon: the outage heals at t=2400 so the whole
 #: lifecycle (through unpoison) fits well inside end=3600.
 DEMO_KWARGS = dict(seed=0, fail_start=1000.0, fail_end=2400.0, end=3600.0)
+
+
+def _span(timeline, name):
+    """The first span of *timeline* called *name*."""
+    return next((s for s in timeline.spans if s.name == name), None)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +65,7 @@ def repaired_timeline(observed_demo):
 
 class TestEndToEndTimeline:
     def test_full_lifecycle_phases(self, repaired_timeline):
-        names = repaired_timeline.phase_names()
+        names = [span.name for span in repaired_timeline.spans]
         for phase in (
             "detection", "isolation", "poison",
             "verification", "repair-detection", "unpoison",
@@ -61,7 +76,7 @@ class TestEndToEndTimeline:
         assert names.index("isolation") < names.index("poison")
 
     def test_convergence_child_span(self, repaired_timeline):
-        poison = repaired_timeline.span("poison")
+        poison = _span(repaired_timeline, "poison")
         children = [c.name for c in poison.children]
         assert "convergence" in children
         convergence = poison.children[children.index("convergence")]
@@ -74,21 +89,21 @@ class TestEndToEndTimeline:
         self, observed_demo, repaired_timeline
     ):
         _events, _registry, _scenario, bad_asn = observed_demo
-        assert repaired_timeline.span("poison").detail["asn"] == bad_asn
+        assert _span(repaired_timeline, "poison").detail["asn"] == bad_asn
         assert (
-            repaired_timeline.span("isolation").detail["blamed_asn"]
+            _span(repaired_timeline, "isolation").detail["blamed_asn"]
             == bad_asn
         )
 
     def test_causal_bgp_references(self, repaired_timeline):
-        poison = repaired_timeline.span("poison")
+        poison = _span(repaired_timeline, "poison")
         assert poison.bgp_updates > 0
         lo, hi = poison.seq_range
         assert lo <= hi
         assert len(poison.bgp_update_seqs) <= poison.bgp_updates
 
     def test_detection_window_matches_outage(self, repaired_timeline):
-        detection = repaired_timeline.span("detection")
+        detection = _span(repaired_timeline, "detection")
         assert detection.start == repaired_timeline.outage_start
         assert detection.end > detection.start
 
@@ -129,6 +144,82 @@ class TestEndToEndTimeline:
         assert totals["repair.convergence_seconds"] > 0
 
 
+def _story(timelines):
+    """Everything a timeline says but its causal references."""
+
+    def span(s):
+        return (s.name, s.start, s.end, s.detail, [span(c) for c in s.children])
+
+    return [
+        (
+            tl.vp_name, tl.destination, tl.outage_start, tl.final_state,
+            tl.notes, [span(s) for s in tl.spans],
+        )
+        for tl in timelines
+    ]
+
+
+def _ladder_run(seed):
+    """(events, controller) of a chaos service run whose plain poisons
+    are all filtered, so repairs roll back, climb the ladder and give
+    up."""
+    config = LifeguardConfig(
+        fallback_ladder=True,
+        breaker_max_failures=len(LADDER_STRATEGIES) - 1,
+    )
+    scenario, _ = build_chaos_deployment(
+        scale="tiny", seed=seed, intensity=0.2, defense_rate=1.0,
+        lifeguard_config=config,
+    )
+    sink = io.StringIO()
+    scenario.lifeguard.attach_observer(EventBus(sink=sink))
+    for asn, speaker in scenario.engine.speakers.items():
+        if asn != scenario.origin_asn:
+            speaker.reconfigure(filter_poisoned_paths=True)
+    LifeguardService(
+        scenario,
+        ServiceConfig(
+            duration=5400.0,
+            arrivals=OutageArrivalConfig(
+                first_arrival=1000.0, spacing=600.0, duration=4200.0
+            ),
+            seed=seed,
+            drain=9000.0,
+        ),
+    ).run()
+    sink.seek(0)
+    return read_events_jsonl(sink), scenario.lifeguard
+
+
+class TestOneFold:
+    """The event log and the live records tell one story: the trace
+    folds the mirrored entries with the controller's own reducers."""
+
+    def test_demo_log_renders_the_live_records(self, observed_demo):
+        events, _registry, scenario, _bad_asn = observed_demo
+        live = timelines_of(scenario.lifeguard.records)
+        assert _story(assemble_timelines(events)) == _story(live)
+
+    def test_ladder_log_renders_the_live_records(self):
+        events, lifeguard = _ladder_run(3)
+        live = timelines_of(lifeguard.records)
+        names = {span.name for tl in live for span in tl.spans}
+        assert {"rollback", "fallback"} <= names
+        assert {tl.final_state for tl in live} >= {
+            "not-poisoned", "rolled-back", "observed",
+        }
+        assert _story(assemble_timelines(events)) == _story(live)
+
+    def test_an_unknown_control_kind_is_refused(self):
+        events = [
+            Event(seq=0, t=1.0, kind="control.esclate",
+                  component="control.lifeguard",
+                  subject="origin|1.2.3.4|100.0"),
+        ]
+        with pytest.raises(ControlError, match="'esclate'"):
+            assemble_timelines(events)
+
+
 class TestAssemblyFromSyntheticEvents:
     def _event(self, seq, t, kind, subject, **fields):
         return Event(
@@ -149,7 +240,7 @@ class TestAssemblyFromSyntheticEvents:
         ]
         (timeline,) = assemble_timelines(events)
         assert timeline.final_state == "not-poisoned"
-        rollback = timeline.span("rollback")
+        rollback = _span(timeline, "rollback")
         assert rollback.detail["reason"] == "ineffective"
         assert any("gave up" in note for note in timeline.notes)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.analysis.cdf import CDF
 from repro.bgp.messages import (
     make_path,
-    occurrences,
     traversed_ases,
     unique_ases,
 )
@@ -51,7 +50,7 @@ class TestAddressProperties:
 class TestPrefixProperties:
     @given(prefixes())
     def test_network_address_contained(self, prefix):
-        assert prefix.network in prefix
+        assert prefix.address(0) in prefix
         assert prefix.address(prefix.num_addresses - 1) in prefix
 
     @given(prefixes())
@@ -161,10 +160,6 @@ class TestPathProperties:
         for a, b in zip(collapsed, collapsed[1:]):
             assert a != b
 
-    @given(st.lists(asns, min_size=1, max_size=10), asns)
-    def test_occurrences_counts(self, hops, needle):
-        assert occurrences(tuple(hops), needle) == hops.count(needle)
-
 
 class TestValleyFreeProperties:
     rels = st.sampled_from(
@@ -196,21 +191,32 @@ class TestValleyFreeProperties:
         assert not is_valley_free(sequence)
 
 
+def _internal_triples(path):
+    """The length-three subpaths of *path*, prepends collapsed."""
+    collapsed = [
+        asn for i, asn in enumerate(path) if i == 0 or path[i - 1] != asn
+    ]
+    return [tuple(collapsed[i:i + 3]) for i in range(len(collapsed) - 2)]
+
+
 class TestTripleSetProperties:
     @settings(max_examples=50)
     @given(st.lists(st.lists(asns, min_size=2, max_size=6), min_size=1,
                     max_size=10))
     def test_observed_paths_always_allowed(self, paths):
         triples = TripleSet()
-        triples.observe_paths(paths)
         for path in paths:
-            assert triples.allows_path(path)
+            triples.observe_path(path)
+        for path in paths:
+            for triple in _internal_triples(path):
+                assert triples.allows_triple(*triple)
 
     @given(st.lists(asns, min_size=3, max_size=6))
     def test_reverse_of_observed_allowed(self, path):
         triples = TripleSet()
         triples.observe_path(path)
-        assert triples.allows_path(list(reversed(path)))
+        for triple in _internal_triples(list(reversed(path))):
+            assert triples.allows_triple(*triple)
 
 
 class TestCDFProperties:

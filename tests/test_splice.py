@@ -1,15 +1,10 @@
 """Tests for valley-free reachability, the three-tuple test, and splicing."""
 
 
-from repro.splice.reachability import (
-    reachable_set_avoiding,
-    valley_free_path,
-    valley_free_reachable,
-)
+from repro.splice.reachability import reachable_set_avoiding
 from repro.splice.simulate import (
     fraction_with_alternates,
     poisonable_transits,
-    simulate_poisoning,
     simulate_poisonings_over_corpus,
 )
 from repro.splice.splicer import Hop, PathCorpus, Trace
@@ -17,6 +12,7 @@ from repro.splice.three_tuple import TripleSet
 from repro.topology.as_graph import ASGraph
 from repro.topology.generate import InternetShape, generate_internet
 from repro.topology.relationships import Relationship
+from tests.splice_oracle import valley_free_path, valley_free_reachable
 
 
 def diamond():
@@ -111,10 +107,12 @@ class TestTripleSet:
 
     def test_allows_path(self):
         triples = TripleSet()
-        triples.observe_paths([[1, 2, 3, 4], [2, 3, 5]])
-        assert triples.allows_path([1, 2, 3, 4])
-        assert triples.allows_path([1, 2, 3, 5])  # spliced from both
-        assert not triples.allows_path([4, 1, 2])  # unseen adjacency
+        for path in ([1, 2, 3, 4], [2, 3, 5]):
+            triples.observe_path(path)
+        assert triples.allows_triple(1, 2, 3)
+        assert triples.allows_triple(2, 3, 4)
+        assert triples.allows_triple(2, 3, 5)  # [1, 2, 3, 5] splices both
+        assert not triples.allows_triple(4, 1, 2)  # unseen adjacency
 
     def test_allows_splice_checks_centre_triple(self):
         triples = TripleSet()
@@ -177,10 +175,8 @@ class TestSplicer:
 class TestPoisonSimulation:
     def test_simulate_single_case(self):
         g = diamond()
-        outcome = simulate_poisoning(g, source=5, origin=1, poisoned=6)
-        assert outcome.alternate_exists
-        outcome = simulate_poisoning(g, source=5, origin=1, poisoned=2)
-        assert not outcome.alternate_exists
+        assert 5 in reachable_set_avoiding(g, 1, avoid=[6])
+        assert 5 not in reachable_set_avoiding(g, 1, avoid=[2])
 
     def test_poisonable_transits_skips_short_paths(self):
         assert poisonable_transits([1, 2, 3]) == []

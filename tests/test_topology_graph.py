@@ -18,7 +18,6 @@ from repro.topology.relationships import (
     local_pref_for,
     may_export,
 )
-from repro.topology.serialize import dumps_as_graph, loads_as_graph
 
 
 class TestRelationships:
@@ -85,8 +84,9 @@ class TestASGraph:
         assert set(graph.transit_ases()) == {1, 2}
 
     def test_prefix_origin(self, graph):
-        assert graph.origin_of(Prefix("10.3.0.0/16")) == 3
-        assert graph.origin_of(Prefix("10.9.0.0/16")) is None
+        origins = dict(graph.prefixes())
+        assert origins[Prefix("10.3.0.0/16")] == 3
+        assert Prefix("10.9.0.0/16") not in origins
 
     def test_duplicate_asn_rejected(self, graph):
         with pytest.raises(TopologyError):
@@ -169,27 +169,3 @@ class TestGenerator:
     def test_prefix_for_asn_is_unique_per_asn(self):
         assert prefix_for_asn(1) != prefix_for_asn(2)
         assert prefix_for_asn(42).contains(prefix_for_asn(42).address(7))
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        graph = generate_internet(
-            InternetShape(num_tier1=3, num_tier2=6, num_stubs=12), seed=5
-        )
-        text = dumps_as_graph(graph)
-        loaded = loads_as_graph(text)
-        assert sorted(loaded.links()) == sorted(graph.links())
-        assert {n.asn: n.tier for n in loaded.nodes()} == {
-            n.asn: n.tier for n in graph.nodes()
-        }
-
-    def test_bare_caida_file(self):
-        text = "# caida\n1|2|-1\n2|3|0\n"
-        graph = loads_as_graph(text)
-        # 1|2|-1: 1 is provider of 2.
-        assert graph.relationship(2, 1) is Relationship.PROVIDER
-        assert graph.relationship(2, 3) is Relationship.PEER
-
-    def test_malformed_line_raises(self):
-        with pytest.raises(TopologyError):
-            loads_as_graph("1|2|9\n")

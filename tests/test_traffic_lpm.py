@@ -36,7 +36,7 @@ from repro.net.lpm import PrefixAxis
 from repro.topology.as_graph import ASGraph
 from repro.topology.relationships import Relationship
 from repro.traffic.lpm import FlatFibSet, FlatLPM
-from tests.trie_oracle import PrefixTrie
+from tests.trie_oracle import PrefixTrie, intervals
 
 _SPACE = 1 << 32
 
@@ -130,7 +130,7 @@ class TestFlatLPMFuzz:
     def test_intervals_cover_the_space_in_order(self):
         rng = random.Random(5)
         flat = FlatLPM.compile(_random_fib(rng, entries=30))
-        bases = [b for b, _ in flat.intervals()]
+        bases = [b for b, _ in intervals(flat)]
         assert bases[0] == 0
         assert bases == sorted(bases)
         assert len(set(bases)) == len(bases)
@@ -169,8 +169,8 @@ class TestMapToIntervalTable:
         # The table is a function of the entries, not of their order.
         shuffled = list(fib.items())
         rng.shuffle(shuffled)
-        assert FlatLPM.compile(dict(shuffled)).intervals() == (
-            flat.intervals()
+        assert intervals(FlatLPM.compile(dict(shuffled))) == (
+            intervals(flat)
         )
 
     @pytest.mark.parametrize("seed", range(25))
@@ -194,20 +194,20 @@ class TestMapToIntervalTable:
         assert flat.values == [None, 7, 7, None]
         # ...and intervals() reads the two equal runs as one.
         one_run = [(0, None), (start, 7), (start + 512, None)]
-        assert flat.intervals() == one_run
+        assert intervals(flat) == one_run
         # Under an equal-valued cover nothing closes to None: one run.
         covered = {**fib, Prefix("10.0.0.0/23"): 7}
         flat = FlatLPM.compile(covered)
         _assert_matches_oracle(flat, covered)
-        assert flat.intervals() == one_run
+        assert intervals(flat) == one_run
 
     def test_slash_32_at_the_top_of_the_space(self):
         fib = {Prefix(_SPACE - 1, 32): 5}
         flat = FlatLPM.compile(fib)
-        assert flat.intervals() == [(0, None), (_SPACE - 1, 5)]
+        assert intervals(flat) == [(0, None), (_SPACE - 1, 5)]
         fib[Prefix(0, 0)] = 9
         flat = FlatLPM.compile(fib)
-        assert flat.intervals() == [(0, 9), (_SPACE - 1, 5)]
+        assert intervals(flat) == [(0, 9), (_SPACE - 1, 5)]
         _assert_matches_oracle(flat, fib)
 
 
@@ -240,7 +240,7 @@ class TestPatchedColumns:
             _assert_matches_oracle(patched, after)
             assert patched.values == FlatLPM.compile(after, axis).values
             # A private axis merges to the same boundaries.
-            assert patched.intervals() == FlatLPM.compile(after).intervals()
+            assert intervals(patched) == intervals(FlatLPM.compile(after))
             # The table patched from is left as it was.
             _assert_matches_oracle(table, fib)
             fib, table = after, patched
@@ -345,7 +345,7 @@ class TestRegrownAxis:
                 assert recut.bases is grown.bases
                 # The re-cut alone moves no answer, and leaves its
                 # source as it was.
-                assert recut.intervals() == table.intervals()
+                assert intervals(recut) == intervals(table)
                 assert recut.values == FlatLPM.compile(fib, grown).values
                 _assert_matches_oracle(recut, fib)
                 _assert_matches_oracle(table, fib)

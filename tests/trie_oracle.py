@@ -3,7 +3,8 @@
 FIBs are plain prefix maps compiled to interval tables
 (:mod:`repro.net.lpm`); the trie is the independent oracle the tests
 build (:meth:`PrefixTrie.from_items`) and check those tables against.
-The library does not import it.
+The library does not import it, nor :func:`intervals`, the canonical
+form two interval tables are compared in.
 """
 
 from __future__ import annotations
@@ -185,3 +186,14 @@ class PrefixTrie(Generic[V]):
                     )
 
         yield from walk(self._root, 0, 0)
+
+
+def intervals(flat) -> List[Tuple[int, Optional[V]]]:
+    """A flat table's (base, value) boundaries, equal-valued neighbours
+    merged: tables on any two axes compare equal iff they resolve
+    alike."""
+    merged = [(0, flat.values[0])]
+    for base, value in zip(flat.bases, flat.values):
+        if merged[-1][1] != value:
+            merged.append((base, value))
+    return merged
