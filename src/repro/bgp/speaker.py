@@ -164,10 +164,6 @@ class BGPSpeaker:
             del self._origins[prefix]
             self.table.decide(prefix, self.asn, None)
 
-    def originates(self, prefix: Prefix) -> bool:
-        """True if this speaker originates *prefix*."""
-        return prefix in self._origins
-
     def origin_entry(self, prefix: Prefix) -> Optional[OriginEntry]:
         """The origination config for *prefix*, if any."""
         return self._origins.get(prefix)

@@ -490,7 +490,6 @@ class Lifeguard:
         charge: Optional[int] = None
         if plan.reuses_verdict(record, self.config.fallback_ladder):
             isolation = record.isolation
-            record.state = RepairState.ISOLATED
         else:
             # The charge is held here until its journal entry applies it.
             charge, spent = plan.charge_isolation(
@@ -737,12 +736,11 @@ class Lifeguard:
         """Withdraw the poison and return to the baseline announcement.
 
         Only this record's ledger entry is withdrawn; poisons owned by
-        concurrent repairs stay on the announcement.
+        concurrent repairs stay on the announcement.  A record with no
+        ledger entry is an error (:class:`ControlError`).
         """
         self._commit("unpoison", record.key, now)
         owner = ledger_key(record.key, record.ladder_step)
-        if owner not in self.origin.active_poisons():
-            owner = None  # legacy/externally-applied: full reset
         self._announce(
             record.key, now, lambda: self.origin.unpoison(key=owner)
         )

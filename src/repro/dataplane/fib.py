@@ -5,14 +5,16 @@ AS originates), filled straight from its Loc-RIB.  Lookups go through
 the interval table (:class:`~repro.net.lpm.FlatLPM`) the snapshot
 compiles from that map on first use.  The data plane resolves the
 AS-level next hop to concrete routers with hot-potato egress selection
-at forwarding time.
+at forwarding time.  An incremental refresh appends the rows it moved
+to a log its chain of snapshots shares, which is how a reader learns
+what changed between two snapshots.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.bgp.engine import BGPEngine
 from repro.net.addr import Address, Prefix, address_int
@@ -32,15 +34,24 @@ class FibSnapshot:
 
     Frozen means: once constructed, ``tables`` and ``origins`` are not
     edited — a control-plane change makes a new snapshot
-    (:func:`build_fibs`), and a rebuilt AS gets a *new map object*.
-    That is the whole invalidation rule for the compiled tables: new
-    map object, new table; same map object, same table.
+    (:func:`build_fibs`), which logs the rows it moved in ``log``.
     """
 
     #: asn -> {prefix: next-hop asn (or LOCAL)}.
     tables: Dict[int, Dict[Prefix, int]] = field(default_factory=dict)
     #: prefix -> originating asn, for host-attachment decisions.
     origins: Dict[Prefix, int] = field(default_factory=dict)
+    #: The refresh log, shared append-only by a chain of snapshots:
+    #: ``(asn, prefix)`` for each row a refresh added, dropped or
+    #: repointed, ``(None, prefix)`` for each prefix whose ``origins``
+    #: claim moved.  A full build, or a build from a snapshot that is
+    #: no longer the head of its log, starts a new one.
+    log: List[Tuple[Optional[int], Prefix]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: ``len(log)`` when this snapshot was built: two snapshots on one
+    #: log differ at most in the rows ``log`` names between their marks.
+    upto: int = field(default=0, compare=False)
     #: Running totals over the incremental refreshes behind this
     #: snapshot: rows re-read, axes regrown for a never-seen prefix.
     rows_patched: int = field(default=0, compare=False)
@@ -189,9 +200,10 @@ def build_fibs(
     every row of those ASes), only those rows are re-read into a copy of
     the dirty AS's map, and its table, if compiled, is patched under
     them — first re-cut onto the axis if a never-seen prefix regrew it.
-    Every other AS *shares its map object* — and the interval
-    table already compiled from it — with the previous snapshot, as is
-    ``origins`` unless a row changed a LOCAL claim.
+    Every other AS keeps its map and compiled table, and ``origins`` is
+    kept unless a row changed a LOCAL claim.  Each re-read row whose
+    value moved, and each prefix whose claim moved, is appended to
+    *previous*'s log (a new one if *previous* is not its head).
     ``dirty_asns=None`` means the change set is unbounded — full rebuild.
     """
     if previous is None or dirty_asns is None:
@@ -204,8 +216,12 @@ def build_fibs(
         return snapshot
     if not dirty_asns:
         return previous
+    log = previous.log if len(previous.log) == previous.upto else []
     snapshot = replace(
-        previous, tables=dict(previous.tables), _flat=dict(previous._flat)
+        previous,
+        tables=dict(previous.tables),
+        _flat=dict(previous._flat),
+        log=log,
     )
     tables, axis = snapshot.tables, previous._axis
     named = isinstance(dirty_asns, Mapping)
@@ -218,6 +234,7 @@ def build_fibs(
         speaker = engine.speakers.get(asn)
         if speaker is None:
             tables.pop(asn, None)
+            log.extend((asn, prefix) for prefix in old)
             contested.update(p for p, v in old.items() if v == LOCAL)
             continue
         # A prefix with rows but no selection has no FIB row, so the
@@ -236,8 +253,10 @@ def build_fibs(
                 was, fib[prefix] = fib.get(prefix), value
                 if axis is not None and prefix not in axis.spans:
                     newcomers.add(prefix)
-            if (was == LOCAL) != (value == LOCAL):
-                contested.add(prefix)
+            if was != value:
+                log.append((asn, prefix))
+                if (was == LOCAL) != (value == LOCAL):
+                    contested.add(prefix)
         snapshot.rows_patched += len(rows)
         if table is not None and fib:
             compiled[asn] = table, rows
@@ -252,12 +271,15 @@ def build_fibs(
     if contested:
         origins = snapshot.origins = dict(previous.origins)
         for prefix in contested:
-            origins.pop(prefix, None)
+            was = origins.pop(prefix, None)
             for asn, fib in tables.items():
                 if fib.get(prefix) == LOCAL:
                     _claim(origins, asn, prefix)
+            if origins.get(prefix) != was:
+                log.append((None, prefix))
         if previous._origin_index is not None:
             snapshot._origin_index = snapshot._carried(
                 previous._origin_index, origins, contested, fresh
             )
+    snapshot.upto = len(log)
     return snapshot

@@ -12,22 +12,24 @@ router elicits a TTL-exceeded there, but a packet arriving *at its
 destination* is consumed regardless — hosts do not generate TTL-exceeded
 for packets addressed to them.
 
-A walk is a pure function of what it read — the FIB maps of the ASes it
+A walk is a pure function of what it read — the FIB rows of the ASes it
 crossed, the origins index, the failure buckets at the routers, ASes and
 links it passed (``now`` only through their windows), the static
 topology — and of those, only the rows and failures that match its
-destination.  :meth:`DataPlane.forward` remembers it on those terms.
+destination.  :meth:`DataPlane.forward` remembers it on those terms, and
+learns what moved from two logs: the FIB snapshot's refresh log and the
+failure set's change log.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dataplane.failures import FailureSet
 from repro.dataplane.fib import LOCAL, FibSnapshot
-from repro.net.addr import Address, Prefix, address_int
+from repro.net.addr import Address, address_int
 from repro.topology.routers import RouterTopology
 
 _MAX_ROUTER_HOPS = 256
@@ -134,32 +136,36 @@ class DataPlane:
     # ------------------------------------------------------------------
     def _catch_up(self) -> None:
         """Stamp what moved since the last walk, and toward which
-        destinations: each row that differs between an AS's old and new
-        map in a rebound ``fibs`` (its prefix: only an address inside it
-        can resolve differently), and each entry of the failure set's
-        change log (the failure's ``toward``) in the AS its key is homed
-        in (a link's is its sending router's).  A changed origin row
-        drops the walks toward its prefix; a swapped failure set drops
-        every walk."""
+        destinations, from two logs read past a cursor: the rebound
+        ``fibs``' refresh log between the old and the new snapshot's
+        marks (each row that differs between the two, once: its prefix,
+        as only an address inside it can resolve differently), and the
+        failure set's change log (the failure's ``toward``) in the AS
+        its key is homed in (a link's is its sending router's).  A
+        changed origin row drops the walks toward its prefix; a snapshot
+        on another log, or a swapped failure set, drops every walk."""
         old, failures, cursor = self._seen
         fibs, changes = self.fibs, self.failures.changes
         self._seen = (fibs, self.failures, len(changes))
         self._epoch += 1
-        if self.failures is not failures:
+        if self.failures is not failures or fibs.log is not old.log:
             self._walks.clear()
             return
         moved = []
         if fibs is not old:
-            if fibs.origins is not old.origins:
-                self._forget(_moved_rows(old.origins, fibs.origins))
-            tables, before = fibs.tables, old.tables
-            for asn in tables.keys() | before.keys():
-                new, was = tables.get(asn), before.get(asn)
-                if new is not was:
-                    moved += [
-                        (asn, prefix.mask, prefix.base)
-                        for prefix in _moved_rows(was, new)
-                    ]
+            lo, hi = sorted((old.upto, fibs.upto))
+            before, after = old.tables, fibs.tables
+            hosts = []
+            for asn, prefix in dict.fromkeys(fibs.log[lo:hi]):
+                if asn is None:
+                    if old.origins.get(prefix) != fibs.origins.get(prefix):
+                        hosts.append(prefix)
+                    continue
+                was = before.get(asn, {}).get(prefix)
+                if was != after.get(asn, {}).get(prefix):
+                    moved.append((asn, prefix.mask, prefix.base))
+            if hosts:
+                self._forget(hosts)
         for key, mask, base in changes[cursor:]:
             home = key[0] if type(key) is tuple else key
             if type(home) is str:
@@ -329,9 +335,3 @@ class DataPlane:
 
         return ended(ForwardOutcome.LOOP, current)
 
-
-def _moved_rows(
-    was: Optional[Mapping[Prefix, int]], new: Optional[Mapping[Prefix, int]]
-) -> Set[Prefix]:
-    """The prefixes whose row differs between two maps (None: no map)."""
-    return {prefix for prefix, _ in (was or {}).items() ^ (new or {}).items()}

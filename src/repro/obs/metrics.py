@@ -176,29 +176,3 @@ class MetricsRegistry:
             "gauges": self.gauge_values(),
             "histograms": histograms,
         }
-
-    # ------------------------------------------------------------------
-    # Merging (cross-process aggregation)
-    # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other*'s metrics into this registry.
-
-        Counters add; gauges take the other's value (last write wins);
-        histograms add bucket-by-bucket when the bounds agree and
-        otherwise re-observe the other's total as one sample (sums stay
-        exact, distributions coarsen — the same contract worker-merged
-        ``RunStats`` always had).
-        """
-        for name, counter in other._counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).set(gauge.value)
-        for name, theirs in other._histograms.items():
-            mine = self.histogram(name, theirs.bounds)
-            if mine.bounds == theirs.bounds:
-                for i, n in enumerate(theirs.bucket_counts):
-                    mine.bucket_counts[i] += n
-                mine.count += theirs.count
-                mine.total += theirs.total
-            elif theirs.count:
-                mine.observe(theirs.total)

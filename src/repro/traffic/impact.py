@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dataplane.failures import ASForwardingFailure
 from repro.dataplane.fib import LOCAL
-from repro.traffic.lpm import FlatFibSet
 from repro.traffic.matrix import TrafficMatrix
 
 #: Attribution key for flows broken by route loss rather than a failure.
@@ -86,7 +85,6 @@ class ImpactLedger:
 
     def __init__(self, matrix: TrafficMatrix) -> None:
         self.matrix = matrix
-        self._fibset = FlatFibSet()
         self._baseline_unroutable: Tuple[int, ...] = ()
         self._primed = False
         self._last_t: Optional[float] = None
@@ -129,9 +127,9 @@ class ImpactLedger:
         if fibs is self._walked[0]:
             return self._walked[1], self._walked[2]
         self.walks += 1
-        self._fibset.attach(fibs)
         flows = self.matrix.flows
         addrs = self._addrs
+        flat = fibs.flat
         axis = fibs.axis
         if axis is not self._axis:
             bases = axis.bases
@@ -149,7 +147,7 @@ class ImpactLedger:
             next_frontier: Dict[int, List[int]] = {}
             for asn, idxs in frontier.items():
                 visits.setdefault(asn, []).append((hop, idxs))
-                table = self._fibset.table(asn)
+                table = flat(asn)
                 if table is None:
                     hops: List[Optional[int]] = [None] * len(idxs)
                 elif table.axis is axis:

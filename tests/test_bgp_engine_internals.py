@@ -95,7 +95,7 @@ class TestBoundaryChecks:
             with pytest.raises(BGPError):
                 engine.originate(1, P, **kwargs)
         speaker = engine.speakers[1]
-        assert not speaker.originates(P) and speaker.best(P) is None
+        assert speaker.origin_entry(P) is None and speaker.best(P) is None
         assert engine.changes == 0 and engine.updates_sent == {}
 
     @pytest.mark.parametrize(

@@ -35,19 +35,14 @@ from repro.dataplane.failures import (
     LinkFailure,
     RouterFailure,
 )
-from repro.dataplane.fib import (
-    DEFAULT_PREFIX,
-    LOCAL,
-    FibSnapshot,
-    build_fibs,
-)
+from repro.dataplane.fib import DEFAULT_PREFIX, LOCAL, build_fibs
 from repro.dataplane.forwarding import _SCOPES_KEPT, DataPlane, ForwardOutcome
 from repro.net.addr import Address, Prefix
 from repro.net.lpm import FlatLPM
 from repro.topology.generate import generate_internet
 from repro.topology.routers import RouterTopology
 from repro.workloads.scenarios import SCALES
-from tests.trie_oracle import PrefixTrie, intervals
+from tests.trie_oracle import PrefixTrie, intervals, moved_rows
 
 WORLDS = [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 3)]
 TIMES = (-50.0, 0.0, 99.0, 100.0, 150.0, 199.0, 200.0, 1e9)
@@ -92,6 +87,22 @@ def _build_world(scale, seed):
 @pytest.fixture(scope="module", params=WORLDS, ids=lambda w: f"{w[0]}-{w[1]}")
 def world(request):
     return _build_world(*request.param)
+
+
+@pytest.fixture(params=WORLDS, ids=lambda w: f"{w[0]}-{w[1]}")
+def fresh_world(request):
+    """A world of the test's own, whose engine it may move: FIB dirt is
+    tracked from its snapshot on."""
+    graph, topo, engine, fibs = _build_world(*request.param)
+    assert engine.consume_fib_dirty() is None  # cold: unbounded
+    return graph, topo, engine, fibs
+
+
+def _refreshed(engine, fibs, change):
+    """*fibs* refreshed by ``build_fibs`` after *change* converged."""
+    change()
+    engine.run()
+    return build_fibs(engine, fibs, engine.consume_fib_dirty())
 
 
 def _oracle_tries(fibs):
@@ -478,8 +489,57 @@ class TestWalkMemoUnderMutation:
         now = 0.0
         steps = dict.fromkeys(
             ["probe", "add", "remove", "clear", "now", "poison",
-             "unpoison", "claim", "second", "swap", "refresh"], 0
+             "unpoison", "claim", "second", "swap", "refresh", "burst",
+             "branch", "new log"], 0
         )
+        #: [snapshot, the rows dirtied since it] for each one built.
+        history = [[fibs, {}]]
+
+        def move(kind):
+            """Poison, unpoison or claim, converged; False: nothing to
+            unpoison."""
+            nonlocal claimed
+            if kind == "claim":
+                claimed = not claimed
+                if claimed:
+                    engine.originate(claimant, claim)
+                else:
+                    engine.withdraw_origin(claimant, claim)
+            else:
+                if kind == "poison":
+                    origin = rng.choice(stubs)
+                    poisoned[origin] = make_path(
+                        origin, prepend=2,
+                        poison=rng.sample(transit, 2),
+                    )
+                elif poisoned:
+                    origin = rng.choice(sorted(poisoned))
+                    del poisoned[origin]
+                else:
+                    return False
+                engine.originate(
+                    origin,
+                    graph.node(origin).prefixes[0],
+                    path=poisoned.get(origin, make_path(origin)),
+                )
+            engine.run()
+            dirty = engine.consume_fib_dirty()
+            for _snapshot, since in history:
+                for asn, rows in dirty.items():
+                    since.setdefault(asn, set()).update(rows)
+            return True
+
+        def refresh(base):
+            """Bind every plane to a snapshot built from *base* (an
+            entry of history) with the rows dirtied since it."""
+            nonlocal fibs, tries
+            fibs = build_fibs(engine, base[0], base[1])
+            if fibs.log is not base[0].log:
+                steps["new log"] += 1
+            history.append([fibs, {}])
+            tries = _oracle_tries(fibs)
+            for plane in planes:
+                plane.fibs = fibs
 
         def check():
             fresh = DataPlane(topo, fibs, failures)
@@ -497,11 +557,17 @@ class TestWalkMemoUnderMutation:
                     ) == answer, (source, str(Address(value)), ttl, now)
 
         check()
-        for _ in range(60):
-            step = rng.choice(
+        schedule = [
+            rng.choice(
                 ["probe", "add", "add", "remove", "now", "now", "poison",
-                 "unpoison", "claim", "second", "swap", "clear", "refresh"]
+                 "unpoison", "claim", "second", "swap", "clear", "refresh",
+                 "burst", "branch"]
             )
+            for _ in range(60)
+        ]
+        for step in ("burst", "branch"):  # at least once each
+            schedule.insert(rng.randrange(10, len(schedule)), step)
+        for step in schedule:
             if step == "add":
                 failures.add(
                     self._failure_on_a_sampled_path(rng, planes[0], sample)
@@ -524,34 +590,18 @@ class TestWalkMemoUnderMutation:
                 for plane in planes:
                     plane.failures = failures
             elif step in ("poison", "unpoison", "claim"):
-                if step == "claim":
-                    claimed = not claimed
-                    if claimed:
-                        engine.originate(claimant, claim)
-                    else:
-                        engine.withdraw_origin(claimant, claim)
-                else:
-                    if step == "poison":
-                        origin = rng.choice(stubs)
-                        poisoned[origin] = make_path(
-                            origin, prepend=2,
-                            poison=rng.sample(transit, 2),
-                        )
-                    elif poisoned:
-                        origin = rng.choice(sorted(poisoned))
-                        del poisoned[origin]
-                    else:
-                        continue
-                    engine.originate(
-                        origin,
-                        graph.node(origin).prefixes[0],
-                        path=poisoned.get(origin, make_path(origin)),
-                    )
-                engine.run()
-                fibs = build_fibs(engine, fibs, engine.consume_fib_dirty())
-                tries = _oracle_tries(fibs)
-                for plane in planes:
-                    plane.fibs = fibs
+                if not move(step):
+                    continue
+                refresh(history[-1])
+            elif step == "burst":
+                # Several refreshes before the next walk.
+                for _ in range(rng.randint(2, 4)):
+                    if move(rng.choice(["poison", "unpoison", "claim"])):
+                        refresh(history[-1])
+            elif step == "branch":
+                # A snapshot built from an older one than the head.
+                move(rng.choice(["poison", "unpoison", "claim"]))
+                refresh(rng.choice(history[:-1] or history))
             elif step == "second":
                 if len(planes) == 2:
                     continue
@@ -583,7 +633,8 @@ class TestWalkMemoUnderMutation:
             check()
         assert all(
             steps[s]
-            for s in ("add", "remove", "now", "poison", "claim", "refresh")
+            for s in ("add", "remove", "now", "poison", "claim", "refresh",
+                      "burst", "branch", "new log")
         ), steps
         for plane in planes:
             assert plane.walk_hits > plane.walk_misses > len(sample)
@@ -670,10 +721,12 @@ class TestWalkMemoUnderMutation:
             if walk.delivered and len(walk.as_level_hops(topo)) >= 2
         )
 
-    def test_a_move_toward_other_destinations_keeps_the_walk(self, world):
+    def test_a_move_toward_other_destinations_keeps_the_walk(
+        self, fresh_world
+    ):
         """A failure or a FIB row at an AS the walk crossed invalidates
         it only if it matches the walk's destination."""
-        _graph, topo, _engine, fibs = world
+        _graph, topo, engine, fibs = fresh_world
         source, value, asn = self._two_as_walk(topo, fibs)
         failures = FailureSet()
         plane = DataPlane(topo, fibs, failures)
@@ -687,9 +740,12 @@ class TestWalkMemoUnderMutation:
         elsewhere = next(
             p for p in sorted(table) if value not in p and table[p] != LOCAL
         )
-        moved = FibSnapshot(
-            {**fibs.tables, asn: {**table, elsewhere: LOCAL}}, fibs.origins
+        # The source AS originates that prefix too: its row turns LOCAL.
+        moved = _refreshed(
+            engine, fibs, lambda: engine.originate(asn, elsewhere)
         )
+        assert moved.tables[asn][elsewhere] == LOCAL
+        assert (asn, elsewhere) in moved.log[fibs.upto:moved.upto]
         plane.fibs = moved
         assert plane.forward(source, value) is walk
         assert (plane.walk_misses, plane.walk_hits) == (1, 2)
@@ -701,34 +757,92 @@ class TestWalkMemoUnderMutation:
         # ...and, the failure gone, a row for the destination itself
         # makes the source AS claim it.
         failures.clear()
-        plane.fibs = FibSnapshot(
-            {**moved.tables, asn: {**moved.tables[asn],
-                                   Prefix(value, 32): LOCAL}},
-            fibs.origins,
+        plane.fibs = _refreshed(
+            engine, moved, lambda: engine.originate(asn, Prefix(value, 32))
         )
         answer = plane.forward(source, value)
         assert plane.walk_misses == 3
         assert answer.outcome is ForwardOutcome.NO_ROUTE
         assert answer == DataPlane(topo, plane.fibs).forward(source, value)
 
-    def test_a_moved_origin_drops_only_the_walks_toward_it(self, world):
-        _graph, topo, _engine, fibs = world
+    def test_a_moved_origin_drops_only_the_walks_toward_it(self, fresh_world):
+        _graph, topo, engine, fibs = fresh_world
         source, value, _asn = self._two_as_walk(topo, fibs)
-        other = next(p for p in sorted(fibs.origins) if value not in p)
+        # A higher-numbered AS than its owner claims a prefix that does
+        # not hold the walk's destination, and so takes it over.
+        other, thief = next(
+            (p, a)
+            for p in sorted(fibs.origins)
+            if value not in p
+            for a in sorted(fibs.tables)
+            if a > fibs.origins[p]
+        )
         plane = DataPlane(topo, fibs)
         walk = plane.forward(source, value)
         host = other.base + other.num_addresses - 2  # no router's
         aside = plane.forward(source, host)
-        # Another AS takes over the prefix that hosts *host*.
-        owner = fibs.origins[other]
-        thief = next(a for a in sorted(fibs.tables) if a != owner)
-        plane.fibs = FibSnapshot(fibs.tables, {**fibs.origins, other: thief})
+        plane.fibs = _refreshed(
+            engine, fibs, lambda: engine.originate(thief, other)
+        )
+        assert plane.fibs.origins[other] == thief
+        assert (None, other) in plane.fibs.log[fibs.upto:plane.fibs.upto]
         assert plane.forward(source, value) is walk
         misses = plane.walk_misses
         answer = plane.forward(source, host)
         assert plane.walk_misses == misses + 1
         assert answer.target_router != aside.target_router
         assert answer == DataPlane(topo, plane.fibs).forward(source, host)
+
+    def test_several_refreshes_stamp_each_moved_row_once(self, fresh_world):
+        """One catch-up across refreshes stamps each row that differs
+        between the snapshot it last saw and the new one, once — a row
+        that moved twice once, a row that moved back not at all — and
+        the next catch-up only what moved since."""
+        graph, topo, engine, fibs = fresh_world
+        source, value, _asn = self._two_as_walk(topo, fibs)
+        origin = next(
+            n.asn for n in graph.nodes()
+            if n.tier == 3 and n.prefixes
+            and not engine.speakers[n.asn].policy.config
+            .default_route_via_provider
+        )
+        prefix = graph.node(origin).prefixes[0]
+        transit = sorted(
+            set(graph.transit_ases()) - set(graph.providers(origin))
+        )
+        plane = DataPlane(topo, fibs)
+
+        def announce(poison):
+            return lambda: engine.originate(
+                origin, prefix,
+                path=make_path(origin, prepend=2, poison=poison),
+            )
+
+        seen = fibs
+        for burst in ([transit[:1], transit[1:3], []], [transit[:2]]):
+            for poison in burst:
+                plane.fibs = _refreshed(engine, plane.fibs, announce(poison))
+            plane.forward(source, value)  # catches up
+            epoch = plane._epoch
+            stamped = sorted(
+                (asn, mask, base)
+                for asn, kept in plane._scopes.items()
+                for at, mask, base in kept
+                if at == epoch
+            )
+            current = plane.fibs
+            expected = sorted(
+                (asn, p.mask, p.base)
+                for asn in seen.tables.keys() | current.tables.keys()
+                for p in moved_rows(
+                    seen.tables.get(asn), current.tables.get(asn)
+                )
+            )
+            assert stamped == expected
+            logged = current.log[seen.upto:current.upto]
+            assert len(logged) > len(stamped) > 0 or len(burst) == 1
+            seen = current
+        assert stamped
 
     def test_the_scopes_an_as_keeps_are_bounded(self, world):
         """Moves past _SCOPES_KEPT fold into one that reaches every

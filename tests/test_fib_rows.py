@@ -38,6 +38,7 @@ from repro.topology.generate import (
 from repro.topology.relationships import Relationship
 from repro.workloads.scenarios import SCALES, build_deployment
 from tests.test_traffic_lpm import _assert_matches_oracle, _linear_origin
+from tests.trie_oracle import moved_rows
 
 SENTINEL = Prefix("198.18.0.0/15")
 PRODUCTION = Prefix("198.18.0.0/16")
@@ -234,6 +235,22 @@ class TestPatchedEqualsRebuiltEqualsOracle:
             full = build_fibs(engine)
             assert current.tables == full.tables, seen
             assert current.origins == full.origins, seen
+            # The refresh logged each row it moved, once, and nothing
+            # else: the map diff of the two snapshots.
+            assert current.log is previous.log
+            assert current.upto == len(current.log)
+            logged = current.log[previous.upto:current.upto]
+            assert len(set(logged)) == len(logged)
+            assert set(logged) == {
+                (asn, prefix)
+                for asn in previous.tables.keys() | current.tables.keys()
+                for prefix in moved_rows(
+                    previous.tables.get(asn), current.tables.get(asn)
+                )
+            } | {
+                (None, prefix)
+                for prefix in moved_rows(previous.origins, current.origins)
+            }, seen
             for asn in full.tables:
                 if asn in dirty:
                     assert current.tables[asn] is not previous.tables[asn]
@@ -524,3 +541,43 @@ class TestARepairStepCompilesNothing:
         assert third.origin_for(BRAND_NEW.base) == 2
         assert third.origin_for(specific.base) == 1
         assert counted["compile"] == 0
+
+
+class TestRefreshLog:
+    """A chain of refreshes shares one append-only log; a full build,
+    or a build from a snapshot that is not its log's head, starts a new
+    one."""
+
+    def _poisoned(self, engine, origin, prefix, poison):
+        engine.originate(
+            origin, prefix, path=make_path(origin, prepend=2, poison=poison)
+        )
+        engine.run()
+        return engine.consume_fib_dirty()
+
+    def test_a_chain_shares_the_log_and_a_branch_starts_one(self):
+        graph, engine, origin = _analytic_world("tiny", 0)
+        controller = OriginController(engine, origin, PRODUCTION)
+        controller.announce_baseline()
+        engine.run()
+        engine.consume_fib_dirty()
+        first = build_fibs(engine)
+        assert (first.log, first.upto) == ([], 0)
+        transit = sorted(
+            set(graph.transit_ases()) - set(graph.providers(origin))
+        )
+        dirty = self._poisoned(engine, origin, PRODUCTION, transit[:1])
+        second = build_fibs(engine, first, dirty)
+        assert second.log is first.log and second.upto > 0
+        # Re-read rows that kept their value log nothing.
+        same = build_fibs(engine, second, set(second.tables))
+        assert same.log is second.log and same.upto == second.upto
+        back = self._poisoned(engine, origin, PRODUCTION, [])
+        # *second* is no longer the head once *third* logged past it.
+        third = build_fibs(engine, second, back)
+        assert third.log is first.log and third.upto > second.upto
+        branch = build_fibs(engine, second, back)
+        assert branch.log is not first.log
+        assert branch.upto == len(branch.log) == third.upto - second.upto
+        assert branch.tables == third.tables
+        assert build_fibs(engine).log is not first.log

@@ -26,11 +26,13 @@ from repro.control.journal import (
     RepairJournal,
     _compact,
 )
+from repro.control import plan
 from repro.control.lifeguard import Lifeguard, LifeguardConfig, RepairState
 from repro.control.record import (
     LADDER_STRATEGIES,
     RECORD_REDUCERS,
     RepairRecord,
+    fold_records,
     ledger_key,
 )
 from repro.errors import ControlError
@@ -43,6 +45,7 @@ from repro.workloads.scenarios import (
     build_chaos_deployment,
     build_deployment,
 )
+from tests.test_obs_trace import _ladder_run
 
 SEEDS = tuple(
     int(s)
@@ -260,6 +263,36 @@ class TestLiveEqualsFold:
             )
             for key, (mode, asns, providers, step) in in_flight.items()
         }
+
+
+class TestReusedVerdict:
+    def test_every_commit_leaves_the_live_record_its_fold(self, monkeypatch):
+        """An escalated rung reuses the verdict that blamed the AS:
+        from then on, after each commit for that outage (the poison
+        entry the stage writes first among them), the live record is the
+        fold of the outage's journaled entries."""
+        reused, checked = [], []
+        reuses_verdict = plan.reuses_verdict
+
+        def spy(record, ladder):
+            if reuses_verdict(record, ladder):
+                reused.append(record)
+                return True
+            return False
+
+        commit = Lifeguard._commit
+
+        def checked_commit(self, kind, key, now, live=None, **fields):
+            commit(self, kind, key, now, live, **fields)
+            if reused and key == reused[-1].key:
+                (folded,) = fold_records(self.journal.for_outage(key))
+                assert folded.fingerprint() == reused[-1].fingerprint(), kind
+                checked.append(kind)
+
+        monkeypatch.setattr(plan, "reuses_verdict", spy)
+        monkeypatch.setattr(Lifeguard, "_commit", checked_commit)
+        _ladder_run(3)
+        assert reused and "poison" in checked
 
 
 def _terminal_keys(lifeguard):

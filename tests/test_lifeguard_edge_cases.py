@@ -1,11 +1,14 @@
 """Edge cases of the LIFEGUARD control loop: decisions not to poison."""
 
 
+import pytest
+
 from repro.bgp.origin import PACER_BUDGET, PACER_WINDOW
 from repro.control.guard import BREAKER_BACKOFF
 from repro.control.plan import MIN_CONFIDENCE, unpoisonable
-from repro.control.record import IN_FLIGHT, RepairState
+from repro.control.record import IN_FLIGHT, RepairState, ledger_key
 from repro.dataplane.failures import ASForwardingFailure
+from repro.errors import ControlError
 from repro.faults import FaultKind, FaultSpec
 from repro.measure.atlas import AtlasRefresher, PathAtlas
 from repro.measure.monitor import MonitorEvent
@@ -228,6 +231,32 @@ class TestDegradedOperation:
         # Detection waited out the suppression window instead of firing
         # on a lucky (or faked) early check.
         assert record.repair_detected_time > 6000.0
+
+
+class TestUnpoisonNeedsItsLedgerEntry:
+    def test_a_poison_withdrawn_behind_the_controller_is_an_error(self):
+        """Unpoisoning withdraws the record's own ledger entry and no
+        other: with that entry gone there is nothing the controller may
+        withdraw, so it refuses instead of resetting every poison."""
+        scenario, _injector = build_chaos_deployment(
+            scale="tiny", seed=0, intensity=0.0,
+            crash_helper=False, reset_session=False, num_providers=2,
+        )
+        lifeguard = scenario.lifeguard
+        lifeguard.prime_atlas(now=0.0)
+        lifeguard.dataplane.failures.add(
+            ASForwardingFailure(
+                asn=_first_transit_on_reverse_path(scenario),
+                toward=lifeguard.sentinel_manager.sentinel,
+                start=500.0,
+            )
+        )
+        scenario.run(3000.0)
+        (record,) = _poisoned(lifeguard)
+        owner = ledger_key(record.key, record.ladder_step)
+        lifeguard.origin.unpoison(key=owner)
+        with pytest.raises(ControlError, match="no active poison"):
+            lifeguard.unpoison(record, 3000.0)
 
 
 class TestIncrementalAtlasMode:

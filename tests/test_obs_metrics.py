@@ -72,30 +72,7 @@ class TestSnapshot:
         )
 
 
-class TestMerge:
-    def test_merge_adds_counters_and_buckets(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("c", 1)
-        b.inc("c", 2)
-        a.observe("h", 0.05)
-        b.observe("h", 0.05)
-        a.merge(b)
-        assert a.counter_values() == {"c": 3}
-        hist = a.histogram("h")
-        assert hist.count == 2
-        assert hist.total == pytest.approx(0.1)
-
-    def test_merge_mismatched_bounds_reobserves_total(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0,))
-        b.histogram("h", buckets=(2.0, 4.0)).observe(3.0)
-        b.histogram("h").observe(5.0)
-        a.merge(b)
-        hist = a.histogram("h")
-        assert hist.bounds == (1.0,)
-        assert hist.count == 1  # one re-observed sample
-        assert hist.total == pytest.approx(8.0)
-
+class TestDefaultBuckets:
     def test_default_buckets_cover_repair_scales(self):
         assert DEFAULT_BUCKETS[0] <= 0.1
         assert DEFAULT_BUCKETS[-1] >= 1800.0

@@ -8,9 +8,14 @@ it as an oracle for program code, moved into ``tests/``.  The few
 oracles and state readers kept beside the code they check are listed in
 :data:`KEPT_FOR_TESTS`, each with the tests that read it.
 
-Names are matched as words, strings included (``bench/spans.py`` names
-the methods it wraps in strings), so the scan can only under-report: a
-definition whose name is shared with a live one passes.
+A reference is a name or an attribute in the syntax tree, or a string
+constant that is a (dotted) identifier (``bench/spans.py`` names the
+methods it wraps in strings, ``getattr`` a field); comments, docstrings
+and prose in strings name nothing.  A
+reference inside a definition of :data:`KEPT_FOR_TESTS` does not count:
+what only test-kept code calls is test-kept too.  A definition whose
+name is shared with a live reference still passes, so the scan can only
+under-report.
 """
 
 import ast
@@ -25,8 +30,10 @@ READERS = ("src", "bench", "benchmarks", "examples")
 #: program code to, and readers of state a test observes through them.
 KEPT_FOR_TESTS = {
     # Every journaled field of a record in order: crash-recover identity
-    # (test_lifeguard_recovery, test_journal_fold, test_defenses).
+    # (test_lifeguard_recovery, test_journal_fold, test_defenses), and
+    # the canonical form it puts each field in.
     "repro.control.record.RepairRecord.fingerprint",
+    "repro.control.record._canonical",
     # Compaction-aware count of one kind: test_journal_fold and
     # test_control_journal check the service's arrival cursor with it.
     "repro.control.journal.RepairJournal.count_of",
@@ -47,9 +54,20 @@ KEPT_FOR_TESTS = {
     # Gives an AS a second prefix: how ten test files build a
     # multi-prefix origin.
     "repro.topology.as_graph.ASGraph.assign_prefix",
+    # A journal's entries of one kind (test_control_journal,
+    # test_defenses, test_lifeguard_edge_cases, test_lifeguard_recovery);
+    # count_of counts through it.
+    "repro.control.journal.RepairJournal.of_event",
+    # The one door a built engine's policy changes by: it re-resolves
+    # the speaker's config and empties the delta gate's cached verdict
+    # (bgp/delta.py), which an assignment would leave stale
+    # (test_bgp_delta, test_bgp_policy_resolved, test_defenses,
+    # test_journal_fold, test_obs_trace; test_imports bans the
+    # assignment).
+    "repro.bgp.speaker.BGPSpeaker.reconfigure",
 }
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
 
 
 def _python_files(top):
@@ -103,6 +121,41 @@ def _reexport_lines(tree):
     return lines
 
 
+def _docstrings(tree):
+    """The string constants of *tree* that are docstrings."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(
+            node,
+            (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+        )
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def _references(tree):
+    """``(word, line)`` of every name and attribute in *tree*, and of
+    each part of a string constant that is a (dotted) identifier."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and _DOTTED.fullmatch(node.value)
+        ):
+            for word in node.value.split("."):
+                yield word, node.lineno
+
+
 def unnamed_definitions():
     """Dotted names of the ``src/`` definitions no reader names."""
     counts = {}
@@ -110,19 +163,18 @@ def unnamed_definitions():
     for top in READERS:
         for path in _python_files(os.path.join(ROOT, top)):
             with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            lines = text.splitlines()
-            tree = ast.parse(text)
+                tree = ast.parse(handle.read())
             skip = set()
             if os.path.basename(path) == "__init__.py" and top == "src":
                 skip = _reexport_lines(tree)
             if top == "src":
                 for name, node in _definitions(tree, _module_name(path)):
                     defs.append((name, path, _span(node)))
-            for lineno, line in enumerate(lines, start=1):
-                if lineno in skip:
-                    continue
-                for word in _WORD.findall(line):
+                    if name in KEPT_FOR_TESTS:
+                        first, last = _span(node)
+                        skip.update(range(first, last + 1))
+            for word, lineno in _references(tree):
+                if lineno not in skip:
                     counts.setdefault(word, {}).setdefault(path, []).append(
                         lineno
                     )

@@ -36,7 +36,7 @@ from repro.net.lpm import PrefixAxis
 from repro.topology.as_graph import ASGraph
 from repro.topology.relationships import Relationship
 from repro.traffic.lpm import FlatFibSet, FlatLPM
-from tests.trie_oracle import PrefixTrie, intervals
+from tests.trie_oracle import PrefixTrie, intervals, moved_rows
 
 _SPACE = 1 << 32
 
@@ -448,10 +448,8 @@ class TestFlatFibSet:
 
 
 class TestIncrementalFibReuse:
-    """The dirty-AS invalidation fix: an incremental ``build_fibs``
-    shares clean ASes' map objects with the previous snapshot, so
-    ``attach`` keeps their compiled tables (identity-keyed) and
-    ``invalidations`` counts exactly the dirty cone."""
+    """An incremental ``build_fibs`` carries clean ASes' compiled tables
+    into the new snapshot, and logs exactly the rows that moved."""
 
     @staticmethod
     def _engine():
@@ -480,8 +478,9 @@ class TestIncrementalFibReuse:
         assert second.tables[1] is first.tables[1]
         assert second.tables[2] is first.tables[2]
         assert second.tables[3] is not first.tables[3]
+        # AS3's rows were re-read and kept their values: nothing moved.
+        assert second.log[first.upto:second.upto] == []
         fibset.attach(second)
-        assert fibset.invalidations == 1
         assert fibset.table(1) is tables[1]
         assert fibset.table(2) is tables[2]
         assert fibset.table(3) is not tables[3]
@@ -514,8 +513,17 @@ class TestIncrementalFibReuse:
             )
         for asn in set(first.tables) - dirty.keys():
             assert incremental.tables[asn] is first.tables[asn]
+        logged = incremental.log[first.upto:incremental.upto]
+        assert len(logged) == len(set(logged))
+        assert set(logged) == {
+            (asn, prefix)
+            for asn in full.tables
+            for prefix in moved_rows(first.tables[asn], full.tables[asn])
+        }
+        assert (3, P) in logged and {asn for asn, _ in logged} <= dirty.keys()
         fibset.attach(incremental)
-        assert fibset.invalidations == len(dirty.keys() & set(first.tables))
+        for asn in first.tables:
+            assert fibset.table(asn) is incremental.flat(asn)
 
 
 class TestOriginForIndex:

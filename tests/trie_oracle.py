@@ -4,7 +4,8 @@ FIBs are plain prefix maps compiled to interval tables
 (:mod:`repro.net.lpm`); the trie is the independent oracle the tests
 build (:meth:`PrefixTrie.from_items`) and check those tables against.
 The library does not import it, nor :func:`intervals`, the canonical
-form two interval tables are compared in.
+form two interval tables are compared in, nor :func:`moved_rows`, the
+map diff a FIB refresh's log is held to.
 """
 
 from __future__ import annotations
@@ -197,3 +198,8 @@ def intervals(flat) -> List[Tuple[int, Optional[V]]]:
         if merged[-1][1] != value:
             merged.append((base, value))
     return merged
+
+
+def moved_rows(was, new):
+    """The prefixes whose row differs between two maps (None: no map)."""
+    return {prefix for prefix, _ in (was or {}).items() ^ (new or {}).items()}
